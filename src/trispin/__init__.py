@@ -6,67 +6,4 @@ a full-Hilbert-space cross-check, and reachability searches over the
 fixed-energy rotating ansatz.
 """
 
-from .algebra import (
-    ControlParams,
-    build_hamiltonian,
-    coherence_basis,
-    embed3,
-    energy_residual,
-    pauli,
-    transverse_amplitude,
-)
-from .boundary import (
-    BoundaryConstants,
-    QuantumNumbers,
-    abcd_from_physical,
-    analytic_family,
-    boundary_residuals,
-    closed_form_params,
-    consistency_scan,
-    derived_quantities,
-    exp_boundary_check,
-    family_constants_for_target,
-    integer_relations_check,
-    invert_to_physical,
-    rejected_branch_residuals,
-    sinc,
-    solution_record,
-    sweep_tau,
-    target_variant,
-)
-from .dynamics import (
-    Trajectory,
-    build_M,
-    build_P,
-    build_Q,
-    exact_state_trajectory,
-    expm_skew4,
-    frame_conjugation_defect,
-    integral_generator,
-    join_halves,
-    phase_generator,
-    propagate_expm_integral,
-    propagate_rk4,
-    propagate_rotating_exact,
-    propagator_discrepancy,
-    split_halves,
-)
-from .hilbert import (
-    closure_check,
-    cross_validate,
-    expectation_trajectory,
-    expectations,
-    full_hilbert_trajectory,
-    schrodinger_propagate,
-)
-from .report import VerificationReport, run_verification
-from .search import (
-    SearchResult,
-    grid_search,
-    min_time_to_target,
-    no_transfer_probe,
-    refine_local,
-    target_expectation,
-)
-
 __version__ = "0.1.0"

@@ -57,6 +57,13 @@ _BASIS_AXES = (
 
 _BASIS_CACHE: tuple[np.ndarray, ...] | None = None
 
+# Initial state of every transfer experiment: <sx1> = 1, all other coherences 0.
+E1 = np.eye(8)[0]
+E1.setflags(write=False)
+
+# Minimal transfer time sqrt(3)*pi/4 of the closed-form solution family.
+TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
+
 
 def coherence_basis() -> tuple[np.ndarray, ...]:
     """The eight-operator basis O_1..O_8 (read-only arrays, Tr[O_i O_j] = 8 delta_ij)."""

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .algebra import ControlParams, energy_residual
-from .dynamics import phase_integrals
+from .dynamics import MB, MC, MS, MZ, phase_integrals
 
 PI = math.pi
 
@@ -69,14 +69,6 @@ class DerivedQuantities:
     z_minus: float
     w_plus: float
     w_minus: float
-    cz_plus: float
-    cz_minus: float
-    cw_plus: float
-    cw_minus: float
-    sz_plus: float
-    sz_minus: float
-    sw_plus: float
-    sw_minus: float
 
 
 def sinc(z: float) -> float:
@@ -102,7 +94,7 @@ def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
 
 
 def derived_quantities(c: BoundaryConstants) -> DerivedQuantities:
-    """X, Delta and the angle pairs (Z, W) with their cos/sinc values.
+    """X, Delta and the angle pairs (Z, W).
 
     Delta_pm = X_pm^2 - 4 a^2 c_pm^2 is evaluated in the factored form
     ((a-c)^2 + b^2 + d^2)((a+c)^2 + b^2 + d^2), which is nonnegative in exact
@@ -134,14 +126,6 @@ def derived_quantities(c: BoundaryConstants) -> DerivedQuantities:
         z_minus=z_m,
         w_plus=w_p,
         w_minus=w_m,
-        cz_plus=math.cos(z_p),
-        cz_minus=math.cos(z_m),
-        cw_plus=math.cos(w_p),
-        cw_minus=math.cos(w_m),
-        sz_plus=sinc(z_p),
-        sz_minus=sinc(z_m),
-        sw_plus=sinc(w_p),
-        sw_minus=sinc(w_m),
     )
 
 
@@ -198,14 +182,8 @@ def boundary_residuals(c: BoundaryConstants) -> np.ndarray:
 
 
 def generator_from_constants(c: BoundaryConstants, sign: int) -> np.ndarray:
-    """Final-time generator A_pm built directly from (a, b, c_pm, d)."""
-    cc = c.c(sign)
-    return np.array([
-        [0.0, 0.0, -c.a, 0.0],
-        [0.0, 0.0, -c.b, -cc],
-        [c.a, c.b, 0.0, c.d],
-        [0.0, cc, -c.d, 0.0],
-    ])
+    """Final-time generator A_pm = (a*MB + c_pm*MZ + d*MC - b*MS)/2, the integral_generator in the constants."""
+    return 0.5 * (c.a * MB + c.c(sign) * MZ + c.d * MC - c.b * MS)
 
 
 def exp_boundary_check(c: BoundaryConstants) -> tuple[np.ndarray, np.ndarray]:
@@ -215,15 +193,12 @@ def exp_boundary_check(c: BoundaryConstants) -> tuple[np.ndarray, np.ndarray]:
     return col_plus, col_minus
 
 
-def analytic_family(
-    m0: int, n0: int, k_sign: int = 1, c_sign: int | None = None
-) -> tuple[BoundaryConstants, QuantumNumbers, float]:
+def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstants, QuantumNumbers, float]:
     """Closed-form solution branch labelled by integers n0 >= m0 >= 0.
 
     With m = 2*m0 and n = 2*n0+1 the solution is a = |c_pm| = (pi/2) *
     sqrt((2m+1)(2n+1)), b = -pi*k_sign*(n-m), d = 0, and tau_star = a/2.
-    The orientation of (c_plus, c_minus, b) is a single sign; c_sign defaults
-    to k_sign, which is the orientation realized by a physical control with
+    c_plus = k_sign*a is the orientation realized by a physical control with
     bz = 0 and coupling ratio k_sign.
     """
     if m0 != int(m0) or n0 != int(n0):
@@ -233,17 +208,13 @@ def analytic_family(
         raise ValueError(f"index ordering violated: need n0 >= m0 >= 0, got m0={m0}, n0={n0}")
     if k_sign not in (1, -1):
         raise ValueError("k_sign must be +1 or -1")
-    if c_sign is None:
-        c_sign = k_sign
-    if c_sign not in (1, -1):
-        raise ValueError("c_sign must be +1 or -1")
     m, n = 2 * m0, 2 * n0 + 1
     a = 0.5 * PI * math.sqrt((2 * m + 1) * (2 * n + 1))
     constants = BoundaryConstants(
         a=a,
         b=-PI * k_sign * (n - m),
-        c_plus=c_sign * a,
-        c_minus=-c_sign * a,
+        c_plus=k_sign * a,
+        c_minus=-k_sign * a,
         d=0.0,
     )
     qn = QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1, q=m0 + n0 + 1)
@@ -337,7 +308,7 @@ def family_constants_for_target(
         raise ValueError(f"no solution family exists for target {spec.label!r}")
     c, qn, tau_star = analytic_family(m0, n0, k_sign)
     if spec.swap_bd:
-        c = BoundaryConstants(a=c.a, b=c.d, c_plus=c.c_plus, c_minus=c.c_minus, d=c.b)
+        c = swap_bd(c)
     return c, qn, tau_star
 
 
@@ -395,9 +366,7 @@ def invert_to_physical(
     b_target: float,
     r_values: tuple[int, ...] = (0, 1, 2),
     root_range: tuple[float, float] = (1e-3, 20.0),
-    scan_points: int = 10_000,
     b0_signs: tuple[int, ...] = (1, -1),
-    tol: float = 1e-10,
 ) -> list[InvertedSolution]:
     """Solve for controls realizing (a=2*tau_star, b=b_target, c_pm=+-k*a, d=0).
 
@@ -407,9 +376,9 @@ def invert_to_physical(
 
         2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
 
-    solved by bracketing on root_range followed by bisection.  The equation is
-    even in omega_rf, so only positive rates are scanned.  An empty result
-    means no sign change was bracketed, not a failure.
+    solved by bracketing on 10,000 points of root_range followed by
+    bisection.  The equation is even in omega_rf, so only positive rates are
+    scanned.  An empty result means no sign change was bracketed, not a failure.
     """
     if omega_hat**2 <= 2.0:
         raise ValueError(f"omega_hat^2 must exceed 2, got {omega_hat**2:.6g}")
@@ -421,7 +390,7 @@ def invert_to_physical(
     if not (0.0 < lo < hi):
         raise ValueError("root_range must satisfy 0 < lo < hi")
     amp = math.sqrt(omega_hat**2 - 2.0)
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, 10_000)
     solutions: list[InvertedSolution] = []
     for b0_sign in b0_signs:
         b0 = b0_sign * amp
@@ -455,7 +424,7 @@ def invert_to_physical(
                 c = abcd_from_physical(params, tau_star)
                 res_b = abs(c.b - b_target)
                 res_d = abs(c.d)
-                if res_b <= tol and res_d <= tol:
+                if res_b <= 1e-10 and res_d <= 1e-10:
                     solutions.append(
                         InvertedSolution(
                             params=params,
@@ -505,16 +474,14 @@ def consistency_scan(
     omega_hi: float,
     k_sign: int = 1,
     samples: int = 4001,
-    tol: float = 1e-9,
-    refine: bool = True,
 ) -> ScanResult:
     """Scan omega_hat over (omega_lo, omega_hi] for closed-form consistency.
 
     For every sampled omega_hat and all sign branches with r in {0, 1, 2} the
     residuals |b - (-pi*k)| and |d| of the boundary constants generated by the
     closed-form controls are evaluated at the minimal tau_star.  A raw grid
-    cannot certify a quadratic tangency to 1e-9, so local minima of the curve
-    are refined by bounded scalar minimization before the tolerance test.
+    cannot certify a quadratic tangency to the 1e-9 tolerance, so local minima
+    of the curve are refined by bounded scalar minimization before the test.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -539,23 +506,22 @@ def consistency_scan(
 
     def record(w: float, branch: dict) -> None:
         rb, rd = _branch_residual(w, k_sign, branch, tau_star, b_target)
-        if max(rb, rd) <= tol and all(abs(w - cp.omega_hat) > 1e-7 for cp in consistent):
+        if max(rb, rd) <= 1e-9 and all(abs(w - cp.omega_hat) > 1e-7 for cp in consistent):
             consistent.append(ConsistentPoint(omega_hat=w, residual_b=rb, residual_d=rd, branch=branch))
 
     for i in range(samples):
-        if residuals[i] <= tol:
+        if residuals[i] <= 1e-9:
             record(float(omegas[i]), best_branch[i])
-    if refine:
-        for i in range(1, samples - 1):
-            if residuals[i] <= min(residuals[i - 1], residuals[i + 1]) and residuals[i] < 1e-2:
-                branch = best_branch[i]
-                res = minimize_scalar(
-                    lambda w: max(_branch_residual(w, k_sign, branch, tau_star, b_target)),
-                    bounds=(float(omegas[i - 1]), float(omegas[i + 1])),
-                    method="bounded",
-                    options={"xatol": 1e-13},
-                )
-                record(float(res.x), branch)
+    for i in range(1, samples - 1):
+        if residuals[i] <= min(residuals[i - 1], residuals[i + 1]) and residuals[i] < 1e-2:
+            branch = best_branch[i]
+            res = minimize_scalar(
+                lambda w: max(_branch_residual(w, k_sign, branch, tau_star, b_target)),
+                bounds=(float(omegas[i - 1]), float(omegas[i + 1])),
+                method="bounded",
+                options={"xatol": 1e-13},
+            )
+            record(float(res.x), branch)
     consistent.sort(key=lambda cp: cp.omega_hat)
     return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent, best_branch=best_branch)
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algebra import ControlParams
+from .algebra import E1, TAU_STAR, ControlParams
 from .boundary import (
     analytic_family,
     consistency_scan,
@@ -35,9 +35,6 @@ from .dynamics import (
 from .hilbert import full_hilbert_trajectory
 from .report import run_verification
 from .search import grid_search
-
-_X0 = np.zeros(8)
-_X0[0] = 1.0
 
 
 class UsageError(Exception):
@@ -96,9 +93,13 @@ def _read_params_file(path: str) -> ControlParams:
     except json.JSONDecodeError as exc:
         raise UsageError(f"parameter file {path} is not valid JSON: {exc}") from None
     try:
-        return ControlParams.from_dict(data)
+        params = ControlParams.from_dict(data)
     except KeyError as exc:
         raise UsageError(f"parameter file {path} is missing field {exc}") from None
+    bad = [name for name, value in params.to_dict().items() if not math.isfinite(value)]
+    if bad:
+        raise UsageError(f"parameter file {path} has non-finite {', '.join(bad)}")
+    return params
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -108,13 +109,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     _require(args.dtau > 0, "--dtau must be positive")
     _require(args.tau_end > 0, "--tau-end must be positive")
     if args.method == "rk4":
-        traj = propagate_rk4(p, _X0, args.tau_end, args.dtau)
+        traj = propagate_rk4(p, E1, args.tau_end, args.dtau)
     elif args.method == "rotating-exact":
         taus = _time_grid(args.tau_end, args.dtau)
-        traj = Trajectory(taus=taus, states=exact_state_trajectory(p, _X0, taus), method="rotating-exact", dtau=args.dtau)
+        traj = Trajectory(taus=taus, states=exact_state_trajectory(p, E1, taus), method="rotating-exact", dtau=args.dtau)
     elif args.method == "expm-integral":
         taus = _time_grid(args.tau_end, args.dtau)
-        y_plus0, y_minus0 = split_halves(_X0)
+        y_plus0, y_minus0 = split_halves(E1)
         states = np.empty((len(taus), 8))
         for i, tau in enumerate(taus):
             states[i] = join_halves(
@@ -134,14 +135,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    omega = args.omega_hat
-    if omega != "auto":
-        try:
-            omega = float(omega)
-        except ValueError:
-            raise UsageError(f"--omega-hat must be a number or 'auto', got {omega!r}") from None
-        _require(omega**2 > 1.0 + args.k**2, f"omega_hat={omega:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
-        _require(omega**2 > 2.0, f"omega_hat={omega:g} leaves no transverse amplitude for |k| = 1 (omega_hat^2 must exceed 2)")
+    # "auto" is resolved by the report's own consistency scan
+    omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat, args.k)
     report = run_verification(
         omega_hat=omega,
         k_sign=args.k,
@@ -153,8 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report.to_text())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_json(report.to_dict(), args.out)
         print(f"report written to {args.out}")
     return report.exit_code
 
@@ -200,13 +194,13 @@ def _resolve_omega(value, k: int) -> float:
         omega = float(value)
     except ValueError:
         raise UsageError(f"--omega-hat must be a number or 'auto', got {value!r}") from None
-    _require(omega**2 > 1.0 + k**2, f"omega_hat={omega:g} is below the energy floor")
+    _require(omega**2 > 1.0 + k**2, f"omega_hat={omega:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
     return omega
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     omega = _resolve_omega(args.omega_hat, args.k)
-    tau_max = args.tau_max if args.tau_max is not None else 3.0 * 0.25 * math.sqrt(3.0) * math.pi
+    tau_max = args.tau_max if args.tau_max is not None else 3.0 * TAU_STAR
     result = grid_search(
         omega,
         float(args.k),
@@ -287,7 +281,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--params-file", default=None, help="JSON file with k, omega_hat, b0, bz, omega_rf, theta0")
     sp.add_argument("--method", default="rk4", choices=("rk4", "expm-integral", "rotating-exact", "full-hilbert"))
     sp.add_argument("--dtau", type=float, default=1e-3)
-    sp.add_argument("--tau-end", type=float, default=3.0 * 0.25 * math.sqrt(3.0) * math.pi)
+    sp.add_argument("--tau-end", type=float, default=3.0 * TAU_STAR)
     add_common(sp)
     sp.set_defaults(func=cmd_propagate)
 
@@ -330,7 +324,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = commands["invert"] = sub.add_parser("invert", help="solve for controls reproducing target boundary constants")
     sp.add_argument("--omega-hat", type=float, default=None)
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
-    sp.add_argument("--tau-star", type=float, default=0.25 * math.sqrt(3.0) * math.pi)
+    sp.add_argument("--tau-star", type=float, default=TAU_STAR)
     sp.add_argument("--b-target", type=float, default=-math.pi)
     sp.add_argument("--r", type=int, nargs="+", default=[0, 1, 2])
     sp.add_argument("--root-lo", type=float, default=1e-3)
@@ -360,10 +354,8 @@ def main(argv: list[str] | None = None) -> int:
             sp.set_defaults(**mapped)
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # OSError: an input or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

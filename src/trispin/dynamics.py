@@ -3,7 +3,12 @@
 The expectation vector x = (x1..x8) obeys dx/dtau = M(tau) x with the
 skew-symmetric block generator M = 2[[P, Q], [Q, P]].  Splitting into
 y_pm = x_plus +- x_minus decouples the system into two 4-vectors driven by
-M_pm = 2(P +- Q).  Three propagation routes are provided:
+M_pm = 2(P +- Q), which is linear in the drive:
+
+    M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS),  M0_pm = MB + (bz +- k)*MZ.
+
+Every generator in the package is assembled from the four constant matrices
+MB, MZ, MC and MS.  Three propagation routes are provided:
 
 * ``propagate_rk4``            classic fixed-step RK4 on the full 8-vector,
 * ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
@@ -11,9 +16,9 @@ M_pm = 2(P +- Q).  Three propagation routes are provided:
                                commute with its integral, so this is *not*
                                guaranteed to equal the time-ordered solution),
 * ``propagate_rotating_exact`` closed form obtained in the co-rotating frame,
-                               exact up to matrix-exponential accuracy.
+                               exact up to eigendecomposition accuracy.
 
-``propagator_discrepancy`` measures the gap between the last two.
+``propagator_discrepancy`` measures the gap between the last two routes.
 """
 
 from __future__ import annotations
@@ -28,50 +33,50 @@ from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
-# Generator of rotations in the (2,4) plane of each 4-vector half.  The
-# transverse drive enters the reduced generator only through its phase, and
-# conjugation by exp(phase * J) shifts that phase; the orientation is fixed
-# empirically at first use (see phase_generator).
-_J = np.array([
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-])
-_J.setflags(write=False)
 
-
-def build_P(p: ControlParams, tau: float) -> np.ndarray:
-    """Time-dependent skew 4x4 block: P13=-1, P23=b0*sin(theta), P24=-bz, P34=b0*cos(theta)."""
-    th = p.theta(tau)
-    s = p.b0 * math.sin(th)
-    c = p.b0 * math.cos(th)
+def _skew(i: int, j: int, value: float) -> np.ndarray:
+    """Read-only 4x4 matrix with entry (i, j) = value and (j, i) = -value (0-based)."""
     out = np.zeros((4, 4))
-    out[0, 2] = -1.0
-    out[1, 2] = s
-    out[1, 3] = -p.bz
-    out[2, 3] = c
-    return out - out.T
-
-
-def build_Q(k: float) -> np.ndarray:
-    """Constant skew 4x4 block: Q24=-k, Q42=k."""
-    out = np.zeros((4, 4))
-    out[1, 3] = -k
-    out[3, 1] = k
+    out[i, j] = value
+    out[j, i] = -value
+    out.setflags(write=False)
     return out
 
 
-def build_M(p: ControlParams, tau: float) -> np.ndarray:
-    """Full 8x8 generator 2*[[P, Q], [Q, P]]."""
-    pb = build_P(p, tau)
-    qb = build_Q(p.k)
-    return 2.0 * np.block([[pb, qb], [qb, pb]])
+# first Ising bond, static z field plus second bond, transverse field components
+MB = _skew(0, 2, -2.0)
+MZ = _skew(1, 3, -2.0)
+MC = _skew(2, 3, 2.0)
+MS = _skew(1, 2, 2.0)
+
+# Generator of the co-rotating frame: the rotation of the (2,4) plane, J = MZ/2.
+# R = exp(phi*J) maps e2 -> cos(phi) e2 + sin(phi) e4 and e4 -> -sin(phi) e2 +
+# cos(phi) e4 (1-based), so R (cos(theta)*MC + sin(theta)*MS) R^T =
+# cos(theta+phi)*MC + sin(theta+phi)*MS, while MB (the (1,3) plane) and MZ (the
+# (2,4) plane itself) commute with R.  Hence M_pm(tau) = R M_pm(0) R^T with
+# phi = omega_rf*tau, and y_pm(tau) = R exp[tau*(M_pm(0) - omega_rf*J)] y_pm(0).
+J = _skew(1, 3, -1.0)
+
+
+def static_generator(p: ControlParams, sign: int) -> np.ndarray:
+    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase."""
+    return MB + (p.bz + sign * p.k) * MZ
 
 
 def build_M_half(p: ControlParams, tau: float, sign: int) -> np.ndarray:
-    """Decoupled 4x4 generator M_pm = 2*(P +- Q)."""
-    return 2.0 * (build_P(p, tau) + sign * build_Q(p.k))
+    """Decoupled 4x4 generator M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS)."""
+    th = p.theta(tau)
+    return static_generator(p, sign) + p.b0 * (math.cos(th) * MC + math.sin(th) * MS)
+
+
+def build_M(p: ControlParams, tau: float) -> np.ndarray:
+    """Full 8x8 generator 2*[[P, Q], [Q, P]], with 2P = (M_+ + M_-)/2 and 2Q = (M_+ - M_-)/2."""
+    m_plus = build_M_half(p, tau, 1)
+    m_minus = build_M_half(p, tau, -1)
+    out = np.empty((8, 8))
+    out[:4, :4] = out[4:, 4:] = 0.5 * (m_plus + m_minus)
+    out[:4, 4:] = out[4:, :4] = 0.5 * (m_plus - m_minus)
+    return out
 
 
 def split_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +86,10 @@ def split_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def join_halves(y_plus: np.ndarray, y_minus: np.ndarray) -> np.ndarray:
-    """Inverse of split_halves."""
+    """Inverse of split_halves; the state axis is the last one."""
     y_plus = np.asarray(y_plus, dtype=float)
     y_minus = np.asarray(y_minus, dtype=float)
-    return np.concatenate([(y_plus + y_minus) / 2.0, (y_plus - y_minus) / 2.0])
+    return np.concatenate([(y_plus + y_minus) / 2.0, (y_plus - y_minus) / 2.0], axis=-1)
 
 
 @dataclass
@@ -169,22 +174,17 @@ def phase_integrals(p: ControlParams, tau: float) -> tuple[float, float]:
 
 
 def integral_generator(p: ControlParams, tau: float, sign: int) -> np.ndarray:
-    """A_pm(tau) = int_0^tau M_pm(s) ds, assembled from the closed-form phase integrals."""
+    """A_pm(tau) = int_0^tau M_pm(s) ds = tau*M0_pm + b0*(int cos(theta)*MC + int sin(theta)*MS)."""
     int_cos, int_sin = phase_integrals(p, tau)
-    out = np.zeros((4, 4))
-    out[0, 2] = -tau
-    out[1, 2] = p.b0 * int_sin
-    out[1, 3] = -(p.bz + sign * p.k) * tau
-    out[2, 3] = p.b0 * int_cos
-    return 2.0 * (out - out.T)
+    return tau * static_generator(p, sign) + p.b0 * (int_cos * MC + int_sin * MS)
 
 
-def expm_skew4(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def expm_skew4(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a skew-symmetric 4x4 generator (orthogonal result)."""
     a = np.asarray(a, dtype=float)
     defect = np.max(np.abs(a + a.T)) if a.size else 0.0
-    if defect > tol:
-        raise ValueError(f"generator is not skew-symmetric (defect {defect:.3g} > {tol:.3g})")
+    if defect > 1e-12:
+        raise ValueError(f"generator is not skew-symmetric (defect {defect:.3g} > 1e-12)")
     return expm(a)
 
 
@@ -193,95 +193,42 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, tau: float, sign: 
     return expm_skew4(integral_generator(p, tau, sign)) @ np.asarray(y0, dtype=float)
 
 
-_PHASE_ORIENTATION: int | None = None
-
-
-def _conjugation_defect(p: ControlParams, tau: float, generator: np.ndarray) -> float:
-    phi = p.theta(tau) - p.theta0
-    g = expm(phi * generator)
-    worst = 0.0
-    for sign in (1, -1):
-        m_t = build_M_half(p, tau, sign)
-        m_0 = build_M_half(p, 0.0, sign)
-        worst = max(worst, float(np.max(np.abs(m_t - g @ m_0 @ g.T))))
-    return worst
-
-
-def _resolve_orientation() -> int:
-    global _PHASE_ORIENTATION
-    if _PHASE_ORIENTATION is not None:
-        return _PHASE_ORIENTATION
-    probes = [
-        ControlParams(k=1.0, omega_hat=2.4, b0=1.53, bz=0.35, omega_rf=1.7, theta0=0.9),
-        ControlParams(k=-1.0, omega_hat=2.9, b0=2.1, bz=-0.8, omega_rf=-2.3, theta0=4.1),
-    ]
-    for orientation in (1, -1):
-        gen = orientation * _J
-        if all(_conjugation_defect(p, tau, gen) <= 1e-12 for p in probes for tau in (0.37, 1.21, 2.9)):
-            _PHASE_ORIENTATION = orientation
-            return orientation
-    raise RuntimeError(
-        "neither orientation of the phase-plane generator reproduces the rotating-frame conjugation"
-    )
-
-
-def phase_generator() -> np.ndarray:
-    """The (2,4)-plane generator J with its empirically fixed orientation."""
-    return _resolve_orientation() * _J
-
-
 def frame_conjugation_defect(p: ControlParams, tau: float) -> float:
     """max over +- of |M_pm(tau) - exp(phi J) M_pm(0) exp(-phi J)|, phi = theta(tau)-theta0."""
-    return _conjugation_defect(p, tau, phase_generator())
-
-
-def _phase_rotation(phi: float) -> np.ndarray:
-    """exp(phi * J) for the canonical orientation of J, as a closed-form rotation."""
-    g = np.eye(4)
-    c, s = math.cos(phi), math.sin(phi)
-    g[1, 1] = c
-    g[1, 3] = -s
-    g[3, 1] = s
-    g[3, 3] = c
-    return g
+    g = expm((p.theta(tau) - p.theta0) * J)
+    return max(
+        float(np.max(np.abs(build_M_half(p, tau, sign) - g @ build_M_half(p, 0.0, sign) @ g.T)))
+        for sign in (1, -1)
+    )
 
 
 def rotating_generator(p: ControlParams, sign: int) -> np.ndarray:
     """Constant co-rotating-frame generator M_pm(0) - omega_rf * J."""
-    return build_M_half(p, 0.0, sign) - p.omega_rf * phase_generator()
+    return build_M_half(p, 0.0, sign) - p.omega_rf * J
 
 
-def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, tau: float, sign: int) -> np.ndarray:
-    """Exact solution y(tau) = exp[(theta(tau)-theta0) J] exp[tau (M_pm(0) - omega_rf J)] y0."""
-    orientation = _resolve_orientation()
-    w = expm(tau * rotating_generator(p, sign)) @ np.asarray(y0, dtype=float)
-    phi = p.theta(tau) - p.theta0
-    return _phase_rotation(orientation * phi) @ w
+def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
+    """Exact y_pm(tau) = exp(omega_rf*tau*J) exp[tau (M_pm(0) - omega_rf J)] y0 at every tau in taus.
+
+    One eigendecomposition serves all requested times.  The result has shape
+    ``np.shape(taus) + (4,)``.
+    """
+    t = np.ravel(np.asarray(taus, dtype=float))
+    # the generator is real skew, so 1j*gen is Hermitian: eigh gives a unitary basis
+    # even at degenerate spectra, where plain eig can return a singular one
+    ev, vec = np.linalg.eigh(1j * rotating_generator(p, sign))
+    coef = vec.conj().T @ np.asarray(y0, dtype=float).astype(complex)
+    y = (vec @ (np.exp(np.outer(-1j * ev, t)) * coef[:, None])).real  # (4, n)
+    # exp(phi*J) rotates the (2,4) plane by phi = omega_rf*tau
+    c, s = np.cos(p.omega_rf * t), np.sin(p.omega_rf * t)
+    y[1], y[3] = c * y[1] - s * y[3], s * y[1] + c * y[3]
+    return y.T.reshape(np.shape(taus) + (4,))
 
 
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Rotating-frame exact states at all requested times, via one eigendecomposition per half."""
-    taus = np.asarray(taus, dtype=float)
-    orientation = _resolve_orientation()
+    """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,)."""
     y_plus0, y_minus0 = split_halves(x0)
-    halves = []
-    for sign, y0 in ((1, y_plus0), (-1, y_minus0)):
-        gen = rotating_generator(p, sign)
-        # gen is real skew, so 1j*gen is Hermitian: eigh gives a unitary basis
-        # even at degenerate spectra, where plain eig can return a singular one
-        ev, vec = np.linalg.eigh(1j * gen)
-        coef = vec.conj().T @ y0.astype(complex)
-        frame = (vec @ (np.exp(np.outer(-1j * ev, taus)) * coef[:, None])).real  # (4, n)
-        phi = orientation * p.omega_rf * taus
-        c, s = np.cos(phi), np.sin(phi)
-        rotated = np.empty_like(frame)
-        rotated[0] = frame[0]
-        rotated[2] = frame[2]
-        rotated[1] = c * frame[1] - s * frame[3]
-        rotated[3] = s * frame[1] + c * frame[3]
-        halves.append(rotated)
-    y_plus, y_minus = halves
-    return np.column_stack([((y_plus + y_minus) / 2.0).T, ((y_plus - y_minus) / 2.0).T])
+    return join_halves(propagate_rotating_exact(p, y_plus0, taus, 1), propagate_rotating_exact(p, y_minus0, taus, -1))
 
 
 @dataclass(frozen=True)
@@ -294,16 +241,12 @@ class DiscrepancyResult:
 
 def propagator_discrepancy(p: ControlParams, tau_grid: np.ndarray) -> DiscrepancyResult:
     """max over the grid, both halves and all basis initial states of the propagator gap."""
-    worst = 0.0
-    worst_tau = float(tau_grid[0]) if len(tau_grid) else 0.0
-    orientation = _resolve_orientation()
-    for tau in np.asarray(tau_grid, dtype=float):
-        for sign in (1, -1):
-            u_ansatz = expm_skew4(integral_generator(p, tau, sign))
-            u_exact = _phase_rotation(orientation * (p.theta(tau) - p.theta0)) @ expm(
-                tau * rotating_generator(p, sign)
-            )
-            dev = float(np.max(np.linalg.norm(u_ansatz - u_exact, axis=0)))
-            if dev > worst:
-                worst, worst_tau = dev, float(tau)
-    return DiscrepancyResult(max_deviation=worst, tau_at_max=worst_tau)
+    taus = np.asarray(tau_grid, dtype=float)
+    worst = np.zeros(len(taus))
+    for sign in (1, -1):
+        ansatz = np.stack([expm_skew4(integral_generator(p, tau, sign)) for tau in taus])
+        # exact[n, :, j] = U_exact(tau_n) e_j
+        exact = np.stack([propagate_rotating_exact(p, e, taus, sign) for e in np.eye(4)], axis=-1)
+        worst = np.maximum(worst, np.max(np.linalg.norm(ansatz - exact, axis=1), axis=1))
+    i = int(np.argmax(worst))
+    return DiscrepancyResult(max_deviation=float(worst[i]), tau_at_max=float(taus[i]))

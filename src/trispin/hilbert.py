@@ -1,11 +1,11 @@
 """Independent validation of the reduced dynamics in the full three-qubit space.
 
-The evolution operator is integrated step by step with exactly unitary
-exponential rules, the coherence expectation values are projected out of the
-propagated density operator, and the result is compared against the reduced
-8-vector dynamics.  ``closure_check`` verifies, entry by entry, that the
-commutator action of the Hamiltonian on the operator basis reproduces the
-reduced generator and stays inside the 8-dimensional span.
+The evolution operator is integrated step by step with an exactly unitary
+fourth-order Magnus rule and the coherence expectation values are projected out
+of the propagated density operator; ``report.dynamics_equivalence`` compares it
+with the reduced 8-vector dynamics.  ``closure_check`` verifies, entry by entry,
+that the commutator action of the Hamiltonian on the operator basis reproduces
+the reduced generator and stays inside the 8-dimensional span.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ControlParams, build_hamiltonian, coherence_basis
-from .dynamics import Trajectory, _time_grid, build_M, propagate_rk4
+from .dynamics import Trajectory, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -28,7 +28,6 @@ class UnitaryTrajectory:
     taus: np.ndarray
     unitaries: np.ndarray  # shape (n, 8, 8), complex
     dtau: float
-    scheme: str
 
     def unitarity_defect(self) -> float:
         """max over samples of max-entry |U^dag U - I|."""
@@ -37,19 +36,15 @@ class UnitaryTrajectory:
         return float(np.max(np.abs(prods)))
 
 
-def schrodinger_propagate(
-    p: ControlParams, tau_end: float, dtau: float, scheme: str = "midpoint"
-) -> UnitaryTrajectory:
+def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> UnitaryTrajectory:
     """Integrate i dU/dtau = H(tau) U from the identity.
 
-    scheme "midpoint": U_{k+1} = exp(-i H(tau_k + h/2) h) U_k, second order.
-    scheme "gauss4":   exponential of the two-node Gauss average plus the
-    commutator correction, fourth order.  Both are exactly unitary per step.
+    Each step is the fourth-order Magnus exponential with two Gauss nodes: the
+    node average of H plus the commutator correction (Blanes, Casas, Oteo, Ros,
+    Phys. Rep. 470 (2009) 151).  It is exactly unitary per step.
     """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    if scheme not in ("midpoint", "gauss4"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'midpoint' or 'gauss4'")
     taus = _time_grid(tau_end, dtau)
     unitaries = np.empty((len(taus), 8, 8), dtype=complex)
     u = np.eye(8, dtype=complex)
@@ -57,41 +52,26 @@ def schrodinger_propagate(
     for i in range(1, len(taus)):
         t = taus[i - 1]
         h = taus[i] - t
-        if scheme == "midpoint":
-            herm = h * build_hamiltonian(p, t + h / 2.0)
-        else:
-            h1 = build_hamiltonian(p, t + (0.5 - _GAUSS_OFFSET) * h)
-            h2 = build_hamiltonian(p, t + (0.5 + _GAUSS_OFFSET) * h)
-            herm = (h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2)
+        h1 = build_hamiltonian(p, t + (0.5 - _GAUSS_OFFSET) * h)
+        h2 = build_hamiltonian(p, t + (0.5 + _GAUSS_OFFSET) * h)
+        herm = (h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2)
         ev, vec = np.linalg.eigh(herm)
         u = (vec * np.exp(-1j * ev)) @ vec.conj().T @ u
         unitaries[i] = u
-    return UnitaryTrajectory(taus=taus, unitaries=unitaries, dtau=dtau, scheme=scheme)
+    return UnitaryTrajectory(taus=taus, unitaries=unitaries, dtau=dtau)
 
 
-def expectations(u: np.ndarray, rho0_label: str = "sx1") -> np.ndarray:
-    """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8."""
-    if rho0_label != "sx1":
-        raise ValueError(f"unknown initial-state label {rho0_label!r}")
-    basis = coherence_basis()
-    w = u @ basis[0] @ u.conj().T  # the identity part of rho(0) drops out of every trace
-    return np.array([np.sum(op.conj() * w).real / 8.0 for op in basis])
-
-
-def expectation_trajectory(ut: UnitaryTrajectory, rho0_label: str = "sx1") -> np.ndarray:
-    """Vectorized expectations over every sample of a unitary trajectory, shape (n, 8)."""
-    if rho0_label != "sx1":
-        raise ValueError(f"unknown initial-state label {rho0_label!r}")
+def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:
+    """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, shape (n, 8)."""
     basis = np.stack(coherence_basis())
+    # the identity part of rho(0) drops out of every trace
     w = np.einsum("tab,bc,tdc->tad", ut.unitaries, basis[0], ut.unitaries.conj())
     return np.einsum("iab,tab->ti", basis.conj(), w).real / 8.0
 
 
-def full_hilbert_trajectory(
-    p: ControlParams, tau_end: float, dtau: float, scheme: str = "midpoint"
-) -> Trajectory:
+def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
     """Expectation-value trajectory obtained from the full-space propagation."""
-    ut = schrodinger_propagate(p, tau_end, dtau, scheme=scheme)
+    ut = schrodinger_propagate(p, tau_end, dtau)
     return Trajectory(
         taus=ut.taus,
         states=expectation_trajectory(ut),
@@ -131,21 +111,3 @@ def closure_check(p: ControlParams, tau_samples) -> ClosureResult:
             remainder = comm - np.tensordot(coeffs, np.stack(basis), axes=1)
             orth = max(orth, float(np.max(np.abs(remainder))))
     return ClosureResult(max_coefficient_error=coeff_err, max_orthogonal_residual=orth)
-
-
-def cross_validate(
-    p: ControlParams, tau_end: float, dtau: float, scheme: str = "gauss4"
-) -> float:
-    """max over the shared grid of ||x_full(tau) - x_reduced(tau)||_2.
-
-    Both routes start from x = e1.  The fourth-order scheme is the default
-    here: at dtau = 1e-4 over a few transfer times the midpoint rule's global
-    error reaches a few 1e-8, which would dominate the comparison.
-    """
-    full = full_hilbert_trajectory(p, tau_end, dtau, scheme=scheme)
-    x0 = np.zeros(8)
-    x0[0] = 1.0
-    reduced = propagate_rk4(p, x0, tau_end, dtau)
-    if not np.allclose(full.taus, reduced.taus, rtol=0.0, atol=1e-12):
-        raise RuntimeError("propagation grids diverged")
-    return float(np.max(np.linalg.norm(full.states - reduced.states, axis=1)))

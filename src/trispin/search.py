@@ -13,13 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import ControlParams, transverse_amplitude
-from .dynamics import exact_state_trajectory, propagate_rotating_exact, split_halves, join_halves
+from .algebra import E1, TAU_STAR, ControlParams, transverse_amplitude
+from .dynamics import _time_grid, exact_state_trajectory
 
 _TARGET_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
-
-_X0 = np.zeros(8)
-_X0[0] = 1.0
 
 
 def _target_index(target: str) -> int:
@@ -29,19 +26,10 @@ def _target_index(target: str) -> int:
         raise ValueError(f"unknown target {target!r}; expected 'x1'..'x8'") from None
 
 
-def target_expectation(p: ControlParams, tau: float, target: str = "x8") -> float:
-    """x_target(tau) starting from x = e1, via the exact rotating-frame propagator."""
-    idx = _target_index(target)
-    y_plus0, y_minus0 = split_halves(_X0)
-    y_plus = propagate_rotating_exact(p, y_plus0, tau, 1)
-    y_minus = propagate_rotating_exact(p, y_minus0, tau, -1)
-    return float(join_halves(y_plus, y_minus)[idx])
-
-
 def target_trajectory(p: ControlParams, taus: np.ndarray, target: str = "x8") -> np.ndarray:
-    """x_target over a whole tau grid (eigendecomposition fast path)."""
+    """x_target over a tau grid, starting from x = e1, via the exact rotating-frame propagator."""
     idx = _target_index(target)
-    return exact_state_trajectory(p, _X0, taus)[:, idx]
+    return exact_state_trajectory(p, E1, taus)[:, idx]
 
 
 def min_time_to_target(
@@ -57,7 +45,7 @@ def min_time_to_target(
     if tau_max <= 0.0 or dtau <= 0.0:
         raise ValueError("tau_max and dtau must be positive")
     # a threshold above 1 is simply unreachable and yields None
-    taus = np.arange(0.0, tau_max + dtau, dtau)
+    taus = _time_grid(tau_max, dtau)
     values = target_trajectory(p, taus, target)
     hits = np.nonzero(values >= threshold)[0]
     if len(hits) == 0:
@@ -68,7 +56,7 @@ def min_time_to_target(
     lo, hi = taus[i - 1], taus[i]
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if target_expectation(p, mid, target) >= threshold:
+        if target_trajectory(p, [mid], target)[0] >= threshold:
             hi = mid
         else:
             lo = mid
@@ -129,9 +117,9 @@ def grid_search(
         if key not in bounds:
             raise ValueError(f"bounds must provide {key!r}")
     if tau_max is None:
-        tau_max = 3.0 * 0.25 * math.sqrt(3.0) * math.pi
-    taus = np.arange(0.0, tau_max + dtau, dtau)
-    idx = _target_index(target)
+        tau_max = 3.0 * TAU_STAR
+    taus = _time_grid(tau_max, dtau)
+    _target_index(target)  # reject an unknown target even when no grid point is on the energy shell
 
     best_tau = math.inf
     best_params: ControlParams | None = None
@@ -147,7 +135,7 @@ def grid_search(
         for omega_rf in _axis(bounds, "omega_rf", resolution):
             for theta0 in _axis(bounds, "theta0", resolution):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
-                values = exact_state_trajectory(p, _X0, taus)[:, idx]
+                values = target_trajectory(p, taus, target)
                 peak = int(np.argmax(values))
                 if values[peak] > achieved:
                     achieved = float(values[peak])

@@ -57,7 +57,7 @@ def equivalence():
 
 
 def test_criterion_01_family_algebra():
-    c, qn, tau_star = analytic_family(0, 0, 1, 1)
+    c, qn, tau_star = analytic_family(0, 0, 1)
     dev_tau = abs(tau_star - 1.360349523175663)
     res_boundary = float(np.max(np.abs(boundary_residuals(c))))
     res_integer = float(np.max(np.abs(integer_relations_check(c, qn))))
@@ -71,7 +71,7 @@ def test_criterion_01_family_algebra():
 
 
 def test_criterion_02_exponential_boundary():
-    c, _, _ = analytic_family(0, 0, 1, 1)
+    c, _, _ = analytic_family(0, 0, 1)
     col_plus, col_minus = exp_boundary_check(c)
     e4 = np.array([0.0, 0.0, 0.0, 1.0])
     dev = max(float(np.max(np.abs(col_plus - e4))), float(np.max(np.abs(col_minus + e4))))

@@ -131,7 +131,6 @@ def test_derived_quantities_angle_labels_on_grid():
 def test_derived_quantities_zero_constants():
     dq = derived_quantities(BoundaryConstants(0.0, 0.0, 0.0, 0.0, 0.0))
     assert dq.x_plus == 0.0 and dq.z_plus == 0.0 and dq.w_minus == 0.0
-    assert dq.sz_plus == 1.0 and dq.sw_minus == 1.0
 
 
 def test_delta_nonnegative_for_random_constants(rng):
@@ -216,7 +215,7 @@ def test_exp_boundary_grid():
 
 
 def test_family_minimal_branch():
-    c, qn, tau_star = analytic_family(0, 0, 1, 1)
+    c, qn, tau_star = analytic_family(0, 0, 1)
     assert abs(tau_star - TAU_STAR) < 1e-15
     assert abs(c.a - math.sqrt(3.0) * PI / 2.0) < 1e-15
     assert abs(c.b + PI) < 1e-15
@@ -225,7 +224,7 @@ def test_family_minimal_branch():
 
 
 def test_family_next_branch():
-    c, qn, tau_star = analytic_family(0, 1, 1, 1)
+    c, qn, tau_star = analytic_family(0, 1, 1)
     assert abs(tau_star - 0.25 * PI * math.sqrt(7.0)) < 1e-15
     assert abs(c.b + 3.0 * PI) < 1e-15
     assert (qn.m, qn.n) == (0, 3)

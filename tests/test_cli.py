@@ -204,3 +204,52 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_verify_without_on_shell_grid_point_skips_searches(tmp_path, capsys):
+    # at resolution 2 the bz axis is (-omega_hat, omega_hat), both off the energy shell
+    out = tmp_path / "report.json"
+    code, stdout, _ = _run(
+        capsys, "verify", "--dynamics-sets", "1", "--dtau", "1e-3", "--resolution", "2",
+        "--scan-samples", "801", "--out", str(out),
+    )
+    assert code == 0
+    status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert status["ansatz_grid_search_x8"] == "skipped" and status["no_transfer_probe_x7"] == "skipped"
+    assert "SKIPPED  ansatz_grid_search_x8" in stdout and "overall: PASS" in stdout
+
+
+def test_verify_zero_dynamics_sets_skips_oracle_checks(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, _ = _run(
+        capsys, "verify", "--dynamics-sets", "0", "--resolution", "3", "--scan-samples", "801", "--out", str(out),
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"):
+        assert checks[name]["status"] == "skipped" and checks[name]["measured"] is None
+
+
+def test_verify_auto_without_consistent_scale_is_usage_error(capsys):
+    code, _, err = _run(capsys, "verify", "--dynamics-sets", "0", "--scan-samples", "1")
+    assert code == 2
+    assert err.startswith("error: no consistent energy scale") and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = _run(capsys, "sweep", "--max", "1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and str(out) in err and len(err.strip().splitlines()) == 1
+
+
+def test_propagate_rejects_non_finite_params(tmp_path, capsys):
+    params = closed_form_params(OMEGA).to_dict()
+    params["omega_hat"] = float("nan")
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    out = tmp_path / "x.csv"
+    code, _, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(out))
+    assert code == 2
+    assert "non-finite omega_hat" in err
+    assert not out.exists()

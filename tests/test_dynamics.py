@@ -2,25 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trispin.algebra import ControlParams, transverse_amplitude
 from trispin.dynamics import (
     CSV_HEADER,
+    J,
     build_M,
     build_M_half,
-    build_P,
-    build_Q,
     exact_state_trajectory,
     expm_skew4,
     frame_conjugation_defect,
     integral_generator,
     join_halves,
-    phase_generator,
     phase_integrals,
     propagate_expm_integral,
     propagate_rk4,
     propagate_rotating_exact,
     propagator_discrepancy,
+    rotating_generator,
     split_halves,
 )
 
@@ -52,9 +52,15 @@ def _random_params(rng):
 # --- generators ---------------------------------------------------------
 
 
+def _blocks(p, tau):
+    """(P, Q) read off the full generator M = 2[[P, Q], [Q, P]]."""
+    m = build_M(p, tau)
+    return m[:4, :4] / 2.0, m[:4, 4:] / 2.0
+
+
 def test_P_zero_field_entries():
     p = _params(b0=0.0, bz=0.0)
-    mat = build_P(p, 1.3)
+    mat = _blocks(p, 1.3)[0]
     expected = np.zeros((4, 4))
     expected[0, 2] = -1.0
     expected[2, 0] = 1.0
@@ -64,7 +70,7 @@ def test_P_zero_field_entries():
 def test_P_entries_at_quarter_phase():
     # theta = pi/2: P23 = b0, P34 = 0
     p = _params(b0=1.0, bz=0.0, omega_rf=1.0, theta0=0.0)
-    mat = build_P(p, math.pi / 2.0)
+    mat = _blocks(p, math.pi / 2.0)[0]
     assert abs(mat[1, 2] - 1.0) < 1e-14
     assert abs(mat[2, 3]) < 1e-14
 
@@ -72,25 +78,25 @@ def test_P_entries_at_quarter_phase():
 def test_P_skew(rng):
     for _ in range(5):
         p = _random_params(rng)
-        mat = build_P(p, float(rng.uniform(0, 5)))
+        mat = _blocks(p, float(rng.uniform(0, 5)))[0]
         assert np.max(np.abs(mat + mat.T)) <= 1e-14
 
 
 def test_Q_entries():
-    q = build_Q(1.0)
+    q = _blocks(_params(k=1.0, bz=0.0), 0.4)[1]
     assert q[1, 3] == -1.0 and q[3, 1] == 1.0
-    assert np.max(np.abs(build_Q(0.0))) == 0.0
-    assert np.allclose(build_Q(-1.0), -q)
+    assert np.max(np.abs(_blocks(_params(k=0.0, bz=0.0), 0.4)[1])) == 0.0
+    assert np.allclose(_blocks(_params(k=-1.0, bz=0.0), 0.4)[1], -q)
 
 
 def test_M_blocks_and_skew(rng):
     p = _random_params(rng)
     tau = 0.8
     m = build_M(p, tau)
-    assert np.allclose(m[:4, :4], 2.0 * build_P(p, tau))
-    assert np.allclose(m[:4, 4:], 2.0 * build_Q(p.k))
-    assert np.allclose(m[4:, :4], 2.0 * build_Q(p.k))
-    assert np.allclose(m[4:, 4:], 2.0 * build_P(p, tau))
+    assert np.array_equal(m[:4, :4], m[4:, 4:]) and np.array_equal(m[:4, 4:], m[4:, :4])
+    # the halves y_pm = x_plus +- x_minus evolve under M_pm = 2(P +- Q)
+    assert np.allclose(m[:4, :4] + m[:4, 4:], build_M_half(p, tau, 1))
+    assert np.allclose(m[:4, :4] - m[:4, 4:], build_M_half(p, tau, -1))
     assert np.max(np.abs(m + m.T)) <= 1e-14
 
 
@@ -289,7 +295,8 @@ def test_rotating_exact_preserves_norm(rng):
 
 
 def test_frame_conjugation_invariant(rng):
-    assert phase_generator().shape == (4, 4)
+    # the derived orientation: exp(phi J) turns e2 towards e4
+    assert J[3, 1] == 1.0 and J[1, 3] == -1.0
     for _ in range(4):
         p = _random_params(rng)
         for tau in rng.uniform(0.0, 4.0, size=4):
@@ -300,9 +307,11 @@ def test_exact_trajectory_matches_pointwise(rng):
     p = _random_params(rng)
     taus = np.linspace(0.0, 2.5, 7)
     states = exact_state_trajectory(p, np.eye(8)[0], taus)
+    # pointwise oracle by scipy's expm: y_pm = exp(omega_rf tau J) exp[tau (M_pm(0) - omega_rf J)] y_pm(0)
     for i, tau in enumerate(taus):
-        y_plus = propagate_rotating_exact(p, E1, float(tau), 1)
-        y_minus = propagate_rotating_exact(p, E1, float(tau), -1)
+        y_plus, y_minus = (
+            expm(p.omega_rf * tau * J) @ expm(tau * rotating_generator(p, sign)) @ E1 for sign in (1, -1)
+        )
         assert np.max(np.abs(states[i] - join_halves(y_plus, y_minus))) < 1e-11
 
 

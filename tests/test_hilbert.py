@@ -7,13 +7,11 @@ from scipy.linalg import expm
 from trispin.algebra import ControlParams, build_hamiltonian
 from trispin.hilbert import (
     closure_check,
-    cross_validate,
     expectation_trajectory,
-    expectations,
     full_hilbert_trajectory,
     schrodinger_propagate,
 )
-from trispin.report import random_consistent_params
+from trispin.report import dynamics_equivalence, random_consistent_params
 
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
 
@@ -47,18 +45,11 @@ def test_rejects_bad_step_and_scheme(rng):
     p = random_consistent_params(rng)
     with pytest.raises(ValueError):
         schrodinger_propagate(p, 1.0, -1e-3)
-    with pytest.raises(ValueError, match="unknown scheme"):
-        schrodinger_propagate(p, 1.0, 1e-3, scheme="euler")
 
 
 def test_expectations_initial_state():
-    x = expectations(np.eye(8, dtype=complex))
-    assert np.allclose(x, np.eye(8)[0])
-
-
-def test_expectations_unknown_label():
-    with pytest.raises(ValueError, match="initial-state label"):
-        expectations(np.eye(8, dtype=complex), rho0_label="sz2")
+    x = expectation_trajectory(schrodinger_propagate(FREE, 0.0, 1e-3))
+    assert np.allclose(x, [np.eye(8)[0]])
 
 
 def test_expectations_free_precession():
@@ -107,12 +98,12 @@ def test_closure_coefficient_matrix_skew(rng):
 
 
 def test_cross_validate_free_case():
-    assert cross_validate(FREE, 2.0, 1e-4) <= 1e-10
+    assert dynamics_equivalence([FREE], 2.0, 1e-4)[0] <= 1e-10
 
 
 def test_cross_validate_consistent_params(rng):
     p = random_consistent_params(rng)
-    assert cross_validate(p, TAU_STAR, 1e-4) <= 1e-8
+    assert dynamics_equivalence([p], TAU_STAR, 1e-4)[0] <= 1e-8
 
 
 def test_cross_validate_first_sample_identical(rng):

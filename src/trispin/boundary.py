@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import expm
@@ -266,50 +267,22 @@ def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndar
     return r
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """A transfer target: which component of x should reach +-1 at tau_star."""
-
-    label: str
-    index: int  # 0-based position in the 8-vector
-    y_plus_final: np.ndarray
-    y_minus_final: np.ndarray
-    swap_bd: bool
-    transfer_expected: bool
-
-
-def target_variant(target: str) -> TargetSpec:
-    """Boundary data for the supported targets x8, x6 and x7.
-
-    The x6 variant is solved by the analytic family with the constants b and d
-    exchanged; for x7 no solution of the boundary system exists.
-    """
-    axis = {"x8": 3, "x6": 1, "x7": 2}
-    if target not in axis:
-        raise ValueError(f"unknown target {target!r}; expected one of 'x6', 'x7', 'x8'")
-    e = np.zeros(4)
-    e[axis[target]] = 1.0
-    return TargetSpec(
-        label=target,
-        index={"x8": 7, "x6": 5, "x7": 6}[target],
-        y_plus_final=e,
-        y_minus_final=-e,
-        swap_bd=(target == "x6"),
-        transfer_expected=(target != "x7"),
-    )
+# First column of exp[A_plus(tau_star)] at each target's family constants;
+# exp[A_minus] gives its negative.  x6 is the x8 family with b and d exchanged.
+# x7 is absent: no family transfers e1 there.
+TRANSFER_COLUMNS = MappingProxyType({"x8": (0.0, 0.0, 0.0, 1.0), "x6": (0.0, -1.0, 0.0, 0.0)})
 
 
 def family_constants_for_target(
     target: str, m0: int, n0: int, k_sign: int = 1
 ) -> tuple[BoundaryConstants, QuantumNumbers, float]:
-    """Analytic-family constants adapted to a target (b and d exchanged for x6)."""
-    spec = target_variant(target)
-    if not spec.transfer_expected:
-        raise ValueError(f"no solution family exists for target {spec.label!r}")
+    """Analytic-family constants whose exp[A_pm] first columns are +-TRANSFER_COLUMNS[target]."""
+    if target not in TRANSFER_COLUMNS:
+        raise ValueError(
+            f"no solution family exists for target {target!r}; expected one of {', '.join(TRANSFER_COLUMNS)}"
+        )
     c, qn, tau_star = analytic_family(m0, n0, k_sign)
-    if spec.swap_bd:
-        c = swap_bd(c)
-    return c, qn, tau_star
+    return (swap_bd(c) if target == "x6" else c), qn, tau_star
 
 
 def swap_bd(c: BoundaryConstants) -> BoundaryConstants:
@@ -366,7 +339,6 @@ def invert_to_physical(
     b_target: float,
     r_values: tuple[int, ...] = (0, 1, 2),
     root_range: tuple[float, float] = (1e-3, 20.0),
-    b0_signs: tuple[int, ...] = (1, -1),
 ) -> list[InvertedSolution]:
     """Solve for controls realizing (a=2*tau_star, b=b_target, c_pm=+-k*a, d=0).
 
@@ -392,7 +364,7 @@ def invert_to_physical(
     amp = math.sqrt(omega_hat**2 - 2.0)
     grid = np.linspace(lo, hi, 10_000)
     solutions: list[InvertedSolution] = []
-    for b0_sign in b0_signs:
+    for b0_sign in (1, -1):
         b0 = b0_sign * amp
         for r in r_values:
             sgn = (-1.0) ** r
@@ -553,7 +525,8 @@ def solution_record(
 ) -> dict:
     """JSON-ready record of a solution branch, optionally with a physical realization."""
     c, qn, tau_star = family_constants_for_target(target, m0, n0, k_sign)
-    res = boundary_residuals(c if target != "x6" else swap_bd(c))
+    # the scalar boundary system is written for x8, so it is evaluated at the family constants
+    res = boundary_residuals(analytic_family(m0, n0, k_sign)[0])
     record = {
         "m0": qn.m0,
         "n0": qn.n0,
@@ -576,7 +549,6 @@ def solution_record(
     }
     if params is not None:
         cc = abcd_from_physical(params, tau_star)
-        b_ref, d_ref = (c.b, c.d) if target != "x6" else (c.d, c.b)
         record["params"] = {
             "omega_hat": params.omega_hat,
             "b0": params.b0,
@@ -585,35 +557,7 @@ def solution_record(
             "theta0": params.theta0,
             "branch": branch,
         }
-        record["residuals"]["b_eq"] = abs(cc.b - b_ref)
-        record["residuals"]["d_eq"] = abs(cc.d - d_ref)
+        record["residuals"]["b_eq"] = abs(cc.b - c.b)
+        record["residuals"]["d_eq"] = abs(cc.d - c.d)
         record["energy_residual"] = energy_residual(params)
     return record
-
-
-__all__ = [
-    "BoundaryConstants",
-    "QuantumNumbers",
-    "DerivedQuantities",
-    "TargetSpec",
-    "InvertedSolution",
-    "ConsistentPoint",
-    "ScanResult",
-    "sinc",
-    "abcd_from_physical",
-    "derived_quantities",
-    "boundary_residuals",
-    "generator_from_constants",
-    "exp_boundary_check",
-    "analytic_family",
-    "rejected_branch_residuals",
-    "integer_relations_check",
-    "target_variant",
-    "family_constants_for_target",
-    "swap_bd",
-    "closed_form_params",
-    "invert_to_physical",
-    "consistency_scan",
-    "sweep_tau",
-    "solution_record",
-]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams
 from .boundary import (
+    TRANSFER_COLUMNS,
     analytic_family,
     consistency_scan,
     invert_to_physical,
@@ -33,7 +34,7 @@ from .dynamics import (
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
-from .report import run_verification
+from .report import SCAN_RANGE, run_verification
 from .search import grid_search
 
 
@@ -75,6 +76,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     params = None
     branch = None
     if args.omega_hat is not None:
+        # invert_to_physical solves only the d = 0 branch, which is the x8 family
+        _require(args.target == "x8", f"--omega-hat realizes only target x8, not {args.target}")
         constants, _, tau_star = analytic_family(args.m0, args.n0, args.k)
         sols = invert_to_physical(args.omega_hat, float(args.k), tau_star, constants.b)
         if sols:
@@ -186,9 +189,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _resolve_omega(value, k: int) -> float:
     if value == "auto":
-        scan = consistency_scan(2.0, 4.0, k_sign=k, samples=4001)
+        scan = consistency_scan(*SCAN_RANGE, k_sign=k, samples=4001)
         if not scan.consistent:
-            raise UsageError("no consistent energy scale found in (2, 4]; pass --omega-hat explicitly")
+            raise UsageError(
+                f"no consistent energy scale found in ({SCAN_RANGE[0]:g}, {SCAN_RANGE[1]:g}]; pass --omega-hat explicitly"
+            )
         return scan.consistent[0].omega_hat
     try:
         omega = float(value)
@@ -272,7 +277,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--m0", type=int, default=None)
     sp.add_argument("--n0", type=int, default=None)
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
-    sp.add_argument("--target", default="x8", choices=("x8", "x6"))
+    sp.add_argument("--target", default="x8", choices=tuple(TRANSFER_COLUMNS))
     sp.add_argument("--omega-hat", type=float, default=None, help="attach a physical realization at this energy scale")
     add_common(sp)
     sp.set_defaults(func=cmd_analytic)

@@ -3,6 +3,8 @@
 The search space is the energy shell of the rotating drive: (bz, omega_rf,
 theta0) free, b0 fixed by the energy constraint.  All evaluations use the
 exact rotating-frame propagator, so the only discretization is the tau grid.
+A grid search records the peak of every component x1..x8, so the search for
+x8 also measures how close the unreachable x7 comes.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class SearchResult:
     achieved: float  # largest target expectation seen anywhere
     achieved_params: ControlParams | None
     achieved_tau: float | None
+    # (value, tau, params) of the largest value of each component x1..x8 seen
+    # anywhere, the target's entry included; (-inf, None, None) when no grid
+    # point lies on the energy shell
+    peaks: dict
     grid_spec: dict
     feasible: bool
     trace: list = field(default_factory=list)
@@ -107,7 +113,8 @@ def grid_search(
 
     Deterministic for fixed inputs.  bz values outside the energy shell are
     skipped (no real transverse amplitude there).  The result also records the
-    largest target expectation seen, reached or not, and optionally the whole
+    largest value of every component x1..x8 seen, reached or not, so one pass
+    also bounds the components it does not target, and optionally the whole
     (parameters -> reach time, peak) landscape.
     """
     if resolution < 1:
@@ -119,13 +126,11 @@ def grid_search(
     if tau_max is None:
         tau_max = 3.0 * TAU_STAR
     taus = _time_grid(tau_max, dtau)
-    _target_index(target)  # reject an unknown target even when no grid point is on the energy shell
+    idx = _target_index(target)
 
     best_tau = math.inf
     best_params: ControlParams | None = None
-    achieved = -math.inf
-    achieved_params: ControlParams | None = None
-    achieved_tau: float | None = None
+    peaks = {name: (-math.inf, None, None) for name in _TARGET_INDEX}
     landscape: list = []
     shell = omega_hat**2 - (1.0 + k**2)
     for bz in _axis(bounds, "bz", resolution):
@@ -135,11 +140,13 @@ def grid_search(
         for omega_rf in _axis(bounds, "omega_rf", resolution):
             for theta0 in _axis(bounds, "theta0", resolution):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
-                values = target_trajectory(p, taus, target)
-                peak = int(np.argmax(values))
-                if values[peak] > achieved:
-                    achieved = float(values[peak])
-                    achieved_params, achieved_tau = p, float(taus[peak])
+                states = exact_state_trajectory(p, E1, taus)
+                rows = np.argmax(states, axis=0)
+                for name, j in _TARGET_INDEX.items():
+                    if states[rows[j], j] > peaks[name][0]:
+                        peaks[name] = (float(states[rows[j], j]), float(taus[rows[j]]), p)
+                values = states[:, idx]
+                peak = int(rows[idx])
                 reached: float | None = None
                 hits = np.nonzero(values >= threshold)[0]
                 if len(hits):
@@ -150,12 +157,14 @@ def grid_search(
                     landscape.append(
                         (float(bz), float(omega_rf), float(theta0), reached, float(values[peak]), float(taus[peak]))
                     )
+    achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,
         best_tau=None if math.isinf(best_tau) else best_tau,
         achieved=achieved,
         achieved_params=achieved_params,
         achieved_tau=achieved_tau,
+        peaks=peaks,
         grid_spec={
             "omega_hat": omega_hat,
             "k": k,
@@ -207,39 +216,3 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
     x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf, seed.best_params.theta0])
     minimize(objective, x0, method="Nelder-Mead", options={"maxfev": iterations, "xatol": 1e-10, "fatol": 1e-12})
     return replace(seed, best_params=best["params"], best_tau=best["tau"], trace=trace)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Supremum of a target expectation over the ansatz grid and a tau window."""
-
-    max_value: float
-    params: ControlParams | None
-    tau: float | None
-    per_omega: tuple
-
-
-def no_transfer_probe(
-    omega_hat_list,
-    tau_max: float,
-    resolution: int = 21,
-    target: str = "x7",
-    k: float = 1.0,
-    dtau: float = 1e-2,
-) -> ProbeResult:
-    """Maximize x_target over the ansatz grid for each energy scale in the list."""
-    per_omega = []
-    best = ProbeResult(max_value=-math.inf, params=None, tau=None, per_omega=())
-    for omega_hat in omega_hat_list:
-        result = grid_search(
-            omega_hat, k, target=target, resolution=resolution, threshold=1.0, tau_max=tau_max, dtau=dtau
-        )
-        per_omega.append((float(omega_hat), result.achieved))
-        if result.achieved > best.max_value:
-            best = ProbeResult(
-                max_value=result.achieved,
-                params=result.achieved_params,
-                tau=result.achieved_tau,
-                per_omega=(),
-            )
-    return ProbeResult(best.max_value, best.params, best.tau, tuple(per_omega))

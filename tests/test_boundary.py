@@ -5,6 +5,7 @@ import pytest
 
 from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
 from trispin.boundary import (
+    TRANSFER_COLUMNS,
     BoundaryConstants,
     abcd_from_physical,
     analytic_family,
@@ -22,7 +23,6 @@ from trispin.boundary import (
     solution_record,
     swap_bd,
     sweep_tau,
-    target_variant,
 )
 from trispin.dynamics import integral_generator
 
@@ -290,8 +290,13 @@ def test_closed_form_params_rejects_low_energy():
 # --- inversion ---------------------------------------------------------------------
 
 
+def _positive_b0_solutions():
+    """Inverted controls at the consistent scale on the r = 0, b0 > 0 branch."""
+    return [s for s in invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI, r_values=(0,)) if s.branch["b0_sign"] == 1]
+
+
 def test_invert_finds_reference_rate():
-    sols = invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI, r_values=(0,), b0_signs=(1,))
+    sols = _positive_b0_solutions()
     rates = [s.params.omega_rf for s in sols]
     assert any(abs(rate - 4.0 / math.sqrt(3.0)) < 1e-9 for rate in rates)
 
@@ -311,7 +316,7 @@ def test_invert_bisection_oracle():
         else:
             lo = mid
     oracle_rate = 0.5 * (lo + hi)
-    sols = invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI, r_values=(0,), b0_signs=(1,))
+    sols = _positive_b0_solutions()
     assert any(abs(s.params.omega_rf - oracle_rate) < 1e-9 for s in sols)
 
 
@@ -385,14 +390,20 @@ def test_sweep_table():
 
 
 def test_target_vectors():
-    t8 = target_variant("x8")
-    assert np.allclose(t8.y_plus_final, [0, 0, 0, 1]) and np.allclose(t8.y_minus_final, [0, 0, 0, -1])
-    t6 = target_variant("x6")
-    assert np.allclose(t6.y_plus_final, [0, 1, 0, 0]) and t6.swap_bd
-    t7 = target_variant("x7")
-    assert not t7.transfer_expected
-    with pytest.raises(ValueError):
-        target_variant("x5x")
+    # every table entry is the first column of exp[A_plus] at its family
+    # constants, and exp[A_minus] gives its negative, on several branches and both k
+    assert list(TRANSFER_COLUMNS) == ["x8", "x6"]
+    for target, column in TRANSFER_COLUMNS.items():
+        for m0, n0 in ((0, 0), (0, 2), (1, 1), (2, 3)):
+            for k_sign in (1, -1):
+                c, _, _ = family_constants_for_target(target, m0, n0, k_sign)
+                col_plus, col_minus = exp_boundary_check(c)
+                assert np.max(np.abs(col_plus - np.array(column))) < 1e-10, (target, m0, n0, k_sign)
+                assert np.max(np.abs(col_minus + np.array(column))) < 1e-10, (target, m0, n0, k_sign)
+    with pytest.raises(TypeError):
+        TRANSFER_COLUMNS["x7"] = (0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="no solution family"):
+        family_constants_for_target("x5x", 0, 0)
 
 
 def test_x6_family_constants():
@@ -403,14 +414,13 @@ def test_x6_family_constants():
 
 
 def test_x6_exp_columns_along_target_axis():
-    # the exchanged-constants generator transfers e1 onto the +-e2 pair
+    # the exchanged-constants generator transfers e1 onto the -e2 / +e2 pair
     c6, _, _ = family_constants_for_target("x6", 0, 0, 1)
     col_plus, col_minus = exp_boundary_check(c6)
     axis = np.zeros(4)
-    axis[1] = 1.0
-    orient = math.copysign(1.0, col_plus[1])
-    assert np.max(np.abs(col_plus - orient * axis)) < 1e-10
-    assert np.max(np.abs(col_minus + orient * axis)) < 1e-10
+    axis[1] = -1.0
+    assert np.max(np.abs(col_plus - axis)) < 1e-10
+    assert np.max(np.abs(col_minus + axis)) < 1e-10
     # swapping b and d back recovers the original family residuals
     assert np.max(np.abs(boundary_residuals(swap_bd(c6)))) <= 1e-10
 
@@ -424,7 +434,7 @@ def test_x7_has_no_family():
 
 
 def test_solution_record_schema():
-    sols = invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI, r_values=(0,), b0_signs=(1,))
+    sols = _positive_b0_solutions()
     rec = solution_record(0, 0, k_sign=1, params=sols[0].params, branch=sols[0].branch)
     for key in ("m0", "n0", "k_sign", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "q", "params", "residuals"):
         assert key in rec

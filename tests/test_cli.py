@@ -56,6 +56,18 @@ def test_analytic_with_realization(capsys):
     assert rec["residuals"]["b_eq"] <= 1e-9
 
 
+def test_analytic_x6_realization_is_usage_error(capsys):
+    # inverted controls solve only the d = 0 branch; for x6 they would realize the x8 constants
+    code, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--target", "x6", "--omega-hat", "2.5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--target", "x6")
+    rec = json.loads(out)
+    assert code == 0 and rec["params"] is None
+    assert (rec["b"], rec["d"]) == (0.0, -PI)
+    assert max(abs(v) for v in rec["residuals"]["boundary"]) <= 1e-10
+
+
 def test_analytic_rejects_bad_ordering(capsys):
     code, _, err = _run(capsys, "analytic", "--m0", "1", "--n0", "0")
     assert code == 2

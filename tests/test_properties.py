@@ -1,0 +1,70 @@
+"""Property tests over random energy-shell controls (hypothesis, derandomized in conftest)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
+from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
+from trispin.hilbert import schrodinger_propagate
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shell_params(draw):
+    """A control set on the fixed-energy shell, bz strictly inside it."""
+    k = draw(_floats(-2.0, 2.0))
+    omega_hat = math.sqrt(1.0 + k**2) + draw(_floats(1e-3, 3.0))
+    bz = draw(_floats(-0.99, 0.99)) * math.sqrt(omega_hat**2 - (1.0 + k**2))
+    return ControlParams(
+        k=k,
+        omega_hat=omega_hat,
+        b0=transverse_amplitude(omega_hat, k, bz),
+        bz=bz,
+        omega_rf=draw(_floats(-6.0, 6.0)),
+        theta0=draw(_floats(0.0, 2.0 * math.pi)),
+    )
+
+
+vectors8 = st.lists(_floats(-1.0, 1.0), min_size=8, max_size=8).map(np.array)
+
+
+@given(shell_params(), vectors8, st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_exact_trajectory_preserves_norm(p, x0, taus):
+    states = exact_state_trajectory(p, x0, np.array(taus))
+    assert np.max(np.abs(np.linalg.norm(states, axis=-1) - np.linalg.norm(x0))) <= 1e-12
+
+
+@given(shell_params(), _floats(0.0, 10.0), vectors8)
+def test_build_M_decouples_into_halves(p, tau, x):
+    # M x = join(M_+ y_+, M_- y_-) with (y_+, y_-) = split(x): the y_pm halves evolve independently
+    y_plus, y_minus = split_halves(x)
+    halves = join_halves(build_M_half(p, tau, 1) @ y_plus, build_M_half(p, tau, -1) @ y_minus)
+    assert np.max(np.abs(build_M(p, tau) @ x - halves)) <= 1e-12
+
+
+@given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
+def test_gauss4_is_unitary(p, tau_end, dtau):
+    assert schrodinger_propagate(p, tau_end, dtau).unitarity_defect() <= 1e-12
+
+
+@given(_floats(-2.0, 2.0), _floats(1e-3, 5.0), _floats(-1.0, 1.0))
+def test_transverse_amplitude_lands_on_energy_shell(k, excess, bz_fraction):
+    omega_hat = math.sqrt(1.0 + k**2) + excess
+    shell = omega_hat**2 - (1.0 + k**2)
+    bz = bz_fraction * math.sqrt(shell)
+    if bz**2 > shell:
+        # at the shell's edge sqrt(shell)**2 can round to just outside it
+        with pytest.raises(ValueError, match="no real transverse amplitude"):
+            transverse_amplitude(omega_hat, k, bz)
+        return
+    b0 = transverse_amplitude(omega_hat, k, bz)
+    p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=0.0, theta0=0.0)
+    assert b0 >= 0.0
+    assert abs(energy_residual(p)) <= 1e-12

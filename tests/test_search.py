@@ -9,7 +9,6 @@ from trispin.dynamics import _time_grid
 from trispin.search import (
     grid_search,
     min_time_to_target,
-    no_transfer_probe,
     refine_local,
     target_trajectory,
 )
@@ -130,15 +129,28 @@ def test_refine_local_monotone_trace():
 
 
 def test_no_transfer_probe_degenerate_grid():
-    res = no_transfer_probe([OMEGA], tau_max=1.0, resolution=1)
-    assert np.isfinite(res.max_value)
-    assert len(res.per_omega) == 1
+    res = grid_search(OMEGA, 1.0, target="x7", resolution=1, threshold=1.0, tau_max=1.0)
+    value, tau, params = res.peaks["x7"]
+    assert np.isfinite(value) and 0.0 <= tau <= 1.0 and params is not None
+    # no bz grid value on the energy shell: every peak is empty
+    off_shell = grid_search(OMEGA, 1.0, bounds={"bz": (5.0, 6.0), "omega_rf": (0, 1), "theta0": (0, 1)}, resolution=2)
+    assert all(peak == (-math.inf, None, None) for peak in off_shell.peaks.values())
 
 
 def test_no_transfer_probe_contrast():
-    # x7 stays well below transfer while x8 climbs much higher on the same grid
-    probe7 = no_transfer_probe([OMEGA], tau_max=3.0 * TAU_STAR, resolution=9)
-    probe8 = no_transfer_probe([OMEGA], tau_max=3.0 * TAU_STAR, resolution=9, target="x8")
-    assert probe7.max_value < 0.999
-    assert probe8.max_value > probe7.max_value
-    print(f"grid maxima: x8={probe8.max_value:.4f}, x7={probe7.max_value:.4f}")
+    # x7 stays well below transfer while x8 climbs much higher in the same grid pass
+    res = grid_search(OMEGA, 1.0, target="x8", resolution=9, threshold=1.0)
+    x7, x8 = res.peaks["x7"][0], res.peaks["x8"][0]
+    assert x7 < 0.999
+    assert x8 > x7
+    print(f"grid maxima: x8={x8:.4f}, x7={x7:.4f}")
+
+
+def test_grid_peaks_match_single_target_searches():
+    # one pass records every component exactly as a search for that component would
+    res = grid_search(OMEGA, 1.0, target="x8", resolution=3, threshold=0.9, dtau=5e-2)
+    assert list(res.peaks) == [f"x{i}" for i in range(1, 9)]
+    for target, (value, tau, params) in res.peaks.items():
+        single = grid_search(OMEGA, 1.0, target=target, resolution=3, threshold=0.9, dtau=5e-2)
+        assert (value, tau, params) == (single.achieved, single.achieved_tau, single.achieved_params)
+        assert single.peaks == res.peaks

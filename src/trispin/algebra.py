@@ -55,27 +55,12 @@ _BASIS_AXES = (
     ("y", "y", "z"),
 )
 
-_BASIS_CACHE: tuple[np.ndarray, ...] | None = None
-
 # Initial state of every transfer experiment: <sx1> = 1, all other coherences 0.
 E1 = np.eye(8)[0]
 E1.setflags(write=False)
 
 # Minimal transfer time sqrt(3)*pi/4 of the closed-form solution family.
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
-
-
-def coherence_basis() -> tuple[np.ndarray, ...]:
-    """The eight-operator basis O_1..O_8 (read-only arrays, Tr[O_i O_j] = 8 delta_ij)."""
-    global _BASIS_CACHE
-    if _BASIS_CACHE is None:
-        ops = []
-        for axes in _BASIS_AXES:
-            op = embed3(*(None if a is None else _PAULI[a] for a in axes))
-            op.setflags(write=False)
-            ops.append(op)
-        _BASIS_CACHE = tuple(ops)
-    return _BASIS_CACHE
 
 
 @dataclass(frozen=True)
@@ -133,8 +118,14 @@ _ZZ23 = embed3(None, _PAULI["z"], _PAULI["z"])
 _X2 = embed3(None, _PAULI["x"], None)
 _Y2 = embed3(None, _PAULI["y"], None)
 _Z2 = embed3(None, _PAULI["z"], None)
-for _op in (_ZZ12, _ZZ23, _X2, _Y2, _Z2):
+_BASIS = tuple(embed3(*(None if a is None else _PAULI[a] for a in axes)) for axes in _BASIS_AXES)
+for _op in (_ZZ12, _ZZ23, _X2, _Y2, _Z2, *_BASIS):
     _op.setflags(write=False)
+
+
+def coherence_basis() -> tuple[np.ndarray, ...]:
+    """The eight-operator basis O_1..O_8 (read-only arrays, Tr[O_i O_j] = 8 delta_ij)."""
+    return _BASIS
 
 
 def build_hamiltonian(p: ControlParams, tau: float) -> np.ndarray:

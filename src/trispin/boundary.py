@@ -356,6 +356,8 @@ def invert_to_physical(
         raise ValueError(f"omega_hat^2 must exceed 2, got {omega_hat**2:.6g}")
     if b_target == 0.0:
         raise ValueError("b_target must be nonzero (the d = 0 branch requires b != 0)")
+    if tau_star <= 0.0:
+        raise ValueError(f"tau_star must be positive, got {tau_star:g}")
     if abs(abs(k) - 1.0) > 1e-12:
         raise ValueError("the solution family requires |k| = 1")
     lo, hi = root_range
@@ -426,6 +428,7 @@ class ScanResult:
     best_branch: list[dict]
 
 
+SCAN_SAMPLES = 4001
 _SCAN_BRANCHES = tuple(
     {"b0_sign": bs, "omega_sign": os_, "theta_sign": ts, "r": r}
     for bs in (1, -1)
@@ -445,7 +448,7 @@ def consistency_scan(
     omega_lo: float,
     omega_hi: float,
     k_sign: int = 1,
-    samples: int = 4001,
+    samples: int = SCAN_SAMPLES,
 ) -> ScanResult:
     """Scan omega_hat over (omega_lo, omega_hi] for closed-form consistency.
 

@@ -11,11 +11,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams
 from .boundary import (
+    SCAN_SAMPLES,
     TRANSFER_COLUMNS,
     analytic_family,
     consistency_scan,
@@ -34,24 +36,28 @@ from .dynamics import (
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
-from .report import SCAN_RANGE, run_verification
-from .search import grid_search
+from .report import DEFAULT_SEED, SCAN_RANGE, first_consistent, run_verification
+from .search import COMPONENT_INDEX, grid_search
 
 
 class UsageError(Exception):
     pass
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    cfg = _read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return cfg
@@ -71,6 +77,18 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def finite(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors (exit 2), like non-numbers."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def finite_or_auto(text: str) -> float | str:
+    return text if text == "auto" else finite(text)
+
+
 def cmd_analytic(args: argparse.Namespace) -> int:
     _require(args.m0 is not None and args.n0 is not None, "--m0 and --n0 are required")
     params = None
@@ -88,13 +106,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _read_params_file(path: str) -> ControlParams:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"parameter file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"parameter file {path} is not valid JSON: {exc}") from None
+    data = _read_json(path, "parameter file")
     try:
         params = ControlParams.from_dict(data)
     except KeyError as exc:
@@ -109,29 +121,25 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     _require(args.params_file is not None, "--params-file is required")
     _require(args.out is not None, "--out is required for propagate")
     p = _read_params_file(args.params_file)
-    _require(args.dtau > 0, "--dtau must be positive")
     _require(args.tau_end > 0, "--tau-end must be positive")
     if args.method == "rk4":
         traj = propagate_rk4(p, E1, args.tau_end, args.dtau)
-    elif args.method == "rotating-exact":
-        taus = _time_grid(args.tau_end, args.dtau)
-        traj = Trajectory(taus=taus, states=exact_state_trajectory(p, E1, taus), method="rotating-exact", dtau=args.dtau)
-    elif args.method == "expm-integral":
-        taus = _time_grid(args.tau_end, args.dtau)
-        y_plus0, y_minus0 = split_halves(E1)
-        states = np.empty((len(taus), 8))
-        for i, tau in enumerate(taus):
-            states[i] = join_halves(
-                propagate_expm_integral(p, y_plus0, tau, 1),
-                propagate_expm_integral(p, y_minus0, tau, -1),
-            )
-        traj = Trajectory(taus=taus, states=states, method="expm-integral", dtau=args.dtau)
-        disc = propagator_discrepancy(p, taus)
-        print(
-            f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}"
-        )
-    else:  # full-hilbert
+    elif args.method == "full-hilbert":
         traj = full_hilbert_trajectory(p, args.tau_end, args.dtau)
+    else:
+        taus = _time_grid(args.tau_end, args.dtau)
+        if args.method == "rotating-exact":
+            states = exact_state_trajectory(p, E1, taus)
+        else:  # expm-integral
+            y_plus0, y_minus0 = split_halves(E1)
+            states = join_halves(
+                propagate_expm_integral(p, y_plus0, taus, 1), propagate_expm_integral(p, y_minus0, taus, -1)
+            )
+            disc = propagator_discrepancy(p, taus)
+            print(
+                f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}"
+            )
+        traj = Trajectory(taus=taus, states=states, method=args.method, dtau=args.dtau)
     traj.write_csv(args.out)
     print(f"wrote {len(traj.taus)} samples (method={traj.method}) to {args.out}")
     return 0
@@ -170,10 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     result = consistency_scan(args.range_from, args.range_to, k_sign=args.k, samples=args.samples)
     payload = {
-        "consistent": [
-            {"omega_hat": cp.omega_hat, "residual_b": cp.residual_b, "residual_d": cp.residual_d, "branch": cp.branch}
-            for cp in result.consistent
-        ],
+        "consistent": [asdict(cp) for cp in result.consistent],
         "curve": [{"omega_hat": float(w), "residual": float(r)} for w, r in zip(result.omegas, result.residuals)],
     }
     if args.out:
@@ -189,30 +194,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _resolve_omega(value, k: int) -> float:
     if value == "auto":
-        scan = consistency_scan(*SCAN_RANGE, k_sign=k, samples=4001)
-        if not scan.consistent:
-            raise UsageError(
-                f"no consistent energy scale found in ({SCAN_RANGE[0]:g}, {SCAN_RANGE[1]:g}]; pass --omega-hat explicitly"
-            )
-        return scan.consistent[0].omega_hat
-    try:
-        omega = float(value)
-    except ValueError:
-        raise UsageError(f"--omega-hat must be a number or 'auto', got {value!r}") from None
-    _require(omega**2 > 1.0 + k**2, f"omega_hat={omega:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
-    return omega
+        return first_consistent(consistency_scan(*SCAN_RANGE, k_sign=k)).omega_hat
+    _require(value**2 > 1.0 + k**2, f"omega_hat={value:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
+    return value
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     omega = _resolve_omega(args.omega_hat, args.k)
-    tau_max = args.tau_max if args.tau_max is not None else 3.0 * TAU_STAR
     result = grid_search(
         omega,
         float(args.k),
         target=args.target,
         resolution=args.resolution,
         threshold=args.threshold,
-        tau_max=tau_max,
+        tau_max=args.tau_max,
         dtau=args.dtau,
         collect_landscape=args.landscape is not None,
     )
@@ -239,7 +234,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     _require(args.omega_hat is not None, "--omega-hat is required")
-    _require(args.b_target != 0.0, "--b-target must be nonzero (the d = 0 branch requires b != 0)")
     sols = invert_to_physical(
         args.omega_hat,
         float(args.k),
@@ -248,16 +242,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         r_values=tuple(args.r),
         root_range=(args.root_lo, args.root_hi),
     )
-    payload = [
-        {
-            "params": s.params.to_dict(),
-            "branch": s.branch,
-            "residual_b": s.residual_b,
-            "residual_d": s.residual_d,
-        }
-        for s in sols
-    ]
-    _write_json(payload, args.out)
+    _write_json([asdict(s) for s in sols], args.out)
     return 0
 
 
@@ -278,26 +263,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--n0", type=int, default=None)
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--target", default="x8", choices=tuple(TRANSFER_COLUMNS))
-    sp.add_argument("--omega-hat", type=float, default=None, help="attach a physical realization at this energy scale")
+    sp.add_argument("--omega-hat", type=finite, default=None, help="attach a physical realization at this energy scale")
     add_common(sp)
     sp.set_defaults(func=cmd_analytic)
 
     sp = commands["propagate"] = sub.add_parser("propagate", help="propagate x from e1 and export the trajectory CSV")
     sp.add_argument("--params-file", default=None, help="JSON file with k, omega_hat, b0, bz, omega_rf, theta0")
     sp.add_argument("--method", default="rk4", choices=("rk4", "expm-integral", "rotating-exact", "full-hilbert"))
-    sp.add_argument("--dtau", type=float, default=1e-3)
-    sp.add_argument("--tau-end", type=float, default=3.0 * TAU_STAR)
+    sp.add_argument("--dtau", type=finite, default=1e-3)
+    sp.add_argument("--tau-end", type=finite, default=3.0 * TAU_STAR)
     add_common(sp)
     sp.set_defaults(func=cmd_propagate)
 
     sp = commands["verify"] = sub.add_parser("verify", help="run the full verification suite")
-    sp.add_argument("--omega-hat", default="auto", help="energy scale, or 'auto' to pick a consistent one")
+    sp.add_argument("--omega-hat", type=finite_or_auto, default="auto", help="energy scale, or 'auto' to pick a consistent one")
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
-    sp.add_argument("--dtau", type=float, default=1e-4)
+    sp.add_argument("--dtau", type=finite, default=1e-4)
     sp.add_argument("--dynamics-sets", type=int, default=5)
     sp.add_argument("--resolution", type=int, default=21)
-    sp.add_argument("--scan-samples", type=int, default=4001)
-    sp.add_argument("--seed", type=int, default=20260810)
+    sp.add_argument("--scan-samples", type=int, default=SCAN_SAMPLES)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -307,33 +292,33 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_sweep)
 
     sp = commands["scan"] = sub.add_parser("scan", help="scan energy scales for closed-form consistency")
-    sp.add_argument("--from", dest="range_from", type=float, required=True)
-    sp.add_argument("--to", dest="range_to", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=4001)
+    sp.add_argument("--from", dest="range_from", type=finite, required=True)
+    sp.add_argument("--to", dest="range_to", type=finite, required=True)
+    sp.add_argument("--samples", type=int, default=SCAN_SAMPLES)
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
     sp = commands["search"] = sub.add_parser("search", help="grid search of the ansatz for a transfer target")
-    sp.add_argument("--target", default="x8", choices=tuple(f"x{i}" for i in range(1, 9)))
-    sp.add_argument("--omega-hat", default="auto")
+    sp.add_argument("--target", default="x8", choices=tuple(COMPONENT_INDEX))
+    sp.add_argument("--omega-hat", type=finite_or_auto, default="auto")
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--resolution", type=int, default=21)
-    sp.add_argument("--threshold", type=float, default=0.999)
-    sp.add_argument("--tau-max", type=float, default=None)
-    sp.add_argument("--dtau", type=float, default=1e-2)
+    sp.add_argument("--threshold", type=finite, default=0.999)
+    sp.add_argument("--tau-max", type=finite, default=None)
+    sp.add_argument("--dtau", type=finite, default=1e-2)
     sp.add_argument("--landscape", default=None, help="also write the (parameters -> reach time, peak) CSV here")
     add_common(sp)
     sp.set_defaults(func=cmd_search)
 
     sp = commands["invert"] = sub.add_parser("invert", help="solve for controls reproducing target boundary constants")
-    sp.add_argument("--omega-hat", type=float, default=None)
+    sp.add_argument("--omega-hat", type=finite, default=None)
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
-    sp.add_argument("--tau-star", type=float, default=TAU_STAR)
-    sp.add_argument("--b-target", type=float, default=-math.pi)
+    sp.add_argument("--tau-star", type=finite, default=TAU_STAR)
+    sp.add_argument("--b-target", type=finite, default=-math.pi)
     sp.add_argument("--r", type=int, nargs="+", default=[0, 1, 2])
-    sp.add_argument("--root-lo", type=float, default=1e-3)
-    sp.add_argument("--root-hi", type=float, default=20.0)
+    sp.add_argument("--root-lo", type=finite, default=1e-3)
+    sp.add_argument("--root-hi", type=finite, default=20.0)
     add_common(sp)
     sp.set_defaults(func=cmd_invert)
 

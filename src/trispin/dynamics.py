@@ -114,9 +114,11 @@ class Trajectory:
 
 
 def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
-    """Grid 0, dtau, 2*dtau, ..., tau_end with the last step shortened."""
-    if tau_end < 0:
-        raise ValueError("tau_end must be nonnegative")
+    """Grid 0, dtau, 2*dtau, ..., tau_end with the last step shortened; the one check of every step."""
+    if not (math.isfinite(tau_end) and tau_end >= 0):
+        raise ValueError(f"tau_end must be finite and nonnegative, got {tau_end:g}")
+    if not (math.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and positive, got {dtau:g}")
     n_full = int(math.floor(tau_end / dtau + 1e-12))
     taus = dtau * np.arange(n_full + 1)
     if taus[-1] < tau_end - 1e-12 * max(1.0, tau_end):
@@ -127,9 +129,7 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step integration of dx/dtau = M(tau) x."""
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
+    """Classic 4th-order fixed-step integration of dx/dtau = M(tau) x on ``_time_grid(tau_end, dtau)``."""
     taus = _time_grid(tau_end, dtau)
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((len(taus), 8))
@@ -188,9 +188,13 @@ def expm_skew4(a: np.ndarray) -> np.ndarray:
     return expm(a)
 
 
-def propagate_expm_integral(p: ControlParams, y0: np.ndarray, tau: float, sign: int) -> np.ndarray:
-    """exp[A_pm(tau)] y0 — the integrated-generator ansatz, not the time-ordered solution."""
-    return expm_skew4(integral_generator(p, tau, sign)) @ np.asarray(y0, dtype=float)
+def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
+    """exp[A_pm(tau)] y0 at every tau in taus — the integrated-generator ansatz, not the time-ordered solution.
+
+    The result has shape ``np.shape(taus) + np.shape(y0)``; y0 = eye(4) gives the propagators."""
+    y0 = np.asarray(y0, dtype=float)
+    ys = [expm_skew4(integral_generator(p, tau, sign)) @ y0 for tau in np.ravel(np.asarray(taus, dtype=float))]
+    return np.array(ys).reshape(np.shape(taus) + y0.shape)
 
 
 def frame_conjugation_defect(p: ControlParams, tau: float) -> float:
@@ -244,8 +248,8 @@ def propagator_discrepancy(p: ControlParams, tau_grid: np.ndarray) -> Discrepanc
     taus = np.asarray(tau_grid, dtype=float)
     worst = np.zeros(len(taus))
     for sign in (1, -1):
-        ansatz = np.stack([expm_skew4(integral_generator(p, tau, sign)) for tau in taus])
-        # exact[n, :, j] = U_exact(tau_n) e_j
+        # ansatz[n, :, j] = U_ansatz(tau_n) e_j and exact[n, :, j] = U_exact(tau_n) e_j
+        ansatz = propagate_expm_integral(p, np.eye(4), taus, sign)
         exact = np.stack([propagate_rotating_exact(p, e, taus, sign) for e in np.eye(4)], axis=-1)
         worst = np.maximum(worst, np.max(np.linalg.norm(ansatz - exact, axis=1), axis=1))
     i = int(np.argmax(worst))

@@ -41,10 +41,9 @@ def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> Unit
 
     Each step is the fourth-order Magnus exponential with two Gauss nodes: the
     node average of H plus the commutator correction (Blanes, Casas, Oteo, Ros,
-    Phys. Rep. 470 (2009) 151).  It is exactly unitary per step.
+    Phys. Rep. 470 (2009) 151).  It is exactly unitary per step.  The steps
+    are those of ``dynamics._time_grid(tau_end, dtau)``, which rejects a bad step.
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
     taus = _time_grid(tau_end, dtau)
     unitaries = np.empty((len(taus), 8, 8), dtype=complex)
     u = np.eye(8, dtype=complex)

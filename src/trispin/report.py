@@ -11,14 +11,17 @@ deterministic: random parameter draws use a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams, transverse_amplitude
 from .boundary import (
+    SCAN_SAMPLES,
     TRANSFER_COLUMNS,
     BoundaryConstants,
+    ConsistentPoint,
+    ScanResult,
     analytic_family,
     boundary_residuals,
     closed_form_params,
@@ -49,15 +52,7 @@ class Check:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,6 +125,16 @@ def random_consistent_params(rng: np.random.Generator) -> ControlParams:
     )
 
 
+def first_consistent(scan: ScanResult) -> ConsistentPoint:
+    """The energy scale that omega_hat "auto" selects: the first consistent point of a scan over SCAN_RANGE."""
+    if not scan.consistent:
+        raise ValueError(
+            f"no consistent energy scale found in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}] with {len(scan.omegas)} "
+            "scan samples; pass an explicit omega_hat"
+        )
+    return scan.consistent[0]
+
+
 def column_gap(c: BoundaryConstants, target: str) -> float:
     """Largest deviation of the first columns of exp[A_pm] from +-TRANSFER_COLUMNS[target]."""
     col_plus, col_minus = exp_boundary_check(c)
@@ -157,13 +162,13 @@ def run_verification(
     n_dynamics: int = 5,
     n_closure: int = 10,
     grid_resolution: int = 21,
-    scan_samples: int = 4001,
+    scan_samples: int = SCAN_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Run every verification check and return the filled report.
 
-    omega_hat "auto" selects the first energy scale that the consistency scan
-    finds in SCAN_RANGE; a numeric omega_hat must satisfy omega_hat^2 > 2.
+    omega_hat "auto" selects ``first_consistent`` of the report's own
+    consistency scan; a numeric omega_hat must satisfy omega_hat^2 > 2.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(
@@ -278,13 +283,9 @@ def run_verification(
     )
 
     if omega_hat == "auto":
-        if not scan.consistent:
-            raise ValueError(
-                f"no consistent energy scale found in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}] with {scan_samples} "
-                "scan samples; pass an explicit omega_hat"
-            )
-        omega_sel = scan.consistent[0].omega_hat
-        branch = scan.consistent[0].branch
+        point = first_consistent(scan)
+        omega_sel = point.omega_hat
+        branch = point.branch
         params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
     else:
         omega_sel = float(omega_hat)

@@ -18,12 +18,13 @@ from scipy.optimize import minimize
 from .algebra import E1, TAU_STAR, ControlParams, transverse_amplitude
 from .dynamics import _time_grid, exact_state_trajectory
 
-_TARGET_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
+# component name -> index in the 8-vector; also the CLI's --target choices
+COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
 
 
 def _target_index(target: str) -> int:
     try:
-        return _TARGET_INDEX[target]
+        return COMPONENT_INDEX[target]
     except KeyError:
         raise ValueError(f"unknown target {target!r}; expected 'x1'..'x8'") from None
 
@@ -41,11 +42,9 @@ def min_time_to_target(
     tau_max: float = 10.0,
     dtau: float = 1e-3,
 ) -> float | None:
-    """First tau where x_target >= threshold, bisected to 1e-9; None if never reached."""
+    """First tau where x_target >= threshold on _time_grid(tau_max, dtau), bisected to 1e-9; None if never reached."""
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    if tau_max <= 0.0 or dtau <= 0.0:
-        raise ValueError("tau_max and dtau must be positive")
     # a threshold above 1 is simply unreachable and yields None
     taus = _time_grid(tau_max, dtau)
     values = target_trajectory(p, taus, target)
@@ -130,7 +129,7 @@ def grid_search(
 
     best_tau = math.inf
     best_params: ControlParams | None = None
-    peaks = {name: (-math.inf, None, None) for name in _TARGET_INDEX}
+    peaks = {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     landscape: list = []
     shell = omega_hat**2 - (1.0 + k**2)
     for bz in _axis(bounds, "bz", resolution):
@@ -142,7 +141,7 @@ def grid_search(
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
                 states = exact_state_trajectory(p, E1, taus)
                 rows = np.argmax(states, axis=0)
-                for name, j in _TARGET_INDEX.items():
+                for name, j in COMPONENT_INDEX.items():
                     if states[rows[j], j] > peaks[name][0]:
                         peaks[name] = (float(states[rows[j], j]), float(taus[rows[j]]), p)
                 values = states[:, idx]

@@ -338,6 +338,12 @@ def test_invert_rejects_zero_target():
         invert_to_physical(2.5, 1.0, TAU_STAR, 0.0)
 
 
+@pytest.mark.parametrize("tau_star", [0.0, -1.0])
+def test_invert_rejects_nonpositive_tau_star(tau_star):
+    with pytest.raises(ValueError, match="tau_star must be positive"):
+        invert_to_physical(2.5, 1.0, tau_star, -PI)
+
+
 def test_invert_empty_when_unreachable():
     # just above the energy floor the drive is too weak to produce |b| = pi
     sols = invert_to_physical(math.sqrt(2.0) + 1e-6, 1.0, TAU_STAR, -PI)

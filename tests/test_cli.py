@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from trispin.boundary import closed_form_params
 from trispin.cli import main
@@ -185,6 +186,37 @@ def test_invert_contains_reference_rate(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert any(abs(s["params"]["omega_rf"] - 4.0 / math.sqrt(3.0)) < 1e-9 for s in payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--omega-hat", "2.5", "--resolution", "1", "--dtau", "0"),
+        ("search", "--omega-hat", "2.5", "--resolution", "1", "--dtau", "-0.1"),
+        ("invert", "--omega-hat", "2.5", "--tau-star", "-1"),
+    ],
+)
+def test_bad_step_or_time_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--omega-hat", "2.5", "--resolution", "1", "--threshold", "nan"),
+        ("search", "--omega-hat", "inf", "--resolution", "1"),
+        ("scan", "--from", "nan", "--to", "4", "--samples", "10"),
+    ],
+)
+def test_non_finite_number_is_usage_error(capsys, argv):
+    # argparse rejects the value before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not a finite number" in captured.err
 
 
 def test_verify_refuses_low_energy(capsys):

@@ -22,6 +22,7 @@ from trispin.dynamics import (
     propagator_discrepancy,
     rotating_generator,
     split_halves,
+    _time_grid,
 )
 
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
@@ -163,6 +164,15 @@ def test_rk4_rejects_bad_step():
         propagate_rk4(p, np.eye(8)[0], 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "tau_end, dtau", [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)]
+)
+def test_time_grid_rejects_bad_step(tau_end, dtau):
+    # the one grid every propagator steps on is also the one place the step is checked
+    with pytest.raises(ValueError, match="must be finite"):
+        _time_grid(tau_end, dtau)
+
+
 def test_rk4_grid_endpoints():
     p = _params()
     traj = propagate_rk4(p, np.eye(8)[0], 0.95, 1e-1)
@@ -270,6 +280,18 @@ def test_expm_integral_preserves_norm(rng):
     p = _random_params(rng)
     y = propagate_expm_integral(p, E1, 1.9, -1)
     assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+
+
+def test_expm_integral_over_taus_matches_per_tau(rng):
+    p = _random_params(rng)
+    taus = np.array([[0.0, 0.3], [1.1, 2.5]])
+    for y0, sign in ((E1, 1), (np.eye(4), -1)):
+        ys = propagate_expm_integral(p, y0, taus, sign)
+        assert ys.shape == taus.shape + np.shape(y0)
+        for idx in np.ndindex(taus.shape):
+            single = propagate_expm_integral(p, y0, float(taus[idx]), sign)
+            assert single.shape == np.shape(y0)
+            assert np.array_equal(ys[idx], single)
 
 
 def test_rotating_exact_frozen_frame():

@@ -85,11 +85,6 @@ class ControlParams:
     def theta(self, tau: float) -> float:
         return self.omega_rf * tau + self.theta0
 
-    def field(self, tau: float) -> np.ndarray:
-        """Control field (Bx, By, Bz) at rescaled time tau."""
-        th = self.theta(tau)
-        return np.array([self.b0 * math.cos(th), self.b0 * math.sin(th), self.bz])
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -101,6 +96,14 @@ class ControlParams:
 def energy_residual(p: ControlParams) -> float:
     """Residual of the fixed-energy condition  b0^2 + bz^2 - (omega_hat^2 - (1 + k^2))."""
     return p.b0**2 + p.bz**2 - (p.omega_hat**2 - (1.0 + p.k**2))
+
+
+def energy_shell(omega_hat: float, k: float) -> float:
+    """b0^2 + bz^2 on the fixed-energy shell, omega_hat^2 - (1 + k^2); ValueError unless it is positive."""
+    shell = omega_hat**2 - (1.0 + k**2)
+    if not shell > 0:
+        raise ValueError(f"omega_hat={omega_hat:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
+    return shell
 
 
 def transverse_amplitude(omega_hat: float, k: float, bz: float = 0.0) -> float:
@@ -128,7 +131,7 @@ def coherence_basis() -> tuple[np.ndarray, ...]:
     return _BASIS
 
 
-def build_hamiltonian(p: ControlParams, tau: float) -> np.ndarray:
-    """Chain Hamiltonian sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 as a dense 8x8 matrix."""
-    bx, by, bz = p.field(tau)
-    return _ZZ12 + p.k * _ZZ23 + bx * _X2 + by * _Y2 + bz * _Z2
+def build_hamiltonian(p: ControlParams, tau) -> np.ndarray:
+    """Chain Hamiltonian sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 as dense 8x8 matrices, shape np.shape(tau) + (8, 8)."""
+    th = p.theta(np.asarray(tau, dtype=float))[..., None, None]
+    return _ZZ12 + p.k * _ZZ23 + p.bz * _Z2 + p.b0 * (np.cos(th) * _X2 + np.sin(th) * _Y2)

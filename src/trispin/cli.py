@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams
+from .algebra import E1, TAU_STAR, ControlParams, energy_shell
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
@@ -44,23 +44,34 @@ class UsageError(Exception):
     pass
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in path.  json reads NaN, Infinity and 1e999 as floats; a field holding one is a usage error."""
+
+    def finite_object(pairs: list) -> dict:
+        bad = [
+            key
+            for key, value in pairs
+            for v in (value if isinstance(value, list) else [value])
+            if isinstance(v, float) and not math.isfinite(v)
+        ]
+        if bad:
+            raise UsageError(f"{what} {path} has non-finite {', '.join(dict.fromkeys(bad))}")
+        return dict(pairs)
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh, object_pairs_hook=finite_object)
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = _read_json(path, "config file")
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return cfg
+    return {} if path is None else _read_json(path, "config file")
 
 
 def _write_json(payload, out: str | None) -> None:
@@ -195,7 +206,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def _resolve_omega(value, k: int) -> float:
     if value == "auto":
         return first_consistent(consistency_scan(*SCAN_RANGE, k_sign=k)).omega_hat
-    _require(value**2 > 1.0 + k**2, f"omega_hat={value:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
+    energy_shell(value, k)  # raises below the energy floor
     return value
 
 

@@ -10,7 +10,8 @@ M_pm = 2(P +- Q), which is linear in the drive:
 Every generator in the package is assembled from the four constant matrices
 MB, MZ, MC and MS.  Three propagation routes are provided:
 
-* ``propagate_rk4``            classic fixed-step RK4 on the full 8-vector,
+* ``propagate_rk4``            classic fixed-step RK4 on the full 8-vector, its
+                               step matrices built in batches over the time grid,
 * ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
                                for the rotating drive the generator does not
                                commute with its integral, so this is *not*
@@ -32,6 +33,9 @@ from scipy.linalg import expm
 from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
+
+# steps per batch of the time-grid integrators (see _step_chunks)
+_CHUNK_STEPS = 4096
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -63,19 +67,21 @@ def static_generator(p: ControlParams, sign: int) -> np.ndarray:
     return MB + (p.bz + sign * p.k) * MZ
 
 
-def build_M_half(p: ControlParams, tau: float, sign: int) -> np.ndarray:
-    """Decoupled 4x4 generator M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS)."""
-    th = p.theta(tau)
-    return static_generator(p, sign) + p.b0 * (math.cos(th) * MC + math.sin(th) * MS)
+def build_M_half(p: ControlParams, tau, sign: int) -> np.ndarray:
+    """Decoupled 4x4 generator M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS), shape np.shape(tau) + (4, 4)."""
+    th = p.theta(np.asarray(tau, dtype=float))[..., None, None]
+    return static_generator(p, sign) + p.b0 * (np.cos(th) * MC + np.sin(th) * MS)
 
 
-def build_M(p: ControlParams, tau: float) -> np.ndarray:
-    """Full 8x8 generator 2*[[P, Q], [Q, P]], with 2P = (M_+ + M_-)/2 and 2Q = (M_+ - M_-)/2."""
+def build_M(p: ControlParams, tau) -> np.ndarray:
+    """Full 8x8 generator 2*[[P, Q], [Q, P]], with 2P = (M_+ + M_-)/2 and 2Q = (M_+ - M_-)/2.
+
+    The result has shape ``np.shape(tau) + (8, 8)``."""
     m_plus = build_M_half(p, tau, 1)
     m_minus = build_M_half(p, tau, -1)
-    out = np.empty((8, 8))
-    out[:4, :4] = out[4:, 4:] = 0.5 * (m_plus + m_minus)
-    out[:4, 4:] = out[4:, :4] = 0.5 * (m_plus - m_minus)
+    out = np.empty(np.shape(tau) + (8, 8))
+    out[..., :4, :4] = out[..., 4:, 4:] = 0.5 * (m_plus + m_minus)
+    out[..., :4, 4:] = out[..., 4:, :4] = 0.5 * (m_plus - m_minus)
     return out
 
 
@@ -128,25 +134,46 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
     return taus
 
 
+def _step_chunks(taus: np.ndarray):
+    """Split a grid into runs of at most _CHUNK_STEPS steps; yield (i, t) per run.
+
+    t holds the run's points (neighbouring runs share one) and its steps end
+    at grid indices i, i + 1, ...  The batched integrators build every
+    per-step matrix of a run at once; the bound keeps each (n, 8, 8) stack at
+    a few MB, where the 40k steps of the default grid would take 42 MB per
+    complex stack.
+    """
+    for start in range(0, len(taus) - 1, _CHUNK_STEPS):
+        yield start + 1, taus[start : start + _CHUNK_STEPS + 1]
+
+
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step integration of dx/dtau = M(tau) x on ``_time_grid(tau_end, dtau)``."""
+    """Classic 4th-order fixed-step integration of dx/dtau = M(tau) x on ``_time_grid(tau_end, dtau)``.
+
+    The stages of a linear system are matrices: with left, middle and right
+    generators A1, A2, A4 of a step of length h, K2 = A2 (I + h/2 A1),
+    K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the step adds
+    D x with D = h/6 (A1 + 2 K2 + 2 K3 + K4).  D is formed by batched matmuls
+    over runs of ``_step_chunks``; only x <- x + D x is a Python loop.  The
+    increment form is deliberate: x <- (I + D) x rounds the identity part at
+    every step, and over the 40k steps of the default verify grid it drifted
+    from the exact propagator by up to 8e-13, against 2e-14 for x + D x.
+    """
     taus = _time_grid(tau_end, dtau)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     states = np.empty((len(taus), 8))
     states[0] = x
-    m_left = build_M(p, taus[0])
-    for i in range(1, len(taus)):
-        t = taus[i - 1]
-        h = taus[i] - t
-        m_mid = build_M(p, t + h / 2.0)
-        m_right = build_M(p, t + h)
-        k1 = m_left @ x
-        k2 = m_mid @ (x + (h / 2.0) * k1)
-        k3 = m_mid @ (x + (h / 2.0) * k2)
-        k4 = m_right @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i] = x
-        m_left = m_right
+    for first, t in _step_chunks(taus):
+        h = np.diff(t)[:, None, None]
+        edge = build_M(p, t)
+        left, right = edge[:-1], edge[1:]
+        mid = build_M(p, t[:-1] + h[:, 0, 0] / 2.0)
+        k2 = mid + (h / 2.0) * (mid @ left)
+        k3 = mid + (h / 2.0) * (mid @ k2)
+        k4 = right + h * (right @ k3)
+        increments = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
+        for i, d in enumerate(increments, first):
+            states[i] = x = x + d @ x
     return Trajectory(taus=taus, states=states, method="rk4", dtau=dtau)
 
 

@@ -1,8 +1,9 @@
 """Independent validation of the reduced dynamics in the full three-qubit space.
 
 The evolution operator is integrated step by step with an exactly unitary
-fourth-order Magnus rule and the coherence expectation values are projected out
-of the propagated density operator; ``report.dynamics_equivalence`` compares it
+fourth-order Magnus rule, the step unitaries built in batches over the time
+grid, and the coherence expectation values are projected out of the propagated
+density operator; ``report.dynamics_equivalence`` compares it
 with the reduced 8-vector dynamics.  ``closure_check`` verifies, entry by entry,
 that the commutator action of the Hamiltonian on the operator basis reproduces
 the reduced generator and stays inside the 8-dimensional span.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ControlParams, build_hamiltonian, coherence_basis
-from .dynamics import Trajectory, _time_grid, build_M
+from .dynamics import _CHUNK_STEPS, Trajectory, _step_chunks, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -43,29 +44,43 @@ def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> Unit
     node average of H plus the commutator correction (Blanes, Casas, Oteo, Ros,
     Phys. Rep. 470 (2009) 151).  It is exactly unitary per step.  The steps
     are those of ``dynamics._time_grid(tau_end, dtau)``, which rejects a bad step.
+    The node Hamiltonians, one batched ``eigh`` and the step unitaries are built
+    over runs of ``dynamics._step_chunks``, which bound the (n, 8, 8) temporaries;
+    only the product U <- V U is a Python loop.
     """
     taus = _time_grid(tau_end, dtau)
     unitaries = np.empty((len(taus), 8, 8), dtype=complex)
-    u = np.eye(8, dtype=complex)
-    unitaries[0] = u
-    for i in range(1, len(taus)):
-        t = taus[i - 1]
-        h = taus[i] - t
-        h1 = build_hamiltonian(p, t + (0.5 - _GAUSS_OFFSET) * h)
-        h2 = build_hamiltonian(p, t + (0.5 + _GAUSS_OFFSET) * h)
+    u = unitaries[0] = np.eye(8, dtype=complex)
+    for first, t in _step_chunks(taus):
+        h = np.diff(t)
+        h1 = build_hamiltonian(p, t[:-1] + (0.5 - _GAUSS_OFFSET) * h)
+        h2 = build_hamiltonian(p, t[:-1] + (0.5 + _GAUSS_OFFSET) * h)
+        h = h[:, None, None]
         herm = (h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2)
         ev, vec = np.linalg.eigh(herm)
-        u = (vec * np.exp(-1j * ev)) @ vec.conj().T @ u
-        unitaries[i] = u
+        steps = (vec * np.exp(-1j * ev)[:, None, :]) @ vec.conj().swapaxes(1, 2)
+        for i, v in enumerate(steps, first):
+            u = np.matmul(v, u, out=unitaries[i])
     return UnitaryTrajectory(taus=taus, unitaries=unitaries, dtau=dtau)
 
 
 def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:
-    """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, shape (n, 8)."""
-    basis = np.stack(coherence_basis())
-    # the identity part of rho(0) drops out of every trace
-    w = np.einsum("tab,bc,tdc->tad", ut.unitaries, basis[0], ut.unitaries.conj())
-    return np.einsum("iab,tab->ti", basis.conj(), w).real / 8.0
+    """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, shape (n, 8).
+
+    W = U sx1 U^dag is formed over runs of at most _CHUNK_STEPS samples and
+    projected onto the basis by one real matrix product per run."""
+    basis = np.stack(coherence_basis()).reshape(8, 64)
+    # Re Tr[O_i W] = sum_ab (Re O_i Re W + Im O_i Im W)_ab for Hermitian O_i; a
+    # float view of W interleaves the real and imaginary part of each entry
+    projection = np.empty((128, 8))
+    projection[0::2], projection[1::2] = basis.real.T, basis.imag.T
+    out = np.empty((len(ut.unitaries), 8))
+    for start in range(0, len(out), _CHUNK_STEPS):
+        u = ut.unitaries[start : start + _CHUNK_STEPS]
+        # the identity part of rho(0) drops out of every trace
+        w = u @ coherence_basis()[0] @ u.conj().swapaxes(1, 2)
+        out[start : start + len(u)] = w.reshape(len(u), 64).view(float) @ projection / 8.0
+    return out
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:

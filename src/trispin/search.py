@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import E1, TAU_STAR, ControlParams, transverse_amplitude
+from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from .dynamics import _time_grid, exact_state_trajectory
 
 # component name -> index in the 8-vector; also the CLI's --target choices
@@ -111,13 +111,15 @@ def grid_search(
     """Exhaustive scan of the energy-shell ansatz for the earliest threshold crossing.
 
     Deterministic for fixed inputs.  bz values outside the energy shell are
-    skipped (no real transverse amplitude there).  The result also records the
-    largest value of every component x1..x8 seen, reached or not, so one pass
-    also bounds the components it does not target, and optionally the whole
-    (parameters -> reach time, peak) landscape.
+    skipped (no real transverse amplitude there); an omega_hat at or below the
+    energy floor, omega_hat^2 <= 1 + k^2, is a ValueError.  The result also
+    records the largest value of every component x1..x8 seen, reached or not,
+    so one pass also bounds the components it does not target, and optionally
+    the whole (parameters -> reach time, peak) landscape.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    shell = energy_shell(omega_hat, k)
     bounds = dict(bounds) if bounds is not None else default_bounds(omega_hat)
     for key in ("bz", "omega_rf", "theta0"):
         if key not in bounds:
@@ -131,7 +133,6 @@ def grid_search(
     best_params: ControlParams | None = None
     peaks = {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     landscape: list = []
-    shell = omega_hat**2 - (1.0 + k**2)
     for bz in _axis(bounds, "bz", resolution):
         if bz**2 > shell:
             continue
@@ -192,7 +193,7 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
     omega_hat, k = spec["omega_hat"], spec["k"]
     target, threshold = spec["target"], spec["threshold"]
     tau_max, dtau = spec["tau_max"], spec["dtau"]
-    shell = omega_hat**2 - (1.0 + k**2)
+    shell = energy_shell(omega_hat, k)
     best = {"tau": seed.best_tau, "params": seed.best_params}
     trace = [seed.best_tau]
 

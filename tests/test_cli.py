@@ -130,6 +130,28 @@ def test_config_file_merging(tmp_path, capsys):
     assert abs(json.loads(out)["tau_star"] - TAU_STAR) < 1e-12
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_rejects_non_finite_number(tmp_path, capsys, literal):
+    # json reads these as floats; the argv parse of --threshold never sees them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threshold": %s}' % literal)
+    out = tmp_path / "search.json"
+    code, stdout, err = _run(capsys, "search", "--omega-hat", "2.5", "--resolution", "1",
+                             "--config", str(cfg), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite threshold" in err
+    assert not out.exists()
+
+
+def test_parameter_file_must_hold_object(tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text("[1, 2]")
+    code, _, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and "must hold a JSON object" in err
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m0": 0, "n0": 0, "banana": 3}))

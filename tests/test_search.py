@@ -95,6 +95,13 @@ def test_grid_search_rejects_empty_bounds():
         grid_search(OMEGA, 1.0, resolution=0)
 
 
+@pytest.mark.parametrize("omega_hat, k", [(1.2, 1.0), (1.0, -1.0), (1.0, 0.0), (math.nan, 1.0)])
+def test_grid_search_rejects_omega_at_or_below_energy_floor(omega_hat, k):
+    # omega_hat^2 <= 1 + k^2 leaves no drive on the energy shell
+    with pytest.raises(ValueError, match="energy floor"):
+        grid_search(omega_hat, k, resolution=3)
+
+
 def test_grid_search_deterministic():
     a = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)
     b = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)

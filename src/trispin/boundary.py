@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .algebra import ControlParams, energy_residual
-from .dynamics import MB, MC, MS, MZ, phase_integrals
+from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals
 
 PI = math.pi
 
@@ -72,16 +71,17 @@ class DerivedQuantities:
     w_minus: float
 
 
-def sinc(z: float) -> float:
-    """sin(z)/z with the removable singularity handled by a 6-term series."""
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
-    return math.sin(z) / z
+def sinc(z):
+    """sin(z)/z elementwise, the removable singularity handled by a 6-term series; a scalar gives a numpy scalar."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1e-4
+    z2 = np.where(small, z, 0.0) ** 2  # np.where evaluates both forms: keep large z out of the series
+    series = 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
+    return np.where(small, series, np.sin(z) / np.where(small, 1.0, z))[()]
 
 
 def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
-    """Boundary constants generated by a control parameter set at final time tau_star."""
+    """Boundary constants generated by a control parameter set at final time tau_star; array fields give arrays."""
     a = 2.0 * tau_star
     int_cos, int_sin = phase_integrals(p, tau_star)
     # b = 2*(b0/omega_rf)*[cos(theta(t*)) - cos(theta0)] = -2*b0*int sin(theta)
@@ -136,22 +136,13 @@ def _sqrt_delta_over_a(sqrt_delta: float, a: float) -> float:
     return 0.0 if sqrt_delta == 0.0 else math.inf
 
 
-def _residual_system(
-    c: BoundaryConstants,
-    x_p: float,
-    sd_p: float,
-    x_m: float,
-    sd_m: float,
-    z_p: float,
-    z_m: float,
-    w_p: float,
-    w_m: float,
-) -> np.ndarray:
+def _residual_system(c: BoundaryConstants, dq: DerivedQuantities) -> np.ndarray:
     """The eight boundary equations, LHS - RHS, component order (11)+-, (31)+-, (21)+-, (41)+-."""
-    czp, czm = math.cos(z_p), math.cos(z_m)
-    cwp, cwm = math.cos(w_p), math.cos(w_m)
-    szp, szm = sinc(z_p), sinc(z_m)
-    swp, swm = sinc(w_p), sinc(w_m)
+    czp, czm = math.cos(dq.z_plus), math.cos(dq.z_minus)
+    cwp, cwm = math.cos(dq.w_plus), math.cos(dq.w_minus)
+    szp, szm = sinc(dq.z_plus), sinc(dq.z_minus)
+    swp, swm = sinc(dq.w_plus), sinc(dq.w_minus)
+    x_p, sd_p, x_m, sd_m = dq.x_plus, dq.sqrt_delta_plus, dq.x_minus, dq.sqrt_delta_minus
     a, b, d = c.a, c.b, c.d
     cp, cm = c.c_plus, c.c_minus
     r = np.empty(8)
@@ -168,18 +159,7 @@ def _residual_system(
 
 def boundary_residuals(c: BoundaryConstants) -> np.ndarray:
     """Residuals of the eight scalar boundary equations for the e4 transfer target."""
-    dq = derived_quantities(c)
-    return _residual_system(
-        c,
-        dq.x_plus,
-        dq.sqrt_delta_plus,
-        dq.x_minus,
-        dq.sqrt_delta_minus,
-        dq.z_plus,
-        dq.z_minus,
-        dq.w_plus,
-        dq.w_minus,
-    )
+    return _residual_system(c, derived_quantities(c))
 
 
 def generator_from_constants(c: BoundaryConstants, sign: int) -> np.ndarray:
@@ -189,8 +169,7 @@ def generator_from_constants(c: BoundaryConstants, sign: int) -> np.ndarray:
 
 def exp_boundary_check(c: BoundaryConstants) -> tuple[np.ndarray, np.ndarray]:
     """First columns of exp[A_plus] and exp[A_minus] (the transferred initial state)."""
-    col_plus = expm(generator_from_constants(c, 1))[:, 0]
-    col_minus = expm(generator_from_constants(c, -1))[:, 0]
+    col_plus, col_minus = expm_skew(np.stack([generator_from_constants(c, sign) for sign in (1, -1)]))[:, :, 0]
     return col_plus, col_minus
 
 
@@ -220,24 +199,6 @@ def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstant
     )
     qn = QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1, q=m0 + n0 + 1)
     return constants, qn, a / 2.0
-
-
-def rejected_branch_residuals(m0: int, n0: int, k_sign: int = 1) -> np.ndarray:
-    """Boundary residuals with the discarded angle relation Z_minus = Z_plus + 2*pi*p.
-
-    The accepted branch pairs the angles as Z_minus = -Z_plus + 2*pi*p (and
-    likewise for W); substituting the same-sign pairing into the residual
-    system together with the family constants leaves no solution, which this
-    probe exhibits numerically.
-    """
-    c, qn, _ = analytic_family(m0, n0, k_sign)
-    z_p = 0.5 * PI * (2 * qn.n + 1)
-    w_m = 0.5 * PI * (2 * qn.m + 1)
-    z_m = z_p + 2.0 * PI * qn.p
-    w_p = w_m + 2.0 * PI * qn.q
-    return _residual_system(
-        c, z_p**2 + z_m**2, z_p**2 - z_m**2, w_p**2 + w_m**2, w_p**2 - w_m**2, z_p, z_m, w_p, w_m
-    )
 
 
 def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndarray:
@@ -291,7 +252,7 @@ def swap_bd(c: BoundaryConstants) -> BoundaryConstants:
 
 
 def closed_form_params(
-    omega_hat: float,
+    omega_hat,
     k_sign: int = 1,
     b0_sign: int = 1,
     omega_sign: int = 1,
@@ -304,14 +265,14 @@ def closed_form_params(
     sqrt(omega_hat^2-2), theta0 = [(2r+1)*pi + theta_sign*sqrt(3)*
     sqrt(omega_hat^2-2)]/2.  Energy-consistent by construction; whether the b, d
     boundary equations hold at a given omega_hat is measured by consistency_scan,
-    not assumed.
+    not assumed.  An array omega_hat gives array-valued b0, omega_rf and theta0.
     """
-    if omega_hat**2 <= 2.0:
-        raise ValueError(f"omega_hat^2 must exceed 2, got {omega_hat**2:.6g}")
+    if np.any(np.square(omega_hat) <= 2.0):
+        raise ValueError(f"omega_hat^2 must exceed 2, got {np.min(np.square(omega_hat)):.6g}")
     for name, s in (("k_sign", k_sign), ("b0_sign", b0_sign), ("omega_sign", omega_sign), ("theta_sign", theta_sign)):
         if s not in (1, -1):
             raise ValueError(f"{name} must be +1 or -1")
-    root = math.sqrt(omega_hat**2 - 2.0)
+    root = np.sqrt(np.square(omega_hat) - 2.0)
     return ControlParams(
         k=float(k_sign),
         omega_hat=omega_hat,
@@ -348,9 +309,10 @@ def invert_to_physical(
 
         2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
 
-    solved by bracketing on 10,000 points of root_range followed by
-    bisection.  The equation is even in omega_rf, so only positive rates are
-    scanned.  An empty result means no sign change was bracketed, not a failure.
+    solved by bracketing on 10,000 points of root_range, evaluated as one
+    array, followed by bisection.  The equation is even in omega_rf, so only
+    positive rates are scanned.  An empty result means no sign change was
+    bracketed, not a failure.
     """
     if omega_hat**2 <= 2.0:
         raise ValueError(f"omega_hat^2 must exceed 2, got {omega_hat**2:.6g}")
@@ -369,16 +331,13 @@ def invert_to_physical(
     for b0_sign in (1, -1):
         b0 = b0_sign * amp
         for r in r_values:
-            sgn = (-1.0) ** r
+            def f(om):
+                return 2.0 * b0 * tau_star * (-1.0) ** r * sinc(om * tau_star / 2.0) + b_target
 
-            def f(om: float) -> float:
-                return 2.0 * b0 * tau_star * sgn * sinc(om * tau_star / 2.0) + b_target
-
-            vals = np.array([f(om) for om in grid])
+            vals = f(grid)
             idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
             for i in idx:
-                x1, x2 = grid[i], grid[i + 1]
-                f1 = f(x1)
+                x1, x2, f1 = grid[i], grid[i + 1], vals[i]
                 while x2 - x1 > 1e-12:
                     xm = 0.5 * (x1 + x2)
                     fm = f(xm)
@@ -425,7 +384,6 @@ class ScanResult:
     omegas: np.ndarray
     residuals: np.ndarray  # best-over-branches max(|b - b_target|, |d|) per sample
     consistent: list[ConsistentPoint]
-    best_branch: list[dict]
 
 
 SCAN_SAMPLES = 4001
@@ -436,12 +394,6 @@ _SCAN_BRANCHES = tuple(
     for ts in (1, -1)
     for r in (0, 1, 2)
 )
-
-
-def _branch_residual(omega_hat: float, k_sign: int, branch: dict, tau_star: float, b_target: float) -> tuple[float, float]:
-    params = closed_form_params(omega_hat, k_sign=k_sign, **branch)
-    c = abcd_from_physical(params, tau_star)
-    return abs(c.b - b_target), abs(c.d)
 
 
 def consistency_scan(
@@ -457,48 +409,57 @@ def consistency_scan(
     closed-form controls are evaluated at the minimal tau_star.  A raw grid
     cannot certify a quadratic tangency to the 1e-9 tolerance, so local minima
     of the curve are refined by bounded scalar minimization before the test.
+
+    Where the consistent scales lie: the closed forms give |b0/omega_rf| = pi/4,
+    and on the branches with theta_sign = -omega_sign d = 0 identically while
+    b = -pi*k*b0_sign*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2.  b = -pi*k
+    thus needs sin(x) = +-1: omega_hat_j = sqrt(2 + (2j+1)^2*pi^2/3), that is
+    2.2999713332 and 5.6221715736 for j = 0, 1 and either k (derivation: README).
     """
+    if not (math.isfinite(omega_lo) and math.isfinite(omega_hi) and omega_lo < omega_hi):
+        raise ValueError(f"scan range ({omega_lo:g}, {omega_hi:g}] must be finite with omega_lo < omega_hi")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if omega_lo < math.sqrt(2.0) - 1e-12:
         raise ValueError("scan range must stay above the energy floor omega_hat^2 > 2")
     _, _, tau_star = analytic_family(0, 0, k_sign)
     b_target = -PI * k_sign
+
+    def branch_residuals(w, branch: dict) -> tuple[np.ndarray, np.ndarray]:
+        c = abcd_from_physical(closed_form_params(w, k_sign=k_sign, **branch), tau_star)
+        return np.abs(c.b - b_target), np.abs(c.d)
+
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
-    residuals = np.empty(samples)
-    best_branch: list[dict] = []
-    for i, w in enumerate(omegas):
-        best, best_br = math.inf, _SCAN_BRANCHES[0]
-        for branch in _SCAN_BRANCHES:
-            rb, rd = _branch_residual(w, k_sign, branch, tau_star, b_target)
-            res = max(rb, rd)
-            if res < best:
-                best, best_br = res, branch
-        residuals[i] = best
-        best_branch.append(best_br)
+    # running best over the branches; the strict < lets the first branch win ties
+    residuals = np.full(samples, math.inf)
+    best = np.zeros(samples, dtype=int)
+    for j, branch in enumerate(_SCAN_BRANCHES):
+        res = np.maximum(*branch_residuals(omegas, branch))
+        better = res < residuals
+        residuals[better] = res[better]
+        best[better] = j
 
     consistent: list[ConsistentPoint] = []
 
     def record(w: float, branch: dict) -> None:
-        rb, rd = _branch_residual(w, k_sign, branch, tau_star, b_target)
+        rb, rd = (float(v) for v in branch_residuals(w, branch))
         if max(rb, rd) <= 1e-9 and all(abs(w - cp.omega_hat) > 1e-7 for cp in consistent):
             consistent.append(ConsistentPoint(omega_hat=w, residual_b=rb, residual_d=rd, branch=branch))
 
-    for i in range(samples):
-        if residuals[i] <= 1e-9:
-            record(float(omegas[i]), best_branch[i])
-    for i in range(1, samples - 1):
-        if residuals[i] <= min(residuals[i - 1], residuals[i + 1]) and residuals[i] < 1e-2:
-            branch = best_branch[i]
-            res = minimize_scalar(
-                lambda w: max(_branch_residual(w, k_sign, branch, tau_star, b_target)),
-                bounds=(float(omegas[i - 1]), float(omegas[i + 1])),
-                method="bounded",
-                options={"xatol": 1e-13},
-            )
-            record(float(res.x), branch)
+    for i in np.flatnonzero(residuals <= 1e-9):
+        record(float(omegas[i]), _SCAN_BRANCHES[best[i]])
+    inner = residuals[1:-1]
+    for i in 1 + np.flatnonzero((inner <= residuals[:-2]) & (inner <= residuals[2:]) & (inner < 1e-2)):
+        branch = _SCAN_BRANCHES[best[i]]
+        res = minimize_scalar(
+            lambda w: max(branch_residuals(w, branch)),
+            bounds=(float(omegas[i - 1]), float(omegas[i + 1])),
+            method="bounded",
+            options={"xatol": 1e-13},
+        )
+        record(float(res.x), branch)
     consistent.sort(key=lambda cp: cp.omega_hat)
-    return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent, best_branch=best_branch)
+    return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent)
 
 
 def sweep_tau(m0_max: int, n0_max: int) -> list[dict]:

@@ -70,8 +70,25 @@ def _read_json(path: str, what: str) -> dict:
     return data
 
 
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else _read_json(path, "config file")
+def _set_config_defaults(sp: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make the entries of config file path defaults of subcommand sp, each read from its text like its flag's value."""
+    actions = {action.dest: action for action in sp._actions if action.dest not in ("config", "help")}
+    defaults = {}
+    for key, value in _read_json(path, "config file").items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} for command {command!r}")
+        if value is None:  # null leaves the flag at its own default
+            continue
+        items = value if action.nargs == "+" and isinstance(value, list) else [value]
+        try:
+            items = [(action.type or str)(str(v)) for v in items]
+        except (ValueError, argparse.ArgumentTypeError):
+            items = None
+        if items is None or (action.choices is not None and any(v not in action.choices for v in items)):
+            raise UsageError(f"config file {path} has invalid {key} {value!r}")
+        defaults[action.dest] = items if action.nargs == "+" else items[0]
+    sp.set_defaults(**defaults)
 
 
 def _write_json(payload, out: str | None) -> None:
@@ -341,18 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        if cfg:
+        if args.config is not None:
             # Config entries become subcommand defaults, so explicit flags win.
-            sp = commands[args.command]
-            valid = {action.dest for action in sp._actions}
-            mapped = {}
-            for key, value in cfg.items():
-                dest = key.replace("-", "_")
-                if dest not in valid or dest in ("config", "help", "func"):
-                    raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
-                mapped[dest] = value
-            sp.set_defaults(**mapped)
+            _set_config_defaults(commands[args.command], args.command, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

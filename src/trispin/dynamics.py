@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import ControlParams
 
@@ -177,60 +176,49 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     return Trajectory(taus=taus, states=states, method="rk4", dtau=dtau)
 
 
-def phase_integrals(p: ControlParams, tau: float) -> tuple[float, float]:
-    """(int_0^tau cos(theta(s)) ds, int_0^tau sin(theta(s)) ds).
+def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(int_0^tau cos(theta(s)) ds, int_0^tau sin(theta(s)) ds), broadcast over tau and the fields of p.
 
     The closed form divides by omega_rf; for small accumulated phase
     u = omega_rf*tau the removable singularity is evaluated by series.
     """
+    tau = np.asarray(tau, dtype=float)
     u = p.omega_rf * tau
-    c0 = math.cos(p.theta0)
-    s0 = math.sin(p.theta0)
-    if abs(u) < 1e-2:
-        # int cos(u s/tau + theta0) ds = tau*(c0*C(u) - s0*S(u)), C = sin(u)/u, S = (1-cos u)/u.
-        # The closed form cancels catastrophically for small u; the series is
-        # exact to double precision up to |u| ~ 1e-2.
-        u2 = u * u
-        cu = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-        su = u / 2.0 - u * u2 / 24.0 + u * u2 * u2 / 720.0 - u * u2 * u2 * u2 / 40320.0
-        return tau * (c0 * cu - s0 * su), tau * (s0 * cu + c0 * su)
+    c0 = np.cos(p.theta0)
+    s0 = np.sin(p.theta0)
+    small = np.abs(u) < 1e-2
+    # int cos(u s/tau + theta0) ds = tau*(c0*C(u) - s0*S(u)), C = sin(u)/u, S = (1-cos u)/u.
+    # The closed form cancels catastrophically for small u; the series is exact to double
+    # precision up to |u| ~ 1e-2.  np.where evaluates both: each gets only its own entries.
+    us = np.where(small, u, 0.0)
+    u2 = us * us
+    cu = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
+    su = us / 2.0 - us * u2 / 24.0 + us * u2 * u2 / 720.0 - us * u2 * u2 * u2 / 40320.0
+    rate = np.where(small, 1.0, p.omega_rf)
     th = p.theta(tau)
-    int_cos = (math.sin(th) - s0) / p.omega_rf
-    int_sin = (c0 - math.cos(th)) / p.omega_rf
-    return int_cos, int_sin
+    int_cos = np.where(small, tau * (c0 * cu - s0 * su), (np.sin(th) - s0) / rate)
+    int_sin = np.where(small, tau * (s0 * cu + c0 * su), (c0 - np.cos(th)) / rate)
+    return int_cos[()], int_sin[()]
 
 
-def integral_generator(p: ControlParams, tau: float, sign: int) -> np.ndarray:
-    """A_pm(tau) = int_0^tau M_pm(s) ds = tau*M0_pm + b0*(int cos(theta)*MC + int sin(theta)*MS)."""
-    int_cos, int_sin = phase_integrals(p, tau)
-    return tau * static_generator(p, sign) + p.b0 * (int_cos * MC + int_sin * MS)
+def integral_generator(p: ControlParams, tau, sign: int) -> np.ndarray:
+    """A_pm(tau) = int_0^tau M_pm(s) ds = tau*M0_pm + b0*(int cos(theta)*MC + int sin(theta)*MS), shape (..., 4, 4)."""
+    tau = np.asarray(tau, dtype=float)
+    int_cos, int_sin = (np.asarray(v)[..., None, None] for v in phase_integrals(p, tau))
+    return tau[..., None, None] * static_generator(p, sign) + p.b0 * (int_cos * MC + int_sin * MS)
 
 
-def expm_skew4(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a skew-symmetric 4x4 generator (orthogonal result)."""
-    a = np.asarray(a, dtype=float)
-    defect = np.max(np.abs(a + a.T)) if a.size else 0.0
-    if defect > 1e-12:
-        raise ValueError(f"generator is not skew-symmetric (defect {defect:.3g} > 1e-12)")
-    return expm(a)
+def expm_skew(a: np.ndarray) -> np.ndarray:
+    """exp(a) of real skew-symmetric generators, shape (..., n, n), from eigh of the Hermitian 1j*a."""
+    ev, vec = np.linalg.eigh(1j * np.asarray(a, dtype=float))
+    return ((vec * np.exp(-1j * ev)[..., None, :]) @ vec.conj().swapaxes(-1, -2)).real
 
 
 def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
     """exp[A_pm(tau)] y0 at every tau in taus — the integrated-generator ansatz, not the time-ordered solution.
 
     The result has shape ``np.shape(taus) + np.shape(y0)``; y0 = eye(4) gives the propagators."""
-    y0 = np.asarray(y0, dtype=float)
-    ys = [expm_skew4(integral_generator(p, tau, sign)) @ y0 for tau in np.ravel(np.asarray(taus, dtype=float))]
-    return np.array(ys).reshape(np.shape(taus) + y0.shape)
-
-
-def frame_conjugation_defect(p: ControlParams, tau: float) -> float:
-    """max over +- of |M_pm(tau) - exp(phi J) M_pm(0) exp(-phi J)|, phi = theta(tau)-theta0."""
-    g = expm((p.theta(tau) - p.theta0) * J)
-    return max(
-        float(np.max(np.abs(build_M_half(p, tau, sign) - g @ build_M_half(p, 0.0, sign) @ g.T)))
-        for sign in (1, -1)
-    )
+    return expm_skew(integral_generator(p, taus, sign)) @ np.asarray(y0, dtype=float)
 
 
 def rotating_generator(p: ControlParams, sign: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
 from trispin.boundary import (
     TRANSFER_COLUMNS,
     BoundaryConstants,
+    DerivedQuantities,
+    _residual_system,
     abcd_from_physical,
     analytic_family,
     boundary_residuals,
@@ -18,7 +20,6 @@ from trispin.boundary import (
     generator_from_constants,
     integer_relations_check,
     invert_to_physical,
-    rejected_branch_residuals,
     sinc,
     solution_record,
     swap_bd,
@@ -146,6 +147,8 @@ def test_sinc_series_branch():
     z = 5e-5
     assert abs(sinc(z) - math.sin(z) / z) < 5e-16
     assert abs(sinc(2.0) - math.sin(2.0) / 2.0) == 0.0
+    # the series sees only small z, so a huge z raises no overflow warning
+    assert sinc(1e40) == math.sin(1e40) / 1e40
 
 
 # --- boundary residuals -------------------------------------------------------
@@ -169,6 +172,34 @@ def test_perturbed_constants_fail():
 def test_trivial_zero_constants_satisfy_system():
     res = boundary_residuals(BoundaryConstants(0.0, 0.0, 0.0, 0.0, 0.0))
     assert np.max(np.abs(res)) == 0.0
+
+
+def rejected_branch_residuals(m0, n0, k_sign=1):
+    """Boundary residuals with the discarded angle relation Z_minus = Z_plus + 2*pi*p.
+
+    The accepted branch pairs the angles as Z_minus = -Z_plus + 2*pi*p (and
+    likewise for W); substituting the same-sign pairing into the residual
+    system together with the family constants leaves no solution.
+    """
+    c, qn, _ = analytic_family(m0, n0, k_sign)
+    z_p = 0.5 * PI * (2 * qn.n + 1)
+    w_m = 0.5 * PI * (2 * qn.m + 1)
+    z_m = z_p + 2.0 * PI * qn.p
+    w_p = w_m + 2.0 * PI * qn.q
+    sd_p, sd_m = z_p**2 - z_m**2, w_p**2 - w_m**2
+    dq = DerivedQuantities(
+        x_plus=z_p**2 + z_m**2,
+        x_minus=w_p**2 + w_m**2,
+        delta_plus=sd_p**2,
+        delta_minus=sd_m**2,
+        sqrt_delta_plus=sd_p,
+        sqrt_delta_minus=sd_m,
+        z_plus=z_p,
+        z_minus=z_m,
+        w_plus=w_p,
+        w_minus=w_m,
+    )
+    return _residual_system(c, dq)
 
 
 def test_rejected_branch_has_no_solution():
@@ -359,8 +390,20 @@ def test_scan_finds_consistent_point():
     assert scan.omegas[0] > 2.0 and abs(scan.omegas[-1] - 4.0) < 1e-12
     assert scan.consistent
     best = scan.consistent[0]
-    assert abs(best.omega_hat - ORACLE_OMEGA) < 5e-4  # within grid resolution
+    assert abs(best.omega_hat - ORACLE_OMEGA) < 1e-7
     assert best.residual_b <= 1e-9 and best.residual_d <= 1e-9
+    # the consistent scales are omega_hat_j = sqrt(2 + (2j+1)^2 pi^2/3) for either k,
+    # as derived in the scan's docstring
+    expected = [math.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0) for j in (0, 1)]
+    for k_sign in (1, -1):
+        wide = consistency_scan(2.0, 6.0, k_sign=k_sign, samples=4001)
+        assert [cp.omega_hat for cp in wide.consistent] == pytest.approx(expected, abs=1e-7)
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, 2.0), (2.0, 1.0), (2.0, 2.0), (2.0, math.inf), (math.nan, 4.0)])
+def test_scan_rejects_empty_reversed_or_non_finite_range(lo, hi):
+    with pytest.raises(ValueError, match=r"scan range \(.*\] must be finite with omega_lo < omega_hi"):
+        consistency_scan(lo, hi, samples=11)
 
 
 def test_scan_empty_below_working_range():

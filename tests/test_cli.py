@@ -144,6 +144,44 @@ def test_config_rejects_non_finite_number(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("search", "--omega-hat", "2.5"), {"resolution": 2.5}),
+        (("scan", "--from", "2", "--to", "3"), {"samples": 10.5}),
+        (("search", "--omega-hat", "2.5"), {"target": "x9"}),
+        (("invert", "--omega-hat", "2.5"), {"r": [0, "one"]}),
+    ],
+    ids=["int", "int_samples", "choices", "multi_value"],
+)
+def test_config_value_checked_like_its_flag(tmp_path, capsys, argv, entry):
+    # the flag's type and choices apply to a config value too: no TypeError traceback later
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, stdout, err = _run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out.json"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"invalid {next(iter(entry))}" in err
+
+
+def test_config_list_sets_multi_value_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": [0, 1], "root-hi": 10}))
+    out = tmp_path / "invert.json"
+    code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    assert {s["branch"]["r"] for s in json.loads(out.read_text())} == {0, 1}
+
+
+def test_config_null_leaves_flag_default(tmp_path, capsys, monkeypatch):
+    # null is no flag text: the entry is skipped, so --out stays unset and the table goes to stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": None, "max": None}))
+    code, out, _ = _run(capsys, "sweep", "--config", "cfg.json")
+    assert code == 0 and out.splitlines()[0] == "m0,n0,tau_star" and len(out.splitlines()) == 17
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_parameter_file_must_hold_object(tmp_path, capsys):
     pf = tmp_path / "params.json"
     pf.write_text("[1, 2]")

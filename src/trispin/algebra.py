@@ -90,7 +90,14 @@ class ControlParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlParams":
-        return cls(**{f: float(data[f]) for f in ("k", "omega_hat", "b0", "bz", "omega_rf", "theta0")})
+        """Controls from a mapping of the six fields; a field float() cannot read is a ValueError naming it."""
+        values = {}
+        for f in ("k", "omega_hat", "b0", "bz", "omega_rf", "theta0"):
+            try:
+                values[f] = float(data[f])
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid {f} {data[f]!r}") from None
+        return cls(**values)
 
 
 def energy_residual(p: ControlParams) -> float:

@@ -139,6 +139,8 @@ def _read_params_file(path: str) -> ControlParams:
         params = ControlParams.from_dict(data)
     except KeyError as exc:
         raise UsageError(f"parameter file {path} is missing field {exc}") from None
+    except ValueError as exc:
+        raise UsageError(f"parameter file {path} has {exc}") from None
     bad = [name for name, value in params.to_dict().items() if not math.isfinite(value)]
     if bad:
         raise UsageError(f"parameter file {path} has non-finite {', '.join(bad)}")
@@ -241,12 +243,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     if args.landscape:
         with open(args.landscape, "w") as fh:
-            fh.write("bz,omega_rf,theta0,tau_to_threshold,peak,peak_tau\n")
-            for bz, omega_rf, theta0, reached, peak, peak_tau in result.landscape:
+            fh.write("bz,omega_rf,tau_to_threshold,peak,peak_tau\n")
+            for bz, omega_rf, reached, peak, peak_tau in result.landscape:
                 reach_cell = f"{reached:.17g}" if reached is not None else ""
-                fh.write(
-                    f"{bz:.17g},{omega_rf:.17g},{theta0:.17g},{reach_cell},{peak:.17g},{peak_tau:.17g}\n"
-                )
+                fh.write(f"{bz:.17g},{omega_rf:.17g},{reach_cell},{peak:.17g},{peak_tau:.17g}\n")
     payload = {
         "grid_spec": result.grid_spec,
         "feasible": result.feasible,
@@ -335,7 +335,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--threshold", type=finite, default=0.999)
     sp.add_argument("--tau-max", type=finite, default=None)
     sp.add_argument("--dtau", type=finite, default=1e-2)
-    sp.add_argument("--landscape", default=None, help="also write the (parameters -> reach time, peak) CSV here")
+    sp.add_argument("--landscape", default=None, help="also write the ((bz, omega_rf) -> reach time, peak) CSV here")
     add_common(sp)
     sp.set_defaults(func=cmd_search)
 

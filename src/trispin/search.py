@@ -1,8 +1,9 @@
 """Reachability searches over the rotating-control ansatz.
 
 The search space is the energy shell of the rotating drive: (bz, omega_rf,
-theta0) free, b0 fixed by the energy constraint.  All evaluations use the
-exact rotating-frame propagator, so the only discretization is the tau grid.
+theta0) free, b0 fixed by the energy constraint; from e1, theta0 is a gauge
+that the grid reads off the state.  All evaluations use the exact
+rotating-frame propagator, so the only discretization is the tau grid.
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 """
@@ -66,7 +67,7 @@ def min_time_to_target(
 
 def default_bounds(omega_hat: float) -> dict:
     """Search box covering all closed-form branches with margin."""
-    return {"bz": (-omega_hat, omega_hat), "omega_rf": (-8.0, 8.0), "theta0": (0.0, 2.0 * math.pi)}
+    return {"bz": (-omega_hat, omega_hat), "omega_rf": (-8.0, 8.0)}
 
 
 @dataclass
@@ -85,7 +86,7 @@ class SearchResult:
     grid_spec: dict
     feasible: bool
     trace: list = field(default_factory=list)
-    landscape: list = field(default_factory=list)  # (bz, omega_rf, theta0, tau_to_threshold, peak, peak_tau)
+    landscape: list = field(default_factory=list)  # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per pair
 
 
 def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
@@ -95,6 +96,26 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
     if resolution == 1:
         return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, resolution)
+
+
+def _best_over_theta0(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(best, theta0): the largest value of each component over theta0, and a theta0 attaining it.
+
+    states is a theta0 = 0 trajectory from e1, shape (..., 8); the identity
+    holds only for that start state.  R = exp(theta0*J) turns the drive,
+    M_pm(tau; theta0) = R M_pm(tau; 0) R^T, and fixes e1, so y_pm(tau; theta0)
+    = R y_pm(tau; 0).  On the 8-vector, with c, s = cos, sin(theta0), that is
+    x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike); x1, x3, x5, x7 do
+    not change.  So the best x4 is hypot(x2, x4) at theta0 = atan2(x2, x4),
+    and the best x2 is the same hypot at atan2(-x4, x2).
+    """
+    u, v = states[..., 1::4], states[..., 3::4]  # (x2, x6) and (x4, x8)
+    best = states.copy()
+    theta0 = np.zeros(states.shape)
+    best[..., 1::4] = best[..., 3::4] = np.hypot(u, v)
+    theta0[..., 1::4] = np.arctan2(-v, u)
+    theta0[..., 3::4] = np.arctan2(u, v)
+    return best, theta0
 
 
 def grid_search(
@@ -110,20 +131,23 @@ def grid_search(
 ) -> SearchResult:
     """Exhaustive scan of the energy-shell ansatz for the earliest threshold crossing.
 
-    Deterministic for fixed inputs.  bz values outside the energy shell are
-    skipped (no real transverse amplitude there); an omega_hat at or below the
-    energy floor, omega_hat^2 <= 1 + k^2, is a ValueError.  The result also
+    Deterministic for fixed inputs.  One propagation per (bz, omega_rf) pair;
+    every reported params/tau pair carries the best theta0 there
+    (``_best_over_theta0``), and a crossing bisects at the theta0 of the first
+    grid row whose best value reaches the threshold.  bz values outside the
+    energy shell are skipped (no real transverse amplitude there); an
+    omega_hat at or below the energy floor, omega_hat^2 <= 1 + k^2, and
+    bounds keys other than bz and omega_rf are ValueErrors.  The result also
     records the largest value of every component x1..x8 seen, reached or not,
     so one pass also bounds the components it does not target, and optionally
-    the whole (parameters -> reach time, peak) landscape.
+    the whole ((bz, omega_rf) -> reach time, peak) landscape.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     shell = energy_shell(omega_hat, k)
     bounds = dict(bounds) if bounds is not None else default_bounds(omega_hat)
-    for key in ("bz", "omega_rf", "theta0"):
-        if key not in bounds:
-            raise ValueError(f"bounds must provide {key!r}")
+    if set(bounds) != {"bz", "omega_rf"}:
+        raise ValueError(f"bounds must provide exactly 'bz' and 'omega_rf', got {list(bounds)}")
     if tau_max is None:
         tau_max = 3.0 * TAU_STAR
     taus = _time_grid(tau_max, dtau)
@@ -138,25 +162,24 @@ def grid_search(
             continue
         b0 = transverse_amplitude(omega_hat, k, bz)
         for omega_rf in _axis(bounds, "omega_rf", resolution):
-            for theta0 in _axis(bounds, "theta0", resolution):
-                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
-                states = exact_state_trajectory(p, E1, taus)
-                rows = np.argmax(states, axis=0)
-                for name, j in COMPONENT_INDEX.items():
-                    if states[rows[j], j] > peaks[name][0]:
-                        peaks[name] = (float(states[rows[j], j]), float(taus[rows[j]]), p)
-                values = states[:, idx]
-                peak = int(rows[idx])
-                reached: float | None = None
-                hits = np.nonzero(values >= threshold)[0]
-                if len(hits):
-                    reached = min_time_to_target(p, target, threshold, tau_max=float(taus[hits[0]]) + dtau, dtau=dtau)
-                    if reached is not None and reached < best_tau:
-                        best_tau, best_params = reached, p
-                if collect_landscape:
-                    landscape.append(
-                        (float(bz), float(omega_rf), float(theta0), reached, float(values[peak]), float(taus[peak]))
-                    )
+            p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+            best, theta0 = _best_over_theta0(exact_state_trajectory(p, E1, taus))
+            rows = np.argmax(best, axis=0)
+            for name, j in COMPONENT_INDEX.items():
+                i = rows[j]
+                if best[i, j] > peaks[name][0]:
+                    peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0[i, j])))
+            values = best[:, idx]
+            peak = int(rows[idx])
+            reached: float | None = None
+            hits = np.nonzero(values >= threshold)[0]
+            if len(hits):
+                gauge = replace(p, theta0=float(theta0[hits[0], idx]))
+                reached = min_time_to_target(gauge, target, threshold, tau_max=float(taus[hits[0]]) + dtau, dtau=dtau)
+                if reached is not None and reached < best_tau:
+                    best_tau, best_params = reached, gauge
+            if collect_landscape:
+                landscape.append((float(bz), float(omega_rf), reached, float(values[peak]), float(taus[peak])))
     achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,

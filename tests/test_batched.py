@@ -9,6 +9,9 @@ hold a single point.
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
 generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
+
+``grid_search`` propagates once per (bz, omega_rf) pair and reads theta0 off
+the state; its oracle is the loop over a (bz, omega_rf, theta0) grid.
 """
 
 import dataclasses
@@ -18,13 +21,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trispin.algebra import E1, TAU_STAR, build_hamiltonian, coherence_basis
+from trispin import search
+from trispin.algebra import (
+    E1,
+    TAU_STAR,
+    ControlParams,
+    build_hamiltonian,
+    coherence_basis,
+    energy_shell,
+    transverse_amplitude,
+)
 from trispin.boundary import _SCAN_BRANCHES, consistency_scan, invert_to_physical
 from trispin.dynamics import (
     _CHUNK_STEPS,
     _time_grid,
     build_M,
     build_M_half,
+    exact_state_trajectory,
     expm_skew,
     integral_generator,
     propagate_rk4,
@@ -236,3 +249,48 @@ def test_expm_skew_matches_per_matrix_expm(case):
     batched = expm_skew(gens)
     assert batched.shape == gens.shape
     assert max(np.max(np.abs(u - expm(a))) for u, a in zip(batched, gens)) <= 1e-13
+
+
+def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
+    """(peak of each of x1..x8, earliest x8 crossing or inf) over a (bz, omega_rf, theta0) grid, one propagation per point."""
+    taus = _time_grid(3.0 * TAU_STAR, dtau)
+    bounds = search.default_bounds(omega_hat)
+    bz_axis, rf_axis = (np.linspace(*bounds[name], resolution) for name in ("bz", "omega_rf"))
+    theta0_axis = np.linspace(0.0, 2.0 * math.pi, resolution)
+    peaks, best_tau = np.full(8, -math.inf), math.inf
+    for bz in bz_axis:
+        if bz**2 > energy_shell(omega_hat, k):
+            continue
+        b0 = transverse_amplitude(omega_hat, k, bz)
+        for omega_rf in rf_axis:
+            for theta0 in theta0_axis:
+                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
+                states = exact_state_trajectory(p, E1, taus)
+                peaks = np.maximum(peaks, states.max(axis=0))
+                hits = np.nonzero(states[:, 7] >= threshold)[0]
+                if len(hits):
+                    t = search.min_time_to_target(p, "x8", threshold, tau_max=taus[hits[0]] + dtau, dtau=dtau)
+                    best_tau = min(best_tau, t)
+    return peaks, best_tau
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("omega_hat", [2.3, 3.0])
+def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
+    resolution, threshold, dtau = 5, 0.8, 5e-2
+    res = search.grid_search(omega_hat, k, resolution=resolution, threshold=threshold, dtau=dtau)
+    peaks, best_tau = grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau)
+    values = np.array([res.peaks[f"x{i}"][0] for i in range(1, 9)])
+    # the best over a continuous theta0 is at least the best over its grid, and x1, x3, x5, x7 do not depend on it
+    assert np.all(values >= peaks - 1e-12)
+    assert np.max(np.abs(values[::2] - peaks[::2])) <= 1e-12
+    for j, (value, tau, p) in enumerate(res.peaks.values()):
+        assert abs(exact_state_trajectory(p, E1, np.array([tau]))[0, j] - value) <= 1e-12
+    assert math.isfinite(best_tau) and res.best_tau <= best_tau + dtau
+
+    # one propagation per on-shell (bz, omega_rf) pair; an unreachable threshold starts no bisection
+    calls = []
+    monkeypatch.setattr(search, "exact_state_trajectory", lambda *a: calls.append(a) or exact_state_trajectory(*a))
+    search.grid_search(omega_hat, k, resolution=resolution, threshold=2.0, dtau=dtau)
+    on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution))
+    assert len(calls) == on_shell * resolution

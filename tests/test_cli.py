@@ -190,6 +190,18 @@ def test_parameter_file_must_hold_object(tmp_path, capsys):
     assert err.startswith("error: ") and "must hold a JSON object" in err
 
 
+@pytest.mark.parametrize("value", [None, [1.0], {"v": 1.0}, "abc"], ids=["null", "list", "object", "text"])
+def test_parameter_file_field_must_be_a_number(tmp_path, capsys, value):
+    params = closed_form_params(OMEGA).to_dict()
+    params["bz"] = value
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    code, _, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(pf) in err and "invalid bz" in err
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m0": 0, "n0": 0, "banana": 3}))
@@ -235,8 +247,9 @@ def test_search_landscape_csv(tmp_path, capsys):
                       "--out", str(out), "--landscape", str(land))
     assert code == 0
     lines = land.read_text().splitlines()
-    assert lines[0] == "bz,omega_rf,theta0,tau_to_threshold,peak,peak_tau"
-    assert len(lines) > 1
+    assert lines[0] == "bz,omega_rf,tau_to_threshold,peak,peak_tau"
+    # one row per on-shell (bz, omega_rf) pair: only bz = 0 of the 3 bz values is on the shell
+    assert len(lines) == 1 + 3
 
 
 def test_invert_contains_reference_rate(tmp_path, capsys):

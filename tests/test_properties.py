@@ -1,5 +1,6 @@
 """Property tests over random energy-shell controls (hypothesis, derandomized in conftest)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
+from trispin.algebra import E1, ControlParams, energy_residual, transverse_amplitude
 from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
 from trispin.hilbert import schrodinger_propagate
 
@@ -39,6 +40,16 @@ vectors8 = st.lists(_floats(-1.0, 1.0), min_size=8, max_size=8).map(np.array)
 def test_exact_trajectory_preserves_norm(p, x0, taus):
     states = exact_state_trajectory(p, x0, np.array(taus))
     assert np.max(np.abs(np.linalg.norm(states, axis=-1) - np.linalg.norm(x0))) <= 1e-12
+
+
+@given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_theta0_turns_the_x2_x4_and_x6_x8_planes(p, taus):
+    # from e1, x(tau; theta0) is x(tau; 0) with the (x2, x4) and (x6, x8) planes turned by theta0
+    turned = exact_state_trajectory(dataclasses.replace(p, theta0=0.0), E1, np.array(taus))
+    c, s = math.cos(p.theta0), math.sin(p.theta0)
+    for a, b in ((1, 3), (5, 7)):
+        turned[:, a], turned[:, b] = c * turned[:, a] - s * turned[:, b], s * turned[:, a] + c * turned[:, b]
+    assert np.max(np.abs(exact_state_trajectory(p, E1, np.array(taus)) - turned)) <= 1e-13
 
 
 @given(shell_params(), _floats(0.0, 10.0), vectors8)

@@ -78,7 +78,6 @@ def test_grid_search_membership_of_reference_point():
     bounds = {
         "bz": (PARAMS.bz, PARAMS.bz),
         "omega_rf": (PARAMS.omega_rf, PARAMS.omega_rf),
-        "theta0": (PARAMS.theta0, PARAMS.theta0),
     }
     res = grid_search(OMEGA, 1.0, target="x8", bounds=bounds, resolution=1, threshold=0.5, dtau=1e-2)
     assert res.feasible
@@ -88,9 +87,13 @@ def test_grid_search_membership_of_reference_point():
 
 def test_grid_search_rejects_empty_bounds():
     with pytest.raises(ValueError, match="empty bounds"):
-        grid_search(OMEGA, 1.0, bounds={"bz": (1.0, -1.0), "omega_rf": (0, 1), "theta0": (0, 1)})
+        grid_search(OMEGA, 1.0, bounds={"bz": (1.0, -1.0), "omega_rf": (0, 1)})
     with pytest.raises(ValueError, match="must provide"):
         grid_search(OMEGA, 1.0, bounds={"bz": (0, 1)})
+    # a bound the search would not honour is refused, the retired theta0 axis included
+    for extra in ("theta0", "b0"):
+        with pytest.raises(ValueError, match=extra):
+            grid_search(OMEGA, 1.0, bounds={"bz": (0, 1), "omega_rf": (0, 1), extra: (0, 1)})
     with pytest.raises(ValueError):
         grid_search(OMEGA, 1.0, resolution=0)
 
@@ -115,7 +118,6 @@ def test_refine_local_infeasible_seed_unchanged():
         bounds={
             "bz": (PARAMS.bz, PARAMS.bz),
             "omega_rf": (PARAMS.omega_rf, PARAMS.omega_rf),
-            "theta0": (PARAMS.theta0, PARAMS.theta0),
         },
         resolution=1,
         threshold=0.999,
@@ -140,7 +142,7 @@ def test_no_transfer_probe_degenerate_grid():
     value, tau, params = res.peaks["x7"]
     assert np.isfinite(value) and 0.0 <= tau <= 1.0 and params is not None
     # no bz grid value on the energy shell: every peak is empty
-    off_shell = grid_search(OMEGA, 1.0, bounds={"bz": (5.0, 6.0), "omega_rf": (0, 1), "theta0": (0, 1)}, resolution=2)
+    off_shell = grid_search(OMEGA, 1.0, bounds={"bz": (5.0, 6.0), "omega_rf": (0, 1)}, resolution=2)
     assert all(peak == (-math.inf, None, None) for peak in off_shell.peaks.values())
 
 

@@ -90,10 +90,12 @@ class ControlParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlParams":
-        """Controls from a mapping of the six fields; a field float() cannot read is a ValueError naming it."""
+        """Controls from a mapping of the six fields; a bool, or a field float() cannot read, is a ValueError naming it."""
         values = {}
         for f in ("k", "omega_hat", "b0", "bz", "omega_rf", "theta0"):
             try:
+                if isinstance(data[f], bool):  # float(True) is 1.0, but a JSON true is no number
+                    raise TypeError
                 values[f] = float(data[f])
             except (TypeError, ValueError):
                 raise ValueError(f"invalid {f} {data[f]!r}") from None
@@ -142,3 +144,15 @@ def build_hamiltonian(p: ControlParams, tau) -> np.ndarray:
     """Chain Hamiltonian sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 as dense 8x8 matrices, shape np.shape(tau) + (8, 8)."""
     th = p.theta(np.asarray(tau, dtype=float))[..., None, None]
     return _ZZ12 + p.k * _ZZ23 + p.bz * _Z2 + p.b0 * (np.cos(th) * _X2 + np.sin(th) * _Y2)
+
+
+# basis indices (sz2 up, sz2 down) of the sectors (s1, s3) = (+,+), (+,-), (-,+), (-,-) that H
+# leaves invariant (it commutes with sz1 and sz3), with index 4*a1 + 2*a2 + a3 and a = 0 for spin up
+SECTORS = np.array([[0, 2], [1, 3], [4, 6], [5, 7]])
+
+
+def sector_fields(p: ControlParams, tau) -> np.ndarray:
+    """Fields n_s(tau), H = n_s.sigma on sector s (both bonds add s1 + k*s3 to bz), shape np.shape(tau) + (4, 3)."""
+    th = p.theta(np.asarray(tau, dtype=float))[..., None]
+    nz = np.array([1.0 + p.k, 1.0 - p.k, -1.0 + p.k, -1.0 - p.k]) + p.bz
+    return np.stack(np.broadcast_arrays(p.b0 * np.cos(th), p.b0 * np.sin(th), nz), axis=-1)

@@ -139,8 +139,8 @@ def _step_chunks(taus: np.ndarray):
     t holds the run's points (neighbouring runs share one) and its steps end
     at grid indices i, i + 1, ...  The batched integrators build every
     per-step matrix of a run at once; the bound keeps each (n, 8, 8) stack at
-    a few MB, where the 40k steps of the default grid would take 42 MB per
-    complex stack.
+    a few MB, where the 40k steps of the default grid would take 21 MB per
+    real stack.
     """
     for start in range(0, len(taus) - 1, _CHUNK_STEPS):
         yield start + 1, taus[start : start + _CHUNK_STEPS + 1]

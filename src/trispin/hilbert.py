@@ -1,12 +1,15 @@
 """Independent validation of the reduced dynamics in the full three-qubit space.
 
-The evolution operator is integrated step by step with an exactly unitary
-fourth-order Magnus rule, the step unitaries built in batches over the time
-grid, and the coherence expectation values are projected out of the propagated
-density operator; ``report.dynamics_equivalence`` compares it
-with the reduced 8-vector dynamics.  ``closure_check`` verifies, entry by entry,
-that the commutator action of the Hamiltonian on the operator basis reproduces
-the reduced generator and stays inside the 8-dimensional span.
+H(tau) = sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 commutes with sz1 and sz3.  In each
+sector (s1, s3), spanned by sz2 up and down, both bonds act as a static z field,
+so H_s = n_s.sigma with n_s = (b0*cos(theta), b0*sin(theta), s1 + k*s3 + bz): the
+evolution operator is four 2x2 unitaries, stepped in closed form, and the
+coherences are projected out of the propagated density operator.  This oracle
+reads only H, through ``algebra.sector_fields``, and the operator basis, never
+the reduced generator M, so ``report.dynamics_equivalence`` compares two
+independent routes.
+``closure_check`` verifies, entry by entry, that the commutator action of H on
+the operator basis reproduces the reduced generator and stays inside the span.
 """
 
 from __future__ import annotations
@@ -16,71 +19,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ControlParams, build_hamiltonian, coherence_basis
-from .dynamics import _CHUNK_STEPS, Trajectory, _step_chunks, _time_grid, build_M
+from .algebra import SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
+from .dynamics import Trajectory, _step_chunks, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+
+# _PROJECTION takes the float view of (G_+, G_-), real and imaginary parts interleaved, to x1..x8:
+# x_i = sum_jk Re(w_jk G_jk)/4 with w = O_i[(-,s3), (+,s3)]^T (see expectation_trajectory)
+_WEIGHTS = np.stack(coherence_basis())[:, SECTORS[2:, :, None], SECTORS[:2, None, :]].swapaxes(-1, -2)
+_PROJECTION = np.stack([_WEIGHTS.real, -_WEIGHTS.imag], axis=-1).reshape(8, 16).T / 4.0
 
 
 @dataclass
 class UnitaryTrajectory:
-    """Sampled evolution operator U(tau), U(0) = identity."""
+    """Sampled evolution operator U(tau), U(0) = identity, as its four sector blocks."""
 
     taus: np.ndarray
-    unitaries: np.ndarray  # shape (n, 8, 8), complex
-    dtau: float
-
-    def unitarity_defect(self) -> float:
-        """max over samples of max-entry |U^dag U - I|."""
-        prods = np.einsum("tba,tbc->tac", self.unitaries.conj(), self.unitaries)
-        prods -= np.eye(8)
-        return float(np.max(np.abs(prods)))
+    unitaries: np.ndarray  # shape (n, 4, 2, 2), complex, sectors in the order of algebra.SECTORS
 
 
 def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> UnitaryTrajectory:
-    """Integrate i dU/dtau = H(tau) U from the identity.
+    """Integrate i dU/dtau = H(tau) U from the identity, sector by sector.
 
-    Each step is the fourth-order Magnus exponential with two Gauss nodes: the
-    node average of H plus the commutator correction (Blanes, Casas, Oteo, Ros,
-    Phys. Rep. 470 (2009) 151).  It is exactly unitary per step.  The steps
-    are those of ``dynamics._time_grid(tau_end, dtau)``, which rejects a bad step.
-    The node Hamiltonians, one batched ``eigh`` and the step unitaries are built
-    over runs of ``dynamics._step_chunks``, which bound the (n, 8, 8) temporaries;
-    only the product U <- V U is a Python loop.
+    Each step is the fourth-order Magnus exponential on two Gauss nodes (Blanes,
+    Casas, Oteo, Ros, Phys. Rep. 470 (2009) 151).  With node fields n1, n2 and
+    [a.sigma, b.sigma] = 2i (a x b).sigma, its exponent is -i v.sigma with
+    v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step is the SU(2)
+    rotation cos|v| I - i sin|v|/|v| v.sigma, exactly unitary.  The steps are
+    those of ``dynamics._time_grid``, which rejects a bad step; they are built
+    over runs of ``dynamics._step_chunks``, and only U <- U + (V - I) U is a
+    Python loop.  The increment, with cos|v| - 1 = -2 sin^2(|v|/2), keeps the
+    rounding of a diagonal near 1 out of the product, where U <- V U drifts by
+    about one unit roundoff a step.
     """
     taus = _time_grid(tau_end, dtau)
-    unitaries = np.empty((len(taus), 8, 8), dtype=complex)
-    u = unitaries[0] = np.eye(8, dtype=complex)
+    unitaries = np.empty((len(taus), 4, 2, 2), dtype=complex)
+    u = unitaries[0] = np.eye(2, dtype=complex)
     for first, t in _step_chunks(taus):
         h = np.diff(t)
-        h1 = build_hamiltonian(p, t[:-1] + (0.5 - _GAUSS_OFFSET) * h)
-        h2 = build_hamiltonian(p, t[:-1] + (0.5 + _GAUSS_OFFSET) * h)
+        n1 = sector_fields(p, t[:-1] + (0.5 - _GAUSS_OFFSET) * h)
+        n2 = sector_fields(p, t[:-1] + (0.5 + _GAUSS_OFFSET) * h)
         h = h[:, None, None]
-        herm = (h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2)
-        ev, vec = np.linalg.eigh(herm)
-        steps = (vec * np.exp(-1j * ev)[:, None, :]) @ vec.conj().swapaxes(1, 2)
-        for i, v in enumerate(steps, first):
-            u = np.matmul(v, u, out=unitaries[i])
-    return UnitaryTrajectory(taus=taus, unitaries=unitaries, dtau=dtau)
+        v = (h / 2.0) * (n1 + n2) + (h * h * math.sqrt(3.0) / 6.0) * np.cross(n2, n1)
+        angle = np.linalg.norm(v, axis=-1)
+        c = -2.0 * np.sin(angle / 2.0) ** 2
+        # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
+        x, y, z = np.moveaxis(np.sinc(angle / math.pi)[..., None] * v, -1, 0)
+        increments = np.stack([c - 1j * z, -y - 1j * x, y - 1j * x, c + 1j * z], axis=-1).reshape(-1, 4, 2, 2)
+        for i, d in enumerate(increments, first):
+            np.matmul(d, u, out=unitaries[i])
+            u = np.add(unitaries[i], u, out=unitaries[i])
+    return UnitaryTrajectory(taus=taus, unitaries=unitaries)
 
 
 def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:
     """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, shape (n, 8).
 
-    W = U sx1 U^dag is formed over runs of at most _CHUNK_STEPS samples and
-    projected onto the basis by one real matrix product per run."""
-    basis = np.stack(coherence_basis()).reshape(8, 64)
-    # Re Tr[O_i W] = sum_ab (Re O_i Re W + Im O_i Im W)_ab for Hermitian O_i; a
-    # float view of W interleaves the real and imaginary part of each entry
-    projection = np.empty((128, 8))
-    projection[0::2], projection[1::2] = basis.real.T, basis.imag.T
-    out = np.empty((len(ut.unitaries), 8))
-    for start in range(0, len(out), _CHUNK_STEPS):
-        u = ut.unitaries[start : start + _CHUNK_STEPS]
-        # the identity part of rho(0) drops out of every trace
-        w = u @ coherence_basis()[0] @ u.conj().swapaxes(1, 2)
-        out[start : start + len(u)] = w.reshape(len(u), 64).view(float) @ projection / 8.0
-    return out
+    The identity part of rho(0) drops out.  sx1 flips s1 only, so W = U sx1 U^dag
+    holds just the blocks G_{s3} = U_{(+,s3)} U_{(-,s3)}^dag and their adjoints,
+    and for Hermitian O_i, x_i = 2 Re sum_{s3} Tr[O_i[(-,s3), (+,s3)] G_{s3}]/8:
+    one real matrix product with ``_PROJECTION``.
+    """
+    g = ut.unitaries[:, :2] @ ut.unitaries[:, 2:].conj().swapaxes(-1, -2)
+    return g.reshape(len(g), 8).view(float) @ _PROJECTION
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:

@@ -190,7 +190,9 @@ def test_parameter_file_must_hold_object(tmp_path, capsys):
     assert err.startswith("error: ") and "must hold a JSON object" in err
 
 
-@pytest.mark.parametrize("value", [None, [1.0], {"v": 1.0}, "abc"], ids=["null", "list", "object", "text"])
+@pytest.mark.parametrize(
+    "value", [None, [1.0], {"v": 1.0}, "abc", True], ids=["null", "list", "object", "text", "bool"]
+)
 def test_parameter_file_field_must_be_a_number(tmp_path, capsys, value):
     params = closed_form_params(OMEGA).to_dict()
     params["bz"] = value

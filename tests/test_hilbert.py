@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from trispin.algebra import ControlParams, build_hamiltonian
+from trispin.algebra import SECTORS, ControlParams, build_hamiltonian
 from trispin.hilbert import (
     closure_check,
     expectation_trajectory,
@@ -18,27 +18,42 @@ TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
 FREE = ControlParams(k=0.0, omega_hat=1.0, b0=0.0, bz=0.0, omega_rf=0.0, theta0=0.0)
 
 
+def unitarity_defect(unitaries):
+    """max over samples and sectors of max-entry |U_s^dag U_s - I|."""
+    return float(np.max(np.abs(unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(2))))
+
+
 def test_constant_hamiltonian_is_exact():
     # b0 = 0 freezes H; stepping must reproduce exp(-i H tau)
     p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.7, theta0=0.3)
     ut = schrodinger_propagate(p, 1.5, 1e-3)
     exact = expm(-1j * 1.5 * build_hamiltonian(p, 0.0))
-    assert np.max(np.abs(ut.unitaries[-1] - exact)) < 1e-10
+    assert np.max(np.abs(ut.unitaries[-1] - exact[SECTORS[:, :, None], SECTORS[:, None, :]])) < 1e-10
 
 
 def test_zero_duration_is_identity(rng):
     p = random_consistent_params(rng)
     ut = schrodinger_propagate(p, 0.0, 1e-3)
     assert len(ut.taus) == 1
-    assert np.allclose(ut.unitaries[0], np.eye(8))
+    assert ut.unitaries.shape == (1, 4, 2, 2)
+    assert np.array_equal(ut.unitaries[0], np.broadcast_to(np.eye(2), (4, 2, 2)))
 
 
 def test_unitarity_and_determinant(rng):
     p = random_consistent_params(rng)
     ut = schrodinger_propagate(p, 2.0, 1e-3)
-    assert ut.unitarity_defect() <= 1e-9
-    dets = np.abs(np.linalg.det(ut.unitaries))
-    assert np.max(np.abs(dets - 1.0)) < 1e-9
+    assert unitarity_defect(ut.unitaries) <= 1e-9
+    # per sector block: every step is in SU(2)
+    assert np.max(np.abs(np.linalg.det(ut.unitaries) - 1.0)) < 1e-9
+
+
+def test_zero_field_sectors_stay_identity():
+    # b0 = bz = 0, k = 1: n = 0 in sectors (+,-) and (-,+), where every step is exp(0)
+    p = ControlParams(k=1.0, omega_hat=math.sqrt(2.0), b0=0.0, bz=0.0, omega_rf=0.7, theta0=0.3)
+    ut = schrodinger_propagate(p, 1.0, 1e-2)
+    assert np.all(np.isfinite(ut.unitaries))
+    assert np.array_equal(ut.unitaries[:, 1:3], np.broadcast_to(np.eye(2), (len(ut.taus), 2, 2, 2)))
+    assert np.all(np.isfinite(expectation_trajectory(ut)))
 
 
 def test_rejects_bad_step_and_scheme(rng):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trispin.algebra import E1, ControlParams, energy_residual, transverse_amplitude
+from trispin.algebra import (
+    E1,
+    SECTORS,
+    ControlParams,
+    build_hamiltonian,
+    energy_residual,
+    pauli,
+    sector_fields,
+    transverse_amplitude,
+)
 from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
 from trispin.hilbert import schrodinger_propagate
 
@@ -62,7 +71,20 @@ def test_build_M_decouples_into_halves(p, tau, x):
 
 @given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
 def test_gauss4_is_unitary(p, tau_end, dtau):
-    assert schrodinger_propagate(p, tau_end, dtau).unitarity_defect() <= 1e-12
+    u = schrodinger_propagate(p, tau_end, dtau).unitaries
+    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-12
+
+
+@given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_hamiltonian_is_block_diagonal_on_the_sectors(p, taus):
+    # permuted to the sectors (s1, s3), H is exactly zero off its 2x2 diagonal blocks, which are n_s.sigma
+    perm = SECTORS.ravel()
+    h = build_hamiltonian(p, np.array(taus))[:, perm][:, :, perm]
+    in_sector = np.kron(np.eye(4), np.ones((2, 2))) == 1
+    assert np.all(h[:, ~in_sector] == 0.0)
+    blocks = h[:, in_sector].reshape(-1, 4, 2, 2)
+    n_sigma = np.einsum("tsk,kab->tsab", sector_fields(p, np.array(taus)), np.stack([pauli(a) for a in "xyz"]))
+    assert np.max(np.abs(blocks - n_sigma)) <= 1e-15
 
 
 @given(_floats(-2.0, 2.0), _floats(1e-3, 5.0), _floats(-1.0, 1.0))

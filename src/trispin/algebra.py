@@ -26,14 +26,6 @@ _PAULI = {
 ID2 = np.eye(2, dtype=complex)
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Standard 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
-
-
 def embed3(op1: np.ndarray | None, op2: np.ndarray | None, op3: np.ndarray | None) -> np.ndarray:
     """Kronecker product over sites 1,2,3; ``None`` stands for the identity."""
     a, b, c = (ID2 if o is None else np.asarray(o, dtype=complex) for o in (op1, op2, op3))

@@ -173,6 +173,11 @@ def exp_boundary_check(c: BoundaryConstants) -> tuple[np.ndarray, np.ndarray]:
     return col_plus, col_minus
 
 
+def transfer_time(m0: int, n0: int) -> float:
+    """tau_star = (pi/4)*sqrt((2m+1)(2n+1)) with m = 2*m0, n = 2*n0+1, for any m0, n0 >= 0."""
+    return 0.25 * PI * math.sqrt((4 * m0 + 1) * (4 * n0 + 3))
+
+
 def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstants, QuantumNumbers, float]:
     """Closed-form solution branch labelled by integers n0 >= m0 >= 0.
 
@@ -189,7 +194,8 @@ def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstant
     if k_sign not in (1, -1):
         raise ValueError("k_sign must be +1 or -1")
     m, n = 2 * m0, 2 * n0 + 1
-    a = 0.5 * PI * math.sqrt((2 * m + 1) * (2 * n + 1))
+    tau_star = transfer_time(m0, n0)
+    a = 2.0 * tau_star
     constants = BoundaryConstants(
         a=a,
         b=-PI * k_sign * (n - m),
@@ -198,7 +204,7 @@ def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstant
         d=0.0,
     )
     qn = QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1, q=m0 + n0 + 1)
-    return constants, qn, a / 2.0
+    return constants, qn, tau_star
 
 
 def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndarray:
@@ -254,29 +260,30 @@ def swap_bd(c: BoundaryConstants) -> BoundaryConstants:
 def closed_form_params(
     omega_hat,
     k_sign: int = 1,
-    b0_sign: int = 1,
     omega_sign: int = 1,
     theta_sign: int = -1,
     r: int = 0,
 ) -> ControlParams:
     """Closed-form control constants for the minimal-time branch at energy scale omega_hat.
 
-    bz = 0, b0 = b0_sign*k*sqrt(omega_hat^2-2), omega_rf = omega_sign*(4/pi)*
-    sqrt(omega_hat^2-2), theta0 = [(2r+1)*pi + theta_sign*sqrt(3)*
-    sqrt(omega_hat^2-2)]/2.  Energy-consistent by construction; whether the b, d
-    boundary equations hold at a given omega_hat is measured by consistency_scan,
-    not assumed.  An array omega_hat gives array-valued b0, omega_rf and theta0.
+    With R = sqrt(omega_hat^2-2): bz = 0, b0 = k*R, omega_rf = omega_sign*(4/pi)*R,
+    theta0 = [(2r+1)*pi + theta_sign*sqrt(3)*R]/2.  The sign of b0 is no label:
+    (b0, theta0) and (-b0, theta0 + pi) give the same field, so r and r + 1
+    cover it, and r + 2 repeats r.  Energy-consistent by construction; whether
+    the b, d boundary equations hold at a given omega_hat is measured by
+    consistency_scan, not assumed.  An array omega_hat gives array-valued b0,
+    omega_rf and theta0.
     """
     if np.any(np.square(omega_hat) <= 2.0):
         raise ValueError(f"omega_hat^2 must exceed 2, got {np.min(np.square(omega_hat)):.6g}")
-    for name, s in (("k_sign", k_sign), ("b0_sign", b0_sign), ("omega_sign", omega_sign), ("theta_sign", theta_sign)):
+    for name, s in (("k_sign", k_sign), ("omega_sign", omega_sign), ("theta_sign", theta_sign)):
         if s not in (1, -1):
             raise ValueError(f"{name} must be +1 or -1")
     root = np.sqrt(np.square(omega_hat) - 2.0)
     return ControlParams(
         k=float(k_sign),
         omega_hat=omega_hat,
-        b0=b0_sign * k_sign * root,
+        b0=k_sign * root,
         bz=0.0,
         omega_rf=omega_sign * (4.0 / PI) * root,
         theta0=0.5 * ((2 * r + 1) * PI + theta_sign * math.sqrt(3.0) * root),
@@ -298,14 +305,15 @@ def invert_to_physical(
     k: float,
     tau_star: float,
     b_target: float,
-    r_values: tuple[int, ...] = (0, 1, 2),
     root_range: tuple[float, float] = (1e-3, 20.0),
 ) -> list[InvertedSolution]:
     """Solve for controls realizing (a=2*tau_star, b=b_target, c_pm=+-k*a, d=0).
 
-    bz = 0 follows from c_plus = -c_minus, |b0| = sqrt(omega_hat^2-2) from the
-    energy constraint, and d = 0 fixes theta0 = [(2r+1)*pi - omega_rf*tau_star]/2.
-    What remains is one scalar equation for omega_rf,
+    bz = 0 follows from c_plus = -c_minus, b0 = sqrt(omega_hat^2-2) > 0 from the
+    energy constraint, and d = 0 fixes theta0 = [(2r+1)*pi - omega_rf*tau_star]/2
+    with r in {0, 1}: a negative b0 is the same field with theta0 + pi, and
+    r + 2 is theta0 + 2*pi, so each control is listed once.  What remains is
+    one scalar equation for omega_rf,
 
         2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
 
@@ -325,47 +333,45 @@ def invert_to_physical(
     lo, hi = root_range
     if not (0.0 < lo < hi):
         raise ValueError("root_range must satisfy 0 < lo < hi")
-    amp = math.sqrt(omega_hat**2 - 2.0)
+    b0 = math.sqrt(omega_hat**2 - 2.0)
     grid = np.linspace(lo, hi, 10_000)
     solutions: list[InvertedSolution] = []
-    for b0_sign in (1, -1):
-        b0 = b0_sign * amp
-        for r in r_values:
-            def f(om):
-                return 2.0 * b0 * tau_star * (-1.0) ** r * sinc(om * tau_star / 2.0) + b_target
+    for r in (0, 1):
+        def f(om):
+            return 2.0 * b0 * tau_star * (-1.0) ** r * sinc(om * tau_star / 2.0) + b_target
 
-            vals = f(grid)
-            idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-            for i in idx:
-                x1, x2, f1 = grid[i], grid[i + 1], vals[i]
-                while x2 - x1 > 1e-12:
-                    xm = 0.5 * (x1 + x2)
-                    fm = f(xm)
-                    if f1 * fm <= 0.0:
-                        x2 = xm
-                    else:
-                        x1, f1 = xm, fm
-                om_root = 0.5 * (x1 + x2)
-                params = ControlParams(
-                    k=float(k),
-                    omega_hat=omega_hat,
-                    b0=b0,
-                    bz=0.0,
-                    omega_rf=om_root,
-                    theta0=0.5 * ((2 * r + 1) * PI - om_root * tau_star),
-                )
-                c = abcd_from_physical(params, tau_star)
-                res_b = abs(c.b - b_target)
-                res_d = abs(c.d)
-                if res_b <= 1e-10 and res_d <= 1e-10:
-                    solutions.append(
-                        InvertedSolution(
-                            params=params,
-                            branch={"b0_sign": b0_sign, "omega_sign": 1, "theta_sign": -1, "r": r},
-                            residual_b=res_b,
-                            residual_d=res_d,
-                        )
+        vals = f(grid)
+        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        for i in idx:
+            x1, x2, f1 = grid[i], grid[i + 1], vals[i]
+            while x2 - x1 > 1e-12:
+                xm = 0.5 * (x1 + x2)
+                fm = f(xm)
+                if f1 * fm <= 0.0:
+                    x2 = xm
+                else:
+                    x1, f1 = xm, fm
+            om_root = 0.5 * (x1 + x2)
+            params = ControlParams(
+                k=float(k),
+                omega_hat=omega_hat,
+                b0=b0,
+                bz=0.0,
+                omega_rf=om_root,
+                theta0=0.5 * ((2 * r + 1) * PI - om_root * tau_star),
+            )
+            c = abcd_from_physical(params, tau_star)
+            res_b = abs(c.b - b_target)
+            res_d = abs(c.d)
+            if res_b <= 1e-10 and res_d <= 1e-10:
+                solutions.append(
+                    InvertedSolution(
+                        params=params,
+                        branch={"omega_sign": 1, "theta_sign": -1, "r": r},
+                        residual_b=res_b,
+                        residual_d=res_d,
                     )
+                )
     return solutions
 
 
@@ -387,12 +393,9 @@ class ScanResult:
 
 
 SCAN_SAMPLES = 4001
+# one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi
 _SCAN_BRANCHES = tuple(
-    {"b0_sign": bs, "omega_sign": os_, "theta_sign": ts, "r": r}
-    for bs in (1, -1)
-    for os_ in (1, -1)
-    for ts in (1, -1)
-    for r in (0, 1, 2)
+    {"omega_sign": os_, "theta_sign": ts, "r": r} for os_ in (1, -1) for ts in (1, -1) for r in (0, 1)
 )
 
 
@@ -404,7 +407,8 @@ def consistency_scan(
 ) -> ScanResult:
     """Scan omega_hat over (omega_lo, omega_hi] for closed-form consistency.
 
-    For every sampled omega_hat and all sign branches with r in {0, 1, 2} the
+    For every sampled omega_hat and the eight branches omega_sign x theta_sign x
+    r in {0, 1}, one per distinct control (see closed_form_params), the
     residuals |b - (-pi*k)| and |d| of the boundary constants generated by the
     closed-form controls are evaluated at the minimal tau_star.  A raw grid
     cannot certify a quadratic tangency to the 1e-9 tolerance, so local minima
@@ -412,7 +416,7 @@ def consistency_scan(
 
     Where the consistent scales lie: the closed forms give |b0/omega_rf| = pi/4,
     and on the branches with theta_sign = -omega_sign d = 0 identically while
-    b = -pi*k*b0_sign*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2.  b = -pi*k
+    b = -pi*k*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2.  b = -pi*k
     thus needs sin(x) = +-1: omega_hat_j = sqrt(2 + (2j+1)^2*pi^2/3), that is
     2.2999713332 and 5.6221715736 for j = 0, 1 and either k (derivation: README).
     """
@@ -466,15 +470,11 @@ def sweep_tau(m0_max: int, n0_max: int) -> list[dict]:
     """Closed-form tau_star over the (m0, n0) grid, sorted ascending by tau_star."""
     if m0_max < 0 or n0_max < 0:
         raise ValueError("sweep bounds must be nonnegative")
-    rows = []
-    for m0 in range(m0_max + 1):
-        for n0 in range(n0_max + 1):
-            m, n = 2 * m0, 2 * n0 + 1
-            rows.append({
-                "m0": m0,
-                "n0": n0,
-                "tau_star": 0.25 * PI * math.sqrt((2 * m + 1) * (2 * n + 1)),
-            })
+    rows = [
+        {"m0": m0, "n0": n0, "tau_star": transfer_time(m0, n0)}
+        for m0 in range(m0_max + 1)
+        for n0 in range(n0_max + 1)
+    ]
     rows.sort(key=lambda row: row["tau_star"])
     return rows
 

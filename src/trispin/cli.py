@@ -80,14 +80,12 @@ def _set_config_defaults(sp: argparse.ArgumentParser, command: str, path: str) -
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
         if value is None:  # null leaves the flag at its own default
             continue
-        items = value if action.nargs == "+" and isinstance(value, list) else [value]
         try:
-            items = [(action.type or str)(str(v)) for v in items]
+            defaults[action.dest] = (action.type or str)(str(value))
         except (ValueError, argparse.ArgumentTypeError):
-            items = None
-        if items is None or (action.choices is not None and any(v not in action.choices for v in items)):
+            raise UsageError(f"config file {path} has invalid {key} {value!r}") from None
+        if action.choices is not None and defaults[action.dest] not in action.choices:
             raise UsageError(f"config file {path} has invalid {key} {value!r}")
-        defaults[action.dest] = items if action.nargs == "+" else items[0]
     sp.set_defaults(**defaults)
 
 
@@ -169,7 +167,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             print(
                 f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}"
             )
-        traj = Trajectory(taus=taus, states=states, method=args.method, dtau=args.dtau)
+        traj = Trajectory(taus=taus, states=states, method=args.method)
     traj.write_csv(args.out)
     print(f"wrote {len(traj.taus)} samples (method={traj.method}) to {args.out}")
     return 0
@@ -263,12 +261,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_invert(args: argparse.Namespace) -> int:
     _require(args.omega_hat is not None, "--omega-hat is required")
     sols = invert_to_physical(
-        args.omega_hat,
-        float(args.k),
-        args.tau_star,
-        args.b_target,
-        r_values=tuple(args.r),
-        root_range=(args.root_lo, args.root_hi),
+        args.omega_hat, float(args.k), args.tau_star, args.b_target, root_range=(args.root_lo, args.root_hi)
     )
     _write_json([asdict(s) for s in sols], args.out)
     return 0
@@ -344,7 +337,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--tau-star", type=finite, default=TAU_STAR)
     sp.add_argument("--b-target", type=finite, default=-math.pi)
-    sp.add_argument("--r", type=int, nargs="+", default=[0, 1, 2])
     sp.add_argument("--root-lo", type=finite, default=1e-3)
     sp.add_argument("--root-hi", type=finite, default=20.0)
     add_common(sp)

@@ -104,7 +104,6 @@ class Trajectory:
     taus: np.ndarray
     states: np.ndarray  # shape (n, 8)
     method: str
-    dtau: float
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -173,7 +172,7 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
         increments = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
         for i, d in enumerate(increments, first):
             states[i] = x = x + d @ x
-    return Trajectory(taus=taus, states=states, method="rk4", dtau=dtau)
+    return Trajectory(taus=taus, states=states, method="rk4")
 
 
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -229,19 +228,22 @@ def rotating_generator(p: ControlParams, sign: int) -> np.ndarray:
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
     """Exact y_pm(tau) = exp(omega_rf*tau*J) exp[tau (M_pm(0) - omega_rf J)] y0 at every tau in taus.
 
-    One eigendecomposition serves all requested times.  The result has shape
-    ``np.shape(taus) + (4,)``.
+    One eigendecomposition serves all requested times and initial states.  The
+    result has shape ``np.shape(taus) + np.shape(y0)`` for y0 of shape (4,) or
+    (4, m); y0 = eye(4) gives the propagators.
     """
     t = np.ravel(np.asarray(taus, dtype=float))
+    y0 = np.asarray(y0, dtype=float)
     # the generator is real skew, so 1j*gen is Hermitian: eigh gives a unitary basis
     # even at degenerate spectra, where plain eig can return a singular one
     ev, vec = np.linalg.eigh(1j * rotating_generator(p, sign))
-    coef = vec.conj().T @ np.asarray(y0, dtype=float).astype(complex)
-    y = (vec @ (np.exp(np.outer(-1j * ev, t)) * coef[:, None])).real  # (4, n)
+    coef = vec.conj().T @ y0.reshape(4, -1).astype(complex)  # (4, m)
+    modes = np.exp(np.outer(-1j * ev, t))[:, :, None] * coef[:, None, :]  # (4, n, m)
+    y = (vec @ modes.reshape(4, -1)).real.reshape(modes.shape)
     # exp(phi*J) rotates the (2,4) plane by phi = omega_rf*tau
-    c, s = np.cos(p.omega_rf * t), np.sin(p.omega_rf * t)
+    c, s = np.cos(p.omega_rf * t)[:, None], np.sin(p.omega_rf * t)[:, None]
     y[1], y[3] = c * y[1] - s * y[3], s * y[1] + c * y[3]
-    return y.T.reshape(np.shape(taus) + (4,))
+    return np.moveaxis(y, 0, 1).reshape(np.shape(taus) + y0.shape)
 
 
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -265,7 +267,7 @@ def propagator_discrepancy(p: ControlParams, tau_grid: np.ndarray) -> Discrepanc
     for sign in (1, -1):
         # ansatz[n, :, j] = U_ansatz(tau_n) e_j and exact[n, :, j] = U_exact(tau_n) e_j
         ansatz = propagate_expm_integral(p, np.eye(4), taus, sign)
-        exact = np.stack([propagate_rotating_exact(p, e, taus, sign) for e in np.eye(4)], axis=-1)
+        exact = propagate_rotating_exact(p, np.eye(4), taus, sign)
         worst = np.maximum(worst, np.max(np.linalg.norm(ansatz - exact, axis=1), axis=1))
     i = int(np.argmax(worst))
     return DiscrepancyResult(max_deviation=float(worst[i]), tau_at_max=float(taus[i]))

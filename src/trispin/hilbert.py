@@ -87,12 +87,7 @@ def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
     """Expectation-value trajectory obtained from the full-space propagation."""
     ut = schrodinger_propagate(p, tau_end, dtau)
-    return Trajectory(
-        taus=ut.taus,
-        states=expectation_trajectory(ut),
-        method="full-hilbert",
-        dtau=dtau,
-    )
+    return Trajectory(taus=ut.taus, states=expectation_trajectory(ut), method="full-hilbert")
 
 
 @dataclass(frozen=True)
@@ -111,18 +106,16 @@ def closure_check(p: ControlParams, tau_samples) -> ClosureResult:
     """Verify i[H(tau), O_i] = sum_j M_ij(tau) O_j at each requested tau.
 
     The projection coefficients Tr[O_j i[H,O_i]]/8 must equal row i of the
-    reduced generator and the projection must exhaust the commutator.
+    reduced generator and the projection must exhaust the commutator; all
+    samples and basis operators are projected at once.
     """
-    basis = coherence_basis()
-    coeff_err = 0.0
-    orth = 0.0
-    for tau in np.atleast_1d(np.asarray(tau_samples, dtype=float)):
-        h = build_hamiltonian(p, tau)
-        m = build_M(p, tau)
-        for i, op in enumerate(basis):
-            comm = 1j * (h @ op - op @ h)
-            coeffs = np.array([np.sum(oj.conj() * comm).real / 8.0 for oj in basis])
-            coeff_err = max(coeff_err, float(np.max(np.abs(coeffs - m[i]))))
-            remainder = comm - np.tensordot(coeffs, np.stack(basis), axes=1)
-            orth = max(orth, float(np.max(np.abs(remainder))))
-    return ClosureResult(max_coefficient_error=coeff_err, max_orthogonal_residual=orth)
+    taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
+    basis = np.stack(coherence_basis())
+    h = build_hamiltonian(p, taus)[:, None]
+    comm = 1j * (h @ basis - basis @ h)  # (n, 8, 8, 8): sample, operator i, matrix
+    coeffs = np.einsum("jab,niab->nij", basis.conj(), comm).real / 8.0
+    remainder = comm - np.einsum("nij,jab->niab", coeffs, basis)
+    return ClosureResult(
+        max_coefficient_error=float(np.max(np.abs(coeffs - build_M(p, taus)), initial=0.0)),
+        max_orthogonal_residual=float(np.max(np.abs(remainder), initial=0.0)),
+    )

@@ -295,7 +295,7 @@ def run_verification(
         if sols:
             params, branch = sols[0].params, sols[0].branch
         else:
-            branch = {"b0_sign": 1, "omega_sign": 1, "theta_sign": -1, "r": 0}
+            branch = {"omega_sign": 1, "theta_sign": -1, "r": 0}
             params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
     report.context["omega_hat"] = omega_sel
     report.context["branch"] = branch

@@ -173,7 +173,7 @@ def branch_residual_by_math(omega_hat, k_sign, branch, tau_star, b_target):
     the ranges scanned here, so the series branch is never needed.
     """
     root = math.sqrt(omega_hat**2 - 2.0)
-    b0 = branch["b0_sign"] * k_sign * root
+    b0 = k_sign * root
     omega_rf = branch["omega_sign"] * (4.0 / math.pi) * root
     theta0 = 0.5 * ((2 * branch["r"] + 1) * math.pi + branch["theta_sign"] * math.sqrt(3.0) * root)
     assert abs(omega_rf * tau_star) >= 1e-2
@@ -212,38 +212,37 @@ def test_scan_matches_per_sample_branch_loop(k_sign):
         assert cp.branch == branches[i]
 
 
-def inversion_roots_by_loop(omega_hat, tau_star, b_target, r_values=(0, 1, 2), lo=1e-3, hi=20.0):
-    """Roots of 2*b0*tau_star*(-1)^r*sinc(omega_rf*tau_star/2) = -b_target by a per-point bracket and bisection."""
+def inversion_roots_by_loop(omega_hat, tau_star, b_target, lo=1e-3, hi=20.0):
+    """Roots of 2*b0*tau_star*(-1)^r*sinc(omega_rf*tau_star/2) = -b_target, b0 > 0 and r in {0, 1}, per point."""
     grid = np.linspace(lo, hi, 10_000)
     roots = []
-    for b0_sign in (1, -1):
-        b0 = b0_sign * math.sqrt(omega_hat**2 - 2.0)
-        for r in r_values:
+    b0 = math.sqrt(omega_hat**2 - 2.0)
+    for r in (0, 1):
 
-            def f(om):
-                z = om * tau_star / 2.0
-                return 2.0 * b0 * tau_star * (-1.0) ** r * (math.sin(z) / z) + b_target
+        def f(om):
+            z = om * tau_star / 2.0
+            return 2.0 * b0 * tau_star * (-1.0) ** r * (math.sin(z) / z) + b_target
 
-            vals = [f(float(om)) for om in grid]
-            for i in range(len(grid) - 1):
-                if vals[i] * vals[i + 1] >= 0.0:
-                    continue
-                x1, x2, f1 = float(grid[i]), float(grid[i + 1]), vals[i]
-                while x2 - x1 > 1e-12:
-                    xm = 0.5 * (x1 + x2)
-                    fm = f(xm)
-                    if f1 * fm <= 0.0:
-                        x2 = xm
-                    else:
-                        x1, f1 = xm, fm
-                roots.append((b0_sign, r, 0.5 * (x1 + x2)))
+        vals = [f(float(om)) for om in grid]
+        for i in range(len(grid) - 1):
+            if vals[i] * vals[i + 1] >= 0.0:
+                continue
+            x1, x2, f1 = float(grid[i]), float(grid[i + 1]), vals[i]
+            while x2 - x1 > 1e-12:
+                xm = 0.5 * (x1 + x2)
+                fm = f(xm)
+                if f1 * fm <= 0.0:
+                    x2 = xm
+                else:
+                    x1, f1 = xm, fm
+            roots.append((r, 0.5 * (x1 + x2)))
     return roots
 
 
 @pytest.mark.parametrize("omega_hat, b_target", [(2.7, -math.pi), (2.2999713329530, -math.pi), (4.0, 3.0 * math.pi)])
 def test_inversion_roots_equal_per_point_bracket(omega_hat, b_target):
     sols = invert_to_physical(omega_hat, 1.0, TAU_STAR, b_target)
-    roots = [(s.branch["b0_sign"], s.branch["r"], s.params.omega_rf) for s in sols]
+    roots = [(s.branch["r"], s.params.omega_rf) for s in sols]
     assert roots and roots == inversion_roots_by_loop(omega_hat, TAU_STAR, b_target)
 
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
 from trispin.boundary import (
+    _SCAN_BRANCHES,
     TRANSFER_COLUMNS,
     BoundaryConstants,
     DerivedQuantities,
@@ -291,7 +293,7 @@ def test_integer_relations_wrong_p():
 
 
 def test_closed_form_params_example_values():
-    p = closed_form_params(ORACLE_OMEGA, k_sign=1, b0_sign=1, omega_sign=1, theta_sign=-1, r=0)
+    p = closed_form_params(ORACLE_OMEGA, k_sign=1, omega_sign=1, theta_sign=-1, r=0)
     assert abs(p.omega_rf - 4.0 / math.sqrt(3.0)) < 1e-12
     assert abs(p.b0 - PI / math.sqrt(3.0)) < 1e-12
     assert abs(p.theta0) < 1e-12
@@ -321,13 +323,32 @@ def test_closed_form_params_rejects_low_energy():
 # --- inversion ---------------------------------------------------------------------
 
 
-def _positive_b0_solutions():
-    """Inverted controls at the consistent scale on the r = 0, b0 > 0 branch."""
-    return [s for s in invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI, r_values=(0,)) if s.branch["b0_sign"] == 1]
+def _field(b0, omega_rf, theta0, taus):
+    """Transverse field (b0 cos theta, b0 sin theta) on taus; bz = 0 for every control compared here."""
+    th = omega_rf * taus + theta0
+    return np.concatenate([b0 * np.cos(th), b0 * np.sin(th)])
+
+
+FIELD_TAUS = np.linspace(0.0, 3.0 * TAU_STAR, 61)
+
+
+def _distinct_and_covering(kept, old, tol):
+    """kept fields pairwise distinct, each old field within tol of exactly one of them; return the match counts."""
+    kept, old = np.array(kept), np.array(old)
+    gaps = np.max(np.abs(kept[:, None] - kept[None, :]), axis=-1)
+    assert np.all(gaps[~np.eye(len(kept), dtype=bool)] > 1e-3)
+    matches = np.max(np.abs(old[:, None] - kept[None, :]), axis=-1) <= tol
+    assert np.all(matches.sum(axis=1) == 1)
+    return matches.sum(axis=0)
+
+
+def _r0_solutions():
+    """Inverted controls at the consistent scale on the r = 0 branch."""
+    return [s for s in invert_to_physical(ORACLE_OMEGA, 1.0, TAU_STAR, -PI) if s.branch["r"] == 0]
 
 
 def test_invert_finds_reference_rate():
-    sols = _positive_b0_solutions()
+    sols = _r0_solutions()
     rates = [s.params.omega_rf for s in sols]
     assert any(abs(rate - 4.0 / math.sqrt(3.0)) < 1e-9 for rate in rates)
 
@@ -347,7 +368,7 @@ def test_invert_bisection_oracle():
         else:
             lo = mid
     oracle_rate = 0.5 * (lo + hi)
-    sols = _positive_b0_solutions()
+    sols = _r0_solutions()
     assert any(abs(s.params.omega_rf - oracle_rate) < 1e-9 for s in sols)
 
 
@@ -362,6 +383,29 @@ def test_invert_round_trip(rng):
         assert abs(c.d) < 1e-9
         assert abs(c.c_plus - c.a) < 1e-12
         assert abs(energy_residual(s.params)) < 1e-12
+
+
+@pytest.mark.parametrize("omega_hat, b_target", [(2.7, -PI), (4.0, 3.0 * PI), (6.0, -PI)])
+def test_invert_solutions_are_distinct_controls(omega_hat, b_target):
+    sols = invert_to_physical(omega_hat, 1.0, TAU_STAR, b_target)
+    kept = [_field(s.params.b0, s.params.omega_rf, s.params.theta0, FIELD_TAUS) for s in sols]
+    # the labels b0_sign x r in {0, 1, 2}: theta0 + pi flips the sign of b0, theta0 + 2*pi repeats r
+    amp = math.sqrt(omega_hat**2 - 2.0)
+    grid = np.linspace(1e-3, 20.0, 10_000)
+    old = []
+    for b0 in (amp, -amp):
+        for r in (0, 1, 2):
+            def f(om):
+                z = om * TAU_STAR / 2.0
+                return 2.0 * b0 * TAU_STAR * (-1.0) ** r * np.sin(z) / z + b_target
+
+            vals = f(grid)
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+                om = brentq(f, grid[i], grid[i + 1], xtol=1e-14)
+                old.append(_field(b0, om, 0.5 * ((2 * r + 1) * PI - om * TAU_STAR), FIELD_TAUS))
+    assert sols and len(old) == 3 * len(sols)
+    # brentq and the bisection stop within about 1e-12 of the root in omega_rf
+    assert np.all(_distinct_and_covering(kept, old, 1e-9) == 3)
 
 
 def test_invert_rejects_zero_target():
@@ -398,6 +442,33 @@ def test_scan_finds_consistent_point():
     for k_sign in (1, -1):
         wide = consistency_scan(2.0, 6.0, k_sign=k_sign, samples=4001)
         assert [cp.omega_hat for cp in wide.consistent] == pytest.approx(expected, abs=1e-7)
+
+
+# generic scales: where sqrt(3)*sqrt(omega_hat^2-2) is an odd multiple of pi, at the consistent
+# scales among others, the two theta_sign branches meet (theta0 differs there by pi, made up by r)
+@pytest.mark.parametrize("k_sign", [1, -1])
+@pytest.mark.parametrize("omega_hat", [1.6, 2.7, 4.5])
+def test_scan_branches_are_distinct_controls(k_sign, omega_hat):
+    assert len(_SCAN_BRANCHES) == 8
+    kept = []
+    for branch in _SCAN_BRANCHES:
+        p = closed_form_params(omega_hat, k_sign=k_sign, **branch)
+        kept.append(_field(p.b0, p.omega_rf, p.theta0, FIELD_TAUS))
+    # the closed form with a free sign of b0 and r in {0, 1, 2}: 24 labels, three per control
+    root = math.sqrt(omega_hat**2 - 2.0)
+    old = [
+        _field(
+            b0_sign * k_sign * root,
+            omega_sign * (4.0 / PI) * root,
+            0.5 * ((2 * r + 1) * PI + theta_sign * math.sqrt(3.0) * root),
+            FIELD_TAUS,
+        )
+        for b0_sign in (1, -1)
+        for omega_sign in (1, -1)
+        for theta_sign in (1, -1)
+        for r in (0, 1, 2)
+    ]
+    assert np.all(_distinct_and_covering(kept, old, 1e-12) == 3)
 
 
 @pytest.mark.parametrize("lo, hi", [(3.0, 2.0), (2.0, 1.0), (2.0, 2.0), (2.0, math.inf), (math.nan, 4.0)])
@@ -483,11 +554,11 @@ def test_x7_has_no_family():
 
 
 def test_solution_record_schema():
-    sols = _positive_b0_solutions()
+    sols = _r0_solutions()
     rec = solution_record(0, 0, k_sign=1, params=sols[0].params, branch=sols[0].branch)
     for key in ("m0", "n0", "k_sign", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "q", "params", "residuals"):
         assert key in rec
-    assert rec["params"]["branch"] == {"b0_sign": 1, "omega_sign": 1, "theta_sign": -1, "r": 0}
+    assert rec["params"]["branch"] == {"omega_sign": 1, "theta_sign": -1, "r": 0}
     assert len(rec["residuals"]["boundary"]) == 8
     assert rec["residuals"]["b_eq"] <= 1e-9
     assert rec["residuals"]["d_eq"] <= 1e-9

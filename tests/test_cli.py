@@ -150,9 +150,9 @@ def test_config_rejects_non_finite_number(tmp_path, capsys, literal):
         (("search", "--omega-hat", "2.5"), {"resolution": 2.5}),
         (("scan", "--from", "2", "--to", "3"), {"samples": 10.5}),
         (("search", "--omega-hat", "2.5"), {"target": "x9"}),
-        (("invert", "--omega-hat", "2.5"), {"r": [0, "one"]}),
+        (("search", "--omega-hat", "2.5"), {"resolution": [21]}),
     ],
-    ids=["int", "int_samples", "choices", "multi_value"],
+    ids=["int", "int_samples", "choices", "list"],
 )
 def test_config_value_checked_like_its_flag(tmp_path, capsys, argv, entry):
     # the flag's type and choices apply to a config value too: no TypeError traceback later
@@ -164,13 +164,15 @@ def test_config_value_checked_like_its_flag(tmp_path, capsys, argv, entry):
     assert f"invalid {next(iter(entry))}" in err
 
 
-def test_config_list_sets_multi_value_flag(tmp_path, capsys):
+def test_config_hyphenated_key_sets_flag(tmp_path, capsys):
+    # "root-hi" names the flag --root-hi like "root_hi" does
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"r": [0, 1], "root-hi": 10}))
+    cfg.write_text(json.dumps({"root-hi": 1.0}))
     out = tmp_path / "invert.json"
     code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--config", str(cfg), "--out", str(out))
     assert code == 0
-    assert {s["branch"]["r"] for s in json.loads(out.read_text())} == {0, 1}
+    # the reference rate 4/sqrt(3) lies above the configured bracket end
+    assert json.loads(out.read_text()) == []
 
 
 def test_config_null_leaves_flag_default(tmp_path, capsys, monkeypatch):
@@ -256,8 +258,7 @@ def test_search_landscape_csv(tmp_path, capsys):
 
 def test_invert_contains_reference_rate(tmp_path, capsys):
     out = tmp_path / "invert.json"
-    code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--b-target", str(-PI),
-                      "--r", "0", "--out", str(out))
+    code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--b-target", str(-PI), "--out", str(out))
     assert code == 0
     payload = json.loads(out.read_text())
     assert any(abs(s["params"]["omega_rf"] - 4.0 / math.sqrt(3.0)) < 1e-9 for s in payload)
@@ -292,6 +293,13 @@ def test_non_finite_number_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "not a finite number" in captured.err
+
+
+def test_invert_has_no_r_flag(capsys):
+    # invert lists each control once, so there is no r label to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--omega-hat", "2.7", "--r", "0"])
+    assert exc.value.code == 2 and "--r" in capsys.readouterr().err
 
 
 def test_verify_refuses_low_energy(capsys):

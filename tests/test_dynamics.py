@@ -317,6 +317,13 @@ def test_rotating_exact_preserves_norm(rng):
     p = _random_params(rng)
     y = propagate_rotating_exact(p, E1, 2.7, 1)
     assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+    # y0 = eye(4) gives the propagators: column j is the call from e_j, and each is orthogonal
+    taus = np.array([[0.0, 0.3], [1.1, 2.7]])
+    u = propagate_rotating_exact(p, np.eye(4), taus, -1)
+    assert u.shape == taus.shape + (4, 4)
+    columns = np.stack([propagate_rotating_exact(p, e, taus, -1) for e in np.eye(4)], axis=-1)
+    assert np.max(np.abs(u - columns)) <= 1e-15
+    assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(4))) < 1e-12
 
 
 def frame_conjugation_defect(p, tau):

@@ -9,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trispin.algebra import (
+    _PAULI,
     E1,
     SECTORS,
     ControlParams,
     build_hamiltonian,
     energy_residual,
-    pauli,
     sector_fields,
     transverse_amplitude,
 )
@@ -83,7 +83,7 @@ def test_hamiltonian_is_block_diagonal_on_the_sectors(p, taus):
     in_sector = np.kron(np.eye(4), np.ones((2, 2))) == 1
     assert np.all(h[:, ~in_sector] == 0.0)
     blocks = h[:, in_sector].reshape(-1, 4, 2, 2)
-    n_sigma = np.einsum("tsk,kab->tsab", sector_fields(p, np.array(taus)), np.stack([pauli(a) for a in "xyz"]))
+    n_sigma = np.einsum("tsk,kab->tsab", sector_fields(p, np.array(taus)), np.stack([_PAULI[a] for a in "xyz"]))
     assert np.max(np.abs(blocks - n_sigma)) <= 1e-15
 
 

@@ -467,16 +467,15 @@ def consistency_scan(
 
 
 def sweep_tau(m0_max: int, n0_max: int) -> list[dict]:
-    """Closed-form tau_star over the (m0, n0) grid, sorted ascending by tau_star."""
+    """Closed-form tau_star over the branch labels n0 >= m0 of the (m0, n0) grid, sorted ascending by tau_star."""
     if m0_max < 0 or n0_max < 0:
         raise ValueError("sweep bounds must be nonnegative")
-    rows = [
+    rows = (
         {"m0": m0, "n0": n0, "tau_star": transfer_time(m0, n0)}
         for m0 in range(m0_max + 1)
-        for n0 in range(n0_max + 1)
-    ]
-    rows.sort(key=lambda row: row["tau_star"])
-    return rows
+        for n0 in range(m0, n0_max + 1)
+    )
+    return sorted(rows, key=lambda row: row["tau_star"])
 
 
 def solution_record(

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -271,8 +272,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(
         prog="trispin",
         description="Coherence transfer in a driven three-qubit Ising chain: solve, propagate, verify.",
+        allow_abbrev=False,  # flags, like config keys, are full names: a removed flag must not become another
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
     commands: dict[str, argparse.ArgumentParser] = {}
 
     def add_common(sp):

@@ -1,9 +1,9 @@
 """Reachability searches over the rotating-control ansatz.
 
-The search space is the energy shell of the rotating drive: (bz, omega_rf,
-theta0) free, b0 fixed by the energy constraint; from e1, theta0 is a gauge
-that the grid reads off the state.  All evaluations use the exact
-rotating-frame propagator, so the only discretization is the tau grid.
+The search space is the energy shell of the rotating drive: (bz, omega_rf)
+free, b0 fixed by the energy constraint, and theta0 a gauge read off the state
+from e1.  Every search minimizes one objective, the first crossing of the
+theta0-best target value under the exact propagator (``_first_crossing``).
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 """
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from .dynamics import _time_grid, exact_state_trajectory
@@ -28,41 +28,6 @@ def _target_index(target: str) -> int:
         return COMPONENT_INDEX[target]
     except KeyError:
         raise ValueError(f"unknown target {target!r}; expected 'x1'..'x8'") from None
-
-
-def target_trajectory(p: ControlParams, taus: np.ndarray, target: str = "x8") -> np.ndarray:
-    """x_target over a tau grid, starting from x = e1, via the exact rotating-frame propagator."""
-    idx = _target_index(target)
-    return exact_state_trajectory(p, E1, taus)[:, idx]
-
-
-def min_time_to_target(
-    p: ControlParams,
-    target: str = "x8",
-    threshold: float = 0.999,
-    tau_max: float = 10.0,
-    dtau: float = 1e-3,
-) -> float | None:
-    """First tau where x_target >= threshold on _time_grid(tau_max, dtau), bisected to 1e-9; None if never reached."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    # a threshold above 1 is simply unreachable and yields None
-    taus = _time_grid(tau_max, dtau)
-    values = target_trajectory(p, taus, target)
-    hits = np.nonzero(values >= threshold)[0]
-    if len(hits) == 0:
-        return None
-    i = int(hits[0])
-    if i == 0:
-        return 0.0
-    lo, hi = taus[i - 1], taus[i]
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if target_trajectory(p, [mid], target)[0] >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return float(0.5 * (lo + hi))
 
 
 def default_bounds(omega_hat: float) -> dict:
@@ -118,6 +83,48 @@ def _best_over_theta0(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, theta0
 
 
+def _first_crossing(
+    p: ControlParams, j: int, threshold: float, taus: np.ndarray, best: np.ndarray
+) -> tuple[float, ControlParams] | None:
+    """(tau, p at the best theta0 there) where best[:, j] first reaches threshold; None if it never does.
+
+    p is the theta0 = 0 control and best = _best_over_theta0 of its trajectory
+    from e1 on taus.  brentq solves the crossing on the grid interval holding
+    the first hit; its ends keep their grid values, since a single-tau
+    propagation differs from the batched row in the last bits.
+    """
+    hits = np.nonzero(best[:, j] >= threshold)[0]
+    if len(hits) == 0:
+        return None
+    i = int(hits[0])
+    if i == 0:  # the state is e1, whatever theta0
+        return 0.0, p
+    ends = {float(taus[i - 1]): best[i - 1, j] - threshold, float(taus[i]): best[i, j] - threshold}
+
+    def gap(tau: float) -> float:
+        return ends[tau] if tau in ends else _best_over_theta0(exact_state_trajectory(p, E1, tau))[0][j] - threshold
+
+    tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-12)
+    phase = _best_over_theta0(exact_state_trajectory(p, E1, tau))[1][j]
+    return float(tau), replace(p, theta0=float(phase))
+
+
+def min_time_to_target(
+    p: ControlParams, target: str = "x8", threshold: float = 0.999, tau_max: float = 10.0, dtau: float = 1e-3
+) -> tuple[float, ControlParams] | None:
+    """(tau, p at the best theta0 there) of the first crossing of the theta0-best x_target; None if never reached.
+
+    p.theta0 is ignored (from e1 it is a gauge).  The crossing is bracketed on
+    _time_grid(tau_max, dtau); a threshold above 1 is simply unreachable.
+    """
+    if threshold <= 0.0:
+        raise ValueError("threshold must be positive")
+    j = _target_index(target)
+    taus = _time_grid(tau_max, dtau)
+    p = replace(p, theta0=0.0)
+    return _first_crossing(p, j, threshold, taus, _best_over_theta0(exact_state_trajectory(p, E1, taus))[0])
+
+
 def grid_search(
     omega_hat: float,
     k: float,
@@ -133,8 +140,8 @@ def grid_search(
 
     Deterministic for fixed inputs.  One propagation per (bz, omega_rf) pair;
     every reported params/tau pair carries the best theta0 there
-    (``_best_over_theta0``), and a crossing bisects at the theta0 of the first
-    grid row whose best value reaches the threshold.  bz values outside the
+    (``_best_over_theta0``), and each pair's crossing is solved on the bracket
+    its own grid rows give (``_first_crossing``).  bz values outside the
     energy shell are skipped (no real transverse amplitude there); an
     omega_hat at or below the energy floor, omega_hat^2 <= 1 + k^2, and
     bounds keys other than bz and omega_rf are ValueErrors.  The result also
@@ -148,8 +155,7 @@ def grid_search(
     bounds = dict(bounds) if bounds is not None else default_bounds(omega_hat)
     if set(bounds) != {"bz", "omega_rf"}:
         raise ValueError(f"bounds must provide exactly 'bz' and 'omega_rf', got {list(bounds)}")
-    if tau_max is None:
-        tau_max = 3.0 * TAU_STAR
+    tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
     taus = _time_grid(tau_max, dtau)
     idx = _target_index(target)
 
@@ -169,17 +175,12 @@ def grid_search(
                 i = rows[j]
                 if best[i, j] > peaks[name][0]:
                     peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0[i, j])))
-            values = best[:, idx]
-            peak = int(rows[idx])
-            reached: float | None = None
-            hits = np.nonzero(values >= threshold)[0]
-            if len(hits):
-                gauge = replace(p, theta0=float(theta0[hits[0], idx]))
-                reached = min_time_to_target(gauge, target, threshold, tau_max=float(taus[hits[0]]) + dtau, dtau=dtau)
-                if reached is not None and reached < best_tau:
-                    best_tau, best_params = reached, gauge
+            reached, gauge = _first_crossing(p, idx, threshold, taus, best) or (None, None)
+            if reached is not None and reached < best_tau:
+                best_tau, best_params = reached, gauge
             if collect_landscape:
-                landscape.append((float(bz), float(omega_rf), reached, float(values[peak]), float(taus[peak])))
+                peak = rows[idx]
+                landscape.append((float(bz), float(omega_rf), reached, float(best[peak, idx]), float(taus[peak])))
     achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,
@@ -204,11 +205,11 @@ def grid_search(
 
 
 def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
-    """Simplex refinement of (bz, omega_rf, theta0) minimizing the threshold-crossing time.
+    """Simplex refinement of (bz, omega_rf) minimizing the threshold-crossing time.
 
-    The energy constraint is restored after every move by recomputing b0 from
-    (omega_hat, k, bz).  The reported time never increases across iterations;
-    an infeasible seed is returned unchanged.
+    theta0 is read off the state and b0 restores the energy constraint after
+    every move.  The reported time never increases across iterations; an
+    infeasible seed is returned unchanged.
     """
     if not seed.feasible or seed.best_params is None or seed.best_tau is None:
         return replace(seed, trace=list(seed.trace))
@@ -221,21 +222,19 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
     trace = [seed.best_tau]
 
     def objective(v: np.ndarray) -> float:
-        bz, omega_rf, theta0 = v
+        bz, omega_rf = v
         if bz**2 >= shell:
             return 10.0 * tau_max
-        p = ControlParams(
-            k=k, omega_hat=omega_hat, b0=transverse_amplitude(omega_hat, k, bz),
-            bz=float(bz), omega_rf=float(omega_rf), theta0=float(theta0),
-        )
-        t = min_time_to_target(p, target, threshold, tau_max=tau_max, dtau=dtau)
-        if t is None:
+        p = replace(seed.best_params, b0=transverse_amplitude(omega_hat, k, bz), bz=float(bz), omega_rf=float(omega_rf))
+        hit = min_time_to_target(p, target, threshold, tau_max=tau_max, dtau=dtau)
+        if hit is None:
             return 10.0 * tau_max
+        t, p = hit
         if t < best["tau"]:
             best["tau"], best["params"] = t, p
         trace.append(best["tau"])
         return t
 
-    x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf, seed.best_params.theta0])
+    x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf])
     minimize(objective, x0, method="Nelder-Mead", options={"maxfev": iterations, "xatol": 1e-10, "fatol": 1e-12})
     return replace(seed, best_params=best["params"], best_tau=best["tau"], trace=trace)

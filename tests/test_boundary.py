@@ -494,14 +494,16 @@ def test_scan_residual_recorded_at_three():
 
 def test_sweep_table():
     rows = sweep_tau(3, 3)
-    assert len(rows) == 16
+    # only the branch labels analytic_family accepts, n0 >= m0
+    assert sorted((r["m0"], r["n0"]) for r in rows) == [(m0, n0) for m0 in range(4) for n0 in range(m0, 4)]
+    assert all(r["tau_star"] == analytic_family(r["m0"], r["n0"])[2] for r in rows)
     assert (rows[0]["m0"], rows[0]["n0"]) == (0, 0)
     assert abs(rows[0]["tau_star"] - TAU_STAR) < 1e-15
     by_key = {(r["m0"], r["n0"]): r["tau_star"] for r in rows}
     assert abs(by_key[(0, 1)] - 0.25 * PI * math.sqrt(7.0)) < 1e-15
     for m0 in range(4):
-        col = [by_key[(m0, n0)] for n0 in range(4)]
-        assert all(col[i] < col[i + 1] for i in range(3))
+        col = [by_key[(m0, n0)] for n0 in range(m0, 4)]
+        assert all(a < b for a, b in zip(col, col[1:]))
     with pytest.raises(ValueError):
         sweep_tau(-1, 2)
 

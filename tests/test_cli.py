@@ -180,7 +180,7 @@ def test_config_null_leaves_flag_default(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"out": None, "max": None}))
     code, out, _ = _run(capsys, "sweep", "--config", "cfg.json")
-    assert code == 0 and out.splitlines()[0] == "m0,n0,tau_star" and len(out.splitlines()) == 17
+    assert code == 0 and out.splitlines()[0] == "m0,n0,tau_star" and len(out.splitlines()) == 11
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -219,7 +219,9 @@ def test_sweep_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "m0,n0,tau_star"
-    assert len(lines) == 17
+    # the 10 branch labels with n0 >= m0 of the 4 x 4 grid
+    assert len(lines) == 11
+    assert all(int(m0) <= int(n0) for m0, n0, _ in (line.split(",") for line in lines[1:]))
     first = lines[1].split(",")
     assert (first[0], first[1]) == ("0", "0")
 
@@ -300,6 +302,18 @@ def test_invert_has_no_r_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--omega-hat", "2.7", "--r", "0"])
     assert exc.value.code == 2 and "--r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--thr", "0.5"], ["invert", "--omega-hat", "2.7", "--r", "0"]],
+    ids=["prefix_of_one_flag", "prefix_of_two_flags"],
+)
+def test_flag_prefix_is_not_an_abbreviation(capsys, argv):
+    # config keys must be full flag names, and so must command-line flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_refuses_low_energy(capsys):

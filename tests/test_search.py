@@ -1,17 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from trispin.algebra import ControlParams
+from trispin.algebra import E1, ControlParams, transverse_amplitude
 from trispin.boundary import closed_form_params
-from trispin.dynamics import _time_grid
-from trispin.search import (
-    grid_search,
-    min_time_to_target,
-    refine_local,
-    target_trajectory,
-)
+from trispin.dynamics import _time_grid, exact_state_trajectory
+from trispin.search import grid_search, min_time_to_target, refine_local
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -19,21 +15,21 @@ OMEGA = math.sqrt(2.0 + PI**2 / 3.0)  # consistent energy scale
 PARAMS = closed_form_params(OMEGA)
 
 
-def target_expectation(p, tau, target):
-    return float(target_trajectory(p, [tau], target)[0])
+def x8(p, tau):
+    return float(exact_state_trajectory(p, E1, np.array([tau]))[0, 7])
 
 
 def test_target_expectation_at_zero():
-    assert abs(target_expectation(PARAMS, 0.0, "x8")) < 1e-14
-    assert abs(target_expectation(PARAMS, 0.0, "x1") - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        target_expectation(PARAMS, 0.0, "x9")
+    assert abs(x8(PARAMS, 0.0)) < 1e-14
+    assert abs(exact_state_trajectory(PARAMS, E1, np.array([0.0]))[0, 0] - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="unknown target"):
+        min_time_to_target(PARAMS, "x9")
 
 
 def test_target_expectation_at_transfer_time_is_recorded():
     # nominal transfer value is 1; the exact propagation is the arbiter here,
     # so the outcome is recorded rather than asserted
-    value = target_expectation(PARAMS, TAU_STAR, "x8")
+    value = x8(PARAMS, TAU_STAR)
     assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
     print(f"x8(tau_star) at the closed-form controls: {value:.6f}")
 
@@ -56,11 +52,37 @@ def test_min_time_without_transverse_drive():
 
 
 def test_min_time_bisection_accuracy():
-    t = min_time_to_target(PARAMS, "x8", threshold=0.5, tau_max=5.0, dtau=1e-2)
-    assert t is not None
-    assert abs(target_expectation(PARAMS, t, "x8") - 0.5) < 1e-7
+    hit = min_time_to_target(PARAMS, "x8", threshold=0.5, tau_max=5.0, dtau=1e-2)
+    assert hit is not None
+    t, p = hit
+    # the returned params carry the theta0 that attains the crossing
+    assert abs(x8(p, t) - 0.5) < 1e-7
     # crossing is located to 1e-9 in tau
-    assert target_expectation(PARAMS, t - 1e-7, "x8") < 0.5
+    assert x8(p, t - 1e-9) < 0.5
+    # theta0 is a gauge: the input's theta0 does not move the crossing
+    assert min_time_to_target(dataclasses.replace(PARAMS, theta0=1.0), "x8", 0.5, 5.0, 1e-2)[0] == t
+
+
+def test_threshold_equal_to_a_grid_value_is_a_crossing():
+    # at a row whose single-tau propagation falls below its batched value, a
+    # re-evaluated bracket end would lose the sign change; the grid value is kept
+    omega_hat, bz, omega_rf, tau_max, dtau = 2.7, 0.3, 1.1, 3.0 * TAU_STAR, 1e-2
+    b0 = transverse_amplitude(omega_hat, 1.0, bz)
+    p = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+    taus = _time_grid(tau_max, dtau)  # the grid both searches bracket on
+    states = exact_state_trajectory(p, E1, taus)
+    best = np.hypot(states[:, 5], states[:, 7])
+    single = np.array([math.hypot(*exact_state_trajectory(p, E1, t)[5::2]) for t in taus])
+    record = np.maximum.accumulate(best)
+    rows = [i for i in range(1, len(taus)) if best[i] > record[i - 1] and single[i] < best[i]]
+    assert rows
+    i = rows[len(rows) // 2]
+    threshold = float(best[i])
+    t, _ = min_time_to_target(p, "x8", threshold, tau_max=tau_max, dtau=dtau)
+    assert t == taus[i]
+    bounds = {"bz": (bz, bz), "omega_rf": (omega_rf, omega_rf)}
+    res = grid_search(omega_hat, 1.0, bounds=bounds, resolution=1, threshold=threshold, tau_max=tau_max, dtau=dtau)
+    assert res.best_tau == taus[i]
 
 
 def test_min_time_rejects_bad_arguments():
@@ -73,7 +95,7 @@ def test_min_time_rejects_bad_arguments():
 def test_grid_search_membership_of_reference_point():
     # a grid through the closed-form controls must do at least as well as they do
     taus = _time_grid(3.0 * TAU_STAR, 1e-2)  # the search's own tau grid
-    ref_curve = target_trajectory(PARAMS, taus, "x8")
+    ref_curve = exact_state_trajectory(PARAMS, E1, taus)[:, 7]
     ref_best = taus[np.argmax(ref_curve >= 0.5)]
     bounds = {
         "bz": (PARAMS.bz, PARAMS.bz),
@@ -135,6 +157,14 @@ def test_refine_local_monotone_trace():
     assert out.best_tau <= seed.best_tau
     trace = np.array(out.trace)
     assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_refine_local_reaches_the_gauge_optimal_crossing():
+    # the 3-D (bz, omega_rf, theta0) simplex stopped at 1.1734306052 from this seed
+    seed = grid_search(3.0179148702571723, 1.0, threshold=0.95)
+    out = refine_local(seed)
+    assert out.best_tau <= 1.1734305373 + 1e-9
+    assert abs(x8(out.best_params, out.best_tau) - 0.95) < 1e-9
 
 
 def test_no_transfer_probe_degenerate_grid():

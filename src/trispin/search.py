@@ -104,7 +104,7 @@ def _first_crossing(
     def gap(tau: float) -> float:
         return ends[tau] if tau in ends else _best_over_theta0(exact_state_trajectory(p, E1, tau))[0][j] - threshold
 
-    tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-12)
+    tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
     phase = _best_over_theta0(exact_state_trajectory(p, E1, tau))[1][j]
     return float(tau), replace(p, theta0=float(phase))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .algebra import ControlParams, energy_residual
 from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals
@@ -290,6 +290,21 @@ def closed_form_params(
     )
 
 
+def consistent_scale(j):
+    """(omega_hat_j, branch_j), the j-th energy scale where the closed-form constants solve the b, d equations.
+
+    The closed forms give |b0/omega_rf| = pi/4; with theta_sign = -omega_sign,
+    d = 0 identically and b = -pi*k*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2
+    (README).  b = -pi*k needs x = (2j+1)*pi/2 and r = j mod 2: omega_hat_j =
+    sqrt(2 + (2j+1)^2*pi^2/3), 2.2999713332 and 5.6221715736 for j = 0, 1, on
+    branch {omega_sign: 1, theta_sign: -1, r: j mod 2} for either k.  An integer
+    array j gives arrays omega_hat_j and branch_j["r"].
+    """
+    if np.any(np.asarray(j) < 0):
+        raise ValueError("j must be >= 0")
+    return np.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0), {"omega_sign": 1, "theta_sign": -1, "r": j % 2}
+
+
 @dataclass(frozen=True)
 class InvertedSolution:
     """A physical control set reproducing requested boundary constants."""
@@ -317,8 +332,8 @@ def invert_to_physical(
 
         2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
 
-    solved by bracketing on 10,000 points of root_range, evaluated as one
-    array, followed by bisection.  The equation is even in omega_rf, so only
+    bracketed on 10,000 points of root_range, evaluated as one array, and
+    solved in each bracket by brentq.  The equation is even in omega_rf, so only
     positive rates are scanned.  An empty result means no sign change was
     bracketed, not a failure.
     """
@@ -341,17 +356,10 @@ def invert_to_physical(
             return 2.0 * b0 * tau_star * (-1.0) ** r * sinc(om * tau_star / 2.0) + b_target
 
         vals = f(grid)
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in idx:
-            x1, x2, f1 = grid[i], grid[i + 1], vals[i]
-            while x2 - x1 > 1e-12:
-                xm = 0.5 * (x1 + x2)
-                fm = f(xm)
-                if f1 * fm <= 0.0:
-                    x2 = xm
-                else:
-                    x1, f1 = xm, fm
-            om_root = 0.5 * (x1 + x2)
+        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+            # the bracket ends keep their grid values: a scalar sinc may differ from the array one in the last bits
+            ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}
+            om_root = brentq(lambda om: ends[om] if om in ends else f(om), grid[i], grid[i + 1], xtol=1e-15)
             params = ControlParams(
                 k=float(k),
                 omega_hat=omega_hat,
@@ -393,6 +401,7 @@ class ScanResult:
 
 
 SCAN_SAMPLES = 4001
+MAX_SCALES = 10_000  # a scan range may end above at most this many consistent scales
 # one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi
 _SCAN_BRANCHES = tuple(
     {"omega_sign": os_, "theta_sign": ts, "r": r} for os_ in (1, -1) for ts in (1, -1) for r in (0, 1)
@@ -405,20 +414,15 @@ def consistency_scan(
     k_sign: int = 1,
     samples: int = SCAN_SAMPLES,
 ) -> ScanResult:
-    """Scan omega_hat over (omega_lo, omega_hi] for closed-form consistency.
+    """Residual curve of the closed-form controls over (omega_lo, omega_hi], and the consistent scales in it.
 
     For every sampled omega_hat and the eight branches omega_sign x theta_sign x
     r in {0, 1}, one per distinct control (see closed_form_params), the
     residuals |b - (-pi*k)| and |d| of the boundary constants generated by the
-    closed-form controls are evaluated at the minimal tau_star.  A raw grid
-    cannot certify a quadratic tangency to the 1e-9 tolerance, so local minima
-    of the curve are refined by bounded scalar minimization before the test.
-
-    Where the consistent scales lie: the closed forms give |b0/omega_rf| = pi/4,
-    and on the branches with theta_sign = -omega_sign d = 0 identically while
-    b = -pi*k*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2.  b = -pi*k
-    thus needs sin(x) = +-1: omega_hat_j = sqrt(2 + (2j+1)^2*pi^2/3), that is
-    2.2999713332 and 5.6221715736 for j = 0, 1 and either k (derivation: README).
+    closed-form controls are evaluated at the minimal tau_star; the curve holds
+    the best branch's max(|b - b_target|, |d|) per sample.  The consistent
+    points are the scales of consistent_scale in the range, whatever samples
+    is; each is kept only if its own residuals are at most 1e-9.
     """
     if not (math.isfinite(omega_lo) and math.isfinite(omega_hi) and omega_lo < omega_hi):
         raise ValueError(f"scan range ({omega_lo:g}, {omega_hi:g}] must be finite with omega_lo < omega_hi")
@@ -426,6 +430,10 @@ def consistency_scan(
         raise ValueError("samples must be >= 1")
     if omega_lo < math.sqrt(2.0) - 1e-12:
         raise ValueError("scan range must stay above the energy floor omega_hat^2 > 2")
+    # consistent_scale(j) <= omega_hi needs j + 1 <= top; one j more absorbs rounding
+    top = (math.sqrt(3.0 * max(omega_hi * omega_hi - 2.0, 0.0)) / PI + 1.0) / 2.0
+    if not top <= MAX_SCALES:
+        raise ValueError(f"scan range ({omega_lo:g}, {omega_hi:g}] ends above more than {MAX_SCALES} consistent scales")
     _, _, tau_star = analytic_family(0, 0, k_sign)
     b_target = -PI * k_sign
 
@@ -434,35 +442,18 @@ def consistency_scan(
         return np.abs(c.b - b_target), np.abs(c.d)
 
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
-    # running best over the branches; the strict < lets the first branch win ties
+    # best over the branches; fmin passes over a NaN branch
     residuals = np.full(samples, math.inf)
-    best = np.zeros(samples, dtype=int)
-    for j, branch in enumerate(_SCAN_BRANCHES):
-        res = np.maximum(*branch_residuals(omegas, branch))
-        better = res < residuals
-        residuals[better] = res[better]
-        best[better] = j
+    for branch in _SCAN_BRANCHES:
+        residuals = np.fmin(residuals, np.maximum(*branch_residuals(omegas, branch)))
 
-    consistent: list[ConsistentPoint] = []
-
-    def record(w: float, branch: dict) -> None:
-        rb, rd = (float(v) for v in branch_residuals(w, branch))
-        if max(rb, rd) <= 1e-9 and all(abs(w - cp.omega_hat) > 1e-7 for cp in consistent):
-            consistent.append(ConsistentPoint(omega_hat=w, residual_b=rb, residual_d=rd, branch=branch))
-
-    for i in np.flatnonzero(residuals <= 1e-9):
-        record(float(omegas[i]), _SCAN_BRANCHES[best[i]])
-    inner = residuals[1:-1]
-    for i in 1 + np.flatnonzero((inner <= residuals[:-2]) & (inner <= residuals[2:]) & (inner < 1e-2)):
-        branch = _SCAN_BRANCHES[best[i]]
-        res = minimize_scalar(
-            lambda w: max(branch_residuals(w, branch)),
-            bounds=(float(omegas[i - 1]), float(omegas[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        record(float(res.x), branch)
-    consistent.sort(key=lambda cp: cp.omega_hat)
+    scales, branch = consistent_scale(np.arange(math.floor(top) + 1))
+    res_b, res_d = branch_residuals(scales, branch)
+    kept = (omega_lo < scales) & (scales <= omega_hi) & (np.maximum(res_b, res_d) <= 1e-9)
+    consistent = [
+        ConsistentPoint(float(scales[i]), float(res_b[i]), float(res_d[i]), {**branch, "r": int(branch["r"][i])})
+        for i in np.flatnonzero(kept)
+    ]
     return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent)
 
 

@@ -22,6 +22,7 @@ from .boundary import (
     TRANSFER_COLUMNS,
     analytic_family,
     consistency_scan,
+    consistent_scale,
     invert_to_physical,
     solution_record,
     sweep_tau,
@@ -37,7 +38,7 @@ from .dynamics import (
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
-from .report import DEFAULT_SEED, SCAN_RANGE, first_consistent, run_verification
+from .report import DEFAULT_SEED, run_verification
 from .search import COMPONENT_INDEX, grid_search
 
 
@@ -175,7 +176,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # "auto" is resolved by the report's own consistency scan
+    # run_verification resolves "auto" itself, so the report keeps the request
     omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat, args.k)
     report = run_verification(
         omega_hat=omega,
@@ -223,7 +224,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _resolve_omega(value, k: int) -> float:
     if value == "auto":
-        return first_consistent(consistency_scan(*SCAN_RANGE, k_sign=k)).omega_hat
+        return float(consistent_scale(0)[0])
     energy_shell(value, k)  # raises below the energy floor
     return value
 

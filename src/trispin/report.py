@@ -20,12 +20,11 @@ from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
     BoundaryConstants,
-    ConsistentPoint,
-    ScanResult,
     analytic_family,
     boundary_residuals,
     closed_form_params,
     consistency_scan,
+    consistent_scale,
     exp_boundary_check,
     family_constants_for_target,
     integer_relations_check,
@@ -37,7 +36,7 @@ from .hilbert import closure_check, full_hilbert_trajectory
 from .search import grid_search
 
 DEFAULT_SEED = 20260810
-# omega_hat window that "auto" scans for a consistent energy scale
+# omega_hat window of the consistency_scan check
 SCAN_RANGE = (2.0, 4.0)
 
 
@@ -125,16 +124,6 @@ def random_consistent_params(rng: np.random.Generator) -> ControlParams:
     )
 
 
-def first_consistent(scan: ScanResult) -> ConsistentPoint:
-    """The energy scale that omega_hat "auto" selects: the first consistent point of a scan over SCAN_RANGE."""
-    if not scan.consistent:
-        raise ValueError(
-            f"no consistent energy scale found in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}] with {len(scan.omegas)} "
-            "scan samples; pass an explicit omega_hat"
-        )
-    return scan.consistent[0]
-
-
 def column_gap(c: BoundaryConstants, target: str) -> float:
     """Largest deviation of the first columns of exp[A_pm] from +-TRANSFER_COLUMNS[target]."""
     col_plus, col_minus = exp_boundary_check(c)
@@ -167,8 +156,8 @@ def run_verification(
 ) -> VerificationReport:
     """Run every verification check and return the filled report.
 
-    omega_hat "auto" selects ``first_consistent`` of the report's own
-    consistency scan; a numeric omega_hat must satisfy omega_hat^2 > 2.
+    omega_hat "auto" selects the lowest consistent scale, consistent_scale(0);
+    a numeric omega_hat must satisfy omega_hat^2 > 2.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(
@@ -282,21 +271,15 @@ def run_verification(
         )
     )
 
-    if omega_hat == "auto":
-        point = first_consistent(scan)
-        omega_sel = point.omega_hat
-        branch = point.branch
-        params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
-    else:
-        omega_sel = float(omega_hat)
+    auto_omega, branch = consistent_scale(0)
+    omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
+    params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
+    if omega_hat != "auto":
         # away from a consistent scale the closed forms miss the b, d equations,
         # so use inverted controls, which satisfy them exactly at any scale
         sols = invert_to_physical(omega_sel, float(k_sign), tau_star, -math.pi * k_sign)
         if sols:
             params, branch = sols[0].params, sols[0].branch
-        else:
-            branch = {"omega_sign": 1, "theta_sign": -1, "r": 0}
-            params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
     report.context["omega_hat"] = omega_sel
     report.context["branch"] = branch
 
@@ -333,7 +316,7 @@ def run_verification(
         # at low resolution no bz grid value may lie on the energy shell
         note = f"no grid point on the energy shell at resolution {grid_resolution}"
         for name in ("ansatz_grid_search_x8", "no_transfer_probe_x7"):
-            report.add(Check(name, "skipped", None, None, None, "exhaustive grid over the energy-shell ansatz", note))
+            report.add(Check(name, "skipped", None, None, None, "grid over the energy-shell ansatz", note))
         return report
     early = gs.best_tau is not None and gs.best_tau <= 0.95 * tau_star
     report.add(
@@ -343,7 +326,7 @@ def run_verification(
             gs.best_tau if gs.best_tau is not None else "never reached",
             None,
             None,
-            "exhaustive grid over the energy-shell ansatz",
+            "grid over the energy-shell ansatz",
             note=f"largest x8 seen {gs.achieved:.6g} at tau={gs.achieved_tau:.6g}",
         )
     )
@@ -355,7 +338,7 @@ def run_verification(
             x7,
             None,
             0.999,
-            "exhaustive grid over the energy-shell ansatz",
+            "grid over the energy-shell ansatz",
             note=f"largest x7 at tau={x7_tau:.6g}",
         )
     )

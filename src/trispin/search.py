@@ -136,9 +136,9 @@ def grid_search(
     dtau: float = 1e-2,
     collect_landscape: bool = False,
 ) -> SearchResult:
-    """Exhaustive scan of the energy-shell ansatz for the earliest threshold crossing.
+    """Grid scan of the energy-shell ansatz for the earliest threshold crossing.
 
-    Deterministic for fixed inputs.  One propagation per (bz, omega_rf) pair;
+    Deterministic for fixed inputs; a control between grid nodes is not seen.  One propagation per (bz, omega_rf) pair;
     every reported params/tau pair carries the best theta0 there
     (``_best_over_theta0``), and each pair's crossing is solved on the bracket
     its own grid rows give (``_first_crossing``).  bz values outside the

@@ -16,6 +16,10 @@ generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
 
 ``grid_search`` propagates once per (bz, omega_rf) pair and reads theta0 off
 the state; its oracle is the loop over a (bz, omega_rf, theta0) grid.
+
+``consistency_scan`` takes its consistent scales from the closed form
+``consistent_scale``; its oracle is the numerical search, local minima of the
+residual curve refined by bounded scalar minimization.
 """
 
 import dataclasses
@@ -24,7 +28,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from trispin import search
 from trispin.algebra import (
@@ -37,7 +41,7 @@ from trispin.algebra import (
     energy_shell,
     transverse_amplitude,
 )
-from trispin.boundary import _SCAN_BRANCHES, consistency_scan, invert_to_physical
+from trispin.boundary import _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
     _CHUNK_STEPS,
     _time_grid,
@@ -198,19 +202,47 @@ def scan_by_loop(omegas, k_sign):
     return np.array(best), best_branch
 
 
+def refined_minima(omegas, k_sign):
+    """(omega_hat, branch) at each local minimum of the per-sample curve below 1e-2, refined by bounded minimization.
+
+    A raw grid cannot certify a quadratic tangency to 1e-9, so each minimum is
+    refined on its best branch between its neighbours; a refined point is kept
+    if its residual is at most 1e-9 and it lies more than 1e-7 from the ones
+    kept before it.
+    """
+    residuals, branches = scan_by_loop(omegas, k_sign)
+    found = []
+    for i in range(1, len(omegas) - 1):
+        if not residuals[i] <= min(residuals[i - 1], residuals[i + 1]) or residuals[i] >= 1e-2:
+            continue
+
+        def worst(w, branch=branches[i]):
+            return max(branch_residual_by_math(w, k_sign, branch, TAU_STAR, -math.pi * k_sign))
+
+        res = minimize_scalar(
+            worst, bounds=(omegas[i - 1], omegas[i + 1]), method="bounded", options={"xatol": 1e-13}
+        )
+        if res.fun <= 1e-9 and all(abs(res.x - w) > 1e-7 for w, _ in found):
+            found.append((float(res.x), branches[i]))
+    return found
+
+
 @pytest.mark.parametrize("k_sign", [1, -1])
 def test_scan_matches_per_sample_branch_loop(k_sign):
     scan = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=2000)
-    residuals, branches = scan_by_loop(scan.omegas, k_sign)
+    residuals, _ = scan_by_loop(scan.omegas, k_sign)
     assert np.max(np.abs(scan.residuals - residuals)) <= 1e-14
-    # a consistent point refines the local minimum of the curve within one sample of it,
-    # on the best branch of that sample
-    assert len(scan.consistent) == 2
-    spacing = scan.omegas[1] - scan.omegas[0]
-    for cp in scan.consistent:
-        near = np.flatnonzero(np.abs(scan.omegas - cp.omega_hat) <= spacing)
-        i = near[np.argmin(residuals[near])]
-        assert cp.branch == branches[i]
+
+
+@pytest.mark.parametrize("samples", [2000, 4001])
+@pytest.mark.parametrize("k_sign", [1, -1])
+def test_scan_scales_are_where_the_refined_minima_land(k_sign, samples):
+    scan = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=samples)
+    refined = refined_minima(scan.omegas, k_sign)
+    assert [cp.branch for cp in scan.consistent] == [branch for _, branch in refined]
+    assert [cp.branch for cp in scan.consistent] == [consistent_scale(j)[1] for j in (0, 1)]
+    # the minimum is flat to rounding over about 1e-8, so the search stops anywhere on it
+    assert np.max(np.abs(np.array([cp.omega_hat for cp in scan.consistent]) - [w for w, _ in refined])) <= 1e-7
 
 
 def inversion_roots_by_loop(omega_hat, tau_star, b_target, lo=1e-3, hi=20.0):
@@ -226,21 +258,15 @@ def inversion_roots_by_loop(omega_hat, tau_star, b_target, lo=1e-3, hi=20.0):
 
         vals = [f(float(om)) for om in grid]
         for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] >= 0.0:
-                continue
-            x1, x2, f1 = float(grid[i]), float(grid[i + 1]), vals[i]
-            while x2 - x1 > 1e-12:
-                xm = 0.5 * (x1 + x2)
-                fm = f(xm)
-                if f1 * fm <= 0.0:
-                    x2 = xm
-                else:
-                    x1, f1 = xm, fm
-            roots.append((r, 0.5 * (x1 + x2)))
+            if vals[i] * vals[i + 1] < 0.0:
+                roots.append((r, brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-15)))
     return roots
 
 
-@pytest.mark.parametrize("omega_hat, b_target", [(2.7, -math.pi), (2.2999713329530, -math.pi), (4.0, 3.0 * math.pi)])
+@pytest.mark.parametrize(
+    "omega_hat, b_target",
+    [(2.7, -math.pi), (2.2999713329530, -math.pi), (4.0, 3.0 * math.pi), (6.0, -math.pi), (5.5, 2.0)],
+)
 def test_inversion_roots_equal_per_point_bracket(omega_hat, b_target):
     sols = invert_to_physical(omega_hat, 1.0, TAU_STAR, b_target)
     roots = [(s.branch["r"], s.params.omega_rf) for s in sols]

@@ -16,6 +16,7 @@ from trispin.boundary import (
     boundary_residuals,
     closed_form_params,
     consistency_scan,
+    consistent_scale,
     derived_quantities,
     exp_boundary_check,
     family_constants_for_target,
@@ -404,8 +405,8 @@ def test_invert_solutions_are_distinct_controls(omega_hat, b_target):
                 om = brentq(f, grid[i], grid[i + 1], xtol=1e-14)
                 old.append(_field(b0, om, 0.5 * ((2 * r + 1) * PI - om * TAU_STAR), FIELD_TAUS))
     assert sols and len(old) == 3 * len(sols)
-    # brentq and the bisection stop within about 1e-12 of the root in omega_rf
-    assert np.all(_distinct_and_covering(kept, old, 1e-9) == 3)
+    # both brentq calls stop within about 1e-14 of the root in omega_rf
+    assert np.all(_distinct_and_covering(kept, old, 1e-12) == 3)
 
 
 def test_invert_rejects_zero_target():
@@ -434,14 +435,49 @@ def test_scan_finds_consistent_point():
     assert scan.omegas[0] > 2.0 and abs(scan.omegas[-1] - 4.0) < 1e-12
     assert scan.consistent
     best = scan.consistent[0]
-    assert abs(best.omega_hat - ORACLE_OMEGA) < 1e-7
+    assert best.omega_hat == math.sqrt(2.0 + PI**2 / 3.0)
+    assert abs(best.omega_hat - ORACLE_OMEGA) < 1e-12
     assert best.residual_b <= 1e-9 and best.residual_d <= 1e-9
     # the consistent scales are omega_hat_j = sqrt(2 + (2j+1)^2 pi^2/3) for either k,
-    # as derived in the scan's docstring
+    # as derived in the docstring of consistent_scale
     expected = [math.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0) for j in (0, 1)]
     for k_sign in (1, -1):
         wide = consistency_scan(2.0, 6.0, k_sign=k_sign, samples=4001)
-        assert [cp.omega_hat for cp in wide.consistent] == pytest.approx(expected, abs=1e-7)
+        assert [cp.omega_hat for cp in wide.consistent] == expected
+
+
+@pytest.mark.parametrize("k_sign", [1, -1])
+def test_scan_consistent_scales_are_closed_form_whatever_samples(k_sign):
+    expected = [
+        (math.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0), {"omega_sign": 1, "theta_sign": -1, "r": j % 2})
+        for j in range(3)
+    ]
+    for samples in (1, 11, 2000, 20000):
+        scan = consistency_scan(2.0, 12.0, k_sign=k_sign, samples=samples)
+        assert [(cp.omega_hat, cp.branch) for cp in scan.consistent] == expected
+        assert all(max(cp.residual_b, cp.residual_d) <= 1e-9 for cp in scan.consistent)
+
+
+def test_scan_range_ends_bound_the_consistent_scales():
+    w0, w1 = (consistent_scale(j)[0] for j in (0, 1))
+    # (lo, hi]: a scale at hi is in, a scale at lo is out
+    assert [cp.omega_hat for cp in consistency_scan(2.0, w0, samples=5).consistent] == [w0]
+    assert [cp.omega_hat for cp in consistency_scan(w0, w1, samples=5).consistent] == [w1]
+    assert consistency_scan(w0, np.nextafter(w1, 0.0), samples=5).consistent == []
+
+
+def test_consistent_scale_takes_arrays_and_rejects_negative_j():
+    omegas, branch = consistent_scale(np.arange(3))
+    assert list(omegas) == [consistent_scale(j)[0] for j in range(3)]
+    assert list(branch["r"]) == [0, 1, 0]
+    assert consistent_scale(1)[1] == {"omega_sign": 1, "theta_sign": -1, "r": 1}
+    with pytest.raises(ValueError, match="j must be >= 0"):
+        consistent_scale(-1)
+
+
+def test_scan_rejects_a_range_with_too_many_scales():
+    with pytest.raises(ValueError, match="ends above more than 10000 consistent scales"):
+        consistency_scan(2.0, 1e300, samples=5)
 
 
 # generic scales: where sqrt(3)*sqrt(omega_hat^2-2) is an odd multiple of pi, at the consistent

@@ -233,7 +233,7 @@ def test_scan_finds_consistent_scale(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["curve"]) == 4001
-    assert any(abs(c["omega_hat"] - OMEGA) < 5e-4 for c in payload["consistent"])
+    assert [c["omega_hat"] for c in payload["consistent"]] == [OMEGA]
 
 
 def test_search_reports_max_x7(tmp_path, capsys):
@@ -371,10 +371,15 @@ def test_verify_zero_dynamics_sets_skips_oracle_checks(tmp_path, capsys):
         assert checks[name]["status"] == "skipped" and checks[name]["measured"] is None
 
 
-def test_verify_auto_without_consistent_scale_is_usage_error(capsys):
-    code, _, err = _run(capsys, "verify", "--dynamics-sets", "0", "--scan-samples", "1")
-    assert code == 2
-    assert err.startswith("error: no consistent energy scale") and len(err.strip().splitlines()) == 1
+def test_verify_auto_is_closed_form_scale_whatever_scan_samples(tmp_path, capsys):
+    # "auto" is consistent_scale(0), so the scan's sample count cannot move it
+    selected = []
+    for samples in ("1", "801"):
+        out = tmp_path / f"report{samples}.json"
+        code, _, _ = _run(capsys, "verify", "--dynamics-sets", "0", "--scan-samples", samples, "--out", str(out))
+        assert code == 0
+        selected.append(json.loads(out.read_text())["context"]["omega_hat"])
+    assert selected == [math.sqrt(2 + math.pi**2 / 3)] * 2
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

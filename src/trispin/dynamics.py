@@ -10,8 +10,8 @@ M_pm = 2(P +- Q), which is linear in the drive:
 Every generator in the package is assembled from the four constant matrices
 MB, MZ, MC and MS.  Three propagation routes are provided:
 
-* ``propagate_rk4``            classic fixed-step RK4 on the full 8-vector, its
-                               step matrices built in batches over the time grid,
+* ``propagate_rk4``            classic fixed-step RK4 on the two 4-vectors y_pm,
+                               its step matrices built in batches over the time grid,
 * ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
                                for the rotating drive the generator does not
                                commute with its integral, so this is *not*
@@ -33,7 +33,7 @@ from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
-# steps per batch of the time-grid integrators (see _step_chunks)
+# steps per batch of the time-grid integrators (see _step)
 _CHUNK_STEPS = 4096
 
 
@@ -132,47 +132,50 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
     return taus
 
 
-def _step_chunks(taus: np.ndarray):
-    """Split a grid into runs of at most _CHUNK_STEPS steps; yield (i, t) per run.
+def _step(taus: np.ndarray, x0: np.ndarray, increments) -> np.ndarray:
+    """x_0 = x0 and x_i = x_{i-1} + D_i x_{i-1} on the grid taus, shape (len(taus),) + x0.shape.
 
-    t holds the run's points (neighbouring runs share one) and its steps end
-    at grid indices i, i + 1, ...  The batched integrators build every
-    per-step matrix of a run at once; the bound keeps each (n, 8, 8) stack at
-    a few MB, where the 40k steps of the default grid would take 21 MB per
-    real stack.
+    ``increments(t)`` returns the stacked step matrices D for the steps between
+    the points t of one run.  Runs hold at most _CHUNK_STEPS steps, which keeps
+    each stack near 1 MB where the 40k steps of the default verify grid would
+    take 10 MB; only the product is a Python loop.  The increment form is
+    deliberate: x <- (I + D) x rounds the diagonal near 1 at every step, and
+    over the default verify grid RK4 in that form drifted from the exact
+    propagator by up to 8e-13, against 2e-14 for x + D x.
     """
+    states = np.empty((len(taus),) + x0.shape, dtype=x0.dtype)
+    states[0] = x = x0
     for start in range(0, len(taus) - 1, _CHUNK_STEPS):
-        yield start + 1, taus[start : start + _CHUNK_STEPS + 1]
+        for i, d in enumerate(increments(taus[start : start + _CHUNK_STEPS + 1]), start + 1):
+            states[i] = x = x + d @ x
+    return states
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step integration of dx/dtau = M(tau) x on ``_time_grid(tau_end, dtau)``.
+    """Classic 4th-order fixed-step RK4 of dy_pm/dtau = M_pm y_pm, both halves of x0 as one (2, 4, 1) stack.
 
-    The stages of a linear system are matrices: with left, middle and right
-    generators A1, A2, A4 of a step of length h, K2 = A2 (I + h/2 A1),
-    K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the step adds
-    D x with D = h/6 (A1 + 2 K2 + 2 K3 + K4).  D is formed by batched matmuls
-    over runs of ``_step_chunks``; only x <- x + D x is a Python loop.  The
-    increment form is deliberate: x <- (I + D) x rounds the identity part at
-    every step, and over the 40k steps of the default verify grid it drifted
-    from the exact propagator by up to 8e-13, against 2e-14 for x + D x.
+    The grid is ``_time_grid(tau_end, dtau)``.  The stages of a linear system
+    are matrices: with left, middle and right generators A1, A2, A4 of a step
+    of length h, K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2),
+    K4 = A4 (I + h K3), and ``_step`` adds D y with D = h/6 (A1 + 2 K2 + 2 K3 + K4).
     """
-    taus = _time_grid(tau_end, dtau)
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((len(taus), 8))
-    states[0] = x
-    for first, t in _step_chunks(taus):
-        h = np.diff(t)[:, None, None]
-        edge = build_M(p, t)
+
+    def generators(t):
+        return np.stack([build_M_half(p, t, 1), build_M_half(p, t, -1)], axis=-3)
+
+    def increments(t):
+        h = np.diff(t)[:, None, None, None]
+        edge = generators(t)
         left, right = edge[:-1], edge[1:]
-        mid = build_M(p, t[:-1] + h[:, 0, 0] / 2.0)
+        mid = generators(t[:-1] + h[:, 0, 0, 0] / 2.0)
         k2 = mid + (h / 2.0) * (mid @ left)
         k3 = mid + (h / 2.0) * (mid @ k2)
         k4 = right + h * (right @ k3)
-        increments = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
-        for i, d in enumerate(increments, first):
-            states[i] = x = x + d @ x
-    return Trajectory(taus=taus, states=states, method="rk4")
+        return (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
+
+    taus = _time_grid(tau_end, dtau)
+    y = _step(taus, np.stack(split_halves(x0))[..., None], increments)[..., 0]
+    return Trajectory(taus=taus, states=join_halves(y[:, 0], y[:, 1]), method="rk4")
 
 
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:

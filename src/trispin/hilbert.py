@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _step_chunks, _time_grid, build_M
+from .dynamics import Trajectory, _step, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -45,17 +45,14 @@ def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> Unit
     Casas, Oteo, Ros, Phys. Rep. 470 (2009) 151).  With node fields n1, n2 and
     [a.sigma, b.sigma] = 2i (a x b).sigma, its exponent is -i v.sigma with
     v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step is the SU(2)
-    rotation cos|v| I - i sin|v|/|v| v.sigma, exactly unitary.  The steps are
-    those of ``dynamics._time_grid``, which rejects a bad step; they are built
-    over runs of ``dynamics._step_chunks``, and only U <- U + (V - I) U is a
-    Python loop.  The increment, with cos|v| - 1 = -2 sin^2(|v|/2), keeps the
-    rounding of a diagonal near 1 out of the product, where U <- V U drifts by
-    about one unit roundoff a step.
+    rotation cos|v| I - i sin|v|/|v| v.sigma, exactly unitary.  ``dynamics._step``
+    takes the product in increment form, U <- U + (V - I) U, on the steps of
+    ``dynamics._time_grid``; V - I uses cos|v| - 1 = -2 sin^2(|v|/2), so no
+    diagonal near 1 is rounded, where U <- V U drifts by about one unit
+    roundoff a step.
     """
-    taus = _time_grid(tau_end, dtau)
-    unitaries = np.empty((len(taus), 4, 2, 2), dtype=complex)
-    u = unitaries[0] = np.eye(2, dtype=complex)
-    for first, t in _step_chunks(taus):
+
+    def increments(t):
         h = np.diff(t)
         n1 = sector_fields(p, t[:-1] + (0.5 - _GAUSS_OFFSET) * h)
         n2 = sector_fields(p, t[:-1] + (0.5 + _GAUSS_OFFSET) * h)
@@ -65,11 +62,10 @@ def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> Unit
         c = -2.0 * np.sin(angle / 2.0) ** 2
         # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
         x, y, z = np.moveaxis(np.sinc(angle / math.pi)[..., None] * v, -1, 0)
-        increments = np.stack([c - 1j * z, -y - 1j * x, y - 1j * x, c + 1j * z], axis=-1).reshape(-1, 4, 2, 2)
-        for i, d in enumerate(increments, first):
-            np.matmul(d, u, out=unitaries[i])
-            u = np.add(unitaries[i], u, out=unitaries[i])
-    return UnitaryTrajectory(taus=taus, unitaries=unitaries)
+        return np.stack([c - 1j * z, -y - 1j * x, y - 1j * x, c + 1j * z], axis=-1).reshape(-1, 4, 2, 2)
+
+    taus = _time_grid(tau_end, dtau)
+    return UnitaryTrajectory(taus=taus, unitaries=_step(taus, np.tile(np.eye(2, dtype=complex), (4, 1, 1)), increments))
 
 
 def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams, transverse_amplitude
+from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
@@ -112,7 +112,7 @@ def random_consistent_params(rng: np.random.Generator) -> ControlParams:
     """Draw an energy-consistent rotating-control parameter set."""
     k = float(rng.choice([1.0, -1.0]))
     omega_hat = float(rng.uniform(1.6, 3.0))
-    shell = math.sqrt(omega_hat**2 - 2.0)
+    shell = math.sqrt(energy_shell(omega_hat, k))
     bz = float(rng.uniform(-0.9, 0.9)) * shell
     return ControlParams(
         k=k,

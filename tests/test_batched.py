@@ -1,9 +1,14 @@
 """The batched routes against the one-at-a-time loops they replace.
 
-``propagate_rk4`` and ``schrodinger_propagate`` build their per-step matrices
-over runs of ``dynamics._CHUNK_STEPS`` steps.  The oracles below are the plain
+``propagate_rk4`` and ``schrodinger_propagate`` hand their per-step matrices
+to the one step loop ``dynamics._step``, which builds them over runs of
+``dynamics._CHUNK_STEPS`` steps.  The oracles below are the plain
 one-step-at-a-time versions, kept here only as references.  The grids cross a
 run boundary, end in a shortened last step, or hold a single point.
+
+``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
+steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
+and from a generic unit vector whose halves differ.
 
 ``schrodinger_propagate`` and ``expectation_trajectory`` also work on the four
 conserved (sz1, sz3) sectors, with a closed-form SU(2) step and a block
@@ -127,12 +132,17 @@ def params():
     return random_consistent_params(np.random.default_rng(99))
 
 
+GENERIC_X0 = np.random.default_rng(5).normal(size=8)
+GENERIC_X0 /= np.linalg.norm(GENERIC_X0)
+
+
 @on_grids
 def test_rk4_matches_per_step_loop(params, tau_end):
-    traj = propagate_rk4(params, E1, tau_end, DTAU)
-    taus, states = rk4_per_step(params, E1, tau_end, DTAU)
-    assert np.array_equal(traj.taus, taus)
-    assert np.max(np.abs(traj.states - states)) <= 1e-13
+    for x0 in (E1, GENERIC_X0):
+        traj = propagate_rk4(params, x0, tau_end, DTAU)
+        taus, states = rk4_per_step(params, x0, tau_end, DTAU)
+        assert np.array_equal(traj.taus, taus)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13
 
 
 @on_grids

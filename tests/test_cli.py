@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from trispin.boundary import closed_form_params
+from trispin.boundary import closed_form_params, consistent_scale
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER
 
@@ -243,6 +243,14 @@ def test_search_reports_max_x7(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert "achieved" in payload and payload["achieved"] < 0.999
+
+
+def test_search_auto_records_its_scale(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    code, _, _ = _run(capsys, "search", "--omega-hat", "auto", "--resolution", "1", "--out", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["grid_spec"]["omega_hat"] == consistent_scale(0)[0]
 
 
 def test_search_landscape_csv(tmp_path, capsys):

@@ -176,6 +176,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _require(args.dynamics_sets >= 0, f"--dynamics-sets must be nonnegative, got {args.dynamics_sets}")
     # run_verification resolves "auto" itself, so the report keeps the request
     omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat, args.k)
     report = run_verification(

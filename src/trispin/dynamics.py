@@ -33,8 +33,9 @@ from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
-# steps per batch of the time-grid integrators (see _step)
+# steps per batch of the time-grid integrators, and per block of their product (see _step)
 _CHUNK_STEPS = 4096
+_BLOCK_STEPS = math.isqrt(_CHUNK_STEPS)
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -135,19 +136,37 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
 def _step(taus: np.ndarray, x0: np.ndarray, increments) -> np.ndarray:
     """x_0 = x0 and x_i = x_{i-1} + D_i x_{i-1} on the grid taus, shape (len(taus),) + x0.shape.
 
-    ``increments(t)`` returns the stacked step matrices D for the steps between
-    the points t of one run.  Runs hold at most _CHUNK_STEPS steps, which keeps
-    each stack near 1 MB where the 40k steps of the default verify grid would
-    take 10 MB; only the product is a Python loop.  The increment form is
-    deliberate: x <- (I + D) x rounds the diagonal near 1 at every step, and
-    over the default verify grid RK4 in that form drifted from the exact
-    propagator by up to 8e-13, against 2e-14 for x + D x.
+    ``increments(t)`` returns the stacked real step matrices D between the
+    points t of one run of at most _CHUNK_STEPS steps: 1 MB for RK4 and 2 MB
+    for gauss4, where the 40k-step default verify grid would take 10 and 21 MB.
+    A run is taken in blocks of _BLOCK_STEPS steps.  For all blocks at once,
+    E_0 = D_0 and E_l = E_{l-1} + D_l E_{l-1} + D_l, so I + E_l = (I + D_l)...(I + D_0);
+    the block starts x_{b+1} = x_b + E_{b,last} x_b are carried serially, and
+    the states x_b + E_{b,l} x_b are one product: about 2*_BLOCK_STEPS Python
+    iterations and O(n) work per run, not a prefix scan's log n full passes.
+    The increment form is deliberate: x <- (I + D) x rounds the diagonal near 1
+    at every step, and over the default verify grid RK4 in that form drifted
+    from the exact propagator by up to 8e-13, against 2e-14 for x + D x step by
+    step and 8e-15 in blocks.
     """
     states = np.empty((len(taus),) + x0.shape, dtype=x0.dtype)
-    states[0] = x = x0
+    states[0] = x0
     for start in range(0, len(taus) - 1, _CHUNK_STEPS):
-        for i, d in enumerate(increments(taus[start : start + _CHUNK_STEPS + 1]), start + 1):
-            states[i] = x = x + d @ x
+        d = increments(taus[start : start + _CHUNK_STEPS + 1])
+        n, n_blocks = len(d), -(-len(d) // _BLOCK_STEPS)
+        # e[l, b] = D of step l of block b, zero past the last step, then E in place
+        e = np.zeros((_BLOCK_STEPS, n_blocks) + d.shape[1:])
+        block, step = np.divmod(np.arange(n), _BLOCK_STEPS)
+        e[step, block] = d
+        for l in range(1, _BLOCK_STEPS):
+            e[l] += e[l] @ e[l - 1]
+            e[l] += e[l - 1]
+        starts = np.empty((n_blocks,) + x0.shape)
+        starts[0] = states[start]
+        for b in range(1, n_blocks):
+            starts[b] = starts[b - 1] + e[-1, b - 1] @ starts[b - 1]
+        inside = starts + e @ starts
+        states[start + 1 : start + 1 + n] = inside.swapaxes(0, 1).reshape((-1,) + x0.shape)[:n]
     return states
 
 

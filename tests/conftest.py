@@ -13,3 +13,15 @@ settings.load_profile("trispin")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def su2_matrices(quaternions):
+    """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex."""
+    q0, q1, q2, q3 = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
+    return np.stack([q0 - 1j * q3, -q2 - 1j * q1, q2 - 1j * q1, q0 + 1j * q3], axis=-1).reshape(q0.shape + (2, 2))
+
+
+@pytest.fixture(scope="session")
+def su2():
+    """The 2x2 complex view of sector quaternions (``su2_matrices``), which the package itself never builds."""
+    return su2_matrices

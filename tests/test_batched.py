@@ -2,17 +2,19 @@
 
 ``propagate_rk4`` and ``schrodinger_propagate`` hand their per-step matrices
 to the one step loop ``dynamics._step``, which builds them over runs of
-``dynamics._CHUNK_STEPS`` steps.  The oracles below are the plain
-one-step-at-a-time versions, kept here only as references.  The grids cross a
-run boundary, end in a shortened last step, or hold a single point.
+``dynamics._CHUNK_STEPS`` steps and takes their product in blocks of
+``dynamics._BLOCK_STEPS``.  The oracles below are the plain
+one-step-at-a-time versions, kept here only as references.  The grids end one
+step before, on and one step after a block edge and a run edge, end in a
+shortened last step, or hold one point or one step.
 
 ``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
 and from a generic unit vector whose halves differ.
 
 ``schrodinger_propagate`` and ``expectation_trajectory`` also work on the four
-conserved (sz1, sz3) sectors, with a closed-form SU(2) step and a block
-projection; their oracle is the fourth-order Magnus step of the full 8x8
+conserved (sz1, sz3) sectors, with a closed-form SU(2) step on real unit
+quaternions and a block projection; their oracle is the fourth-order Magnus step of the full 8x8
 Hamiltonian by ``eigh`` and a trace per operator.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
@@ -48,6 +50,7 @@ from trispin.algebra import (
 )
 from trispin.boundary import _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
+    _BLOCK_STEPS,
     _CHUNK_STEPS,
     _time_grid,
     build_M,
@@ -64,6 +67,11 @@ DTAU = 1e-3
 # tau_end of each grid, by what the grid tests
 GRIDS = {
     "one_point": 0.0,
+    "one_step": DTAU,
+    "block_less_one": (_BLOCK_STEPS - 1) * DTAU,
+    "one_block": _BLOCK_STEPS * DTAU,
+    "block_and_one": (_BLOCK_STEPS + 1) * DTAU,
+    "run_less_one": (_CHUNK_STEPS - 1) * DTAU,
     "one_full_run": _CHUNK_STEPS * DTAU,
     "run_boundary_then_short_last_step": (_CHUNK_STEPS + 10.5) * DTAU,
 }
@@ -146,17 +154,18 @@ def test_rk4_matches_per_step_loop(params, tau_end):
 
 
 @on_grids
-def test_gauss4_and_projection_match_per_step_loop(params, tau_end):
+def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
     ut = schrodinger_propagate(params, tau_end, DTAU)
     taus, unitaries = gauss4_per_step(params, tau_end, DTAU)
     assert np.array_equal(ut.taus, taus)
-    assert np.max(np.abs(embed_sectors(ut.unitaries) - unitaries)) <= 1e-13
+    assert np.max(np.abs(embed_sectors(su2(ut.quaternions)) - unitaries)) <= 1e-13
     assert np.max(np.abs(expectation_trajectory(ut) - expectations_by_trace(unitaries))) <= 1e-13
 
 
 def test_grid_lengths_cover_run_boundaries():
-    # the GRIDS above really have 0, _CHUNK_STEPS and _CHUNK_STEPS + 11 steps
-    assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == [0, _CHUNK_STEPS, _CHUNK_STEPS + 11]
+    # the GRIDS above really end on both sides of a block edge and of a run edge
+    steps = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 11]
+    assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])

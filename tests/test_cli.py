@@ -379,6 +379,13 @@ def test_verify_zero_dynamics_sets_skips_oracle_checks(tmp_path, capsys):
         assert checks[name]["status"] == "skipped" and checks[name]["measured"] is None
 
 
+def test_verify_negative_dynamics_sets_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, err = _run(capsys, "verify", "--dynamics-sets", "-2", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "--dynamics-sets" in err and err.count("\n") == 1
+
+
 def test_verify_auto_is_closed_form_scale_whatever_scan_samples(tmp_path, capsys):
     # "auto" is consistent_scale(0), so the scan's sample count cannot move it
     selected = []

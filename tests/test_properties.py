@@ -70,8 +70,8 @@ def test_build_M_decouples_into_halves(p, tau, x):
 
 
 @given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
-def test_gauss4_is_unitary(p, tau_end, dtau):
-    u = schrodinger_propagate(p, tau_end, dtau).unitaries
+def test_gauss4_is_unitary(su2, p, tau_end, dtau):
+    u = su2(schrodinger_propagate(p, tau_end, dtau).quaternions)
     assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-12
 
 

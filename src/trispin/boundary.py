@@ -39,9 +39,6 @@ class BoundaryConstants:
     c_minus: float
     d: float
 
-    def c(self, sign: int) -> float:
-        return self.c_plus if sign > 0 else self.c_minus
-
 
 @dataclass(frozen=True)
 class QuantumNumbers:
@@ -162,14 +159,15 @@ def boundary_residuals(c: BoundaryConstants) -> np.ndarray:
     return _residual_system(c, derived_quantities(c))
 
 
-def generator_from_constants(c: BoundaryConstants, sign: int) -> np.ndarray:
-    """Final-time generator A_pm = (a*MB + c_pm*MZ + d*MC - b*MS)/2, the integral_generator in the constants."""
-    return 0.5 * (c.a * MB + c.c(sign) * MZ + c.d * MC - c.b * MS)
+def generator_from_constants(c: BoundaryConstants) -> np.ndarray:
+    """Final-time generators A_pm = (a*MB + c_pm*MZ + d*MC - b*MS)/2, the integral_generator in the constants, shape (2, 4, 4)."""
+    c_pm = np.array([c.c_plus, c.c_minus])[:, None, None]
+    return 0.5 * (c.a * MB + c_pm * MZ + c.d * MC - c.b * MS)
 
 
 def exp_boundary_check(c: BoundaryConstants) -> tuple[np.ndarray, np.ndarray]:
     """First columns of exp[A_plus] and exp[A_minus] (the transferred initial state)."""
-    col_plus, col_minus = expm_skew(np.stack([generator_from_constants(c, sign) for sign in (1, -1)]))[:, :, 0]
+    col_plus, col_minus = expm_skew(generator_from_constants(c))[:, :, 0]
     return col_plus, col_minus
 
 

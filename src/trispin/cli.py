@@ -161,10 +161,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         if args.method == "rotating-exact":
             states = exact_state_trajectory(p, E1, taus)
         else:  # expm-integral
-            y_plus0, y_minus0 = split_halves(E1)
-            states = join_halves(
-                propagate_expm_integral(p, y_plus0, taus, 1), propagate_expm_integral(p, y_minus0, taus, -1)
-            )
+            states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
             disc = propagator_discrepancy(p, taus)
             print(
                 f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}"
@@ -359,8 +356,8 @@ def main(argv: list[str] | None = None) -> int:
             _set_config_defaults(commands[args.command], args.command, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
-        # OSError: an input or output path that cannot be opened
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        # OSError: an input or output path that cannot be opened; MemoryError: a grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ M_pm = 2(P +- Q), which is linear in the drive:
     M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS),  M0_pm = MB + (bz +- k)*MZ.
 
 Every generator in the package is assembled from the four constant matrices
-MB, MZ, MC and MS.  Three propagation routes are provided:
+MB, MZ, MC and MS.  Generators and propagated states carry both halves on one
+axis of length 2, + first.  Three propagation routes are provided:
 
 * ``propagate_rk4``            classic fixed-step RK4 on the two 4-vectors y_pm,
                                its step matrices built in batches over the time grid,
@@ -62,39 +63,41 @@ MS = _skew(1, 2, 2.0)
 J = _skew(1, 3, -1.0)
 
 
-def static_generator(p: ControlParams, sign: int) -> np.ndarray:
-    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase."""
-    return MB + (p.bz + sign * p.k) * MZ
+# the (+, -) halves axis of every generator and state: M0_pm = MB + (bz + _PM*k)*MZ
+_PM = np.array([1.0, -1.0])[:, None, None]
 
 
-def build_M_half(p: ControlParams, tau, sign: int) -> np.ndarray:
-    """Decoupled 4x4 generator M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS), shape np.shape(tau) + (4, 4)."""
-    th = p.theta(np.asarray(tau, dtype=float))[..., None, None]
-    return static_generator(p, sign) + p.b0 * (np.cos(th) * MC + np.sin(th) * MS)
+def static_generator(p: ControlParams) -> np.ndarray:
+    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase, shape (2, 4, 4), + first."""
+    return MB + (p.bz + _PM * p.k) * MZ
+
+
+def build_M_half(p: ControlParams, tau) -> np.ndarray:
+    """Decoupled generators M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS), shape np.shape(tau) + (2, 4, 4)."""
+    th = p.theta(np.asarray(tau, dtype=float))[..., None, None, None]
+    return static_generator(p) + p.b0 * (np.cos(th) * MC + np.sin(th) * MS)
 
 
 def build_M(p: ControlParams, tau) -> np.ndarray:
     """Full 8x8 generator 2*[[P, Q], [Q, P]], with 2P = (M_+ + M_-)/2 and 2Q = (M_+ - M_-)/2.
 
     The result has shape ``np.shape(tau) + (8, 8)``."""
-    m_plus = build_M_half(p, tau, 1)
-    m_minus = build_M_half(p, tau, -1)
+    m_plus, m_minus = np.moveaxis(build_M_half(p, tau), -3, 0)
     out = np.empty(np.shape(tau) + (8, 8))
     out[..., :4, :4] = out[..., 4:, 4:] = 0.5 * (m_plus + m_minus)
     out[..., :4, 4:] = out[..., 4:, :4] = 0.5 * (m_plus - m_minus)
     return out
 
 
-def split_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y_pm = x_plus +- x_minus with x_plus = x[:4], x_minus = x[4:]."""
-    x = np.asarray(x, dtype=float)
-    return x[:4] + x[4:], x[:4] - x[4:]
+def split_halves(x: np.ndarray) -> np.ndarray:
+    """y_pm = x_plus +- x_minus, x_plus and x_minus the first and last 4 of the last axis: shape (..., 8) -> (..., 2, 4)."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    return x[..., :4] + _PM[:, 0] * x[..., 4:]
 
 
-def join_halves(y_plus: np.ndarray, y_minus: np.ndarray) -> np.ndarray:
-    """Inverse of split_halves; the state axis is the last one."""
-    y_plus = np.asarray(y_plus, dtype=float)
-    y_minus = np.asarray(y_minus, dtype=float)
+def join_halves(y: np.ndarray) -> np.ndarray:
+    """Inverse of split_halves: shape (..., 2, 4) -> (..., 8)."""
+    y_plus, y_minus = np.moveaxis(np.asarray(y, dtype=float), -2, 0)
     return np.concatenate([(y_plus + y_minus) / 2.0, (y_plus - y_minus) / 2.0], axis=-1)
 
 
@@ -124,6 +127,8 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
         raise ValueError(f"tau_end must be finite and nonnegative, got {tau_end:g}")
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and positive, got {dtau:g}")
+    if not math.isfinite(tau_end / dtau):
+        raise ValueError(f"tau_end / dtau must be finite, got {tau_end:g} / {dtau:g}")
     n_full = int(math.floor(tau_end / dtau + 1e-12))
     taus = dtau * np.arange(n_full + 1)
     if taus[-1] < tau_end - 1e-12 * max(1.0, tau_end):
@@ -179,22 +184,19 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     K4 = A4 (I + h K3), and ``_step`` adds D y with D = h/6 (A1 + 2 K2 + 2 K3 + K4).
     """
 
-    def generators(t):
-        return np.stack([build_M_half(p, t, 1), build_M_half(p, t, -1)], axis=-3)
-
     def increments(t):
         h = np.diff(t)[:, None, None, None]
-        edge = generators(t)
+        edge = build_M_half(p, t)
         left, right = edge[:-1], edge[1:]
-        mid = generators(t[:-1] + h[:, 0, 0, 0] / 2.0)
+        mid = build_M_half(p, t[:-1] + h[:, 0, 0, 0] / 2.0)
         k2 = mid + (h / 2.0) * (mid @ left)
         k3 = mid + (h / 2.0) * (mid @ k2)
         k4 = right + h * (right @ k3)
         return (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
 
     taus = _time_grid(tau_end, dtau)
-    y = _step(taus, np.stack(split_halves(x0))[..., None], increments)[..., 0]
-    return Trajectory(taus=taus, states=join_halves(y[:, 0], y[:, 1]), method="rk4")
+    y = _step(taus, split_halves(x0)[..., None], increments)[..., 0]
+    return Trajectory(taus=taus, states=join_halves(y), method="rk4")
 
 
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +224,11 @@ def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
     return int_cos[()], int_sin[()]
 
 
-def integral_generator(p: ControlParams, tau, sign: int) -> np.ndarray:
-    """A_pm(tau) = int_0^tau M_pm(s) ds = tau*M0_pm + b0*(int cos(theta)*MC + int sin(theta)*MS), shape (..., 4, 4)."""
+def integral_generator(p: ControlParams, tau) -> np.ndarray:
+    """A_pm(tau) = int_0^tau M_pm(s) ds = tau*M0_pm + b0*(int cos(theta)*MC + int sin(theta)*MS), shape (..., 2, 4, 4)."""
     tau = np.asarray(tau, dtype=float)
-    int_cos, int_sin = (np.asarray(v)[..., None, None] for v in phase_integrals(p, tau))
-    return tau[..., None, None] * static_generator(p, sign) + p.b0 * (int_cos * MC + int_sin * MS)
+    int_cos, int_sin = (np.asarray(v)[..., None, None, None] for v in phase_integrals(p, tau))
+    return tau[..., None, None, None] * static_generator(p) + p.b0 * (int_cos * MC + int_sin * MS)
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:
@@ -235,43 +237,44 @@ def expm_skew(a: np.ndarray) -> np.ndarray:
     return ((vec * np.exp(-1j * ev)[..., None, :]) @ vec.conj().swapaxes(-1, -2)).real
 
 
-def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
+def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:
     """exp[A_pm(tau)] y0 at every tau in taus — the integrated-generator ansatz, not the time-ordered solution.
 
-    The result has shape ``np.shape(taus) + np.shape(y0)``; y0 = eye(4) gives the propagators."""
-    return expm_skew(integral_generator(p, taus, sign)) @ np.asarray(y0, dtype=float)
+    y0 has shape (2, 4) or (2, 4, m), both halves + first, and the result has
+    shape ``np.shape(taus) + np.shape(y0)``; y0 = two eye(4) gives the propagators."""
+    y0 = np.asarray(y0, dtype=float)
+    return (expm_skew(integral_generator(p, taus)) @ y0.reshape(2, 4, -1)).reshape(np.shape(taus) + y0.shape)
 
 
-def rotating_generator(p: ControlParams, sign: int) -> np.ndarray:
-    """Constant co-rotating-frame generator M_pm(0) - omega_rf * J."""
-    return build_M_half(p, 0.0, sign) - p.omega_rf * J
+def rotating_generator(p: ControlParams) -> np.ndarray:
+    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (2, 4, 4)."""
+    return build_M_half(p, 0.0) - p.omega_rf * J
 
 
-def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float, sign: int) -> np.ndarray:
+def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:
     """Exact y_pm(tau) = exp(omega_rf*tau*J) exp[tau (M_pm(0) - omega_rf J)] y0 at every tau in taus.
 
-    One eigendecomposition serves all requested times and initial states.  The
-    result has shape ``np.shape(taus) + np.shape(y0)`` for y0 of shape (4,) or
-    (4, m); y0 = eye(4) gives the propagators.
+    One eigendecomposition per half serves all requested times and initial
+    states.  y0 has shape (2, 4) or (2, 4, m), both halves + first; the result
+    has shape ``np.shape(taus) + np.shape(y0)``, and y0 = two eye(4) gives the propagators.
     """
     t = np.ravel(np.asarray(taus, dtype=float))
     y0 = np.asarray(y0, dtype=float)
     # the generator is real skew, so 1j*gen is Hermitian: eigh gives a unitary basis
     # even at degenerate spectra, where plain eig can return a singular one
-    ev, vec = np.linalg.eigh(1j * rotating_generator(p, sign))
-    coef = vec.conj().T @ y0.reshape(4, -1).astype(complex)  # (4, m)
-    modes = np.exp(np.outer(-1j * ev, t))[:, :, None] * coef[:, None, :]  # (4, n, m)
-    y = (vec @ modes.reshape(4, -1)).real.reshape(modes.shape)
+    ev, vec = np.linalg.eigh(1j * rotating_generator(p))
+    coef = vec.conj().swapaxes(-1, -2) @ y0.reshape(2, 4, -1).astype(complex)  # (2, 4, m)
+    modes = np.exp((-1j * ev)[..., None] * t)[..., None] * coef[:, :, None, :]  # (2, 4, n, m)
+    y = (vec @ modes.reshape(2, 4, -1)).real.reshape(modes.shape)
     # exp(phi*J) rotates the (2,4) plane by phi = omega_rf*tau
     c, s = np.cos(p.omega_rf * t)[:, None], np.sin(p.omega_rf * t)[:, None]
-    y[1], y[3] = c * y[1] - s * y[3], s * y[1] + c * y[3]
-    return np.moveaxis(y, 0, 1).reshape(np.shape(taus) + y0.shape)
+    y[:, 1], y[:, 3] = c * y[:, 1] - s * y[:, 3], s * y[:, 1] + c * y[:, 3]
+    return np.moveaxis(y, 2, 0).reshape(np.shape(taus) + y0.shape)
 
 
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,)."""
-    y_plus0, y_minus0 = split_halves(x0)
-    return join_halves(propagate_rotating_exact(p, y_plus0, taus, 1), propagate_rotating_exact(p, y_minus0, taus, -1))
+    return join_halves(propagate_rotating_exact(p, split_halves(x0), taus))
 
 
 @dataclass(frozen=True)
@@ -285,11 +288,9 @@ class DiscrepancyResult:
 def propagator_discrepancy(p: ControlParams, tau_grid: np.ndarray) -> DiscrepancyResult:
     """max over the grid, both halves and all basis initial states of the propagator gap."""
     taus = np.asarray(tau_grid, dtype=float)
-    worst = np.zeros(len(taus))
-    for sign in (1, -1):
-        # ansatz[n, :, j] = U_ansatz(tau_n) e_j and exact[n, :, j] = U_exact(tau_n) e_j
-        ansatz = propagate_expm_integral(p, np.eye(4), taus, sign)
-        exact = propagate_rotating_exact(p, np.eye(4), taus, sign)
-        worst = np.maximum(worst, np.max(np.linalg.norm(ansatz - exact, axis=1), axis=1))
+    # ansatz[n, h, :, j] = U_ansatz(tau_n) e_j and exact[n, h, :, j] = U_exact(tau_n) e_j on half h
+    eye = np.broadcast_to(np.eye(4), (2, 4, 4))
+    gap = propagate_expm_integral(p, eye, taus) - propagate_rotating_exact(p, eye, taus)
+    worst = np.max(np.linalg.norm(gap, axis=2), axis=(1, 2))
     i = int(np.argmax(worst))
     return DiscrepancyResult(max_deviation=float(worst[i]), tau_at_max=float(taus[i]))

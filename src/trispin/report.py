@@ -31,7 +31,7 @@ from .boundary import (
     invert_to_physical,
     sweep_tau,
 )
-from .dynamics import exact_state_trajectory, propagate_rk4, propagator_discrepancy
+from .dynamics import _time_grid, exact_state_trajectory, propagate_rk4, propagator_discrepancy
 from .hilbert import closure_check, full_hilbert_trajectory
 from .search import grid_search
 
@@ -159,6 +159,7 @@ def run_verification(
     omega_hat "auto" selects the lowest consistent scale, consistent_scale(0);
     a numeric omega_hat must satisfy omega_hat^2 > 2.
     """
+    _time_grid(3.0 * TAU_STAR, dtau)  # a bad step is a ValueError before any check, even with no dynamics sets
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         context={

@@ -280,11 +280,18 @@ def test_invert_contains_reference_rate(tmp_path, capsys):
         ("search", "--omega-hat", "2.5", "--resolution", "1", "--dtau", "0"),
         ("search", "--omega-hat", "2.5", "--resolution", "1", "--dtau", "-0.1"),
         ("invert", "--omega-hat", "2.5", "--tau-star", "-1"),
+        # a step count that is not finite, and a time grid too large to allocate
+        ("search", "--omega-hat", "2.5", "--resolution", "1", "--dtau", "1e-320"),
+        ("propagate", "--tau-end", "1", "--dtau", "1e-320"),
+        ("propagate", "--tau-end", "1e6", "--dtau", "1e-9"),
     ],
 )
-def test_bad_step_or_time_is_usage_error(capsys, argv):
+def test_bad_step_or_time_is_usage_error(tmp_path, capsys, argv):
+    traj = tmp_path / "traj.csv"
+    if argv[0] == "propagate":
+        argv += ("--params-file", _write_params(tmp_path), "--out", str(traj))
     code, out, err = _run(capsys, *argv)
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and not traj.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -384,6 +391,15 @@ def test_verify_negative_dynamics_sets_is_usage_error(tmp_path, capsys):
     code, stdout, err = _run(capsys, "verify", "--dynamics-sets", "-2", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err.startswith("error: ") and "--dynamics-sets" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dtau", ["0", "-1"])
+def test_verify_checks_its_step_with_no_dynamics_sets(tmp_path, capsys, dtau):
+    # no dynamics set uses the step, but a bad one is still a usage error, before any check
+    out = tmp_path / "report.json"
+    code, stdout, err = _run(capsys, "verify", "--dynamics-sets", "0", "--dtau", dtau, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "dtau" in err and err.count("\n") == 1
 
 
 def test_verify_auto_is_closed_form_scale_whatever_scan_samples(tmp_path, capsys):

@@ -8,6 +8,10 @@ from trispin.algebra import ControlParams, transverse_amplitude
 from trispin.dynamics import (
     CSV_HEADER,
     J,
+    MB,
+    MC,
+    MS,
+    MZ,
     build_M,
     build_M_half,
     exact_state_trajectory,
@@ -27,6 +31,9 @@ from trispin.dynamics import (
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
+# both halves of x = e1, and the two 4x4 identities: the (2, 4) and (2, 4, 4) initial states
+Y1 = np.stack([E1, E1])
+EYE2 = np.stack([np.eye(4), np.eye(4)])
 
 
 def _params(k=1.0, omega_hat=2.5, b0=None, bz=0.3, omega_rf=1.7, theta0=0.6):
@@ -95,8 +102,9 @@ def test_M_blocks_and_skew(rng):
     m = build_M(p, tau)
     assert np.array_equal(m[:4, :4], m[4:, 4:]) and np.array_equal(m[:4, 4:], m[4:, :4])
     # the halves y_pm = x_plus +- x_minus evolve under M_pm = 2(P +- Q)
-    assert np.allclose(m[:4, :4] + m[:4, 4:], build_M_half(p, tau, 1))
-    assert np.allclose(m[:4, :4] - m[:4, 4:], build_M_half(p, tau, -1))
+    m_plus, m_minus = build_M_half(p, tau)
+    assert np.allclose(m[:4, :4] + m[:4, 4:], m_plus)
+    assert np.allclose(m[:4, :4] - m[:4, 4:], m_minus)
     assert np.max(np.abs(m + m.T)) <= 1e-14
 
 
@@ -127,11 +135,44 @@ def test_split_halves_target_state():
 
 
 def test_join_inverts_split(rng):
+    # any leading axes: (..., 8) <-> (..., 2, 4), + first
+    for shape in ((), (3,), (2, 5)):
+        x = rng.standard_normal(shape + (8,))
+        y = split_halves(x)
+        assert y.shape == shape + (2, 4)
+        assert np.array_equal(y[..., 0, :], x[..., :4] + x[..., 4:])
+        assert np.max(np.abs(join_halves(y) - x)) <= 1e-14
+        assert np.max(np.abs(split_halves(join_halves(y)) - y)) <= 1e-14
     x = rng.standard_normal(8)
-    assert np.allclose(join_halves(*split_halves(x)), x)
     # norm bookkeeping: |y+|^2 + |y-|^2 = 2 |x|^2
     y_plus, y_minus = split_halves(x)
     assert abs(np.dot(y_plus, y_plus) + np.dot(y_minus, y_minus) - 2 * np.dot(x, x)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.7, np.array([0.0, 0.4, 1.3])], ids=["scalar", "array"])
+def test_halves_axis_is_plus_first(tau):
+    # index 0 of the halves axis is M_+ = MB + (bz + k)*MZ + drive, index 1 is M_-
+    p = _params(k=1.0, bz=0.3)
+    th = p.theta(np.asarray(tau))[..., None, None]
+    drive = p.b0 * (np.cos(th) * MC + np.sin(th) * MS)
+    m = build_M_half(p, tau)
+    assert m.shape == np.shape(tau) + (2, 4, 4)
+    assert np.array_equal(m[..., 0, :, :], MB + (p.bz + p.k) * MZ + drive)
+    assert np.array_equal(m[..., 1, :, :], MB + (p.bz - p.k) * MZ + drive)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_propagators_carry_the_halves_axis(rng, m):
+    # static drive: each half is exp(tau*M_pm) of its own initial state, + first
+    p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=0.4, omega_rf=1.3, theta0=0.2)
+    taus = np.linspace(0.0, 2.0, 5)
+    y0 = rng.standard_normal((2, 4, m))
+    for propagate in (propagate_expm_integral, propagate_rotating_exact):
+        y = propagate(p, y0, taus)
+        assert y.shape == (len(taus), 2, 4, m)
+        for n, tau in enumerate(taus):
+            for half, weight in enumerate((p.bz + p.k, p.bz - p.k)):
+                assert np.max(np.abs(y[n, half] - expm(tau * (MB + weight * MZ)) @ y0[half])) < 1e-12
 
 
 # --- RK4 -----------------------------------------------------------------
@@ -183,10 +224,10 @@ def test_rk4_grid_endpoints():
 # --- integrated generator -------------------------------------------------
 
 
-def _simpson_generator(p, tau, sign, n=2000):
-    # independent oracle: composite Simpson quadrature of M_pm entry by entry
+def _simpson_generator(p, tau, n=2000):
+    # independent oracle: composite Simpson quadrature of M_pm entry by entry, both halves
     s = np.linspace(0.0, tau, n + 1)
-    mats = np.stack([build_M_half(p, float(si), sign) for si in s])
+    mats = np.stack([build_M_half(p, float(si)) for si in s])
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -197,13 +238,12 @@ def test_integral_generator_matches_simpson(rng):
     for _ in range(3):
         p = _random_params(rng)
         tau = float(rng.uniform(0.5, 2.5))
-        for sign in (1, -1):
-            assert np.max(np.abs(integral_generator(p, tau, sign) - _simpson_generator(p, tau, sign))) < 1e-10
+        assert np.max(np.abs(integral_generator(p, tau) - _simpson_generator(p, tau))) < 1e-10
 
 
 def test_integral_generator_zero_time(rng):
     p = _random_params(rng)
-    assert np.max(np.abs(integral_generator(p, 0.0, 1))) == 0.0
+    assert np.max(np.abs(integral_generator(p, 0.0))) == 0.0
 
 
 @pytest.mark.parametrize("omega_rf", [0.0, 4e-7, 1e-3, 0.1, 1.0])
@@ -212,7 +252,7 @@ def test_integral_generator_small_rate_branches(omega_rf):
     base = dict(k=1.0, omega_hat=2.5, b0=1.2, bz=0.1, theta0=0.7)
     tau = 1.7
     p = ControlParams(omega_rf=omega_rf, **base)
-    assert np.max(np.abs(integral_generator(p, tau, 1) - _simpson_generator(p, tau, 1))) < 1e-12
+    assert np.max(np.abs(integral_generator(p, tau) - _simpson_generator(p, tau))) < 1e-12
 
 
 def test_phase_integrals_zero_rate():
@@ -266,62 +306,60 @@ def test_expm_orthogonal(rng):
 
 def test_expm_integral_identity_at_zero(rng):
     p = _random_params(rng)
-    y = propagate_expm_integral(p, E1, 0.0, 1)
-    assert np.allclose(y, E1)
+    y = propagate_expm_integral(p, Y1, 0.0)
+    assert np.allclose(y, Y1)
 
 
 def test_expm_integral_matches_rk4_for_static_drive():
     # b0 = 0 makes the generator constant, where the integrated exponential is exact
     p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.0, theta0=0.0)
     traj = propagate_rk4(p, np.eye(8)[0], 2.0, 1e-4)
-    y_plus = propagate_expm_integral(p, E1, 2.0, 1)
-    y_minus = propagate_expm_integral(p, E1, 2.0, -1)
-    assert np.max(np.abs(join_halves(y_plus, y_minus) - traj.states[-1])) < 1e-8
+    y = propagate_expm_integral(p, Y1, 2.0)
+    assert np.max(np.abs(join_halves(y) - traj.states[-1])) < 1e-8
 
 
 def test_expm_integral_preserves_norm(rng):
     p = _random_params(rng)
-    y = propagate_expm_integral(p, E1, 1.9, -1)
-    assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+    y = propagate_expm_integral(p, Y1, 1.9)
+    assert np.max(np.abs(np.linalg.norm(y, axis=-1) - 1.0)) < 1e-12
 
 
 def test_expm_integral_over_taus_matches_per_tau(rng):
     p = _random_params(rng)
     taus = np.array([[0.0, 0.3], [1.1, 2.5]])
-    for y0, sign in ((E1, 1), (np.eye(4), -1)):
-        ys = propagate_expm_integral(p, y0, taus, sign)
+    for y0 in (Y1, EYE2):
+        ys = propagate_expm_integral(p, y0, taus)
         assert ys.shape == taus.shape + np.shape(y0)
         for idx in np.ndindex(taus.shape):
-            single = propagate_expm_integral(p, y0, float(taus[idx]), sign)
+            single = propagate_expm_integral(p, y0, float(taus[idx]))
             assert single.shape == np.shape(y0)
             assert np.array_equal(ys[idx], single)
 
 
 def test_rotating_exact_frozen_frame():
     p = _params(omega_rf=0.0)
-    for sign in (1, -1):
-        y_direct = expm(2.1 * build_M_half(p, 0.0, sign)) @ E1
-        assert np.max(np.abs(propagate_rotating_exact(p, E1, 2.1, sign) - y_direct)) < 1e-12
+    y = propagate_rotating_exact(p, Y1, 2.1)
+    for half, gen in enumerate(build_M_half(p, 0.0)):
+        assert np.max(np.abs(y[half] - expm(2.1 * gen) @ E1)) < 1e-12
 
 
 def test_rotating_exact_matches_rk4(rng):
     p = _random_params(rng)
     tau_end = 3.0
     traj = propagate_rk4(p, np.eye(8)[0], tau_end, 1e-4)
-    y_plus = propagate_rotating_exact(p, E1, tau_end, 1)
-    y_minus = propagate_rotating_exact(p, E1, tau_end, -1)
-    assert np.max(np.abs(join_halves(y_plus, y_minus) - traj.states[-1])) < 1e-8
+    y = propagate_rotating_exact(p, Y1, tau_end)
+    assert np.max(np.abs(join_halves(y) - traj.states[-1])) < 1e-8
 
 
 def test_rotating_exact_preserves_norm(rng):
     p = _random_params(rng)
-    y = propagate_rotating_exact(p, E1, 2.7, 1)
-    assert abs(np.linalg.norm(y) - 1.0) < 1e-12
-    # y0 = eye(4) gives the propagators: column j is the call from e_j, and each is orthogonal
+    y = propagate_rotating_exact(p, Y1, 2.7)
+    assert np.max(np.abs(np.linalg.norm(y, axis=-1) - 1.0)) < 1e-12
+    # y0 = eye(4) per half gives the propagators: column j is the call from e_j, and each is orthogonal
     taus = np.array([[0.0, 0.3], [1.1, 2.7]])
-    u = propagate_rotating_exact(p, np.eye(4), taus, -1)
-    assert u.shape == taus.shape + (4, 4)
-    columns = np.stack([propagate_rotating_exact(p, e, taus, -1) for e in np.eye(4)], axis=-1)
+    u = propagate_rotating_exact(p, EYE2, taus)
+    assert u.shape == taus.shape + (2, 4, 4)
+    columns = np.stack([propagate_rotating_exact(p, np.stack([e, e]), taus) for e in np.eye(4)], axis=-1)
     assert np.max(np.abs(u - columns)) <= 1e-15
     assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(4))) < 1e-12
 
@@ -329,10 +367,7 @@ def test_rotating_exact_preserves_norm(rng):
 def frame_conjugation_defect(p, tau):
     """max over +- of |M_pm(tau) - exp(phi J) M_pm(0) exp(-phi J)|, phi = theta(tau)-theta0."""
     g = expm((p.theta(tau) - p.theta0) * J)
-    return max(
-        float(np.max(np.abs(build_M_half(p, tau, sign) - g @ build_M_half(p, 0.0, sign) @ g.T)))
-        for sign in (1, -1)
-    )
+    return float(np.max(np.abs(build_M_half(p, tau) - g @ build_M_half(p, 0.0) @ g.T)))
 
 
 def test_frame_conjugation_invariant(rng):
@@ -350,10 +385,8 @@ def test_exact_trajectory_matches_pointwise(rng):
     states = exact_state_trajectory(p, np.eye(8)[0], taus)
     # pointwise oracle by scipy's expm: y_pm = exp(omega_rf tau J) exp[tau (M_pm(0) - omega_rf J)] y_pm(0)
     for i, tau in enumerate(taus):
-        y_plus, y_minus = (
-            expm(p.omega_rf * tau * J) @ expm(tau * rotating_generator(p, sign)) @ E1 for sign in (1, -1)
-        )
-        assert np.max(np.abs(states[i] - join_halves(y_plus, y_minus))) < 1e-11
+        y = np.stack([expm(p.omega_rf * tau * J) @ expm(tau * gen) @ E1 for gen in rotating_generator(p)])
+        assert np.max(np.abs(states[i] - join_halves(y))) < 1e-11
 
 
 # --- discrepancy ------------------------------------------------------------
@@ -390,14 +423,8 @@ def test_three_propagators_agree_in_special_cases(p):
     tau_end = 2.0
     traj = propagate_rk4(p, np.eye(8)[0], tau_end, 1e-4)
     x_rk4 = traj.states[-1]
-    x_ansatz = join_halves(
-        propagate_expm_integral(p, E1, tau_end, 1),
-        propagate_expm_integral(p, E1, tau_end, -1),
-    )
-    x_exact = join_halves(
-        propagate_rotating_exact(p, E1, tau_end, 1),
-        propagate_rotating_exact(p, E1, tau_end, -1),
-    )
+    x_ansatz = join_halves(propagate_expm_integral(p, Y1, tau_end))
+    x_exact = join_halves(propagate_rotating_exact(p, Y1, tau_end))
     assert np.max(np.abs(x_ansatz - x_rk4)) < 1e-8
     assert np.max(np.abs(x_exact - x_rk4)) < 1e-8
     assert np.max(np.abs(x_ansatz - x_exact)) < 1e-8

@@ -64,8 +64,7 @@ def test_theta0_turns_the_x2_x4_and_x6_x8_planes(p, taus):
 @given(shell_params(), _floats(0.0, 10.0), vectors8)
 def test_build_M_decouples_into_halves(p, tau, x):
     # M x = join(M_+ y_+, M_- y_-) with (y_+, y_-) = split(x): the y_pm halves evolve independently
-    y_plus, y_minus = split_halves(x)
-    halves = join_halves(build_M_half(p, tau, 1) @ y_plus, build_M_half(p, tau, -1) @ y_minus)
+    halves = join_halves((build_M_half(p, tau) @ split_halves(x)[..., None])[..., 0])
     assert np.max(np.abs(build_M(p, tau) @ x - halves)) <= 1e-12
 
 

@@ -251,18 +251,24 @@ def rotating_generator(p: ControlParams) -> np.ndarray:
     return build_M_half(p, 0.0) - p.omega_rf * J
 
 
+def rotating_modes(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
+    """(ev, vec), shapes (2, 4) and (2, 4, 4): exp[tau (M_pm(0) - omega_rf J)] = vec exp(-1j*ev*tau) vec^H per half.
+
+    1j*gen is Hermitian: eigh gives a unitary basis even at degenerate spectra, where eig can give a singular one.
+    """
+    return np.linalg.eigh(1j * rotating_generator(p))
+
+
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:
     """Exact y_pm(tau) = exp(omega_rf*tau*J) exp[tau (M_pm(0) - omega_rf J)] y0 at every tau in taus.
 
-    One eigendecomposition per half serves all requested times and initial
-    states.  y0 has shape (2, 4) or (2, 4, m), both halves + first; the result
+    One eigendecomposition (``rotating_modes``) serves all requested times and
+    initial states.  y0 has shape (2, 4) or (2, 4, m), both halves + first; the result
     has shape ``np.shape(taus) + np.shape(y0)``, and y0 = two eye(4) gives the propagators.
     """
     t = np.ravel(np.asarray(taus, dtype=float))
     y0 = np.asarray(y0, dtype=float)
-    # the generator is real skew, so 1j*gen is Hermitian: eigh gives a unitary basis
-    # even at degenerate spectra, where plain eig can return a singular one
-    ev, vec = np.linalg.eigh(1j * rotating_generator(p))
+    ev, vec = rotating_modes(p)
     coef = vec.conj().swapaxes(-1, -2) @ y0.reshape(2, 4, -1).astype(complex)  # (2, 4, m)
     modes = np.exp((-1j * ev)[..., None] * t)[..., None] * coef[:, :, None, :]  # (2, 4, n, m)
     y = (vec @ modes.reshape(2, 4, -1)).real.reshape(modes.shape)

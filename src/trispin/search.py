@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _time_grid, exact_state_trajectory
+from .algebra import TAU_STAR, ControlParams, energy_shell, transverse_amplitude
+from .dynamics import _time_grid, rotating_modes
 
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
@@ -63,35 +63,54 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
     return np.linspace(lo, hi, resolution)
 
 
-def _best_over_theta0(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(best, theta0): the largest value of each component over theta0, and a theta0 attaining it.
+def _mode_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
+    """(table, rates), shapes (8, 8) and (8,): Re(table @ exp(rates*tau)) is the co-rotating 8-vector from e1.
 
-    states is a theta0 = 0 trajectory from e1, shape (..., 8); the identity
-    holds only for that start state.  R = exp(theta0*J) turns the drive,
-    M_pm(tau; theta0) = R M_pm(tau; 0) R^T, and fixes e1, so y_pm(tau; theta0)
-    = R y_pm(tau; 0).  On the 8-vector, with c, s = cos, sin(theta0), that is
-    x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike); x1, x3, x5, x7 do
-    not change.  So the best x4 is hypot(x2, x4) at theta0 = atan2(x2, x4),
-    and the best x2 is the same hypot at atan2(-x4, x2).
+    That is the theta0 = 0 state before the frame rotation exp(omega_rf*tau*J).
+    Both halves start at e1, with mode amplitudes conj(vec[:, 0]), and
+    join_halves takes half the sum and half the difference of the halves.
     """
-    u, v = states[..., 1::4], states[..., 3::4]  # (x2, x6) and (x4, x8)
-    best = states.copy()
-    theta0 = np.zeros(states.shape)
+    ev, vec = rotating_modes(p)
+    amp = 0.5 * vec * vec[:, :1].conj()  # amp[h, i, m]: component i of mode m of half h
+    return np.vstack([np.hstack(amp), np.hstack([amp[0], -amp[1]])]), -1j * ev.ravel()
+
+
+def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None):
+    """The largest value of each component over theta0 at taus, shape np.shape(taus) + (8,); given omega_rf, (best, theta0).
+
+    modes is the ``_mode_table`` of a control, theta0 a gauge only from e1.
+    R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
+    and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
+    sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike), and
+    x1, x3, x5, x7 do not change.  So the best x4 is hypot(x2, x4) at
+    theta0 = atan2(x2, x4), and the best x2 the same hypot at atan2(-x4, x2).
+    The frame rotation is such a turn, by omega_rf*tau: the best values are
+    read off the co-rotating state, and the turn is applied only to read theta0.
+    """
+    table, rates = modes
+    x = (np.exp(np.multiply.outer(taus, rates)) @ table.T).real
+    u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
+    best = x.copy()
     best[..., 1::4] = best[..., 3::4] = np.hypot(u, v)
+    if omega_rf is None:
+        return best
+    phi = omega_rf * np.asarray(taus)[..., None]
+    u, v = np.cos(phi) * u - np.sin(phi) * v, np.sin(phi) * u + np.cos(phi) * v  # turned to the lab frame
+    theta0 = np.zeros(x.shape)
     theta0[..., 1::4] = np.arctan2(-v, u)
     theta0[..., 3::4] = np.arctan2(u, v)
     return best, theta0
 
 
 def _first_crossing(
-    p: ControlParams, j: int, threshold: float, taus: np.ndarray, best: np.ndarray
+    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray
 ) -> tuple[float, ControlParams] | None:
     """(tau, p at the best theta0 there) where best[:, j] first reaches threshold; None if it never does.
 
-    p is the theta0 = 0 control and best = _best_over_theta0 of its trajectory
-    from e1 on taus.  brentq solves the crossing on the grid interval holding
-    the first hit; its ends keep their grid values, since a single-tau
-    propagation differs from the batched row in the last bits.
+    p is the theta0 = 0 control, modes its ``_mode_table`` and best =
+    _best_over_theta0(modes, taus).  brentq solves the crossing on the same
+    table in the grid interval holding the first hit; its ends keep their grid
+    values, since a single-tau evaluation may differ from a batched row in the last bits.
     """
     hits = np.nonzero(best[:, j] >= threshold)[0]
     if len(hits) == 0:
@@ -102,10 +121,10 @@ def _first_crossing(
     ends = {float(taus[i - 1]): best[i - 1, j] - threshold, float(taus[i]): best[i, j] - threshold}
 
     def gap(tau: float) -> float:
-        return ends[tau] if tau in ends else _best_over_theta0(exact_state_trajectory(p, E1, tau))[0][j] - threshold
+        return ends[tau] if tau in ends else _best_over_theta0(modes, tau)[j] - threshold
 
     tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
-    phase = _best_over_theta0(exact_state_trajectory(p, E1, tau))[1][j]
+    phase = _best_over_theta0(modes, tau, p.omega_rf)[1][j]
     return float(tau), replace(p, theta0=float(phase))
 
 
@@ -122,7 +141,8 @@ def min_time_to_target(
     j = _target_index(target)
     taus = _time_grid(tau_max, dtau)
     p = replace(p, theta0=0.0)
-    return _first_crossing(p, j, threshold, taus, _best_over_theta0(exact_state_trajectory(p, E1, taus))[0])
+    modes = _mode_table(p)
+    return _first_crossing(p, modes, j, threshold, taus, _best_over_theta0(modes, taus))
 
 
 def grid_search(
@@ -138,8 +158,8 @@ def grid_search(
 ) -> SearchResult:
     """Grid scan of the energy-shell ansatz for the earliest threshold crossing.
 
-    Deterministic for fixed inputs; a control between grid nodes is not seen.  One propagation per (bz, omega_rf) pair;
-    every reported params/tau pair carries the best theta0 there
+    Deterministic for fixed inputs; a control between grid nodes is not seen.  One ``_mode_table`` per (bz, omega_rf)
+    pair serves its peaks and its crossing; every reported params/tau pair carries the best theta0 there
     (``_best_over_theta0``), and each pair's crossing is solved on the bracket
     its own grid rows give (``_first_crossing``).  bz values outside the
     energy shell are skipped (no real transverse amplitude there); an
@@ -169,13 +189,15 @@ def grid_search(
         b0 = transverse_amplitude(omega_hat, k, bz)
         for omega_rf in _axis(bounds, "omega_rf", resolution):
             p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
-            best, theta0 = _best_over_theta0(exact_state_trajectory(p, E1, taus))
+            modes = _mode_table(p)
+            best = _best_over_theta0(modes, taus)
             rows = np.argmax(best, axis=0)
             for name, j in COMPONENT_INDEX.items():
                 i = rows[j]
                 if best[i, j] > peaks[name][0]:
-                    peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0[i, j])))
-            reached, gauge = _first_crossing(p, idx, threshold, taus, best) or (None, None)
+                    theta0 = _best_over_theta0(modes, taus[i], omega_rf)[1][j]
+                    peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0)))
+            reached, gauge = _first_crossing(p, modes, idx, threshold, taus, best) or (None, None)
             if reached is not None and reached < best_tau:
                 best_tau, best_params = reached, gauge
             if collect_landscape:

@@ -24,8 +24,8 @@ generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
 ``propagator_discrepancy`` propagates both halves y_pm on one stacked axis;
 its oracle is the loop over the two signs, with scipy's ``expm`` per tau.
 
-``grid_search`` propagates once per (bz, omega_rf) pair and reads theta0 off
-the state; its oracle is the loop over a (bz, omega_rf, theta0) grid.
+``grid_search`` takes one eigendecomposition per (bz, omega_rf) pair and reads
+theta0 off the state; its oracle is the loop over a (bz, omega_rf, theta0) grid.
 
 ``consistency_scan`` takes its consistent scales from the closed form
 ``consistent_scale``; its oracle is the numerical search, local minima of the
@@ -390,9 +390,13 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     # the gauge-optimal crossing comes no later than the crossing at any fixed theta0
     assert math.isfinite(best_tau) and res.best_tau <= best_tau + 1e-9
 
-    # one propagation per on-shell (bz, omega_rf) pair; an unreachable threshold starts no crossing solve
+    # one eigendecomposition per on-shell (bz, omega_rf) pair: the peaks and the
+    # crossing solves read its mode table, reached threshold or not
     calls = []
-    monkeypatch.setattr(search, "exact_state_trajectory", lambda *a: calls.append(a) or exact_state_trajectory(*a))
-    search.grid_search(omega_hat, k, resolution=resolution, threshold=2.0, dtau=dtau)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution))
-    assert len(calls) == on_shell * resolution
+    for level in (threshold, 2.0):
+        calls.clear()
+        crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau
+        assert len(calls) == on_shell * resolution and (crossing is None) == (level > 1.0)

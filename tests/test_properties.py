@@ -20,6 +20,7 @@ from trispin.algebra import (
 )
 from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
 from trispin.hilbert import schrodinger_propagate
+from trispin.search import _best_over_theta0, _mode_table
 
 
 def _floats(lo, hi):
@@ -49,6 +50,42 @@ vectors8 = st.lists(_floats(-1.0, 1.0), min_size=8, max_size=8).map(np.array)
 def test_exact_trajectory_preserves_norm(p, x0, taus):
     states = exact_state_trajectory(p, x0, np.array(taus))
     assert np.max(np.abs(np.linalg.norm(states, axis=-1) - np.linalg.norm(x0))) <= 1e-12
+
+
+@st.composite
+def static_or_degenerate_params(draw):
+    """A theta0 = 0 shell control, sometimes static (omega_rf = 0) and sometimes at bz = +-k.
+
+    At bz = +-k with omega_rf = 0 one half loses its MZ term, and its
+    co-rotating generator has a double zero eigenvalue.
+    """
+    p = dataclasses.replace(draw(shell_params()), theta0=0.0)
+    if draw(st.booleans()):
+        p = dataclasses.replace(p, omega_rf=0.0)
+    sign = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    if sign:
+        omega_hat = math.sqrt(1.0 + 2.0 * p.k**2) + draw(_floats(1e-3, 3.0))
+        b0 = transverse_amplitude(omega_hat, p.k, sign * p.k)
+        p = dataclasses.replace(p, omega_hat=omega_hat, b0=b0, bz=sign * p.k)
+    return p
+
+
+@given(static_or_degenerate_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_mode_table_gives_the_theta0_best_state(p, taus):
+    # the frame rotation turns only the (x2, x4) and (x6, x8) planes, so the
+    # co-rotating table gives the best value over theta0 of every component
+    taus = np.array(taus)
+    lab = exact_state_trajectory(p, E1, taus)
+    expected = lab.copy()
+    expected[:, 1::4] = expected[:, 3::4] = np.hypot(lab[:, 1::4], lab[:, 3::4])
+    modes = _mode_table(p)
+    best, theta0 = _best_over_theta0(modes, taus, p.omega_rf)
+    assert np.max(np.abs(best - expected)) <= 1e-14
+    assert np.array_equal(_best_over_theta0(modes, taus), best)
+    # the theta0 read at each component's peak row attains the peak there
+    for j, i in enumerate(np.argmax(best, axis=0)):
+        turned = exact_state_trajectory(dataclasses.replace(p, theta0=float(theta0[i, j])), E1, taus[i])
+        assert abs(turned[j] - best[i, j]) <= 1e-12
 
 
 @given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from trispin.algebra import E1, ControlParams, transverse_amplitude
+from trispin.algebra import E1, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params
 from trispin.dynamics import _time_grid, exact_state_trajectory
-from trispin.search import grid_search, min_time_to_target, refine_local
+from trispin.search import _best_over_theta0, _mode_table, grid_search, min_time_to_target, refine_local
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -64,15 +64,15 @@ def test_min_time_bisection_accuracy():
 
 
 def test_threshold_equal_to_a_grid_value_is_a_crossing():
-    # at a row whose single-tau propagation falls below its batched value, a
+    # at a row whose single-tau evaluation falls below its batched value, a
     # re-evaluated bracket end would lose the sign change; the grid value is kept
     omega_hat, bz, omega_rf, tau_max, dtau = 2.7, 0.3, 1.1, 3.0 * TAU_STAR, 1e-2
     b0 = transverse_amplitude(omega_hat, 1.0, bz)
     p = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
     taus = _time_grid(tau_max, dtau)  # the grid both searches bracket on
-    states = exact_state_trajectory(p, E1, taus)
-    best = np.hypot(states[:, 5], states[:, 7])
-    single = np.array([math.hypot(*exact_state_trajectory(p, E1, t)[5::2]) for t in taus])
+    modes = _mode_table(p)  # the searches' own theta0-best values
+    best = _best_over_theta0(modes, taus)[:, 7]
+    single = np.array([_best_over_theta0(modes, t)[7] for t in taus])
     record = np.maximum.accumulate(best)
     rows = [i for i in range(1, len(taus)) if best[i] > record[i - 1] and single[i] < best[i]]
     assert rows
@@ -165,6 +165,35 @@ def test_refine_local_reaches_the_gauge_optimal_crossing():
     out = refine_local(seed)
     assert out.best_tau <= 1.1734305373 + 1e-9
     assert abs(x8(out.best_params, out.best_tau) - 0.95) < 1e-9
+
+
+def test_refine_local_pins_the_second_refined_time():
+    # the second of the two times the benchmark's search workload refines to
+    out = refine_local(grid_search(3.451292785680343, 1.0, threshold=0.95))
+    assert abs(out.best_tau - 1.8290756054) <= 1e-9
+    assert abs(x8(out.best_params, out.best_tau) - 0.95) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_mirror_controls_cross_together(k):
+    # S = diag(1, -1, 1, 1) flips MZ, J and MS and fixes MB, MC and e1, so
+    # (bz, omega_rf) -> (-bz, -omega_rf) swaps the halves y_pm up to S: x6
+    # stays, x8 changes sign and the theta0-best x8 keeps its crossing.  A
+    # grid holding both points may therefore report either.
+    rng = np.random.default_rng(7)
+    crossings = 0
+    for _ in range(12):  # about half of them cross, near the line omega_rf = 2*bz
+        omega_hat = rng.uniform(2.0, 3.5)
+        bz = rng.uniform(-1.0, 1.0) * math.sqrt(energy_shell(omega_hat, k))
+        b0, omega_rf = transverse_amplitude(omega_hat, k, bz), 2.0 * bz + rng.uniform(-1.0, 1.0)
+        p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+        mirror = dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)
+        hit, mirror_hit = min_time_to_target(p, threshold=0.9), min_time_to_target(mirror, threshold=0.9)
+        assert (hit is None) == (mirror_hit is None)
+        if hit is not None:
+            crossings += 1
+            assert abs(hit[0] - mirror_hit[0]) <= 1e-12
+    assert crossings >= 6
 
 
 def test_no_transfer_probe_degenerate_grid():

@@ -247,13 +247,14 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray |
 
 
 def rotating_generator(p: ControlParams) -> np.ndarray:
-    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (2, 4, 4)."""
-    return build_M_half(p, 0.0) - p.omega_rf * J
+    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape np.shape(p.omega_rf) + (2, 4, 4)."""
+    return build_M_half(p, 0.0) - np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J
 
 
 def rotating_modes(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
     """(ev, vec), shapes (2, 4) and (2, 4, 4): exp[tau (M_pm(0) - omega_rf J)] = vec exp(-1j*ev*tau) vec^H per half.
 
+    An array-valued p.omega_rf prepends its shape: one eigh call decomposes the whole stack.
     1j*gen is Hermitian: eigh gives a unitary basis even at degenerate spectra, where eig can give a singular one.
     """
     return np.linalg.eigh(1j * rotating_generator(p))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .algebra import TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _time_grid, rotating_modes
+from .dynamics import _CHUNK_STEPS, _PM, _time_grid, rotating_modes
 
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
@@ -64,21 +64,30 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
 
 
 def _mode_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
-    """(table, rates), shapes (8, 8) and (8,): Re(table @ exp(rates*tau)) is the co-rotating 8-vector from e1.
+    """(table, w), shapes (8, 8) and (4,): [cos(w*tau), sin(w*tau)] @ table is the co-rotating 8-vector from e1.
 
-    That is the theta0 = 0 state before the frame rotation exp(omega_rf*tau*J).
-    Both halves start at e1, with mode amplitudes conj(vec[:, 0]), and
-    join_halves takes half the sum and half the difference of the halves.
+    That is the theta0 = 0 state before the frame rotation exp(omega_rf*tau*J); an
+    array-valued p.omega_rf prepends its shape to both, from one eigh call.  Both
+    halves start at e1, so mode m of a half carries T_m = vec[:, m] conj(vec[0, m]) / 2,
+    and join_halves takes half the sum and half the difference of the halves.  The
+    generator is real and skew, so eigh gives each half's rates as (-w1, -w2, w2, w1):
+    mode m = 2, 3 at w = ev_m and mode m' = 3 - m at -w give together
+    Re(T_m + T_m') cos(w*tau) + Im(T_m - T_m') sin(w*tau).  No mode is taken as the
+    conjugate of another, so a degenerate pair (w = 0, or w1 = w2) still sums to its projector.
     """
     ev, vec = rotating_modes(p)
-    amp = 0.5 * vec * vec[:, :1].conj()  # amp[h, i, m]: component i of mode m of half h
-    return np.vstack([np.hstack(amp), np.hstack([amp[0], -amp[1]])]), -1j * ev.ravel()
+    amp = 0.5 * vec * vec[..., :1, :].conj()  # amp[..., h, i, m]: component i of mode m of half h
+    up, down = amp[..., 2:], amp[..., 1::-1]  # modes m = 2, 3 and their partners 3 - m
+    coef = np.stack([(up + down).real, (up - down).imag], axis=-4).swapaxes(-1, -2)  # coef[..., cos|sin, h, m, i]
+    table = np.concatenate([coef, _PM * coef], axis=-1)  # the half sum x1..x4, then the half difference x5..x8
+    return table.reshape(ev.shape[:-2] + (8, 8)), ev[..., 2:].reshape(ev.shape[:-2] + (4,))
 
 
-def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None):
-    """The largest value of each component over theta0 at taus, shape np.shape(taus) + (8,); given omega_rf, (best, theta0).
+def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np.ndarray | None = None):
+    """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,); given omega_rf, (best, theta0).
 
-    modes is the ``_mode_table`` of a control, theta0 a gauge only from e1.
+    modes is the ``_mode_table`` of a control, or of an omega_rf block with leading
+    shape s, and theta0 a gauge only from e1; out, if given, receives the matmul.
     R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
     and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
     sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike), and
@@ -87,19 +96,26 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None):
     The frame rotation is such a turn, by omega_rf*tau: the best values are
     read off the co-rotating state, and the turn is applied only to read theta0.
     """
-    table, rates = modes
-    x = (np.exp(np.multiply.outer(taus, rates)) @ table.T).real
+    table, w = modes
+    taus = np.asarray(taus, dtype=float)
+    phase = w[..., None, :] * taus.reshape(-1, 1)
+    x = np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table, out=out)
+    x = x.reshape(w.shape[:-1] + taus.shape + (8,))
     u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
-    best = x.copy()
-    best[..., 1::4] = best[..., 3::4] = np.hypot(u, v)
-    if omega_rf is None:
-        return best
-    phi = omega_rf * np.asarray(taus)[..., None]
-    u, v = np.cos(phi) * u - np.sin(phi) * v, np.sin(phi) * u + np.cos(phi) * v  # turned to the lab frame
-    theta0 = np.zeros(x.shape)
-    theta0[..., 1::4] = np.arctan2(-v, u)
-    theta0[..., 3::4] = np.arctan2(u, v)
-    return best, theta0
+    best = np.hypot(u, v)
+    if omega_rf is not None:
+        phi = omega_rf * taus[..., None]
+        u, v = np.cos(phi) * u - np.sin(phi) * v, np.sin(phi) * u + np.cos(phi) * v  # turned to the lab frame
+        theta0 = np.zeros(x.shape)
+        theta0[..., 1::4] = np.arctan2(-v, u)
+        theta0[..., 3::4] = np.arctan2(u, v)
+    x[..., 1::4] = x[..., 3::4] = best
+    return x if omega_rf is None else (x, theta0)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
 
 
 def _first_crossing(
@@ -136,8 +152,7 @@ def min_time_to_target(
     p.theta0 is ignored (from e1 it is a gauge).  The crossing is bracketed on
     _time_grid(tau_max, dtau); a threshold above 1 is simply unreachable.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
     j = _target_index(target)
     taus = _time_grid(tau_max, dtau)
     p = replace(p, theta0=0.0)
@@ -158,19 +173,23 @@ def grid_search(
 ) -> SearchResult:
     """Grid scan of the energy-shell ansatz for the earliest threshold crossing.
 
-    Deterministic for fixed inputs; a control between grid nodes is not seen.  One ``_mode_table`` per (bz, omega_rf)
-    pair serves its peaks and its crossing; every reported params/tau pair carries the best theta0 there
-    (``_best_over_theta0``), and each pair's crossing is solved on the bracket
-    its own grid rows give (``_first_crossing``).  bz values outside the
-    energy shell are skipped (no real transverse amplitude there); an
-    omega_hat at or below the energy floor, omega_hat^2 <= 1 + k^2, and
-    bounds keys other than bz and omega_rf are ValueErrors.  The result also
-    records the largest value of every component x1..x8 seen, reached or not,
-    so one pass also bounds the components it does not target, and optionally
-    the whole ((bz, omega_rf) -> reach time, peak) landscape.
+    Deterministic for fixed inputs; a control between grid nodes is not seen.  Each
+    on-shell bz row of omega_rf is taken in blocks of at most dynamics._CHUNK_STEPS
+    (omega_rf, tau) rows, one omega_rf at least: one ``_mode_table`` (one eigh call)
+    and one ``_best_over_theta0`` pass per block.  Peaks and crossings stay per
+    (bz, omega_rf) pair: every reported params/tau pair carries the best theta0 there,
+    and each pair's crossing is solved on the bracket its own grid rows give
+    (``_first_crossing``), as ``min_time_to_target`` does.  bz values outside the
+    energy shell are skipped (no real transverse amplitude there); an omega_hat at or
+    below the energy floor, omega_hat^2 <= 1 + k^2, a threshold that is not positive
+    and bounds keys other than bz and omega_rf are ValueErrors.  The result also
+    records the largest value of every component x1..x8 seen, reached or not, so one
+    pass also bounds the components it does not target, and optionally the whole
+    ((bz, omega_rf) -> reach time, peak) landscape.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    _check_threshold(threshold)
     shell = energy_shell(omega_hat, k)
     bounds = dict(bounds) if bounds is not None else default_bounds(omega_hat)
     if set(bounds) != {"bz", "omega_rf"}:
@@ -178,6 +197,9 @@ def grid_search(
     tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
     taus = _time_grid(tau_max, dtau)
     idx = _target_index(target)
+    rf_axis = _axis(bounds, "omega_rf", resolution)
+    width = max(1, _CHUNK_STEPS // len(taus))  # omega_rf values per block
+    buffer = np.empty((min(width, len(rf_axis)), len(taus), 8))
 
     best_tau = math.inf
     best_params: ControlParams | None = None
@@ -187,22 +209,24 @@ def grid_search(
         if bz**2 > shell:
             continue
         b0 = transverse_amplitude(omega_hat, k, bz)
-        for omega_rf in _axis(bounds, "omega_rf", resolution):
-            p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
-            modes = _mode_table(p)
-            best = _best_over_theta0(modes, taus)
-            rows = np.argmax(best, axis=0)
-            for name, j in COMPONENT_INDEX.items():
-                i = rows[j]
-                if best[i, j] > peaks[name][0]:
-                    theta0 = _best_over_theta0(modes, taus[i], omega_rf)[1][j]
-                    peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0)))
-            reached, gauge = _first_crossing(p, modes, idx, threshold, taus, best) or (None, None)
-            if reached is not None and reached < best_tau:
-                best_tau, best_params = reached, gauge
-            if collect_landscape:
-                peak = rows[idx]
-                landscape.append((float(bz), float(omega_rf), reached, float(best[peak, idx]), float(taus[peak])))
+        for start in range(0, len(rf_axis), width):
+            block = rf_axis[start : start + width]
+            tables, rates = _mode_table(ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0))
+            bests = _best_over_theta0((tables, rates), taus, out=buffer[: len(block)])
+            for omega_rf, modes, best in zip(block, zip(tables, rates), bests):
+                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+                rows = np.argmax(best, axis=0)
+                for name, j in COMPONENT_INDEX.items():
+                    i = rows[j]
+                    if best[i, j] > peaks[name][0]:
+                        theta0 = _best_over_theta0(modes, taus[i], omega_rf)[1][j]
+                        peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0)))
+                reached, gauge = _first_crossing(p, modes, idx, threshold, taus, best) or (None, None)
+                if reached is not None and reached < best_tau:
+                    best_tau, best_params = reached, gauge
+                if collect_landscape:
+                    peak = rows[idx]
+                    landscape.append((float(bz), float(omega_rf), reached, float(best[peak, idx]), float(taus[peak])))
     achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,

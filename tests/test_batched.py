@@ -391,7 +391,9 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     assert math.isfinite(best_tau) and res.best_tau <= best_tau + 1e-9
 
     # one eigendecomposition per on-shell (bz, omega_rf) pair: the peaks and the
-    # crossing solves read its mode table, reached threshold or not
+    # crossing solves read its mode table, reached threshold or not.  An eigh
+    # call may take a stack of omega_rf blocks, so the count is of the matrices
+    # passed, both halves of a pair each
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -399,4 +401,5 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     for level in (threshold, 2.0):
         calls.clear()
         crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau
-        assert len(calls) == on_shell * resolution and (crossing is None) == (level > 1.0)
+        pairs = sum(a[..., 0, 0].size for a in calls) / 2
+        assert pairs == on_shell * resolution and (crossing is None) == (level > 1.0)

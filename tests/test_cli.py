@@ -266,6 +266,15 @@ def test_search_landscape_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_search_threshold_not_positive_is_usage_error(tmp_path, capsys, threshold):
+    # a threshold of 0 would be met by e1 itself and report a crossing at tau = 0
+    out = tmp_path / "search.json"
+    code, stdout, err = _run(capsys, "search", "--omega-hat", "2.5", "--resolution", "3", "--threshold", threshold, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: threshold must be positive") and err.count("\n") == 1
+
+
 def test_invert_contains_reference_rate(tmp_path, capsys):
     out = tmp_path / "invert.json"
     code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--b-target", str(-PI), "--out", str(out))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trispin.algebra import (
@@ -70,6 +70,20 @@ def static_or_degenerate_params(draw):
     return p
 
 
+def _shell_example(k, bz, omega_rf):
+    return ControlParams(k=k, omega_hat=2.5, b0=transverse_amplitude(2.5, k, bz), bz=bz, omega_rf=omega_rf, theta0=0.0)
+
+
+EXAMPLE_TAUS = [0.0, 0.37, 1.2, 2.9, 7.5]
+
+
+# c_pm = 2*(bz +- k) - omega_rf is 0 on one half at each example: a pair of zero rates
+@example(_shell_example(1.0, 1.0, 4.0), EXAMPLE_TAUS)
+@example(_shell_example(-1.0, 1.0, 4.0), EXAMPLE_TAUS)
+@example(_shell_example(1.0, 1.0, 0.0), EXAMPLE_TAUS)
+@example(_shell_example(-1.0, 1.0, 0.0), EXAMPLE_TAUS)
+# b0 = 0 and c_pm = +-2: both halves have w1 = w2 = 2
+@example(ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0), EXAMPLE_TAUS)
 @given(static_or_degenerate_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
 def test_mode_table_gives_the_theta0_best_state(p, taus):
     # the frame rotation turns only the (x2, x4) and (x6, x8) planes, so the

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trispin import search
 from trispin.algebra import E1, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params
 from trispin.dynamics import _time_grid, exact_state_trajectory
@@ -85,9 +86,16 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
     assert res.best_tau == taus[i]
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, math.nan])
+def test_searches_reject_a_threshold_that_is_not_positive(threshold):
+    # e1 meets any threshold <= 0 at tau = 0, so neither search would measure anything
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        min_time_to_target(PARAMS, "x8", threshold=threshold)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        grid_search(OMEGA, 1.0, resolution=3, threshold=threshold)
+
+
 def test_min_time_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        min_time_to_target(PARAMS, "x8", threshold=-0.5)
     with pytest.raises(ValueError):
         min_time_to_target(PARAMS, "x8", tau_max=-1.0)
 
@@ -105,6 +113,33 @@ def test_grid_search_membership_of_reference_point():
     assert res.feasible
     assert res.best_tau <= ref_best + 1e-2
     assert res.achieved >= float(np.max(ref_curve)) - 1e-9
+
+
+def _grid():
+    return grid_search(2.7, 1.0, resolution=7, threshold=0.6, dtau=5e-2, collect_landscape=True)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_omega_rf_blocks_do_not_change_the_grid(monkeypatch, width):
+    # at the default block size the row of 7 omega_rf values is one block;
+    # here it splits into blocks of width values, the last one partial
+    whole = _grid()
+    rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
+    monkeypatch.setattr(search, "_CHUNK_STEPS", width * rows + rows - 1)
+    blocked = _grid()
+    assert blocked.peaks == whole.peaks
+    assert blocked.best_tau == whole.best_tau and blocked.best_params == whole.best_params
+    assert blocked.landscape == whole.landscape
+
+
+def test_landscape_crossings_are_the_per_pair_crossings():
+    res = _grid()
+    reached = [(bz, omega_rf, tau) for bz, omega_rf, tau, _, _ in res.landscape if tau is not None]
+    assert len(reached) >= 10
+    for bz, omega_rf, tau in reached:
+        p = ControlParams(k=1.0, omega_hat=2.7, b0=transverse_amplitude(2.7, 1.0, bz), bz=bz, omega_rf=omega_rf, theta0=0.0)
+        alone, _ = min_time_to_target(p, "x8", 0.6, tau_max=3.0 * TAU_STAR, dtau=5e-2)
+        assert abs(alone - tau) <= 1e-12
 
 
 def test_grid_search_rejects_empty_bounds():

@@ -100,10 +100,14 @@ def energy_residual(p: ControlParams) -> float:
 
 
 def energy_shell(omega_hat: float, k: float) -> float:
-    """b0^2 + bz^2 on the fixed-energy shell, omega_hat^2 - (1 + k^2); ValueError unless it is positive."""
-    shell = omega_hat**2 - (1.0 + k**2)
-    if not shell > 0:
-        raise ValueError(f"omega_hat={omega_hat:g} is below the energy floor (omega_hat^2 must exceed 1 + k^2)")
+    """b0^2 + bz^2 on the fixed-energy shell, omega_hat^2 - (1 + k^2); ValueError unless it is positive and finite."""
+    try:
+        shell = omega_hat**2 - (1.0 + k**2)
+    except OverflowError:  # a float ** that overflows raises, where * would give inf
+        shell = math.inf
+    if not 0 < shell < math.inf:
+        raise ValueError(f"omega_hat={omega_hat:g} has no energy shell: omega_hat^2 must exceed "
+                         "the energy floor 1 + k^2 and be finite")
     return shell
 
 

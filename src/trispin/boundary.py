@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import ControlParams, energy_residual
+from .algebra import ControlParams, energy_residual, energy_shell
 from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals
 
 PI = math.pi
@@ -335,18 +335,16 @@ def invert_to_physical(
     positive rates are scanned.  An empty result means no sign change was
     bracketed, not a failure.
     """
-    if omega_hat**2 <= 2.0:
-        raise ValueError(f"omega_hat^2 must exceed 2, got {omega_hat**2:.6g}")
     if b_target == 0.0:
         raise ValueError("b_target must be nonzero (the d = 0 branch requires b != 0)")
     if tau_star <= 0.0:
         raise ValueError(f"tau_star must be positive, got {tau_star:g}")
     if abs(abs(k) - 1.0) > 1e-12:
         raise ValueError("the solution family requires |k| = 1")
+    b0 = math.sqrt(energy_shell(omega_hat, k))
     lo, hi = root_range
     if not (0.0 < lo < hi):
         raise ValueError("root_range must satisfy 0 < lo < hi")
-    b0 = math.sqrt(omega_hat**2 - 2.0)
     grid = np.linspace(lo, hi, 10_000)
     solutions: list[InvertedSolution] = []
     for r in (0, 1):

@@ -152,21 +152,24 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     _require(args.out is not None, "--out is required for propagate")
     p = _read_params_file(args.params_file)
     _require(args.tau_end > 0, "--tau-end must be positive")
-    if args.method == "rk4":
-        traj = propagate_rk4(p, E1, args.tau_end, args.dtau)
-    elif args.method == "full-hilbert":
-        traj = full_hilbert_trajectory(p, args.tau_end, args.dtau)
-    else:
-        taus = _time_grid(args.tau_end, args.dtau)
-        if args.method == "rotating-exact":
-            states = exact_state_trajectory(p, E1, taus)
-        else:  # expm-integral
-            states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
-            disc = propagator_discrepancy(p, taus)
-            print(
-                f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}"
-            )
-        traj = Trajectory(taus=taus, states=states, method=args.method)
+    disc = None
+    with np.errstate(over="ignore", invalid="ignore"):  # huge fields overflow: refused below, not warned about
+        if args.method == "rk4":
+            traj = propagate_rk4(p, E1, args.tau_end, args.dtau)
+        elif args.method == "full-hilbert":
+            traj = full_hilbert_trajectory(p, args.tau_end, args.dtau)
+        else:
+            taus = _time_grid(args.tau_end, args.dtau)
+            if args.method == "rotating-exact":
+                states = exact_state_trajectory(p, E1, taus)
+            else:  # expm-integral
+                states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
+                disc = propagator_discrepancy(p, taus)
+            traj = Trajectory(taus=taus, states=states, method=args.method)
+        finite = np.all(np.isfinite(traj.norms())) and (disc is None or math.isfinite(disc.max_deviation))
+    _require(finite, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
+    if disc is not None:
+        print(f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}")
     traj.write_csv(args.out)
     print(f"wrote {len(traj.taus)} samples (method={traj.method}) to {args.out}")
     return 0

@@ -3,10 +3,11 @@
 H(tau) = sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 commutes with sz1 and sz3.  In each
 sector (s1, s3), spanned by sz2 up and down, both bonds act as a static z field,
 so H_s = n_s.sigma with n_s = (b0*cos(theta), b0*sin(theta), s1 + k*s3 + bz): the
-evolution operator is four SU(2) blocks, stepped in closed form as real unit
-quaternions, and the coherences are projected out of the propagated density
-operator.  This oracle reads only H, through ``algebra.sector_fields``, and the
-operator basis, never the reduced generator M, so
+evolution operator is four SU(2) blocks U_s.  sx1 flips s1 only, so the
+coherences need just the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag, which are
+stepped in closed form as real unit quaternions and projected onto the
+operator basis.  This oracle reads only H, through ``algebra.sector_fields``,
+and the operator basis, never the reduced generator M, so
 ``report.dynamics_equivalence`` compares two independent routes.
 ``closure_check`` verifies, entry by entry, that the commutator action of H on
 the operator basis reproduces the reduced generator and stays inside the span.
@@ -24,86 +25,80 @@ from .dynamics import Trajectory, _step, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
-
-def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton products a b = (a0 b0 - av.bv, a0 bv + b0 av + av x bv) of quaternions on the last axis."""
-    a0, av, b0, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
-    scalar = a0 * b0 - np.sum(av * bv, axis=-1, keepdims=True)
-    return np.concatenate([scalar, a0 * bv + b0 * av + np.cross(av, bv)], axis=-1)
-
-
-# L(q)[r, c] = _LEFT_SIGN[r, c] * q[_LEFT_INDEX[r, c]]: the coefficient of r_c in component r of q r
-_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
-
-
-def _left(q: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrices L(q) with L(q) r = q r, the ``_hamilton`` product, for quaternions on the last axis."""
-    return q[..., _LEFT_INDEX] * _LEFT_SIGN
-
-
-# _PROJECTION takes the quaternions (g_+, g_-) of G_s3 = U_(+,s3) U_(-,s3)^dag to x1..x8:
-# x_i = sum_jk Re(w_jk G_jk)/4 with w = O_i[(-,s3), (+,s3)]^T and G = g0 I - i g.sigma (see expectation_trajectory)
-_WEIGHTS = np.stack(coherence_basis())[:, SECTORS[2:, :, None], SECTORS[:2, None, :]].swapaxes(-1, -2)
+# the units of U = q0 I - i(q1 sx + q2 sy + q3 sz), under which matrix products are Hamilton products
 _UNITS = np.stack([np.eye(2), -1j * _PAULI["x"], -1j * _PAULI["y"], -1j * _PAULI["z"]])
+# _SANDWICH[(r, c), (i, j)] = Re Tr(unit_r^dag unit_i unit_c unit_j)/2 is component r of unit_i unit_c unit_j,
+# so (a g b)_r = sum_c (_SANDWICH (a (x) b))_rc g_c
+_SANDWICH = np.einsum("rxw,ixy,cyz,jzw->rcij", _UNITS.conj(), _UNITS, _UNITS, _UNITS).real.reshape(16, 16) / 2.0
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+
+# _PROJECTION takes the quaternions (g_+, g_-) of G_s3 to x1..x8:
+# x_i = sum_jk Re(w_jk G_jk)/4 with w = O_i[(-,s3), (+,s3)]^T and G = g0 I - i g.sigma (see full_hilbert_trajectory)
+_WEIGHTS = np.stack(coherence_basis())[:, SECTORS[2:, :, None], SECTORS[:2, None, :]].swapaxes(-1, -2)
 _PROJECTION = np.einsum("isab,jab->sji", _WEIGHTS, _UNITS).real.reshape(8, 8) / 4.0
 
 
-@dataclass
-class UnitaryTrajectory:
-    """Sampled evolution operator U(tau), U(0) = identity, as sector blocks U_s = q0 I - i(q1 sx + q2 sy + q3 sz)."""
+def _sandwich_increments(d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
+    """D = L(d+) + R(conj d-) + L(d+) R(conj d-), so that g + D g = (1 + d+) g conj(1 + d-).
 
-    taus: np.ndarray
-    quaternions: np.ndarray  # shape (n, 4, 4): real unit quaternions q, sectors in the order of algebra.SECTORS
+    The quaternion components run along the first axis: d_plus and d_minus
+    have shape (4, m, n) and D has shape (4, 4, m, n), row index first.  D is one
+    real product of ``_SANDWICH`` with w = d+ (x) conj(d-), conj(d-) added to its
+    row 0 and d+ to its column 0: the terms of (1 + d+) (x) conj(1 + d-) but the
+    identity's own 1, so no diagonal near 1 is rounded.
+    """
+    c = d_minus * _CONJ
+    w = d_plus[:, None] * c[None]
+    w[0] += c
+    w[:, 0] += d_plus
+    return (_SANDWICH @ w.reshape(16, -1)).reshape(w.shape)
 
 
-def schrodinger_propagate(p: ControlParams, tau_end: float, dtau: float) -> UnitaryTrajectory:
-    """Integrate i dU/dtau = H(tau) U from the identity, sector by sector.
+def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, g): the quaternions of G_s3 = U_(+,s3) U_(-,s3)^dag, s3 = +, -, shape (len(taus), 2, 4).
 
-    Each step is the fourth-order Magnus exponential on two Gauss nodes (Blanes,
-    Casas, Oteo, Ros, Phys. Rep. 470 (2009) 151).  With node fields n1, n2 and
+    U solves i dU/dtau = H(tau) U from the identity, sector by sector.  Each step
+    is the fourth-order Magnus exponential on two Gauss nodes (Blanes, Casas,
+    Oteo, Ros, Phys. Rep. 470 (2009) 151).  With node fields n1, n2 and
     [a.sigma, b.sigma] = 2i (a x b).sigma, its exponent is -i v.sigma with
-    v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step is the SU(2)
-    rotation V = cos|v| I - i sin|v|/|v| v.sigma, exactly unitary.  ``dynamics._step``
-    takes the product in increment form, q <- q + (V - I) q, on the steps of
-    ``dynamics._time_grid``, V - I being ``_left`` of the quaternion
-    (cos|v| - 1, sin|v|/|v| v) with cos|v| - 1 = -2 sin^2(|v|/2): no diagonal
-    near 1 is rounded, where q <- V q drifts by about one unit roundoff a step.
+    v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step of sector s is the
+    SU(2) rotation V_s = cos|v| I - i sin|v|/|v| v.sigma, exactly unitary, and
+    G_s3 <- V_(+,s3) G_s3 V_(-,s3)^dag.  ``dynamics._step`` takes the product on
+    the steps of ``dynamics._time_grid`` in increment form, g <- g + D g, with D
+    from ``_sandwich_increments`` of the quaternions V - I =
+    (cos|v| - 1, sin|v|/|v| v) and cos|v| - 1 = -2 sin^2(|v|/2): g <- (I + D) g
+    would round a diagonal near 1 and drift by about one unit roundoff a step.
     """
 
     def increments(t):
         h = np.diff(t)
-        n1 = sector_fields(p, t[:-1] + (0.5 - _GAUSS_OFFSET) * h)
-        n2 = sector_fields(p, t[:-1] + (0.5 + _GAUSS_OFFSET) * h)
-        h = h[:, None, None]
-        v = (h / 2.0) * (n1 + n2) + (h * h * math.sqrt(3.0) / 6.0) * np.cross(n2, n1)
-        angle = np.linalg.norm(v, axis=-1, keepdims=True)
+        nodes = (sector_fields(p, t[:-1] + (0.5 + s) * h) for s in (-_GAUSS_OFFSET, _GAUSS_OFFSET))
+        # (x, y, z) of the fields n1, n2, each of shape (4 sectors, steps)
+        (x1, y1, z1), (x2, y2, z2) = (np.ascontiguousarray(n.T) for n in nodes)
+        a, b = h / 2.0, h * h * math.sqrt(3.0) / 6.0
+        v = np.stack([a * (x1 + x2) + b * (y2 * z1 - z2 * y1), a * (y1 + y2) + b * (z2 * x1 - x2 * z1),
+                      a * (z1 + z2) + b * (x2 * y1 - y2 * x1)])
+        angle = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
         # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
-        return _left(np.concatenate([-2.0 * np.sin(angle / 2.0) ** 2, np.sinc(angle / math.pi) * v], axis=-1))
+        d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, np.sinc(angle / math.pi) * v])
+        # to the (steps, 2, 4, 4) layout of dynamics._step, contiguous for its copy into blocks
+        return _sandwich_increments(d[:, :2], d[:, 2:]).transpose(3, 2, 0, 1).copy()
 
     taus = _time_grid(tau_end, dtau)
-    identity = np.tile([[1.0], [0.0], [0.0], [0.0]], (4, 1, 1))
-    return UnitaryTrajectory(taus=taus, quaternions=_step(taus, identity, increments)[..., 0])
-
-
-def expectation_trajectory(ut: UnitaryTrajectory) -> np.ndarray:
-    """Coherence expectation values x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, shape (n, 8).
-
-    The identity part of rho(0) drops out.  sx1 flips s1 only, so W = U sx1 U^dag
-    holds just the blocks G_{s3} = U_{(+,s3)} U_{(-,s3)}^dag and their adjoints,
-    and for Hermitian O_i, x_i = 2 Re sum_{s3} Tr[O_i[(-,s3), (+,s3)] G_{s3}]/8:
-    one real matrix product of the quaternions q_(+,s3) conj(q_(-,s3)) of the
-    G_{s3} with ``_PROJECTION`` (U^dag has the quaternion (q0, -q1, -q2, -q3)).
-    """
-    q = ut.quaternions
-    g = _hamilton(q[:, :2], q[:, 2:] * [1.0, -1.0, -1.0, -1.0])
-    return g.reshape(len(g), 8) @ _PROJECTION
+    identity = np.tile([[1.0], [0.0], [0.0], [0.0]], (2, 1, 1))
+    return taus, _step(taus, identity, increments)[..., 0]
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
-    """Expectation-value trajectory obtained from the full-space propagation."""
-    ut = schrodinger_propagate(p, tau_end, dtau)
-    return Trajectory(taus=ut.taus, states=expectation_trajectory(ut), method="full-hilbert")
+    """Coherences x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8 from the full-space propagation.
+
+    The identity part of rho(0) drops out.  W = U sx1 U^dag holds just the
+    blocks G_s3 and their adjoints, and for Hermitian O_i,
+    x_i = 2 Re sum_s3 Tr[O_i[(-,s3), (+,s3)] G_s3]/8: one real matrix product
+    of the quaternions of the G_s3 with ``_PROJECTION``.
+    """
+    taus, g = coherence_blocks(p, tau_end, dtau)
+    return Trajectory(taus=taus, states=g.reshape(len(g), 8) @ _PROJECTION, method="full-hilbert")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The batched routes against the one-at-a-time loops they replace.
 
-``propagate_rk4`` and ``schrodinger_propagate`` hand their per-step matrices
+``propagate_rk4`` and ``coherence_blocks`` hand their per-step matrices
 to the one step loop ``dynamics._step``, which builds them over runs of
 ``dynamics._CHUNK_STEPS`` steps and takes their product in blocks of
 ``dynamics._BLOCK_STEPS``.  The oracles below are the plain
@@ -12,10 +12,11 @@ shortened last step, or hold one point or one step.
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
 and from a generic unit vector whose halves differ.
 
-``schrodinger_propagate`` and ``expectation_trajectory`` also work on the four
-conserved (sz1, sz3) sectors, with a closed-form SU(2) step on real unit
-quaternions and a block projection; their oracle is the fourth-order Magnus step of the full 8x8
-Hamiltonian by ``eigh`` and a trace per operator.
+``coherence_blocks`` steps the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of the
+conserved (sz1, sz3) sectors that the coherences need, with a closed-form SU(2)
+step on real unit quaternions, and ``full_hilbert_trajectory`` projects them;
+their oracle is the fourth-order Magnus step of the full 8x8 Hamiltonian by
+``eigh`` and a trace per operator.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
@@ -70,7 +71,7 @@ from trispin.dynamics import (
     propagate_rk4,
     propagator_discrepancy,
 )
-from trispin.hilbert import expectation_trajectory, schrodinger_propagate
+from trispin.hilbert import coherence_blocks, full_hilbert_trajectory
 from trispin.report import random_consistent_params
 
 DTAU = 1e-3
@@ -110,7 +111,7 @@ def rk4_per_step(p, x0, tau_end, dtau):
 def gauss4_per_step(p, tau_end, dtau):
     """Fourth-order Magnus stepping of the 8x8 U, one eigendecomposition per iteration.
 
-    Like ``schrodinger_propagate`` it adds the increment (V - I) U, with V - I
+    Like ``coherence_blocks`` it adds the increment (V - I) U, with V - I
     from expm1 of the eigenvalues, so neither product carries the rounding of
     a diagonal near 1 from step to step.
     """
@@ -138,11 +139,10 @@ def expectations_by_trace(unitaries):
     return np.einsum("iab,tab->ti", basis.conj(), w).real / 8.0
 
 
-def embed_sectors(blocks):
-    """The (n, 8, 8) product-basis matrices whose sector blocks are blocks, shape (n, 4, 2, 2); zero elsewhere."""
-    full = np.zeros((len(blocks), 8, 8), dtype=complex)
-    full[:, SECTORS[:, :, None], SECTORS[:, None, :]] = blocks
-    return full
+def coherence_of_unitaries(unitaries):
+    """G_s3 = U_(+,s3) U_(-,s3)^dag from the sector blocks of the (n, 8, 8) unitaries, shape (n, 2, 2, 2)."""
+    blocks = unitaries[:, SECTORS[:, :, None], SECTORS[:, None, :]]
+    return blocks[:, :2] @ blocks[:, 2:].conj().swapaxes(-1, -2)
 
 
 @pytest.fixture(scope="module")
@@ -165,11 +165,13 @@ def test_rk4_matches_per_step_loop(params, tau_end):
 
 @on_grids
 def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
-    ut = schrodinger_propagate(params, tau_end, DTAU)
-    taus, unitaries = gauss4_per_step(params, tau_end, DTAU)
-    assert np.array_equal(ut.taus, taus)
-    assert np.max(np.abs(embed_sectors(su2(ut.quaternions)) - unitaries)) <= 1e-13
-    assert np.max(np.abs(expectation_trajectory(ut) - expectations_by_trace(unitaries))) <= 1e-13
+    taus, g = coherence_blocks(params, tau_end, DTAU)
+    loop_taus, unitaries = gauss4_per_step(params, tau_end, DTAU)
+    assert np.array_equal(taus, loop_taus)
+    assert np.max(np.abs(su2(g) - coherence_of_unitaries(unitaries))) <= 1e-13
+    full = full_hilbert_trajectory(params, tau_end, DTAU)
+    assert np.array_equal(full.taus, loop_taus)
+    assert np.max(np.abs(full.states - expectations_by_trace(unitaries))) <= 1e-13
 
 
 def test_grid_lengths_cover_run_boundaries():

@@ -439,3 +439,34 @@ def test_propagate_rejects_non_finite_params(tmp_path, capsys):
     assert code == 2
     assert "non-finite omega_hat" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--omega-hat", "1e155"),
+        ("search", "--omega-hat", "1e200"),
+        ("invert", "--omega-hat", "1e200"),
+        ("analytic", "--m0", "0", "--n0", "0", "--omega-hat", "1e200"),
+    ],
+    ids=["verify", "search", "invert", "analytic"],
+)
+def test_energy_shell_out_of_float_range_is_usage_error(capsys, argv):
+    # omega_hat is finite, but omega_hat^2 is not: Python's float ** raised OverflowError here
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "be finite" in err
+
+
+@pytest.mark.parametrize("method", ["rk4", "full-hilbert", "rotating-exact", "expm-integral"])
+def test_propagate_refuses_a_trajectory_that_is_not_finite(tmp_path, capsys, method):
+    # every field is finite, but b0 = 1e308 overflows inside each propagator
+    params = closed_form_params(OMEGA).to_dict()
+    params["b0"] = 1e308
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    out = tmp_path / "x.csv"
+    argv = ("propagate", "--params-file", str(pf), "--method", method, "--tau-end", "1", "--dtau", "0.1")
+    code, stdout, err = _run(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(pf) in err and "not finite" in err

@@ -19,7 +19,7 @@ from trispin.algebra import (
     transverse_amplitude,
 )
 from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
-from trispin.hilbert import schrodinger_propagate
+from trispin.hilbert import coherence_blocks
 from trispin.search import _best_over_theta0, _mode_table
 
 
@@ -121,7 +121,7 @@ def test_build_M_decouples_into_halves(p, tau, x):
 
 @given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
 def test_gauss4_is_unitary(su2, p, tau_end, dtau):
-    u = su2(schrodinger_propagate(p, tau_end, dtau).quaternions)
+    u = su2(coherence_blocks(p, tau_end, dtau)[1])
     assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-12
 
 

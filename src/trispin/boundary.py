@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import ControlParams, energy_residual, energy_shell
 from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals
@@ -345,6 +344,7 @@ def invert_to_physical(
     lo, hi = root_range
     if not (0.0 < lo < hi):
         raise ValueError("root_range must satisfy 0 < lo < hi")
+    from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
     grid = np.linspace(lo, hi, 10_000)
     solutions: list[InvertedSolution] = []
     for r in (0, 1):

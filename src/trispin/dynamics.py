@@ -12,7 +12,7 @@ MB, MZ, MC and MS.  Generators and propagated states carry both halves on one
 axis of length 2, + first.  Three propagation routes are provided:
 
 * ``propagate_rk4``            classic fixed-step RK4 on the two 4-vectors y_pm,
-                               its step matrices built in batches over the time grid,
+                               one step map per run in the co-rotating frame,
 * ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
                                for the rotating drive the generator does not
                                commute with its integral, so this is *not*
@@ -34,9 +34,7 @@ from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
-# steps per batch of the time-grid integrators, and per block of their product (see _step)
-_CHUNK_STEPS = 4096
-_BLOCK_STEPS = math.isqrt(_CHUNK_STEPS)
+_BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -138,64 +136,62 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
     return taus
 
 
-def _step(taus: np.ndarray, x0: np.ndarray, increments) -> np.ndarray:
-    """x_0 = x0 and x_i = x_{i-1} + D_i x_{i-1} on the grid taus, shape (len(taus),) + x0.shape.
+def _powers(e: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = (I + e[0])^i out[0] for i < n - 1, then out[n-1] = (I + e[1]) out[n-2], in place.
 
-    ``increments(t)`` returns the stacked real step matrices D between the
-    points t of one run of at most _CHUNK_STEPS steps: 1 MB for RK4 and 2 MB
-    for gauss4, where the 40k-step default verify grid would take 10 and 21 MB.
-    A run is taken in blocks of _BLOCK_STEPS steps.  For all blocks at once,
-    E_0 = D_0 and E_l = E_{l-1} + D_l E_{l-1} + D_l, so I + E_l = (I + D_l)...(I + D_0);
-    the block starts x_{b+1} = x_b + E_{b,last} x_b are carried serially, and
-    the states x_b + E_{b,l} x_b are one product: about 2*_BLOCK_STEPS Python
-    iterations and O(n) work per run, not a prefix scan's log n full passes.
-    The increment form is deliberate: x <- (I + D) x rounds the diagonal near 1
-    at every step, and over the default verify grid RK4 in that form drifted
-    from the exact propagator by up to 8e-13, against 2e-14 for x + D x step by
-    step and 8e-15 in blocks.
+    out has shape (n, k, m), k independent halves; e (2, k, m, m) holds the increments
+    of a step of dtau and of the grid's last step.  With E_l = (I + e)^(l+1) - I =
+    E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, the block starts s_j = s_(j-1) +
+    E_last s_(j-1) are carried serially and the states s_j + E_l s_j are one product.
+    Increments keep a diagonal near 1 from being rounded each step; e and E_last are
+    rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
-    states = np.empty((len(taus),) + x0.shape, dtype=x0.dtype)
-    states[0] = x0
-    for start in range(0, len(taus) - 1, _CHUNK_STEPS):
-        d = increments(taus[start : start + _CHUNK_STEPS + 1])
-        n, n_blocks = len(d), -(-len(d) // _BLOCK_STEPS)
-        # e[l, b] = D of step l of block b, zero past the last step, then E in place
-        e = np.zeros((_BLOCK_STEPS, n_blocks) + d.shape[1:])
-        block, step = np.divmod(np.arange(n), _BLOCK_STEPS)
-        e[step, block] = d
-        for l in range(1, _BLOCK_STEPS):
-            e[l] += e[l] @ e[l - 1]
-            e[l] += e[l - 1]
-        starts = np.empty((n_blocks,) + x0.shape)
-        starts[0] = states[start]
-        for b in range(1, n_blocks):
-            starts[b] = starts[b - 1] + e[-1, b - 1] @ starts[b - 1]
-        inside = starts + e @ starts
-        states[start + 1 : start + 1 + n] = inside.swapaxes(0, 1).reshape((-1,) + x0.shape)[:n]
-    return states
+    n, width = len(out), out[0].size
+    if n == 1:
+        return
+    flat = out.reshape(n, width)
+    powers = np.empty((_BLOCK_STEPS,) + e.shape[1:])
+    powers[0] = e[0]
+    for l in range(1, _BLOCK_STEPS):
+        powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
+    # table[(h, j), (l, g, i)] = E_l[h, i, j] if g = h, else 0, so (s @ table)[(l, g, i)] = (E_l s)[g, i]
+    table = np.einsum("lhij,hg->hjlgi", powers, np.eye(e.shape[1])).reshape(width, _BLOCK_STEPS * width)
+    full, rest = divmod(n - 2, _BLOCK_STEPS)
+    starts = np.empty((full + 1,) + out.shape[1:] + (1,))
+    starts[0] = out[0, ..., None]
+    for j in range(1, full + 1):
+        starts[j] = starts[j - 1] + powers[-1] @ starts[j - 1]
+    starts = starts.reshape(full + 1, width)
+    inside = flat[1 : 1 + full * _BLOCK_STEPS].reshape(full, _BLOCK_STEPS, width)
+    np.matmul(starts[:full], table, out=inside.reshape(full, _BLOCK_STEPS * width))
+    inside += starts[:full, None]
+    flat[n - 1 - rest : n - 1] = (starts[full] @ table[:, : rest * width]).reshape(rest, width) + starts[full]
+    out[-1] = out[-2] + (e[1] @ out[-2, ..., None])[..., 0]
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step RK4 of dy_pm/dtau = M_pm y_pm, both halves of x0 as one (2, 4, 1) stack.
+    """Classic 4th-order fixed-step RK4 of dy_pm/dtau = M_pm y_pm on ``_time_grid(tau_end, dtau)``, both halves at once.
 
-    The grid is ``_time_grid(tau_end, dtau)``.  The stages of a linear system
-    are matrices: with left, middle and right generators A1, A2, A4 of a step
-    of length h, K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2),
-    K4 = A4 (I + h K3), and ``_step`` adds D y with D = h/6 (A1 + 2 K2 + 2 K3 + K4).
+    With left, middle and right generators A1, A2, A4 of a step of length h, the stages of a
+    linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
+    step adds D y, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M_pm(t + s) = R M_pm(s) R^T (see J),
+    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)).
     """
-
-    def increments(t):
-        h = np.diff(t)[:, None, None, None]
-        edge = build_M_half(p, t)
-        left, right = edge[:-1], edge[1:]
-        mid = build_M_half(p, t[:-1] + h[:, 0, 0, 0] / 2.0)
-        k2 = mid + (h / 2.0) * (mid @ left)
-        k3 = mid + (h / 2.0) * (mid @ k2)
-        k4 = right + h * (right @ k3)
-        return (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
-
     taus = _time_grid(tau_end, dtau)
-    y = _step(taus, split_halves(x0)[..., None], increments)[..., 0]
+    h = np.append(dtau, np.diff(taus[-2:]))[:, None, None, None]  # every step of _time_grid but its last is dtau long
+    left, mid, right = build_M_half(p, np.outer([0.0, 0.5, 1.0], h))
+    k2 = mid + (h / 2.0) * (mid @ left)
+    k3 = mid + (h / 2.0) * (mid @ k2)
+    k4 = right + h * (right @ k3)
+    d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
+    # R(-omega_rf h) - I = -sin(omega_rf h) J + (1 - cos(omega_rf h)) J^2, as J^3 = -J
+    turn = -np.sin(p.omega_rf * h) * J + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (J @ J)
+    y = np.empty((len(taus), 2, 4))
+    y[0] = split_halves(x0)
+    _powers(turn + d + turn @ d, y)
+    # back to the lab frame: exp(omega_rf*tau*J) turns the (2,4) plane of each half by omega_rf*tau
+    c, s = (f(p.omega_rf * taus)[:, None] for f in (np.cos, np.sin))
+    y[..., 1], y[..., 3] = c * y[..., 1] - s * y[..., 3], s * y[..., 1] + c * y[..., 3]
     return Trajectory(taus=taus, states=join_halves(y), method="rk4")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _step, _time_grid, build_M
+from .dynamics import Trajectory, _powers, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -63,30 +63,32 @@ def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.
     [a.sigma, b.sigma] = 2i (a x b).sigma, its exponent is -i v.sigma with
     v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step of sector s is the
     SU(2) rotation V_s = cos|v| I - i sin|v|/|v| v.sigma, exactly unitary, and
-    G_s3 <- V_(+,s3) G_s3 V_(-,s3)^dag.  ``dynamics._step`` takes the product on
-    the steps of ``dynamics._time_grid`` in increment form, g <- g + D g, with D
-    from ``_sandwich_increments`` of the quaternions V - I =
-    (cos|v| - 1, sin|v|/|v| v) and cos|v| - 1 = -2 sin^2(|v|/2): g <- (I + D) g
-    would round a diagonal near 1 and drift by about one unit roundoff a step.
+    G_s3 <- V_(+,s3) G_s3 V_(-,s3)^dag.  The fields turn with the drive, so V_s(t) =
+    Q_t V_s(0) Q_t^dag with Q_t = exp(-i omega_rf t sz/2), and F = Q_tau^dag G Q_tau
+    steps by one map, F <- W_+ F W_-^dag with W_s = Q_h^dag V_s(0), taken by
+    ``dynamics._powers`` as F + D F: D from ``_sandwich_increments`` of V - I =
+    (cos|v| - 1, sin|v|/|v| v) and Q_h^dag - I, with cos x - 1 = -2 sin^2(x/2).
     """
-
-    def increments(t):
-        h = np.diff(t)
-        nodes = (sector_fields(p, t[:-1] + (0.5 + s) * h) for s in (-_GAUSS_OFFSET, _GAUSS_OFFSET))
-        # (x, y, z) of the fields n1, n2, each of shape (4 sectors, steps)
-        (x1, y1, z1), (x2, y2, z2) = (np.ascontiguousarray(n.T) for n in nodes)
-        a, b = h / 2.0, h * h * math.sqrt(3.0) / 6.0
-        v = np.stack([a * (x1 + x2) + b * (y2 * z1 - z2 * y1), a * (y1 + y2) + b * (z2 * x1 - x2 * z1),
-                      a * (z1 + z2) + b * (x2 * y1 - y2 * x1)])
-        angle = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-        # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
-        d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, np.sinc(angle / math.pi) * v])
-        # to the (steps, 2, 4, 4) layout of dynamics._step, contiguous for its copy into blocks
-        return _sandwich_increments(d[:, :2], d[:, 2:]).transpose(3, 2, 0, 1).copy()
-
     taus = _time_grid(tau_end, dtau)
-    identity = np.tile([[1.0], [0.0], [0.0], [0.0]], (2, 1, 1))
-    return taus, _step(taus, identity, increments)[..., 0]
+    h = np.append(dtau, np.diff(taus[-2:]))  # every step of _time_grid but its last is dtau long
+    # (x, y, z) of the fields n1, n2 at the Gauss nodes of a step from 0, each of shape (4 sectors, 2 step lengths)
+    (x1, y1, z1), (x2, y2, z2) = (sector_fields(p, (0.5 + s) * h).T for s in (-_GAUSS_OFFSET, _GAUSS_OFFSET))
+    a, b = h / 2.0, h * h * math.sqrt(3.0) / 6.0
+    v = np.stack([a * (x1 + x2) + b * (y2 * z1 - z2 * y1), a * (y1 + y2) + b * (z2 * x1 - x2 * z1),
+                  a * (z1 + z2) + b * (x2 * y1 - y2 * x1)])
+    angle = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+    # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
+    d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, np.sinc(angle / math.pi) * v])
+    # Q_h^dag - I = (cos(omega_rf h/2) - 1) I - i (-sin(omega_rf h/2)) sz; the map is Q_h^dag (V+ F V-^dag) Q_h
+    q = np.stack([-2.0 * np.sin(p.omega_rf * h / 4.0) ** 2, 0.0 * h, 0.0 * h, -np.sin(p.omega_rf * h / 2.0)])[:, None]
+    step, turn = (_sandwich_increments(*pair).transpose(3, 2, 0, 1) for pair in ((d[:, :2], d[:, 2:]), (q, q)))
+    g = np.empty((len(taus), 2, 4))
+    g[0] = [1.0, 0.0, 0.0, 0.0]
+    _powers(turn + step + turn @ step, g)
+    # back to the lab frame: G = Q_tau F Q_tau^dag turns the (g1, g2) plane by omega_rf*tau
+    c, s = (f(p.omega_rf * taus)[:, None] for f in (np.cos, np.sin))
+    g[..., 1], g[..., 2] = c * g[..., 1] - s * g[..., 2], s * g[..., 1] + c * g[..., 2]
+    return taus, g
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .algebra import TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _CHUNK_STEPS, _PM, _time_grid, rotating_modes
+from .dynamics import _PM, _time_grid, rotating_modes
 
+_CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
 
@@ -134,6 +134,7 @@ def _first_crossing(
     i = int(hits[0])
     if i == 0:  # the state is e1, whatever theta0
         return 0.0, p
+    from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
     ends = {float(taus[i - 1]): best[i - 1, j] - threshold, float(taus[i]): best[i, j] - threshold}
 
     def gap(tau: float) -> float:
@@ -174,7 +175,7 @@ def grid_search(
     """Grid scan of the energy-shell ansatz for the earliest threshold crossing.
 
     Deterministic for fixed inputs; a control between grid nodes is not seen.  Each
-    on-shell bz row of omega_rf is taken in blocks of at most dynamics._CHUNK_STEPS
+    on-shell bz row of omega_rf is taken in blocks of at most _CHUNK_STEPS
     (omega_rf, tau) rows, one omega_rf at least: one ``_mode_table`` (one eigh call)
     and one ``_best_over_theta0`` pass per block.  Peaks and crossings stay per
     (bz, omega_rf) pair: every reported params/tau pair carries the best theta0 there,
@@ -259,6 +260,7 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
     """
     if not seed.feasible or seed.best_params is None or seed.best_tau is None:
         return replace(seed, trace=list(seed.trace))
+    from scipy.optimize import minimize  # imported here: the CLI's start-up needs no scipy
     spec = seed.grid_spec
     omega_hat, k = spec["omega_hat"], spec["k"]
     target, threshold = spec["target"], spec["threshold"]

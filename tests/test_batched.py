@@ -1,12 +1,14 @@
 """The batched routes against the one-at-a-time loops they replace.
 
-``propagate_rk4`` and ``coherence_blocks`` hand their per-step matrices
-to the one step loop ``dynamics._step``, which builds them over runs of
-``dynamics._CHUNK_STEPS`` steps and takes their product in blocks of
-``dynamics._BLOCK_STEPS``.  The oracles below are the plain
-one-step-at-a-time versions, kept here only as references.  The grids end one
-step before, on and one step after a block edge and a run edge, end in a
-shortened last step, or hold one point or one step.
+``propagate_rk4`` and ``coherence_blocks`` step in the co-rotating frame,
+where every step of dtau is one constant map and the grid's last step has its
+own; ``dynamics._powers`` takes the powers of that map in blocks of
+``dynamics._BLOCK_STEPS`` steps.  The oracles below are the plain
+one-step-at-a-time versions in the lab frame, one generator per step, kept here
+only as references.  The grids hold one point, one step (the last map alone)
+or two, end one step before, on and one step after a block edge, end in a
+shortened last step after whole blocks, or are one long run with a partial
+last block.
 
 ``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
@@ -55,7 +57,6 @@ from trispin.algebra import (
 from trispin.boundary import _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
     _BLOCK_STEPS,
-    _CHUNK_STEPS,
     MB,
     MC,
     MS,
@@ -79,12 +80,12 @@ DTAU = 1e-3
 GRIDS = {
     "one_point": 0.0,
     "one_step": DTAU,
+    "two_steps": 2 * DTAU,
     "block_less_one": (_BLOCK_STEPS - 1) * DTAU,
     "one_block": _BLOCK_STEPS * DTAU,
     "block_and_one": (_BLOCK_STEPS + 1) * DTAU,
-    "run_less_one": (_CHUNK_STEPS - 1) * DTAU,
-    "one_full_run": _CHUNK_STEPS * DTAU,
-    "run_boundary_then_short_last_step": (_CHUNK_STEPS + 10.5) * DTAU,
+    "blocks_then_short_last_step": (3 * _BLOCK_STEPS + 0.5) * DTAU,
+    "one_full_run": 4096 * DTAU,
 }
 on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
 
@@ -175,9 +176,12 @@ def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
 
 
 def test_grid_lengths_cover_run_boundaries():
-    # the GRIDS above really end on both sides of a block edge and of a run edge
-    steps = [0, 1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 11]
+    # the GRIDS above really end on both sides of a block edge, after whole blocks and a shortened
+    # last step, and in a long run whose last block is partial
+    b = _BLOCK_STEPS
+    steps = [0, 1, 2, b - 1, b, b + 1, 3 * b + 1, 4096]
     assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
+    assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])

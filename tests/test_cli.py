@@ -371,6 +371,13 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.optimize is imported where brentq and minimize are called, so start-up does not pay for it
+    code = "import sys, trispin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_without_on_shell_grid_point_skips_searches(tmp_path, capsys):
     # at resolution 2 the bz axis is (-omega_hat, omega_hat), both off the energy shell
     out = tmp_path / "report.json"

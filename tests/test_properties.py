@@ -18,7 +18,7 @@ from trispin.algebra import (
     sector_fields,
     transverse_amplitude,
 )
-from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, split_halves
+from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, propagate_rk4, split_halves
 from trispin.hilbert import coherence_blocks
 from trispin.search import _best_over_theta0, _mode_table
 
@@ -117,6 +117,38 @@ def test_build_M_decouples_into_halves(p, tau, x):
     # M x = join(M_+ y_+, M_- y_-) with (y_+, y_-) = split(x): the y_pm halves evolve independently
     halves = join_halves((build_M_half(p, tau) @ split_halves(x)[..., None])[..., 0])
     assert np.max(np.abs(build_M(p, tau) @ x - halves)) <= 1e-12
+
+
+@given(shell_params(), _floats(0.0, 5.0), _floats(0.0, 5.0), _floats(1e-3, 0.2))
+def test_the_drive_turns_with_the_co_rotating_frame(su2, p, t, s, h):
+    # M_pm(t + s) = R M_pm(s) R^T with R = exp(omega_rf t J), and n_s(t + s) = Rz(omega_rf t) n_s(s); the
+    # phases theta(t + s) and theta(s) + omega_rf t round apart by about an ulp of theta, so b0 cos(theta)
+    # by about b0 ulp(theta): 1e-14 per unit of b0 theta
+    tol = 1e-14 * max(1.0, abs(p.b0 * p.theta(t + s)))
+    c, sn = math.cos(p.omega_rf * t), math.sin(p.omega_rf * t)
+    turn = np.eye(4)
+    turn[1, 1], turn[1, 3], turn[3, 1], turn[3, 3] = c, -sn, sn, c
+    assert np.max(np.abs(build_M_half(p, t + s) - turn @ build_M_half(p, s) @ turn.T)) <= tol
+    rz = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
+    assert np.max(np.abs(sector_fields(p, t + s) - sector_fields(p, s) @ rz.T)) <= tol
+    # so one co-rotating RK4 step, turned back by R on both halves, is the lab-frame step at t
+    step = np.array([propagate_rk4(p, x, h, h).states[-1] for x in np.eye(8)]).T
+    turn8 = np.kron(np.eye(2), turn)
+    m_left, m_mid, m_right = build_M(p, t), build_M(p, t + h / 2.0), build_M(p, t + h)
+    k2 = m_mid + (h / 2.0) * m_mid @ m_left
+    k3 = m_mid + (h / 2.0) * m_mid @ k2
+    k4 = m_right + h * m_right @ k3
+    lab = np.eye(8) + (h / 6.0) * (m_left + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.max(np.abs(turn8 @ step @ turn8.T - lab)) <= 1e-14
+    # and one co-rotating Magnus step of G_s3, turned back by Q_t = exp(-i omega_rf t sz/2), is V_(+,s3) V_(-,s3)^dag at t
+    q = np.diag([np.exp(-0.5j * p.omega_rf * t), np.exp(0.5j * p.omega_rf * t)])
+    n1, n2 = sector_fields(p, t + h * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
+    v = (h / 2.0) * (n1 + n2) + (h * h * math.sqrt(3.0) / 6.0) * np.cross(n2, n1)
+    v_sigma = np.einsum("sk,kab->sab", v, np.stack([_PAULI[a] for a in "xyz"]))
+    angle = np.linalg.norm(v, axis=-1)[:, None, None]
+    lab = np.cos(angle) * np.eye(2) - 1j * np.sinc(angle / math.pi) * v_sigma
+    g = su2(coherence_blocks(p, h, h)[1][-1])
+    assert np.max(np.abs(q @ g @ q.conj().T - lab[:2] @ lab[2:].conj().swapaxes(-1, -2))) <= 1e-14
 
 
 @given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))

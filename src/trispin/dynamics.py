@@ -17,8 +17,8 @@ axis of length 2, + first.  Three propagation routes are provided:
                                for the rotating drive the generator does not
                                commute with its integral, so this is *not*
                                guaranteed to equal the time-ordered solution),
-* ``propagate_rotating_exact`` closed form obtained in the co-rotating frame,
-                               exact up to eigendecomposition accuracy.
+* ``propagate_rotating_exact`` closed form in the co-rotating frame from one real
+                               ``mode_table``, exact to eigendecomposition accuracy.
 
 ``propagator_discrepancy`` measures the gap between the last two routes.
 """
@@ -63,6 +63,8 @@ J = _skew(1, 3, -1.0)
 
 # the (+, -) halves axis of every generator and state: M0_pm = MB + (bz + _PM*k)*MZ
 _PM = np.array([1.0, -1.0])[:, None, None]
+# _JOIN[h, 0, s, 0, 0] = 1/2 and _PM[h]/2 for s = +, -: half h's part of x_plus and x_minus, as in join_halves
+_JOIN = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])[:, None, :, None, None]
 
 
 def static_generator(p: ControlParams) -> np.ndarray:
@@ -141,8 +143,8 @@ def _powers(e: np.ndarray, out: np.ndarray) -> None:
 
     out has shape (n, k, m), k independent halves; e (2, k, m, m) holds the increments
     of a step of dtau and of the grid's last step.  With E_l = (I + e)^(l+1) - I =
-    E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, the block starts s_j = s_(j-1) +
-    E_last s_(j-1) are carried serially and the states s_j + E_l s_j are one product.
+    E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, the states s_j + E_l s_j are one product and the block
+    starts s_j = (I + E_last)^j s_0 are filled by _powers on E_last, n entries recursing to n/_BLOCK_STEPS, ...
     Increments keep a diagonal near 1 from being rounded each step; e and E_last are
     rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
@@ -157,10 +159,9 @@ def _powers(e: np.ndarray, out: np.ndarray) -> None:
     # table[(h, j), (l, g, i)] = E_l[h, i, j] if g = h, else 0, so (s @ table)[(l, g, i)] = (E_l s)[g, i]
     table = np.einsum("lhij,hg->hjlgi", powers, np.eye(e.shape[1])).reshape(width, _BLOCK_STEPS * width)
     full, rest = divmod(n - 2, _BLOCK_STEPS)
-    starts = np.empty((full + 1,) + out.shape[1:] + (1,))
-    starts[0] = out[0, ..., None]
-    for j in range(1, full + 1):
-        starts[j] = starts[j - 1] + powers[-1] @ starts[j - 1]
+    starts = np.empty((full + 1,) + out.shape[1:])
+    starts[0] = out[0]
+    _powers(powers[[-1, -1]], starts)
     starts = starts.reshape(full + 1, width)
     inside = flat[1 : 1 + full * _BLOCK_STEPS].reshape(full, _BLOCK_STEPS, width)
     np.matmul(starts[:full], table, out=inside.reshape(full, _BLOCK_STEPS * width))
@@ -247,37 +248,55 @@ def rotating_generator(p: ControlParams) -> np.ndarray:
     return build_M_half(p, 0.0) - np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J
 
 
-def rotating_modes(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
-    """(ev, vec), shapes (2, 4) and (2, 4, 4): exp[tau (M_pm(0) - omega_rf J)] = vec exp(-1j*ev*tau) vec^H per half.
+def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, w), shapes (8,) + np.shape(y0) and (4,): [cos(w*tau), sin(w*tau)] @ table is the co-rotating state from y0.
 
-    An array-valued p.omega_rf prepends its shape: one eigh call decomposes the whole stack.
-    1j*gen is Hermitian: eigh gives a unitary basis even at degenerate spectra, where eig can give a singular one.
+    That is exp[tau (M_pm(0) - omega_rf J)] y0 before the frame turn exp(omega_rf*tau*J), y0 of shape (2, 4) or
+    (2, 4, m), both halves + first, joined: the table's halves axis holds x_plus, x_minus = (y_+ +- y_-)/2, so
+    from y0 = split_halves(x0) it gives the 8-vector.  An array-valued p.omega_rf prepends its shape to both.  eigh
+    of the Hermitian 1j*gen gives a unitary basis vec even at degenerate spectra, where eig can give a singular one,
+    and each half's rates as (-w1, -w2, w2, w1), gen being real and skew.  Mode m of half h carries T_m = vec[:, m]
+    (vec[:, m]^H y0_h); modes m = 2, 3 at w = ev_m and m' = 3 - m at -w give Re(T_m + T_m') cos(w*tau) +
+    Im(T_m - T_m') sin(w*tau), so a degenerate pair (w = 0, or w1 = w2) still sums to its projector.
     """
-    return np.linalg.eigh(1j * rotating_generator(p))
+    ev, vec = np.linalg.eigh(1j * rotating_generator(p))
+    modes = vec.swapaxes(-1, -2)  # modes[..., h, m, i]
+    amp = modes[..., None] * (modes.conj() @ np.reshape(y0, (2, 4, -1)))[..., None, :]  # amp[..., h, m, i, col]
+    up, down = amp[..., 2:, :, :], amp[..., 1::-1, :, :]  # modes m = 2, 3 and their partners 3 - m
+    coef = np.stack([(up + down).real, (up - down).imag], axis=-5)  # coef[..., cos|sin, h, m, i, col]
+    table = coef[..., None, :, :] * _JOIN  # table[..., cos|sin, h, m, +|-, i, col]
+    return table.reshape(ev.shape[:-2] + (8,) + np.shape(y0)), ev[..., 2:].reshape(ev.shape[:-2] + (4,))
+
+
+def _rotating_states(p: ControlParams, table: np.ndarray, w: np.ndarray, taus) -> np.ndarray:
+    """[cos(w*tau), sin(w*tau)] @ table turned by exp(omega_rf*tau*J), shape np.shape(taus) + table.shape[1:]."""
+    t = np.ravel(np.asarray(taus, dtype=float))
+    y = np.empty((2, 4, len(t)))  # [cos(w*tau), sin(w*tau)], tau last: the frame turn runs along contiguous rows
+    np.cos(w[:, None] * t, out=y[0])
+    np.sin(w[:, None] * t, out=y[1])
+    y = (table.reshape(8, -1).T @ y.reshape(8, -1)).reshape(2, 4, -1, len(t))
+    # exp(phi*J) rotates the (2,4) plane of both halves, and so of their sum and difference, by phi = omega_rf*tau
+    c, s = np.cos(p.omega_rf * t), np.sin(p.omega_rf * t)
+    y[:, 1], y[:, 3] = c * y[:, 1] - s * y[:, 3], s * y[:, 1] + c * y[:, 3]
+    return np.ascontiguousarray(np.moveaxis(y, -1, 0)).reshape(np.shape(taus) + table.shape[1:])
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:
     """Exact y_pm(tau) = exp(omega_rf*tau*J) exp[tau (M_pm(0) - omega_rf J)] y0 at every tau in taus.
 
-    One eigendecomposition (``rotating_modes``) serves all requested times and
+    One real ``mode_table`` (one eigendecomposition) serves all requested times and
     initial states.  y0 has shape (2, 4) or (2, 4, m), both halves + first; the result
     has shape ``np.shape(taus) + np.shape(y0)``, and y0 = two eye(4) gives the propagators.
     """
-    t = np.ravel(np.asarray(taus, dtype=float))
-    y0 = np.asarray(y0, dtype=float)
-    ev, vec = rotating_modes(p)
-    coef = vec.conj().swapaxes(-1, -2) @ y0.reshape(2, 4, -1).astype(complex)  # (2, 4, m)
-    modes = np.exp((-1j * ev)[..., None] * t)[..., None] * coef[:, :, None, :]  # (2, 4, n, m)
-    y = (vec @ modes.reshape(2, 4, -1)).real.reshape(modes.shape)
-    # exp(phi*J) rotates the (2,4) plane by phi = omega_rf*tau
-    c, s = np.cos(p.omega_rf * t)[:, None], np.sin(p.omega_rf * t)[:, None]
-    y[:, 1], y[:, 3] = c * y[:, 1] - s * y[:, 3], s * y[:, 1] + c * y[:, 3]
-    return np.moveaxis(y, 2, 0).reshape(np.shape(taus) + y0.shape)
+    table, w = mode_table(p, y0)
+    # y_pm = x_plus +- x_minus; each table row lies in one half, so this undoes the join exactly
+    halves = np.stack([table[:, 0] + table[:, 1], table[:, 0] - table[:, 1]], axis=1)
+    return _rotating_states(p, halves, w, taus)
 
 
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,)."""
-    return join_halves(propagate_rotating_exact(p, split_halves(x0), taus))
+    return _rotating_states(p, *mode_table(p, split_halves(x0)), taus).reshape(np.shape(taus) + (8,))
 
 
 @dataclass(frozen=True)

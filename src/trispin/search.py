@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _PM, _time_grid, rotating_modes
+from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
+from .dynamics import _time_grid, mode_table, split_halves
 
 _CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
+_Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
 
@@ -63,30 +64,10 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
     return np.linspace(lo, hi, resolution)
 
 
-def _mode_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
-    """(table, w), shapes (8, 8) and (4,): [cos(w*tau), sin(w*tau)] @ table is the co-rotating 8-vector from e1.
-
-    That is the theta0 = 0 state before the frame rotation exp(omega_rf*tau*J); an
-    array-valued p.omega_rf prepends its shape to both, from one eigh call.  Both
-    halves start at e1, so mode m of a half carries T_m = vec[:, m] conj(vec[0, m]) / 2,
-    and join_halves takes half the sum and half the difference of the halves.  The
-    generator is real and skew, so eigh gives each half's rates as (-w1, -w2, w2, w1):
-    mode m = 2, 3 at w = ev_m and mode m' = 3 - m at -w give together
-    Re(T_m + T_m') cos(w*tau) + Im(T_m - T_m') sin(w*tau).  No mode is taken as the
-    conjugate of another, so a degenerate pair (w = 0, or w1 = w2) still sums to its projector.
-    """
-    ev, vec = rotating_modes(p)
-    amp = 0.5 * vec * vec[..., :1, :].conj()  # amp[..., h, i, m]: component i of mode m of half h
-    up, down = amp[..., 2:], amp[..., 1::-1]  # modes m = 2, 3 and their partners 3 - m
-    coef = np.stack([(up + down).real, (up - down).imag], axis=-4).swapaxes(-1, -2)  # coef[..., cos|sin, h, m, i]
-    table = np.concatenate([coef, _PM * coef], axis=-1)  # the half sum x1..x4, then the half difference x5..x8
-    return table.reshape(ev.shape[:-2] + (8, 8)), ev[..., 2:].reshape(ev.shape[:-2] + (4,))
-
-
 def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np.ndarray | None = None):
     """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,); given omega_rf, (best, theta0).
 
-    modes is the ``_mode_table`` of a control, or of an omega_rf block with leading
+    modes is the ``mode_table`` from e1 of a control, or of an omega_rf block with leading
     shape s, and theta0 a gauge only from e1; out, if given, receives the matmul.
     R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
     and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
@@ -99,7 +80,7 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np
     table, w = modes
     taus = np.asarray(taus, dtype=float)
     phase = w[..., None, :] * taus.reshape(-1, 1)
-    x = np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table, out=out)
+    x = np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table.reshape(w.shape[:-1] + (8, 8)), out=out)
     x = x.reshape(w.shape[:-1] + taus.shape + (8,))
     u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
     best = np.hypot(u, v)
@@ -123,7 +104,7 @@ def _first_crossing(
 ) -> tuple[float, ControlParams] | None:
     """(tau, p at the best theta0 there) where best[:, j] first reaches threshold; None if it never does.
 
-    p is the theta0 = 0 control, modes its ``_mode_table`` and best =
+    p is the theta0 = 0 control, modes its ``mode_table`` from e1 and best =
     _best_over_theta0(modes, taus).  brentq solves the crossing on the same
     table in the grid interval holding the first hit; its ends keep their grid
     values, since a single-tau evaluation may differ from a batched row in the last bits.
@@ -157,7 +138,7 @@ def min_time_to_target(
     j = _target_index(target)
     taus = _time_grid(tau_max, dtau)
     p = replace(p, theta0=0.0)
-    modes = _mode_table(p)
+    modes = mode_table(p, _Y1)
     return _first_crossing(p, modes, j, threshold, taus, _best_over_theta0(modes, taus))
 
 
@@ -176,7 +157,7 @@ def grid_search(
 
     Deterministic for fixed inputs; a control between grid nodes is not seen.  Each
     on-shell bz row of omega_rf is taken in blocks of at most _CHUNK_STEPS
-    (omega_rf, tau) rows, one omega_rf at least: one ``_mode_table`` (one eigh call)
+    (omega_rf, tau) rows, one omega_rf at least: one ``mode_table`` (one eigh call)
     and one ``_best_over_theta0`` pass per block.  Peaks and crossings stay per
     (bz, omega_rf) pair: every reported params/tau pair carries the best theta0 there,
     and each pair's crossing is solved on the bracket its own grid rows give
@@ -212,7 +193,7 @@ def grid_search(
         b0 = transverse_amplitude(omega_hat, k, bz)
         for start in range(0, len(rf_axis), width):
             block = rf_axis[start : start + width]
-            tables, rates = _mode_table(ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0))
+            tables, rates = mode_table(ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0), _Y1)
             bests = _best_over_theta0((tables, rates), taus, out=buffer[: len(block)])
             for omega_rf, modes, best in zip(block, zip(tables, rates), bests):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)

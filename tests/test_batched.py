@@ -7,8 +7,10 @@ own; ``dynamics._powers`` takes the powers of that map in blocks of
 one-step-at-a-time versions in the lab frame, one generator per step, kept here
 only as references.  The grids hold one point, one step (the last map alone)
 or two, end one step before, on and one step after a block edge, end in a
-shortened last step after whole blocks, or are one long run with a partial
-last block.
+shortened last step after whole blocks, or are one long run with a partial last
+block.  The block starts are the powers of the block's map, which ``_powers``
+takes in blocks again: grids of b*b - 1, b*b and b*b + 1 steps give b, b and
+b + 1 starts, and b*(b + 1) + 1 steps the first whole block of starts.
 
 ``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
@@ -85,6 +87,10 @@ GRIDS = {
     "one_block": _BLOCK_STEPS * DTAU,
     "block_and_one": (_BLOCK_STEPS + 1) * DTAU,
     "blocks_then_short_last_step": (3 * _BLOCK_STEPS + 0.5) * DTAU,
+    "block_of_blocks_less_one": (_BLOCK_STEPS**2 - 1) * DTAU,
+    "block_of_blocks": _BLOCK_STEPS**2 * DTAU,
+    "block_of_blocks_and_one": (_BLOCK_STEPS**2 + 1) * DTAU,
+    "starts_take_a_whole_block": (_BLOCK_STEPS * (_BLOCK_STEPS + 1) + 1) * DTAU,
     "one_full_run": 4096 * DTAU,
 }
 on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
@@ -177,9 +183,10 @@ def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
 
 def test_grid_lengths_cover_run_boundaries():
     # the GRIDS above really end on both sides of a block edge, after whole blocks and a shortened
-    # last step, and in a long run whose last block is partial
+    # last step, around b*b steps and at the first whole block of starts, and in a long run whose
+    # last block is partial
     b = _BLOCK_STEPS
-    steps = [0, 1, 2, b - 1, b, b + 1, 3 * b + 1, 4096]
+    steps = [0, 1, 2, b - 1, b, b + 1, 3 * b + 1, b * b - 1, b * b, b * b + 1, b * (b + 1) + 1, 4096]
     assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
     assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
 

@@ -364,6 +364,42 @@ def test_rotating_exact_preserves_norm(rng):
     assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(4))) < 1e-12
 
 
+# c_pm = 2*(bz +- k) - omega_rf sets the (2,4)-plane rate of each co-rotating generator
+DEGENERATE = {
+    "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
+    "zero_rates_plus": _params(bz=1.0, omega_rf=4.0),
+    "zero_rates_minus": _params(k=-1.0, bz=1.0, omega_rf=4.0),
+}
+
+
+def test_degenerate_examples_have_degenerate_spectra():
+    rates = {name: np.linalg.eigvalsh(1j * rotating_generator(p)) for name, p in DEGENERATE.items()}
+    assert np.max(np.abs(rates["w1_equals_w2"] - [-2.0, -2.0, 2.0, 2.0])) <= 1e-14  # b0 = 0 and c_pm = +-2
+    assert np.max(np.abs(rates["zero_rates_plus"][0, 1:3])) <= 1e-14  # c_+ = 0
+    assert np.max(np.abs(rates["zero_rates_minus"][1, 1:3])) <= 1e-14  # c_- = 0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [*(_random_params(np.random.default_rng(seed)) for seed in range(3)), *DEGENERATE.values()],
+    ids=["random0", "random1", "random2", *DEGENERATE],
+)
+def test_rotating_exact_is_the_turned_exponential(p):
+    # the real mode table against the frame turn times the exponential of the co-rotating generator
+    rng = np.random.default_rng(11)
+    taus = np.concatenate([[0.0], rng.uniform(0.0, 3.0 * TAU_STAR, size=6)])
+    columns = rng.normal(size=(2, 4, 3))
+    for y0 in (EYE2, columns / np.linalg.norm(columns, axis=1, keepdims=True)):
+        ys = propagate_rotating_exact(p, y0, taus)
+        for tau, y in zip(taus, ys):
+            expected = expm_skew(p.omega_rf * tau * J) @ expm_skew(tau * rotating_generator(p)) @ y0
+            assert np.max(np.abs(y - expected)) <= 1e-13
+    # exact_state_trajectory folds join_halves into the table: the same states as joining the halves
+    x0 = rng.normal(size=8) / math.sqrt(8.0)
+    joined = join_halves(propagate_rotating_exact(p, split_halves(x0), taus))
+    assert np.max(np.abs(exact_state_trajectory(p, x0, taus) - joined)) <= 1e-15
+
+
 def frame_conjugation_defect(p, tau):
     """max over +- of |M_pm(tau) - exp(phi J) M_pm(0) exp(-phi J)|, phi = theta(tau)-theta0."""
     g = expm((p.theta(tau) - p.theta0) * J)

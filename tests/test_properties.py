@@ -18,9 +18,17 @@ from trispin.algebra import (
     sector_fields,
     transverse_amplitude,
 )
-from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, propagate_rk4, split_halves
+from trispin.dynamics import (
+    build_M,
+    build_M_half,
+    exact_state_trajectory,
+    join_halves,
+    mode_table,
+    propagate_rk4,
+    split_halves,
+)
 from trispin.hilbert import coherence_blocks
-from trispin.search import _best_over_theta0, _mode_table
+from trispin.search import _best_over_theta0
 
 
 def _floats(lo, hi):
@@ -92,7 +100,7 @@ def test_mode_table_gives_the_theta0_best_state(p, taus):
     lab = exact_state_trajectory(p, E1, taus)
     expected = lab.copy()
     expected[:, 1::4] = expected[:, 3::4] = np.hypot(lab[:, 1::4], lab[:, 3::4])
-    modes = _mode_table(p)
+    modes = mode_table(p, split_halves(E1))
     best, theta0 = _best_over_theta0(modes, taus, p.omega_rf)
     assert np.max(np.abs(best - expected)) <= 1e-14
     assert np.array_equal(_best_over_theta0(modes, taus), best)

@@ -7,8 +7,8 @@ import pytest
 from trispin import search
 from trispin.algebra import E1, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params
-from trispin.dynamics import _time_grid, exact_state_trajectory
-from trispin.search import _best_over_theta0, _mode_table, grid_search, min_time_to_target, refine_local
+from trispin.dynamics import _time_grid, exact_state_trajectory, mode_table, split_halves
+from trispin.search import _best_over_theta0, grid_search, min_time_to_target, refine_local
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -71,7 +71,7 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
     b0 = transverse_amplitude(omega_hat, 1.0, bz)
     p = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
     taus = _time_grid(tau_max, dtau)  # the grid both searches bracket on
-    modes = _mode_table(p)  # the searches' own theta0-best values
+    modes = mode_table(p, split_halves(E1))  # the searches' own theta0-best values
     best = _best_over_theta0(modes, taus)[:, 7]
     single = np.array([_best_over_theta0(modes, t)[7] for t in taus])
     record = np.maximum.accumulate(best)

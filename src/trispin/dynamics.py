@@ -138,36 +138,67 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
     return taus
 
 
-def _powers(e: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = (I + e[0])^i out[0] for i < n - 1, then out[n-1] = (I + e[1]) out[n-2], in place.
+def _block_grid(starts: np.ndarray, maps: np.ndarray, out: np.ndarray, turn: tuple | None = None) -> None:
+    """out[..., j*b + l, :] = starts[..., j, :] @ maps[..., l, :, :], b = maps.shape[-3], one GEMM over whole blocks.
 
-    out has shape (n, k, m), k independent halves; e (2, k, m, m) holds the increments
-    of a step of dtau and of the grid's last step.  With E_l = (I + e)^(l+1) - I =
-    E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, the states s_j + E_l s_j are one product and the block
-    starts s_j = (I + E_last)^j s_0 are filled by _powers on E_last, n entries recursing to n/_BLOCK_STEPS, ...
-    Increments keep a diagonal near 1 from being rounded each step; e and E_last are
+    Rows are states, so maps act from the right; a last partial block reads the first columns of the table.
+    turn = (K, phi, psi, o), if given, also turns row (j, l) by exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K),
+    K skew with K^3 = -K, and then maps it by o.  With P = -K^2 and D = I - P, exp(phi K)^T = D + cos(phi) P -
+    sin(phi) K, so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @ [T_l D o; T_l P o; -T_l K o] with
+    T_l = maps[l] exp(psi_l K)^T: cos and sin of the block starts and of one block's psi, none per row.
+    """
+    if out.shape[-2] == 0:
+        return
+    if turn is not None:
+        k, phi, psi, o = turn
+        parts = np.stack([np.eye(len(k)) + k @ k, -k @ k, -k])  # D, P, -K
+        maps = maps @ (parts[0] + np.cos(psi)[:, None, None] * parts[1] + np.sin(psi)[:, None, None] * parts[2])
+        maps = np.concatenate([maps @ part for part in parts @ o], axis=-2)
+        starts = np.concatenate([starts, np.cos(phi)[:, None] * starts, np.sin(phi)[:, None] * starts], axis=-1)
+    b, width = maps.shape[-3], out.shape[-1]
+    table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], b * width))
+    full, rest = divmod(out.shape[-2], b)
+    np.matmul(starts[..., :full, :], table, out=out[..., : full * b, :].reshape(out.shape[:-2] + (full, b * width)))
+    if rest:
+        last = starts[..., full : full + 1, :] @ table[..., : rest * width]
+        out[..., full * b :, :] = last.reshape(out.shape[:-2] + (rest, width))
+
+
+def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple) -> np.ndarray:
+    """Rows exp(phases_i K) y_i @ o, frame = (K, phases, o), of the powers y_i of a step map: shape (n, o.shape[1]).
+
+    y_i = (I + e[0])^i first for i < n - 1 and y_(n-1) = (I + e[1]) y_(n-2).  first has shape (k, m), k
+    independent halves, and K, the frame turn, acts on the flattened state; e (2, k, m, m) holds the
+    increments of a step of dtau and of the grid's last step, and phases has length n.  With
+    E_l = (I + e)^(l+1) - I = E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, y_i at i = 1 + j*_BLOCK_STEPS + l
+    is (I + E_l) s_j, turned and mapped by o in one ``_block_grid``, and the block starts
+    s_j = (I + E_last)^j first are the rows of _powers on E_last with no turn: n entries recurse to
+    n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and E_last are
     rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
-    n, width = len(out), out[0].size
+    k, phases, o = frame
+    width = first.size
+    out = np.empty((n, o.shape[-1]))
+    out[0] = first.reshape(width) @ o
     if n == 1:
-        return
-    flat = out.reshape(n, width)
+        return out
     powers = np.empty((_BLOCK_STEPS,) + e.shape[1:])
     powers[0] = e[0]
     for l in range(1, _BLOCK_STEPS):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
-    # table[(h, j), (l, g, i)] = E_l[h, i, j] if g = h, else 0, so (s @ table)[(l, g, i)] = (E_l s)[g, i]
-    table = np.einsum("lhij,hg->hjlgi", powers, np.eye(e.shape[1])).reshape(width, _BLOCK_STEPS * width)
-    full, rest = divmod(n - 2, _BLOCK_STEPS)
-    starts = np.empty((full + 1,) + out.shape[1:])
-    starts[0] = out[0]
-    _powers(powers[[-1, -1]], starts)
-    starts = starts.reshape(full + 1, width)
-    inside = flat[1 : 1 + full * _BLOCK_STEPS].reshape(full, _BLOCK_STEPS, width)
-    np.matmul(starts[:full], table, out=inside.reshape(full, _BLOCK_STEPS * width))
-    inside += starts[:full, None]
-    flat[n - 1 - rest : n - 1] = (starts[full] @ table[:, : rest * width]).reshape(rest, width) + starts[full]
-    out[-1] = out[-2] + (e[1] @ out[-2, ..., None])[..., 0]
+    m = (n - 2) // _BLOCK_STEPS + 1
+    starts = _powers(powers[[-1, -1]], first, m, (np.zeros((width, width)), np.zeros(m), np.eye(width)))
+    # maps[l, (h, j), (g, i)] = (I + E_l)[h, i, j] if g = h, else 0, so (s @ maps[l])[(g, i)] = ((I + E_l) s)[g, i]
+    maps = np.einsum("lhij,hg->lhjgi", powers[: n - 2], np.eye(len(first))).reshape(-1, width, width) + np.eye(width)
+    _block_grid(starts, maps, out[1:-1], (k, phases[: n - 1 : _BLOCK_STEPS], phases[1 : len(maps) + 1], o))
+    y = starts[0] if n == 2 else starts[(n - 3) // _BLOCK_STEPS] @ maps[(n - 3) % _BLOCK_STEPS]  # y_(n-2)
+    y = y + (e[1] @ y.reshape(first.shape + (1,))).reshape(width)
+    _block_grid(y[None], np.eye(width)[None], out[-1:], (k, phases[-1:], np.zeros(1), o))
+    return out
+
+
+_TURN = np.kron(np.eye(2), J)  # the frame turn of both halves of a flattened (2, 4) state and of (x_plus, x_minus)
+_JOIN_ROWS = join_halves(np.eye(8).reshape(8, 2, 4))  # y.reshape(8) @ _JOIN_ROWS = join_halves(y)
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
@@ -176,7 +207,8 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     With left, middle and right generators A1, A2, A4 of a step of length h, the stages of a
     linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
     step adds D y, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M_pm(t + s) = R M_pm(s) R^T (see J),
-    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)).
+    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
+    turns each state back by exp(omega_rf*tau*J) and joins the halves inside its GEMM.
     """
     taus = _time_grid(tau_end, dtau)
     h = np.append(dtau, np.diff(taus[-2:]))[:, None, None, None]  # every step of _time_grid but its last is dtau long
@@ -187,13 +219,8 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
     # R(-omega_rf h) - I = -sin(omega_rf h) J + (1 - cos(omega_rf h)) J^2, as J^3 = -J
     turn = -np.sin(p.omega_rf * h) * J + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (J @ J)
-    y = np.empty((len(taus), 2, 4))
-    y[0] = split_halves(x0)
-    _powers(turn + d + turn @ d, y)
-    # back to the lab frame: exp(omega_rf*tau*J) turns the (2,4) plane of each half by omega_rf*tau
-    c, s = (f(p.omega_rf * taus)[:, None] for f in (np.cos, np.sin))
-    y[..., 1], y[..., 3] = c * y[..., 1] - s * y[..., 3], s * y[..., 1] + c * y[..., 3]
-    return Trajectory(taus=taus, states=join_halves(y), method="rk4")
+    states = _powers(turn + d + turn @ d, split_halves(x0), len(taus), (_TURN, p.omega_rf * taus, _JOIN_ROWS))
+    return Trajectory(taus=taus, states=states, method="rk4")
 
 
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +296,10 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _rotating_states(p: ControlParams, table: np.ndarray, w: np.ndarray, taus) -> np.ndarray:
-    """[cos(w*tau), sin(w*tau)] @ table turned by exp(omega_rf*tau*J), shape np.shape(taus) + table.shape[1:]."""
+    """[cos(w*tau), sin(w*tau)] @ table turned by exp(omega_rf*tau*J), shape np.shape(taus) + table.shape[1:].
+
+    This per-tau path serves any taus; it is the reference of the grid path of ``exact_state_trajectory``.
+    """
     t = np.ravel(np.asarray(taus, dtype=float))
     y = np.empty((2, 4, len(t)))  # [cos(w*tau), sin(w*tau)], tau last: the frame turn runs along contiguous rows
     np.cos(w[:, None] * t, out=y[0])
@@ -294,9 +324,47 @@ def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray 
     return _rotating_states(p, halves, w, taus)
 
 
+def _on_grid(taus) -> bool:
+    """Whether taus has 3 or more entries on one axis, all but the last equal to dtau*arange bitwise, as from _time_grid."""
+    return np.ndim(taus) == 1 and len(taus) >= 3 and np.array_equal(taus[:-1], taus[1] * np.arange(len(taus) - 1))
+
+
+def _mode_blocks(table: np.ndarray, w: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, maps) of ``_block_grid``: [cos(w*tau), sin(w*tau)] @ table = starts[..., j, :] @ maps[..., l, :, :].
+
+    tau = taus[j*b + l], taus = dtau*arange(n), table of shape (..., 8, k) and w (..., 4), as from
+    ``mode_table``; b is ``_BLOCK_STEPS``, or n if less.  By angle addition the cos row of rate w at
+    tau_j + tau_l is cos_j*cos_l - sin_j*sin_l and its sin row sin_j*cos_l + cos_j*sin_l, so with T_c, T_s
+    the cos and sin rows of table, maps[l] holds the rows cos_l*T_c + sin_l*T_s and cos_l*T_s - sin_l*T_c,
+    rate by rate, and starts the [cos, sin] at the block starts taus[j*b].
+    """
+    def trig(t):
+        phase = w[..., None, :] * t[:, None]
+        return np.cos(phase), np.sin(phase)
+
+    c, s = (v[..., None] for v in trig(taus[:_BLOCK_STEPS]))
+    t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
+    maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
+    return np.concatenate(trig(taus[::_BLOCK_STEPS]), axis=-1), maps
+
+
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,)."""
-    return _rotating_states(p, *mode_table(p, split_halves(x0)), taus).reshape(np.shape(taus) + (8,))
+    """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,).
+
+    On taus that are ``_on_grid``, all but the last tau take one ``_block_grid`` of the ``_mode_blocks``,
+    turned by exp(omega_rf*tau*J) = exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J); the last tau, and any
+    other taus, take ``_rotating_states`` tau by tau.
+    """
+    table, w = mode_table(p, split_halves(x0))
+    taus = np.asarray(taus, dtype=float)
+    if not _on_grid(taus):
+        return _rotating_states(p, table, w, taus).reshape(np.shape(taus) + (8,))
+    out = np.empty((len(taus), 8))
+    starts, maps = _mode_blocks(table.reshape(8, 8), w, taus[:-1])
+    phases = p.omega_rf * taus[: len(taus) - 1 : _BLOCK_STEPS], p.omega_rf * taus[: len(maps)]
+    _block_grid(starts, maps, out[:-1], (_TURN, *phases, np.eye(8)))
+    out[-1] = _rotating_states(p, table, w, taus[-1]).reshape(8)
+    return out
 
 
 @dataclass(frozen=True)

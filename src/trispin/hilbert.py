@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _powers, _time_grid, build_M
+from .dynamics import Trajectory, _powers, _skew, _time_grid, build_M
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -31,6 +31,8 @@ _UNITS = np.stack([np.eye(2), -1j * _PAULI["x"], -1j * _PAULI["y"], -1j * _PAULI
 # so (a g b)_r = sum_c (_SANDWICH (a (x) b))_rc g_c
 _SANDWICH = np.einsum("rxw,ixy,cyz,jzw->rcij", _UNITS.conj(), _UNITS, _UNITS, _UNITS).real.reshape(16, 16) / 2.0
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+# Q_phi G Q_phi^dag, Q_phi = exp(-i phi sz/2), turns (g1, g2) by phi: d(g1, g2)/dphi = (-g2, g1), in each block
+_TURN = np.kron(np.eye(2), _skew(1, 2, -1.0))
 
 # _PROJECTION takes the quaternions (g_+, g_-) of G_s3 to x1..x8:
 # x_i = sum_jk Re(w_jk G_jk)/4 with w = O_i[(-,s3), (+,s3)]^T and G = g0 I - i g.sigma (see full_hilbert_trajectory)
@@ -68,7 +70,15 @@ def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.
     steps by one map, F <- W_+ F W_-^dag with W_s = Q_h^dag V_s(0), taken by
     ``dynamics._powers`` as F + D F: D from ``_sandwich_increments`` of V - I =
     (cos|v| - 1, sin|v|/|v| v) and Q_h^dag - I, with cos x - 1 = -2 sin^2(x/2).
+    G = Q_tau F Q_tau^dag turns the (g1, g2) plane by omega_rf*tau, a turn that
+    ``_powers`` folds into its block table (``_TURN``).
     """
+    taus, g = _mapped_blocks(p, tau_end, dtau, np.eye(8))
+    return taus, g.reshape(len(taus), 2, 4)
+
+
+def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.ndarray) -> tuple:
+    """(taus, g.reshape(len(taus), 8) @ out_map) for the quaternions g of ``coherence_blocks``."""
     taus = _time_grid(tau_end, dtau)
     h = np.append(dtau, np.diff(taus[-2:]))  # every step of _time_grid but its last is dtau long
     # (x, y, z) of the fields n1, n2 at the Gauss nodes of a step from 0, each of shape (4 sectors, 2 step lengths)
@@ -82,13 +92,8 @@ def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.
     # Q_h^dag - I = (cos(omega_rf h/2) - 1) I - i (-sin(omega_rf h/2)) sz; the map is Q_h^dag (V+ F V-^dag) Q_h
     q = np.stack([-2.0 * np.sin(p.omega_rf * h / 4.0) ** 2, 0.0 * h, 0.0 * h, -np.sin(p.omega_rf * h / 2.0)])[:, None]
     step, turn = (_sandwich_increments(*pair).transpose(3, 2, 0, 1) for pair in ((d[:, :2], d[:, 2:]), (q, q)))
-    g = np.empty((len(taus), 2, 4))
-    g[0] = [1.0, 0.0, 0.0, 0.0]
-    _powers(turn + step + turn @ step, g)
-    # back to the lab frame: G = Q_tau F Q_tau^dag turns the (g1, g2) plane by omega_rf*tau
-    c, s = (f(p.omega_rf * taus)[:, None] for f in (np.cos, np.sin))
-    g[..., 1], g[..., 2] = c * g[..., 1] - s * g[..., 2], s * g[..., 1] + c * g[..., 2]
-    return taus, g
+    first = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
+    return taus, _powers(turn + step + turn @ step, first, len(taus), (_TURN, p.omega_rf * taus, out_map))
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
@@ -97,10 +102,10 @@ def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Tr
     The identity part of rho(0) drops out.  W = U sx1 U^dag holds just the
     blocks G_s3 and their adjoints, and for Hermitian O_i,
     x_i = 2 Re sum_s3 Tr[O_i[(-,s3), (+,s3)] G_s3]/8: one real matrix product
-    of the quaternions of the G_s3 with ``_PROJECTION``.
+    of the quaternions of the G_s3 with ``_PROJECTION``, folded into the step product.
     """
-    taus, g = coherence_blocks(p, tau_end, dtau)
-    return Trajectory(taus=taus, states=g.reshape(len(g), 8) @ _PROJECTION, method="full-hilbert")
+    taus, x = _mapped_blocks(p, tau_end, dtau, _PROJECTION)
+    return Trajectory(taus=taus, states=x, method="full-hilbert")
 
 
 @dataclass(frozen=True)

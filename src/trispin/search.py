@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _time_grid, mode_table, split_halves
+from .dynamics import _block_grid, _mode_blocks, _on_grid, _time_grid, mode_table, split_halves
 
 _CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
 _Y1 = split_halves(E1)  # both halves of the start state e1
@@ -68,7 +68,12 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np
     """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,); given omega_rf, (best, theta0).
 
     modes is the ``mode_table`` from e1 of a control, or of an omega_rf block with leading
-    shape s, and theta0 a gauge only from e1; out, if given, receives the matmul.
+    shape s, and theta0 a gauge only from e1; out, if given, receives the co-rotating states.
+    On a ``_time_grid`` (``dynamics._on_grid``) all but the last tau take one ``_block_grid``:
+    with T_c, T_s the cos and sin rows of the table, the rows at block step l are
+    U_l = [c_l T_c + s_l T_s; c_l T_s - s_l T_c], rate by rate (``dynamics._mode_blocks``), so
+    cos and sin run on the block starts and one block, not on every tau.  The last tau, a
+    scalar tau and any other taus take the direct form [cos(w*tau), sin(w*tau)] @ table.
     R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
     and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
     sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike), and
@@ -78,9 +83,15 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np
     read off the co-rotating state, and the turn is applied only to read theta0.
     """
     table, w = modes
+    table = table.reshape(w.shape[:-1] + (8, 8))
     taus = np.asarray(taus, dtype=float)
-    phase = w[..., None, :] * taus.reshape(-1, 1)
-    x = np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table.reshape(w.shape[:-1] + (8, 8)), out=out)
+    on_grid = _on_grid(taus)
+    direct = taus[-1:] if on_grid else taus.reshape(-1)
+    phase = w[..., None, :] * direct[:, None]
+    x = np.empty(w.shape[:-1] + (taus.size, 8)) if out is None else out
+    np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table, out=x[..., taus.size - len(direct) :, :])
+    if on_grid:
+        _block_grid(*_mode_blocks(table, w, taus[:-1]), x[..., :-1, :])
     x = x.reshape(w.shape[:-1] + taus.shape + (8,))
     u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
     best = np.hypot(u, v)

@@ -3,7 +3,8 @@
 ``propagate_rk4`` and ``coherence_blocks`` step in the co-rotating frame,
 where every step of dtau is one constant map and the grid's last step has its
 own; ``dynamics._powers`` takes the powers of that map in blocks of
-``dynamics._BLOCK_STEPS`` steps.  The oracles below are the plain
+``dynamics._BLOCK_STEPS`` steps, with the turn back to the lab frame and the
+output map folded into one GEMM per block table.  The oracles below are the plain
 one-step-at-a-time versions in the lab frame, one generator per step, kept here
 only as references.  The grids hold one point, one step (the last map alone)
 or two, end one step before, on and one step after a block edge, end in a
@@ -21,6 +22,10 @@ conserved (sz1, sz3) sectors that the coherences need, with a closed-form SU(2)
 step on real unit quaternions, and ``full_hilbert_trajectory`` projects them;
 their oracle is the fourth-order Magnus step of the full 8x8 Hamiltonian by
 ``eigh`` and a trace per operator.
+
+``exact_state_trajectory`` evaluates the mode table on a ``_time_grid`` in
+blocks, by angle addition, with the frame turn folded into one GEMM; its oracle
+is the per-tau path, which the same taus take as a column.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
@@ -64,6 +69,7 @@ from trispin.dynamics import (
     MS,
     MZ,
     J,
+    _on_grid,
     _time_grid,
     build_M,
     build_M_half,
@@ -161,6 +167,20 @@ GENERIC_X0 = np.random.default_rng(5).normal(size=8)
 GENERIC_X0 /= np.linalg.norm(GENERIC_X0)
 
 
+def _on_shell(bz, omega_rf, k=1.0, omega_hat=2.5, theta0=0.6):
+    b0 = transverse_amplitude(omega_hat, k, bz)
+    return ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
+
+
+# the degenerate spectra of test_dynamics.py, pinned there by test_degenerate_examples_have_degenerate_spectra:
+# c_pm = 2*(bz +- k) - omega_rf is the (2,4)-plane rate of each co-rotating generator
+DEGENERATE = {
+    "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
+    "zero_rates_plus": _on_shell(bz=1.0, omega_rf=4.0),
+    "zero_rates_minus": _on_shell(bz=1.0, omega_rf=4.0, k=-1.0),
+}
+
+
 @on_grids
 def test_rk4_matches_per_step_loop(params, tau_end):
     for x0 in (E1, GENERIC_X0):
@@ -179,6 +199,31 @@ def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
     full = full_hilbert_trajectory(params, tau_end, DTAU)
     assert np.array_equal(full.taus, loop_taus)
     assert np.max(np.abs(full.states - expectations_by_trace(unitaries))) <= 1e-13
+
+
+@on_grids
+@pytest.mark.parametrize("control", ["random", *DEGENERATE])
+def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
+    # on a _time_grid, exact_state_trajectory reads the block-factored mode table; the same taus as a
+    # column are not a grid and take the per-tau path
+    p = params if control == "random" else DEGENERATE[control]
+    taus = _time_grid(tau_end, DTAU)
+    assert _on_grid(taus) == (len(taus) >= 3)
+    for x0 in (E1, GENERIC_X0):
+        grid = exact_state_trajectory(p, x0, taus)
+        assert np.max(np.abs(grid - exact_state_trajectory(p, x0, taus[:, None])[:, 0])) <= 1e-14
+
+
+def test_exact_other_taus_give_the_per_tau_result(params):
+    # a linspace grid is dtau*arange but for its last entry, so it may take either path; a grid with
+    # one entry moved by an ulp is not a grid and takes the per-tau path itself
+    taus = np.linspace(0.0, 3.0 * TAU_STAR, 1001)
+    per_tau = exact_state_trajectory(params, GENERIC_X0, taus[:, None])[:, 0]
+    assert np.max(np.abs(exact_state_trajectory(params, GENERIC_X0, taus) - per_tau)) <= 1e-14
+    taus[500] = np.nextafter(taus[500], np.inf)
+    assert not _on_grid(taus)
+    per_tau = exact_state_trajectory(params, GENERIC_X0, taus[:, None])[:, 0]
+    assert np.array_equal(exact_state_trajectory(params, GENERIC_X0, taus), per_tau)
 
 
 def test_grid_lengths_cover_run_boundaries():

@@ -7,3 +7,11 @@ def test_zero_closure_sets_is_skipped_not_passed():
     assert check.status == "skipped" and check.measured is None
     assert report.passed
     assert "SKIPPED  closure_residual" in report.to_text()
+
+
+def test_default_grid_values():
+    # verify's grid over the energy-shell ansatz at its defaults reads its rows off the block-factored mode table
+    report = run_verification()
+    assert report.passed
+    assert report.get("ansatz_grid_search_x8").note == "largest x8 seen 0.982243 at tau=1.34"
+    assert f"{report.get('no_transfer_probe_x7').measured:.6g}" == "0.829033"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from trispin import search
-from trispin.algebra import E1, ControlParams, energy_shell, transverse_amplitude
+from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params
-from trispin.dynamics import _time_grid, exact_state_trajectory, mode_table, split_halves
+from trispin.dynamics import _BLOCK_STEPS, _on_grid, _time_grid, exact_state_trajectory, mode_table, split_halves
 from trispin.search import _best_over_theta0, grid_search, min_time_to_target, refine_local
 
 PI = math.pi
@@ -85,6 +85,29 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
     res = grid_search(omega_hat, 1.0, bounds=bounds, resolution=1, threshold=threshold, tau_max=tau_max, dtau=dtau)
     assert res.best_tau == taus[i]
 
+
+
+@pytest.mark.parametrize(
+    "tau_max, dtau",
+    [(3.0 * TAU_STAR, 1e-2), (_BLOCK_STEPS * 1e-2, 1e-2), ((_BLOCK_STEPS + 0.5) * 1e-2, 1e-2)],
+    ids=["search_grid", "one_block_then_the_last", "one_block_then_a_short_last_step"],
+)
+def test_grid_rows_equal_per_tau_rows(tau_max, dtau):
+    # on a _time_grid the rows come from the block-factored mode table, a scalar tau takes the direct
+    # form; the search grid ends in a partial block and a shortened last step
+    taus = _time_grid(tau_max, dtau)
+    assert _on_grid(taus)
+    omega_hat, bz = 2.7, 0.3
+    b0 = transverse_amplitude(omega_hat, 1.0, bz)
+    block = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=np.linspace(-8.0, 8.0, 7), theta0=0.0)
+    single = dataclasses.replace(block, omega_rf=1.1)
+    buffer = np.full((9, len(taus), 8), np.nan)  # as grid_search passes it: a block may be shorter than the buffer
+    for p, out in ((block, buffer[:7]), (single, None)):
+        modes = mode_table(p, split_halves(E1))
+        rows = _best_over_theta0(modes, taus, out=out)
+        per_tau = np.stack([_best_over_theta0(modes, t) for t in taus], axis=-2)
+        assert rows.shape == per_tau.shape
+        assert np.max(np.abs(rows - per_tau)) <= 1e-14
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, math.nan])
 def test_searches_reject_a_threshold_that_is_not_positive(threshold):

@@ -68,12 +68,14 @@ class DerivedQuantities:
 
 
 def sinc(z):
-    """sin(z)/z elementwise, the removable singularity handled by a 6-term series; a scalar gives a numpy scalar."""
+    """sin(z)/z elementwise, a 6-term series on the entries with |z| < 1e-4 only; a scalar gives a numpy scalar."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1e-4
-    z2 = np.where(small, z, 0.0) ** 2  # np.where evaluates both forms: keep large z out of the series
-    series = 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
-    return np.where(small, series, np.sin(z) / np.where(small, 1.0, z))[()]
+    out = np.asarray(np.sin(z) / np.where(small, 1.0, z))  # the guard keeps z = 0 from dividing by zero
+    if small.any():
+        z2 = z[small] ** 2
+        out[small] = 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
+    return out[()]
 
 
 def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
@@ -330,9 +332,9 @@ def invert_to_physical(
         2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
 
     bracketed on 10,000 points of root_range, evaluated as one array, and
-    solved in each bracket by brentq.  The equation is even in omega_rf, so only
-    positive rates are scanned.  An empty result means no sign change was
-    bracketed, not a failure.
+    solved in each bracket by brentq.  The sinc grid is computed once and shared
+    by r = 0, 1.  The equation is even in omega_rf, so only positive rates are
+    scanned.  An empty result means no sign change was bracketed, not a failure.
     """
     if b_target == 0.0:
         raise ValueError("b_target must be nonzero (the d = 0 branch requires b != 0)")
@@ -346,12 +348,13 @@ def invert_to_physical(
         raise ValueError("root_range must satisfy 0 < lo < hi")
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
     grid = np.linspace(lo, hi, 10_000)
+    sinc_grid = sinc(grid * tau_star / 2.0)
     solutions: list[InvertedSolution] = []
     for r in (0, 1):
         def f(om):
             return 2.0 * b0 * tau_star * (-1.0) ** r * sinc(om * tau_star / 2.0) + b_target
 
-        vals = f(grid)
+        vals = 2.0 * b0 * tau_star * (-1.0) ** r * sinc_grid + b_target  # f(grid), from the shared sinc grid
         for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
             # the bracket ends keep their grid values: a scalar sinc may differ from the array one in the last bits
             ends = {float(grid[i]): vals[i], float(grid[i + 1]): vals[i + 1]}

@@ -28,7 +28,8 @@ from trispin.boundary import (
     swap_bd,
     sweep_tau,
 )
-from trispin.dynamics import integral_generator
+from trispin import boundary
+from trispin.dynamics import integral_generator, phase_integrals
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -151,6 +152,154 @@ def test_sinc_series_branch():
     assert abs(sinc(2.0) - math.sin(2.0) / 2.0) == 0.0
     # the series sees only small z, so a huge z raises no overflow warning
     assert sinc(1e40) == math.sin(1e40) / 1e40
+
+
+# --- removable singularities against the np.where forms -------------------------
+# sinc and phase_integrals compute their series only on the entries below the
+# threshold.  These references evaluate both forms everywhere and select with
+# np.where, as the package once did; every result must equal theirs bit for bit.
+
+
+def _sinc_reference(z):
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1e-4
+    z2 = np.where(small, z, 0.0) ** 2  # np.where evaluates both forms: keep large z out of the series
+    series = 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
+    return np.where(small, series, np.sin(z) / np.where(small, 1.0, z))[()]
+
+
+def _phase_integrals_reference(p, tau):
+    tau = np.asarray(tau, dtype=float)
+    u = p.omega_rf * tau
+    c0 = np.cos(p.theta0)
+    s0 = np.sin(p.theta0)
+    small = np.abs(u) < 1e-2
+    us = np.where(small, u, 0.0)
+    u2 = us * us
+    cu = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
+    su = us / 2.0 - us * u2 / 24.0 + us * u2 * u2 / 720.0 - us * u2 * u2 * u2 / 40320.0
+    rate = np.where(small, 1.0, p.omega_rf)
+    th = p.theta(tau)
+    int_cos = np.where(small, tau * (c0 * cu - s0 * su), (np.sin(th) - s0) / rate)
+    int_sin = np.where(small, tau * (s0 * cu + c0 * su), (c0 - np.cos(th)) / rate)
+    return int_cos[()], int_sin[()]
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _mixed(rng, n, small, big):
+    """n values, about half of magnitude below small (zeros and both signs among them), the rest up to big."""
+    tiny = rng.uniform(-small, small, n // 2)
+    tiny[:3] = (0.0, -0.0, small * (1.0 - 2.0**-52))
+    large = rng.choice((-1.0, 1.0), n - n // 2) * np.exp(rng.uniform(math.log(small), math.log(big), n - n // 2))
+    large[:2] = (small, -small)
+    return rng.permutation(np.concatenate([tiny, large]))
+
+
+def test_sinc_equals_reference_on_mixed_arrays(rng):
+    z = _mixed(rng, 4000, 1e-4, 1e6)
+    for arg in (z, z.reshape(40, 100), z.reshape(40, 100).T, z[::3], z[np.abs(z) < 1e-4], z[np.abs(z) >= 1e-4], z[:0]):
+        _assert_same(sinc(arg), _sinc_reference(arg))
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 5e-5, -9.99e-5, 1e-4, 2.0, -3.7, 1e40])
+def test_sinc_equals_reference_on_scalars(z):
+    for arg in (z, np.float64(z), np.array(z)):
+        got = sinc(arg)
+        assert type(got) is np.float64
+        _assert_same(got, _sinc_reference(arg))
+
+
+def _params(omega_rf, theta0):
+    return ControlParams(k=1.0, omega_hat=2.5, b0=1.2, bz=0.1, omega_rf=omega_rf, theta0=theta0)
+
+
+def test_phase_integrals_equal_reference_on_mixed_rates(rng):
+    rates = _mixed(rng, 3000, 1e-2, 50.0)
+    for tau in (1.0, 0.37, rng.uniform(0.0, 4.0, rates.size)):
+        for theta0 in (0.7, rng.uniform(-PI, PI, rates.size)):
+            got = phase_integrals(_params(rates, theta0), tau)
+            for g, w in zip(got, _phase_integrals_reference(_params(rates, theta0), tau)):
+                _assert_same(g, w)
+
+
+@pytest.mark.parametrize("omega_rf", [0.0, -0.0, 4e-3, 0.5, -2.0, np.array(0.0), np.array(0.5)])
+@pytest.mark.parametrize("tau", [0.0, 1.7, np.float64(2.0), np.array(2.0)])
+def test_phase_integrals_equal_reference_on_scalars(omega_rf, tau):
+    p = _params(omega_rf, 0.3)
+    for got, want in zip(phase_integrals(p, tau), _phase_integrals_reference(p, tau)):
+        assert type(got) is np.float64
+        _assert_same(got, want)
+
+
+# scalar or array tau against scalar or array fields of p, including a theta0 of
+# its own shape that broadcasts the series mask beyond the shape of u
+_BROADCASTS = {
+    "scalar tau, scalar p": (1.3, 0.0, 0.4),
+    "array tau, scalar p": (np.array([0.0, 1e-3, 0.5, 2.0, 7.0]), 0.01, 0.4),
+    "array tau, zero rate": (np.array([0.0, 0.5, 2.0]), 0.0, 0.4),
+    "scalar tau, array p": (1.3, np.array([0.0, 1e-3, -2e-3, 0.3, 5.0]), np.array([0.1, 0.2, 0.3, 0.4, 0.5])),
+    "scalar tau, array theta0": (1.3, 0.0, np.array([0.1, -0.2, 3.0])),
+    "array tau, array theta0": (np.array([[0.0], [1.0], [2e-3]]), 1.0, np.array([0.1, -0.2, 3.0, 1.0])),
+    "outer tau x p": (np.array([[0.0], [1e-3], [0.9], [3.0]]), np.array([0.0, 2e-3, 1.5]), np.array([0.3, 0.2, -1.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROADCASTS))
+def test_phase_integrals_equal_reference_on_every_broadcast(case):
+    tau, omega_rf, theta0 = _BROADCASTS[case]
+    p = _params(omega_rf, theta0)
+    for got, want in zip(phase_integrals(p, tau), _phase_integrals_reference(p, tau)):
+        _assert_same(got, want)
+
+
+def _use_references(monkeypatch):
+    """Point the boundary layer at the np.where forms, for building reference results."""
+    monkeypatch.setattr(boundary, "sinc", _sinc_reference)
+    monkeypatch.setattr(boundary, "phase_integrals", _phase_integrals_reference)
+
+
+def _inversions():
+    return [
+        invert_to_physical(2.7, k, tau_star, sign * PI)
+        for k in (1.0, -1.0)
+        for sign in (1.0, -1.0)
+        for tau_star in (TAU_STAR, 1.3 * TAU_STAR)
+    ]
+
+
+def test_invert_equals_reference_build(monkeypatch):
+    got = _inversions()
+    _use_references(monkeypatch)
+    want = _inversions()
+    assert all(got) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("k_sign", [1, -1])
+def test_scan_equals_reference_build(monkeypatch, k_sign):
+    got = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=20000)
+    _use_references(monkeypatch)
+    want = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=20000)
+    assert np.array_equal(got.omegas, want.omegas) and np.array_equal(got.residuals, want.residuals)
+    assert len(got.consistent) == 2 and repr(got.consistent) == repr(want.consistent)
+
+
+def test_removable_singularities_raise_no_floating_point_error():
+    # a zero and a huge argument, alone and in one array: the guards keep the division and the series finite
+    for z in (0.0, 1e40, np.array([0.0, 1e40])):
+        with np.errstate(all="raise"):
+            got = sinc(z)
+        _assert_same(got, _sinc_reference(z))
+    for p, tau in ((_params(0.0, 0.3), 2.0), (_params(3.0, 0.3), 1e45), (_params(3.0, 0.3), np.array([0.0, 1e45]))):
+        with np.errstate(all="raise"):
+            got = phase_integrals(p, tau)
+        for g, w in zip(got, _phase_integrals_reference(p, tau)):
+            _assert_same(g, w)
 
 
 # --- boundary residuals -------------------------------------------------------

@@ -41,14 +41,13 @@ class BoundaryConstants:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Integer labels of a solution branch: m=2*m0, n=2*n0+1, 2p=2q=m+n+1."""
+    """Integer labels of a solution branch: m=2*m0, n=2*n0+1, 2p=m+n+1."""
 
     m0: int
     n0: int
     m: int
     n: int
     p: int
-    q: int
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,16 @@ class DerivedQuantities:
 
 
 def sinc(z):
-    """sin(z)/z elementwise, a 6-term series on the entries with |z| < 1e-4 only; a scalar gives a numpy scalar."""
+    """sin(z)/z elementwise, 1 - z^2/6 on the entries with |z| < 1e-4 only; a scalar gives a numpy scalar.
+
+    The series' next term, z^4/120, is below 8.4e-19 there, under half an ulp of
+    a result within 1.7e-9 of 1, so later terms cannot reach a double.
+    """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1e-4
     out = np.asarray(np.sin(z) / np.where(small, 1.0, z))  # the guard keeps z = 0 from dividing by zero
     if small.any():
-        z2 = z[small] ** 2
-        out[small] = 1.0 - z2 / 6.0 + z2**2 / 120.0 - z2**3 / 5040.0 + z2**4 / 362880.0 - z2**5 / 39916800.0
+        out[small] = 1.0 - z[small] ** 2 / 6.0
     return out[()]
 
 
@@ -177,59 +179,52 @@ def transfer_time(m0: int, n0: int) -> float:
     return 0.25 * PI * math.sqrt((4 * m0 + 1) * (4 * n0 + 3))
 
 
-def analytic_family(m0: int, n0: int, k_sign: int = 1) -> tuple[BoundaryConstants, QuantumNumbers, float]:
+def analytic_family(m0: int, n0: int) -> tuple[BoundaryConstants, QuantumNumbers, float]:
     """Closed-form solution branch labelled by integers n0 >= m0 >= 0.
 
-    With m = 2*m0 and n = 2*n0+1 the solution is a = |c_pm| = (pi/2) *
-    sqrt((2m+1)(2n+1)), b = -pi*k_sign*(n-m), d = 0, and tau_star = a/2.
-    c_plus = k_sign*a is the orientation realized by a physical control with
-    bz = 0 and coupling ratio k_sign.
+    With m = 2*m0 and n = 2*n0+1 the solution is a = c_plus = -c_minus = (pi/2) *
+    sqrt((2m+1)(2n+1)), b = -pi*(n-m), d = 0, and tau_star = a/2: the orientation
+    realized by a physical control with bz = 0 and coupling ratio k = 1.  The
+    coupling ratio k = -1 is conjugation by sigma_x on spin 3, which flips x5..x8
+    and nothing else; its family is this one with the signs of b and c_pm flipped.
     """
     if m0 != int(m0) or n0 != int(n0):
         raise ValueError("m0 and n0 must be integers")
     m0, n0 = int(m0), int(n0)
     if not (0 <= m0 <= n0):
         raise ValueError(f"index ordering violated: need n0 >= m0 >= 0, got m0={m0}, n0={n0}")
-    if k_sign not in (1, -1):
-        raise ValueError("k_sign must be +1 or -1")
     m, n = 2 * m0, 2 * n0 + 1
     tau_star = transfer_time(m0, n0)
     a = 2.0 * tau_star
-    constants = BoundaryConstants(
-        a=a,
-        b=-PI * k_sign * (n - m),
-        c_plus=k_sign * a,
-        c_minus=-k_sign * a,
-        d=0.0,
-    )
-    qn = QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1, q=m0 + n0 + 1)
-    return constants, qn, tau_star
+    constants = BoundaryConstants(a=a, b=-PI * (n - m), c_plus=a, c_minus=-a, d=0.0)
+    return constants, QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1), tau_star
 
 
 def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndarray:
     """Residuals of the eight integer-labelled relations equivalent to the boundary system.
 
-    Degenerate labels with 2p = 2n+1 or 2q = 2m+1 make some relations singular
-    and produce inf residuals, which is the honest answer for an invalid branch.
+    A label with 2p = 2n+1 or 2p = 2m+1 makes some relations singular and
+    produces inf residuals, which is the honest answer for an invalid branch;
+    analytic_family's labels have 2p = m+n+1 even and never are.
     """
     dq = derived_quantities(c)
     a2b2 = c.a**2 + c.b**2
-    m, n, p, q = qn.m, qn.n, qn.p, qn.q
+    m, n, p = qn.m, qn.n, qn.p
     two_n1, two_m1 = 2 * n + 1, 2 * m + 1
     r = np.empty(8)
     r[0] = dq.sqrt_delta_plus - 2 * PI**2 * p * (two_n1 - 2 * p)
-    r[1] = dq.sqrt_delta_minus + 2 * PI**2 * q * (two_m1 - 2 * q)
+    r[1] = dq.sqrt_delta_minus + 2 * PI**2 * p * (two_m1 - 2 * p)
     r[2] = (a2b2 + c.c_plus**2) - 0.5 * PI**2 * (two_n1**2 - 4 * p * two_n1 + 8 * p * p)
-    r[3] = (a2b2 + c.c_minus**2) - 0.5 * PI**2 * (two_m1**2 - 4 * q * two_m1 + 8 * q * q)
+    r[3] = (a2b2 + c.c_minus**2) - 0.5 * PI**2 * (two_m1**2 - 4 * p * two_m1 + 8 * p * p)
     with np.errstate(divide="ignore", invalid="ignore"):
         r[4] = dq.sqrt_delta_plus - (a2b2 - c.c_plus**2) * 2 * p / (two_n1 - 2 * p)
-        r[5] = dq.sqrt_delta_minus + (a2b2 - c.c_minus**2) * 2 * q / (two_m1 - 2 * q)
+        r[5] = dq.sqrt_delta_minus + (a2b2 - c.c_minus**2) * 2 * p / (two_m1 - 2 * p)
         r[6] = c.a * c.b * c.c_plus - (-1.0) ** (n + 1) * (a2b2 - c.c_plus**2) * PI * two_n1 * (
             two_n1 - 4 * p
         ) / (4.0 * (two_n1 - 2 * p))
         r[7] = c.a * c.b * c.c_minus - (-1.0) ** m * (a2b2 - c.c_minus**2) * PI * two_m1 * (
-            two_m1 - 4 * q
-        ) / (4.0 * (two_m1 - 2 * q))
+            two_m1 - 4 * p
+        ) / (4.0 * (two_m1 - 2 * p))
     return r
 
 
@@ -239,15 +234,13 @@ def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndar
 TRANSFER_COLUMNS = MappingProxyType({"x8": (0.0, 0.0, 0.0, 1.0), "x6": (0.0, -1.0, 0.0, 0.0)})
 
 
-def family_constants_for_target(
-    target: str, m0: int, n0: int, k_sign: int = 1
-) -> tuple[BoundaryConstants, QuantumNumbers, float]:
+def family_constants_for_target(target: str, m0: int, n0: int) -> tuple[BoundaryConstants, QuantumNumbers, float]:
     """Analytic-family constants whose exp[A_pm] first columns are +-TRANSFER_COLUMNS[target]."""
     if target not in TRANSFER_COLUMNS:
         raise ValueError(
             f"no solution family exists for target {target!r}; expected one of {', '.join(TRANSFER_COLUMNS)}"
         )
-    c, qn, tau_star = analytic_family(m0, n0, k_sign)
+    c, qn, tau_star = analytic_family(m0, n0)
     return (swap_bd(c) if target == "x6" else c), qn, tau_star
 
 
@@ -433,7 +426,7 @@ def consistency_scan(
     top = (math.sqrt(3.0 * max(omega_hi * omega_hi - 2.0, 0.0)) / PI + 1.0) / 2.0
     if not top <= MAX_SCALES:
         raise ValueError(f"scan range ({omega_lo:g}, {omega_hi:g}] ends above more than {MAX_SCALES} consistent scales")
-    _, _, tau_star = analytic_family(0, 0, k_sign)
+    tau_star = transfer_time(0, 0)
     b_target = -PI * k_sign
 
     def branch_residuals(w, branch: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -471,19 +464,17 @@ def sweep_tau(m0_max: int, n0_max: int) -> list[dict]:
 def solution_record(
     m0: int,
     n0: int,
-    k_sign: int = 1,
     params: ControlParams | None = None,
     branch: dict | None = None,
     target: str = "x8",
 ) -> dict:
     """JSON-ready record of a solution branch, optionally with a physical realization."""
-    c, qn, tau_star = family_constants_for_target(target, m0, n0, k_sign)
+    c, qn, tau_star = family_constants_for_target(target, m0, n0)
     # the scalar boundary system is written for x8, so it is evaluated at the family constants
-    res = boundary_residuals(analytic_family(m0, n0, k_sign)[0])
+    res = boundary_residuals(analytic_family(m0, n0)[0])
     record = {
         "m0": qn.m0,
         "n0": qn.n0,
-        "k_sign": k_sign,
         "target": target,
         "tau_star": tau_star,
         "a": c.a,
@@ -492,7 +483,6 @@ def solution_record(
         "c_minus": c.c_minus,
         "d": c.d,
         "p": qn.p,
-        "q": qn.q,
         "params": None,
         "residuals": {
             "boundary": [float(v) for v in res],

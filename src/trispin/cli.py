@@ -3,6 +3,8 @@
 Subcommands: analytic, propagate, verify, sweep, scan, search, invert.
 Structured records go to JSON, trajectories to CSV with the fixed header
 ``tau,x1,...,x8,norm``.  Exit codes: 0 success, 1 check failure, 2 usage error.
+Only propagate reads a coupling ratio k (from its parameter file); the others
+take k = 1, since k = -1 only flips x5..x8 (``boundary.analytic_family``).
 """
 
 from __future__ import annotations
@@ -124,11 +126,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     if args.omega_hat is not None:
         # invert_to_physical solves only the d = 0 branch, which is the x8 family
         _require(args.target == "x8", f"--omega-hat realizes only target x8, not {args.target}")
-        constants, _, tau_star = analytic_family(args.m0, args.n0, args.k)
-        sols = invert_to_physical(args.omega_hat, float(args.k), tau_star, constants.b)
+        constants, _, tau_star = analytic_family(args.m0, args.n0)
+        sols = invert_to_physical(args.omega_hat, 1.0, tau_star, constants.b)
         if sols:
             params, branch = sols[0].params, sols[0].branch
-    record = solution_record(args.m0, args.n0, k_sign=args.k, params=params, branch=branch, target=args.target)
+    record = solution_record(args.m0, args.n0, params=params, branch=branch, target=args.target)
     _write_json(record, args.out)
     return 0
 
@@ -178,10 +180,9 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _require(args.dynamics_sets >= 0, f"--dynamics-sets must be nonnegative, got {args.dynamics_sets}")
     # run_verification resolves "auto" itself, so the report keeps the request
-    omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat, args.k)
+    omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat)
     report = run_verification(
         omega_hat=omega,
-        k_sign=args.k,
         dtau=args.dtau,
         n_dynamics=args.dynamics_sets,
         grid_resolution=args.resolution,
@@ -207,7 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    result = consistency_scan(args.range_from, args.range_to, k_sign=args.k, samples=args.samples)
+    result = consistency_scan(args.range_from, args.range_to, samples=args.samples)
     payload = {
         "consistent": [asdict(cp) for cp in result.consistent],
         "curve": [{"omega_hat": float(w), "residual": float(r)} for w, r in zip(result.omegas, result.residuals)],
@@ -223,18 +224,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_omega(value, k: int) -> float:
+def _resolve_omega(value) -> float:
     if value == "auto":
         return float(consistent_scale(0)[0])
-    energy_shell(value, k)  # raises below the energy floor
+    energy_shell(value, 1.0)  # raises below the energy floor
     return value
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    omega = _resolve_omega(args.omega_hat, args.k)
+    omega = _resolve_omega(args.omega_hat)
     result = grid_search(
         omega,
-        float(args.k),
+        1.0,
         target=args.target,
         resolution=args.resolution,
         threshold=args.threshold,
@@ -264,7 +265,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_invert(args: argparse.Namespace) -> int:
     _require(args.omega_hat is not None, "--omega-hat is required")
     sols = invert_to_physical(
-        args.omega_hat, float(args.k), args.tau_star, args.b_target, root_range=(args.root_lo, args.root_hi)
+        args.omega_hat, 1.0, args.tau_star, args.b_target, root_range=(args.root_lo, args.root_hi)
     )
     _write_json([asdict(s) for s in sols], args.out)
     return 0
@@ -286,7 +287,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = commands["analytic"] = sub.add_parser("analytic", help="closed-form solution record for an integer branch")
     sp.add_argument("--m0", type=int, default=None)
     sp.add_argument("--n0", type=int, default=None)
-    sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--target", default="x8", choices=tuple(TRANSFER_COLUMNS))
     sp.add_argument("--omega-hat", type=finite, default=None, help="attach a physical realization at this energy scale")
     add_common(sp)
@@ -302,7 +302,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = commands["verify"] = sub.add_parser("verify", help="run the full verification suite")
     sp.add_argument("--omega-hat", type=finite_or_auto, default="auto", help="energy scale, or 'auto' to pick a consistent one")
-    sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--dtau", type=finite, default=1e-4)
     sp.add_argument("--dynamics-sets", type=int, default=5)
     sp.add_argument("--resolution", type=int, default=21)
@@ -320,14 +319,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--from", dest="range_from", type=finite, required=True)
     sp.add_argument("--to", dest="range_to", type=finite, required=True)
     sp.add_argument("--samples", type=int, default=SCAN_SAMPLES)
-    sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
     sp = commands["search"] = sub.add_parser("search", help="grid search of the ansatz for a transfer target")
     sp.add_argument("--target", default="x8", choices=tuple(COMPONENT_INDEX))
     sp.add_argument("--omega-hat", type=finite_or_auto, default="auto")
-    sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--resolution", type=int, default=21)
     sp.add_argument("--threshold", type=finite, default=0.999)
     sp.add_argument("--tau-max", type=finite, default=None)
@@ -338,7 +335,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = commands["invert"] = sub.add_parser("invert", help="solve for controls reproducing target boundary constants")
     sp.add_argument("--omega-hat", type=finite, default=None)
-    sp.add_argument("--k", type=int, default=1, choices=(1, -1))
     sp.add_argument("--tau-star", type=finite, default=TAU_STAR)
     sp.add_argument("--b-target", type=finite, default=-math.pi)
     sp.add_argument("--root-lo", type=finite, default=1e-3)

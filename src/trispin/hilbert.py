@@ -56,8 +56,8 @@ def _sandwich_increments(d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
     return (_SANDWICH @ w.reshape(16, -1)).reshape(w.shape)
 
 
-def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, g): the quaternions of G_s3 = U_(+,s3) U_(-,s3)^dag, s3 = +, -, shape (len(taus), 2, 4).
+def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.ndarray) -> tuple:
+    """(taus, g @ out_map), g the quaternions (g_+, g_-) of G_s3 = U_(+,s3) U_(-,s3)^dag, one row of 8 per tau.
 
     U solves i dU/dtau = H(tau) U from the identity, sector by sector.  Each step
     is the fourth-order Magnus exponential on two Gauss nodes (Blanes, Casas,
@@ -73,12 +73,6 @@ def coherence_blocks(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.
     G = Q_tau F Q_tau^dag turns the (g1, g2) plane by omega_rf*tau, a turn that
     ``_powers`` folds into its block table (``_TURN``).
     """
-    taus, g = _mapped_blocks(p, tau_end, dtau, np.eye(8))
-    return taus, g.reshape(len(taus), 2, 4)
-
-
-def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.ndarray) -> tuple:
-    """(taus, g.reshape(len(taus), 8) @ out_map) for the quaternions g of ``coherence_blocks``."""
     taus = _time_grid(tau_end, dtau)
     h = np.append(dtau, np.diff(taus[-2:]))  # every step of _time_grid but its last is dtau long
     # (x, y, z) of the fields n1, n2 at the Gauss nodes of a step from 0, each of shape (4 sectors, 2 step lengths)

@@ -152,7 +152,6 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float = 1e-4) -> tup
 
 def run_verification(
     omega_hat: float | str = "auto",
-    k_sign: int = 1,
     dtau: float = 1e-4,
     n_dynamics: int = 5,
     n_closure: int = 10,
@@ -163,14 +162,15 @@ def run_verification(
     """Run every verification check and return the filled report.
 
     omega_hat "auto" selects the lowest consistent scale, consistent_scale(0);
-    a numeric omega_hat must satisfy omega_hat^2 > 2.
+    a numeric omega_hat must satisfy omega_hat^2 > 2.  The family checks run at
+    coupling ratio k = 1: k = -1 flips x5..x8 and no reported value
+    (analytic_family); the random parameter sets draw both.
     """
     _time_grid(3.0 * TAU_STAR, dtau)  # a bad step is a ValueError before any check, even with no dynamics sets
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         context={
             "omega_hat_request": omega_hat,
-            "k_sign": k_sign,
             "dtau": dtau,
             "seed": seed,
             "scan_samples": scan_samples,
@@ -179,7 +179,7 @@ def run_verification(
     )
 
     # --- final-time algebra, minimal branch ---
-    constants, qn, tau_star = analytic_family(0, 0, k_sign)
+    constants, qn, tau_star = analytic_family(0, 0)
     report.add(
         Check(
             "family_min_time",
@@ -228,7 +228,7 @@ def run_verification(
     # relations as the x8 family by construction; only its columns are new
     report.add_bounded(
         "x6_variant",
-        column_gap(family_constants_for_target("x6", 0, 0, k_sign)[0], "x6"),
+        column_gap(family_constants_for_target("x6", 0, 0)[0], "x6"),
         1e-10,
         "exponential columns of the exchanged-constants family",
     )
@@ -265,7 +265,7 @@ def run_verification(
     )
 
     # --- consistency of the closed-form control constants ---
-    scan = consistency_scan(*SCAN_RANGE, k_sign=k_sign, samples=scan_samples)
+    scan = consistency_scan(*SCAN_RANGE, samples=scan_samples)
     report.add(
         Check(
             "consistency_scan",
@@ -280,11 +280,11 @@ def run_verification(
 
     auto_omega, branch = consistent_scale(0)
     omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
-    params = closed_form_params(omega_sel, k_sign=k_sign, **branch)
+    params = closed_form_params(omega_sel, **branch)
     if omega_hat != "auto":
         # away from a consistent scale the closed forms miss the b, d equations,
         # so use inverted controls, which satisfy them exactly at any scale
-        sols = invert_to_physical(omega_sel, float(k_sign), tau_star, -math.pi * k_sign)
+        sols = invert_to_physical(omega_sel, 1.0, tau_star, -math.pi)
         if sols:
             params, branch = sols[0].params, sols[0].branch
     report.context["omega_hat"] = omega_sel
@@ -318,7 +318,7 @@ def run_verification(
     )
 
     # --- reachability probes: one grid pass measures both x8 and x7 ---
-    gs = grid_search(omega_sel, float(k_sign), target="x8", resolution=grid_resolution, threshold=0.999)
+    gs = grid_search(omega_sel, 1.0, target="x8", resolution=grid_resolution, threshold=0.999)
     if gs.achieved_tau is None:
         # at low resolution no bz grid value may lie on the energy shell
         note = f"no grid point on the energy shell at resolution {grid_resolution}"

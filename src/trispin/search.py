@@ -6,6 +6,11 @@ from e1.  Every search minimizes one objective, the first crossing of the
 theta0-best target value under the exact propagator (``_first_crossing``).
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
+
+The mirror (bz, omega_rf) -> (-bz, -omega_rf) swaps the halves y_pm up to
+S = diag(1, -1, 1, 1), which flips MZ, J and MS and fixes MB, MC and e1: x5 and
+x7 change sign and every other theta0-best value stays.  So a grid search
+evaluates half of its mirror-symmetric box and reads the other half off it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ _CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
 _Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
+_MIRRORED = ("x5", "x7")  # the components the mirror (bz, omega_rf) -> (-bz, -omega_rf) flips
 
 
 def _target_index(target: str) -> int:
@@ -32,7 +38,7 @@ def _target_index(target: str) -> int:
 
 
 def default_bounds(omega_hat: float) -> dict:
-    """Search box covering all closed-form branches with margin."""
+    """Search box covering all closed-form branches with margin, symmetric in bz and in omega_rf."""
     return {"bz": (-omega_hat, omega_hat), "omega_rf": (-8.0, 8.0)}
 
 
@@ -52,13 +58,12 @@ class SearchResult:
     grid_spec: dict
     feasible: bool
     trace: list = field(default_factory=list)
-    landscape: list = field(default_factory=list)  # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per pair
+    # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair: bz from the centre row up
+    landscape: list = field(default_factory=list)
 
 
 def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
     lo, hi = bounds[name]
-    if hi < lo:
-        raise ValueError(f"empty bounds for {name}: ({lo}, {hi})")
     if resolution == 1:
         return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, resolution)
@@ -111,26 +116,28 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _first_crossing(
-    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray
+    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray, sign: float = 1.0
 ) -> tuple[float, ControlParams] | None:
-    """(tau, p at the best theta0 there) where best[:, j] first reaches threshold; None if it never does.
+    """(tau, p at the best theta0 there) where sign*best[:, j] first reaches threshold; None if it never does.
 
-    p is the theta0 = 0 control, modes its ``mode_table`` from e1 and best =
-    _best_over_theta0(modes, taus).  brentq solves the crossing on the same
+    modes is a ``mode_table`` from e1 of a theta0 = 0 control, best =
+    _best_over_theta0(modes, taus), and p that control or, with sign -1 and j
+    x5 or x7, its mirror (bz, omega_rf) -> (-bz, -omega_rf), whose x_j is -x_j
+    (module docstring; theta0 moves neither).  brentq solves the crossing on the same
     table in the grid interval holding the first hit; its ends keep their grid
     values, since a single-tau evaluation may differ from a batched row in the last bits.
     """
-    hits = np.nonzero(best[:, j] >= threshold)[0]
+    hits = np.nonzero(sign * best[:, j] >= threshold)[0]
     if len(hits) == 0:
         return None
     i = int(hits[0])
     if i == 0:  # the state is e1, whatever theta0
         return 0.0, p
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
-    ends = {float(taus[i - 1]): best[i - 1, j] - threshold, float(taus[i]): best[i, j] - threshold}
+    ends = {float(taus[i - 1]): sign * best[i - 1, j] - threshold, float(taus[i]): sign * best[i, j] - threshold}
 
     def gap(tau: float) -> float:
-        return ends[tau] if tau in ends else _best_over_theta0(modes, tau)[j] - threshold
+        return ends[tau] if tau in ends else sign * _best_over_theta0(modes, tau)[j] - threshold
 
     tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
     phase = _best_over_theta0(modes, tau, p.omega_rf)[1][j]
@@ -157,16 +164,18 @@ def grid_search(
     omega_hat: float,
     k: float,
     target: str = "x8",
-    bounds: dict | None = None,
     resolution: int = 21,
     threshold: float = 0.999,
     tau_max: float | None = None,
     dtau: float = 1e-2,
     collect_landscape: bool = False,
 ) -> SearchResult:
-    """Grid scan of the energy-shell ansatz for the earliest threshold crossing.
+    """Grid scan of the energy-shell ansatz over default_bounds(omega_hat) for the earliest threshold crossing.
 
-    Deterministic for fixed inputs; a control between grid nodes is not seen.  Each
+    Deterministic for fixed inputs; a control between grid nodes is not seen.  Only
+    the bz rows from the centre row up are evaluated (not bz >= 0: the centre node may
+    read +-4.4e-16), on the whole omega_rf axis, so the mirror of every other node is
+    among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  Each
     on-shell bz row of omega_rf is taken in blocks of at most _CHUNK_STEPS
     (omega_rf, tau) rows, one omega_rf at least: one ``mode_table`` (one eigh call)
     and one ``_best_over_theta0`` pass per block.  Peaks and crossings stay per
@@ -174,19 +183,17 @@ def grid_search(
     and each pair's crossing is solved on the bracket its own grid rows give
     (``_first_crossing``), as ``min_time_to_target`` does.  bz values outside the
     energy shell are skipped (no real transverse amplitude there); an omega_hat at or
-    below the energy floor, omega_hat^2 <= 1 + k^2, a threshold that is not positive
-    and bounds keys other than bz and omega_rf are ValueErrors.  The result also
-    records the largest value of every component x1..x8 seen, reached or not, so one
-    pass also bounds the components it does not target, and optionally the whole
-    ((bz, omega_rf) -> reach time, peak) landscape.
+    below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not
+    positive are ValueErrors.  The result also records the largest value of every
+    component x1..x8 seen, reached or not, so one pass also bounds the components it
+    does not target, and optionally the ((bz, omega_rf) -> reach time, peak)
+    landscape of the evaluated pairs.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     _check_threshold(threshold)
     shell = energy_shell(omega_hat, k)
-    bounds = dict(bounds) if bounds is not None else default_bounds(omega_hat)
-    if set(bounds) != {"bz", "omega_rf"}:
-        raise ValueError(f"bounds must provide exactly 'bz' and 'omega_rf', got {list(bounds)}")
+    bounds = default_bounds(omega_hat)
     tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
     taus = _time_grid(tau_max, dtau)
     idx = _target_index(target)
@@ -198,7 +205,7 @@ def grid_search(
     best_params: ControlParams | None = None
     peaks = {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     landscape: list = []
-    for bz in _axis(bounds, "bz", resolution):
+    for bz in _axis(bounds, "bz", resolution)[resolution // 2 :]:
         if bz**2 > shell:
             continue
         b0 = transverse_amplitude(omega_hat, k, bz)
@@ -208,17 +215,23 @@ def grid_search(
             bests = _best_over_theta0((tables, rates), taus, out=buffer[: len(block)])
             for omega_rf, modes, best in zip(block, zip(tables, rates), bests):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
-                rows = np.argmax(best, axis=0)
+                mirror = replace(p, bz=-bz, omega_rf=-omega_rf)
+                top, bottom = np.argmax(best, axis=0), np.argmin(best, axis=0)
                 for name, j in COMPONENT_INDEX.items():
-                    i = rows[j]
+                    i = top[j]
                     if best[i, j] > peaks[name][0]:
                         theta0 = _best_over_theta0(modes, taus[i], omega_rf)[1][j]
                         peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0)))
-                reached, gauge = _first_crossing(p, modes, idx, threshold, taus, best) or (None, None)
-                if reached is not None and reached < best_tau:
-                    best_tau, best_params = reached, gauge
+                    i = bottom[j]
+                    if name in _MIRRORED and -best[i, j] > peaks[name][0]:
+                        peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
+                own = _first_crossing(p, modes, idx, threshold, taus, best)
+                mirrored = _first_crossing(mirror, modes, idx, threshold, taus, best, -1.0) if target in _MIRRORED else None
+                for tau, q in filter(None, (own, mirrored)):
+                    if tau < best_tau:
+                        best_tau, best_params = tau, q
                 if collect_landscape:
-                    peak = rows[idx]
+                    reached, peak = own[0] if own else None, top[idx]
                     landscape.append((float(bz), float(omega_rf), reached, float(best[peak, idx]), float(taus[peak])))
     achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(

@@ -16,8 +16,15 @@ def rng():
 
 
 def su2_matrices(quaternions):
-    """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex."""
-    q0, q1, q2, q3 = np.moveaxis(np.asarray(quaternions, dtype=float), -1, 0)
+    """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex.
+
+    A last axis of 8 holds two quaternions, as the rows (g_+, g_-) of ``hilbert._mapped_blocks``
+    with out_map np.eye(8): the result then has shape (..., 2, 2, 2).
+    """
+    q = np.asarray(quaternions, dtype=float)
+    if q.shape[-1] == 8:
+        q = q.reshape(q.shape[:-1] + (2, 4))
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
     return np.stack([q0 - 1j * q3, -q2 - 1j * q1, q2 - 1j * q1, q0 + 1j * q3], axis=-1).reshape(q0.shape + (2, 2))
 
 

@@ -64,7 +64,7 @@ def equivalence():
 
 
 def test_criterion_01_family_algebra():
-    c, qn, tau_star = analytic_family(0, 0, 1)
+    c, qn, tau_star = analytic_family(0, 0)
     dev_tau = abs(tau_star - 1.360349523175663)
     res_boundary = float(np.max(np.abs(boundary_residuals(c))))
     res_integer = float(np.max(np.abs(integer_relations_check(c, qn))))
@@ -78,7 +78,7 @@ def test_criterion_01_family_algebra():
 
 
 def test_criterion_02_exponential_boundary():
-    c, _, _ = analytic_family(0, 0, 1)
+    c, _, _ = analytic_family(0, 0)
     col_plus, col_minus = exp_boundary_check(c)
     e4 = np.array([0.0, 0.0, 0.0, 1.0])
     dev = max(float(np.max(np.abs(col_plus - e4))), float(np.max(np.abs(col_minus + e4))))
@@ -97,7 +97,7 @@ def test_criterion_03_sweep_minimality():
 
 
 def test_criterion_04_alternate_target():
-    c6, _, tau6 = family_constants_for_target("x6", 0, 0, 1)
+    c6, _, tau6 = family_constants_for_target("x6", 0, 0)
     col_plus, col_minus = exp_boundary_check(c6)
     x6 = np.array(TRANSFER_COLUMNS["x6"])
     dev_cols = max(float(np.max(np.abs(col_plus - x6))), float(np.max(np.abs(col_minus + x6))))

@@ -1,6 +1,6 @@
 """The batched routes against the one-at-a-time loops they replace.
 
-``propagate_rk4`` and ``coherence_blocks`` step in the co-rotating frame,
+``propagate_rk4`` and ``hilbert._mapped_blocks`` step in the co-rotating frame,
 where every step of dtau is one constant map and the grid's last step has its
 own; ``dynamics._powers`` takes the powers of that map in blocks of
 ``dynamics._BLOCK_STEPS`` steps, with the turn back to the lab frame and the
@@ -17,7 +17,7 @@ b + 1 starts, and b*(b + 1) + 1 steps the first whole block of starts.
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
 and from a generic unit vector whose halves differ.
 
-``coherence_blocks`` steps the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of the
+``hilbert._mapped_blocks`` steps the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of the
 conserved (sz1, sz3) sectors that the coherences need, with a closed-form SU(2)
 step on real unit quaternions, and ``full_hilbert_trajectory`` projects them;
 their oracle is the fourth-order Magnus step of the full 8x8 Hamiltonian by
@@ -34,8 +34,9 @@ generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
 ``propagator_discrepancy`` propagates both halves y_pm on one stacked axis;
 its oracle is the loop over the two signs, with scipy's ``expm`` per tau.
 
-``grid_search`` takes one eigendecomposition per (bz, omega_rf) pair and reads
-theta0 off the state; its oracle is the loop over a (bz, omega_rf, theta0) grid.
+``grid_search`` takes one eigendecomposition per (bz, omega_rf) pair of the half
+box from the centre bz row up and reads theta0 off the state; its oracles are the
+loop over a (bz, omega_rf, theta0) grid and the pair-by-pair loop over the whole box.
 
 ``consistency_scan`` takes its consistent scales from the closed form
 ``consistent_scale``; its oracle is the numerical search, local minima of the
@@ -80,7 +81,7 @@ from trispin.dynamics import (
     propagate_rk4,
     propagator_discrepancy,
 )
-from trispin.hilbert import coherence_blocks, full_hilbert_trajectory
+from trispin.hilbert import _mapped_blocks, full_hilbert_trajectory
 from trispin.report import random_consistent_params
 
 DTAU = 1e-3
@@ -124,7 +125,7 @@ def rk4_per_step(p, x0, tau_end, dtau):
 def gauss4_per_step(p, tau_end, dtau):
     """Fourth-order Magnus stepping of the 8x8 U, one eigendecomposition per iteration.
 
-    Like ``coherence_blocks`` it adds the increment (V - I) U, with V - I
+    Like ``_mapped_blocks`` it adds the increment (V - I) U, with V - I
     from expm1 of the eigenvalues, so neither product carries the rounding of
     a diagonal near 1 from step to step.
     """
@@ -192,7 +193,7 @@ def test_rk4_matches_per_step_loop(params, tau_end):
 
 @on_grids
 def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
-    taus, g = coherence_blocks(params, tau_end, DTAU)
+    taus, g = _mapped_blocks(params, tau_end, DTAU, np.eye(8))
     loop_taus, unitaries = gauss4_per_step(params, tau_end, DTAU)
     assert np.array_equal(taus, loop_taus)
     assert np.max(np.abs(su2(g) - coherence_of_unitaries(unitaries))) <= 1e-13
@@ -433,11 +434,54 @@ def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
     return peaks, best_tau
 
 
+def grid_search_full_box(omega_hat, k, target, resolution, threshold, dtau):
+    """((value, tau) of the peak of each of x1..x8, earliest crossing of x_target or inf) over the whole box, pair by pair.
+
+    Every on-shell (bz, omega_rf) node of default_bounds is propagated on its own at
+    theta0 = 0, and the theta0-best x2, x4 (x6, x8) are hypot(x2, x4) (hypot(x6, x8)).
+    """
+    taus = _time_grid(3.0 * TAU_STAR, dtau)
+    bounds = search.default_bounds(omega_hat)
+    bz_axis, rf_axis = (np.linspace(*bounds[name], resolution) for name in ("bz", "omega_rf"))
+    j = search.COMPONENT_INDEX[target]
+
+    def theta0_best(p, tau):
+        x = exact_state_trajectory(p, E1, tau)
+        x[..., [1, 3]] = np.hypot(x[..., 1], x[..., 3])[..., None]
+        x[..., [5, 7]] = np.hypot(x[..., 5], x[..., 7])[..., None]
+        return x
+
+    peaks, best_tau = [(-math.inf, None)] * 8, math.inf
+    for bz in bz_axis:
+        if bz**2 > energy_shell(omega_hat, k):
+            continue
+        for omega_rf in rf_axis:
+            p = ControlParams(k=k, omega_hat=omega_hat, b0=transverse_amplitude(omega_hat, k, bz), bz=bz, omega_rf=omega_rf, theta0=0.0)
+            x = theta0_best(p, taus)
+            rows = np.argmax(x, axis=0)
+            peaks = [max(peak, (x[i, n], taus[i])) for n, (peak, i) in enumerate(zip(peaks, rows))]
+            hits = np.nonzero(x[:, j] >= threshold)[0]
+            if len(hits):
+                i = hits[0]
+                t = brentq(lambda t: theta0_best(p, t)[j] - threshold, taus[i - 1], taus[i], xtol=1e-15)
+                best_tau = min(best_tau, t)
+    return peaks, best_tau
+
+
 @pytest.mark.parametrize("k", [1.0, -1.0])
 @pytest.mark.parametrize("omega_hat", [2.3, 3.0])
 def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     resolution, threshold, dtau = 5, 0.8, 5e-2
     res = search.grid_search(omega_hat, k, resolution=resolution, threshold=threshold, dtau=dtau)
+    # the half box (bz rows from the centre up, x5 and x7 of the other half read as -x5 and -x7) is the whole box,
+    # searched for the reachable x8 and for x7, whose peak lies in the other half at k = -1
+    for target, level in (("x8", threshold), ("x7", 0.5)):
+        half = res if target == "x8" else search.grid_search(omega_hat, k, target, resolution, level, dtau=dtau)
+        whole, whole_tau = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
+        for (value, tau, _), (want, want_tau) in zip(half.peaks.values(), whole):
+            assert abs(value - want) <= 1e-12 and abs(tau - want_tau) <= 1e-12
+        assert abs(half.achieved - whole[search.COMPONENT_INDEX[target]][0]) <= 1e-12
+        assert math.isfinite(whole_tau) and abs(half.best_tau - whole_tau) <= 1e-12
     peaks, best_tau = grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau)
     values = np.array([res.peaks[f"x{i}"][0] for i in range(1, 9)])
     # the best over a continuous theta0 is at least the best over its grid, and x1, x3, x5, x7 do not depend on it
@@ -455,7 +499,8 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution))
+    # the bz rows from the centre up: the half box
+    on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution)[resolution // 2 :])
     for level in (threshold, 2.0):
         calls.clear()
         crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau

@@ -54,6 +54,17 @@ def _oracle_consistent_omega():
 ORACLE_OMEGA = _oracle_consistent_omega()
 
 
+def coupling_flipped(c):
+    """The family at coupling ratio k = -1: analytic_family's constants with b and c_pm negated."""
+    return BoundaryConstants(a=c.a, b=-c.b, c_plus=-c.c_plus, c_minus=-c.c_minus, d=c.d)
+
+
+def both_couplings(m0, n0):
+    """(k, constants, labels) of the (m0, n0) family at k = 1 and k = -1."""
+    c, qn, _ = analytic_family(m0, n0)
+    return [(1, c, qn), (-1, coupling_flipped(c), qn)]
+
+
 def test_oracle_omega_closed_form():
     assert abs(ORACLE_OMEGA - math.sqrt(2.0 + PI**2 / 3.0)) < 1e-12
 
@@ -125,8 +136,7 @@ def test_derived_quantities_family_values():
 def test_derived_quantities_angle_labels_on_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for k_sign in (1, -1):
-                c, qn, _ = analytic_family(m0, n0, k_sign)
+            for _, c, qn in both_couplings(m0, n0):
                 dq = derived_quantities(c)
                 assert abs(dq.z_plus - 0.5 * PI * (2 * qn.n + 1)) < 1e-12
                 assert abs(dq.w_minus - 0.5 * PI * (2 * qn.m + 1)) < 1e-12
@@ -213,6 +223,23 @@ def test_sinc_equals_reference_on_scalars(z):
         got = sinc(arg)
         assert type(got) is np.float64
         _assert_same(got, _sinc_reference(arg))
+
+
+def test_sinc_two_term_series_is_the_six_term_series():
+    # below |z| = 1e-4 the terms after z^2/6 are under half an ulp of the result: the two
+    # forms agree bit for bit on a dense sample, its edges, zeros of both signs and subnormals
+    edge = np.nextafter(1e-4, 0.0)
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, edge, tiny, 1e-310, np.finfo(float).tiny, 1e-160, 1.5e-154, 1e-8]
+    special += [-z for z in special]
+    z = np.concatenate([np.linspace(-edge, edge, 200_001), np.geomspace(tiny, edge, 100_000), special])
+    z = np.concatenate([z, -z])
+    assert np.all(np.abs(z) < 1e-4) and np.signbit(special[len(special) // 2])
+    _assert_same(sinc(z), _sinc_reference(z))
+    _assert_same(sinc(z.reshape(-1, 2)), _sinc_reference(z.reshape(-1, 2)))
+    for v in special:
+        for arg in (v, np.float64(v), np.array(v)):
+            _assert_same(sinc(arg), _sinc_reference(arg))
 
 
 def _params(omega_rf, theta0):
@@ -308,8 +335,7 @@ def test_removable_singularities_raise_no_floating_point_error():
 def test_family_residuals_vanish_on_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for k_sign in (1, -1):
-                c, qn, _ = analytic_family(m0, n0, k_sign)
+            for _, c, qn in both_couplings(m0, n0):
                 assert np.max(np.abs(boundary_residuals(c))) <= 1e-10
                 assert np.max(np.abs(integer_relations_check(c, qn))) <= 1e-10
 
@@ -325,18 +351,18 @@ def test_trivial_zero_constants_satisfy_system():
     assert np.max(np.abs(res)) == 0.0
 
 
-def rejected_branch_residuals(m0, n0, k_sign=1):
+def rejected_branch_residuals(m0, n0):
     """Boundary residuals with the discarded angle relation Z_minus = Z_plus + 2*pi*p.
 
     The accepted branch pairs the angles as Z_minus = -Z_plus + 2*pi*p (and
     likewise for W); substituting the same-sign pairing into the residual
     system together with the family constants leaves no solution.
     """
-    c, qn, _ = analytic_family(m0, n0, k_sign)
+    c, qn, _ = analytic_family(m0, n0)
     z_p = 0.5 * PI * (2 * qn.n + 1)
     w_m = 0.5 * PI * (2 * qn.m + 1)
     z_m = z_p + 2.0 * PI * qn.p
-    w_p = w_m + 2.0 * PI * qn.q
+    w_p = w_m + 2.0 * PI * qn.p
     sd_p, sd_m = z_p**2 - z_m**2, w_p**2 - w_m**2
     dq = DerivedQuantities(
         x_plus=z_p**2 + z_m**2,
@@ -385,8 +411,7 @@ def test_exp_boundary_unit_columns(rng):
 def test_exp_boundary_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for k_sign in (1, -1):
-                c, _, _ = analytic_family(m0, n0, k_sign)
+            for _, c, _ in both_couplings(m0, n0):
                 col_plus, col_minus = exp_boundary_check(c)
                 e4 = np.array([0, 0, 0, 1.0])
                 assert np.max(np.abs(col_plus - e4)) < 1e-10
@@ -397,24 +422,32 @@ def test_exp_boundary_grid():
 
 
 def test_family_minimal_branch():
-    c, qn, tau_star = analytic_family(0, 0, 1)
+    c, qn, tau_star = analytic_family(0, 0)
     assert abs(tau_star - TAU_STAR) < 1e-15
     assert abs(c.a - math.sqrt(3.0) * PI / 2.0) < 1e-15
     assert abs(c.b + PI) < 1e-15
     assert c.c_plus == c.a and c.c_minus == -c.a and c.d == 0.0
-    assert (qn.p, qn.q) == (1, 1)
+    assert qn.p == 1
+    assert not hasattr(qn, "q")  # 2q = m + n + 1 = 2p: one label, not two
 
 
 def test_family_next_branch():
-    c, qn, tau_star = analytic_family(0, 1, 1)
+    c, qn, tau_star = analytic_family(0, 1)
     assert abs(tau_star - 0.25 * PI * math.sqrt(7.0)) < 1e-15
     assert abs(c.b + 3.0 * PI) < 1e-15
     assert (qn.m, qn.n) == (0, 3)
 
 
 def test_family_sign_flip_with_coupling():
-    c, _, _ = analytic_family(0, 0, -1)
-    assert abs(c.b - PI) < 1e-15
+    # the closed-form control at either coupling ratio generates the family constants of that k:
+    # k = -1 flips the signs of b and c_pm, so the family needs no k label
+    omega_hat, branch = consistent_scale(0)
+    for k, c, _ in both_couplings(0, 0):
+        got = abcd_from_physical(closed_form_params(omega_hat, k_sign=k, **branch), TAU_STAR)
+        for name in ("a", "b", "c_plus", "c_minus", "d"):
+            assert abs(getattr(got, name) - getattr(c, name)) <= 1e-9, (k, name)
+    with pytest.raises(TypeError):
+        analytic_family(0, 0, -1)
 
 
 def test_family_rejects_bad_ordering():
@@ -701,11 +734,12 @@ def test_target_vectors():
     assert list(TRANSFER_COLUMNS) == ["x8", "x6"]
     for target, column in TRANSFER_COLUMNS.items():
         for m0, n0 in ((0, 0), (0, 2), (1, 1), (2, 3)):
-            for k_sign in (1, -1):
-                c, _, _ = family_constants_for_target(target, m0, n0, k_sign)
-                col_plus, col_minus = exp_boundary_check(c)
-                assert np.max(np.abs(col_plus - np.array(column))) < 1e-10, (target, m0, n0, k_sign)
-                assert np.max(np.abs(col_minus + np.array(column))) < 1e-10, (target, m0, n0, k_sign)
+            c8, _, _ = analytic_family(m0, n0)
+            assert family_constants_for_target(target, m0, n0)[0] == (swap_bd(c8) if target == "x6" else c8)
+            for k, c, _ in both_couplings(m0, n0):
+                col_plus, col_minus = exp_boundary_check(swap_bd(c) if target == "x6" else c)
+                assert np.max(np.abs(col_plus - np.array(column))) < 1e-10, (target, m0, n0, k)
+                assert np.max(np.abs(col_minus + np.array(column))) < 1e-10, (target, m0, n0, k)
     with pytest.raises(TypeError):
         TRANSFER_COLUMNS["x7"] = (0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="no solution family"):
@@ -713,7 +747,7 @@ def test_target_vectors():
 
 
 def test_x6_family_constants():
-    c6, _, tau6 = family_constants_for_target("x6", 0, 0, 1)
+    c6, _, tau6 = family_constants_for_target("x6", 0, 0)
     assert c6.b == 0.0
     assert abs(c6.d + PI) < 1e-15
     assert abs(tau6 - TAU_STAR) < 1e-15
@@ -721,7 +755,7 @@ def test_x6_family_constants():
 
 def test_x6_exp_columns_along_target_axis():
     # the exchanged-constants generator transfers e1 onto the -e2 / +e2 pair
-    c6, _, _ = family_constants_for_target("x6", 0, 0, 1)
+    c6, _, _ = family_constants_for_target("x6", 0, 0)
     col_plus, col_minus = exp_boundary_check(c6)
     axis = np.zeros(4)
     axis[1] = -1.0
@@ -741,9 +775,11 @@ def test_x7_has_no_family():
 
 def test_solution_record_schema():
     sols = _r0_solutions()
-    rec = solution_record(0, 0, k_sign=1, params=sols[0].params, branch=sols[0].branch)
-    for key in ("m0", "n0", "k_sign", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "q", "params", "residuals"):
+    rec = solution_record(0, 0, params=sols[0].params, branch=sols[0].branch)
+    for key in ("m0", "n0", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "params", "residuals"):
         assert key in rec
+    # the family has no k label (k = -1 is a sign flip) and one half-integer label p
+    assert "k_sign" not in rec and "q" not in rec
     assert rec["params"]["branch"] == {"omega_sign": 1, "theta_sign": -1, "r": 0}
     assert len(rec["residuals"]["boundary"]) == 8
     assert rec["residuals"]["b_eq"] <= 1e-9

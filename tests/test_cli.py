@@ -35,7 +35,7 @@ def _read_csv(path):
 
 
 def test_analytic_record(capsys):
-    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--k", "1")
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", "0")
     assert code == 0
     rec = json.loads(out)
     assert abs(rec["tau_star"] - 1.360349523175663) < 1e-12
@@ -120,7 +120,7 @@ def test_propagate_missing_params_file(tmp_path, capsys):
 
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m0": 0, "n0": 1, "k": 1}))
+    cfg.write_text(json.dumps({"m0": 0, "n0": 1}))
     code, out, _ = _run(capsys, "analytic", "--config", str(cfg))
     assert code == 0
     assert abs(json.loads(out)["tau_star"] - 0.25 * PI * math.sqrt(7.0)) < 1e-12
@@ -212,6 +212,36 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, _, err = _run(capsys, "analytic", "--config", str(cfg))
     assert code == 2
     assert "banana" in err
+
+
+K_COMMANDS = {
+    "analytic": ["analytic", "--m0", "0", "--n0", "0"],
+    "verify": ["verify"],
+    "scan": ["scan", "--from", "2", "--to", "3"],
+    "search": ["search"],
+    "invert": ["invert", "--omega-hat", "2.7"],
+}
+
+
+@pytest.mark.parametrize("command", list(K_COMMANDS))
+def test_k_flag_is_unknown(capsys, command):
+    # k = -1 only flips x5..x8, so no family command takes a coupling ratio
+    with pytest.raises(SystemExit) as exc:
+        main(K_COMMANDS[command] + ["--k", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments: --k -1" in errors[0]
+
+
+@pytest.mark.parametrize("command", list(K_COMMANDS))
+def test_config_key_k_is_unknown(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 1}))
+    code, stdout, err = _run(capsys, *K_COMMANDS[command], "--config", str(cfg), "--out", str(tmp_path / "out.json"))
+    assert code == 2 and stdout == ""
+    assert err == f"error: unknown config key 'k' for command {command!r}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_sweep_table(capsys):

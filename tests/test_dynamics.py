@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from trispin.dynamics import (
     split_halves,
     _time_grid,
 )
+from trispin.hilbert import full_hilbert_trajectory
 
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
 
@@ -464,6 +466,28 @@ def test_three_propagators_agree_in_special_cases(p):
     assert np.max(np.abs(x_ansatz - x_rk4)) < 1e-8
     assert np.max(np.abs(x_exact - x_rk4)) < 1e-8
     assert np.max(np.abs(x_ansatz - x_exact)) < 1e-8
+
+
+# --- the sign of the coupling ratio -------------------------------------------
+
+SPIN3_FLIP = np.diag([1.0] * 4 + [-1.0] * 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_negative_coupling_flips_x5_to_x8(seed):
+    # k -> -k is conjugation by sigma_x on spin 3, which flips x5..x8 and nothing else, on every oracle
+    p = dataclasses.replace(_random_params(np.random.default_rng(seed)), k=1.0)
+    q = dataclasses.replace(p, k=-1.0)
+    tau_end, dtau = 3.0 * TAU_STAR, 1e-3
+    oracles = {
+        "rk4": lambda c: propagate_rk4(c, np.eye(8)[0], tau_end, dtau).states,
+        "full-hilbert": lambda c: full_hilbert_trajectory(c, tau_end, dtau).states,
+        "rotating-exact": lambda c: exact_state_trajectory(c, np.eye(8)[0], _time_grid(tau_end, dtau)),
+    }
+    for name, states in oracles.items():
+        plus = states(p)
+        assert np.max(np.abs(plus[:, 4:])) > 0.1, name  # x5..x8 do not vanish: the flip is seen
+        assert np.max(np.abs(states(q) - plus @ SPIN3_FLIP)) <= 1e-13, name
 
 
 # --- CSV export --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from trispin.algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, sector_fields
-from trispin.hilbert import _sandwich_increments, closure_check, coherence_blocks, full_hilbert_trajectory
+from trispin.hilbert import _mapped_blocks, _sandwich_increments, closure_check, full_hilbert_trajectory
 from trispin.report import dynamics_equivalence, random_consistent_params
 
 TAU_STAR = 0.25 * math.sqrt(3.0) * math.pi
@@ -41,7 +41,7 @@ def test_one_step_is_the_closed_form_rotation(rng, su2):
     angle = np.linalg.norm(v, axis=-1)[:, None, None]
     v_sigma = np.einsum("sk,kab->sab", v, np.stack([_PAULI[a] for a in "xyz"]))
     step = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) / angle * v_sigma
-    taus, g = coherence_blocks(p, h, h)
+    taus, g = _mapped_blocks(p, h, h, np.eye(8))
     assert len(taus) == 2
     assert np.max(np.abs(su2(g[1]) - coherence_of_sectors(step))) <= 1e-15
 
@@ -49,7 +49,7 @@ def test_one_step_is_the_closed_form_rotation(rng, su2):
 def test_constant_hamiltonian_is_exact(su2):
     # b0 = 0 freezes H; stepping must reproduce the blocks of exp(-i H tau)
     p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.7, theta0=0.3)
-    _, g = coherence_blocks(p, 1.5, 1e-3)
+    _, g = _mapped_blocks(p, 1.5, 1e-3, np.eye(8))
     exact = expm(-1j * 1.5 * build_hamiltonian(p, 0.0))
     blocks = exact[SECTORS[:, :, None], SECTORS[:, None, :]]
     assert np.max(np.abs(su2(g[-1]) - coherence_of_sectors(blocks))) < 1e-10
@@ -57,15 +57,15 @@ def test_constant_hamiltonian_is_exact(su2):
 
 def test_zero_duration_is_identity(rng, su2):
     p = random_consistent_params(rng)
-    taus, g = coherence_blocks(p, 0.0, 1e-3)
+    taus, g = _mapped_blocks(p, 0.0, 1e-3, np.eye(8))
     assert len(taus) == 1
-    assert g.shape == (1, 2, 4)
+    assert g.shape == (1, 8)
     assert np.array_equal(su2(g[0]), np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 def test_unitarity_and_determinant(rng, su2):
     p = random_consistent_params(rng)
-    blocks = su2(coherence_blocks(p, 2.0, 1e-3)[1])
+    blocks = su2(_mapped_blocks(p, 2.0, 1e-3, np.eye(8))[1])
     assert np.max(np.abs(adjoint(blocks) @ blocks - np.eye(2))) <= 1e-9
     # every step is in SU(2), so is every G
     assert np.max(np.abs(np.linalg.det(blocks) - 1.0)) < 1e-9
@@ -75,7 +75,7 @@ def test_zero_field_blocks_precess_freely(su2):
     # b0 = bz = 0, k = 1: n_s = (0, 0, 2), 0, 0 and (0, 0, -2) in sectors (+,+), (+,-), (-,+), (-,-), so
     # U_s = exp(-2i tau sz), I, I, exp(2i tau sz) and both G_s3 are exp(-2i tau sz)
     p = ControlParams(k=1.0, omega_hat=math.sqrt(2.0), b0=0.0, bz=0.0, omega_rf=0.7, theta0=0.3)
-    taus, g = coherence_blocks(p, 1.0, 1e-2)
+    taus, g = _mapped_blocks(p, 1.0, 1e-2, np.eye(8))
     phase = np.exp(-2j * taus)[:, None]
     expected = np.stack([phase, 0 * phase, 0 * phase, phase.conj()], axis=-1).reshape(-1, 1, 2, 2)
     assert np.max(np.abs(su2(g) - expected)) <= 1e-14
@@ -85,7 +85,7 @@ def test_zero_field_blocks_precess_freely(su2):
 def test_rejects_bad_step_and_scheme(rng):
     p = random_consistent_params(rng)
     with pytest.raises(ValueError):
-        coherence_blocks(p, 1.0, -1e-3)
+        _mapped_blocks(p, 1.0, -1e-3, np.eye(8))
 
 
 def test_expectations_initial_state():

@@ -16,8 +16,12 @@ OMEGA = math.sqrt(2.0 + PI**2 / 3.0)  # consistent energy scale
 PARAMS = closed_form_params(OMEGA)
 
 
+def component(p, tau, j):
+    return float(exact_state_trajectory(p, E1, np.array([tau]))[0, j])
+
+
 def x8(p, tau):
-    return float(exact_state_trajectory(p, E1, np.array([tau]))[0, 7])
+    return component(p, tau, 7)
 
 
 def test_target_expectation_at_zero():
@@ -66,8 +70,9 @@ def test_min_time_bisection_accuracy():
 
 def test_threshold_equal_to_a_grid_value_is_a_crossing():
     # at a row whose single-tau evaluation falls below its batched value, a
-    # re-evaluated bracket end would lose the sign change; the grid value is kept
-    omega_hat, bz, omega_rf, tau_max, dtau = 2.7, 0.3, 1.1, 3.0 * TAU_STAR, 1e-2
+    # re-evaluated bracket end would lose the sign change; the grid value is kept.
+    # (bz, omega_rf) = (0, 0) is the one node of the default box at resolution 1
+    omega_hat, bz, omega_rf, tau_max, dtau = 2.7, 0.0, 0.0, 3.0 * TAU_STAR, 1e-2
     b0 = transverse_amplitude(omega_hat, 1.0, bz)
     p = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
     taus = _time_grid(tau_max, dtau)  # the grid both searches bracket on
@@ -81,8 +86,7 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
     threshold = float(best[i])
     t, _ = min_time_to_target(p, "x8", threshold, tau_max=tau_max, dtau=dtau)
     assert t == taus[i]
-    bounds = {"bz": (bz, bz), "omega_rf": (omega_rf, omega_rf)}
-    res = grid_search(omega_hat, 1.0, bounds=bounds, resolution=1, threshold=threshold, tau_max=tau_max, dtau=dtau)
+    res = grid_search(omega_hat, 1.0, resolution=1, threshold=threshold, tau_max=tau_max, dtau=dtau)
     assert res.best_tau == taus[i]
 
 
@@ -124,15 +128,16 @@ def test_min_time_rejects_bad_arguments():
 
 
 def test_grid_search_membership_of_reference_point():
-    # a grid through the closed-form controls must do at least as well as they do
+    # a grid through the closed-form controls must do at least as well as they do: at
+    # omega_hat = sqrt(2 + pi^2/4) they are bz = 0 and omega_rf = (4/pi)*(pi/2) = 2, and
+    # the default box at resolution 9 has the nodes 0 in bz and 2 in omega_rf
+    omega_hat = math.sqrt(2.0 + PI**2 / 4.0)
+    reference = closed_form_params(omega_hat)
+    assert reference.bz == 0.0 and abs(reference.omega_rf - 2.0) <= 1e-15
     taus = _time_grid(3.0 * TAU_STAR, 1e-2)  # the search's own tau grid
-    ref_curve = exact_state_trajectory(PARAMS, E1, taus)[:, 7]
+    ref_curve = exact_state_trajectory(reference, E1, taus)[:, 7]
     ref_best = taus[np.argmax(ref_curve >= 0.5)]
-    bounds = {
-        "bz": (PARAMS.bz, PARAMS.bz),
-        "omega_rf": (PARAMS.omega_rf, PARAMS.omega_rf),
-    }
-    res = grid_search(OMEGA, 1.0, target="x8", bounds=bounds, resolution=1, threshold=0.5, dtau=1e-2)
+    res = grid_search(omega_hat, 1.0, target="x8", resolution=9, threshold=0.5, dtau=1e-2)
     assert res.feasible
     assert res.best_tau <= ref_best + 1e-2
     assert res.achieved >= float(np.max(ref_curve)) - 1e-9
@@ -156,24 +161,23 @@ def test_omega_rf_blocks_do_not_change_the_grid(monkeypatch, width):
 
 
 def test_landscape_crossings_are_the_per_pair_crossings():
+    # the landscape lists the evaluated half of the box, bz >= 0 at this scale; each crossing is the
+    # per-pair crossing of its pair and of the pair's mirror (-bz, -omega_rf)
     res = _grid()
+    assert len(res.landscape) == 3 * 7 and all(row[0] >= 0.0 for row in res.landscape)
     reached = [(bz, omega_rf, tau) for bz, omega_rf, tau, _, _ in res.landscape if tau is not None]
-    assert len(reached) >= 10
+    assert len(reached) >= 8
     for bz, omega_rf, tau in reached:
         p = ControlParams(k=1.0, omega_hat=2.7, b0=transverse_amplitude(2.7, 1.0, bz), bz=bz, omega_rf=omega_rf, theta0=0.0)
-        alone, _ = min_time_to_target(p, "x8", 0.6, tau_max=3.0 * TAU_STAR, dtau=5e-2)
-        assert abs(alone - tau) <= 1e-12
+        for q in (p, dataclasses.replace(p, bz=-bz, omega_rf=-omega_rf)):
+            alone, _ = min_time_to_target(q, "x8", 0.6, tau_max=3.0 * TAU_STAR, dtau=5e-2)
+            assert abs(alone - tau) <= 1e-12
 
 
-def test_grid_search_rejects_empty_bounds():
-    with pytest.raises(ValueError, match="empty bounds"):
-        grid_search(OMEGA, 1.0, bounds={"bz": (1.0, -1.0), "omega_rf": (0, 1)})
-    with pytest.raises(ValueError, match="must provide"):
-        grid_search(OMEGA, 1.0, bounds={"bz": (0, 1)})
-    # a bound the search would not honour is refused, the retired theta0 axis included
-    for extra in ("theta0", "b0"):
-        with pytest.raises(ValueError, match=extra):
-            grid_search(OMEGA, 1.0, bounds={"bz": (0, 1), "omega_rf": (0, 1), extra: (0, 1)})
+def test_grid_search_takes_no_bounds_and_rejects_bad_resolution():
+    # the half-box quotient needs the mirror-symmetric default box, so no other box is accepted
+    with pytest.raises(TypeError, match="bounds"):
+        grid_search(OMEGA, 1.0, bounds={"bz": (0, 1), "omega_rf": (0, 1)})
     with pytest.raises(ValueError):
         grid_search(OMEGA, 1.0, resolution=0)
 
@@ -192,17 +196,7 @@ def test_grid_search_deterministic():
 
 
 def test_refine_local_infeasible_seed_unchanged():
-    seed = grid_search(
-        OMEGA,
-        1.0,
-        bounds={
-            "bz": (PARAMS.bz, PARAMS.bz),
-            "omega_rf": (PARAMS.omega_rf, PARAMS.omega_rf),
-        },
-        resolution=1,
-        threshold=0.999,
-        dtau=1e-2,
-    )
+    seed = grid_search(OMEGA, 1.0, resolution=5, threshold=0.999, dtau=1e-2)
     assert not seed.feasible
     out = refine_local(seed, iterations=10)
     assert out.best_params == seed.best_params and out.best_tau == seed.best_tau
@@ -236,8 +230,8 @@ def test_refine_local_pins_the_second_refined_time():
 def test_mirror_controls_cross_together(k):
     # S = diag(1, -1, 1, 1) flips MZ, J and MS and fixes MB, MC and e1, so
     # (bz, omega_rf) -> (-bz, -omega_rf) swaps the halves y_pm up to S: x6
-    # stays, x8 changes sign and the theta0-best x8 keeps its crossing.  A
-    # grid holding both points may therefore report either.
+    # stays, x8 changes sign and the theta0-best x8 keeps its crossing.  So
+    # grid_search evaluates only one point of each mirror pair.
     rng = np.random.default_rng(7)
     crossings = 0
     for _ in range(12):  # about half of them cross, near the line omega_rf = 2*bz
@@ -254,12 +248,37 @@ def test_mirror_controls_cross_together(k):
     assert crossings >= 6
 
 
+def test_grid_search_reports_a_control_of_the_evaluated_half():
+    # the box holds both (bz, omega_rf) and (-bz, -omega_rf), whose x8 crossings agree to rounding;
+    # only the half from the centre bz row up is evaluated, so which of the two is reported is fixed
+    first, again = (grid_search(2.7, 1.0, threshold=0.95) for _ in range(2))
+    assert abs(first.best_tau - 1.1828305981602452) <= 1e-12  # the whole box's crossing
+    assert (first.best_params.bz, first.best_params.omega_rf) == pytest.approx((1.89, 4.0), abs=1e-12)
+    assert (again.best_tau, again.best_params) == (first.best_tau, first.best_params)
+    # x5 and x7 of the other half are -x5 and -x7 of this one: at k = -1 the x7 peak lies there
+    value, tau, p = grid_search(2.7, -1.0, resolution=5, threshold=0.95).peaks["x7"]
+    assert p.bz < 0.0 and abs(component(p, tau, 6) - value) <= 1e-12
+
+
+def test_half_box_keeps_a_centre_row_that_reads_below_zero():
+    # the half box is the bz rows from the centre row up, not bz >= 0: at omega_hat = 2.714
+    # the centre of the 21 bz nodes reads -4.4e-16, and its row is still evaluated
+    omega_hat = 2.714
+    bz_axis = np.linspace(-omega_hat, omega_hat, 21)
+    assert bz_axis[10] < 0.0
+    res = grid_search(omega_hat, 1.0, threshold=0.95, tau_max=1.0, dtau=5e-2, collect_landscape=True)
+    rows = sorted({bz for bz, _, _, _, _ in res.landscape})
+    assert rows[0] == bz_axis[10]
+    assert rows == [bz for bz in bz_axis[10:] if bz**2 <= energy_shell(omega_hat, 1.0)]
+    assert len(res.landscape) == 21 * len(rows)
+
+
 def test_no_transfer_probe_degenerate_grid():
     res = grid_search(OMEGA, 1.0, target="x7", resolution=1, threshold=1.0, tau_max=1.0)
     value, tau, params = res.peaks["x7"]
     assert np.isfinite(value) and 0.0 <= tau <= 1.0 and params is not None
-    # no bz grid value on the energy shell: every peak is empty
-    off_shell = grid_search(OMEGA, 1.0, bounds={"bz": (5.0, 6.0), "omega_rf": (0, 1)}, resolution=2)
+    # no bz grid value on the energy shell (the nodes are bz = +-omega_hat): every peak is empty
+    off_shell = grid_search(OMEGA, 1.0, resolution=2)
     assert all(peak == (-math.inf, None, None) for peak in off_shell.peaks.values())
 
 

@@ -50,22 +50,6 @@ class QuantumNumbers:
     p: int
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Intermediates of the scalar boundary system (all real)."""
-
-    x_plus: float
-    x_minus: float
-    delta_plus: float
-    delta_minus: float
-    sqrt_delta_plus: float
-    sqrt_delta_minus: float
-    z_plus: float
-    z_minus: float
-    w_plus: float
-    w_minus: float
-
-
 def sinc(z):
     """sin(z)/z elementwise, 1 - z^2/6 on the entries with |z| < 1e-4 only; a scalar gives a numpy scalar.
 
@@ -94,40 +78,27 @@ def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
     )
 
 
-def derived_quantities(c: BoundaryConstants) -> DerivedQuantities:
-    """X, Delta and the angle pairs (Z, W).
+def derived_quantities(c: BoundaryConstants) -> tuple[tuple, tuple]:
+    """Per sign of c_pm, (X, sqrt(Delta), larger angle, smaller angle): (X+, sqrt(Delta+), Z+, Z-), (X-, sqrt(Delta-), W+, W-).
 
     Delta_pm = X_pm^2 - 4 a^2 c_pm^2 is evaluated in the factored form
-    ((a-c)^2 + b^2 + d^2)((a+c)^2 + b^2 + d^2), which is nonnegative in exact
-    arithmetic and in floating point; the smaller angle is recovered from
+    f1*f2 = ((a-c)^2 + b^2 + d^2)((a+c)^2 + b^2 + d^2), whose factors are
+    nonnegative in exact arithmetic and in floating point, so sqrt(Delta) =
+    sqrt(f1)*sqrt(f2); the smaller angle is recovered from
     Z_plus * Z_minus = |a c| to avoid cancellation.
     """
     bd = c.b**2 + c.d**2
 
-    def angles(cc: float) -> tuple[float, float, float, float, float]:
+    def angles(cc: float) -> tuple[float, float, float, float]:
         f1 = (c.a - cc) ** 2 + bd  # X - 2ac
         f2 = (c.a + cc) ** 2 + bd  # X + 2ac
         x = 0.5 * (f1 + f2)
-        delta = f1 * f2
         sqrt_delta = math.sqrt(f1) * math.sqrt(f2)
         big = math.sqrt(0.5 * (x + sqrt_delta))
         small = abs(c.a * cc) / big if big > 0.0 else 0.0
-        return x, delta, sqrt_delta, big, small
+        return x, sqrt_delta, big, small
 
-    x_p, delta_p, sd_p, z_p, z_m = angles(c.c_plus)
-    x_m, delta_m, sd_m, w_p, w_m = angles(c.c_minus)
-    return DerivedQuantities(
-        x_plus=x_p,
-        x_minus=x_m,
-        delta_plus=delta_p,
-        delta_minus=delta_m,
-        sqrt_delta_plus=sd_p,
-        sqrt_delta_minus=sd_m,
-        z_plus=z_p,
-        z_minus=z_m,
-        w_plus=w_p,
-        w_minus=w_m,
-    )
+    return angles(c.c_plus), angles(c.c_minus)
 
 
 def _sqrt_delta_over_a(sqrt_delta: float, a: float) -> float:
@@ -136,13 +107,13 @@ def _sqrt_delta_over_a(sqrt_delta: float, a: float) -> float:
     return 0.0 if sqrt_delta == 0.0 else math.inf
 
 
-def _residual_system(c: BoundaryConstants, dq: DerivedQuantities) -> np.ndarray:
-    """The eight boundary equations, LHS - RHS, component order (11)+-, (31)+-, (21)+-, (41)+-."""
-    czp, czm = math.cos(dq.z_plus), math.cos(dq.z_minus)
-    cwp, cwm = math.cos(dq.w_plus), math.cos(dq.w_minus)
-    szp, szm = sinc(dq.z_plus), sinc(dq.z_minus)
-    swp, swm = sinc(dq.w_plus), sinc(dq.w_minus)
-    x_p, sd_p, x_m, sd_m = dq.x_plus, dq.sqrt_delta_plus, dq.x_minus, dq.sqrt_delta_minus
+def _residual_system(c: BoundaryConstants, dq: tuple) -> np.ndarray:
+    """The eight boundary equations, LHS - RHS, component order (11)+-, (31)+-, (21)+-, (41)+-; dq as from derived_quantities."""
+    (x_p, sd_p, z_p, z_m), (x_m, sd_m, w_p, w_m) = dq
+    czp, czm = math.cos(z_p), math.cos(z_m)
+    cwp, cwm = math.cos(w_p), math.cos(w_m)
+    szp, szm = sinc(z_p), sinc(z_m)
+    swp, swm = sinc(w_p), sinc(w_m)
     a, b, d = c.a, c.b, c.d
     cp, cm = c.c_plus, c.c_minus
     r = np.empty(8)
@@ -207,18 +178,18 @@ def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndar
     produces inf residuals, which is the honest answer for an invalid branch;
     analytic_family's labels have 2p = m+n+1 even and never are.
     """
-    dq = derived_quantities(c)
+    (_, sd_p, _, _), (_, sd_m, _, _) = derived_quantities(c)
     a2b2 = c.a**2 + c.b**2
     m, n, p = qn.m, qn.n, qn.p
     two_n1, two_m1 = 2 * n + 1, 2 * m + 1
     r = np.empty(8)
-    r[0] = dq.sqrt_delta_plus - 2 * PI**2 * p * (two_n1 - 2 * p)
-    r[1] = dq.sqrt_delta_minus + 2 * PI**2 * p * (two_m1 - 2 * p)
+    r[0] = sd_p - 2 * PI**2 * p * (two_n1 - 2 * p)
+    r[1] = sd_m + 2 * PI**2 * p * (two_m1 - 2 * p)
     r[2] = (a2b2 + c.c_plus**2) - 0.5 * PI**2 * (two_n1**2 - 4 * p * two_n1 + 8 * p * p)
     r[3] = (a2b2 + c.c_minus**2) - 0.5 * PI**2 * (two_m1**2 - 4 * p * two_m1 + 8 * p * p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r[4] = dq.sqrt_delta_plus - (a2b2 - c.c_plus**2) * 2 * p / (two_n1 - 2 * p)
-        r[5] = dq.sqrt_delta_minus + (a2b2 - c.c_minus**2) * 2 * p / (two_m1 - 2 * p)
+        r[4] = sd_p - (a2b2 - c.c_plus**2) * 2 * p / (two_n1 - 2 * p)
+        r[5] = sd_m + (a2b2 - c.c_minus**2) * 2 * p / (two_m1 - 2 * p)
         r[6] = c.a * c.b * c.c_plus - (-1.0) ** (n + 1) * (a2b2 - c.c_plus**2) * PI * two_n1 * (
             two_n1 - 4 * p
         ) / (4.0 * (two_n1 - 2 * p))

@@ -20,7 +20,8 @@ axis of length 2, + first.  Three propagation routes are provided:
 * ``propagate_rotating_exact`` closed form in the co-rotating frame from one real
                                ``mode_table``, exact to eigendecomposition accuracy.
 
-``propagator_discrepancy`` measures the gap between the last two routes.
+``mode_states`` reads every mode table, the search's too; ``propagator_discrepancy``
+measures the gap between the last two routes.
 """
 
 from __future__ import annotations
@@ -297,20 +298,49 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return table.reshape(ev.shape[:-2] + (8,) + np.shape(y0)), ev[..., 2:].reshape(ev.shape[:-2] + (4,))
 
 
-def _rotating_states(p: ControlParams, table: np.ndarray, w: np.ndarray, taus) -> np.ndarray:
-    """[cos(w*tau), sin(w*tau)] @ table turned by exp(omega_rf*tau*J), shape np.shape(taus) + table.shape[1:].
+def _on_grid(taus) -> bool:
+    """Whether taus has 3 or more entries on one axis, all but the last equal to dtau*arange bitwise, as from _time_grid."""
+    return np.ndim(taus) == 1 and len(taus) >= 3 and np.array_equal(taus[:-1], taus[1] * np.arange(len(taus) - 1))
 
-    This per-tau path serves any taus; it is the reference of the grid path of ``exact_state_trajectory``.
+
+def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None = None, out: np.ndarray | None = None):
+    """[cos(w*tau), sin(w*tau)] @ table at every tau in taus, turned by exp(omega_rf*tau*J) if omega_rf is given.
+
+    (table, w) is a ``mode_table`` with leading shape s and a state of shape (2, 4) or (2, 4, m); the result
+    has shape s + np.shape(taus) + state, written to out, if given, as s + (taus.size, state size).  On
+    ``_on_grid`` taus all but the last tau take one ``_block_grid``: by angle addition the rows at block
+    step l are [cos_l T_c + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows
+    of the table, so cos and sin run on the block starts and one block, and the turn
+    exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, and any other
+    taus, take the direct form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus.
     """
-    t = np.ravel(np.asarray(taus, dtype=float))
-    y = np.empty((2, 4, len(t)))  # [cos(w*tau), sin(w*tau)], tau last: the frame turn runs along contiguous rows
-    np.cos(w[:, None] * t, out=y[0])
-    np.sin(w[:, None] * t, out=y[1])
-    y = (table.reshape(8, -1).T @ y.reshape(8, -1)).reshape(2, 4, -1, len(t))
-    # exp(phi*J) rotates the (2,4) plane of both halves, and so of their sum and difference, by phi = omega_rf*tau
-    c, s = np.cos(p.omega_rf * t), np.sin(p.omega_rf * t)
-    y[:, 1], y[:, 3] = c * y[:, 1] - s * y[:, 3], s * y[:, 1] + c * y[:, 3]
-    return np.ascontiguousarray(np.moveaxis(y, -1, 0)).reshape(np.shape(taus) + table.shape[1:])
+    taus = np.asarray(taus, dtype=float)
+    lead, state = w.shape[:-1], table.shape[w.ndim :]
+    table = table.reshape(lead + (8, -1))
+    width = table.shape[-1]
+    x = np.empty(lead + (taus.size, width)) if out is None else out
+
+    def trig(t):  # cos(w*t) and sin(w*t), shape lead + (len(t), 4) each
+        phase = w[..., None, :] * t[:, None]
+        return np.cos(phase), np.sin(phase)
+
+    on_grid = _on_grid(taus)
+    direct = taus[-1:] if on_grid else taus.reshape(-1)
+    rows = x[..., taus.size - len(direct) :, :]
+    np.matmul(np.concatenate(trig(direct), axis=-1), table, out=rows)
+    if omega_rf is not None:  # exp(phi*J) rotates the (2,4) plane of both halves by phi = omega_rf*tau
+        y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
+        c, s = (f(omega_rf * direct)[:, None, None] for f in (np.cos, np.sin))
+        y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
+    if on_grid:
+        starts, block = taus[:-1:_BLOCK_STEPS], taus[:-1][:_BLOCK_STEPS]
+        c, s = (v[..., None] for v in trig(block))
+        t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
+        maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
+        frame = np.kron(_TURN, np.eye(width // 8))  # the frame turn of every entry of a flattened state
+        turn = None if omega_rf is None else (frame, omega_rf * starts, omega_rf * block, np.eye(width))
+        _block_grid(np.concatenate(trig(starts), axis=-1), maps, x[..., :-1, :], turn)
+    return x.reshape(lead + taus.shape + state)
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:
@@ -323,50 +353,13 @@ def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray 
     table, w = mode_table(p, y0)
     # y_pm = x_plus +- x_minus; each table row lies in one half, so this undoes the join exactly
     halves = np.stack([table[:, 0] + table[:, 1], table[:, 0] - table[:, 1]], axis=1)
-    return _rotating_states(p, halves, w, taus)
-
-
-def _on_grid(taus) -> bool:
-    """Whether taus has 3 or more entries on one axis, all but the last equal to dtau*arange bitwise, as from _time_grid."""
-    return np.ndim(taus) == 1 and len(taus) >= 3 and np.array_equal(taus[:-1], taus[1] * np.arange(len(taus) - 1))
-
-
-def _mode_blocks(table: np.ndarray, w: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, maps) of ``_block_grid``: [cos(w*tau), sin(w*tau)] @ table = starts[..., j, :] @ maps[..., l, :, :].
-
-    tau = taus[j*b + l], taus = dtau*arange(n), table of shape (..., 8, k) and w (..., 4), as from
-    ``mode_table``; b is ``_BLOCK_STEPS``, or n if less.  By angle addition the cos row of rate w at
-    tau_j + tau_l is cos_j*cos_l - sin_j*sin_l and its sin row sin_j*cos_l + cos_j*sin_l, so with T_c, T_s
-    the cos and sin rows of table, maps[l] holds the rows cos_l*T_c + sin_l*T_s and cos_l*T_s - sin_l*T_c,
-    rate by rate, and starts the [cos, sin] at the block starts taus[j*b].
-    """
-    def trig(t):
-        phase = w[..., None, :] * t[:, None]
-        return np.cos(phase), np.sin(phase)
-
-    c, s = (v[..., None] for v in trig(taus[:_BLOCK_STEPS]))
-    t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
-    maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
-    return np.concatenate(trig(taus[::_BLOCK_STEPS]), axis=-1), maps
+    return mode_states(halves, w, taus, p.omega_rf)
 
 
 def exact_state_trajectory(p: ControlParams, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,).
-
-    On taus that are ``_on_grid``, all but the last tau take one ``_block_grid`` of the ``_mode_blocks``,
-    turned by exp(omega_rf*tau*J) = exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J); the last tau, and any
-    other taus, take ``_rotating_states`` tau by tau.
-    """
+    """Rotating-frame exact 8-vectors at every tau in taus, shape np.shape(taus) + (8,), the ``mode_states`` from x0."""
     table, w = mode_table(p, split_halves(x0))
-    taus = np.asarray(taus, dtype=float)
-    if not _on_grid(taus):
-        return _rotating_states(p, table, w, taus).reshape(np.shape(taus) + (8,))
-    out = np.empty((len(taus), 8))
-    starts, maps = _mode_blocks(table.reshape(8, 8), w, taus[:-1])
-    phases = p.omega_rf * taus[: len(taus) - 1 : _BLOCK_STEPS], p.omega_rf * taus[: len(maps)]
-    _block_grid(starts, maps, out[:-1], (_TURN, *phases, np.eye(8)))
-    out[-1] = _rotating_states(p, table, w, taus[-1]).reshape(8)
-    return out
+    return mode_states(table, w, taus, p.omega_rf).reshape(np.shape(taus) + (8,))
 
 
 @dataclass(frozen=True)

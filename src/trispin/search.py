@@ -3,7 +3,7 @@
 The search space is the energy shell of the rotating drive: (bz, omega_rf)
 free, b0 fixed by the energy constraint, and theta0 a gauge read off the state
 from e1.  Every search minimizes one objective, the first crossing of the
-theta0-best target value under the exact propagator (``_first_crossing``).
+theta0-best target value on ``dynamics.mode_states`` (``_first_crossing``).
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _block_grid, _mode_blocks, _on_grid, _time_grid, mode_table, split_halves
+from .dynamics import _time_grid, mode_states, mode_table, split_halves
 
 _CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
 _Y1 = split_halves(E1)  # both halves of the start state e1
@@ -58,7 +58,8 @@ class SearchResult:
     grid_spec: dict
     feasible: bool
     trace: list = field(default_factory=list)
-    # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair: bz from the centre row up
+    # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair, bz from the centre row up; for x5
+    # and x7 each pair off the centre row is followed by its mirror (-bz, -omega_rf), so the whole box is listed
     landscape: list = field(default_factory=list)
 
 
@@ -73,12 +74,8 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np
     """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,); given omega_rf, (best, theta0).
 
     modes is the ``mode_table`` from e1 of a control, or of an omega_rf block with leading
-    shape s, and theta0 a gauge only from e1; out, if given, receives the co-rotating states.
-    On a ``_time_grid`` (``dynamics._on_grid``) all but the last tau take one ``_block_grid``:
-    with T_c, T_s the cos and sin rows of the table, the rows at block step l are
-    U_l = [c_l T_c + s_l T_s; c_l T_s - s_l T_c], rate by rate (``dynamics._mode_blocks``), so
-    cos and sin run on the block starts and one block, not on every tau.  The last tau, a
-    scalar tau and any other taus take the direct form [cos(w*tau), sin(w*tau)] @ table.
+    shape s, and theta0 a gauge only from e1; out, if given, receives the co-rotating states,
+    ``dynamics.mode_states`` of the table without the frame turn.
     R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
     and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
     sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike), and
@@ -88,16 +85,8 @@ def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np
     read off the co-rotating state, and the turn is applied only to read theta0.
     """
     table, w = modes
-    table = table.reshape(w.shape[:-1] + (8, 8))
     taus = np.asarray(taus, dtype=float)
-    on_grid = _on_grid(taus)
-    direct = taus[-1:] if on_grid else taus.reshape(-1)
-    phase = w[..., None, :] * direct[:, None]
-    x = np.empty(w.shape[:-1] + (taus.size, 8)) if out is None else out
-    np.matmul(np.concatenate([np.cos(phase), np.sin(phase)], axis=-1), table, out=x[..., taus.size - len(direct) :, :])
-    if on_grid:
-        _block_grid(*_mode_blocks(table, w, taus[:-1]), x[..., :-1, :])
-    x = x.reshape(w.shape[:-1] + taus.shape + (8,))
+    x = mode_states(table, w, taus, out=out).reshape(w.shape[:-1] + taus.shape + (8,))
     u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
     best = np.hypot(u, v)
     if omega_rf is not None:
@@ -187,7 +176,7 @@ def grid_search(
     positive are ValueErrors.  The result also records the largest value of every
     component x1..x8 seen, reached or not, so one pass also bounds the components it
     does not target, and optionally the ((bz, omega_rf) -> reach time, peak)
-    landscape of the evaluated pairs.
+    landscape of the whole box (``SearchResult.landscape``).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -205,7 +194,7 @@ def grid_search(
     best_params: ControlParams | None = None
     peaks = {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     landscape: list = []
-    for bz in _axis(bounds, "bz", resolution)[resolution // 2 :]:
+    for row, bz in enumerate(_axis(bounds, "bz", resolution)[resolution // 2 :]):
         if bz**2 > shell:
             continue
         b0 = transverse_amplitude(omega_hat, k, bz)
@@ -225,14 +214,14 @@ def grid_search(
                     i = bottom[j]
                     if name in _MIRRORED and -best[i, j] > peaks[name][0]:
                         peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
-                own = _first_crossing(p, modes, idx, threshold, taus, best)
-                mirrored = _first_crossing(mirror, modes, idx, threshold, taus, best, -1.0) if target in _MIRRORED else None
-                for tau, q in filter(None, (own, mirrored)):
-                    if tau < best_tau:
-                        best_tau, best_params = tau, q
-                if collect_landscape:
-                    reached, peak = own[0] if own else None, top[idx]
-                    landscape.append((float(bz), float(omega_rf), reached, float(best[peak, idx]), float(taus[peak])))
+                sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in _MIRRORED else [])
+                for side, (q, sign, i) in enumerate(sides):
+                    hit = _first_crossing(q, modes, idx, threshold, taus, best, sign)
+                    if hit and hit[0] < best_tau:
+                        best_tau, best_params = hit
+                    if collect_landscape and (side == 0 or row > 0 or resolution % 2 == 0):  # a centre row holds its mirrors
+                        reached = hit[0] if hit else None
+                        landscape.append((float(q.bz), float(q.omega_rf), reached, float(sign * best[i, idx]), float(taus[i])))
     achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,

@@ -23,9 +23,10 @@ step on real unit quaternions, and ``full_hilbert_trajectory`` projects them;
 their oracle is the fourth-order Magnus step of the full 8x8 Hamiltonian by
 ``eigh`` and a trace per operator.
 
-``exact_state_trajectory`` evaluates the mode table on a ``_time_grid`` in
-blocks, by angle addition, with the frame turn folded into one GEMM; its oracle
-is the per-tau path, which the same taus take as a column.
+``dynamics.mode_states`` evaluates a mode table on a ``_time_grid`` in blocks,
+by angle addition, with the frame turn folded into one GEMM, for the 8-vectors
+of ``exact_state_trajectory`` and the propagators of ``propagate_rotating_exact``;
+its oracle is the per-tau path, which the same taus take as a column.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
@@ -36,7 +37,8 @@ its oracle is the loop over the two signs, with scipy's ``expm`` per tau.
 
 ``grid_search`` takes one eigendecomposition per (bz, omega_rf) pair of the half
 box from the centre bz row up and reads theta0 off the state; its oracles are the
-loop over a (bz, omega_rf, theta0) grid and the pair-by-pair loop over the whole box.
+loop over a (bz, omega_rf, theta0) grid and the pair-by-pair loop over the whole box,
+which also holds every row of the x5 and x7 landscapes, their mirror rows included.
 
 ``consistency_scan`` takes its consistent scales from the closed form
 ``consistent_scale``; its oracle is the numerical search, local minima of the
@@ -79,6 +81,7 @@ from trispin.dynamics import (
     integral_generator,
     phase_integrals,
     propagate_rk4,
+    propagate_rotating_exact,
     propagator_discrepancy,
 )
 from trispin.hilbert import _mapped_blocks, full_hilbert_trajectory
@@ -213,6 +216,11 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
     for x0 in (E1, GENERIC_X0):
         grid = exact_state_trajectory(p, x0, taus)
         assert np.max(np.abs(grid - exact_state_trajectory(p, x0, taus[:, None])[:, 0])) <= 1e-14
+    # the propagators, a (2, 4, 4) state, take the same two paths
+    eye = np.broadcast_to(np.eye(4), (2, 4, 4))
+    grid = propagate_rotating_exact(p, eye, taus)
+    assert grid.shape == (len(taus), 2, 4, 4)
+    assert np.max(np.abs(grid - propagate_rotating_exact(p, eye, taus[:, None])[:, 0])) <= 1e-14
 
 
 def test_exact_other_taus_give_the_per_tau_result(params):
@@ -435,10 +443,11 @@ def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
 
 
 def grid_search_full_box(omega_hat, k, target, resolution, threshold, dtau):
-    """((value, tau) of the peak of each of x1..x8, earliest crossing of x_target or inf) over the whole box, pair by pair.
+    """((value, tau) of the peak of each of x1..x8, earliest crossing of x_target or inf, landscape) over the whole box.
 
     Every on-shell (bz, omega_rf) node of default_bounds is propagated on its own at
     theta0 = 0, and the theta0-best x2, x4 (x6, x8) are hypot(x2, x4) (hypot(x6, x8)).
+    The landscape maps each node to (its crossing or None, peak of x_target, tau of the peak).
     """
     taus = _time_grid(3.0 * TAU_STAR, dtau)
     bounds = search.default_bounds(omega_hat)
@@ -451,7 +460,7 @@ def grid_search_full_box(omega_hat, k, target, resolution, threshold, dtau):
         x[..., [5, 7]] = np.hypot(x[..., 5], x[..., 7])[..., None]
         return x
 
-    peaks, best_tau = [(-math.inf, None)] * 8, math.inf
+    peaks, best_tau, landscape = [(-math.inf, None)] * 8, math.inf, {}
     for bz in bz_axis:
         if bz**2 > energy_shell(omega_hat, k):
             continue
@@ -461,11 +470,13 @@ def grid_search_full_box(omega_hat, k, target, resolution, threshold, dtau):
             rows = np.argmax(x, axis=0)
             peaks = [max(peak, (x[i, n], taus[i])) for n, (peak, i) in enumerate(zip(peaks, rows))]
             hits = np.nonzero(x[:, j] >= threshold)[0]
+            t = None
             if len(hits):
                 i = hits[0]
                 t = brentq(lambda t: theta0_best(p, t)[j] - threshold, taus[i - 1], taus[i], xtol=1e-15)
                 best_tau = min(best_tau, t)
-    return peaks, best_tau
+            landscape[(bz, omega_rf)] = (t, x[rows[j], j], taus[rows[j]])
+    return peaks, best_tau, landscape
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
@@ -477,7 +488,7 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     # searched for the reachable x8 and for x7, whose peak lies in the other half at k = -1
     for target, level in (("x8", threshold), ("x7", 0.5)):
         half = res if target == "x8" else search.grid_search(omega_hat, k, target, resolution, level, dtau=dtau)
-        whole, whole_tau = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
+        whole, whole_tau, _ = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
         for (value, tau, _), (want, want_tau) in zip(half.peaks.values(), whole):
             assert abs(value - want) <= 1e-12 and abs(tau - want_tau) <= 1e-12
         assert abs(half.achieved - whole[search.COMPONENT_INDEX[target]][0]) <= 1e-12
@@ -506,3 +517,26 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
         crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau
         pairs = sum(a[..., 0, 0].size for a in calls) / 2
         assert pairs == on_shell * resolution and (crossing is None) == (level > 1.0)
+
+
+@pytest.mark.parametrize("resolution", [5, 6])
+@pytest.mark.parametrize("target", ["x5", "x7"])
+def test_mirrored_landscape_is_the_whole_box(target, resolution):
+    # for x5 and x7 each evaluated pair off the centre row also lists its mirror (-bz, -omega_rf), whose
+    # crossing and peak are those of -x5 and -x7 at the pair: every node of the box once, as evaluated alone
+    omega_hat, k, level, dtau = 3.0, 1.0, 0.5, 5e-2
+    res = search.grid_search(omega_hat, k, target, resolution, level, dtau=dtau, collect_landscape=True)
+    _, whole_tau, whole = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
+    listed = []
+    for bz, omega_rf, reached, peak, peak_tau in res.landscape:
+        node = min(whole, key=lambda node: math.dist(node, (bz, omega_rf)))
+        assert math.dist(node, (bz, omega_rf)) <= 1e-12
+        listed.append(node)
+        want, want_peak, want_tau = whole[node]
+        assert (reached is None) == (want is None) and (reached is None or abs(reached - want) <= 1e-12)
+        assert abs(peak - want_peak) <= 1e-12
+        if want_peak > 1e-9:  # a peak at rounding level has no definite tau
+            assert abs(peak_tau - want_tau) <= 1e-12
+    assert sorted(listed) == sorted(whole)
+    crossings = [tau for _, _, tau, _, _ in res.landscape if tau is not None]
+    assert abs(res.best_tau - min(crossings)) <= 1e-12 and abs(res.best_tau - whole_tau) <= 1e-12

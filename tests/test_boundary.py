@@ -9,7 +9,6 @@ from trispin.boundary import (
     _SCAN_BRANCHES,
     TRANSFER_COLUMNS,
     BoundaryConstants,
-    DerivedQuantities,
     _residual_system,
     abcd_from_physical,
     analytic_family,
@@ -124,35 +123,36 @@ def test_derived_quantities_family_values():
     # hand evaluation at the minimal family: X+ = 5 pi^2/2, sqrt(Delta+) = 2 pi^2,
     # Z+ = 3 pi/2 = (pi/2)(2n+1) with n = 1, Z- = pi/2, and the same for W.
     c, _, _ = analytic_family(0, 0)
-    dq = derived_quantities(c)
-    assert abs(dq.x_plus - 2.5 * PI**2) < 1e-12
-    assert abs(dq.sqrt_delta_plus - 2.0 * PI**2) < 1e-12
-    assert abs(dq.z_plus - 1.5 * PI) < 1e-12
-    assert abs(dq.z_minus - 0.5 * PI) < 1e-12
-    assert abs(dq.w_plus - 1.5 * PI) < 1e-12
-    assert abs(dq.w_minus - 0.5 * PI) < 1e-12
+    (x_p, sd_p, z_p, z_m), (_, _, w_p, w_m) = derived_quantities(c)
+    assert abs(x_p - 2.5 * PI**2) < 1e-12
+    assert abs(sd_p - 2.0 * PI**2) < 1e-12
+    assert abs(z_p - 1.5 * PI) < 1e-12
+    assert abs(z_m - 0.5 * PI) < 1e-12
+    assert abs(w_p - 1.5 * PI) < 1e-12
+    assert abs(w_m - 0.5 * PI) < 1e-12
 
 
 def test_derived_quantities_angle_labels_on_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
             for _, c, qn in both_couplings(m0, n0):
-                dq = derived_quantities(c)
-                assert abs(dq.z_plus - 0.5 * PI * (2 * qn.n + 1)) < 1e-12
-                assert abs(dq.w_minus - 0.5 * PI * (2 * qn.m + 1)) < 1e-12
+                (_, _, z_p, _), (_, _, _, w_m) = derived_quantities(c)
+                assert abs(z_p - 0.5 * PI * (2 * qn.n + 1)) < 1e-12
+                assert abs(w_m - 0.5 * PI * (2 * qn.m + 1)) < 1e-12
 
 
 def test_derived_quantities_zero_constants():
-    dq = derived_quantities(BoundaryConstants(0.0, 0.0, 0.0, 0.0, 0.0))
-    assert dq.x_plus == 0.0 and dq.z_plus == 0.0 and dq.w_minus == 0.0
+    (x_p, _, z_p, _), (_, _, _, w_m) = derived_quantities(BoundaryConstants(0.0, 0.0, 0.0, 0.0, 0.0))
+    assert x_p == 0.0 and z_p == 0.0 and w_m == 0.0
 
 
 def test_delta_nonnegative_for_random_constants(rng):
-    # algebraic inequality X >= 2|ac| checked on 1e5 draws through the API
+    # algebraic inequality X >= 2|ac| checked on 1e5 draws through the API: Delta = X^2 - 4a^2c^2 is the
+    # factored product f1*f2, f1, f2 = X -+ 2ac, and its root sqrt(f1)*sqrt(f2) is real (not nan) and >= 0
     vals = rng.uniform(-50.0, 50.0, size=(100_000, 5))
     for a, b, cp, cm, d in vals:
-        dq = derived_quantities(BoundaryConstants(a, b, cp, cm, d))
-        assert dq.delta_plus >= 0.0 and dq.delta_minus >= 0.0
+        (_, sd_p, _, _), (_, sd_m, _, _) = derived_quantities(BoundaryConstants(a, b, cp, cm, d))
+        assert sd_p >= 0.0 and sd_m >= 0.0
 
 
 def test_sinc_series_branch():
@@ -364,19 +364,7 @@ def rejected_branch_residuals(m0, n0):
     z_m = z_p + 2.0 * PI * qn.p
     w_p = w_m + 2.0 * PI * qn.p
     sd_p, sd_m = z_p**2 - z_m**2, w_p**2 - w_m**2
-    dq = DerivedQuantities(
-        x_plus=z_p**2 + z_m**2,
-        x_minus=w_p**2 + w_m**2,
-        delta_plus=sd_p**2,
-        delta_minus=sd_m**2,
-        sqrt_delta_plus=sd_p,
-        sqrt_delta_minus=sd_m,
-        z_plus=z_p,
-        z_minus=z_m,
-        w_plus=w_p,
-        w_minus=w_m,
-    )
-    return _residual_system(c, dq)
+    return _residual_system(c, ((z_p**2 + z_m**2, sd_p, z_p, z_m), (w_p**2 + w_m**2, sd_m, w_p, w_m)))
 
 
 def test_rejected_branch_has_no_solution():

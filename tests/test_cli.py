@@ -296,6 +296,22 @@ def test_search_landscape_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3
 
 
+def test_mirrored_landscape_holds_the_reported_crossing(tmp_path, capsys):
+    # for x5 and x7 the landscape lists the whole box: here best_tau lies at (-1.5, -0.0), the mirror
+    # of an evaluated pair, and it is the earliest crossing in the CSV
+    out, land = tmp_path / "search.json", tmp_path / "landscape.csv"
+    code, _, _ = _run(capsys, "search", "--target", "x5", "--omega-hat", "3", "--threshold", "0.5",
+                      "--resolution", "5", "--landscape", str(land), "--out", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    rows = np.genfromtxt(land, delimiter=",", names=True)
+    assert (payload["best_params"]["bz"], payload["best_params"]["omega_rf"]) == (-1.5, 0.0)
+    assert payload["best_tau"] == np.nanmin(rows["tau_to_threshold"])
+    # every on-shell node once: bz = +-3 lie off the shell
+    nodes = sorted((bz, omega_rf) for bz in (-1.5, 0.0, 1.5) for omega_rf in (-8.0, -4.0, 0.0, 4.0, 8.0))
+    assert sorted(zip(rows["bz"], rows["omega_rf"])) == nodes
+
+
 @pytest.mark.parametrize("threshold", ["0", "-1"])
 def test_search_threshold_not_positive_is_usage_error(tmp_path, capsys, threshold):
     # a threshold of 0 would be met by e1 itself and report a crossing at tau = 0

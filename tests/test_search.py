@@ -248,6 +248,25 @@ def test_mirror_controls_cross_together(k):
     assert crossings >= 6
 
 
+def test_mirror_flips_exactly_the_listed_components():
+    # the set grid_search reads as -value at the mirror, derived from the dynamics: on random on-shell
+    # controls the theta0-best components at (-bz, -omega_rf) are those at (bz, omega_rf), up to a sign
+    # that flips on exactly search._MIRRORED, and only there
+    rng = np.random.default_rng(23)
+    taus = _time_grid(3.0 * TAU_STAR, 1e-2)
+    for k in (1.0, -1.0, 1.0, -1.0):
+        omega_hat = rng.uniform(2.0, 3.5)
+        bz = rng.uniform(-1.0, 1.0) * math.sqrt(energy_shell(omega_hat, k))
+        p = ControlParams(k=k, omega_hat=omega_hat, b0=transverse_amplitude(omega_hat, k, bz), bz=bz,
+                          omega_rf=rng.uniform(-8.0, 8.0), theta0=0.0)
+        mirror = dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)
+        best, at_mirror = (_best_over_theta0(mode_table(q, split_halves(E1)), taus) for q in (p, mirror))
+        same = np.max(np.abs(at_mirror - best), axis=0) <= 1e-13
+        opposite = np.max(np.abs(at_mirror + best), axis=0) <= 1e-13
+        assert {name for name, j in search.COMPONENT_INDEX.items() if opposite[j] and not same[j]} == set(search._MIRRORED)
+        assert all(same[j] for name, j in search.COMPONENT_INDEX.items() if name not in search._MIRRORED)
+
+
 def test_grid_search_reports_a_control_of_the_evaluated_half():
     # the box holds both (bz, omega_rf) and (-bz, -omega_rf), whose x8 crossings agree to rounding;
     # only the half from the centre bz row up is evaluated, so which of the two is reported is fixed

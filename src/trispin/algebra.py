@@ -82,7 +82,7 @@ class ControlParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlParams":
-        """Controls from a mapping of the six fields; a bool, or a field float() cannot read, is a ValueError naming it."""
+        """Controls from the six fields of a mapping; a field that is a bool, nan, inf or no number is a ValueError naming it."""
         values = {}
         for f in ("k", "omega_hat", "b0", "bz", "omega_rf", "theta0"):
             try:
@@ -91,6 +91,8 @@ class ControlParams:
                 values[f] = float(data[f])
             except (TypeError, ValueError):
                 raise ValueError(f"invalid {f} {data[f]!r}") from None
+            if not math.isfinite(values[f]):
+                raise ValueError(f"non-finite {f}")
         return cls(**values)
 
 

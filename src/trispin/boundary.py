@@ -268,6 +268,10 @@ def consistent_scale(j):
     return np.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0), {"omega_sign": 1, "theta_sign": -1, "r": j % 2}
 
 
+ROOT_STEP = 2.0**-9  # omega_rf step of invert_to_physical's bracketing grid
+MAX_ROOT_STEPS = 1_000_000  # steps of that grid at most
+
+
 @dataclass(frozen=True)
 class InvertedSolution:
     """A physical control set reproducing requested boundary constants."""
@@ -278,13 +282,7 @@ class InvertedSolution:
     residual_d: float
 
 
-def invert_to_physical(
-    omega_hat: float,
-    k: float,
-    tau_star: float,
-    b_target: float,
-    root_range: tuple[float, float] = (1e-3, 20.0),
-) -> list[InvertedSolution]:
+def invert_to_physical(omega_hat: float, k: float, tau_star: float, b_target: float) -> list[InvertedSolution]:
     """Solve for controls realizing (a=2*tau_star, b=b_target, c_pm=+-k*a, d=0).
 
     bz = 0 follows from c_plus = -c_minus, b0 = sqrt(omega_hat^2-2) > 0 from the
@@ -293,12 +291,15 @@ def invert_to_physical(
     r + 2 is theta0 + 2*pi, so each control is listed once.  What remains is
     one scalar equation for omega_rf,
 
-        2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target,
+        2*b0*tau_star*(-1)^r * sinc(omega_rf*tau_star/2) = -b_target.
 
-    bracketed on 10,000 points of root_range, evaluated as one array, and
-    solved in each bracket by brentq.  The sinc grid is computed once and shared
-    by r = 0, 1.  The equation is even in omega_rf, so only positive rates are
-    scanned.  An empty result means no sign change was bracketed, not a failure.
+    The equation is even in omega_rf, so only positive rates are scanned, and as
+    |sinc x| <= 1/x, the left side is at most 4*b0/omega_rf in size: every root
+    has omega_rf <= 4*b0/|b_target|, the end included (at a ``consistent_scale``
+    the end is the closed-form rate).  So the grid runs from 0 in steps of
+    ROOT_STEP to one step past the end, shared by r = 0, 1, and brentq solves each
+    sign change on it; more than MAX_ROOT_STEPS steps is a ValueError.  An empty
+    result means no sign change was bracketed, not a failure.
     """
     if b_target == 0.0:
         raise ValueError("b_target must be nonzero (the d = 0 branch requires b != 0)")
@@ -307,11 +308,11 @@ def invert_to_physical(
     if abs(abs(k) - 1.0) > 1e-12:
         raise ValueError("the solution family requires |k| = 1")
     b0 = math.sqrt(energy_shell(omega_hat, k))
-    lo, hi = root_range
-    if not (0.0 < lo < hi):
-        raise ValueError("root_range must satisfy 0 < lo < hi")
+    hi = 4.0 * b0 / abs(b_target)
+    if not hi <= ROOT_STEP * MAX_ROOT_STEPS:
+        raise ValueError(f"b_target={b_target:g} is too small: (0, 4*b0/|b_target|] needs over {MAX_ROOT_STEPS} steps")
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
-    grid = np.linspace(lo, hi, 10_000)
+    grid = ROOT_STEP * np.arange(math.floor(hi / ROOT_STEP) + 2)
     sinc_grid = sinc(grid * tau_star / 2.0)
     solutions: list[InvertedSolution] = []
     for r in (0, 1):
@@ -420,14 +421,14 @@ def consistency_scan(
     return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent)
 
 
-def sweep_tau(m0_max: int, n0_max: int) -> list[dict]:
-    """Closed-form tau_star over the branch labels n0 >= m0 of the (m0, n0) grid, sorted ascending by tau_star."""
-    if m0_max < 0 or n0_max < 0:
-        raise ValueError("sweep bounds must be nonnegative")
+def sweep_tau(label_max: int) -> list[dict]:
+    """Closed-form tau_star over the branch labels label_max >= n0 >= m0 >= 0, sorted ascending by tau_star."""
+    if label_max < 0:
+        raise ValueError("the sweep bound must be nonnegative")
     rows = (
         {"m0": m0, "n0": n0, "tau_star": transfer_time(m0, n0)}
-        for m0 in range(m0_max + 1)
-        for n0 in range(m0, n0_max + 1)
+        for m0 in range(label_max + 1)
+        for n0 in range(m0, label_max + 1)
     )
     return sorted(rows, key=lambda row: row["tau_star"])
 

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams, energy_shell
+from .algebra import E1, TAU_STAR, ControlParams
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
@@ -138,15 +138,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def _read_params_file(path: str) -> ControlParams:
     data = _read_json(path, "parameter file")
     try:
-        params = ControlParams.from_dict(data)
+        return ControlParams.from_dict(data)
     except KeyError as exc:
         raise UsageError(f"parameter file {path} is missing field {exc}") from None
     except ValueError as exc:
         raise UsageError(f"parameter file {path} has {exc}") from None
-    bad = [name for name, value in params.to_dict().items() if not math.isfinite(value)]
-    if bad:
-        raise UsageError(f"parameter file {path} has non-finite {', '.join(bad)}")
-    return params
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -168,8 +164,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
                 states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
                 disc = propagator_discrepancy(p, taus)
             traj = Trajectory(taus=taus, states=states, method=args.method)
-        finite = np.all(np.isfinite(traj.norms())) and (disc is None or math.isfinite(disc.max_deviation))
-    _require(finite, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
+        bounded = np.all(np.isfinite(traj.norms())) and (disc is None or math.isfinite(disc.max_deviation))
+    _require(bounded, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
     if disc is not None:
         print(f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}")
     traj.write_csv(args.out)
@@ -179,10 +175,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _require(args.dynamics_sets >= 0, f"--dynamics-sets must be nonnegative, got {args.dynamics_sets}")
-    # run_verification resolves "auto" itself, so the report keeps the request
-    omega = args.omega_hat if args.omega_hat == "auto" else _resolve_omega(args.omega_hat)
     report = run_verification(
-        omega_hat=omega,
+        omega_hat=args.omega_hat,
         dtau=args.dtau,
         n_dynamics=args.dynamics_sets,
         grid_resolution=args.resolution,
@@ -197,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep_tau(args.max, args.max)
+    rows = sweep_tau(args.max)
     if args.out:
         _write_json(rows, args.out)
     else:
@@ -208,6 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _require(args.range_from is not None and args.range_to is not None, "--from and --to are required")
     result = consistency_scan(args.range_from, args.range_to, samples=args.samples)
     payload = {
         "consistent": [asdict(cp) for cp in result.consistent],
@@ -224,15 +219,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_omega(value) -> float:
-    if value == "auto":
-        return float(consistent_scale(0)[0])
-    energy_shell(value, 1.0)  # raises below the energy floor
-    return value
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    omega = _resolve_omega(args.omega_hat)
+    omega = float(consistent_scale(0)[0]) if args.omega_hat == "auto" else args.omega_hat
     result = grid_search(
         omega,
         1.0,
@@ -264,9 +252,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_invert(args: argparse.Namespace) -> int:
     _require(args.omega_hat is not None, "--omega-hat is required")
-    sols = invert_to_physical(
-        args.omega_hat, 1.0, args.tau_star, args.b_target, root_range=(args.root_lo, args.root_hi)
-    )
+    sols = invert_to_physical(args.omega_hat, 1.0, args.tau_star, args.b_target)
     _write_json([asdict(s) for s in sols], args.out)
     return 0
 
@@ -316,8 +302,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_sweep)
 
     sp = commands["scan"] = sub.add_parser("scan", help="scan energy scales for closed-form consistency")
-    sp.add_argument("--from", dest="range_from", type=finite, required=True)
-    sp.add_argument("--to", dest="range_to", type=finite, required=True)
+    sp.add_argument("--from", dest="range_from", type=finite, default=None)
+    sp.add_argument("--to", dest="range_to", type=finite, default=None)
     sp.add_argument("--samples", type=int, default=SCAN_SAMPLES)
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
@@ -337,8 +323,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--omega-hat", type=finite, default=None)
     sp.add_argument("--tau-star", type=finite, default=TAU_STAR)
     sp.add_argument("--b-target", type=finite, default=-math.pi)
-    sp.add_argument("--root-lo", type=finite, default=1e-3)
-    sp.add_argument("--root-hi", type=finite, default=20.0)
     add_common(sp)
     sp.set_defaults(func=cmd_invert)
 

@@ -303,28 +303,28 @@ def _on_grid(taus) -> bool:
     return np.ndim(taus) == 1 and len(taus) >= 3 and np.array_equal(taus[:-1], taus[1] * np.arange(len(taus) - 1))
 
 
-def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None = None, out: np.ndarray | None = None):
+def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None = None) -> np.ndarray:
     """[cos(w*tau), sin(w*tau)] @ table at every tau in taus, turned by exp(omega_rf*tau*J) if omega_rf is given.
 
     (table, w) is a ``mode_table`` with leading shape s and a state of shape (2, 4) or (2, 4, m); the result
-    has shape s + np.shape(taus) + state, written to out, if given, as s + (taus.size, state size).  On
-    ``_on_grid`` taus all but the last tau take one ``_block_grid``: by angle addition the rows at block
-    step l are [cos_l T_c + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows
-    of the table, so cos and sin run on the block starts and one block, and the turn
-    exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, and any other
-    taus, take the direct form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus.
+    has shape s + np.shape(taus) + state.  For an 8-wide state (2, 4) on ``_on_grid`` taus, all but the last
+    tau take one ``_block_grid``: by angle addition the rows at block step l are [cos_l T_c + sin_l T_s;
+    cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin run
+    on the block starts and one block, and the turn exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J) folds into
+    the same GEMM.  The last tau, any other taus and wider states take the direct form and turn (x2, x4)
+    of each half, of y_pm or alike of x_plus and x_minus.
     """
     taus = np.asarray(taus, dtype=float)
     lead, state = w.shape[:-1], table.shape[w.ndim :]
     table = table.reshape(lead + (8, -1))
     width = table.shape[-1]
-    x = np.empty(lead + (taus.size, width)) if out is None else out
+    x = np.empty(lead + (taus.size, width))
 
     def trig(t):  # cos(w*t) and sin(w*t), shape lead + (len(t), 4) each
         phase = w[..., None, :] * t[:, None]
         return np.cos(phase), np.sin(phase)
 
-    on_grid = _on_grid(taus)
+    on_grid = width == 8 and _on_grid(taus)
     direct = taus[-1:] if on_grid else taus.reshape(-1)
     rows = x[..., taus.size - len(direct) :, :]
     np.matmul(np.concatenate(trig(direct), axis=-1), table, out=rows)
@@ -337,8 +337,7 @@ def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None =
         c, s = (v[..., None] for v in trig(block))
         t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
         maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
-        frame = np.kron(_TURN, np.eye(width // 8))  # the frame turn of every entry of a flattened state
-        turn = None if omega_rf is None else (frame, omega_rf * starts, omega_rf * block, np.eye(width))
+        turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
         _block_grid(np.concatenate(trig(starts), axis=-1), maps, x[..., :-1, :], turn)
     return x.reshape(lead + taus.shape + state)
 

@@ -167,6 +167,8 @@ def run_verification(
     (analytic_family); the random parameter sets draw both.
     """
     _time_grid(3.0 * TAU_STAR, dtau)  # a bad step is a ValueError before any check, even with no dynamics sets
+    if omega_hat != "auto":
+        energy_shell(omega_hat, 1.0)  # so is an omega_hat at or below the energy floor
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         context={
@@ -209,7 +211,7 @@ def run_verification(
         "matrix exponential of the final-time generator",
     )
 
-    rows = sweep_tau(3, 3)
+    rows = sweep_tau(3)
     gap = rows[1]["tau_star"] - rows[0]["tau_star"]
     report.add(
         Check(

@@ -70,33 +70,36 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
     return np.linspace(lo, hi, resolution)
 
 
-def _best_over_theta0(modes: tuple, taus, omega_rf: float | None = None, out: np.ndarray | None = None):
-    """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,); given omega_rf, (best, theta0).
+def _best_over_theta0(modes: tuple, taus) -> np.ndarray:
+    """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,).
 
     modes is the ``mode_table`` from e1 of a control, or of an omega_rf block with leading
-    shape s, and theta0 a gauge only from e1; out, if given, receives the co-rotating states,
-    ``dynamics.mode_states`` of the table without the frame turn.
-    R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T,
-    and fixes e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos,
-    sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4 (x6, x8 alike), and
-    x1, x3, x5, x7 do not change.  So the best x4 is hypot(x2, x4) at
-    theta0 = atan2(x2, x4), and the best x2 the same hypot at atan2(-x4, x2).
-    The frame rotation is such a turn, by omega_rf*tau: the best values are
-    read off the co-rotating state, and the turn is applied only to read theta0.
+    shape s, and theta0 a gauge only from e1.  R = exp(theta0*J) turns the drive,
+    M_pm(tau; theta0) = R M_pm(tau; 0) R^T, and fixes e1, so y_pm(tau; theta0) =
+    R y_pm(tau; 0): with c, s = cos, sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4
+    (x6, x8 alike), and x1, x3, x5, x7 do not change.  So the best x2 and the best x4
+    are both hypot(x2, x4).  The frame rotation is such a turn, by omega_rf*tau:
+    the best values are read off the co-rotating state, ``dynamics.mode_states`` without
+    the turn, and ``_best_theta0`` turns it only to read theta0.
     """
     table, w = modes
     taus = np.asarray(taus, dtype=float)
-    x = mode_states(table, w, taus, out=out).reshape(w.shape[:-1] + taus.shape + (8,))
-    u, v = x[..., 1::4], x[..., 3::4]  # (x2, x6) and (x4, x8)
-    best = np.hypot(u, v)
-    if omega_rf is not None:
-        phi = omega_rf * taus[..., None]
-        u, v = np.cos(phi) * u - np.sin(phi) * v, np.sin(phi) * u + np.cos(phi) * v  # turned to the lab frame
-        theta0 = np.zeros(x.shape)
-        theta0[..., 1::4] = np.arctan2(-v, u)
-        theta0[..., 3::4] = np.arctan2(u, v)
-    x[..., 1::4] = x[..., 3::4] = best
-    return x if omega_rf is None else (x, theta0)
+    x = mode_states(table, w, taus).reshape(w.shape[:-1] + taus.shape + (8,))
+    x[..., 1::4] = x[..., 3::4] = np.hypot(x[..., 1::4], x[..., 3::4])  # (x2, x6) and (x4, x8)
+    return x
+
+
+def _best_theta0(modes: tuple, tau: float, omega_rf: float, j: int) -> float:
+    """theta0 at which component j takes its ``_best_over_theta0`` value at tau; 0 for x1, x3, x5 and x7.
+
+    Read off the lab-frame state (x2, x4) of theta0 = 0, and alike (x6, x8): the best
+    x4 is at theta0 = atan2(x2, x4), the best x2 at atan2(-x4, x2).
+    """
+    if j % 2 == 0:
+        return 0.0
+    x = mode_states(*modes, tau, omega_rf).reshape(8)
+    u, v = x[1::4], x[3::4]  # (x2, x6) and (x4, x8)
+    return float((np.arctan2(-v, u) if j % 4 == 1 else np.arctan2(u, v))[j // 4])
 
 
 def _check_threshold(threshold: float) -> None:
@@ -129,8 +132,7 @@ def _first_crossing(
         return ends[tau] if tau in ends else sign * _best_over_theta0(modes, tau)[j] - threshold
 
     tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
-    phase = _best_over_theta0(modes, tau, p.omega_rf)[1][j]
-    return float(tau), replace(p, theta0=float(phase))
+    return float(tau), replace(p, theta0=_best_theta0(modes, tau, p.omega_rf, j))
 
 
 def min_time_to_target(
@@ -188,7 +190,6 @@ def grid_search(
     idx = _target_index(target)
     rf_axis = _axis(bounds, "omega_rf", resolution)
     width = max(1, _CHUNK_STEPS // len(taus))  # omega_rf values per block
-    buffer = np.empty((min(width, len(rf_axis)), len(taus), 8))
 
     best_tau = math.inf
     best_params: ControlParams | None = None
@@ -201,7 +202,7 @@ def grid_search(
         for start in range(0, len(rf_axis), width):
             block = rf_axis[start : start + width]
             tables, rates = mode_table(ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0), _Y1)
-            bests = _best_over_theta0((tables, rates), taus, out=buffer[: len(block)])
+            bests = _best_over_theta0((tables, rates), taus)
             for omega_rf, modes, best in zip(block, zip(tables, rates), bests):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
                 mirror = replace(p, bz=-bz, omega_rf=-omega_rf)
@@ -209,8 +210,8 @@ def grid_search(
                 for name, j in COMPONENT_INDEX.items():
                     i = top[j]
                     if best[i, j] > peaks[name][0]:
-                        theta0 = _best_over_theta0(modes, taus[i], omega_rf)[1][j]
-                        peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=float(theta0)))
+                        theta0 = _best_theta0(modes, taus[i], omega_rf, j)
+                        peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=theta0))
                     i = bottom[j]
                     if name in _MIRRORED and -best[i, j] > peaks[name][0]:
                         peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)

@@ -86,7 +86,7 @@ def test_criterion_02_exponential_boundary():
 
 
 def test_criterion_03_sweep_minimality():
-    rows = sweep_tau(3, 3)
+    rows = sweep_tau(3)
     unique_min = (rows[0]["m0"], rows[0]["n0"]) == (0, 0) and rows[1]["tau_star"] > rows[0]["tau_star"]
     assert _line(
         3,

@@ -25,8 +25,8 @@ their oracle is the fourth-order Magnus step of the full 8x8 Hamiltonian by
 
 ``dynamics.mode_states`` evaluates a mode table on a ``_time_grid`` in blocks,
 by angle addition, with the frame turn folded into one GEMM, for the 8-vectors
-of ``exact_state_trajectory`` and the propagators of ``propagate_rotating_exact``;
-its oracle is the per-tau path, which the same taus take as a column.
+of ``exact_state_trajectory``; its oracle is the per-tau path, which the same taus
+take as a column, and which the propagators of ``propagate_rotating_exact`` take.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
@@ -53,7 +53,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from trispin import search
+from trispin import dynamics, search
 from trispin.algebra import (
     E1,
     SECTORS,
@@ -64,7 +64,7 @@ from trispin.algebra import (
     energy_shell,
     transverse_amplitude,
 )
-from trispin.boundary import _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
+from trispin.boundary import ROOT_STEP, _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
     _BLOCK_STEPS,
     MB,
@@ -216,11 +216,26 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
     for x0 in (E1, GENERIC_X0):
         grid = exact_state_trajectory(p, x0, taus)
         assert np.max(np.abs(grid - exact_state_trajectory(p, x0, taus[:, None])[:, 0])) <= 1e-14
-    # the propagators, a (2, 4, 4) state, take the same two paths
+    # the propagators, a (2, 4, 4) state, take the per-tau path on the grid too
     eye = np.broadcast_to(np.eye(4), (2, 4, 4))
     grid = propagate_rotating_exact(p, eye, taus)
     assert grid.shape == (len(taus), 2, 4, 4)
     assert np.max(np.abs(grid - propagate_rotating_exact(p, eye, taus[:, None])[:, 0])) <= 1e-14
+
+
+def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
+    # only an 8-wide state takes the grid path: the exact leg of propagator_discrepancy, on the 241 taus
+    # that verify gives it, does not read the _block_grid that RK4 and the exact 8-vectors share
+    taus = np.linspace(0.0, TAU_STAR, 241)
+    assert _on_grid(taus)
+
+    def forbidden(*args):
+        raise AssertionError("_block_grid called")
+
+    monkeypatch.setattr(dynamics, "_block_grid", forbidden)
+    with pytest.raises(AssertionError, match="_block_grid called"):
+        exact_state_trajectory(params, E1, taus)
+    assert propagator_discrepancy(params, taus).max_deviation > 0.0
 
 
 def test_exact_other_taus_give_the_per_tau_result(params):
@@ -339,16 +354,18 @@ def test_scan_scales_are_where_the_refined_minima_land(k_sign, samples):
     assert np.max(np.abs(np.array([cp.omega_hat for cp in scan.consistent]) - [w for w, _ in refined])) <= 1e-7
 
 
-def inversion_roots_by_loop(omega_hat, tau_star, b_target, lo=1e-3, hi=20.0):
-    """Roots of 2*b0*tau_star*(-1)^r*sinc(omega_rf*tau_star/2) = -b_target, b0 > 0 and r in {0, 1}, per point."""
-    grid = np.linspace(lo, hi, 10_000)
-    roots = []
+def inversion_roots_by_loop(omega_hat, tau_star, b_target):
+    """Roots of 2*b0*tau_star*(-1)^r*sinc(omega_rf*tau_star/2) = -b_target, b0 > 0 and r in {0, 1}, per point.
+
+    The bracketing grid is invert_to_physical's: from 0 in steps of ROOT_STEP to one step past 4*b0/|b_target|."""
     b0 = math.sqrt(omega_hat**2 - 2.0)
+    grid = ROOT_STEP * np.arange(math.floor(4.0 * b0 / abs(b_target) / ROOT_STEP) + 2)
+    roots = []
     for r in (0, 1):
 
         def f(om):
             z = om * tau_star / 2.0
-            return 2.0 * b0 * tau_star * (-1.0) ** r * (math.sin(z) / z) + b_target
+            return 2.0 * b0 * tau_star * (-1.0) ** r * (math.sin(z) / z if z else 1.0) + b_target
 
         vals = [f(float(om)) for om in grid]
         for i in range(len(grid) - 1):

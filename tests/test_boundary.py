@@ -578,6 +578,33 @@ def test_invert_solutions_are_distinct_controls(omega_hat, b_target):
     assert np.all(_distinct_and_covering(kept, old, 1e-12) == 3)
 
 
+@pytest.mark.parametrize("omega_hat, count", [(17.0, 9), (20.0, 11), (40.0, 21)])
+def test_invert_lists_every_root_below_the_envelope(omega_hat, count):
+    # |sinc x| <= 1/x puts every root at omega_rf <= 4*b0/|b_target|; a fixed bracket end of 20 lost those above it
+    b0 = transverse_amplitude(omega_hat, 1.0)
+    sols = invert_to_physical(omega_hat, 1.0, TAU_STAR, -PI)
+    assert len(sols) == count
+    for s in sols:
+        assert s.params.omega_rf <= 4.0 * b0 / PI and s.residual_b <= 1e-10 and s.residual_d <= 1e-10
+    # a dense reference bracket twice as long: each r's roots lie one in each of its sign-change cells
+    grid = np.linspace(1e-6, 8.0 * b0 / PI, 400_001)
+    z = grid * TAU_STAR / 2.0
+    for r in (0, 1):
+        vals = 2.0 * b0 * TAU_STAR * (-1.0) ** r * np.sin(z) / z - PI
+        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        roots = [s.params.omega_rf for s in sols if s.branch["r"] == r]
+        assert len(roots) == len(cells)
+        assert all(grid[i] <= om <= grid[i + 1] for i, om in zip(cells, roots))
+
+
+def test_invert_rejects_a_bracket_too_long_to_grid():
+    # below |b_target| ~ 0.002*b0 the bracket (0, 4*b0/|b_target|] needs more than MAX_ROOT_STEPS grid steps
+    b0 = transverse_amplitude(3.0, 1.0)
+    assert 4.0 * b0 / 1e-3 > boundary.ROOT_STEP * boundary.MAX_ROOT_STEPS
+    with pytest.raises(ValueError, match="too small"):
+        invert_to_physical(3.0, 1.0, TAU_STAR, -1e-3)
+
+
 def test_invert_rejects_zero_target():
     with pytest.raises(ValueError, match="nonzero"):
         invert_to_physical(2.5, 1.0, TAU_STAR, 0.0)
@@ -698,7 +725,7 @@ def test_scan_residual_recorded_at_three():
 
 
 def test_sweep_table():
-    rows = sweep_tau(3, 3)
+    rows = sweep_tau(3)
     # only the branch labels analytic_family accepts, n0 >= m0
     assert sorted((r["m0"], r["n0"]) for r in rows) == [(m0, n0) for m0 in range(4) for n0 in range(m0, 4)]
     assert all(r["tau_star"] == analytic_family(r["m0"], r["n0"])[2] for r in rows)
@@ -710,7 +737,7 @@ def test_sweep_table():
         col = [by_key[(m0, n0)] for n0 in range(m0, 4)]
         assert all(a < b for a, b in zip(col, col[1:]))
     with pytest.raises(ValueError):
-        sweep_tau(-1, 2)
+        sweep_tau(-1)
 
 
 # --- targets ---------------------------------------------------------------------------

@@ -165,14 +165,51 @@ def test_config_value_checked_like_its_flag(tmp_path, capsys, argv, entry):
 
 
 def test_config_hyphenated_key_sets_flag(tmp_path, capsys):
-    # "root-hi" names the flag --root-hi like "root_hi" does
+    # "tau-star" names the flag --tau-star like "tau_star" does
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"root-hi": 1.0}))
+    cfg.write_text(json.dumps({"tau-star": 1.5}))
     out = tmp_path / "invert.json"
     code, _, _ = _run(capsys, "invert", "--omega-hat", str(OMEGA), "--config", str(cfg), "--out", str(out))
     assert code == 0
-    # the reference rate 4/sqrt(3) lies above the configured bracket end
-    assert json.loads(out.read_text()) == []
+    # d = 0 fixes theta0 = [(2r+1)*pi - omega_rf*tau_star]/2 at the configured tau_star
+    sols = json.loads(out.read_text())
+    assert sols
+    for s in sols:
+        p = s["params"]
+        assert abs(p["theta0"] - 0.5 * ((2 * s["branch"]["r"] + 1) * PI - p["omega_rf"] * 1.5)) <= 1e-12
+
+
+def test_invert_has_no_root_bracket_settings(tmp_path, capsys):
+    # the bracket (0, 4*b0/|b_target|] follows from the inputs: --root-hi and root_lo are unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--omega-hat", "2.7", "--root-hi", "30"])
+    assert exc.value.code == 2 and "unrecognized arguments: --root-hi 30" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"root_lo": 0.5}))
+    code, stdout, err = _run(capsys, "invert", "--omega-hat", "2.7", "--config", str(cfg))
+    assert code == 2 and stdout == ""
+    assert err == "error: unknown config key 'root_lo' for command 'invert'\n"
+
+
+def test_invert_tiny_target_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "invert.json"
+    code, stdout, err = _run(capsys, "invert", "--omega-hat", "3", "--b-target=-1e-3", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: b_target=-0.001 is too small") and err.count("\n") == 1
+
+
+def test_scan_range_from_config(tmp_path, capsys):
+    # --from and --to are required, but a config file may supply them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"range_from": 2, "range_to": 3}))
+    out = tmp_path / "scan.json"
+    code, _, _ = _run(capsys, "scan", "--samples", "100", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    found = json.loads(out.read_text())["consistent"]
+    assert [round(cp["omega_hat"], 6) for cp in found] == [2.299971]
+    code, stdout, err = _run(capsys, "scan", "--from", "2", "--samples", "100")
+    assert code == 2 and stdout == ""
+    assert err == "error: --from and --to are required\n"
 
 
 def test_config_null_leaves_flag_default(tmp_path, capsys, monkeypatch):
@@ -376,7 +413,7 @@ def test_invert_has_no_r_flag(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["search", "--thr", "0.5"], ["invert", "--omega-hat", "2.7", "--r", "0"]],
+    [["search", "--thr", "0.5"], ["search", "--t", "0.5"]],
     ids=["prefix_of_one_flag", "prefix_of_two_flags"],
 )
 def test_flag_prefix_is_not_an_abbreviation(capsys, argv):
@@ -492,6 +529,18 @@ def test_propagate_rejects_non_finite_params(tmp_path, capsys):
     assert code == 2
     assert "non-finite omega_hat" in err
     assert not out.exists()
+
+
+def test_propagate_rejects_non_finite_text_params(tmp_path, capsys):
+    # "nan" and "inf" are JSON strings that float() reads; ControlParams.from_dict refuses them
+    params = closed_form_params(OMEGA).to_dict()
+    params["omega_hat"], params["theta0"] = "nan", "-inf"
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    out = tmp_path / "x.csv"
+    code, _, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err == f"error: parameter file {pf} has non-finite omega_hat\n"
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from trispin.dynamics import (
     split_halves,
 )
 from trispin.hilbert import _mapped_blocks
-from trispin.search import _best_over_theta0
+from trispin.search import _best_over_theta0, _best_theta0
 
 
 def _floats(lo, hi):
@@ -101,12 +101,12 @@ def test_mode_table_gives_the_theta0_best_state(p, taus):
     expected = lab.copy()
     expected[:, 1::4] = expected[:, 3::4] = np.hypot(lab[:, 1::4], lab[:, 3::4])
     modes = mode_table(p, split_halves(E1))
-    best, theta0 = _best_over_theta0(modes, taus, p.omega_rf)
+    best = _best_over_theta0(modes, taus)
     assert np.max(np.abs(best - expected)) <= 1e-14
-    assert np.array_equal(_best_over_theta0(modes, taus), best)
     # the theta0 read at each component's peak row attains the peak there
     for j, i in enumerate(np.argmax(best, axis=0)):
-        turned = exact_state_trajectory(dataclasses.replace(p, theta0=float(theta0[i, j])), E1, taus[i])
+        theta0 = _best_theta0(modes, taus[i], p.omega_rf, j)
+        turned = exact_state_trajectory(dataclasses.replace(p, theta0=theta0), E1, taus[i])
         assert abs(turned[j] - best[i, j]) <= 1e-12
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from trispin.report import run_verification
 
 
@@ -15,3 +17,16 @@ def test_default_grid_values():
     assert report.passed
     assert report.get("ansatz_grid_search_x8").note == "largest x8 seen 0.982243 at tau=1.34"
     assert f"{report.get('no_transfer_probe_x7').measured:.6g}" == "0.829033"
+
+
+def test_low_energy_is_refused_before_any_check(monkeypatch):
+    # a numeric omega_hat is checked against the energy floor up front, like the step: no dynamics run first
+    import trispin.report as report
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the energy floor was checked")
+
+    for name in ("analytic_family", "closure_check", "dynamics_equivalence", "consistency_scan"):
+        monkeypatch.setattr(report, name, forbidden)
+    with pytest.raises(ValueError, match="energy floor"):
+        run_verification(omega_hat=1.2)

@@ -174,6 +174,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run the checks, print them and write the report: exit 0 if none fails (skipped and measured ones do not), else 1."""
     _require(args.dynamics_sets >= 0, f"--dynamics-sets must be nonnegative, got {args.dynamics_sets}")
     report = run_verification(
         omega_hat=args.omega_hat,
@@ -187,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         _write_json(report.to_dict(), args.out)
         print(f"report written to {args.out}")
-    return report.exit_code
+    return 0 if report.passed else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -183,9 +183,10 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple) -> np.ndarra
     out[0] = first.reshape(width) @ o
     if n == 1:
         return out
-    powers = np.empty((_BLOCK_STEPS,) + e.shape[1:])
+    # rows read E_l only up to l = n - 3 (E_0 is built even at n == 2): with a step longer than the run the rest overflow
+    powers = np.empty((max(1, min(_BLOCK_STEPS, n - 2)),) + e.shape[1:])
     powers[0] = e[0]
-    for l in range(1, _BLOCK_STEPS):
+    for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
     m = (n - 2) // _BLOCK_STEPS + 1
     starts = _powers(powers[[-1, -1]], first, m, (np.zeros((width, width)), np.zeros(m), np.eye(width)))

@@ -1,11 +1,13 @@
 """Structured verification report and the runner that fills it.
 
 Each check records its measured value, the expected value with a provenance
-note naming the oracle it came from, and a pass/fail/measured/skipped status.
-A "measured" check documents an experiment whose outcome is reported rather
-than asserted; a "skipped" check evaluated nothing (for example zero random
-parameter sets) and counts neither as a pass nor as a failure.  The runner is
-deterministic: random parameter draws use a fixed seed.
+note naming the oracle it came from, and a status that ``VerificationReport.add``
+sets by one rule: "skipped" when nothing was measured (measured None, for
+example zero random parameter sets), else "measured" when the check asserts
+nothing (an experiment whose outcome is reported, not assumed), else "pass" or
+"fail".  A skipped check counts neither as a pass nor as a failure; the report
+passes when no check fails.  The runner is deterministic: random parameter
+draws use a fixed seed.
 """
 
 from __future__ import annotations
@@ -50,35 +52,42 @@ class Check:
     provenance: str
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
     context: dict
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
+    def add(
+        self,
+        name: str,
+        measured: float | str | None,
+        provenance: str,
+        passed: bool | None = None,
+        *,
+        expected: float | None = None,
+        tolerance: float | None = None,
+        note: str = "",
+    ) -> None:
+        """Record a check: "skipped" if measured is None, "measured" if passed is None, else "pass" or "fail"."""
+        if measured is None:
+            status = "skipped"
+        elif passed is None:
+            status = "measured"
+        else:
+            status = "pass" if passed else "fail"
+        self.checks.append(Check(name, status, measured, expected, tolerance, provenance, note))
 
     def add_bounded(
         self, name: str, measured: float | None, tolerance: float, provenance: str, note: str = ""
     ) -> None:
-        """A check that passes when measured <= tolerance; measured None means nothing was evaluated."""
-        if measured is None:
-            status = "skipped"
-        else:
-            status = "pass" if measured <= tolerance else "fail"
-        self.add(Check(name, status, measured, 0.0, tolerance, provenance, note))
+        """A check of measured against 0 that passes when measured <= tolerance."""
+        passed = measured is not None and measured <= tolerance
+        self.add(name, measured, provenance, passed, expected=0.0, tolerance=tolerance, note=note)
 
     @property
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
 
     def get(self, name: str) -> Check:
         for c in self.checks:
@@ -87,7 +96,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"context": self.context, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"context": self.context, "passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def to_text(self) -> str:
         lines = []
@@ -154,7 +163,6 @@ def run_verification(
     omega_hat: float | str = "auto",
     dtau: float = 1e-4,
     n_dynamics: int = 5,
-    n_closure: int = 10,
     grid_resolution: int = 21,
     scan_samples: int = SCAN_SAMPLES,
     seed: int = DEFAULT_SEED,
@@ -183,14 +191,12 @@ def run_verification(
     # --- final-time algebra, minimal branch ---
     constants, qn, tau_star = analytic_family(0, 0)
     report.add(
-        Check(
-            "family_min_time",
-            "pass" if abs(tau_star - TAU_STAR) <= 1e-12 else "fail",
-            tau_star,
-            TAU_STAR,
-            1e-12,
-            "closed-form integer family, minimal branch",
-        )
+        "family_min_time",
+        tau_star,
+        "closed-form integer family, minimal branch",
+        abs(tau_star - TAU_STAR) <= 1e-12,
+        expected=TAU_STAR,
+        tolerance=1e-12,
     )
     report.add_bounded(
         "boundary_residuals_max",
@@ -214,15 +220,11 @@ def run_verification(
     rows = sweep_tau(3)
     gap = rows[1]["tau_star"] - rows[0]["tau_star"]
     report.add(
-        Check(
-            "sweep_minimum",
-            "pass" if (rows[0]["m0"], rows[0]["n0"]) == (0, 0) and gap > 0 else "fail",
-            gap,
-            None,
-            None,
-            "closed-form sweep over the (m0, n0) grid",
-            note="gap between the smallest and second-smallest transfer times",
-        )
+        "sweep_minimum",
+        gap,
+        "closed-form sweep over the (m0, n0) grid",
+        (rows[0]["m0"], rows[0]["n0"]) == (0, 0) and gap > 0,
+        note="gap between the smallest and second-smallest transfer times",
     )
 
     # --- alternate target: b and d exchanged ---
@@ -237,16 +239,16 @@ def run_verification(
 
     # --- structural closure of the reduced generator ---
     worst_closure = 0.0
-    for _ in range(n_closure):
+    for _ in range(10):
         p = random_consistent_params(rng)
         taus = rng.uniform(0.0, 5.0, size=10)
         worst_closure = max(worst_closure, closure_check(p, taus).max_residual)
     report.add_bounded(
         "closure_residual",
-        worst_closure if n_closure > 0 else None,
+        worst_closure,
         1e-12,
         "commutator projection onto the operator basis",
-        note=f"{n_closure} random parameter sets, 10 times each",
+        note="10 random parameter sets, 10 times each",
     )
 
     # --- dynamics oracle equivalence ---
@@ -269,15 +271,12 @@ def run_verification(
     # --- consistency of the closed-form control constants ---
     scan = consistency_scan(*SCAN_RANGE, samples=scan_samples)
     report.add(
-        Check(
-            "consistency_scan",
-            "pass" if scan.consistent else "fail",
-            scan.consistent[0].omega_hat if scan.consistent else "none",
-            None,
-            1e-9,
-            "closed-form constants against the b, d boundary equations",
-            note=f"{len(scan.consistent)} consistent energy scale(s) in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}]",
-        )
+        "consistency_scan",
+        scan.consistent[0].omega_hat if scan.consistent else "none",
+        "closed-form constants against the b, d boundary equations",
+        bool(scan.consistent),
+        tolerance=1e-9,
+        note=f"{len(scan.consistent)} consistent energy scale(s) in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}]",
     )
 
     auto_omega, branch = consistent_scale(0)
@@ -294,29 +293,20 @@ def run_verification(
 
     # --- transfer experiment (outcome reported, not assumed) ---
     x8_final = float(exact_state_trajectory(params, E1, np.array([tau_star]))[0, 7])
-    transfer_ok = abs(x8_final - 1.0) <= 1e-6
     report.add(
-        Check(
-            "transfer_x8_at_tau_star",
-            "measured",
-            x8_final,
-            1.0,
-            1e-6,
-            "exact propagation of the closed-form control",
-            note="within tolerance" if transfer_ok else "tolerance violated; see propagator_discrepancy",
-        )
+        "transfer_x8_at_tau_star",
+        x8_final,
+        "exact propagation of the closed-form control",
+        expected=1.0,
+        tolerance=1e-6,
+        note="within tolerance" if abs(x8_final - 1.0) <= 1e-6 else "tolerance violated; see propagator_discrepancy",
     )
     disc = propagator_discrepancy(params, np.linspace(0.0, tau_star, 241))
     report.add(
-        Check(
-            "propagator_discrepancy",
-            "measured",
-            disc.max_deviation,
-            None,
-            None,
-            "integrated-generator ansatz vs time-ordered propagator on [0, tau_star]",
-            note=f"largest gap at tau={disc.tau_at_max:.6g}",
-        )
+        "propagator_discrepancy",
+        disc.max_deviation,
+        "integrated-generator ansatz vs time-ordered propagator on [0, tau_star]",
+        note=f"largest gap at tau={disc.tau_at_max:.6g}",
     )
 
     # --- reachability probes: one grid pass measures both x8 and x7 ---
@@ -325,30 +315,22 @@ def run_verification(
         # at low resolution no bz grid value may lie on the energy shell
         note = f"no grid point on the energy shell at resolution {grid_resolution}"
         for name in ("ansatz_grid_search_x8", "no_transfer_probe_x7"):
-            report.add(Check(name, "skipped", None, None, None, "grid over the energy-shell ansatz", note))
+            report.add(name, None, "grid over the energy-shell ansatz", note=note)
         return report
-    early = gs.best_tau is not None and gs.best_tau <= 0.95 * tau_star
     report.add(
-        Check(
-            "ansatz_grid_search_x8",
-            "fail" if early else "pass",
-            gs.best_tau if gs.best_tau is not None else "never reached",
-            None,
-            None,
-            "grid over the energy-shell ansatz",
-            note=f"largest x8 seen {gs.achieved:.6g} at tau={gs.achieved_tau:.6g}",
-        )
+        "ansatz_grid_search_x8",
+        gs.best_tau if gs.best_tau is not None else "never reached",
+        "grid over the energy-shell ansatz",
+        gs.best_tau is None or gs.best_tau > 0.95 * tau_star,
+        note=f"largest x8 seen {gs.achieved:.6g} at tau={gs.achieved_tau:.6g}",
     )
     x7, x7_tau, _ = gs.peaks["x7"]
     report.add(
-        Check(
-            "no_transfer_probe_x7",
-            "pass" if x7 < 0.999 else "fail",
-            x7,
-            None,
-            0.999,
-            "grid over the energy-shell ansatz",
-            note=f"largest x7 at tau={x7_tau:.6g}",
-        )
+        "no_transfer_probe_x7",
+        x7,
+        "grid over the energy-shell ansatz",
+        x7 < 0.999,
+        tolerance=0.999,
+        note=f"largest x7 at tau={x7_tau:.6g}",
     )
     return report

@@ -57,7 +57,6 @@ class SearchResult:
     peaks: dict
     grid_spec: dict
     feasible: bool
-    trace: list = field(default_factory=list)
     # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair, bz from the centre row up; for x5
     # and x7 each pair off the centre row is followed by its mirror (-bz, -omega_rf), so the whole box is listed
     landscape: list = field(default_factory=list)
@@ -246,15 +245,15 @@ def grid_search(
     )
 
 
-def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
-    """Simplex refinement of (bz, omega_rf) minimizing the threshold-crossing time.
+def refine_local(seed: SearchResult) -> SearchResult:
+    """Simplex refinement of (bz, omega_rf) minimizing the threshold-crossing time, at most 120 evaluations.
 
     theta0 is read off the state and b0 restores the energy constraint after
-    every move.  The reported time never increases across iterations; an
-    infeasible seed is returned unchanged.
+    every move.  The reported time is the best seen, so never later than the
+    seed's; an infeasible seed is returned unchanged.
     """
     if not seed.feasible or seed.best_params is None or seed.best_tau is None:
-        return replace(seed, trace=list(seed.trace))
+        return seed
     from scipy.optimize import minimize  # imported here: the CLI's start-up needs no scipy
     spec = seed.grid_spec
     omega_hat, k = spec["omega_hat"], spec["k"]
@@ -262,7 +261,6 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
     tau_max, dtau = spec["tau_max"], spec["dtau"]
     shell = energy_shell(omega_hat, k)
     best = {"tau": seed.best_tau, "params": seed.best_params}
-    trace = [seed.best_tau]
 
     def objective(v: np.ndarray) -> float:
         bz, omega_rf = v
@@ -275,9 +273,8 @@ def refine_local(seed: SearchResult, iterations: int = 120) -> SearchResult:
         t, p = hit
         if t < best["tau"]:
             best["tau"], best["params"] = t, p
-        trace.append(best["tau"])
         return t
 
     x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf])
-    minimize(objective, x0, method="Nelder-Mead", options={"maxfev": iterations, "xatol": 1e-10, "fatol": 1e-12})
-    return replace(seed, best_params=best["params"], best_tau=best["tau"], trace=trace)
+    minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 120, "xatol": 1e-10, "fatol": 1e-12})
+    return replace(seed, best_params=best["params"], best_tau=best["tau"])

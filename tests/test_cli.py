@@ -445,6 +445,21 @@ def test_verify_quick_run(tmp_path, capsys):
     assert "overall: PASS" in stdout
 
 
+def test_verify_failed_check_exits_1_and_writes_report(tmp_path, capsys):
+    # RK4's truncation at dtau 0.5 puts both oracle gaps near 0.35, far over their 1e-8 gate
+    out = tmp_path / "r.json"
+    code, stdout, err = _run(
+        capsys, "verify", "--dtau", "0.5", "--dynamics-sets", "1", "--resolution", "3",
+        "--scan-samples", "801", "--out", str(out),
+    )
+    assert code == 1 and err == ""
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+    assert failed == ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
+    assert stdout.endswith(f"overall: FAIL\nreport written to {out}\n")
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "trispin.cli", "propagate", "--method", "warp"],

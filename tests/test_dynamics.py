@@ -200,6 +200,14 @@ def test_rk4_norm_conservation(rng):
     assert np.max(np.abs(traj.norms() - 1.0)) < 1e-9
 
 
+def test_rk4_step_longer_than_the_run():
+    # the grid is (0, 1), one step of length 1, so the unused powers of the 1e3 step must not be formed (they overflow)
+    p = _params()
+    long_step = propagate_rk4(p, np.eye(8)[0], 1.0, 1e3)
+    one_step = propagate_rk4(p, np.eye(8)[0], 1.0, 1.0)
+    assert np.array_equal(long_step.taus, one_step.taus) and np.array_equal(long_step.states, one_step.states)
+
+
 def test_rk4_rejects_bad_step():
     p = _params()
     with pytest.raises(ValueError):

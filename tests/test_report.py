@@ -1,14 +1,49 @@
+from dataclasses import replace
+
 import pytest
 
+import trispin.report as report_module
+from trispin.algebra import TAU_STAR
 from trispin.report import run_verification
 
+QUICK = dict(n_dynamics=0, grid_resolution=3, scan_samples=801)
 
-def test_zero_closure_sets_is_skipped_not_passed():
-    report = run_verification(n_dynamics=0, n_closure=0, grid_resolution=3, scan_samples=801)
-    check = report.get("closure_residual")
+
+def test_zero_dynamics_sets_is_skipped_not_passed():
+    report = run_verification(**QUICK)
+    check = report.get("cross_validate_full_vs_rk4")
     assert check.status == "skipped" and check.measured is None
+    # a skipped bounded check still states what it would have been held to
+    assert check.expected == 0.0 and check.tolerance == 1e-8
+    assert report.get("closure_residual").status == "pass"
     assert report.passed
-    assert "SKIPPED  closure_residual" in report.to_text()
+    assert "SKIPPED  cross_validate_full_vs_rk4" in report.to_text()
+
+
+def _patched(name, change):
+    """A stand-in for report.<name> that calls it and passes its result through change."""
+    original = getattr(report_module, name)
+    return name, lambda *args, **kwargs: change(original(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "patch, failing",
+    [
+        (_patched("analytic_family", lambda r: (r[0], r[1], r[2] + 1e-9)), "family_min_time"),
+        (_patched("sweep_tau", lambda rows: [rows[1], rows[0]] + rows[2:]), "sweep_minimum"),
+        (_patched("consistency_scan", lambda scan: replace(scan, consistent=[])), "consistency_scan"),
+        (_patched("grid_search", lambda gs: replace(gs, best_tau=0.5 * TAU_STAR)), "ansatz_grid_search_x8"),
+        (_patched("grid_search", lambda gs: replace(gs, peaks={**gs.peaks, "x7": (0.9995, 1.0, None)})), "no_transfer_probe_x7"),
+    ],
+    ids=["family_min_time", "sweep_minimum", "consistency_scan", "early_best_tau", "x7_reached"],
+)
+def test_each_rule_fails_its_check_alone(monkeypatch, patch, failing):
+    # push one check's rule to its fail side: that check, and only it, reads fail, so the report fails
+    monkeypatch.setattr(report_module, *patch)
+    report = run_verification(**QUICK)
+    assert [c.name for c in report.checks if c.status == "fail"] == [failing]
+    assert not report.passed
+    assert report.to_text().endswith("overall: FAIL")
 
 
 def test_default_grid_values():

@@ -197,17 +197,15 @@ def test_grid_search_deterministic():
 def test_refine_local_infeasible_seed_unchanged():
     seed = grid_search(OMEGA, 1.0, resolution=5, threshold=0.999, dtau=1e-2)
     assert not seed.feasible
-    out = refine_local(seed, iterations=10)
+    out = refine_local(seed)
     assert out.best_params == seed.best_params and out.best_tau == seed.best_tau
 
 
-def test_refine_local_monotone_trace():
+def test_refine_local_never_later_than_its_seed():
     seed = grid_search(OMEGA, 1.0, resolution=5, threshold=0.5, dtau=2e-2)
     assert seed.feasible
-    out = refine_local(seed, iterations=40)
+    out = refine_local(seed)
     assert out.best_tau <= seed.best_tau
-    trace = np.array(out.trace)
-    assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_refine_local_reaches_the_gauge_optimal_crossing():

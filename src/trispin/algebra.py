@@ -13,7 +13,7 @@ rate, B(tau) = (b0*cos(theta), b0*sin(theta), bz), theta = omega_rf*tau + theta0
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class ControlParams:
 
     def theta(self, tau: float) -> float:
         return self.omega_rf * tau + self.theta0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlParams":

@@ -17,7 +17,7 @@ equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -212,12 +212,7 @@ def family_constants_for_target(target: str, m0: int, n0: int) -> tuple[Boundary
             f"no solution family exists for target {target!r}; expected one of {', '.join(TRANSFER_COLUMNS)}"
         )
     c, qn, tau_star = analytic_family(m0, n0)
-    return (swap_bd(c) if target == "x6" else c), qn, tau_star
-
-
-def swap_bd(c: BoundaryConstants) -> BoundaryConstants:
-    """Exchange the constants b and d."""
-    return BoundaryConstants(a=c.a, b=c.d, c_plus=c.c_plus, c_minus=c.c_minus, d=c.b)
+    return (replace(c, b=c.d, d=c.b) if target == "x6" else c), qn, tau_star
 
 
 def closed_form_params(

@@ -128,8 +128,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         _require(args.target == "x8", f"--omega-hat realizes only target x8, not {args.target}")
         constants, _, tau_star = analytic_family(args.m0, args.n0)
         sols = invert_to_physical(args.omega_hat, 1.0, tau_star, constants.b)
-        if sols:
-            params, branch = sols[0].params, sols[0].branch
+        _require(bool(sols), f"no inverted control realizes label (m0, n0) = ({args.m0}, {args.n0}) "
+                             f"at omega_hat={args.omega_hat:g}")
+        params, branch = sols[0].params, sols[0].branch
     record = solution_record(args.m0, args.n0, params=params, branch=branch, target=args.target)
     _write_json(record, args.out)
     return 0
@@ -163,13 +164,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             else:  # expm-integral
                 states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
                 disc = propagator_discrepancy(p, taus)
-            traj = Trajectory(taus=taus, states=states, method=args.method)
+            traj = Trajectory(taus=taus, states=states)
         bounded = np.all(np.isfinite(traj.norms())) and (disc is None or math.isfinite(disc.max_deviation))
     _require(bounded, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
     if disc is not None:
         print(f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}")
     traj.write_csv(args.out)
-    print(f"wrote {len(traj.taus)} samples (method={traj.method}) to {args.out}")
+    print(f"wrote {len(traj.taus)} samples (method={args.method}) to {args.out}")
     return 0
 
 
@@ -186,7 +187,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report.to_text())
     if args.out:
-        _write_json(report.to_dict(), args.out)
+        payload = {"context": report.context, "passed": report.passed, "checks": [asdict(c) for c in report.checks]}
+        _write_json(payload, args.out)
         print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
@@ -238,14 +240,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             for bz, omega_rf, reached, peak, peak_tau in result.landscape:
                 reach_cell = f"{reached:.17g}" if reached is not None else ""
                 fh.write(f"{bz:.17g},{omega_rf:.17g},{reach_cell},{peak:.17g},{peak_tau:.17g}\n")
+    peak, peak_tau, peak_params = result.peaks[args.target]
     payload = {
         "grid_spec": result.grid_spec,
         "feasible": result.feasible,
         "best_tau": result.best_tau,
-        "best_params": result.best_params.to_dict() if result.best_params else None,
-        "achieved": result.achieved,
-        "achieved_tau": result.achieved_tau,
-        "achieved_params": result.achieved_params.to_dict() if result.achieved_params else None,
+        "best_params": asdict(result.best_params) if result.best_params else None,
+        "achieved": peak,
+        "achieved_tau": peak_tau,
+        "achieved_params": asdict(peak_params) if peak_params else None,
     }
     _write_json(payload, args.out)
     return 0

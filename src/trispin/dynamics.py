@@ -108,7 +108,6 @@ class Trajectory:
 
     taus: np.ndarray
     states: np.ndarray  # shape (n, 8)
-    method: str
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -222,7 +221,7 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     # R(-omega_rf h) - I = -sin(omega_rf h) J + (1 - cos(omega_rf h)) J^2, as J^3 = -J
     turn = -np.sin(p.omega_rf * h) * J + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (J @ J)
     states = _powers(turn + d + turn @ d, split_halves(x0), len(taus), (_TURN, p.omega_rf * taus, _JOIN_ROWS))
-    return Trajectory(taus=taus, states=states, method="rk4")
+    return Trajectory(taus=taus, states=states)
 
 
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:

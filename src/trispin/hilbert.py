@@ -16,7 +16,6 @@ the operator basis reproduces the reduced generator and stays inside the span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,23 +98,11 @@ def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Tr
     of the quaternions of the G_s3 with ``_PROJECTION``, folded into the step product.
     """
     taus, x = _mapped_blocks(p, tau_end, dtau, _PROJECTION)
-    return Trajectory(taus=taus, states=x, method="full-hilbert")
+    return Trajectory(taus=taus, states=x)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    """Outcome of projecting the commutator action onto the operator basis."""
-
-    max_coefficient_error: float  # worst |projection - generator entry|
-    max_orthogonal_residual: float  # worst component outside the span
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_coefficient_error, self.max_orthogonal_residual)
-
-
-def closure_check(p: ControlParams, tau_samples) -> ClosureResult:
-    """Verify i[H(tau), O_i] = sum_j M_ij(tau) O_j at each requested tau.
+def closure_check(p: ControlParams, tau_samples) -> float:
+    """Largest residual of i[H(tau), O_i] = sum_j M_ij(tau) O_j over the requested taus.
 
     The projection coefficients Tr[O_j i[H,O_i]]/8 must equal row i of the
     reduced generator and the projection must exhaust the commutator; all
@@ -127,7 +114,7 @@ def closure_check(p: ControlParams, tau_samples) -> ClosureResult:
     comm = 1j * (h @ basis - basis @ h)  # (n, 8, 8, 8): sample, operator i, matrix
     coeffs = np.einsum("jab,niab->nij", basis.conj(), comm).real / 8.0
     remainder = comm - np.einsum("nij,jab->niab", coeffs, basis)
-    return ClosureResult(
-        max_coefficient_error=float(np.max(np.abs(coeffs - build_M(p, taus)), initial=0.0)),
-        max_orthogonal_residual=float(np.max(np.abs(remainder), initial=0.0)),
+    return max(
+        float(np.max(np.abs(coeffs - build_M(p, taus)), initial=0.0)),  # worst |projection - generator entry|
+        float(np.max(np.abs(remainder), initial=0.0)),  # worst component outside the span
     )

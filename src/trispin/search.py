@@ -48,18 +48,18 @@ class SearchResult:
 
     best_params: ControlParams | None
     best_tau: float | None
-    achieved: float  # largest target expectation seen anywhere
-    achieved_params: ControlParams | None
-    achieved_tau: float | None
     # (value, tau, params) of the largest value of each component x1..x8 seen
     # anywhere, the target's entry included; (-inf, None, None) when no grid
     # point lies on the energy shell
     peaks: dict
     grid_spec: dict
-    feasible: bool
     # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair, bz from the centre row up; for x5
     # and x7 each pair off the centre row is followed by its mirror (-bz, -omega_rf), so the whole box is listed
     landscape: list = field(default_factory=list)
+
+    @property
+    def feasible(self) -> bool:
+        return self.best_params is not None
 
 
 def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
@@ -135,7 +135,7 @@ def _first_crossing(
 
 
 def min_time_to_target(
-    p: ControlParams, target: str = "x8", threshold: float = 0.999, tau_max: float = 10.0, dtau: float = 1e-3
+    p: ControlParams, target: str, threshold: float, tau_max: float, dtau: float
 ) -> tuple[float, ControlParams] | None:
     """(tau, p at the best theta0 there) of the first crossing of the theta0-best x_target; None if never reached.
 
@@ -222,13 +222,9 @@ def grid_search(
                     if collect_landscape and (side == 0 or row > 0 or resolution % 2 == 0):  # a centre row holds its mirrors
                         reached = hit[0] if hit else None
                         landscape.append((float(q.bz), float(q.omega_rf), reached, float(sign * best[i, idx]), float(taus[i])))
-    achieved, achieved_tau, achieved_params = peaks[target]
     return SearchResult(
         best_params=best_params,
         best_tau=None if math.isinf(best_tau) else best_tau,
-        achieved=achieved,
-        achieved_params=achieved_params,
-        achieved_tau=achieved_tau,
         peaks=peaks,
         grid_spec={
             "omega_hat": omega_hat,
@@ -240,7 +236,6 @@ def grid_search(
             "tau_max": tau_max,
             "dtau": dtau,
         },
-        feasible=best_params is not None,
         landscape=landscape,
     )
 
@@ -252,7 +247,7 @@ def refine_local(seed: SearchResult) -> SearchResult:
     every move.  The reported time is the best seen, so never later than the
     seed's; an infeasible seed is returned unchanged.
     """
-    if not seed.feasible or seed.best_params is None or seed.best_tau is None:
+    if not seed.feasible:
         return seed
     from scipy.optimize import minimize  # imported here: the CLI's start-up needs no scipy
     spec = seed.grid_spec

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -128,11 +129,11 @@ def test_transverse_amplitude_on_shell():
 
 def test_params_roundtrip_dict():
     p = _params(k=-1.0, omega_hat=2.3, b0=1.1, bz=-0.2, omega_rf=3.3, theta0=0.9)
-    assert ControlParams.from_dict(p.to_dict()) == p
+    assert ControlParams.from_dict(asdict(p)) == p
 
 
 def test_params_from_dict_rejects_bool():
     # float(True) is 1.0; a JSON true in a parameter file is no number
-    data = _params(k=-1.0, omega_hat=2.3, b0=1.1, bz=-0.2, omega_rf=3.3, theta0=0.9).to_dict()
+    data = asdict(_params(k=-1.0, omega_hat=2.3, b0=1.1, bz=-0.2, omega_rf=3.3, theta0=0.9))
     with pytest.raises(ValueError, match="invalid bz True"):
         ControlParams.from_dict({**data, "bz": True})

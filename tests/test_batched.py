@@ -508,7 +508,7 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
         whole, whole_tau, _ = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
         for (value, tau, _), (want, want_tau) in zip(half.peaks.values(), whole):
             assert abs(value - want) <= 1e-12 and abs(tau - want_tau) <= 1e-12
-        assert abs(half.achieved - whole[search.COMPONENT_INDEX[target]][0]) <= 1e-12
+        assert abs(half.peaks[target][0] - whole[search.COMPONENT_INDEX[target]][0]) <= 1e-12
         assert math.isfinite(whole_tau) and abs(half.best_tau - whole_tau) <= 1e-12
     peaks, best_tau = grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau)
     values = np.array([res.peaks[f"x{i}"][0] for i in range(1, 9)])

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from trispin.boundary import closed_form_params, consistent_scale
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER
+from trispin.search import grid_search
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -24,7 +26,7 @@ def _run(capsys, *argv):
 def _write_params(tmp_path, params=None):
     params = params if params is not None else closed_form_params(OMEGA)
     path = tmp_path / "params.json"
-    path.write_text(json.dumps(params.to_dict()))
+    path.write_text(json.dumps(asdict(params)))
     return str(path)
 
 
@@ -67,6 +69,19 @@ def test_analytic_x6_realization_is_usage_error(capsys):
     assert code == 0 and rec["params"] is None
     assert (rec["b"], rec["d"]) == (0.0, -PI)
     assert max(abs(v) for v in rec["residuals"]["boundary"]) <= 1e-10
+
+
+def test_analytic_below_the_inversion_floor_is_usage_error(capsys):
+    # label (0, 0) has b = -pi, and the inversion needs 2*b0*tau* > pi with b0 = sqrt(omega_hat^2 - 2),
+    # that is omega_hat > sqrt(10/3) = 1.8257419: below it no control is attached, so the request fails
+    code, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--omega-hat", "1.5")
+    assert code == 2 and out == ""
+    assert err == "error: no inverted control realizes label (m0, n0) = (0, 0) at omega_hat=1.5\n"
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--omega-hat", repr(math.sqrt(10.0 / 3.0) + 1e-9))
+    rec = json.loads(out)
+    assert code == 0 and rec["params"] is not None
+    assert 0.0 < rec["params"]["omega_rf"] < 2e-4
+    assert rec["residuals"]["b_eq"] <= 1e-10 and rec["residuals"]["d_eq"] <= 1e-10
 
 
 def test_analytic_rejects_bad_ordering(capsys):
@@ -233,7 +248,7 @@ def test_parameter_file_must_hold_object(tmp_path, capsys):
     "value", [None, [1.0], {"v": 1.0}, "abc", True], ids=["null", "list", "object", "text", "bool"]
 )
 def test_parameter_file_field_must_be_a_number(tmp_path, capsys, value):
-    params = closed_form_params(OMEGA).to_dict()
+    params = asdict(closed_form_params(OMEGA))
     params["bz"] = value
     pf = tmp_path / "params.json"
     pf.write_text(json.dumps(params))
@@ -310,6 +325,21 @@ def test_search_reports_max_x7(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert "achieved" in payload and payload["achieved"] < 0.999
+
+
+def test_search_json_reads_the_target_peak(tmp_path, capsys):
+    # achieved, achieved_tau and achieved_params are peaks[target]; the x7 peak lies in the mirrored half of
+    # the box, which the search reads off the evaluated half
+    out = tmp_path / "search.json"
+    code, _, _ = _run(capsys, "search", "--target", "x7", "--omega-hat", "2.7", "--threshold", "0.999",
+                      "--resolution", "7", "--out", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    value, tau, params = grid_search(2.7, 1.0, "x7", 7, 0.999).peaks["x7"]
+    assert (payload["achieved"], payload["achieved_tau"], payload["achieved_params"]) == (value, tau, asdict(params))
+    assert f"{value:.6f} {tau:.6g}" == "0.766635 4.08105"
+    assert (params.bz, params.omega_rf) == pytest.approx((-1.8, -8.0), abs=1e-12)
+    assert payload["feasible"] is False and payload["best_params"] is None
 
 
 def test_search_auto_records_its_scale(tmp_path, capsys):
@@ -535,7 +565,7 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
 
 
 def test_propagate_rejects_non_finite_params(tmp_path, capsys):
-    params = closed_form_params(OMEGA).to_dict()
+    params = asdict(closed_form_params(OMEGA))
     params["omega_hat"] = float("nan")
     pf = tmp_path / "params.json"
     pf.write_text(json.dumps(params))
@@ -548,7 +578,7 @@ def test_propagate_rejects_non_finite_params(tmp_path, capsys):
 
 def test_propagate_rejects_non_finite_text_params(tmp_path, capsys):
     # "nan" and "inf" are JSON strings that float() reads; ControlParams.from_dict refuses them
-    params = closed_form_params(OMEGA).to_dict()
+    params = asdict(closed_form_params(OMEGA))
     params["omega_hat"], params["theta0"] = "nan", "-inf"
     pf = tmp_path / "params.json"
     pf.write_text(json.dumps(params))
@@ -578,7 +608,7 @@ def test_energy_shell_out_of_float_range_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("method", ["rk4", "full-hilbert", "rotating-exact", "expm-integral"])
 def test_propagate_refuses_a_trajectory_that_is_not_finite(tmp_path, capsys, method):
     # every field is finite, but b0 = 1e308 overflows inside each propagator
-    params = closed_form_params(OMEGA).to_dict()
+    params = asdict(closed_form_params(OMEGA))
     params["b0"] = 1e308
     pf = tmp_path / "params.json"
     pf.write_text(json.dumps(params))

@@ -28,7 +28,7 @@ def test_target_expectation_at_zero():
     assert abs(x8(PARAMS, 0.0)) < 1e-14
     assert abs(exact_state_trajectory(PARAMS, E1, np.array([0.0]))[0, 0] - 1.0) < 1e-14
     with pytest.raises(ValueError, match="unknown target"):
-        min_time_to_target(PARAMS, "x9")
+        min_time_to_target(PARAMS, "x9", 0.999, 5.0, 1e-2)
 
 
 def test_target_expectation_at_transfer_time_is_recorded():
@@ -116,14 +116,14 @@ def test_grid_rows_equal_per_tau_rows(tau_max, dtau):
 def test_searches_reject_a_threshold_that_is_not_positive(threshold):
     # e1 meets any threshold <= 0 at tau = 0, so neither search would measure anything
     with pytest.raises(ValueError, match="threshold must be positive"):
-        min_time_to_target(PARAMS, "x8", threshold=threshold)
+        min_time_to_target(PARAMS, "x8", threshold, 5.0, 1e-2)
     with pytest.raises(ValueError, match="threshold must be positive"):
         grid_search(OMEGA, 1.0, resolution=3, threshold=threshold)
 
 
 def test_min_time_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        min_time_to_target(PARAMS, "x8", tau_max=-1.0)
+        min_time_to_target(PARAMS, "x8", 0.999, -1.0, 1e-2)
 
 
 def test_grid_search_membership_of_reference_point():
@@ -139,7 +139,7 @@ def test_grid_search_membership_of_reference_point():
     res = grid_search(omega_hat, 1.0, target="x8", resolution=9, threshold=0.5, dtau=1e-2)
     assert res.feasible
     assert res.best_tau <= ref_best + 1e-2
-    assert res.achieved >= float(np.max(ref_curve)) - 1e-9
+    assert res.peaks["x8"][0] >= float(np.max(ref_curve)) - 1e-9
 
 
 def _grid():
@@ -191,7 +191,7 @@ def test_grid_search_rejects_omega_at_or_below_energy_floor(omega_hat, k):
 def test_grid_search_deterministic():
     a = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)
     b = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)
-    assert a.achieved == b.achieved and a.best_tau == b.best_tau
+    assert a.peaks == b.peaks and a.best_tau == b.best_tau
 
 
 def test_refine_local_infeasible_seed_unchanged():
@@ -237,7 +237,7 @@ def test_mirror_controls_cross_together(k):
         b0, omega_rf = transverse_amplitude(omega_hat, k, bz), 2.0 * bz + rng.uniform(-1.0, 1.0)
         p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
         mirror = dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)
-        hit, mirror_hit = min_time_to_target(p, threshold=0.9), min_time_to_target(mirror, threshold=0.9)
+        hit, mirror_hit = (min_time_to_target(q, "x8", 0.9, tau_max=10.0, dtau=1e-3) for q in (p, mirror))
         assert (hit is None) == (mirror_hit is None)
         if hit is not None:
             crossings += 1
@@ -311,7 +311,6 @@ def test_grid_peaks_match_single_target_searches():
     # one pass records every component exactly as a search for that component would
     res = grid_search(OMEGA, 1.0, target="x8", resolution=3, threshold=0.9, dtau=5e-2)
     assert list(res.peaks) == [f"x{i}" for i in range(1, 9)]
-    for target, (value, tau, params) in res.peaks.items():
+    for target in res.peaks:
         single = grid_search(OMEGA, 1.0, target=target, resolution=3, threshold=0.9, dtau=5e-2)
-        assert (value, tau, params) == (single.achieved, single.achieved_tau, single.achieved_params)
         assert single.peaks == res.peaks

@@ -361,6 +361,7 @@ class ScanResult:
 
 SCAN_SAMPLES = 4001
 MAX_SCALES = 10_000  # a scan range may end above at most this many consistent scales
+MAX_LABEL = 1000  # sweep_tau builds (label_max + 1)(label_max + 2)/2 rows: 501,501 and about 160 MB at this bound
 # one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi
 _SCAN_BRANCHES = tuple(
     {"omega_sign": os_, "theta_sign": ts, "r": r} for os_ in (1, -1) for ts in (1, -1) for r in (0, 1)
@@ -420,6 +421,8 @@ def sweep_tau(label_max: int) -> list[dict]:
     """Closed-form tau_star over the branch labels label_max >= n0 >= m0 >= 0, sorted ascending by tau_star."""
     if label_max < 0:
         raise ValueError("the sweep bound must be nonnegative")
+    if label_max > MAX_LABEL:
+        raise ValueError(f"the sweep bound must be at most {MAX_LABEL}, got {label_max}")
     rows = (
         {"m0": m0, "n0": n0, "tau_star": transfer_time(m0, n0)}
         for m0 in range(label_max + 1)

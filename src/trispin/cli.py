@@ -44,33 +44,15 @@ from .report import DEFAULT_SEED, run_verification
 from .search import COMPONENT_INDEX, grid_search
 
 
-class UsageError(Exception):
-    pass
-
-
 def _read_json(path: str, what: str) -> dict:
-    """The JSON object in path.  json reads NaN, Infinity and 1e999 as floats; a field holding one is a usage error."""
-
-    def finite_object(pairs: list) -> dict:
-        bad = [
-            key
-            for key, value in pairs
-            for v in (value if isinstance(value, list) else [value])
-            if isinstance(v, float) and not math.isfinite(v)
-        ]
-        if bad:
-            raise UsageError(f"{what} {path} has non-finite {', '.join(dict.fromkeys(bad))}")
-        return dict(pairs)
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh, object_pairs_hook=finite_object)
-    except FileNotFoundError:
-        raise UsageError(f"{what} not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+    """The JSON object in path; each caller checks its values (a flag's type, ControlParams.from_dict)."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise UsageError(f"{what} {path} must hold a JSON object")
+        raise ValueError(f"{what} {path} must hold a JSON object")
     return data
 
 
@@ -81,15 +63,15 @@ def _set_config_defaults(sp: argparse.ArgumentParser, command: str, path: str) -
     for key, value in _read_json(path, "config file").items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
+            raise ValueError(f"unknown config key {key!r} for command {command!r}")
         if value is None:  # null leaves the flag at its own default
             continue
         try:
             defaults[action.dest] = (action.type or str)(str(value))
         except (ValueError, argparse.ArgumentTypeError):
-            raise UsageError(f"config file {path} has invalid {key} {value!r}") from None
+            raise ValueError(f"config file {path} has invalid {key} {value!r}") from None
         if action.choices is not None and defaults[action.dest] not in action.choices:
-            raise UsageError(f"config file {path} has invalid {key} {value!r}")
+            raise ValueError(f"config file {path} has invalid {key} {value!r}")
     sp.set_defaults(**defaults)
 
 
@@ -104,7 +86,7 @@ def _write_json(payload, out: str | None) -> None:
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def finite(text: str) -> float:
@@ -141,9 +123,9 @@ def _read_params_file(path: str) -> ControlParams:
     try:
         return ControlParams.from_dict(data)
     except KeyError as exc:
-        raise UsageError(f"parameter file {path} is missing field {exc}") from None
+        raise ValueError(f"parameter file {path} is missing field {exc}") from None
     except ValueError as exc:
-        raise UsageError(f"parameter file {path} has {exc}") from None
+        raise ValueError(f"parameter file {path} has {exc}") from None
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -176,7 +158,6 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the checks, print them and write the report: exit 0 if none fails (skipped and measured ones do not), else 1."""
-    _require(args.dynamics_sets >= 0, f"--dynamics-sets must be nonnegative, got {args.dynamics_sets}")
     report = run_verification(
         omega_hat=args.omega_hat,
         dtau=args.dtau,
@@ -246,7 +227,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "feasible": result.feasible,
         "best_tau": result.best_tau,
         "best_params": asdict(result.best_params) if result.best_params else None,
-        "achieved": peak,
+        # with no bz row on the energy shell the peak is the -inf sentinel, which JSON cannot hold
+        "achieved": peak if peak_tau is not None else None,
         "achieved_tau": peak_tau,
         "achieved_params": asdict(peak_params) if peak_params else None,
     }
@@ -343,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             _set_config_defaults(commands[args.command], args.command, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # OSError: an input or output path that cannot be opened; MemoryError: a grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -137,7 +137,7 @@ def _largest_gap(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d))))
 
 
-def dynamics_equivalence(params_list, tau_end: float, dtau: float = 1e-4) -> tuple[float, float]:
+def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[float, float]:
     """(max full-Hilbert vs RK4 deviation, max rotating-exact vs RK4 deviation), all from x = e1."""
     worst_full = 0.0
     worst_exact = 0.0
@@ -166,11 +166,16 @@ def run_verification(
     first inverted control, or the closed-form one where no inverted control
     exists (omega_hat <= sqrt(10/3)); its provenance names the control.  The family checks run at
     coupling ratio k = 1: k = -1 flips x5..x8 and no reported value
-    (analytic_family); the random parameter sets draw both.
+    (analytic_family); the random parameter sets draw both.  A bad argument is a ValueError
+    before any check: the grid search and the scan, which check their own, run first.
     """
-    _time_grid(3.0 * TAU_STAR, dtau)  # a bad step is a ValueError before any check, even with no dynamics sets
-    if omega_hat != "auto":
-        energy_shell(omega_hat, 1.0)  # so is an omega_hat at or below the energy floor
+    if n_dynamics < 0:
+        raise ValueError(f"n_dynamics must be nonnegative, got {n_dynamics}")
+    _time_grid(3.0 * TAU_STAR, dtau)  # checked even with no dynamics sets to use the step
+    auto_omega, branch = consistent_scale(0)
+    omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
+    gs = grid_search(omega_sel, 1.0, target="x8", resolution=grid_resolution, threshold=0.999)
+    scan = consistency_scan(*SCAN_RANGE, samples=scan_samples)
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         context={
@@ -263,7 +268,6 @@ def run_verification(
     )
 
     # --- consistency of the closed-form control constants ---
-    scan = consistency_scan(*SCAN_RANGE, samples=scan_samples)
     report.add(
         "consistency_scan",
         scan.consistent[0].omega_hat if scan.consistent else "none",
@@ -273,8 +277,6 @@ def run_verification(
         note=f"{len(scan.consistent)} consistent energy scale(s) in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}]",
     )
 
-    auto_omega, branch = consistent_scale(0)
-    omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
     params = closed_form_params(omega_sel, **branch)
     control = "closed-form control"
     if omega_hat != "auto":
@@ -308,7 +310,6 @@ def run_verification(
     )
 
     # --- reachability probes: one grid pass measures both x8 and x7 ---
-    gs = grid_search(omega_sel, 1.0, target="x8", resolution=grid_resolution, threshold=0.999)
     x8, x8_tau, _ = gs.peaks["x8"]
     if x8_tau is None:
         # at low resolution no bz grid value may lie on the energy shell

@@ -738,6 +738,8 @@ def test_sweep_table():
         assert all(a < b for a, b in zip(col, col[1:]))
     with pytest.raises(ValueError):
         sweep_tau(-1)
+    with pytest.raises(ValueError, match="at most 1000"):
+        sweep_tau(boundary.MAX_LABEL + 1)
 
 
 # --- targets ---------------------------------------------------------------------------

@@ -133,6 +133,16 @@ def test_propagate_missing_params_file(tmp_path, capsys):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--params-file"])
+def test_missing_input_file_is_reported_by_the_os_error(tmp_path, capsys, flag):
+    # an input file that cannot be opened is an OSError, reported like an unwritable --out
+    path = tmp_path / "nope.json"
+    code, stdout, err = _run(capsys, "propagate", flag, str(path), "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and stdout == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m0": 0, "n0": 1}))
@@ -147,7 +157,7 @@ def test_config_file_merging(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_config_rejects_non_finite_number(tmp_path, capsys, literal):
-    # json reads these as floats; the argv parse of --threshold never sees them
+    # json reads these as floats, whose text ("nan", "inf") the flag's own type refuses
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"threshold": %s}' % literal)
     out = tmp_path / "search.json"
@@ -155,7 +165,7 @@ def test_config_rejects_non_finite_number(tmp_path, capsys, literal):
                              "--config", str(cfg), "--out", str(out))
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "non-finite threshold" in err
+    assert err == f"error: config file {cfg} has invalid threshold {json.loads(literal)!r}\n"
     assert not out.exists()
 
 
@@ -306,6 +316,10 @@ def test_sweep_table(capsys):
     assert all(int(m0) <= int(n0) for m0, n0, _ in (line.split(",") for line in lines[1:]))
     first = lines[1].split(",")
     assert (first[0], first[1]) == ("0", "0")
+    # the rows grow as max^2 / 2: above 1000 the sweep is refused before any row is built
+    code, out, err = _run(capsys, "sweep", "--max", "1001")
+    assert code == 2 and out == ""
+    assert err == "error: the sweep bound must be at most 1000, got 1001\n"
 
 
 def test_scan_finds_consistent_scale(tmp_path, capsys):
@@ -340,6 +354,20 @@ def test_search_json_reads_the_target_peak(tmp_path, capsys):
     assert f"{value:.6f} {tau:.6g}" == "0.766635 4.08105"
     assert (params.bz, params.omega_rf) == pytest.approx((-1.8, -8.0), abs=1e-12)
     assert payload["feasible"] is False and payload["best_params"] is None
+
+
+def test_search_off_the_energy_shell_writes_null_achieved(tmp_path, capsys):
+    # at resolution 2 no bz grid value lies on the energy shell, so the target has no peak: null, not -Infinity
+    out = tmp_path / "search.json"
+    code, _, _ = _run(capsys, "search", "--resolution", "2", "--out", str(out))
+    assert code == 0
+
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["achieved"] is None and payload["achieved_tau"] is None and payload["achieved_params"] is None
+    assert payload["feasible"] is False
 
 
 def test_search_auto_records_its_scale(tmp_path, capsys):
@@ -534,7 +562,7 @@ def test_verify_negative_dynamics_sets_is_usage_error(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, err = _run(capsys, "verify", "--dynamics-sets", "-2", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
-    assert err.startswith("error: ") and "--dynamics-sets" in err and err.count("\n") == 1
+    assert err == "error: n_dynamics must be nonnegative, got -2\n"
 
 
 @pytest.mark.parametrize("dtau", ["0", "-1"])

@@ -84,14 +84,23 @@ def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
         assert f"{check.measured:.6g}" == "0.641215"
 
 
-def test_low_energy_is_refused_before_any_check(monkeypatch):
-    # a numeric omega_hat is checked against the energy floor up front, like the step: no dynamics run first
-    import trispin.report as report
-
+@pytest.mark.parametrize(
+    "arguments, match, also_forbidden",
+    [
+        (dict(omega_hat=1.2), "energy floor", ("consistency_scan",)),
+        (dict(n_dynamics=-1), "n_dynamics must be nonnegative, got -1", ("consistency_scan",)),
+        (dict(grid_resolution=0), "resolution must be >= 1", ("consistency_scan",)),
+        (dict(scan_samples=0, grid_resolution=3), "samples must be >= 1", ()),
+    ],
+    ids=["low_energy", "negative_dynamics_sets", "zero_resolution", "zero_scan_samples"],
+)
+def test_low_energy_is_refused_before_any_check(monkeypatch, arguments, match, also_forbidden):
+    # a bad argument is a ValueError up front, like the step: no check runs first, and none reads "skipped".
+    # The grid search runs before the scan, so an omega_hat or a resolution it refuses never reaches the scan
     def forbidden(*args, **kwargs):
-        raise AssertionError("a check ran before the energy floor was checked")
+        raise AssertionError("a check ran before the arguments were checked")
 
-    for name in ("analytic_family", "closure_check", "dynamics_equivalence", "consistency_scan"):
-        monkeypatch.setattr(report, name, forbidden)
-    with pytest.raises(ValueError, match="energy floor"):
-        run_verification(omega_hat=1.2)
+    for name in ("analytic_family", "closure_check", "dynamics_equivalence") + also_forbidden:
+        monkeypatch.setattr(report_module, name, forbidden)
+    with pytest.raises(ValueError, match=match):
+        run_verification(**arguments)

@@ -3,8 +3,8 @@
 The integrated generator at the final time tau_star is fixed by five scalars
 
     a = 2*tau_star,   c_pm = (bz +- k)*a,
-    b = 2*(b0/omega_rf)*[cos(theta(tau_star)) - cos(theta0)],
-    d = 2*(b0/omega_rf)*[sin(theta(tau_star)) - sin(theta0)],
+    b = -2*b0*int sin(theta) = -a*b0*sinc(u/2)*sin(theta0 + u/2),
+    d =  2*b0*int cos(theta) =  a*b0*sinc(u/2)*cos(theta0 + u/2),   u = omega_rf*tau_star,
 
 and the transfer condition "first column of exp[A_pm] = +-e4" reduces to eight
 transcendental equations in (a, b, c_pm, d).  This module implements those
@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import ControlParams, energy_residual, energy_shell
-from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals
+from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
 
 PI = math.pi
 
@@ -50,25 +50,10 @@ class QuantumNumbers:
     p: int
 
 
-def sinc(z):
-    """sin(z)/z elementwise, 1 - z^2/6 on the entries with |z| < 1e-4 only; a scalar gives a numpy scalar.
-
-    The series' next term, z^4/120, is below 8.4e-19 there, under half an ulp of
-    a result within 1.7e-9 of 1, so later terms cannot reach a double.
-    """
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    out = np.asarray(np.sin(z) / np.where(small, 1.0, z))  # the guard keeps z = 0 from dividing by zero
-    if small.any():
-        out[small] = 1.0 - z[small] ** 2 / 6.0
-    return out[()]
-
-
 def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
     """Boundary constants generated by a control parameter set at final time tau_star; array fields give arrays."""
     a = 2.0 * tau_star
     int_cos, int_sin = phase_integrals(p, tau_star)
-    # b = 2*(b0/omega_rf)*[cos(theta(t*)) - cos(theta0)] = -2*b0*int sin(theta)
     return BoundaryConstants(
         a=a,
         b=-2.0 * p.b0 * int_sin,

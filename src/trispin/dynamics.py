@@ -224,31 +224,22 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     return Trajectory(taus=taus, states=states)
 
 
+def sinc(z):
+    """sin(z)/z elementwise, 1 at z = 0; a scalar gives a numpy scalar."""
+    z = np.asarray(z, dtype=float)
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0.0)[()]
+
+
 def phase_integrals(p: ControlParams, tau) -> tuple[np.ndarray, np.ndarray]:
     """(int_0^tau cos(theta(s)) ds, int_0^tau sin(theta(s)) ds), broadcast over tau and the fields of p.
 
-    The closed form divides by omega_rf; where the accumulated phase u = omega_rf*tau
-    has |u| < 1e-2, and only there, the removable singularity is evaluated by series.
+    By sum-to-product, with u = omega_rf*tau, they are tau*sinc(u/2)*cos(theta0 + u/2) and
+    tau*sinc(u/2)*sin(theta0 + u/2): no difference of nearby sines and no division by omega_rf.
     """
     tau = np.asarray(tau, dtype=float)
-    u = p.omega_rf * tau
-    c0, s0 = np.cos(p.theta0), np.sin(p.theta0)
-    small = np.abs(u) < 1e-2
-    rate = np.where(small, 1.0, p.omega_rf)  # the guard keeps omega_rf = 0 from dividing by zero
-    th = p.theta(tau)
-    int_cos = np.asarray((np.sin(th) - s0) / rate)  # asarray: a 0-d result is a numpy scalar, which cannot be written
-    int_sin = np.asarray((c0 - np.cos(th)) / rate)
-    if small.any():
-        # int cos(u s/tau + theta0) ds = tau*(c0*C(u) - s0*S(u)), C = sin(u)/u, S = (1-cos u)/u.  The closed form
-        # cancels catastrophically for small u; the series is exact to double precision up to |u| ~ 1e-2.
-        small = np.broadcast_to(small, int_cos.shape)
-        us, ts, c0, s0 = (np.broadcast_to(v, small.shape)[small] for v in (u, tau, c0, s0))
-        u2 = us * us
-        cu = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-        su = us / 2.0 - us * u2 / 24.0 + us * u2 * u2 / 720.0 - us * u2 * u2 * u2 / 40320.0
-        int_cos[small] = ts * (c0 * cu - s0 * su)
-        int_sin[small] = ts * (s0 * cu + c0 * su)
-    return int_cos[()], int_sin[()]
+    half = p.omega_rf * tau / 2.0
+    scale = tau * sinc(half)
+    return scale * np.cos(p.theta0 + half), scale * np.sin(p.theta0 + half)
 
 
 def integral_generator(p: ControlParams, tau) -> np.ndarray:

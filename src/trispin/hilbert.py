@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _powers, _skew, _time_grid, build_M
+from .dynamics import Trajectory, _powers, _skew, _time_grid, build_M, sinc
 
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
@@ -80,8 +80,7 @@ def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.nd
     v = np.stack([a * (x1 + x2) + b * (y2 * z1 - z2 * y1), a * (y1 + y2) + b * (z2 * x1 - x2 * z1),
                   a * (z1 + z2) + b * (x2 * y1 - y2 * x1)])
     angle = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-    # sin|v|/|v| is np.sinc(|v|/pi), which is 1 at |v| = 0
-    d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, np.sinc(angle / math.pi) * v])
+    d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, sinc(angle) * v])
     # Q_h^dag - I = (cos(omega_rf h/2) - 1) I - i (-sin(omega_rf h/2)) sz; the map is Q_h^dag (V+ F V-^dag) Q_h
     q = np.stack([-2.0 * np.sin(p.omega_rf * h / 4.0) ** 2, 0.0 * h, 0.0 * h, -np.sin(p.omega_rf * h / 2.0)])[:, None]
     step, turn = (_sandwich_increments(*pair).transpose(3, 2, 0, 1) for pair in ((d[:, :2], d[:, 2:]), (q, q)))

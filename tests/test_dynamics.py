@@ -257,8 +257,8 @@ def test_integral_generator_zero_time(rng):
 
 
 @pytest.mark.parametrize("omega_rf", [0.0, 4e-7, 1e-3, 0.1, 1.0])
-def test_integral_generator_small_rate_branches(omega_rf):
-    # the series branch and the closed form must both track the quadrature oracle
+def test_integral_generator_small_rates(omega_rf):
+    # the product form needs no branch at small or zero rates: it tracks the quadrature oracle throughout
     base = dict(k=1.0, omega_hat=2.5, b0=1.2, bz=0.1, theta0=0.7)
     tau = 1.7
     p = ControlParams(omega_rf=omega_rf, **base)
@@ -273,12 +273,14 @@ def test_phase_integrals_zero_rate():
 
 
 def test_phase_integrals_huge_phase():
-    # the series sees only small phases, so omega_rf*tau = 3e45 raises no overflow warning
+    # omega_rf*tau = 3e45 raises no floating-point error and gives finite integrals within the bound
+    # 2/omega_rf of any integral of cos or sin(omega_rf*s + theta0); theta0 is below an ulp of the
+    # phase there (fl(1.5e45 + 0.3) = 1.5e45), so their values carry no digits to compare
     p = ControlParams(k=1.0, omega_hat=2.0, b0=1.0, bz=0.0, omega_rf=3.0, theta0=0.3)
-    int_cos, int_sin = phase_integrals(p, 1e45)
-    th = p.theta(1e45)
-    assert abs(int_cos - (math.sin(th) - math.sin(0.3)) / 3.0) < 1e-15
-    assert abs(int_sin - (math.cos(0.3) - math.cos(th)) / 3.0) < 1e-15
+    with np.errstate(all="raise"):
+        integrals = phase_integrals(p, 1e45)
+    for v in integrals:
+        assert math.isfinite(v) and abs(v) <= 0.67
 
 
 # --- matrix exponential ----------------------------------------------------

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import ControlParams, energy_residual, energy_shell
+from .algebra import ControlParams, energy_shell
 from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
 
 PI = math.pi
@@ -37,17 +37,6 @@ class BoundaryConstants:
     c_plus: float
     c_minus: float
     d: float
-
-
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Integer labels of a solution branch: m=2*m0, n=2*n0+1, 2p=m+n+1."""
-
-    m0: int
-    n0: int
-    m: int
-    n: int
-    p: int
 
 
 def abcd_from_physical(p: ControlParams, tau_star: float) -> BoundaryConstants:
@@ -135,69 +124,62 @@ def transfer_time(m0: int, n0: int) -> float:
     return 0.25 * PI * math.sqrt((4 * m0 + 1) * (4 * n0 + 3))
 
 
-def analytic_family(m0: int, n0: int) -> tuple[BoundaryConstants, QuantumNumbers, float]:
-    """Closed-form solution branch labelled by integers n0 >= m0 >= 0.
+# First column of exp[A_plus(tau_star)] at each target's analytic_family constants;
+# exp[A_minus] gives its negative.  x7 is absent: no family transfers e1 there.
+TRANSFER_COLUMNS = MappingProxyType({"x8": (0.0, 0.0, 0.0, 1.0), "x6": (0.0, -1.0, 0.0, 0.0)})
 
-    With m = 2*m0 and n = 2*n0+1 the solution is a = c_plus = -c_minus = (pi/2) *
-    sqrt((2m+1)(2n+1)), b = -pi*(n-m), d = 0, and tau_star = a/2: the orientation
-    realized by a physical control with bz = 0 and coupling ratio k = 1.  The
-    coupling ratio k = -1 is conjugation by sigma_x on spin 3, which flips x5..x8
-    and nothing else; its family is this one with the signs of b and c_pm flipped.
+
+def analytic_family(m0: int, n0: int, target: str = "x8") -> BoundaryConstants:
+    """Closed-form constants of the branch labelled by integers n0 >= m0 >= 0, for a target in TRANSFER_COLUMNS.
+
+    With m = 2*m0 and n = 2*n0+1 the x8 solution is a = c_plus = -c_minus =
+    (pi/2)*sqrt((2m+1)(2n+1)) = 2*transfer_time(m0, n0), b = -pi*(n-m), d = 0:
+    the orientation realized by a physical control with bz = 0 and coupling
+    ratio k = 1.  The coupling ratio k = -1 is conjugation by sigma_x on spin 3,
+    which flips x5..x8 and nothing else; its family is this one with the signs
+    of b and c_pm flipped.  The x6 constants exchange b and d.  A label whose
+    transfer time is not a finite float is a ValueError.
     """
+    if target not in TRANSFER_COLUMNS:
+        raise ValueError(
+            f"no solution family exists for target {target!r}; expected one of {', '.join(TRANSFER_COLUMNS)}"
+        )
     if m0 != int(m0) or n0 != int(n0):
         raise ValueError("m0 and n0 must be integers")
     m0, n0 = int(m0), int(n0)
     if not (0 <= m0 <= n0):
         raise ValueError(f"index ordering violated: need n0 >= m0 >= 0, got m0={m0}, n0={n0}")
-    m, n = 2 * m0, 2 * n0 + 1
-    tau_star = transfer_time(m0, n0)
-    a = 2.0 * tau_star
-    constants = BoundaryConstants(a=a, b=-PI * (n - m), c_plus=a, c_minus=-a, d=0.0)
-    return constants, QuantumNumbers(m0=m0, n0=n0, m=m, n=n, p=m0 + n0 + 1), tau_star
+    try:
+        a = 2.0 * transfer_time(m0, n0)
+    except OverflowError:
+        raise ValueError(f"label (m0, n0) = ({m0}, {n0}) has no finite transfer time") from None
+    c = BoundaryConstants(a=a, b=-PI * (2 * n0 + 1 - 2 * m0), c_plus=a, c_minus=-a, d=0.0)
+    return replace(c, b=c.d, d=c.b) if target == "x6" else c
 
 
-def integer_relations_check(c: BoundaryConstants, qn: QuantumNumbers) -> np.ndarray:
-    """Residuals of the eight integer-labelled relations equivalent to the boundary system.
+def integer_relations_check(c: BoundaryConstants, m0: int, n0: int) -> np.ndarray:
+    """Residuals of the eight integer relations of label (m0, n0), equivalent to the boundary system.
 
-    A label with 2p = 2n+1 or 2p = 2m+1 makes some relations singular and
-    produces inf residuals, which is the honest answer for an invalid branch;
-    analytic_family's labels have 2p = m+n+1 even and never are.
+    They read m = 2*m0, n = 2*n0+1 and p = m0+n0+1, so no denominator 2n+1-2p or 2m+1-2p is 0.
     """
     (_, sd_p, _, _), (_, sd_m, _, _) = derived_quantities(c)
     a2b2 = c.a**2 + c.b**2
-    m, n, p = qn.m, qn.n, qn.p
+    m, n, p = 2 * m0, 2 * n0 + 1, m0 + n0 + 1
     two_n1, two_m1 = 2 * n + 1, 2 * m + 1
     r = np.empty(8)
     r[0] = sd_p - 2 * PI**2 * p * (two_n1 - 2 * p)
     r[1] = sd_m + 2 * PI**2 * p * (two_m1 - 2 * p)
     r[2] = (a2b2 + c.c_plus**2) - 0.5 * PI**2 * (two_n1**2 - 4 * p * two_n1 + 8 * p * p)
     r[3] = (a2b2 + c.c_minus**2) - 0.5 * PI**2 * (two_m1**2 - 4 * p * two_m1 + 8 * p * p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r[4] = sd_p - (a2b2 - c.c_plus**2) * 2 * p / (two_n1 - 2 * p)
-        r[5] = sd_m + (a2b2 - c.c_minus**2) * 2 * p / (two_m1 - 2 * p)
-        r[6] = c.a * c.b * c.c_plus - (-1.0) ** (n + 1) * (a2b2 - c.c_plus**2) * PI * two_n1 * (
-            two_n1 - 4 * p
-        ) / (4.0 * (two_n1 - 2 * p))
-        r[7] = c.a * c.b * c.c_minus - (-1.0) ** m * (a2b2 - c.c_minus**2) * PI * two_m1 * (
-            two_m1 - 4 * p
-        ) / (4.0 * (two_m1 - 2 * p))
+    r[4] = sd_p - (a2b2 - c.c_plus**2) * 2 * p / (two_n1 - 2 * p)
+    r[5] = sd_m + (a2b2 - c.c_minus**2) * 2 * p / (two_m1 - 2 * p)
+    r[6] = c.a * c.b * c.c_plus - (-1.0) ** (n + 1) * (a2b2 - c.c_plus**2) * PI * two_n1 * (
+        two_n1 - 4 * p
+    ) / (4.0 * (two_n1 - 2 * p))
+    r[7] = c.a * c.b * c.c_minus - (-1.0) ** m * (a2b2 - c.c_minus**2) * PI * two_m1 * (
+        two_m1 - 4 * p
+    ) / (4.0 * (two_m1 - 2 * p))
     return r
-
-
-# First column of exp[A_plus(tau_star)] at each target's family constants;
-# exp[A_minus] gives its negative.  x6 is the x8 family with b and d exchanged.
-# x7 is absent: no family transfers e1 there.
-TRANSFER_COLUMNS = MappingProxyType({"x8": (0.0, 0.0, 0.0, 1.0), "x6": (0.0, -1.0, 0.0, 0.0)})
-
-
-def family_constants_for_target(target: str, m0: int, n0: int) -> tuple[BoundaryConstants, QuantumNumbers, float]:
-    """Analytic-family constants whose exp[A_pm] first columns are +-TRANSFER_COLUMNS[target]."""
-    if target not in TRANSFER_COLUMNS:
-        raise ValueError(
-            f"no solution family exists for target {target!r}; expected one of {', '.join(TRANSFER_COLUMNS)}"
-        )
-    c, qn, tau_star = analytic_family(m0, n0)
-    return (replace(c, b=c.d, d=c.b) if target == "x6" else c), qn, tau_star
 
 
 def closed_form_params(
@@ -290,7 +272,8 @@ def invert_to_physical(omega_hat: float, k: float, tau_star: float, b_target: fl
     b0 = math.sqrt(energy_shell(omega_hat, k))
     hi = 4.0 * b0 / abs(b_target)
     if not hi <= ROOT_STEP * MAX_ROOT_STEPS:
-        raise ValueError(f"b_target={b_target:g} is too small: (0, 4*b0/|b_target|] needs over {MAX_ROOT_STEPS} steps")
+        raise ValueError(f"omega_hat={omega_hat:g} and b_target={b_target:g} put the root bracket end 4*b0/|b_target| "
+                         f"at {hi:g}, over {MAX_ROOT_STEPS} steps: it must be at most {ROOT_STEP * MAX_ROOT_STEPS:g}")
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
     grid = ROOT_STEP * np.arange(math.floor(hi / ROOT_STEP) + 2)
     sinc_grid = sinc(grid * tau_star / 2.0)
@@ -414,48 +397,3 @@ def sweep_tau(label_max: int) -> list[dict]:
         for n0 in range(m0, label_max + 1)
     )
     return sorted(rows, key=lambda row: row["tau_star"])
-
-
-def solution_record(
-    m0: int,
-    n0: int,
-    params: ControlParams | None = None,
-    branch: dict | None = None,
-    target: str = "x8",
-) -> dict:
-    """JSON-ready record of a solution branch, optionally with a physical realization."""
-    c, qn, tau_star = family_constants_for_target(target, m0, n0)
-    # the scalar boundary system is written for x8, so it is evaluated at the family constants
-    res = boundary_residuals(analytic_family(m0, n0)[0])
-    record = {
-        "m0": qn.m0,
-        "n0": qn.n0,
-        "target": target,
-        "tau_star": tau_star,
-        "a": c.a,
-        "b": c.b,
-        "c_plus": c.c_plus,
-        "c_minus": c.c_minus,
-        "d": c.d,
-        "p": qn.p,
-        "params": None,
-        "residuals": {
-            "boundary": [float(v) for v in res],
-            "b_eq": None,
-            "d_eq": None,
-        },
-    }
-    if params is not None:
-        cc = abcd_from_physical(params, tau_star)
-        record["params"] = {
-            "omega_hat": params.omega_hat,
-            "b0": params.b0,
-            "bz": params.bz,
-            "omega_rf": params.omega_rf,
-            "theta0": params.theta0,
-            "branch": branch,
-        }
-        record["residuals"]["b_eq"] = abs(cc.b - c.b)
-        record["residuals"]["d_eq"] = abs(cc.d - c.d)
-        record["energy_residual"] = energy_residual(params)
-    return record

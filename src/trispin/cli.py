@@ -1,10 +1,11 @@
 """Command-line interface: reproducible verification runs and file-based exports.
 
-Subcommands: analytic, propagate, verify, sweep, scan, search, invert.
-Structured records go to JSON, trajectories to CSV with the fixed header
-``tau,x1,...,x8,norm``.  Exit codes: 0 success, 1 check failure, 2 usage error.
-Only propagate reads a coupling ratio k (from its parameter file); the others
-take k = 1, since k = -1 only flips x5..x8 (``boundary.analytic_family``).
+Subcommands: analytic, propagate, verify, sweep, scan, search, invert.  Every
+JSON payload is built here; the analytic record reads its label's constants
+from ``boundary.analytic_family``, the one entry point per label.  Trajectories
+go to CSV with the fixed header ``tau,x1,...,x8,norm``.  Exit codes: 0 success,
+1 check failure, 2 usage error.  Only propagate reads a coupling ratio k (from
+its parameter file); the others take k = 1, since k = -1 only flips x5..x8.
 """
 
 from __future__ import annotations
@@ -18,16 +19,18 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams
+from .algebra import E1, TAU_STAR, ControlParams, energy_residual
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
+    abcd_from_physical,
     analytic_family,
+    boundary_residuals,
     consistency_scan,
     consistent_scale,
     invert_to_physical,
-    solution_record,
     sweep_tau,
+    transfer_time,
 )
 from .dynamics import (
     Trajectory,
@@ -103,17 +106,43 @@ def finite_or_auto(text: str) -> float | str:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     _require(args.m0 is not None and args.n0 is not None, "--m0 and --n0 are required")
-    params = None
-    branch = None
+    # invert_to_physical solves only the d = 0 branch, which is the x8 family
+    _require(args.omega_hat is None or args.target == "x8", f"--omega-hat realizes only target x8, not {args.target}")
+    constants = analytic_family(args.m0, args.n0, args.target)
+    tau_star = transfer_time(args.m0, args.n0)
+    # the scalar boundary system is written for x8, so it is evaluated at the x8 constants
+    residuals = boundary_residuals(analytic_family(args.m0, args.n0))
+    record = {
+        "m0": args.m0,
+        "n0": args.n0,
+        "target": args.target,
+        "tau_star": tau_star,
+        **asdict(constants),
+        "p": args.m0 + args.n0 + 1,
+        "params": None,
+        "residuals": {
+            "boundary": [float(v) for v in residuals],
+            "b_eq": None,
+            "d_eq": None,
+        },
+    }
     if args.omega_hat is not None:
-        # invert_to_physical solves only the d = 0 branch, which is the x8 family
-        _require(args.target == "x8", f"--omega-hat realizes only target x8, not {args.target}")
-        constants, _, tau_star = analytic_family(args.m0, args.n0)
         sols = invert_to_physical(args.omega_hat, 1.0, tau_star, constants.b)
         _require(bool(sols), f"no inverted control realizes label (m0, n0) = ({args.m0}, {args.n0}) "
                              f"at omega_hat={args.omega_hat:g}")
-        params, branch = sols[0].params, sols[0].branch
-    record = solution_record(args.m0, args.n0, params=params, branch=branch, target=args.target)
+        params = sols[0].params
+        generated = abcd_from_physical(params, tau_star)
+        record["params"] = {
+            "omega_hat": params.omega_hat,
+            "b0": params.b0,
+            "bz": params.bz,
+            "omega_rf": params.omega_rf,
+            "theta0": params.theta0,
+            "branch": sols[0].branch,
+        }
+        record["residuals"]["b_eq"] = abs(generated.b - constants.b)
+        record["residuals"]["d_eq"] = abs(generated.d - constants.d)
+        record["energy_residual"] = energy_residual(params)
     _write_json(record, args.out)
     return 0
 

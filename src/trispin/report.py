@@ -28,10 +28,10 @@ from .boundary import (
     consistency_scan,
     consistent_scale,
     exp_boundary_check,
-    family_constants_for_target,
     integer_relations_check,
     invert_to_physical,
     sweep_tau,
+    transfer_time,
 )
 from .dynamics import _time_grid, exact_state_trajectory, propagate_rk4, propagator_discrepancy
 from .hilbert import closure_check, full_hilbert_trajectory
@@ -160,22 +160,39 @@ def run_verification(
 ) -> VerificationReport:
     """Run every verification check and return the filled report.
 
-    omega_hat "auto" selects the lowest consistent scale, consistent_scale(0);
-    a numeric omega_hat must satisfy omega_hat^2 > 2.  The transfer check
-    propagates the closed-form control at "auto", and at a numeric omega_hat the
-    first inverted control, or the closed-form one where no inverted control
-    exists (omega_hat <= sqrt(10/3)); its provenance names the control.  The family checks run at
-    coupling ratio k = 1: k = -1 flips x5..x8 and no reported value
-    (analytic_family); the random parameter sets draw both.  A bad argument is a ValueError
-    before any check: the grid search and the scan, which check their own, run first.
+    omega_hat "auto" selects the lowest consistent scale, consistent_scale(0); a
+    numeric omega_hat must satisfy omega_hat^2 > 2 and omega_hat <= 1533.98, the
+    largest scale whose inversion at b = -pi fits in MAX_ROOT_STEPS grid steps.
+    The transfer check propagates the closed-form control at "auto", and at a
+    numeric omega_hat the first inverted control, or the closed-form one where
+    none exists (omega_hat <= sqrt(10/3)); its provenance names the control.  The
+    family checks read label (0, 0) from analytic_family, at coupling ratio k = 1:
+    k = -1 flips x5..x8 and no reported value; the random parameter sets draw
+    both.  A bad argument, a negative seed included, is a ValueError before any
+    check: the grid search, the scan and the inversion, which check their own, run first.
     """
     if n_dynamics < 0:
         raise ValueError(f"n_dynamics must be nonnegative, got {n_dynamics}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     _time_grid(3.0 * TAU_STAR, dtau)  # checked even with no dynamics sets to use the step
     auto_omega, branch = consistent_scale(0)
     omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
     gs = grid_search(omega_sel, 1.0, target="x8", resolution=grid_resolution, threshold=0.999)
     scan = consistency_scan(*SCAN_RANGE, samples=scan_samples)
+    constants = analytic_family(0, 0)
+    tau_star = transfer_time(0, 0)
+    params = closed_form_params(omega_sel, **branch)
+    control = "closed-form control"
+    if omega_hat != "auto":
+        # away from a consistent scale the closed forms miss the b, d equations,
+        # so use inverted controls, which satisfy them exactly wherever they exist
+        sols = invert_to_physical(omega_sel, 1.0, tau_star, constants.b)
+        if sols:
+            params, branch = sols[0].params, sols[0].branch
+            control = "inverted control"
+        else:
+            control += f"; no inverted control exists at omega_hat={omega_sel:g}"
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         context={
@@ -184,11 +201,12 @@ def run_verification(
             "seed": seed,
             "scan_samples": scan_samples,
             "scan_range": list(SCAN_RANGE),
+            "omega_hat": omega_sel,
+            "branch": branch,
         }
     )
 
     # --- final-time algebra, minimal branch ---
-    constants, qn, tau_star = analytic_family(0, 0)
     report.add(
         "family_min_time",
         tau_star,
@@ -205,7 +223,7 @@ def run_verification(
     )
     report.add_bounded(
         "integer_relations_max",
-        float(np.max(np.abs(integer_relations_check(constants, qn)))),
+        float(np.max(np.abs(integer_relations_check(constants, 0, 0)))),
         1e-10,
         "integer-labelled relations at the family constants",
     )
@@ -227,11 +245,10 @@ def run_verification(
     )
 
     # --- alternate target: b and d exchanged ---
-    # the exchanged family has the same tau_star, residuals and integer
-    # relations as the x8 family by construction; only its columns are new
+    # the exchanged family has the x8 family's tau_star by construction; only its columns are new
     report.add_bounded(
         "x6_variant",
-        column_gap(family_constants_for_target("x6", 0, 0)[0], "x6"),
+        column_gap(analytic_family(0, 0, "x6"), "x6"),
         1e-10,
         "exponential columns of the exchanged-constants family",
     )
@@ -276,20 +293,6 @@ def run_verification(
         tolerance=1e-9,
         note=f"{len(scan.consistent)} consistent energy scale(s) in ({SCAN_RANGE[0]}, {SCAN_RANGE[1]}]",
     )
-
-    params = closed_form_params(omega_sel, **branch)
-    control = "closed-form control"
-    if omega_hat != "auto":
-        # away from a consistent scale the closed forms miss the b, d equations,
-        # so use inverted controls, which satisfy them exactly wherever they exist
-        sols = invert_to_physical(omega_sel, 1.0, tau_star, -math.pi)
-        if sols:
-            params, branch = sols[0].params, sols[0].branch
-            control = "inverted control"
-        else:
-            control += f"; no inverted control exists at omega_hat={omega_sel:g}"
-    report.context["omega_hat"] = omega_sel
-    report.context["branch"] = branch
 
     # --- transfer experiment (outcome reported, not assumed) ---
     x8_final = float(exact_state_trajectory(params, E1, np.array([tau_star]))[0, 7])

@@ -18,9 +18,9 @@ from trispin.boundary import (
     closed_form_params,
     consistency_scan,
     exp_boundary_check,
-    family_constants_for_target,
     integer_relations_check,
     sweep_tau,
+    transfer_time,
 )
 from trispin.dynamics import exact_state_trajectory, propagator_discrepancy
 from trispin.hilbert import closure_check
@@ -64,10 +64,10 @@ def equivalence():
 
 
 def test_criterion_01_family_algebra():
-    c, qn, tau_star = analytic_family(0, 0)
-    dev_tau = abs(tau_star - 1.360349523175663)
+    c = analytic_family(0, 0)
+    dev_tau = abs(transfer_time(0, 0) - 1.360349523175663)
     res_boundary = float(np.max(np.abs(boundary_residuals(c))))
-    res_integer = float(np.max(np.abs(integer_relations_check(c, qn))))
+    res_integer = float(np.max(np.abs(integer_relations_check(c, 0, 0))))
     ok = dev_tau <= 1e-12 and res_boundary <= 1e-10 and res_integer <= 1e-10
     assert _line(
         1,
@@ -78,7 +78,7 @@ def test_criterion_01_family_algebra():
 
 
 def test_criterion_02_exponential_boundary():
-    c, _, _ = analytic_family(0, 0)
+    c = analytic_family(0, 0)
     col_plus, col_minus = exp_boundary_check(c)
     e4 = np.array([0.0, 0.0, 0.0, 1.0])
     dev = max(float(np.max(np.abs(col_plus - e4))), float(np.max(np.abs(col_minus + e4))))
@@ -97,7 +97,8 @@ def test_criterion_03_sweep_minimality():
 
 
 def test_criterion_04_alternate_target():
-    c6, _, tau6 = family_constants_for_target("x6", 0, 0)
+    c6 = analytic_family(0, 0, "x6")
+    tau6 = c6.a / 2
     col_plus, col_minus = exp_boundary_check(c6)
     x6 = np.array(TRANSFER_COLUMNS["x6"])
     dev_cols = max(float(np.max(np.abs(col_plus - x6))), float(np.max(np.abs(col_minus + x6))))

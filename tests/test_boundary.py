@@ -19,12 +19,11 @@ from trispin.boundary import (
     consistent_scale,
     derived_quantities,
     exp_boundary_check,
-    family_constants_for_target,
     generator_from_constants,
     integer_relations_check,
     invert_to_physical,
-    solution_record,
     sweep_tau,
+    transfer_time,
 )
 from trispin import boundary
 from trispin.dynamics import integral_generator, phase_integrals, sinc
@@ -58,9 +57,9 @@ def coupling_flipped(c):
 
 
 def both_couplings(m0, n0):
-    """(k, constants, labels) of the (m0, n0) family at k = 1 and k = -1."""
-    c, qn, _ = analytic_family(m0, n0)
-    return [(1, c, qn), (-1, coupling_flipped(c), qn)]
+    """(k, constants) of the (m0, n0) family at k = 1 and k = -1."""
+    c = analytic_family(m0, n0)
+    return [(1, c), (-1, coupling_flipped(c))]
 
 
 def test_oracle_omega_closed_form():
@@ -121,7 +120,7 @@ def test_abcd_matches_integral_generator(rng):
 def test_derived_quantities_family_values():
     # hand evaluation at the minimal family: X+ = 5 pi^2/2, sqrt(Delta+) = 2 pi^2,
     # Z+ = 3 pi/2 = (pi/2)(2n+1) with n = 1, Z- = pi/2, and the same for W.
-    c, _, _ = analytic_family(0, 0)
+    c = analytic_family(0, 0)
     (x_p, sd_p, z_p, z_m), (_, _, w_p, w_m) = derived_quantities(c)
     assert abs(x_p - 2.5 * PI**2) < 1e-12
     assert abs(sd_p - 2.0 * PI**2) < 1e-12
@@ -134,10 +133,11 @@ def test_derived_quantities_family_values():
 def test_derived_quantities_angle_labels_on_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for _, c, qn in both_couplings(m0, n0):
+            m, n = 2 * m0, 2 * n0 + 1
+            for _, c in both_couplings(m0, n0):
                 (_, _, z_p, _), (_, _, _, w_m) = derived_quantities(c)
-                assert abs(z_p - 0.5 * PI * (2 * qn.n + 1)) < 1e-12
-                assert abs(w_m - 0.5 * PI * (2 * qn.m + 1)) < 1e-12
+                assert abs(z_p - 0.5 * PI * (2 * n + 1)) < 1e-12
+                assert abs(w_m - 0.5 * PI * (2 * m + 1)) < 1e-12
 
 
 def test_derived_quantities_zero_constants():
@@ -365,13 +365,13 @@ def test_removable_singularities_raise_no_floating_point_error():
 def test_family_residuals_vanish_on_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for _, c, qn in both_couplings(m0, n0):
+            for _, c in both_couplings(m0, n0):
                 assert np.max(np.abs(boundary_residuals(c))) <= 1e-10
-                assert np.max(np.abs(integer_relations_check(c, qn))) <= 1e-10
+                assert np.max(np.abs(integer_relations_check(c, m0, n0))) <= 1e-10
 
 
 def test_perturbed_constants_fail():
-    c, _, _ = analytic_family(0, 0)
+    c = analytic_family(0, 0)
     perturbed = BoundaryConstants(c.a + 0.1, c.b, c.c_plus, c.c_minus, c.d)
     assert np.max(np.abs(boundary_residuals(perturbed))) > 1e-3
 
@@ -388,11 +388,12 @@ def rejected_branch_residuals(m0, n0):
     likewise for W); substituting the same-sign pairing into the residual
     system together with the family constants leaves no solution.
     """
-    c, qn, _ = analytic_family(m0, n0)
-    z_p = 0.5 * PI * (2 * qn.n + 1)
-    w_m = 0.5 * PI * (2 * qn.m + 1)
-    z_m = z_p + 2.0 * PI * qn.p
-    w_p = w_m + 2.0 * PI * qn.p
+    c = analytic_family(m0, n0)
+    m, n, p = 2 * m0, 2 * n0 + 1, m0 + n0 + 1
+    z_p = 0.5 * PI * (2 * n + 1)
+    w_m = 0.5 * PI * (2 * m + 1)
+    z_m = z_p + 2.0 * PI * p
+    w_p = w_m + 2.0 * PI * p
     sd_p, sd_m = z_p**2 - z_m**2, w_p**2 - w_m**2
     return _residual_system(c, ((z_p**2 + z_m**2, sd_p, z_p, z_m), (w_p**2 + w_m**2, sd_m, w_p, w_m)))
 
@@ -407,7 +408,7 @@ def test_rejected_branch_has_no_solution():
 
 
 def test_exp_boundary_family_columns():
-    c, _, _ = analytic_family(0, 0)
+    c = analytic_family(0, 0)
     col_plus, col_minus = exp_boundary_check(c)
     assert np.max(np.abs(col_plus - np.array([0, 0, 0, 1.0]))) < 1e-10
     assert np.max(np.abs(col_minus - np.array([0, 0, 0, -1.0]))) < 1e-10
@@ -429,7 +430,7 @@ def test_exp_boundary_unit_columns(rng):
 def test_exp_boundary_grid():
     for m0 in range(4):
         for n0 in range(m0, 4):
-            for _, c, _ in both_couplings(m0, n0):
+            for _, c in both_couplings(m0, n0):
                 col_plus, col_minus = exp_boundary_check(c)
                 e4 = np.array([0, 0, 0, 1.0])
                 assert np.max(np.abs(col_plus - e4)) < 1e-10
@@ -440,31 +441,55 @@ def test_exp_boundary_grid():
 
 
 def test_family_minimal_branch():
-    c, qn, tau_star = analytic_family(0, 0)
-    assert abs(tau_star - TAU_STAR) < 1e-15
+    c = analytic_family(0, 0)
+    assert isinstance(c, BoundaryConstants)
+    assert abs(transfer_time(0, 0) - TAU_STAR) < 1e-15
     assert abs(c.a - math.sqrt(3.0) * PI / 2.0) < 1e-15
     assert abs(c.b + PI) < 1e-15
     assert c.c_plus == c.a and c.c_minus == -c.a and c.d == 0.0
-    assert qn.p == 1
-    assert not hasattr(qn, "q")  # 2q = m + n + 1 = 2p: one label, not two
 
 
 def test_family_next_branch():
-    c, qn, tau_star = analytic_family(0, 1)
-    assert abs(tau_star - 0.25 * PI * math.sqrt(7.0)) < 1e-15
+    # label (0, 1) is (m, n) = (0, 3): tau* = (pi/4)*sqrt(1*7) and b = -pi*(n - m)
+    c = analytic_family(0, 1)
+    assert abs(transfer_time(0, 1) - 0.25 * PI * math.sqrt(7.0)) < 1e-15
     assert abs(c.b + 3.0 * PI) < 1e-15
-    assert (qn.m, qn.n) == (0, 3)
+
+
+@pytest.mark.parametrize("target", ["x8", "x6"])
+def test_family_constants_on_every_label(target):
+    # the one entry point on every label m0 <= n0 <= 7: a/2 is the transfer time bit for bit, x6 is x8
+    # with b and d exchanged, and exp[A_pm] moves e1 to +-TRANSFER_COLUMNS[target].  The integer relations
+    # are those of the x8 system: the x8 constants satisfy them, and the x6 ones only once b and d are
+    # exchanged back (at the x6 constants themselves some relations are off by pi^2 or more)
+    column = np.array(TRANSFER_COLUMNS[target])
+    for m0 in range(8):
+        for n0 in range(m0, 8):
+            c, c8 = analytic_family(m0, n0, target), analytic_family(m0, n0)
+            assert c.a / 2 == transfer_time(m0, n0)
+            assert c == (replace(c8, b=c8.d, d=c8.b) if target == "x6" else c8)
+            col_plus, col_minus = exp_boundary_check(c)
+            assert max(np.max(np.abs(col_plus - column)), np.max(np.abs(col_minus + column))) < 1e-10, (m0, n0)
+            assert np.max(np.abs(integer_relations_check(c8, m0, n0))) <= 1e-10, (m0, n0)
+            assert (np.max(np.abs(integer_relations_check(c, m0, n0))) > 1.0) == (target == "x6"), (m0, n0)
+
+
+def test_family_label_without_a_finite_time():
+    # (4*m0 + 1)*(4*n0 + 3) is an int too large for a float: the label has no transfer time to report
+    with pytest.raises(ValueError, match=r"^label \(m0, n0\) = \(0, 1" + "0" * 400 + r"\) has no finite transfer time$"):
+        analytic_family(0, 10**400)
 
 
 def test_family_sign_flip_with_coupling():
     # the closed-form control at either coupling ratio generates the family constants of that k:
     # k = -1 flips the signs of b and c_pm, so the family needs no k label
     omega_hat, branch = consistent_scale(0)
-    for k, c, _ in both_couplings(0, 0):
+    for k, c in both_couplings(0, 0):
         got = abcd_from_physical(closed_form_params(omega_hat, k_sign=k, **branch), TAU_STAR)
         for name in ("a", "b", "c_plus", "c_minus", "d"):
             assert abs(getattr(got, name) - getattr(c, name)) <= 1e-9, (k, name)
-    with pytest.raises(TypeError):
+    # the third argument is the target, not a coupling ratio
+    with pytest.raises(ValueError, match="no solution family exists for target -1"):
         analytic_family(0, 0, -1)
 
 
@@ -479,13 +504,10 @@ def test_family_rejects_bad_ordering():
 
 
 def test_integer_relations_wrong_p():
-    c, qn, _ = analytic_family(0, 0)
-    from dataclasses import replace
-
-    wrong = replace(qn, p=2)
-    res = integer_relations_check(c, wrong)
-    # first relation residual: sqrt(Delta+) - 2 pi^2 p (2n+1-2p) = 2pi^2 + 4pi^2
-    assert abs(abs(res[0]) - 6.0 * PI**2) < 1e-9
+    # the (0, 0) constants against label (0, 1), that is n = 3 and p = 2 for n = 1 and p = 1
+    res = integer_relations_check(analytic_family(0, 0), 0, 1)
+    # first relation residual: sqrt(Delta+) - 2 pi^2 p (2n+1-2p) = 2pi^2 - 12pi^2
+    assert abs(res[0] + 10.0 * PI**2) < 1e-9
     assert np.max(np.abs(res)) > 1e-3
 
 
@@ -631,7 +653,7 @@ def test_invert_rejects_a_bracket_too_long_to_grid():
     # below |b_target| ~ 0.002*b0 the bracket (0, 4*b0/|b_target|] needs more than MAX_ROOT_STEPS grid steps
     b0 = transverse_amplitude(3.0, 1.0)
     assert 4.0 * b0 / 1e-3 > boundary.ROOT_STEP * boundary.MAX_ROOT_STEPS
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match=r"^omega_hat=3 and b_target=-0\.001 put the root bracket end 4\*b0/\|b_target\| at 10583,"):
         invert_to_physical(3.0, 1.0, TAU_STAR, -1e-3)
 
 
@@ -758,7 +780,7 @@ def test_sweep_table():
     rows = sweep_tau(3)
     # only the branch labels analytic_family accepts, n0 >= m0
     assert sorted((r["m0"], r["n0"]) for r in rows) == [(m0, n0) for m0 in range(4) for n0 in range(m0, 4)]
-    assert all(r["tau_star"] == analytic_family(r["m0"], r["n0"])[2] for r in rows)
+    assert all(r["tau_star"] == analytic_family(r["m0"], r["n0"]).a / 2 for r in rows)
     assert (rows[0]["m0"], rows[0]["n0"]) == (0, 0)
     assert abs(rows[0]["tau_star"] - TAU_STAR) < 1e-15
     by_key = {(r["m0"], r["n0"]): r["tau_star"] for r in rows}
@@ -781,28 +803,28 @@ def test_target_vectors():
     assert list(TRANSFER_COLUMNS) == ["x8", "x6"]
     for target, column in TRANSFER_COLUMNS.items():
         for m0, n0 in ((0, 0), (0, 2), (1, 1), (2, 3)):
-            c8, _, _ = analytic_family(m0, n0)
-            assert family_constants_for_target(target, m0, n0)[0] == (replace(c8, b=c8.d, d=c8.b) if target == "x6" else c8)
-            for k, c, _ in both_couplings(m0, n0):
+            c8 = analytic_family(m0, n0)
+            assert analytic_family(m0, n0, target) == (replace(c8, b=c8.d, d=c8.b) if target == "x6" else c8)
+            for k, c in both_couplings(m0, n0):
                 col_plus, col_minus = exp_boundary_check(replace(c, b=c.d, d=c.b) if target == "x6" else c)
                 assert np.max(np.abs(col_plus - np.array(column))) < 1e-10, (target, m0, n0, k)
                 assert np.max(np.abs(col_minus + np.array(column))) < 1e-10, (target, m0, n0, k)
     with pytest.raises(TypeError):
         TRANSFER_COLUMNS["x7"] = (0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="no solution family"):
-        family_constants_for_target("x5x", 0, 0)
+        analytic_family(0, 0, "x5x")
 
 
 def test_x6_family_constants():
-    c6, _, tau6 = family_constants_for_target("x6", 0, 0)
+    c6 = analytic_family(0, 0, "x6")
     assert c6.b == 0.0
     assert abs(c6.d + PI) < 1e-15
-    assert abs(tau6 - TAU_STAR) < 1e-15
+    assert abs(c6.a / 2 - TAU_STAR) < 1e-15
 
 
 def test_x6_exp_columns_along_target_axis():
     # the exchanged-constants generator transfers e1 onto the -e2 / +e2 pair
-    c6, _, _ = family_constants_for_target("x6", 0, 0)
+    c6 = analytic_family(0, 0, "x6")
     col_plus, col_minus = exp_boundary_check(c6)
     axis = np.zeros(4)
     axis[1] = -1.0
@@ -814,20 +836,4 @@ def test_x6_exp_columns_along_target_axis():
 
 def test_x7_has_no_family():
     with pytest.raises(ValueError, match="no solution family"):
-        family_constants_for_target("x7", 0, 0)
-
-
-# --- JSON record -------------------------------------------------------------------------
-
-
-def test_solution_record_schema():
-    sols = _r0_solutions()
-    rec = solution_record(0, 0, params=sols[0].params, branch=sols[0].branch)
-    for key in ("m0", "n0", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "params", "residuals"):
-        assert key in rec
-    # the family has no k label (k = -1 is a sign flip) and one half-integer label p
-    assert "k_sign" not in rec and "q" not in rec
-    assert rec["params"]["branch"] == {"omega_sign": 1, "theta_sign": -1, "r": 0}
-    assert len(rec["residuals"]["boundary"]) == 8
-    assert rec["residuals"]["b_eq"] <= 1e-9
-    assert rec["residuals"]["d_eq"] <= 1e-9
+        analytic_family(0, 0, "x7")

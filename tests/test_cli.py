@@ -59,6 +59,32 @@ def test_analytic_with_realization(capsys):
     assert rec["residuals"]["b_eq"] <= 1e-9
 
 
+def test_analytic_record_schema(capsys):
+    # the record is built in cmd_analytic: the label, tau*, the constants, p, and at --omega-hat the first
+    # inverted control with the residuals of the constants it generates
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--omega-hat", str(OMEGA))
+    rec = json.loads(out)
+    assert code == 0
+    assert list(rec) == ["m0", "n0", "target", "tau_star", "a", "b", "c_plus", "c_minus", "d", "p", "params",
+                         "residuals", "energy_residual"]
+    # the family has no k label (k = -1 is a sign flip) and one half-integer label p
+    assert rec["p"] == 1 and rec["tau_star"] == rec["a"] / 2
+    assert rec["params"]["branch"] == {"omega_sign": 1, "theta_sign": -1, "r": 0}
+    assert list(rec["residuals"]) == ["boundary", "b_eq", "d_eq"]
+    assert len(rec["residuals"]["boundary"]) == 8
+    assert rec["residuals"]["b_eq"] <= 1e-9
+    assert rec["residuals"]["d_eq"] <= 1e-9
+    assert abs(rec["energy_residual"]) <= 1e-12
+
+
+def test_analytic_label_without_a_finite_time_is_usage_error(capsys):
+    # (4*m0 + 1)*(4*n0 + 3) does not fit a float: math.sqrt raised OverflowError, a traceback and exit 1
+    n0 = "1" + "0" * 400
+    code, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", n0)
+    assert code == 2 and out == ""
+    assert err == f"error: label (m0, n0) = (0, {n0}) has no finite transfer time\n"
+
+
 def test_analytic_x6_realization_is_usage_error(capsys):
     # inverted controls solve only the d = 0 branch; for x6 they would realize the x8 constants
     code, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", "0", "--target", "x6", "--omega-hat", "2.5")
@@ -220,7 +246,27 @@ def test_invert_tiny_target_is_usage_error(tmp_path, capsys):
     out = tmp_path / "invert.json"
     code, stdout, err = _run(capsys, "invert", "--omega-hat", "3", "--b-target=-1e-3", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
-    assert err.startswith("error: b_target=-0.001 is too small") and err.count("\n") == 1
+    assert err == ("error: omega_hat=3 and b_target=-0.001 put the root bracket end 4*b0/|b_target| at 10583, "
+                   "over 1000000 steps: it must be at most 1953.12\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--omega-hat", "1600", "--dynamics-sets", "0", "--resolution", "3"),
+        ("analytic", "--m0", "0", "--n0", "0", "--omega-hat", "1600"),
+        ("invert", "--omega-hat", "1600"),
+    ],
+    ids=["verify", "analytic", "invert"],
+)
+def test_inversion_step_budget_names_omega_hat(tmp_path, capsys, argv):
+    # at b = -pi the bracket end 4*b0/pi passes the 10^6 steps of 2^-9 above omega_hat = 1533.98: the error
+    # names the omega_hat that grew it, not only the b_target the user left at its default
+    out = tmp_path / "out.json"
+    code, stdout, err = _run(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == ("error: omega_hat=1600 and b_target=-3.14159 put the root bracket end 4*b0/|b_target| at 2037.18, "
+                   "over 1000000 steps: it must be at most 1953.12\n")
 
 
 def test_scan_range_from_config(tmp_path, capsys):
@@ -563,6 +609,14 @@ def test_verify_negative_dynamics_sets_is_usage_error(tmp_path, capsys):
     code, stdout, err = _run(capsys, "verify", "--dynamics-sets", "-2", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err == "error: n_dynamics must be nonnegative, got -2\n"
+
+
+def test_verify_negative_seed_is_usage_error(tmp_path, capsys):
+    # numpy's own message named neither the flag nor the value
+    out = tmp_path / "report.json"
+    code, stdout, err = _run(capsys, "verify", "--seed", "-1", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("dtau", ["0", "-1"])

@@ -6,7 +6,7 @@ import pytest
 
 import trispin.report as report_module
 from trispin.algebra import E1, TAU_STAR
-from trispin.boundary import analytic_family, closed_form_params, consistent_scale, invert_to_physical
+from trispin.boundary import closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.dynamics import exact_state_trajectory
 from trispin.report import run_verification
 
@@ -34,7 +34,7 @@ def _patched(name, change):
 @pytest.mark.parametrize(
     "patch, failing",
     [
-        (_patched("analytic_family", lambda r: (r[0], r[1], r[2] + 1e-9)), "family_min_time"),
+        (_patched("transfer_time", lambda tau_star: tau_star + 1e-9), "family_min_time"),
         (_patched("sweep_tau", lambda rows: [rows[1], rows[0]] + rows[2:]), "sweep_minimum"),
         (_patched("consistency_scan", lambda scan: replace(scan, consistent=[])), "consistency_scan"),
         (_patched("grid_search", lambda gs: replace(gs, best_tau=0.5 * TAU_STAR)), "ansatz_grid_search_x8"),
@@ -75,7 +75,7 @@ def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
     report = run_verification(omega_hat=omega_hat, **QUICK)
     check = {c.name: c for c in report.checks}["transfer_x8_at_tau_star"]
     assert check.provenance == f"exact propagation of the {control}"
-    omega, tau_star = report.context["omega_hat"], analytic_family(0, 0)[2]
+    omega, tau_star = report.context["omega_hat"], transfer_time(0, 0)
     sols = invert_to_physical(omega, 1.0, tau_star, -math.pi)
     assert bool(sols) == (omega_hat != 1.5)
     params = sols[0].params if control == "inverted control" else closed_form_params(omega, **consistent_scale(0)[1])
@@ -91,8 +91,9 @@ def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
         (dict(n_dynamics=-1), "n_dynamics must be nonnegative, got -1", ("consistency_scan",)),
         (dict(grid_resolution=0), "resolution must be >= 1", ("consistency_scan",)),
         (dict(scan_samples=0, grid_resolution=3), "samples must be >= 1", ()),
+        (dict(seed=-1), "seed must be nonnegative, got -1", ("consistency_scan",)),
     ],
-    ids=["low_energy", "negative_dynamics_sets", "zero_resolution", "zero_scan_samples"],
+    ids=["low_energy", "negative_dynamics_sets", "zero_resolution", "zero_scan_samples", "negative_seed"],
 )
 def test_low_energy_is_refused_before_any_check(monkeypatch, arguments, match, also_forbidden):
     # a bad argument is a ValueError up front, like the step: no check runs first, and none reads "skipped".
@@ -104,3 +105,18 @@ def test_low_energy_is_refused_before_any_check(monkeypatch, arguments, match, a
         monkeypatch.setattr(report_module, name, forbidden)
     with pytest.raises(ValueError, match=match):
         run_verification(**arguments)
+
+
+def test_inversion_step_budget_is_refused_before_any_check(monkeypatch):
+    # at omega_hat 1600 the inversion's bracket end 4*b0/pi is 2037.2, over the 1953.1 its 10^6 steps of 2^-9 reach;
+    # the inversion runs before any check, after reading the label's constants, and its error names both inputs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check ran before the arguments were checked")
+
+    for name in ("boundary_residuals", "closure_check", "dynamics_equivalence"):
+        monkeypatch.setattr(report_module, name, forbidden)
+    with pytest.raises(ValueError, match=r"^omega_hat=1600 and b_target=-3\.14159 put the root bracket end"):
+        run_verification(omega_hat=1600.0, n_dynamics=0, grid_resolution=3, scan_samples=801)
+    # 1533.98 is the largest omega_hat the inversion accepts at b = -pi
+    monkeypatch.undo()
+    run_verification(omega_hat=1533.98, n_dynamics=0, grid_resolution=3, scan_samples=801)

@@ -138,7 +138,7 @@ def analytic_family(m0: int, n0: int, target: str = "x8") -> BoundaryConstants:
     ratio k = 1.  The coupling ratio k = -1 is conjugation by sigma_x on spin 3,
     which flips x5..x8 and nothing else; its family is this one with the signs
     of b and c_pm flipped.  The x6 constants exchange b and d.  A label whose
-    transfer time is not a finite float is a ValueError.
+    transfer time, or whose a*a + b*b, is not a finite float is a ValueError.
     """
     if target not in TRANSFER_COLUMNS:
         raise ValueError(
@@ -154,6 +154,8 @@ def analytic_family(m0: int, n0: int, target: str = "x8") -> BoundaryConstants:
     except OverflowError:
         raise ValueError(f"label (m0, n0) = ({m0}, {n0}) has no finite transfer time") from None
     c = BoundaryConstants(a=a, b=-PI * (2 * n0 + 1 - 2 * m0), c_plus=a, c_minus=-a, d=0.0)
+    if not math.isfinite(a * a + c.b * c.b):
+        raise ValueError(f"label (m0, n0) = ({m0}, {n0}) has constants whose squares are not finite floats")
     return replace(c, b=c.d, d=c.b) if target == "x6" else c
 
 

@@ -43,7 +43,7 @@ from .dynamics import (
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
-from .report import DEFAULT_SEED, run_verification
+from .report import DEFAULT_SEED, column_gap, run_verification
 from .search import COMPONENT_INDEX, grid_search
 
 
@@ -122,6 +122,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         "params": None,
         "residuals": {
             "boundary": [float(v) for v in residuals],
+            "columns": column_gap(constants, args.target),
             "b_eq": None,
             "d_eq": None,
         },

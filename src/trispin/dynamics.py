@@ -36,6 +36,7 @@ from .algebra import ControlParams
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
 _BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
+_WINDOW_ROWS = 2048  # state rows per window of a streamed comparison: 64 blocks, 128 KB of 8-wide rows, within L2
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -130,72 +131,112 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
     if not math.isfinite(tau_end / dtau):
         raise ValueError(f"tau_end / dtau must be finite, got {tau_end:g} / {dtau:g}")
     n_full = int(math.floor(tau_end / dtau + 1e-12))
-    taus = dtau * np.arange(n_full + 1)
-    if taus[-1] < tau_end - 1e-12 * max(1.0, tau_end):
-        taus = np.append(taus, tau_end)
-    else:
-        taus[-1] = tau_end
+    short = dtau * n_full < tau_end - 1e-12 * max(1.0, tau_end)  # a shortened last step ends one more point
+    taus = np.arange(n_full + 1 + short, dtype=float)
+    taus *= dtau  # in place: a grid of n points holds 8n bytes at its peak
+    taus[-1] = tau_end
     return taus
 
 
-def _block_grid(starts: np.ndarray, maps: np.ndarray, out: np.ndarray, turn: tuple | None = None) -> None:
-    """out[..., j*b + l, :] = starts[..., j, :] @ maps[..., l, :, :], b = maps.shape[-3], one GEMM over whole blocks.
+class _Rows:
+    """A row source: the state rows head, then count rows of a block grid, then tail; take makes any range of them.
 
-    Rows are states, so maps act from the right; a last partial block reads the first columns of the table.
-    turn = (K, phi, psi, o), if given, also turns row (j, l) by exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K),
-    K skew with K^3 = -K, and then maps it by o.  With P = -K^2 and D = I - P, exp(phi K)^T = D + cos(phi) P -
-    sin(phi) K, so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @ [T_l D o; T_l P o; -T_l K o] with
-    T_l = maps[l] exp(psi_l K)^T: cos and sin of the block starts and of one block's psi, none per row.
+    Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the row source starts, b = maps.shape[-3]: a row of one
+    GEMM with the maps side by side in a table.  A last partial block, the one-row product with the table's first
+    columns, is made here and heads the tail.  turn = (K, phi, psi, o), if given, also turns row (j, l) by
+    exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K skew with K^3 = -K, and then maps it by o.  With P = -K^2
+    and D = I - P, exp(phi K)^T = D + cos(phi) P - sin(phi) K, so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @
+    [T_l D o; T_l P o; -T_l K o] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
     """
-    if out.shape[-2] == 0:
-        return
-    if turn is not None:
-        k, phi, psi, o = turn
-        parts = np.stack([np.eye(len(k)) + k @ k, -k @ k, -k])  # D, P, -K
-        maps = maps @ (parts[0] + np.cos(psi)[:, None, None] * parts[1] + np.sin(psi)[:, None, None] * parts[2])
-        maps = np.concatenate([maps @ part for part in parts @ o], axis=-2)
-        starts = np.concatenate([starts, np.cos(phi)[:, None] * starts, np.sin(phi)[:, None] * starts], axis=-1)
-    b, width = maps.shape[-3], out.shape[-1]
-    table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], b * width))
-    full, rest = divmod(out.shape[-2], b)
-    np.matmul(starts[..., :full, :], table, out=out[..., : full * b, :].reshape(out.shape[:-2] + (full, b * width)))
-    if rest:
-        last = starts[..., full : full + 1, :] @ table[..., : rest * width]
-        out[..., full * b :, :] = last.reshape(out.shape[:-2] + (rest, width))
+
+    def __init__(self, head, starts=None, maps=None, count=0, turn=None, tail=None):
+        self.head, self.starts, self.count, self.trig = head, starts, count, None
+        self.tail = head[..., :0, :] if tail is None else tail
+        self.n = head.shape[-2] + count + self.tail.shape[-2]
+        if turn is not None:
+            k, phi, psi, o = turn
+            parts = np.stack([np.eye(len(k)) + k @ k, -k @ k, -k])  # D, P, -K
+            maps = maps @ (parts[0] + np.cos(psi)[:, None, None] * parts[1] + np.sin(psi)[:, None, None] * parts[2])
+            maps = np.concatenate([maps @ part for part in parts @ o], axis=-2)
+            self.trig = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        if count:
+            self.b, width = maps.shape[-3], maps.shape[-1]
+            self.table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], self.b * width))
+            full, rest = divmod(count, self.b)
+            if rest:
+                last = (self._starts(full, full + 1) @ self.table[..., : rest * width]).reshape(head.shape[:-2] + (rest, width))
+                self.count, self.tail = full * self.b, np.concatenate([last, self.tail], axis=-2)
+
+    def _starts(self, a: int, z: int) -> np.ndarray:
+        """Starts a..z-1 of the grid, with a turn each beside its cos(phi) and sin(phi) multiples."""
+        s = self.starts.take(a, z)
+        return s if self.trig is None else np.concatenate([s, self.trig[0][a:z] * s, self.trig[1][a:z] * s], axis=-1)
+
+    def take(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """State rows lo..hi-1, shape (..., rows, width), each with the bits it has in the GEMM over every start.
+
+        A GEMM over two or more starts keeps those bits and a one-row product (gemv) does not, so a range in one
+        block of several also takes a neighbour; whole blocks are written in place.  out, if given, is a C-contiguous
+        array of the result's shape that receives the rows: a caller's buffer, reused window after window."""
+        h, width = self.head.shape[-2:]
+        hi, tail = min(hi, self.n), h + self.count
+        if out is None:
+            if hi <= h:  # held rows alone, as a view
+                return self.head[..., lo:hi, :]
+            out = np.empty(self.head.shape[:-2] + (hi - lo, width))
+        out[..., : max(min(h, hi) - lo, 0), :] = self.head[..., lo:hi, :]
+        out[..., max(tail - lo, 0) :, :] = self.tail[..., max(lo - tail, 0) : max(hi - tail, 0), :]
+        g_lo, g_hi = min(max(lo - h, 0), self.count), min(max(hi - h, 0), self.count)
+        if g_lo < g_hi:
+            b = self.b
+            j0, j1 = g_lo // b, -(-g_hi // b)
+            if j1 - j0 == 1 and self.count > b:
+                j0, j1 = (j0 - 1, j1) if j0 else (j0, j1 + 1)
+            dest = out[..., g_lo + h - lo : g_hi + h - lo, :]
+            if (g_lo, g_hi) == (j0 * b, j1 * b):
+                np.matmul(self._starts(j0, j1), self.table, out=dest.reshape(dest.shape[:-2] + (j1 - j0, -1)))
+            else:
+                rows = (self._starts(j0, j1) @ self.table).reshape(dest.shape[:-2] + (-1, width))
+                dest[...] = rows[..., g_lo - j0 * b : g_hi - j0 * b, :]
+        return out
+
+    def array(self) -> np.ndarray:
+        """Every state row, in one take."""
+        return self.take(0, self.n)
 
 
-def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple) -> np.ndarray:
-    """Rows exp(phases_i K) y_i @ o, frame = (K, phases, o), of the powers y_i of a step map: shape (n, o.shape[1]).
+def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple) -> _Rows:
+    """Rows exp(omega*t_i*K) y_i @ o, frame = (K, omega, t, o), of the powers y_i of a step map: n rows of o.shape[1].
 
     y_i = (I + e[0])^i first for i < n - 1 and y_(n-1) = (I + e[1]) y_(n-2).  first has shape (k, m), k
     independent halves, and K, the frame turn, acts on the flattened state; e (2, k, m, m) holds the
-    increments of a step of dtau and of the grid's last step, and phases has length n.  With
+    increments of a step of dtau and of the grid's last step, and t has length n.  With
     E_l = (I + e)^(l+1) - I = E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, y_i at i = 1 + j*_BLOCK_STEPS + l
-    is (I + E_l) s_j, turned and mapped by o in one ``_block_grid``, and the block starts
+    is (I + E_l) s_j, turned and mapped by o on the block grid of a ``_Rows``, and the block starts
     s_j = (I + E_last)^j first are the rows of _powers on E_last with no turn: n entries recurse to
     n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and E_last are
     rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
-    k, phases, o = frame
+    k, omega, t, o = frame
     width = first.size
-    out = np.empty((n, o.shape[-1]))
-    out[0] = first.reshape(width) @ o
+    head = (first.reshape(width) @ o)[None]
     if n == 1:
-        return out
+        return _Rows(head)
     # rows read E_l only up to l = n - 3 (E_0 is built even at n == 2): with a step longer than the run the rest overflow
     powers = np.empty((max(1, min(_BLOCK_STEPS, n - 2)),) + e.shape[1:])
     powers[0] = e[0]
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
     m = (n - 2) // _BLOCK_STEPS + 1
-    starts = _powers(powers[[-1, -1]], first, m, (np.zeros((width, width)), np.zeros(m), np.eye(width)))
+    starts = _powers(powers[[-1, -1]], first, m, (np.zeros((width, width)), 0.0, np.zeros(m), np.eye(width)))
     # maps[l, (h, j), (g, i)] = (I + E_l)[h, i, j] if g = h, else 0, so (s @ maps[l])[(g, i)] = ((I + E_l) s)[g, i]
     maps = np.einsum("lhij,hg->lhjgi", powers[: n - 2], np.eye(len(first))).reshape(-1, width, width) + np.eye(width)
-    _block_grid(starts, maps, out[1:-1], (k, phases[: n - 1 : _BLOCK_STEPS], phases[1 : len(maps) + 1], o))
-    y = starts[0] if n == 2 else starts[(n - 3) // _BLOCK_STEPS] @ maps[(n - 3) % _BLOCK_STEPS]  # y_(n-2)
+    j = (n - 3) // _BLOCK_STEPS
+    y = starts.take(0, 1)[0] if n == 2 else starts.take(j, j + 1)[0] @ maps[(n - 3) % _BLOCK_STEPS]  # y_(n-2)
     y = y + (e[1] @ y.reshape(first.shape + (1,))).reshape(width)
-    _block_grid(y[None], np.eye(width)[None], out[-1:], (k, phases[-1:], np.zeros(1), o))
-    return out
+    tail = _Rows(head[:0], _Rows(y[None]), np.eye(width)[None], 1, (k, omega * t[-1:], np.zeros(1), o)).array()
+    turn = (k, omega * t[: n - 1 : _BLOCK_STEPS], omega * t[1 : len(maps) + 1], o)
+    return _Rows(head, starts, maps, n - 2, turn, tail)
 
 
 _TURN = np.kron(np.eye(2), J)  # the frame turn of both halves of a flattened (2, 4) state and of (x_plus, x_minus)
@@ -211,6 +252,12 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
     turns each state back by exp(omega_rf*tau*J) and joins the halves inside its GEMM.
     """
+    taus, rows = _rk4_rows(p, x0, tau_end, dtau)
+    return Trajectory(taus=taus, states=rows.array())
+
+
+def _rk4_rows(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> tuple[np.ndarray, _Rows]:
+    """(taus, rows): the grid of ``propagate_rk4`` and its states as a row source."""
     taus = _time_grid(tau_end, dtau)
     h = np.append(dtau, np.diff(taus[-2:]))[:, None, None, None]  # every step of _time_grid but its last is dtau long
     left, mid, right = build_M_half(p, np.outer([0.0, 0.5, 1.0], h))
@@ -220,8 +267,7 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
     # R(-omega_rf h) - I = -sin(omega_rf h) J + (1 - cos(omega_rf h)) J^2, as J^3 = -J
     turn = -np.sin(p.omega_rf * h) * J + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (J @ J)
-    states = _powers(turn + d + turn @ d, split_halves(x0), len(taus), (_TURN, p.omega_rf * taus, _JOIN_ROWS))
-    return Trajectory(taus=taus, states=states)
+    return taus, _powers(turn + d + turn @ d, split_halves(x0), len(taus), (_TURN, p.omega_rf, taus, _JOIN_ROWS))
 
 
 def sinc(z):
@@ -290,47 +336,51 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _on_grid(taus) -> bool:
-    """Whether taus has 3 or more entries on one axis, all but the last equal to dtau*arange bitwise, as from _time_grid."""
-    return np.ndim(taus) == 1 and len(taus) >= 3 and np.array_equal(taus[:-1], taus[1] * np.arange(len(taus) - 1))
+    """Whether taus has 3 or more entries on one axis, all but the last dtau*arange bitwise; compared in windows."""
+    n = len(taus) - 1 if np.ndim(taus) == 1 else 0
+    spans = [(lo, min(lo + _WINDOW_ROWS, n)) for lo in range(0, n, _WINDOW_ROWS)]
+    return n >= 2 and all(np.array_equal(taus[lo:hi], taus[1] * np.arange(lo, hi)) for lo, hi in spans)
 
 
 def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None = None) -> np.ndarray:
     """[cos(w*tau), sin(w*tau)] @ table at every tau in taus, turned by exp(omega_rf*tau*J) if omega_rf is given.
 
     (table, w) is a ``mode_table`` with leading shape s and a state of shape (2, 4) or (2, 4, m); the result
-    has shape s + np.shape(taus) + state.  For an 8-wide state (2, 4) on ``_on_grid`` taus, all but the last
-    tau take one ``_block_grid``: by angle addition the rows at block step l are [cos_l T_c + sin_l T_s;
-    cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin run
-    on the block starts and one block, and the turn exp(omega_rf*tau_j*J) exp(omega_rf*tau_l*J) folds into
-    the same GEMM.  The last tau, any other taus and wider states take the direct form and turn (x2, x4)
-    of each half, of y_pm or alike of x_plus and x_minus.
-    """
+    has shape s + np.shape(taus) + state, the rows of ``_mode_rows``."""
     taus = np.asarray(taus, dtype=float)
     lead, state = w.shape[:-1], table.shape[w.ndim :]
-    table = table.reshape(lead + (8, -1))
-    width = table.shape[-1]
-    x = np.empty(lead + (taus.size, width))
+    return _mode_rows(table, w, taus, omega_rf).array().reshape(lead + taus.shape + state)
+
+
+def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: float | None) -> _Rows:
+    """The rows of ``mode_states``, shape s + (taus.size, width), as a row source.
+
+    For an 8-wide state (2, 4) on ``_on_grid`` taus, all but the last tau are its block grid: by angle addition the
+    rows at block step l are [cos_l T_c + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and
+    sin rows of the table, so cos and sin run on the block starts and one block, and the turn exp(omega_rf*tau_j*J)
+    exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, any other taus and wider states take the direct
+    form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus."""
+    table = table.reshape(w.shape[:-1] + (8, -1))
 
     def trig(t):  # cos(w*t) and sin(w*t), shape lead + (len(t), 4) each
         phase = w[..., None, :] * t[:, None]
         return np.cos(phase), np.sin(phase)
 
-    on_grid = width == 8 and _on_grid(taus)
+    on_grid = table.shape[-1] == 8 and _on_grid(taus)
     direct = taus[-1:] if on_grid else taus.reshape(-1)
-    rows = x[..., taus.size - len(direct) :, :]
-    np.matmul(np.concatenate(trig(direct), axis=-1), table, out=rows)
+    rows = np.concatenate(trig(direct), axis=-1) @ table
     if omega_rf is not None:  # exp(phi*J) rotates the (2,4) plane of both halves by phi = omega_rf*tau
         y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
         c, s = (f(omega_rf * direct)[:, None, None] for f in (np.cos, np.sin))
         y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
-    if on_grid:
-        starts, block = taus[:-1:_BLOCK_STEPS], taus[:-1][:_BLOCK_STEPS]
-        c, s = (v[..., None] for v in trig(block))
-        t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
-        maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
-        turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
-        _block_grid(np.concatenate(trig(starts), axis=-1), maps, x[..., :-1, :], turn)
-    return x.reshape(lead + taus.shape + state)
+    if not on_grid:
+        return _Rows(rows)
+    starts, block = taus[:-1:_BLOCK_STEPS], taus[:-1][:_BLOCK_STEPS]
+    c, s = (v[..., None] for v in trig(block))
+    t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
+    maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
+    turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
+    return _Rows(rows[..., :0, :], _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn, rows)
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:

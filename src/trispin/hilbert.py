@@ -56,7 +56,7 @@ def _sandwich_increments(d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
 
 
 def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.ndarray) -> tuple:
-    """(taus, g @ out_map), g the quaternions (g_+, g_-) of G_s3 = U_(+,s3) U_(-,s3)^dag, one row of 8 per tau.
+    """(taus, rows), rows the row source of g @ out_map, g the quaternions (g_+, g_-) of G_s3 = U_(+,s3) U_(-,s3)^dag.
 
     U solves i dU/dtau = H(tau) U from the identity, sector by sector.  Each step
     is the fourth-order Magnus exponential on two Gauss nodes (Blanes, Casas,
@@ -85,7 +85,7 @@ def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.nd
     q = np.stack([-2.0 * np.sin(p.omega_rf * h / 4.0) ** 2, 0.0 * h, 0.0 * h, -np.sin(p.omega_rf * h / 2.0)])[:, None]
     step, turn = (_sandwich_increments(*pair).transpose(3, 2, 0, 1) for pair in ((d[:, :2], d[:, 2:]), (q, q)))
     first = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
-    return taus, _powers(turn + step + turn @ step, first, len(taus), (_TURN, p.omega_rf * taus, out_map))
+    return taus, _powers(turn + step + turn @ step, first, len(taus), (_TURN, p.omega_rf, taus, out_map))
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
@@ -96,8 +96,8 @@ def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Tr
     x_i = 2 Re sum_s3 Tr[O_i[(-,s3), (+,s3)] G_s3]/8: one real matrix product
     of the quaternions of the G_s3 with ``_PROJECTION``, folded into the step product.
     """
-    taus, x = _mapped_blocks(p, tau_end, dtau, _PROJECTION)
-    return Trajectory(taus=taus, states=x)
+    taus, rows = _mapped_blocks(p, tau_end, dtau, _PROJECTION)
+    return Trajectory(taus=taus, states=rows.array())
 
 
 def closure_check(p: ControlParams, tau_samples) -> float:

@@ -196,7 +196,8 @@ def test_rk4_matches_per_step_loop(params, tau_end):
 
 @on_grids
 def test_gauss4_and_projection_match_per_step_loop(params, su2, tau_end):
-    taus, g = _mapped_blocks(params, tau_end, DTAU, np.eye(8))
+    taus, rows = _mapped_blocks(params, tau_end, DTAU, np.eye(8))
+    g = rows.array()
     loop_taus, unitaries = gauss4_per_step(params, tau_end, DTAU)
     assert np.array_equal(taus, loop_taus)
     assert np.max(np.abs(su2(g) - coherence_of_unitaries(unitaries))) <= 1e-13
@@ -225,15 +226,15 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
 
 def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
     # only an 8-wide state takes the grid path: the exact leg of propagator_discrepancy, on the 241 taus
-    # that verify gives it, does not read the _block_grid that RK4 and the exact 8-vectors share
+    # that verify gives it, takes no rows of the block grid that RK4 and the exact 8-vectors share
     taus = np.linspace(0.0, TAU_STAR, 241)
     assert _on_grid(taus)
 
     def forbidden(*args):
-        raise AssertionError("_block_grid called")
+        raise AssertionError("block grid rows taken")
 
-    monkeypatch.setattr(dynamics, "_block_grid", forbidden)
-    with pytest.raises(AssertionError, match="_block_grid called"):
+    monkeypatch.setattr(dynamics._Rows, "_starts", forbidden)
+    with pytest.raises(AssertionError, match="block grid rows taken"):
         exact_state_trajectory(params, E1, taus)
     assert propagator_discrepancy(params, taus).max_deviation > 0.0
 

@@ -480,6 +480,14 @@ def test_family_label_without_a_finite_time():
         analytic_family(0, 10**400)
 
 
+def test_family_label_whose_constants_square_past_the_float_range():
+    # b = -pi*(2*n0 + 1) is a float at n0 = 10**200, but b*b is not; at 10**150 both are
+    c = analytic_family(0, 10**150)
+    assert math.isfinite(c.a * c.a + c.b * c.b)
+    with pytest.raises(ValueError, match=r"^label \(m0, n0\) = \(0, 1" + "0" * 200 + r"\) has constants whose squares"):
+        analytic_family(0, 10**200)
+
+
 def test_family_sign_flip_with_coupling():
     # the closed-form control at either coupling ratio generates the family constants of that k:
     # k = -1 flips the signs of b and c_pm, so the family needs no k label

@@ -7,9 +7,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from trispin.boundary import closed_form_params, consistent_scale
+from trispin.boundary import analytic_family, closed_form_params, consistent_scale
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER
+from trispin.report import column_gap
 from trispin.search import grid_search
 
 PI = math.pi
@@ -70,8 +71,9 @@ def test_analytic_record_schema(capsys):
     # the family has no k label (k = -1 is a sign flip) and one half-integer label p
     assert rec["p"] == 1 and rec["tau_star"] == rec["a"] / 2
     assert rec["params"]["branch"] == {"omega_sign": 1, "theta_sign": -1, "r": 0}
-    assert list(rec["residuals"]) == ["boundary", "b_eq", "d_eq"]
+    assert list(rec["residuals"]) == ["boundary", "columns", "b_eq", "d_eq"]
     assert len(rec["residuals"]["boundary"]) == 8
+    assert rec["residuals"]["columns"] <= 1e-10
     assert rec["residuals"]["b_eq"] <= 1e-9
     assert rec["residuals"]["d_eq"] <= 1e-9
     assert abs(rec["energy_residual"]) <= 1e-12
@@ -83,6 +85,30 @@ def test_analytic_label_without_a_finite_time_is_usage_error(capsys):
     code, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", n0)
     assert code == 2 and out == ""
     assert err == f"error: label (m0, n0) = (0, {n0}) has no finite transfer time\n"
+
+
+@pytest.mark.parametrize("zeros, code", [(150, 0), (200, 2)])
+def test_analytic_label_whose_constants_square_past_the_float_range(capsys, zeros, code):
+    # at 200 zeros b*b overflowed in derived_quantities: an OverflowError traceback and exit 1
+    n0 = "1" + "0" * zeros
+    got, out, err = _run(capsys, "analytic", "--m0", "0", "--n0", n0)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["n0"] == int(n0) and err == ""
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: label (m0, n0) = (0, {n0}) has constants whose squares")
+
+
+@pytest.mark.parametrize("target", ["x8", "x6"])
+@pytest.mark.parametrize("m0, n0", [(0, 0), (1, 2), (3, 7)])
+def test_analytic_record_measures_its_own_constants(capsys, m0, n0, target):
+    # residuals.boundary are the x8 system's; residuals.columns checks the listed constants of the target
+    code, out, _ = _run(capsys, "analytic", "--m0", str(m0), "--n0", str(n0), "--target", target)
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["residuals"]["columns"] == column_gap(analytic_family(m0, n0, target), target)
+    assert rec["residuals"]["columns"] <= 1e-10
 
 
 def test_analytic_x6_realization_is_usage_error(capsys):

@@ -41,7 +41,8 @@ def test_one_step_is_the_closed_form_rotation(rng, su2):
     angle = np.linalg.norm(v, axis=-1)[:, None, None]
     v_sigma = np.einsum("sk,kab->sab", v, np.stack([_PAULI[a] for a in "xyz"]))
     step = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) / angle * v_sigma
-    taus, g = _mapped_blocks(p, h, h, np.eye(8))
+    taus, rows = _mapped_blocks(p, h, h, np.eye(8))
+    g = rows.array()
     assert len(taus) == 2
     assert np.max(np.abs(su2(g[1]) - coherence_of_sectors(step))) <= 1e-15
 
@@ -49,7 +50,7 @@ def test_one_step_is_the_closed_form_rotation(rng, su2):
 def test_constant_hamiltonian_is_exact(su2):
     # b0 = 0 freezes H; stepping must reproduce the blocks of exp(-i H tau)
     p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.7, theta0=0.3)
-    _, g = _mapped_blocks(p, 1.5, 1e-3, np.eye(8))
+    g = _mapped_blocks(p, 1.5, 1e-3, np.eye(8))[1].array()
     exact = expm(-1j * 1.5 * build_hamiltonian(p, 0.0))
     blocks = exact[SECTORS[:, :, None], SECTORS[:, None, :]]
     assert np.max(np.abs(su2(g[-1]) - coherence_of_sectors(blocks))) < 1e-10
@@ -57,7 +58,8 @@ def test_constant_hamiltonian_is_exact(su2):
 
 def test_zero_duration_is_identity(rng, su2):
     p = random_consistent_params(rng)
-    taus, g = _mapped_blocks(p, 0.0, 1e-3, np.eye(8))
+    taus, rows = _mapped_blocks(p, 0.0, 1e-3, np.eye(8))
+    g = rows.array()
     assert len(taus) == 1
     assert g.shape == (1, 8)
     assert np.array_equal(su2(g[0]), np.broadcast_to(np.eye(2), (2, 2, 2)))
@@ -65,7 +67,7 @@ def test_zero_duration_is_identity(rng, su2):
 
 def test_unitarity_and_determinant(rng, su2):
     p = random_consistent_params(rng)
-    blocks = su2(_mapped_blocks(p, 2.0, 1e-3, np.eye(8))[1])
+    blocks = su2(_mapped_blocks(p, 2.0, 1e-3, np.eye(8))[1].array())
     assert np.max(np.abs(adjoint(blocks) @ blocks - np.eye(2))) <= 1e-9
     # every step is in SU(2), so is every G
     assert np.max(np.abs(np.linalg.det(blocks) - 1.0)) < 1e-9
@@ -75,7 +77,8 @@ def test_zero_field_blocks_precess_freely(su2):
     # b0 = bz = 0, k = 1: n_s = (0, 0, 2), 0, 0 and (0, 0, -2) in sectors (+,+), (+,-), (-,+), (-,-), so
     # U_s = exp(-2i tau sz), I, I, exp(2i tau sz) and both G_s3 are exp(-2i tau sz)
     p = ControlParams(k=1.0, omega_hat=math.sqrt(2.0), b0=0.0, bz=0.0, omega_rf=0.7, theta0=0.3)
-    taus, g = _mapped_blocks(p, 1.0, 1e-2, np.eye(8))
+    taus, rows = _mapped_blocks(p, 1.0, 1e-2, np.eye(8))
+    g = rows.array()
     phase = np.exp(-2j * taus)[:, None]
     expected = np.stack([phase, 0 * phase, 0 * phase, phase.conj()], axis=-1).reshape(-1, 1, 2, 2)
     assert np.max(np.abs(su2(g) - expected)) <= 1e-14

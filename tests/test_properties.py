@@ -155,13 +155,13 @@ def test_the_drive_turns_with_the_co_rotating_frame(su2, p, t, s, h):
     v_sigma = np.einsum("sk,kab->sab", v, np.stack([_PAULI[a] for a in "xyz"]))
     angle = np.linalg.norm(v, axis=-1)[:, None, None]
     lab = np.cos(angle) * np.eye(2) - 1j * np.sinc(angle / math.pi) * v_sigma
-    g = su2(_mapped_blocks(p, h, h, np.eye(8))[1][-1])
+    g = su2(_mapped_blocks(p, h, h, np.eye(8))[1].array()[-1])
     assert np.max(np.abs(q @ g @ q.conj().T - lab[:2] @ lab[2:].conj().swapaxes(-1, -2))) <= 1e-14
 
 
 @given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
 def test_gauss4_is_unitary(su2, p, tau_end, dtau):
-    u = su2(_mapped_blocks(p, tau_end, dtau, np.eye(8))[1])
+    u = su2(_mapped_blocks(p, tau_end, dtau, np.eye(8))[1].array())
     assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-12
 
 

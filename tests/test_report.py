@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,18 @@ import pytest
 import trispin.report as report_module
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import closed_form_params, consistent_scale, invert_to_physical, transfer_time
-from trispin.dynamics import exact_state_trajectory
-from trispin.report import run_verification
+from trispin.dynamics import (
+    _WINDOW_ROWS,
+    _mode_rows,
+    _rk4_rows,
+    _time_grid,
+    exact_state_trajectory,
+    mode_table,
+    propagate_rk4,
+    split_halves,
+)
+from trispin.hilbert import _PROJECTION, _mapped_blocks, full_hilbert_trajectory
+from trispin.report import DEFAULT_SEED, dynamics_equivalence, random_consistent_params, run_verification
 
 QUICK = dict(n_dynamics=0, grid_resolution=3, scan_samples=801)
 
@@ -120,3 +131,54 @@ def test_inversion_step_budget_is_refused_before_any_check(monkeypatch):
     # 1533.98 is the largest omega_hat the inversion accepts at b = -pi
     monkeypatch.undo()
     run_verification(omega_hat=1533.98, n_dynamics=0, grid_resolution=3, scan_samples=801)
+
+
+def _whole_trajectory_gaps(params_list, tau_end, dtau):
+    """dynamics_equivalence by whole trajectories from the three public oracles: the reference it streams."""
+    worst_full = worst_exact = 0.0
+    for p in params_list:
+        reduced = propagate_rk4(p, E1, tau_end, dtau)
+        gaps = []
+        for states in (full_hilbert_trajectory(p, tau_end, dtau).states, exact_state_trajectory(p, E1, reduced.taus)):
+            d = states - reduced.states
+            gaps.append(math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d)))))
+        worst_full, worst_exact = max(worst_full, gaps[0]), max(worst_exact, gaps[1])
+    return worst_full, worst_exact
+
+
+# rows: a lone step, a partial last block, a window edge and the one-row offset of RK4's rows after row 0;
+# 40,812 is verify's default grid
+@pytest.mark.parametrize("rows", [2, 3, 33, 34, 35, 2049, 2050, 2081, 40812])
+def test_windowed_comparison_equals_whole_trajectories(rows):
+    tau_end, dtau = (3.0 * TAU_STAR, 1e-4) if rows == 40812 else ((rows - 1) * 1e-3, 1e-3)
+    assert len(_time_grid(tau_end, dtau)) == rows
+    rng = np.random.default_rng(rows)
+    params = [random_consistent_params(rng) for _ in range(2)]
+    got = dynamics_equivalence(params, tau_end, dtau)
+    assert got == _whole_trajectory_gaps(params, tau_end, dtau)
+    assert all(type(v) is float for v in got)
+    # row by row, not only at the largest gap: each oracle's windows are its public trajectory bit for bit
+    p = params[0]
+    taus, reduced = _rk4_rows(p, E1, tau_end, dtau)
+    sources = {
+        "rk4": (reduced, propagate_rk4(p, E1, tau_end, dtau).states),
+        "full": (_mapped_blocks(p, tau_end, dtau, _PROJECTION)[1], full_hilbert_trajectory(p, tau_end, dtau).states),
+        "exact": (_mode_rows(*mode_table(p, split_halves(E1)), taus, p.omega_rf), exact_state_trajectory(p, E1, taus)),
+    }
+    for name, (source, whole) in sources.items():
+        windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
+        assert np.array_equal(np.concatenate(windows), whole), name
+
+
+def test_windowed_comparison_holds_no_trajectory():
+    # whole trajectories peaked at 49.1e6 bytes: three 163,245 x 8 trajectories of a set and their differences
+    rng = np.random.default_rng(DEFAULT_SEED)
+    params = [random_consistent_params(rng) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        gaps = dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(gaps) <= 1e-12
+    assert peak <= 3e6

@@ -99,7 +99,9 @@ def energy_residual(p: ControlParams) -> float:
 
 
 def energy_shell(omega_hat: float, k: float) -> float:
-    """b0^2 + bz^2 on the fixed-energy shell, omega_hat^2 - (1 + k^2); ValueError unless it is positive and finite."""
+    """b0^2 + bz^2 on the fixed-energy shell, omega_hat^2 - (1 + k^2); ValueError unless omega_hat > 0 and 0 < shell < inf."""
+    if omega_hat <= 0:  # a nan falls to the shell's own check
+        raise ValueError(f"omega_hat must be positive, got {omega_hat:g}")
     try:
         shell = omega_hat**2 - (1.0 + k**2)
     except OverflowError:  # a float ** that overflows raises, where * would give inf

@@ -139,7 +139,7 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
 
 
 class _Rows:
-    """A row source: the state rows head, then count rows of a block grid, then tail; take makes any range of them.
+    """A row source: count rows of a block grid, then the held rows tail; take makes any range of them.
 
     Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the row source starts, b = maps.shape[-3]: a row of one
     GEMM with the maps side by side in a table.  A last partial block, the one-row product with the table's first
@@ -149,10 +149,9 @@ class _Rows:
     [T_l D o; T_l P o; -T_l K o] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
     """
 
-    def __init__(self, head, starts=None, maps=None, count=0, turn=None, tail=None):
-        self.head, self.starts, self.count, self.trig = head, starts, count, None
-        self.tail = head[..., :0, :] if tail is None else tail
-        self.n = head.shape[-2] + count + self.tail.shape[-2]
+    def __init__(self, tail, starts=None, maps=None, count=0, turn=None):
+        self.tail, self.starts, self.count, self.trig = tail, starts, count, None
+        self.n = count + tail.shape[-2]
         if turn is not None:
             k, phi, psi, o = turn
             parts = np.stack([np.eye(len(k)) + k @ k, -k @ k, -k])  # D, P, -K
@@ -164,8 +163,8 @@ class _Rows:
             self.table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], self.b * width))
             full, rest = divmod(count, self.b)
             if rest:
-                last = (self._starts(full, full + 1) @ self.table[..., : rest * width]).reshape(head.shape[:-2] + (rest, width))
-                self.count, self.tail = full * self.b, np.concatenate([last, self.tail], axis=-2)
+                last = (self._starts(full, full + 1) @ self.table[..., : rest * width]).reshape(tail.shape[:-2] + (rest, width))
+                self.count, self.tail = full * self.b, np.concatenate([last, tail], axis=-2)
 
     def _starts(self, a: int, z: int) -> np.ndarray:
         """Starts a..z-1 of the grid, with a turn each beside its cos(phi) and sin(phi) multiples."""
@@ -178,26 +177,23 @@ class _Rows:
         A GEMM over two or more starts keeps those bits and a one-row product (gemv) does not, so a range in one
         block of several also takes a neighbour; whole blocks are written in place.  out, if given, is a C-contiguous
         array of the result's shape that receives the rows: a caller's buffer, reused window after window."""
-        h, width = self.head.shape[-2:]
-        hi, tail = min(hi, self.n), h + self.count
+        hi, count, width = min(hi, self.n), self.count, self.tail.shape[-1]
         if out is None:
-            if hi <= h:  # held rows alone, as a view
-                return self.head[..., lo:hi, :]
-            out = np.empty(self.head.shape[:-2] + (hi - lo, width))
-        out[..., : max(min(h, hi) - lo, 0), :] = self.head[..., lo:hi, :]
-        out[..., max(tail - lo, 0) :, :] = self.tail[..., max(lo - tail, 0) : max(hi - tail, 0), :]
-        g_lo, g_hi = min(max(lo - h, 0), self.count), min(max(hi - h, 0), self.count)
-        if g_lo < g_hi:
-            b = self.b
-            j0, j1 = g_lo // b, -(-g_hi // b)
-            if j1 - j0 == 1 and self.count > b:
+            if lo >= count:  # held rows alone, as a view
+                return self.tail[..., lo - count : hi - count, :]
+            out = np.empty(self.tail.shape[:-2] + (hi - lo, width))
+        out[..., max(count - lo, 0) :, :] = self.tail[..., max(lo - count, 0) : max(hi - count, 0), :]
+        if lo < min(hi, count):
+            b, g_hi = self.b, min(hi, count)
+            j0, j1 = lo // b, -(-g_hi // b)
+            if j1 - j0 == 1 and count > b:
                 j0, j1 = (j0 - 1, j1) if j0 else (j0, j1 + 1)
-            dest = out[..., g_lo + h - lo : g_hi + h - lo, :]
-            if (g_lo, g_hi) == (j0 * b, j1 * b):
+            dest = out[..., : g_hi - lo, :]
+            if (lo, g_hi) == (j0 * b, j1 * b):
                 np.matmul(self._starts(j0, j1), self.table, out=dest.reshape(dest.shape[:-2] + (j1 - j0, -1)))
             else:
                 rows = (self._starts(j0, j1) @ self.table).reshape(dest.shape[:-2] + (-1, width))
-                dest[...] = rows[..., g_lo - j0 * b : g_hi - j0 * b, :]
+                dest[...] = rows[..., lo - j0 * b : g_hi - j0 * b, :]
         return out
 
     def array(self) -> np.ndarray:
@@ -205,38 +201,37 @@ class _Rows:
         return self.take(0, self.n)
 
 
-def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple) -> _Rows:
+def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None) -> _Rows:
     """Rows exp(omega*t_i*K) y_i @ o, frame = (K, omega, t, o), of the powers y_i of a step map: n rows of o.shape[1].
 
     y_i = (I + e[0])^i first for i < n - 1 and y_(n-1) = (I + e[1]) y_(n-2).  first has shape (k, m), k
     independent halves, and K, the frame turn, acts on the flattened state; e (2, k, m, m) holds the
-    increments of a step of dtau and of the grid's last step, and t has length n.  With
-    E_l = (I + e)^(l+1) - I = E_(l-1) + e E_(l-1) + e for l < _BLOCK_STEPS, y_i at i = 1 + j*_BLOCK_STEPS + l
-    is (I + E_l) s_j, turned and mapped by o on the block grid of a ``_Rows``, and the block starts
-    s_j = (I + E_last)^j first are the rows of _powers on E_last with no turn: n entries recurse to
-    n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and E_last are
-    rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
+    increments of a step of dtau and of the grid's last step, and t has length n.  With E_0 = 0 and
+    E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, y_i at i = j*_BLOCK_STEPS + l < n - 1 is (I + E_l) s_j,
+    turned and mapped by o on the block grid of a ``_Rows``; y_(n-1) is its one held row.  The block starts
+    s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on E_last with no frame: n
+    entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e
+    and E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
-    k, omega, t, o = frame
     width = first.size
-    head = (first.reshape(width) @ o)[None]
     if n == 1:
-        return _Rows(head)
-    # rows read E_l only up to l = n - 3 (E_0 is built even at n == 2): with a step longer than the run the rest overflow
-    powers = np.empty((max(1, min(_BLOCK_STEPS, n - 2)),) + e.shape[1:])
-    powers[0] = e[0]
+        row = first.reshape(width)
+        return _Rows((row if frame is None else row @ frame[3])[None])
+    # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
+    powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
-    m = (n - 2) // _BLOCK_STEPS + 1
-    starts = _powers(powers[[-1, -1]], first, m, (np.zeros((width, width)), 0.0, np.zeros(m), np.eye(width)))
+    starts = _powers(powers[[-1, -1]], first, (n - 2) // _BLOCK_STEPS + 1)
     # maps[l, (h, j), (g, i)] = (I + E_l)[h, i, j] if g = h, else 0, so (s @ maps[l])[(g, i)] = ((I + E_l) s)[g, i]
-    maps = np.einsum("lhij,hg->lhjgi", powers[: n - 2], np.eye(len(first))).reshape(-1, width, width) + np.eye(width)
-    j = (n - 3) // _BLOCK_STEPS
-    y = starts.take(0, 1)[0] if n == 2 else starts.take(j, j + 1)[0] @ maps[(n - 3) % _BLOCK_STEPS]  # y_(n-2)
-    y = y + (e[1] @ y.reshape(first.shape + (1,))).reshape(width)
-    tail = _Rows(head[:0], _Rows(y[None]), np.eye(width)[None], 1, (k, omega * t[-1:], np.zeros(1), o)).array()
-    turn = (k, omega * t[: n - 1 : _BLOCK_STEPS], omega * t[1 : len(maps) + 1], o)
-    return _Rows(head, starts, maps, n - 2, turn, tail)
+    maps = np.einsum("lhij,hg->lhjgi", powers[:_BLOCK_STEPS], np.eye(len(first))).reshape(-1, width, width) + np.eye(width)
+    j, l = divmod(n - 2, _BLOCK_STEPS)
+    y = starts.take(j, j + 1)[0] @ maps[l]  # y_(n-2)
+    y = (y + (e[1] @ y.reshape(first.shape + (1,))).reshape(width))[None]
+    if frame is None:
+        return _Rows(y, starts, maps, n - 1)
+    k, omega, t, o = frame
+    last = _Rows(np.empty((0, o.shape[1])), _Rows(y), np.eye(width)[None], 1, (k, omega * t[-1:], np.zeros(1), o))
+    return _Rows(last.array(), starts, maps, n - 1, (k, omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)], o))
 
 
 _TURN = np.kron(np.eye(2), J)  # the frame turn of both halves of a flattened (2, 4) state and of (x_plus, x_minus)
@@ -380,7 +375,7 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: flo
     t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
     maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
     turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
-    return _Rows(rows[..., :0, :], _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn, rows)
+    return _Rows(rows, _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn)
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:

@@ -11,6 +11,7 @@ from trispin.algebra import (
     coherence_basis,
     embed3,
     energy_residual,
+    energy_shell,
     transverse_amplitude,
 )
 
@@ -125,6 +126,13 @@ def test_transverse_amplitude_on_shell():
     assert abs(b0**2 + 0.25 - (2.5**2 - 2.0)) < 1e-12
     with pytest.raises(ValueError, match="no real transverse amplitude"):
         transverse_amplitude(1.2, 1.0)
+
+
+@pytest.mark.parametrize("omega_hat", [-2.7, 0.0])
+def test_energy_shell_refuses_a_scale_that_is_not_positive(omega_hat):
+    # -2.7 has the shell of 2.7, but a negative scale flips the search box and the report's omega_hat
+    with pytest.raises(ValueError, match=r"^omega_hat must be positive, got (-2\.7|0)$"):
+        energy_shell(omega_hat, 1.0)
 
 
 def test_params_roundtrip_dict():

@@ -6,12 +6,15 @@ own; ``dynamics._powers`` takes the powers of that map in blocks of
 ``dynamics._BLOCK_STEPS`` steps, with the turn back to the lab frame and the
 output map folded into one GEMM per block table.  The oracles below are the plain
 one-step-at-a-time versions in the lab frame, one generator per step, kept here
-only as references.  The grids hold one point, one step (the last map alone)
-or two, end one step before, on and one step after a block edge, end in a
-shortened last step after whole blocks, or are one long run with a partial last
-block.  The block starts are the powers of the block's map, which ``_powers``
-takes in blocks again: grids of b*b - 1, b*b and b*b + 1 steps give b, b and
-b + 1 starts, and b*(b + 1) + 1 steps the first whole block of starts.
+only as references.  Every block grid starts at state row 0 and holds all rows
+but the last, so a grid of s steps has s grid rows.  The grids hold one point,
+one step (the last map alone) or two, end one step before, on and one step after
+a block edge, end in a shortened last step after whole blocks, or are one long
+run with a partial last block.  The block starts are the powers of the block's
+map, which ``_powers`` takes in blocks again, all starts but the last on their
+own grid: grids of b*b - 1, b*b and b*b + 1 steps give b, b and b + 1 starts, so
+b*b + 1 steps are the first whole block of starts, and b*(b + 1) steps, b + 1
+whole blocks, are the last grid whose starts are one whole block and one more.
 
 ``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
 steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
@@ -96,12 +99,12 @@ GRIDS = {
     "block_less_one": (_BLOCK_STEPS - 1) * DTAU,
     "one_block": _BLOCK_STEPS * DTAU,
     "block_and_one": (_BLOCK_STEPS + 1) * DTAU,
-    "blocks_then_short_last_step": (3 * _BLOCK_STEPS + 0.5) * DTAU,
+    "blocks_then_short_last_step": (3 * _BLOCK_STEPS - 0.5) * DTAU,
     "block_of_blocks_less_one": (_BLOCK_STEPS**2 - 1) * DTAU,
     "block_of_blocks": _BLOCK_STEPS**2 * DTAU,
     "block_of_blocks_and_one": (_BLOCK_STEPS**2 + 1) * DTAU,
-    "starts_take_a_whole_block": (_BLOCK_STEPS * (_BLOCK_STEPS + 1) + 1) * DTAU,
-    "one_full_run": 4096 * DTAU,
+    "starts_take_a_whole_block": _BLOCK_STEPS * (_BLOCK_STEPS + 1) * DTAU,
+    "one_full_run": 4095 * DTAU,
 }
 on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
 
@@ -251,14 +254,33 @@ def test_exact_other_taus_give_the_per_tau_result(params):
     assert np.array_equal(exact_state_trajectory(params, GENERIC_X0, taus), per_tau)
 
 
-def test_grid_lengths_cover_run_boundaries():
+def test_grid_lengths_cover_run_boundaries(params):
     # the GRIDS above really end on both sides of a block edge, after whole blocks and a shortened
-    # last step, around b*b steps and at the first whole block of starts, and in a long run whose
-    # last block is partial
+    # last step, around b*b steps and where the starts are one whole block, and in a long run whose
+    # last block is partial; a grid of s steps has s grid rows in each of the three oracles
     b = _BLOCK_STEPS
-    steps = [0, 1, 2, b - 1, b, b + 1, 3 * b + 1, b * b - 1, b * b, b * b + 1, b * (b + 1) + 1, 4096]
+    steps = [0, 1, 2, b - 1, b, b + 1, 3 * b, b * b - 1, b * b, b * b + 1, b * (b + 1), 4095]
     assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
     assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
+    for name, tau_end in GRIDS.items():
+        taus, rk4 = dynamics._rk4_rows(params, E1, tau_end, DTAU)
+        full = _mapped_blocks(params, tau_end, DTAU, np.eye(8))[1]
+        exact = dynamics._mode_rows(*dynamics.mode_table(params, dynamics.split_halves(E1)), taus, params.omega_rf)
+        # on a grid the three hold the same rows: blocks of b from row 0 (one shorter block below b grid rows), then
+        # a partial last block and the last row
+        grid = len(taus) - 1
+        whole = grid - grid % b if grid > b else grid
+        sources = (rk4, full, exact) if len(taus) >= 3 else (rk4, full)
+        assert {(source.count, source.n) for source in sources} == {(whole, len(taus))}, name
+    # the starts hold one row a block, all but the last on their own block grid: (starts, grid rows of them)
+    for name, want in {
+        "block_of_blocks_less_one": (b, b - 1),
+        "block_of_blocks": (b, b - 1),
+        "block_of_blocks_and_one": (b + 1, b),
+        "starts_take_a_whole_block": (b + 1, b),
+    }.items():
+        starts = dynamics._rk4_rows(params, E1, GRIDS[name], DTAU)[1].starts
+        assert (starts.n, starts.count) == want, name
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])

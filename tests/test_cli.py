@@ -713,6 +713,23 @@ def test_energy_shell_out_of_float_range_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--omega-hat", "-2.7", "--threshold", "0.95"),
+        ("verify", "--omega-hat", "-2.3"),
+        ("invert", "--omega-hat", "-2.7"),
+        ("analytic", "--m0", "0", "--n0", "0", "--omega-hat", "-2.7"),
+    ],
+    ids=["search", "verify", "invert", "analytic"],
+)
+def test_negative_omega_hat_is_usage_error(capsys, argv):
+    # a negative scale has the shell of its size, but it reverses search's box and the report's omega_hat
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: omega_hat must be positive, got -2.") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method", ["rk4", "full-hilbert", "rotating-exact", "expm-integral"])
 def test_propagate_refuses_a_trajectory_that_is_not_finite(tmp_path, capsys, method):
     # every field is finite, but b0 = 1e308 overflows inside each propagator

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
+from trispin import dynamics
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.dynamics import (
@@ -146,9 +147,11 @@ def _whole_trajectory_gaps(params_list, tau_end, dtau):
     return worst_full, worst_exact
 
 
-# rows: a lone step, a partial last block, a window edge and the one-row offset of RK4's rows after row 0;
-# 40,812 is verify's default grid
-@pytest.mark.parametrize("rows", [2, 3, 33, 34, 35, 2049, 2050, 2081, 40812])
+# rows, of which every oracle's grid holds all but the last, in blocks of 32 from row 0: 2 and 3 a lone step and
+# two; 32, 33 and 34 end one grid row before, on and after the first block edge, 35 two after; 2048, 2049 and 2050
+# one grid row before, on and after the first window edge (2,048 rows, 64 blocks); in 2081 the last window holds
+# one whole block, which takes a neighbour; 40,812 is verify's default grid
+@pytest.mark.parametrize("rows", [2, 3, 32, 33, 34, 35, 2048, 2049, 2050, 2081, 40812])
 def test_windowed_comparison_equals_whole_trajectories(rows):
     tau_end, dtau = (3.0 * TAU_STAR, 1e-4) if rows == 40812 else ((rows - 1) * 1e-3, 1e-3)
     assert len(_time_grid(tau_end, dtau)) == rows
@@ -168,6 +171,37 @@ def test_windowed_comparison_equals_whole_trajectories(rows):
     for name, (source, whole) in sources.items():
         windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
         assert np.array_equal(np.concatenate(windows), whole), name
+
+
+def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
+    # every grid starts at state row 0, so each 2,048-row window of verify's default grid is 64 whole blocks (the last
+    # window 59 and the held rows): one GEMM over exactly its own block starts, written in place, in every oracle
+    windows, take, starts = [], dynamics._Rows.take, dynamics._Rows._starts
+
+    def comparison_take(self, lo, hi, out=None):
+        if out is not None:  # only the comparison passes its window buffer
+            windows.append((self, lo, min(hi, self.count), []))
+        return take(self, lo, hi, out)
+
+    def recorded_starts(self, a, z):
+        if windows and windows[-1][0] is self:
+            windows[-1][3].append((a, z))
+        return starts(self, a, z)
+
+    monkeypatch.setattr(dynamics._Rows, "take", comparison_take)
+    monkeypatch.setattr(dynamics._Rows, "_starts", recorded_starts)
+    dynamics_equivalence([random_consistent_params(np.random.default_rng(DEFAULT_SEED))], 3.0 * TAU_STAR, 1e-4)
+    assert len(windows) == 3 * 20 and len({id(source) for source, *_ in windows}) == 3
+    for source, lo, grid_hi, asked in windows:
+        assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
+        assert asked == [(lo // 32, grid_hi // 32)]
+    # each window takes the full-space, exact and RK4 rows in turn; the block starts of the full-space oracle and of
+    # RK4 are a plain power source, with no turn and an 8-row table (the exact oracle's are held rows)
+    full, exact, reduced = (source for source, *_ in windows[:3])
+    for rows in (full, reduced):
+        assert rows.trig is not None and rows.starts.trig is None
+        assert rows.starts.table.shape == (8, 32 * 8)
+    assert exact.starts.count == 0
 
 
 def test_windowed_comparison_holds_no_trajectory():

@@ -79,7 +79,7 @@ class ControlParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlParams":
-        """Controls from the six fields of a mapping; a field that is a bool, nan, inf or no number is a ValueError naming it."""
+        """Controls from the six fields of a mapping; a bool, nan, inf or non-number field, or omega_hat <= 0, is a ValueError."""
         values = {}
         for f in ("k", "omega_hat", "b0", "bz", "omega_rf", "theta0"):
             try:
@@ -90,6 +90,8 @@ class ControlParams:
                 raise ValueError(f"invalid {f} {data[f]!r}") from None
             if not math.isfinite(values[f]):
                 raise ValueError(f"non-finite {f}")
+        if values["omega_hat"] <= 0:  # energy_shell's rule: the scale of the fixed-energy shell is positive
+            raise ValueError(f"omega_hat must be positive, got {values['omega_hat']:g}")
         return cls(**values)
 
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import ControlParams, energy_shell
-from .dynamics import MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
+from .dynamics import _WINDOW_ROWS, MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
 
 PI = math.pi
 
@@ -198,13 +198,13 @@ def closed_form_params(
     (b0, theta0) and (-b0, theta0 + pi) give the same field, so r and r + 1
     cover it, and r + 2 repeats r.  Energy-consistent by construction; whether
     the b, d boundary equations hold at a given omega_hat is measured by
-    consistency_scan, not assumed.  An array omega_hat gives array-valued b0,
-    omega_rf and theta0.
+    consistency_scan, not assumed.  Array omega_hat and labels broadcast: b0
+    takes omega_hat's shape, omega_rf and theta0 that with their labels'.
     """
     if np.any(np.square(omega_hat) <= 2.0):
         raise ValueError(f"omega_hat^2 must exceed 2, got {np.min(np.square(omega_hat)):.6g}")
     for name, s in (("k_sign", k_sign), ("omega_sign", omega_sign), ("theta_sign", theta_sign)):
-        if s not in (1, -1):
+        if np.any(np.abs(s) != 1):
             raise ValueError(f"{name} must be +1 or -1")
     root = np.sqrt(np.square(omega_hat) - 2.0)
     return ControlParams(
@@ -332,10 +332,13 @@ class ScanResult:
 SCAN_SAMPLES = 4001
 MAX_SCALES = 10_000  # a scan range may end above at most this many consistent scales
 MAX_LABEL = 1000  # sweep_tau builds (label_max + 1)(label_max + 2)/2 rows: 501,501 and about 160 MB at this bound
-# one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi
-_SCAN_BRANCHES = tuple(
-    {"omega_sign": os_, "theta_sign": ts, "r": r} for os_ in (1, -1) for ts in (1, -1) for r in (0, 1)
-)
+# one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi; the labels on three
+# axes, omega_sign x theta_sign x r, broadcast against the scales on the last
+_SCAN_BRANCHES = {
+    "omega_sign": np.array([1, -1])[:, None, None, None],
+    "theta_sign": np.array([1, -1])[:, None, None],
+    "r": np.array([0, 1])[:, None],
+}
 
 
 def consistency_scan(
@@ -372,10 +375,11 @@ def consistency_scan(
         return np.abs(c.b - b_target), np.abs(c.d)
 
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
-    # best over the branches; fmin passes over a NaN branch
-    residuals = np.full(samples, math.inf)
-    for branch in _SCAN_BRANCHES:
-        residuals = np.fmin(residuals, np.maximum(*branch_residuals(omegas, branch)))
+    residuals = np.empty(samples)
+    for lo in range(0, samples, _WINDOW_ROWS):  # all eight branches of a window at once, each temporary 128 KB
+        worst = np.maximum(*branch_residuals(omegas[lo : lo + _WINDOW_ROWS], _SCAN_BRANCHES))
+        # best over the branches; fmin passes over a NaN branch
+        residuals[lo : lo + _WINDOW_ROWS] = np.fmin.reduce(worst.reshape(8, -1), axis=0, initial=math.inf)
 
     scales, branch = consistent_scale(np.arange(math.floor(top) + 1))
     res_b, res_d = branch_residuals(scales, branch)

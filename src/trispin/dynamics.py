@@ -290,10 +290,21 @@ def integral_generator(p: ControlParams, tau) -> np.ndarray:
     return tau[..., None, None, None] * static_generator(p) + p.b0 * (int_cos * MC + int_sin * MS)
 
 
+# flat indices of the Hodge dual of a 4x4 skew a: (*a)[i, j] = a[k, l], (i, j, k, l) an even permutation
+_DUAL = [0, 11, 13, 6, 14, 5, 3, 8, 7, 12, 10, 1, 9, 2, 4, 15]
+
+
 def expm_skew(a: np.ndarray) -> np.ndarray:
-    """exp(a) of real skew-symmetric generators, shape (..., n, n), from eigh of the Hermitian 1j*a."""
-    ev, vec = np.linalg.eigh(1j * np.asarray(a, dtype=float))
-    return ((vec * np.exp(-1j * ev)[..., None, :]) @ vec.conj().swapaxes(-1, -2)).real
+    """exp(a) of real skew-symmetric generators, shape (..., 4, 4), in closed form by so(4) = su(2) + su(2).
+
+    The self-dual and anti-self-dual parts h_pm = (a +- *a)/2 commute and h_pm^2 = -t_pm^2 I, t_pm^2 = |h_pm|_F^2/4,
+    so exp(a) = (cos t_+ I + sinc t_+ h_+)(cos t_- I + sinc t_- h_-); a's rotation angles are t_+ +- t_-."""
+    a = np.asarray(a, dtype=float)
+    dual = a.reshape(a.shape[:-2] + (16,))[..., _DUAL].reshape(a.shape)
+    h = 0.5 * np.stack([a + dual, a - dual])
+    t = 0.5 * np.sqrt(np.sum(h * h, axis=(-2, -1)))[..., None, None]
+    factor = np.cos(t) * np.eye(4) + sinc(t) * h
+    return factor[0] @ factor[1]
 
 
 def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:

@@ -67,7 +67,7 @@ from trispin.algebra import (
     energy_shell,
     transverse_amplitude,
 )
-from trispin.boundary import ROOT_STEP, _SCAN_BRANCHES, consistency_scan, consistent_scale, invert_to_physical
+from trispin.boundary import ROOT_STEP, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
     _BLOCK_STEPS,
     MB,
@@ -320,12 +320,16 @@ def branch_residual_by_math(omega_hat, k_sign, branch, tau_star, b_target):
     return abs(-2.0 * b0 * int_sin - b_target), abs(2.0 * b0 * int_cos)
 
 
+# the scan's eight labels omega_sign x theta_sign x r, in the order of its axes
+SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t in (1, -1) for r in (0, 1)]
+
+
 def scan_by_loop(omegas, k_sign):
     """Per-sample best max(|b - b_target|, |d|) over the branches and its branch; the first branch wins ties."""
     best, best_branch = [], []
     for w in omegas:
-        res, br = math.inf, _SCAN_BRANCHES[0]
-        for branch in _SCAN_BRANCHES:
+        res, br = math.inf, SCAN_LABELS[0]
+        for branch in SCAN_LABELS:
             r = max(branch_residual_by_math(float(w), k_sign, branch, TAU_STAR, -math.pi * k_sign))
             if r < res:
                 res, br = r, branch
@@ -412,20 +416,49 @@ def _skew_stack(rng, n, scale):
     return a - a.swapaxes(-1, -2)
 
 
-@pytest.mark.parametrize("case", ["random", "zero", "planar_rotation"])
+def _so4_generator(x, y):
+    """4x4 skew generators h_+ + h_- with self-dual part h_+ of components x and anti-self-dual part h_- of y.
+
+    h_pm has (0,1), (0,2), (0,3) entries x or y and (2,3), (3,1), (1,2) entries +-x or +-y, and
+    h_pm^2 = -|x|^2 I or -|y|^2 I: the rotation angles are |x| + |y| and ||x| - |y||."""
+    a = np.zeros(np.shape(x)[:-1] + (4, 4))
+    for v, sign in ((np.asarray(x), 1.0), (np.asarray(y), -1.0)):
+        for m, (i, j), (k, l) in zip(range(3), ((0, 1), (0, 2), (0, 3)), ((2, 3), (3, 1), (1, 2))):
+            a[..., i, j] += v[..., m]
+            a[..., k, l] += sign * v[..., m]
+    return a - a.swapaxes(-1, -2)
+
+
+def expm_reference(a):
+    """scipy's expm at a / 2^s of 2-norm at most 1, squared s times; at a 2-norm of 160, expm(a) is itself 5e-13 off."""
+    s = max(0, math.ceil(math.log2(max(np.linalg.norm(a, 2), 1.0))))
+    return np.linalg.matrix_power(expm(a / 2**s), 2**s)
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "planar_rotation", "self_dual", "equal_parts", "scale_30"])
 def test_expm_skew_matches_per_matrix_expm(case):
+    """Against scipy's expm; self_dual has h_- = 0 (its two angles are equal), equal_parts has t_+ = t_- (one angle 0)."""
     rng = np.random.default_rng(11)
     if case == "random":
         gens = np.concatenate([_skew_stack(rng, 8, 0.3), _skew_stack(rng, 8, 3.0)])
     elif case == "zero":
         gens = np.zeros((3, 4, 4))
-    else:
+    elif case == "planar_rotation":
         gens = np.zeros((4, 4, 4))
         for i, angle in enumerate((0.1, math.pi / 2, math.pi, 7.5)):
             gens[i, 0, 1], gens[i, 1, 0] = -angle, angle
+    elif case == "self_dual":
+        gens = _so4_generator(rng.uniform(-3.0, 3.0, (8, 3)), np.zeros((8, 3)))
+    elif case == "equal_parts":
+        x, y = rng.standard_normal((2, 8, 3))
+        gens = _so4_generator(x, y * (np.linalg.norm(x, axis=1) / np.linalg.norm(y, axis=1))[:, None])
+    else:
+        gens = _skew_stack(rng, 8, 30.0)
     batched = expm_skew(gens)
     assert batched.shape == gens.shape
-    assert max(np.max(np.abs(u - expm(a))) for u, a in zip(batched, gens)) <= 1e-13
+    assert max(np.max(np.abs(u - expm_reference(a))) for u, a in zip(batched, gens)) <= 1e-13
+    assert np.max(np.abs(batched @ batched.swapaxes(-1, -2) - np.eye(4))) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(batched) - 1.0)) <= 1e-14
 
 
 def discrepancy_per_sign(p, taus):

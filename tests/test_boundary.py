@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -30,6 +31,8 @@ from trispin.dynamics import integral_generator, phase_integrals, sinc
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
+# the scan's eight labels omega_sign x theta_sign x r, in the order of its axes
+SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t in (1, -1) for r in (0, 1)]
 
 # independent oracle for the consistent energy scale: the closed-form constants
 # reproduce b = -pi*k exactly when sqrt(3)*sqrt(omega_hat^2-2)/2 hits pi/2,
@@ -138,6 +141,33 @@ def test_derived_quantities_angle_labels_on_grid():
                 (_, _, z_p, _), (_, _, _, w_m) = derived_quantities(c)
                 assert abs(z_p - 0.5 * PI * (2 * n + 1)) < 1e-12
                 assert abs(w_m - 0.5 * PI * (2 * m + 1)) < 1e-12
+
+
+# the Levi-Civita symbol of four indices: the Hodge dual of a 4x4 skew a is (*a)_ij = eps_ijkl a_kl / 2
+EPS4 = np.zeros((4,) * 4)
+for _perm in itertools.permutations(range(4)):
+    EPS4[_perm] = np.linalg.det(np.eye(4)[list(_perm)])
+
+
+def so4_angles(a):
+    """(t_+ + t_-, |t_+ - t_-|), the rotation angles of 4x4 skew generators a, t_pm = |h_pm|_F/2, h_pm = (a +- *a)/2."""
+    dual = 0.5 * np.einsum("ijkl,...kl->...ij", EPS4, a)
+    t_plus, t_minus = (0.25 * np.linalg.norm(a + sign * dual, axis=(-2, -1)) for sign in (1.0, -1.0))
+    return t_plus + t_minus, np.abs(t_plus - t_minus)
+
+
+def random_constants(count, seed=2024):
+    return [BoundaryConstants(*v) for v in np.random.default_rng(seed).uniform(-8.0, 8.0, (count, 5))]
+
+
+def test_derived_angles_are_the_so4_angles_of_the_generators():
+    """Z_pm of A_+ and W_pm of A_- are t_+ +- t_- of their self-dual and anti-self-dual parts."""
+    labels = [analytic_family(m0, n0, t) for t in TRANSFER_COLUMNS for m0 in range(8) for n0 in range(m0, 8)]
+    for c in labels + random_constants(2000):
+        (_, _, z_p, z_m), (_, _, w_p, w_m) = derived_quantities(c)
+        larger, smaller = so4_angles(generator_from_constants(c))
+        assert np.all(np.abs(larger - [z_p, w_p]) <= 1e-12 * larger)
+        assert np.all(np.abs(smaller - [z_m, w_m]) <= 1e-12 * larger)
 
 
 def test_derived_quantities_zero_constants():
@@ -435,6 +465,31 @@ def test_exp_boundary_grid():
                 e4 = np.array([0, 0, 0, 1.0])
                 assert np.max(np.abs(col_plus - e4)) < 1e-10
                 assert np.max(np.abs(col_minus + e4)) < 1e-10
+
+
+def scaled_column_deviations(c):
+    """D (col - target): col the entries (1, 3, 2, 4) of the first columns of exp[A_+] and exp[A_-], + then - each,
+    target those of +e4 and -e4, D = diag(-2s+, -2s-, 2s+/a, 2s-/a, s+/a, s-/a, s+/a, s-/a), s_pm = sqrt(Delta_pm)."""
+    (_, s_p, _, _), (_, s_m, _, _) = derived_quantities(c)
+    d = np.array([-2 * s_p, -2 * s_m, 2 * s_p / c.a, 2 * s_m / c.a, s_p / c.a, s_m / c.a, s_p / c.a, s_m / c.a])
+    col = np.stack(exp_boundary_check(c), axis=1)[[0, 2, 1, 3]].reshape(8)
+    return d, d * (col - np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0]))
+
+
+def test_boundary_equations_are_scaled_column_deviations():
+    """The eight equations are D (col - target) wherever a != 0, not only at the labels, where each term is 0."""
+    rng = np.random.default_rng(7)
+    near_zero_a = [replace(c, a=a) for c in random_constants(100, seed=8) for a in (1e-3, 1e-6, -1e-9)]
+    near_labels = [
+        BoundaryConstants(*(np.array([c.a, c.b, c.c_plus, c.c_minus, c.d]) + rng.uniform(-1e-6, 1e-6, 5)))
+        for t in TRANSFER_COLUMNS
+        for m0 in range(4)
+        for n0 in range(m0, 4)
+        for c in [analytic_family(m0, n0, t)] * 10
+    ]
+    for c in random_constants(2000) + near_zero_a + near_labels:
+        d, want = scaled_column_deviations(c)
+        assert np.all(np.abs(boundary_residuals(c) - want) <= 1e-14 * np.maximum(1.0, np.abs(d)))
 
 
 # --- analytic family -------------------------------------------------------------
@@ -741,9 +796,10 @@ def test_scan_rejects_a_range_with_too_many_scales():
 @pytest.mark.parametrize("k_sign", [1, -1])
 @pytest.mark.parametrize("omega_hat", [1.6, 2.7, 4.5])
 def test_scan_branches_are_distinct_controls(k_sign, omega_hat):
-    assert len(_SCAN_BRANCHES) == 8
+    labels = np.broadcast_arrays(*(_SCAN_BRANCHES[key] for key in ("omega_sign", "theta_sign", "r")))
+    assert [dict(zip(("omega_sign", "theta_sign", "r"), map(int, v))) for v in zip(*map(np.ravel, labels))] == SCAN_LABELS
     kept = []
-    for branch in _SCAN_BRANCHES:
+    for branch in SCAN_LABELS:
         p = closed_form_params(omega_hat, k_sign=k_sign, **branch)
         kept.append(_field(p.b0, p.omega_rf, p.theta0, FIELD_TAUS))
     # the closed form with a free sign of b0 and r in {0, 1, 2}: 24 labels, three per control
@@ -779,6 +835,57 @@ def test_scan_residual_recorded_at_three():
     i = int(np.argmin(np.abs(scan.omegas - 3.0)))
     assert np.isfinite(scan.residuals[i])
     assert scan.residuals[i] > 1e-9  # 3.0 is not a consistent scale
+
+
+def scan_by_branch(omega_lo, omega_hi, k_sign, samples):
+    """(residuals, consistent) of the scan before its window pass: one branch over every sample at a time."""
+    tau_star, b_target = transfer_time(0, 0), -PI * k_sign
+
+    def branch_residuals(w, branch):
+        c = abcd_from_physical(closed_form_params(w, k_sign=k_sign, **branch), tau_star)
+        return np.abs(c.b - b_target), np.abs(c.d)
+
+    omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
+    residuals = np.full(samples, math.inf)
+    for branch in SCAN_LABELS:
+        residuals = np.fmin(residuals, np.maximum(*branch_residuals(omegas, branch)))
+    top = (math.sqrt(3.0 * (omega_hi * omega_hi - 2.0)) / PI + 1.0) / 2.0
+    scales, branch = consistent_scale(np.arange(math.floor(top) + 1))
+    res_b, res_d = branch_residuals(scales, branch)
+    kept = (omega_lo < scales) & (scales <= omega_hi) & (np.maximum(res_b, res_d) <= 1e-9)
+    consistent = [
+        (float(scales[i]), float(res_b[i]), float(res_d[i]), {**branch, "r": int(branch["r"][i])})
+        for i in np.flatnonzero(kept)
+    ]
+    return residuals, consistent
+
+
+# windows of dynamics._WINDOW_ROWS = 2,048 samples: one partial, one whole, one whole and one sample, and more
+@pytest.mark.parametrize("k_sign", [1, -1])
+@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4001, 20000])
+def test_scan_windows_equal_the_per_branch_loop_bitwise(k_sign, samples):
+    scan = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=samples)
+    residuals, consistent = scan_by_branch(1.5, 6.0, k_sign, samples)
+    assert scan.residuals.tobytes() == residuals.tobytes()
+    assert [(c.omega_hat, c.residual_b, c.residual_d, c.branch) for c in scan.consistent] == consistent
+    assert len(consistent) == 2
+
+
+@pytest.mark.parametrize("k_sign", [1, -1])
+def test_closed_form_params_array_labels_equal_scalar_labels_bitwise(k_sign):
+    w = np.linspace(1.5, 6.0, 37)
+    p = closed_form_params(w, k_sign=k_sign, **_SCAN_BRANCHES)
+    rates, phases = (np.broadcast_to(v, (2, 2, 2, len(w))).reshape(8, -1) for v in (p.omega_rf, p.theta0))
+    for i, branch in enumerate(SCAN_LABELS):
+        q = closed_form_params(w, k_sign=k_sign, **branch)
+        assert p.b0.tobytes() == q.b0.tobytes()
+        assert rates[i].tobytes() == q.omega_rf.tobytes() and phases[i].tobytes() == q.theta0.tobytes()
+
+
+@pytest.mark.parametrize("labels", [{"omega_sign": np.array([1, 0])}, {"theta_sign": np.array([[-1], [2]])}])
+def test_closed_form_params_rejects_a_label_array_off_plus_minus_one(labels):
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        closed_form_params(2.7, **labels)
 
 
 # --- sweep -----------------------------------------------------------------------------

@@ -696,6 +696,18 @@ def test_propagate_rejects_non_finite_text_params(tmp_path, capsys):
     assert err == f"error: parameter file {pf} has non-finite omega_hat\n"
 
 
+@pytest.mark.parametrize("omega_hat", [-2.0, 0.0])
+def test_propagate_refuses_a_scale_that_is_not_positive(tmp_path, capsys, omega_hat):
+    # the parameter file of the CI propagate steps, but for omega_hat: energy_shell's rule holds for a file too
+    params = {"k": 1.0, "omega_hat": omega_hat, "b0": 1.0, "bz": 1.0, "omega_rf": 2.0, "theta0": 0.0}
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    out = tmp_path / "x.csv"
+    code, stdout, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: parameter file {pf} has omega_hat must be positive, got {omega_hat:g}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

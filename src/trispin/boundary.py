@@ -107,6 +107,12 @@ def boundary_residuals(c: BoundaryConstants) -> np.ndarray:
     return _residual_system(c, derived_quantities(c))
 
 
+def column_deviations(c: BoundaryConstants) -> np.ndarray:
+    """r / D of r = D·(col - target) (README), a != 0: the column deviations, which, unlike r, do not grow with the label."""
+    s = np.array([half[1] for half in derived_quantities(c)])  # sqrt(Delta_pm)
+    return boundary_residuals(c) / np.concatenate([-2.0 * s, 2.0 * s / c.a, s / c.a, s / c.a])
+
+
 def generator_from_constants(c: BoundaryConstants) -> np.ndarray:
     """Final-time generators A_pm = (a*MB + c_pm*MZ + d*MC - b*MS)/2, the integral_generator in the constants, shape (2, 4, 4)."""
     c_pm = np.array([c.c_plus, c.c_minus])[:, None, None]

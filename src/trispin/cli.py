@@ -25,7 +25,7 @@ from .boundary import (
     TRANSFER_COLUMNS,
     abcd_from_physical,
     analytic_family,
-    boundary_residuals,
+    column_deviations,
     consistency_scan,
     consistent_scale,
     invert_to_physical,
@@ -111,7 +111,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     constants = analytic_family(args.m0, args.n0, args.target)
     tau_star = transfer_time(args.m0, args.n0)
     # the scalar boundary system is written for x8, so it is evaluated at the x8 constants
-    residuals = boundary_residuals(analytic_family(args.m0, args.n0))
+    residuals = column_deviations(analytic_family(args.m0, args.n0))
     record = {
         "m0": args.m0,
         "n0": args.n0,

@@ -70,14 +70,14 @@ _JOIN = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])[:, None, :, None, None]
 
 
 def static_generator(p: ControlParams) -> np.ndarray:
-    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase, shape (2, 4, 4), + first."""
-    return MB + (p.bz + _PM * p.k) * MZ
+    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase, shape np.shape(bz) + (2, 4, 4), + first."""
+    return MB + (np.asarray(p.bz, dtype=float)[..., None, None, None] + _PM * p.k) * MZ
 
 
 def build_M_half(p: ControlParams, tau) -> np.ndarray:
     """Decoupled generators M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS), shape np.shape(tau) + (2, 4, 4)."""
     th = p.theta(np.asarray(tau, dtype=float))[..., None, None, None]
-    return static_generator(p) + p.b0 * (np.cos(th) * MC + np.sin(th) * MS)
+    return static_generator(p) + np.asarray(p.b0, dtype=float)[..., None, None, None] * (np.cos(th) * MC + np.sin(th) * MS)
 
 
 def build_M(p: ControlParams, tau) -> np.ndarray:
@@ -317,7 +317,8 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray |
 
 
 def rotating_generator(p: ControlParams) -> np.ndarray:
-    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape np.shape(p.omega_rf) + (2, 4, 4)."""
+    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (the broadcast of bz, b0, omega_rf) + (2, 4, 4);
+    each control of a stack keeps its bits, and one ``mode_table`` (one eigh) takes 9 of the search's (bz, omega_rf) pairs."""
     return build_M_half(p, 0.0) - np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J
 
 
@@ -326,7 +327,7 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     That is exp[tau (M_pm(0) - omega_rf J)] y0 before the frame turn exp(omega_rf*tau*J), y0 of shape (2, 4) or
     (2, 4, m), both halves + first, joined: the table's halves axis holds x_plus, x_minus = (y_+ +- y_-)/2, so
-    from y0 = split_halves(x0) it gives the 8-vector.  An array-valued p.omega_rf prepends its shape to both.  eigh
+    from y0 = split_halves(x0) it gives the 8-vector.  Array-valued bz, b0 or omega_rf prepend their shape to both.  eigh
     of the Hermitian 1j*gen gives a unitary basis vec even at degenerate spectra, where eig can give a singular one,
     and each half's rates as (-w1, -w2, w2, w1), gen being real and skew.  Mode m of half h carries T_m = vec[:, m]
     (vec[:, m]^H y0_h); modes m = 2, 3 at w = ev_m and m' = 3 - m at -w give Re(T_m + T_m') cos(w*tau) +
@@ -382,9 +383,9 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: flo
     if not on_grid:
         return _Rows(rows)
     starts, block = taus[:-1:_BLOCK_STEPS], taus[:-1][:_BLOCK_STEPS]
-    c, s = (v[..., None] for v in trig(block))
-    t_c, t_s = table[..., None, :4, :], table[..., None, 4:, :]
-    maps = np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-2)
+    c, s = (np.swapaxes(v, -1, -2)[..., None, :] for v in trig(block))  # (lead, 4, 1, b): inner loops over 32 taus, not 8 columns
+    t_c, t_s = table[..., :4, :, None], table[..., 4:, :, None]
+    maps = np.moveaxis(np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-3), -1, -3)  # (lead, b, 8, width)
     turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
     return _Rows(rows, _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn)
 

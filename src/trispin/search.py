@@ -3,7 +3,7 @@
 The search space is the energy shell of the rotating drive: (bz, omega_rf)
 free, b0 fixed by the energy constraint, and theta0 a gauge read off the state
 from e1.  Every search minimizes one objective, the first crossing of the
-theta0-best target value on ``dynamics.mode_states`` (``_first_crossing``).
+theta0-best target value, solved by ``_first_crossing`` on the mode table.
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 
@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from .dynamics import _time_grid, mode_states, mode_table, split_halves
 
-_CHUNK_STEPS = 4096  # (omega_rf, tau) rows per block of grid_search
+_CHUNK_STEPS = 4096  # (pair, tau) rows per block of grid_search
 _Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
@@ -72,20 +72,23 @@ def _axis(bounds: dict, name: str, resolution: int) -> np.ndarray:
 def _best_over_theta0(modes: tuple, taus) -> np.ndarray:
     """The largest value of each component over theta0 at taus, shape s + np.shape(taus) + (8,).
 
-    modes is the ``mode_table`` from e1 of a control, or of an omega_rf block with leading
-    shape s, and theta0 a gauge only from e1.  R = exp(theta0*J) turns the drive,
-    M_pm(tau; theta0) = R M_pm(tau; 0) R^T, and fixes e1, so y_pm(tau; theta0) =
-    R y_pm(tau; 0): with c, s = cos, sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 + c*x4
-    (x6, x8 alike), and x1, x3, x5, x7 do not change.  So the best x2 and the best x4
-    are both hypot(x2, x4).  The frame rotation is such a turn, by omega_rf*tau:
-    the best values are read off the co-rotating state, ``dynamics.mode_states`` without
-    the turn, and ``_best_theta0`` turns it only to read theta0.
+    modes is the ``mode_table`` from e1 of a control, or of a block of them with leading shape s; from e1
+    theta0 is a gauge.  R = exp(theta0*J) turns the drive, M_pm(tau; theta0) = R M_pm(tau; 0) R^T, and fixes
+    e1, so y_pm(tau; theta0) = R y_pm(tau; 0): with c, s = cos, sin(theta0), x2 -> c*x2 - s*x4 and x4 -> s*x2 +
+    c*x4 (x6, x8 alike), and x1, x3, x5, x7 stay.  So the best x2 and x4 are both hypot(x2, x4).  The frame
+    turn by omega_rf*tau is such a turn: the co-rotating ``mode_states`` serve, turned only to read theta0.
     """
     table, w = modes
     taus = np.asarray(taus, dtype=float)
     x = mode_states(table, w, taus).reshape(w.shape[:-1] + taus.shape + (8,))
     x[..., 1::4] = x[..., 3::4] = np.hypot(x[..., 1::4], x[..., 3::4])  # (x2, x6) and (x4, x8)
     return x
+
+
+def _state(modes: tuple, tau: float) -> np.ndarray:
+    """The co-rotating 8-vector at one tau in one gemv, with the bits of the single-tau ``mode_states`` (4.5 against 15 us)."""
+    table, phase = modes[0], modes[1] * tau
+    return np.concatenate([np.cos(phase), np.sin(phase)]) @ table.reshape(8, 8)
 
 
 def _best_theta0(modes: tuple, tau: float, omega_rf: float, j: int) -> float:
@@ -106,29 +109,39 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be positive, got {threshold}")
 
 
-def _first_crossing(
-    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray, sign: float = 1.0
-) -> tuple[float, ControlParams] | None:
-    """(tau, p at the best theta0 there) where sign*best[:, j] first reaches threshold; None if it never does.
+def _target_values(modes: tuple, j: int, taus: np.ndarray) -> np.ndarray:
+    """The theta0-best x_j at taus off only the table's columns of x_j and of its theta0 partner, x4, x2, x8, x6 for x2..x8."""
+    cols, phase = modes[0].reshape(8, 8)[:, [j & ~2, j | 2] if j % 2 else [j]], modes[1] * taus[:, None]
+    x = np.concatenate([np.cos(phase), np.sin(phase)], axis=1) @ cols
+    return np.hypot(x[:, 0], x[:, 1]) if j % 2 else x[:, 0]
 
-    modes is a ``mode_table`` from e1 of a theta0 = 0 control, best =
-    _best_over_theta0(modes, taus), and p that control or, with sign -1 and j
-    x5 or x7, its mirror (bz, omega_rf) -> (-bz, -omega_rf), whose x_j is -x_j
-    (module docstring; theta0 moves neither).  brentq solves the crossing on the same
-    table in the grid interval holding the first hit; its ends keep their grid
-    values, since a single-tau evaluation may differ from a batched row in the last bits.
+
+def _first_crossing(
+    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray | None = None, sign: float = 1.0
+) -> tuple[float, ControlParams] | None:
+    """(tau, p at the best theta0 there) where sign times the theta0-best x_j first reaches threshold; None if never.
+
+    modes is a ``mode_table`` from e1 of a theta0 = 0 control, and p that control or, with sign -1 and j x5 or x7,
+    its mirror (bz, omega_rf) -> (-bz, -omega_rf), whose x_j is -x_j (module docstring; theta0 moves neither).
+    best is x_j on taus, as a grid search has it, or else ``_target_values`` on taus.  brentq solves the crossing
+    in the grid interval of the first hit on the scalar theta0-best x_j off ``_state``, which has the bits of the
+    single-tau ``_best_over_theta0``; the bracket's ends keep their grid values, which it may miss in the last bits.
     """
-    hits = np.nonzero(sign * best[:, j] >= threshold)[0]
+    x = _target_values(modes, j, taus) if best is None else best
+    hits = np.flatnonzero(sign * x >= threshold)
     if len(hits) == 0:
         return None
     i = int(hits[0])
     if i == 0:  # the state is e1, whatever theta0
         return 0.0, p
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
-    ends = {float(taus[i - 1]): sign * best[i - 1, j] - threshold, float(taus[i]): sign * best[i, j] - threshold}
+    ends = {float(taus[i - 1]): sign * x[i - 1] - threshold, float(taus[i]): sign * x[i] - threshold}
 
     def gap(tau: float) -> float:
-        return ends[tau] if tau in ends else sign * _best_over_theta0(modes, tau)[j] - threshold
+        if tau in ends:
+            return ends[tau]
+        y = _state(modes, tau)
+        return sign * (np.hypot(y[j & ~2], y[j | 2]) if j % 2 else y[j]) - threshold
 
     tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
     return float(tau), replace(p, theta0=_best_theta0(modes, tau, p.omega_rf, j))
@@ -139,15 +152,12 @@ def min_time_to_target(
 ) -> tuple[float, ControlParams] | None:
     """(tau, p at the best theta0 there) of the first crossing of the theta0-best x_target; None if never reached.
 
-    p.theta0 is ignored (from e1 it is a gauge).  The crossing is bracketed on
-    _time_grid(tau_max, dtau); a threshold above 1 is simply unreachable.
+    p.theta0 is ignored (from e1 it is a gauge).  The crossing is bracketed on _time_grid(tau_max, dtau) off the
+    target's columns, 0.24 ms on the search's 410 taus (``_first_crossing``); a threshold above 1 is unreachable.
     """
     _check_threshold(threshold)
-    j = _target_index(target)
-    taus = _time_grid(tau_max, dtau)
-    p = replace(p, theta0=0.0)
-    modes = mode_table(p, _Y1)
-    return _first_crossing(p, modes, j, threshold, taus, _best_over_theta0(modes, taus))
+    j, taus, p = _target_index(target), _time_grid(tau_max, dtau), replace(p, theta0=0.0)
+    return _first_crossing(p, mode_table(p, _Y1), j, threshold, taus)
 
 
 def grid_search(
@@ -165,14 +175,13 @@ def grid_search(
     Deterministic for fixed inputs; a control between grid nodes is not seen.  Only
     the bz rows from the centre row up are evaluated (not bz >= 0: the centre node may
     read +-4.4e-16), on the whole omega_rf axis, so the mirror of every other node is
-    among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  Each
-    on-shell bz row of omega_rf is taken in blocks of at most _CHUNK_STEPS
-    (omega_rf, tau) rows, one omega_rf at least: one ``mode_table`` (one eigh call)
-    and one ``_best_over_theta0`` pass per block.  Peaks and crossings stay per
-    (bz, omega_rf) pair: every reported params/tau pair carries the best theta0 there,
-    and each pair's crossing is solved on the bracket its own grid rows give
-    (``_first_crossing``), as ``min_time_to_target`` does.  bz values outside the
-    energy shell are skipped (no real transverse amplitude there); an omega_hat at or
+    among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The
+    on-shell (bz, omega_rf) pairs, row by row, are taken in blocks of _CHUNK_STEPS (pair, tau)
+    rows, one pair at least: one ``mode_table`` (one eigh) and one ``_best_over_theta0`` pass
+    per block, 64 blocks on the benchmark's grids (81 by bz row).  argmax and argmin find a
+    block's peaks, the first of equal ones as a loop would, and its crossing pairs, solved on
+    their grid rows (``_first_crossing``); only those and new peaks get a ControlParams.  bz
+    off the energy shell is skipped (no real transverse amplitude there); an omega_hat at or
     below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not
     positive are ValueErrors.  The result also records the largest value of every
     component x1..x8 seen, reached or not, so one pass also bounds the components it
@@ -188,40 +197,39 @@ def grid_search(
     taus = _time_grid(tau_max, dtau)
     idx = _target_index(target)
     rf_axis = _axis(bounds, "omega_rf", resolution)
-    width = max(1, _CHUNK_STEPS // len(taus))  # omega_rf values per block
+    rows = [bz for bz in _axis(bounds, "bz", resolution)[resolution // 2 :] if bz**2 <= shell]
+    b0, bz = (np.repeat(v, len(rf_axis)) for v in ([transverse_amplitude(omega_hat, k, v) for v in rows], rows))
+    rf, width = np.tile(rf_axis, len(rows)), max(1, _CHUNK_STEPS // len(taus))  # the pairs, row by row; per block
+    signs, mirrored = (1.0, -1.0)[: 1 + (target in _MIRRORED)], [x in _MIRRORED for x in COMPONENT_INDEX]
 
-    best_tau = math.inf
-    best_params: ControlParams | None = None
-    peaks = {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
-    landscape: list = []
-    for row, bz in enumerate(_axis(bounds, "bz", resolution)[resolution // 2 :]):
-        if bz**2 > shell:
-            continue
-        b0 = transverse_amplitude(omega_hat, k, bz)
-        for start in range(0, len(rf_axis), width):
-            block = rf_axis[start : start + width]
-            tables, rates = mode_table(ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0), _Y1)
-            bests = _best_over_theta0((tables, rates), taus)
-            for omega_rf, modes, best in zip(block, zip(tables, rates), bests):
-                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
-                mirror = replace(p, bz=-bz, omega_rf=-omega_rf)
-                top, bottom = np.argmax(best, axis=0), np.argmin(best, axis=0)
-                for name, j in COMPONENT_INDEX.items():
-                    i = top[j]
-                    if best[i, j] > peaks[name][0]:
-                        theta0 = _best_theta0(modes, taus[i], omega_rf, j)
-                        peaks[name] = (float(best[i, j]), float(taus[i]), replace(p, theta0=theta0))
-                    i = bottom[j]
-                    if name in _MIRRORED and -best[i, j] > peaks[name][0]:
-                        peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
-                sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in _MIRRORED else [])
-                for side, (q, sign, i) in enumerate(sides):
-                    hit = _first_crossing(q, modes, idx, threshold, taus, best, sign)
-                    if hit and hit[0] < best_tau:
-                        best_tau, best_params = hit
-                    if collect_landscape and (side == 0 or row > 0 or resolution % 2 == 0):  # a centre row holds its mirrors
-                        reached = hit[0] if hit else None
-                        landscape.append((float(q.bz), float(q.omega_rf), reached, float(sign * best[i, idx]), float(taus[i])))
+    def pair(m: int, sign: float) -> ControlParams:  # pair m, or its mirror, at theta0 = 0
+        return ControlParams(k=k, omega_hat=omega_hat, b0=float(b0[m]), bz=sign * bz[m], omega_rf=sign * rf[m], theta0=0.0)
+
+    best_tau, best_params, landscape, peaks = math.inf, None, [], {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
+    for start in range(0, len(bz), width):
+        span = slice(start, start + width)
+        block = ControlParams(k=k, omega_hat=omega_hat, b0=b0[span], bz=bz[span], omega_rf=rf[span], theta0=0.0)
+        tables, rates = mode_table(block, _Y1)
+        best = _best_over_theta0((tables, rates), taus)  # (pairs, taus, 8)
+        ends = best.argmax(axis=1), best.argmin(axis=1)  # (pairs, 8): the peak rows of each pair and of its mirror
+        high, low = (np.take_along_axis(best, end[:, None], axis=1)[:, 0] for end in ends)
+        values = high, np.where(mirrored, -low, -math.inf)  # the peaks of a pair, and of its mirror for x5 and x7
+        candidates = np.stack(values, axis=1).reshape(-1, 8)  # each pair's peaks, then its mirror's
+        first = candidates.argmax(axis=0)  # the first of equal peaks, as a loop over the pairs would take
+        for j in np.flatnonzero(candidates[first, range(8)] > [peak[0] for peak in peaks.values()]):
+            n, side = divmod(first[j], 2)
+            i, q = ends[side][n, j], pair(start + n, (1.0, -1.0)[side])
+            theta0 = 0.0 if side else _best_theta0((tables[n], rates[n]), taus[i], q.omega_rf, j)
+            peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[i]), replace(q, theta0=theta0))
+        x, crosses = best[:, :, idx], np.stack(values[: len(signs)], axis=1)[:, :, idx] >= threshold  # a peak reaches it
+        for n, side in np.ndindex(crosses.shape):  # pair by pair, each before its mirror
+            m, i, sign = start + n, ends[side][n, idx], signs[side]
+            hit = crosses[n, side] and _first_crossing(pair(m, sign), (tables[n], rates[n]), idx, threshold, taus, x[n], sign)
+            if hit and hit[0] < best_tau:
+                best_tau, best_params = hit
+            if collect_landscape and (side == 0 or m >= len(rf_axis) or resolution % 2 == 0):  # a centre row holds its mirrors
+                landscape.append((sign * float(bz[m]), sign * float(rf[m]), hit[0] if hit else None,
+                                  float(sign * x[n, i]), float(taus[i])))
     return SearchResult(
         best_params=best_params,
         best_tau=None if math.isinf(best_tau) else best_tau,

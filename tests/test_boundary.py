@@ -16,6 +16,7 @@ from trispin.boundary import (
     analytic_family,
     boundary_residuals,
     closed_form_params,
+    column_deviations,
     consistency_scan,
     consistent_scale,
     derived_quantities,
@@ -490,6 +491,14 @@ def test_boundary_equations_are_scaled_column_deviations():
     for c in random_constants(2000) + near_zero_a + near_labels:
         d, want = scaled_column_deviations(c)
         assert np.all(np.abs(boundary_residuals(c) - want) <= 1e-14 * np.maximum(1.0, np.abs(d)))
+
+
+def test_column_deviations_are_the_equations_over_their_scales():
+    """r / D is col - target, the quantity the analytic record reports, at generic constants and at the labels."""
+    labels = [analytic_family(m0, n0) for m0 in range(8) for n0 in range(m0, 8)]
+    for c in random_constants(2000) + labels:
+        d, want = scaled_column_deviations(c)
+        assert np.all(np.abs(column_deviations(c) - want / d) <= 1e-14 * np.maximum(1.0, 1.0 / np.abs(d)))
 
 
 # --- analytic family -------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from trispin.boundary import analytic_family, closed_form_params, consistent_scale
+from trispin.boundary import analytic_family, boundary_residuals, closed_form_params, column_deviations, consistent_scale
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER
 from trispin.report import column_gap
@@ -98,6 +98,18 @@ def test_analytic_label_whose_constants_square_past_the_float_range(capsys, zero
     else:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: label (m0, n0) = (0, {n0}) has constants whose squares")
+
+
+@pytest.mark.parametrize("n0", [0, 10**150])
+def test_analytic_boundary_residuals_are_column_deviations(capsys, n0):
+    # residuals.boundary is r / D of r = D (col - target): at (0, 10**150) r itself reads up to 4.8e285
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", str(n0))
+    assert code == 0
+    boundary = json.loads(out)["residuals"]["boundary"]
+    c = analytic_family(0, n0)
+    assert boundary == column_deviations(c).tolist()
+    assert max(abs(v) for v in boundary) <= 1e-15
+    assert (max(abs(v) for v in boundary_residuals(c)) > 1e280) == (n0 > 0)
 
 
 @pytest.mark.parametrize("target", ["x8", "x6"])

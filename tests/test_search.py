@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from trispin import search
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
@@ -69,26 +70,35 @@ def test_min_time_bisection_accuracy():
 
 
 def test_threshold_equal_to_a_grid_value_is_a_crossing():
-    # at a row whose single-tau evaluation falls below its batched value, a
-    # re-evaluated bracket end would lose the sign change; the grid value is kept.
-    # (bz, omega_rf) = (0, 0) is the one node of the default box at resolution 1
+    # at a row whose single-tau evaluation (brentq's) falls below its grid value, a re-evaluated bracket end
+    # would lose the sign change; the grid value is kept.  Each search brackets on its own rows:
+    # min_time_to_target on the target's columns (_target_values), grid_search on the batched rows of
+    # _best_over_theta0.  (bz, omega_rf) = (0, 0) is the one node of the default box at resolution 1
     omega_hat, bz, omega_rf, tau_max, dtau = 2.7, 0.0, 0.0, 3.0 * TAU_STAR, 1e-2
     b0 = transverse_amplitude(omega_hat, 1.0, bz)
     p = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
     taus = _time_grid(tau_max, dtau)  # the grid both searches bracket on
-    modes = mode_table(p, split_halves(E1))  # the searches' own theta0-best values
-    best = _best_over_theta0(modes, taus)[:, 7]
+    modes = mode_table(p, split_halves(E1))
     single = np.array([_best_over_theta0(modes, t)[7] for t in taus])
-    record = np.maximum.accumulate(best)
-    rows = [i for i in range(1, len(taus)) if best[i] > record[i - 1] and single[i] < best[i]]
-    assert rows
-    i = rows[len(rows) // 2]
-    threshold = float(best[i])
-    t, _ = min_time_to_target(p, "x8", threshold, tau_max=tau_max, dtau=dtau)
-    assert t == taus[i]
-    res = grid_search(omega_hat, 1.0, resolution=1, threshold=threshold, tau_max=tau_max, dtau=dtau)
-    assert res.best_tau == taus[i]
 
+    def threshold_at_a_kept_end(grid):  # a new record of grid whose single-tau value reads below it
+        record = np.maximum.accumulate(grid)
+        found = [i for i in range(1, len(taus)) if grid[i] > record[i - 1] and single[i] < grid[i]]
+        assert found
+        return found[len(found) // 2]
+
+    rows = search._target_values(modes, 7, taus)
+    i = threshold_at_a_kept_end(rows)
+    t, _ = min_time_to_target(p, "x8", float(rows[i]), tau_max=tau_max, dtau=dtau)
+    assert t == taus[i]
+    best = _best_over_theta0(modes, taus)[:, 7]
+    i = threshold_at_a_kept_end(best)
+    res = grid_search(omega_hat, 1.0, resolution=1, threshold=float(best[i]), tau_max=tau_max, dtau=dtau)
+    assert res.best_tau == taus[i]
+    # a threshold equal to the peak is reached, at the peak's first row
+    assert min_time_to_target(p, "x8", float(rows.max()), tau_max=tau_max, dtau=dtau)[0] == taus[np.argmax(rows)]
+    res = grid_search(omega_hat, 1.0, resolution=1, threshold=float(best.max()), tau_max=tau_max, dtau=dtau)
+    assert res.best_tau == taus[np.argmax(best)]
 
 
 @pytest.mark.parametrize(
@@ -148,8 +158,8 @@ def _grid():
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_omega_rf_blocks_do_not_change_the_grid(monkeypatch, width):
-    # at the default block size the row of 7 omega_rf values is one block;
-    # here it splits into blocks of width values, the last one partial
+    # at the default block size the 3 rows of 7 pairs are one block; here they split into blocks of
+    # width pairs, which straddle the bz rows for widths 2 and 3, and with width 2 the last is partial
     whole = _grid()
     rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
     monkeypatch.setattr(search, "_CHUNK_STEPS", width * rows + rows - 1)
@@ -314,3 +324,166 @@ def test_grid_peaks_match_single_target_searches():
     for target in res.peaks:
         single = grid_search(OMEGA, 1.0, target=target, resolution=3, threshold=0.9, dtau=5e-2)
         assert single.peaks == res.peaks
+
+
+# --- grid_search's pair blocks against the per-pair loop they replaced -----------------------------------
+
+
+def bits(v):
+    """v with every float written as its hex string, so that == compares bit for bit."""
+    if dataclasses.is_dataclass(v):
+        return bits(dataclasses.astuple(v))
+    if isinstance(v, (tuple, list)):
+        return tuple(bits(x) for x in v)
+    if isinstance(v, dict):
+        return {key: bits(x) for key, x in v.items()}
+    return float(v).hex() if isinstance(v, float) else v
+
+
+def crossing_by_pair(p, modes, j, threshold, taus, best, sign):
+    """search._first_crossing before the column reader: brentq on the single-tau _best_over_theta0 rows."""
+    hits = np.nonzero(sign * best[:, j] >= threshold)[0]
+    if len(hits) == 0:
+        return None
+    i = int(hits[0])
+    if i == 0:
+        return 0.0, p
+    ends = {float(taus[i - 1]): sign * best[i - 1, j] - threshold, float(taus[i]): sign * best[i, j] - threshold}
+
+    def gap(tau):
+        return ends[tau] if tau in ends else sign * _best_over_theta0(modes, tau)[j] - threshold
+
+    tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
+    return float(tau), dataclasses.replace(p, theta0=search._best_theta0(modes, tau, p.omega_rf, j))
+
+
+def grid_by_pair(omega_hat, k, target, resolution, threshold, tau_max, dtau):
+    """(best_tau, best_params, peaks, landscape) of grid_search before its pair blocks: blocks of one bz row's
+    omega_rf values, and peaks and crossings pair by pair."""
+    shell, bounds, taus = energy_shell(omega_hat, k), search.default_bounds(omega_hat), _time_grid(tau_max, dtau)
+    idx, rf_axis = search.COMPONENT_INDEX[target], search._axis(bounds, "omega_rf", resolution)
+    width = max(1, search._CHUNK_STEPS // len(taus))
+    best_tau, best_params, landscape = math.inf, None, []
+    peaks = {name: (-math.inf, None, None) for name in search.COMPONENT_INDEX}
+    for row, bz in enumerate(search._axis(bounds, "bz", resolution)[resolution // 2 :]):
+        if bz**2 > shell:
+            continue
+        b0 = transverse_amplitude(omega_hat, k, bz)
+        for start in range(0, len(rf_axis), width):
+            block = rf_axis[start : start + width]
+            p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0)
+            tables, rates = mode_table(p, split_halves(E1))
+            for omega_rf, modes, best in zip(block, zip(tables, rates), _best_over_theta0((tables, rates), taus)):
+                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+                mirror = dataclasses.replace(p, bz=-bz, omega_rf=-omega_rf)
+                top, bottom = np.argmax(best, axis=0), np.argmin(best, axis=0)
+                for name, j in search.COMPONENT_INDEX.items():
+                    i = top[j]
+                    if best[i, j] > peaks[name][0]:
+                        theta0 = search._best_theta0(modes, taus[i], omega_rf, j)
+                        peaks[name] = (float(best[i, j]), float(taus[i]), dataclasses.replace(p, theta0=theta0))
+                    i = bottom[j]
+                    if name in search._MIRRORED and -best[i, j] > peaks[name][0]:
+                        peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
+                sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in search._MIRRORED else [])
+                for side, (q, sign, i) in enumerate(sides):
+                    hit = crossing_by_pair(q, modes, idx, threshold, taus, best, sign)
+                    if hit and hit[0] < best_tau:
+                        best_tau, best_params = hit
+                    if side == 0 or row > 0 or resolution % 2 == 0:  # a centre row holds its mirrors
+                        reached = hit[0] if hit else None
+                        landscape.append((float(q.bz), float(q.omega_rf), reached, float(sign * best[i, idx]), float(taus[i])))
+    return (None if math.isinf(best_tau) else best_tau), best_params, peaks, landscape
+
+
+def assert_grid_equals_the_per_pair_loop(omega_hat, k, target, resolution, threshold, dtau):
+    res = grid_search(omega_hat, k, target=target, resolution=resolution, threshold=threshold, dtau=dtau,
+                      collect_landscape=True)
+    best_tau, best_params, peaks, landscape = grid_by_pair(omega_hat, k, target, resolution, threshold,
+                                                           3.0 * TAU_STAR, dtau)
+    assert bits(res.peaks) == bits(peaks)
+    assert bits(res.best_params) == bits(best_params)
+    assert (res.best_tau is None) == (best_tau is None)
+    assert best_tau is None or abs(res.best_tau - best_tau) <= 2e-15
+    assert len(res.landscape) == len(landscape)
+    for got, want in zip(res.landscape, landscape):
+        assert bits(got[:2] + got[3:]) == bits(want[:2] + want[3:])  # bz, omega_rf, peak, peak_tau
+        assert (got[2] is None) == (want[2] is None)
+        assert want[2] is None or abs(got[2] - want[2]) <= 2e-15
+    return landscape
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("resolution", [1, 2, 7, 21])
+@pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)])
+def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
+    # at dtau = 1e-2 a block holds 9 pairs: the rows of 7 and of 21 omega_rf values straddle blocks, and the
+    # 21 pairs of resolution 7 end in a partial one; resolution 2 has no bz node on the energy shell, and 1 one pair
+    landscape = assert_grid_equals_the_per_pair_loop(2.7, k, target, resolution, threshold, 1e-2)
+    assert (resolution == 2) == (not landscape)
+    if resolution >= 7:
+        assert any(tau is not None for _, _, tau, _, _ in landscape)
+
+
+@pytest.mark.parametrize("pairs", [3, 4, 9, 16])
+@pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)])
+def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target, threshold, pairs):
+    # resolution 7 at omega_hat 2.7 evaluates 3 bz rows of 7 pairs; blocks of 3, 4, 9 and 16 pairs straddle
+    # the rows, and all but blocks of 3 end in a partial block
+    rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
+    monkeypatch.setattr(search, "_CHUNK_STEPS", pairs * rows + rows - 1)
+    landscape = assert_grid_equals_the_per_pair_loop(2.7, 1.0, target, 7, threshold, 5e-2)
+    assert len({bz for bz, _, _, _, _ in landscape if bz >= 0.0}) == 3 and 7 % pairs and (21 % pairs or pairs == 3)
+
+
+def test_mode_table_of_a_pair_block_equals_the_per_control_tables_bitwise():
+    # rotating_generator broadcasts bz and b0 as it does omega_rf, and eigh takes each control alone
+    rng = np.random.default_rng(5)
+    bz = rng.uniform(-1.0, 1.0, 13) * math.sqrt(energy_shell(2.7, 1.0))
+    b0 = np.array([transverse_amplitude(2.7, 1.0, v) for v in bz])
+    block = ControlParams(k=1.0, omega_hat=2.7, b0=b0, bz=bz, omega_rf=rng.uniform(-8.0, 8.0, 13), theta0=0.0)
+    tables, rates = mode_table(block, split_halves(E1))
+    assert tables.shape == (13, 8, 2, 4) and rates.shape == (13, 4)
+    for n in range(13):
+        alone = dataclasses.replace(block, b0=float(b0[n]), bz=float(bz[n]), omega_rf=float(block.omega_rf[n]))
+        table, w = mode_table(alone, split_halves(E1))
+        assert tables[n].tobytes() == table.tobytes() and rates[n].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_target_values_equal_the_theta0_best_values(j):
+    # brentq's scalar evaluator, the theta0-best x_j off _state, has the bits of the single-tau
+    # _best_over_theta0 at 1,000 seeded taus, at a control and at its mirror (whose x5 and x7 are the pair's with
+    # the sign flipped), so a crossing solved on given rows is the per-pair loop's; _target_values, the rows of
+    # min_time_to_target, equal the batched rows of a search grid to 1e-14
+    rng = np.random.default_rng(29)
+    bz = 0.6
+    p = ControlParams(k=1.0, omega_hat=2.7, b0=transverse_amplitude(2.7, 1.0, bz), bz=bz, omega_rf=2.3, theta0=0.0)
+    grid = _time_grid(3.0 * TAU_STAR, 1e-2)
+    for q in (p, dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)):
+        modes = mode_table(q, split_halves(E1))
+        for t in rng.uniform(0.0, 3.0 * TAU_STAR, 1000):
+            x = search._state(modes, t)
+            assert (np.hypot(x[j & ~2], x[j | 2]) if j % 2 else x[j]) == _best_over_theta0(modes, t)[j]
+        best = _best_over_theta0(modes, grid)
+        assert np.max(np.abs(search._target_values(modes, j, grid) - best[:, j])) <= 1e-14
+        for sign in (1.0, -1.0)[: 1 + (j in (4, 6))]:
+            rows = sign * best[:, j]
+            for threshold in np.quantile(rows[rows > 0.0], [0.1, 0.5, 0.9]) if np.any(rows > 0.0) else []:
+                got = search._first_crossing(q, modes, j, threshold, grid, best[:, j], sign)
+                assert bits(got) == bits(crossing_by_pair(q, modes, j, threshold, grid, best, sign))
+
+
+def test_first_crossing_on_the_target_columns():
+    # thresholds that the rows of x8 first reach early, in the middle and at the last row, x1's 1 at row 0,
+    # and one that x8 never reaches; a kept bracket end puts each crossing on its row
+    taus = _time_grid(0.5, 1e-4)  # 5,001 rows on which x8 at the closed-form control rises from 0
+    modes = mode_table(PARAMS, split_halves(E1))
+    values = search._target_values(modes, 7, taus)
+    assert np.all(np.diff(values) > 0.0)
+    for j, row in [(7, 1), (7, 2500), (7, len(taus) - 1), (0, 0), (7, None)]:
+        threshold = 0.5 if j == 0 else 1.0 if row is None else float(values[row])
+        hit = search._first_crossing(PARAMS, modes, j, threshold, taus)
+        assert (hit is None) if row is None else hit[0] == taus[row]
+    # a grid of the one row tau = 0
+    assert min_time_to_target(PARAMS, "x1", 0.5, tau_max=0.0, dtau=1e-2) == (0.0, dataclasses.replace(PARAMS, theta0=0.0))

@@ -3,35 +3,32 @@
 H(tau) = sz1*sz2 + k*sz2*sz3 + B(tau).sigma2 commutes with sz1 and sz3.  In each
 sector (s1, s3), spanned by sz2 up and down, both bonds act as a static z field,
 so H_s = n_s.sigma with n_s = (b0*cos(theta), b0*sin(theta), s1 + k*s3 + bz): the
-evolution operator is four SU(2) blocks U_s.  sx1 flips s1 only, so the
-coherences need just the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag, which are
-stepped in closed form as real unit quaternions and projected onto the
-operator basis.  This oracle reads only H, through ``algebra.sector_fields``,
-and the operator basis, never the reduced generator M, so
-``report.dynamics_equivalence`` compares two independent routes.
-``closure_check`` verifies, entry by entry, that the commutator action of H on
-the operator basis reproduces the reduced generator and stays inside the span.
+evolution operator is four SU(2) blocks U_s.  The field turns about z at omega_rf,
+so each block has the Rabi solution U_s = Q_tau exp(-i tau m_s.sigma) in closed
+form, with Q_tau = exp(-i omega_rf tau sz/2) and m_s = n_s(0) - (omega_rf/2) z.
+sx1 flips s1 only, so the coherences need just the two blocks
+G_s3 = U_(+,s3) U_(-,s3)^dag: real unit quaternions in cos and sin of the rates
+r_(+,s3) +- r_(-,s3), r_s = |m_s|, projected onto the operator basis.  This oracle
+reads only H, through ``algebra.sector_fields``, and the operator basis, never the
+reduced generator M, so ``report.dynamics_equivalence`` compares two independent
+routes.  ``closure_check`` verifies, entry by entry, that the commutator action of
+H on the operator basis reproduces the reduced generator and stays inside the span.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _powers, _skew, _time_grid, build_M, sinc
-
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+from .dynamics import Trajectory, _time_grid, build_M, mode_states
 
 # the units of U = q0 I - i(q1 sx + q2 sy + q3 sz), under which matrix products are Hamilton products
 _UNITS = np.stack([np.eye(2), -1j * _PAULI["x"], -1j * _PAULI["y"], -1j * _PAULI["z"]])
-# _SANDWICH[(r, c), (i, j)] = Re Tr(unit_r^dag unit_i unit_c unit_j)/2 is component r of unit_i unit_c unit_j,
-# so (a g b)_r = sum_c (_SANDWICH (a (x) b))_rc g_c
-_SANDWICH = np.einsum("rxw,ixy,cyz,jzw->rcij", _UNITS.conj(), _UNITS, _UNITS, _UNITS).real.reshape(16, 16) / 2.0
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
-# Q_phi G Q_phi^dag, Q_phi = exp(-i phi sz/2), turns (g1, g2) by phi: d(g1, g2)/dphi = (-g2, g1), in each block
-_TURN = np.kron(np.eye(2), _skew(1, 2, -1.0))
+# _HAMILTON[i, j, r] = Re Tr(unit_r^dag unit_i unit_j)/2 is component r of unit_i unit_j
+_HAMILTON = np.einsum("rxw,ixy,jyw->ijr", _UNITS.conj(), _UNITS, _UNITS).real / 2.0
+# product to sum: rows cos(a + b), cos(a - b), sin(a + b), sin(a - b) of the columns cos a cos b, cos a sin b,
+# sin a cos b and sin a sin b
+_TO_SUM = 0.5 * np.array([[1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0]])
 
 # _PROJECTION takes the quaternions (g_+, g_-) of G_s3 to x1..x8:
 # x_i = sum_jk Re(w_jk G_jk)/4 with w = O_i[(-,s3), (+,s3)]^T and G = g0 I - i g.sigma (see full_hilbert_trajectory)
@@ -39,65 +36,41 @@ _WEIGHTS = np.stack(coherence_basis())[:, SECTORS[2:, :, None], SECTORS[:2, None
 _PROJECTION = np.einsum("isab,jab->sji", _WEIGHTS, _UNITS).real.reshape(8, 8) / 4.0
 
 
-def _sandwich_increments(d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
-    """D = L(d+) + R(conj d-) + L(d+) R(conj d-), so that g + D g = (1 + d+) g conj(1 + d-).
+def sector_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
+    """(table, w), shapes (8, 8) and (4,): [cos(w*tau), sin(w*tau)] @ table is x1..x8 before the frame turn.
 
-    The quaternion components run along the first axis: d_plus and d_minus
-    have shape (4, m, n) and D has shape (4, 4, m, n), row index first.  D is one
-    real product of ``_SANDWICH`` with w = d+ (x) conj(d-), conj(d-) added to its
-    row 0 and d+ to its column 0: the terms of (1 + d+) (x) conj(1 + d-) but the
-    identity's own 1, so no diagonal near 1 is rounded.
+    A mode table like ``dynamics.mode_table``'s, for ``dynamics.mode_states``.  U_s = Q_tau V_s solves
+    i dU/dtau = H U from the identity, as n_s(tau).sigma = Q_tau (n_s(0).sigma) Q_tau^dag, with
+    V_s = exp(-i tau m_s.sigma) = cos(r_s tau) I - i sin(r_s tau) (m_s/r_s).sigma.  So G_s3 = Q_tau F_s3 Q_tau^dag
+    with F_s3 = V_(+,s3) V_(-,s3)^dag, whose quaternion is bilinear in cos and sin of r_(+,s3) tau and r_(-,s3) tau:
+    by product to sum, a table of the rates w = (r_(+,s3) + r_(-,s3), r_(+,s3) - r_(-,s3)), s3 = +, - each.  The
+    turn of G's (g1, g2) planes by omega_rf*tau, projected, is that of the (x2, x4) and (x6, x8) planes by
+    exp(omega_rf*tau*J), which ``mode_states`` applies: _PROJECTION maps the one turn generator onto the other.
     """
-    c = d_minus * _CONJ
-    w = d_plus[:, None] * c[None]
-    w[0] += c
-    w[:, 0] += d_plus
-    return (_SANDWICH @ w.reshape(16, -1)).reshape(w.shape)
-
-
-def _mapped_blocks(p: ControlParams, tau_end: float, dtau: float, out_map: np.ndarray) -> tuple:
-    """(taus, rows), rows the row source of g @ out_map, g the quaternions (g_+, g_-) of G_s3 = U_(+,s3) U_(-,s3)^dag.
-
-    U solves i dU/dtau = H(tau) U from the identity, sector by sector.  Each step
-    is the fourth-order Magnus exponential on two Gauss nodes (Blanes, Casas,
-    Oteo, Ros, Phys. Rep. 470 (2009) 151).  With node fields n1, n2 and
-    [a.sigma, b.sigma] = 2i (a x b).sigma, its exponent is -i v.sigma with
-    v = (h/2)(n1 + n2) + (sqrt(3) h^2/6)(n2 x n1), so the step of sector s is the
-    SU(2) rotation V_s = cos|v| I - i sin|v|/|v| v.sigma, exactly unitary, and
-    G_s3 <- V_(+,s3) G_s3 V_(-,s3)^dag.  The fields turn with the drive, so V_s(t) =
-    Q_t V_s(0) Q_t^dag with Q_t = exp(-i omega_rf t sz/2), and F = Q_tau^dag G Q_tau
-    steps by one map, F <- W_+ F W_-^dag with W_s = Q_h^dag V_s(0), taken by
-    ``dynamics._powers`` as F + D F: D from ``_sandwich_increments`` of V - I =
-    (cos|v| - 1, sin|v|/|v| v) and Q_h^dag - I, with cos x - 1 = -2 sin^2(x/2).
-    G = Q_tau F Q_tau^dag turns the (g1, g2) plane by omega_rf*tau, a turn that
-    ``_powers`` folds into its block table (``_TURN``).
-    """
-    taus = _time_grid(tau_end, dtau)
-    h = np.append(dtau, np.diff(taus[-2:]))  # every step of _time_grid but its last is dtau long
-    # (x, y, z) of the fields n1, n2 at the Gauss nodes of a step from 0, each of shape (4 sectors, 2 step lengths)
-    (x1, y1, z1), (x2, y2, z2) = (sector_fields(p, (0.5 + s) * h).T for s in (-_GAUSS_OFFSET, _GAUSS_OFFSET))
-    a, b = h / 2.0, h * h * math.sqrt(3.0) / 6.0
-    v = np.stack([a * (x1 + x2) + b * (y2 * z1 - z2 * y1), a * (y1 + y2) + b * (z2 * x1 - x2 * z1),
-                  a * (z1 + z2) + b * (x2 * y1 - y2 * x1)])
-    angle = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-    d = np.concatenate([-2.0 * np.sin(angle / 2.0)[None] ** 2, sinc(angle) * v])
-    # Q_h^dag - I = (cos(omega_rf h/2) - 1) I - i (-sin(omega_rf h/2)) sz; the map is Q_h^dag (V+ F V-^dag) Q_h
-    q = np.stack([-2.0 * np.sin(p.omega_rf * h / 4.0) ** 2, 0.0 * h, 0.0 * h, -np.sin(p.omega_rf * h / 2.0)])[:, None]
-    step, turn = (_sandwich_increments(*pair).transpose(3, 2, 0, 1) for pair in ((d[:, :2], d[:, 2:]), (q, q)))
-    first = np.array([[1.0, 0.0, 0.0, 0.0]] * 2)
-    return taus, _powers(turn + step + turn @ step, first, len(taus), (_TURN, p.omega_rf, taus, out_map))
+    m = sector_fields(p, 0.0) - [0.0, 0.0, p.omega_rf / 2.0]
+    r = np.sqrt(np.sum(m * m, axis=-1))
+    # quaternions of the cos(r_s tau) and sin(r_s tau) parts of V_s, of V_s^dag for s1 = -; r_s = 0 takes axis 0
+    parts = np.zeros((2, 4, 4))
+    parts[0, :, 0] = 1.0
+    np.divide(m, r[:, None], out=parts[1, :, 1:], where=r[:, None] > 0.0)
+    parts[1, 2:] *= -1.0
+    # the cos.cos, cos.sin, sin.cos and sin.sin parts of F_s3 on the rows, (s3, quaternion) on the columns
+    products = np.einsum("ash,bsk,hkr->absr", parts[:, :2], parts[:, 2:], _HAMILTON).reshape(4, 8)
+    coef = (_TO_SUM @ products).reshape(2, 2, 2, 1, 4)  # (cos|sin, sum|difference, s3, 1, quaternion)
+    table = (coef * np.eye(2)[:, :, None]).reshape(8, 8) @ _PROJECTION  # each s3's rates on its own quaternion
+    return table, np.concatenate([r[:2] + r[2:], r[:2] - r[2:]])
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
-    """Coherences x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8 from the full-space propagation.
+    """Coherences x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8 on ``_time_grid(tau_end, dtau)``.
 
     The identity part of rho(0) drops out.  W = U sx1 U^dag holds just the
     blocks G_s3 and their adjoints, and for Hermitian O_i,
     x_i = 2 Re sum_s3 Tr[O_i[(-,s3), (+,s3)] G_s3]/8: one real matrix product
-    of the quaternions of the G_s3 with ``_PROJECTION``, folded into the step product.
+    of the quaternions of the G_s3 with ``_PROJECTION``, folded into ``sector_table``.
     """
-    taus, rows = _mapped_blocks(p, tau_end, dtau, _PROJECTION)
-    return Trajectory(taus=taus, states=rows.array())
+    taus = _time_grid(tau_end, dtau)
+    return Trajectory(taus=taus, states=mode_states(*sector_table(p), taus, p.omega_rf))
 
 
 def closure_check(p: ControlParams, tau_samples) -> float:

@@ -35,7 +35,7 @@ from .boundary import (
 )
 from .dynamics import _WINDOW_ROWS, _mode_rows, _rk4_rows, _time_grid, exact_state_trajectory, mode_table
 from .dynamics import propagator_discrepancy, split_halves
-from .hilbert import _PROJECTION, _mapped_blocks, closure_check
+from .hilbert import closure_check, sector_table
 from .search import grid_search
 
 DEFAULT_SEED = 20260810
@@ -144,7 +144,7 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
     for p in params_list:
         # a source holds no trajectory and a time grid 8 bytes a row: each source is built before the next grid
         exact = _mode_rows(*mode_table(p, split_halves(E1)), _time_grid(tau_end, dtau), p.omega_rf)
-        full = _mapped_blocks(p, tau_end, dtau, _PROJECTION)[1]
+        full = _mode_rows(*sector_table(p), _time_grid(tau_end, dtau), p.omega_rf)
         reduced = _rk4_rows(p, E1, tau_end, dtau)[1]
         for lo in range(0, reduced.n, _WINDOW_ROWS):
             d = window[:, : min(_WINDOW_ROWS, reduced.n - lo)]

@@ -18,8 +18,8 @@ def rng():
 def su2_matrices(quaternions):
     """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex.
 
-    A last axis of 8 holds two quaternions, as the rows (g_+, g_-) of ``hilbert._mapped_blocks``
-    with out_map np.eye(8): the result then has shape (..., 2, 2, 2).
+    A last axis of 8 holds two quaternions, the blocks (g_+, g_-) that ``2 * x @ hilbert._PROJECTION.T`` reads
+    off a row x1..x8 of the full-space oracle: the result then has shape (..., 2, 2, 2).
     """
     q = np.asarray(quaternions, dtype=float)
     if q.shape[-1] == 8:

@@ -23,11 +23,12 @@ from trispin.dynamics import (
     build_M_half,
     exact_state_trajectory,
     join_halves,
+    mode_states,
     mode_table,
     propagate_rk4,
     split_halves,
 )
-from trispin.hilbert import _mapped_blocks
+from trispin.hilbert import _PROJECTION, sector_table
 from trispin.search import _best_over_theta0, _best_theta0
 
 
@@ -128,7 +129,7 @@ def test_build_M_decouples_into_halves(p, tau, x):
 
 
 @given(shell_params(), _floats(0.0, 5.0), _floats(0.0, 5.0), _floats(1e-3, 0.2))
-def test_the_drive_turns_with_the_co_rotating_frame(su2, p, t, s, h):
+def test_the_drive_turns_with_the_co_rotating_frame(p, t, s, h):
     # M_pm(t + s) = R M_pm(s) R^T with R = exp(omega_rf t J), and n_s(t + s) = Rz(omega_rf t) n_s(s); the
     # phases theta(t + s) and theta(s) + omega_rf t round apart by about an ulp of theta, so b0 cos(theta)
     # by about b0 ulp(theta): 1e-14 per unit of b0 theta
@@ -148,21 +149,15 @@ def test_the_drive_turns_with_the_co_rotating_frame(su2, p, t, s, h):
     k4 = m_right + h * m_right @ k3
     lab = np.eye(8) + (h / 6.0) * (m_left + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.max(np.abs(turn8 @ step @ turn8.T - lab)) <= 1e-14
-    # and one co-rotating Magnus step of G_s3, turned back by Q_t = exp(-i omega_rf t sz/2), is V_(+,s3) V_(-,s3)^dag at t
-    q = np.diag([np.exp(-0.5j * p.omega_rf * t), np.exp(0.5j * p.omega_rf * t)])
-    n1, n2 = sector_fields(p, t + h * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
-    v = (h / 2.0) * (n1 + n2) + (h * h * math.sqrt(3.0) / 6.0) * np.cross(n2, n1)
-    v_sigma = np.einsum("sk,kab->sab", v, np.stack([_PAULI[a] for a in "xyz"]))
-    angle = np.linalg.norm(v, axis=-1)[:, None, None]
-    lab = np.cos(angle) * np.eye(2) - 1j * np.sinc(angle / math.pi) * v_sigma
-    g = su2(_mapped_blocks(p, h, h, np.eye(8))[1].array()[-1])
-    assert np.max(np.abs(q @ g @ q.conj().T - lab[:2] @ lab[2:].conj().swapaxes(-1, -2))) <= 1e-14
 
 
-@given(shell_params(), _floats(0.0, 2.0), _floats(1e-2, 0.2))
-def test_gauss4_is_unitary(su2, p, tau_end, dtau):
-    u = su2(_mapped_blocks(p, tau_end, dtau, np.eye(8))[1].array())
-    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= 1e-12
+@given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_sector_blocks_are_unitary(su2, p, taus):
+    # the rows of the sector table are the projections of two SU(2) blocks G_s3 at any taus, off the block grid too
+    x = mode_states(*sector_table(p), np.array(taus), p.omega_rf)
+    g = su2(2.0 * x @ _PROJECTION.T)  # _PROJECTION @ _PROJECTION.T is I/2
+    assert np.max(np.abs(g.conj().swapaxes(-1, -2) @ g - np.eye(2))) <= 1e-13
+    assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-13
 
 
 @given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))

@@ -19,7 +19,7 @@ from trispin.dynamics import (
     propagate_rk4,
     split_halves,
 )
-from trispin.hilbert import _PROJECTION, _mapped_blocks, full_hilbert_trajectory
+from trispin.hilbert import full_hilbert_trajectory, sector_table
 from trispin.report import DEFAULT_SEED, dynamics_equivalence, random_consistent_params, run_verification
 
 QUICK = dict(n_dynamics=0, grid_resolution=3, scan_samples=801)
@@ -165,7 +165,7 @@ def test_windowed_comparison_equals_whole_trajectories(rows):
     taus, reduced = _rk4_rows(p, E1, tau_end, dtau)
     sources = {
         "rk4": (reduced, propagate_rk4(p, E1, tau_end, dtau).states),
-        "full": (_mapped_blocks(p, tau_end, dtau, _PROJECTION)[1], full_hilbert_trajectory(p, tau_end, dtau).states),
+        "full": (_mode_rows(*sector_table(p), taus, p.omega_rf), full_hilbert_trajectory(p, tau_end, dtau).states),
         "exact": (_mode_rows(*mode_table(p, split_halves(E1)), taus, p.omega_rf), exact_state_trajectory(p, E1, taus)),
     }
     for name, (source, whole) in sources.items():
@@ -195,13 +195,12 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
     for source, lo, grid_hi, asked in windows:
         assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
         assert asked == [(lo // 32, grid_hi // 32)]
-    # each window takes the full-space, exact and RK4 rows in turn; the block starts of the full-space oracle and of
-    # RK4 are a plain power source, with no turn and an 8-row table (the exact oracle's are held rows)
+    # each window takes the full-space, exact and RK4 rows in turn; the block starts of RK4 are a plain power source,
+    # with no turn and an 8-row table, and those of the two mode tables are held rows
     full, exact, reduced = (source for source, *_ in windows[:3])
-    for rows in (full, reduced):
-        assert rows.trig is not None and rows.starts.trig is None
-        assert rows.starts.table.shape == (8, 32 * 8)
-    assert exact.starts.count == 0
+    assert all(rows.trig is not None for rows in (full, exact, reduced))
+    assert reduced.starts.trig is None and reduced.starts.table.shape == (8, 32 * 8)
+    assert full.starts.count == exact.starts.count == 0
 
 
 def test_windowed_comparison_holds_no_trajectory():

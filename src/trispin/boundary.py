@@ -107,10 +107,15 @@ def boundary_residuals(c: BoundaryConstants) -> np.ndarray:
     return _residual_system(c, derived_quantities(c))
 
 
+def column_scales(c: BoundaryConstants) -> np.ndarray:
+    """The diagonal D of r = D·(col - target) (README), a != 0, from s_pm = sqrt(Delta_pm)."""
+    s = np.array([half[1] for half in derived_quantities(c)])
+    return np.concatenate([-2.0 * s, 2.0 * s / c.a, s / c.a, s / c.a])
+
+
 def column_deviations(c: BoundaryConstants) -> np.ndarray:
     """r / D of r = D·(col - target) (README), a != 0: the column deviations, which, unlike r, do not grow with the label."""
-    s = np.array([half[1] for half in derived_quantities(c)])  # sqrt(Delta_pm)
-    return boundary_residuals(c) / np.concatenate([-2.0 * s, 2.0 * s / c.a, s / c.a, s / c.a])
+    return boundary_residuals(c) / column_scales(c)
 
 
 def generator_from_constants(c: BoundaryConstants) -> np.ndarray:
@@ -325,6 +330,7 @@ class ConsistentPoint:
     omega_hat: float
     residual_b: float
     residual_d: float
+    residual_phase: float  # |x - (2j+1)*pi/2| with x = sqrt(3)*sqrt(omega_hat^2-2)/2
     branch: dict
 
 
@@ -338,13 +344,8 @@ class ScanResult:
 SCAN_SAMPLES = 4001
 MAX_SCALES = 10_000  # a scan range may end above at most this many consistent scales
 MAX_LABEL = 1000  # sweep_tau builds (label_max + 1)(label_max + 2)/2 rows: 501,501 and about 160 MB at this bound
-# one label per control: b0 = k*R fixes the sign of b0, and r in {0, 1} covers theta0 mod 2*pi; the labels on three
-# axes, omega_sign x theta_sign x r, broadcast against the scales on the last
-_SCAN_BRANCHES = {
-    "omega_sign": np.array([1, -1])[:, None, None, None],
-    "theta_sign": np.array([1, -1])[:, None, None],
-    "r": np.array([0, 1])[:, None],
-}
+# consistent_scale's branch family, r on an axis of its own against the scales on the last
+_SCAN_BRANCHES = {"omega_sign": 1, "theta_sign": -1, "r": np.array([0, 1])[:, None]}
 
 
 def consistency_scan(
@@ -355,13 +356,13 @@ def consistency_scan(
 ) -> ScanResult:
     """Residual curve of the closed-form controls over (omega_lo, omega_hi], and the consistent scales in it.
 
-    For every sampled omega_hat and the eight branches omega_sign x theta_sign x
-    r in {0, 1}, one per distinct control (see closed_form_params), the
-    residuals |b - (-pi*k)| and |d| of the boundary constants generated by the
-    closed-form controls are evaluated at the minimal tau_star; the curve holds
-    the best branch's max(|b - b_target|, |d|) per sample.  The consistent
-    points are the scales of consistent_scale in the range, whatever samples
-    is; each is kept only if its own residuals are at most 1e-9.
+    The curve holds per sampled omega_hat the best max(|b - (-pi*k)|, |d|) of the boundary constants that the controls
+    of closed_form_params generate at the minimal tau_star.  Two branches set it, _SCAN_BRANCHES (README): with x =
+    sqrt(3)*R/2, theta_sign = -omega_sign gives d = 0 and b = -pi*k*(-1)^r*sin(x), so its best r is pi*(1 - |sin x|)
+    off, and its two omega_sign tie bitwise; theta_sign = omega_sign gives b = -pi*k*(-1)^r*cos(2x)*sin(x), at least
+    pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  The consistent points are the scales of consistent_scale in
+    the range, whatever samples is; each is kept only if its b, d residuals are at most 1e-9 and its residual_phase,
+    linear in the scale's error where the b residual is quadratic, at most 1e-12*(2j+1)*pi/2.
     """
     if not (math.isfinite(omega_lo) and math.isfinite(omega_hi) and omega_lo < omega_hi):
         raise ValueError(f"scan range ({omega_lo:g}, {omega_hi:g}] must be finite with omega_lo < omega_hi")
@@ -382,16 +383,19 @@ def consistency_scan(
 
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
     residuals = np.empty(samples)
-    for lo in range(0, samples, _WINDOW_ROWS):  # all eight branches of a window at once, each temporary 128 KB
+    for lo in range(0, samples, _WINDOW_ROWS):  # both branches of a window at once, each temporary 32 KB
         worst = np.maximum(*branch_residuals(omegas[lo : lo + _WINDOW_ROWS], _SCAN_BRANCHES))
         # best over the branches; fmin passes over a NaN branch
-        residuals[lo : lo + _WINDOW_ROWS] = np.fmin.reduce(worst.reshape(8, -1), axis=0, initial=math.inf)
+        residuals[lo : lo + _WINDOW_ROWS] = np.fmin.reduce(worst, axis=0, initial=math.inf)
 
-    scales, branch = consistent_scale(np.arange(math.floor(top) + 1))
+    j = np.arange(math.floor(top) + 1)
+    scales, branch = consistent_scale(j)
     res_b, res_d = branch_residuals(scales, branch)
-    kept = (omega_lo < scales) & (scales <= omega_hi) & (np.maximum(res_b, res_d) <= 1e-9)
+    phase = (2 * j + 1) * PI / 2.0
+    res_phase = np.abs(math.sqrt(3.0) * np.sqrt(np.square(scales) - 2.0) / 2.0 - phase)
+    kept = (omega_lo < scales) & (scales <= omega_hi) & (np.maximum(res_b, res_d) <= 1e-9) & (res_phase <= 1e-12 * phase)
     consistent = [
-        ConsistentPoint(float(scales[i]), float(res_b[i]), float(res_d[i]), {**branch, "r": int(branch["r"][i])})
+        ConsistentPoint(*map(float, (scales[i], res_b[i], res_d[i], res_phase[i])), {**branch, "r": int(branch["r"][i])})
         for i in np.flatnonzero(kept)
     ]
     return ScanResult(omegas=omegas, residuals=residuals, consistent=consistent)

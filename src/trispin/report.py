@@ -25,6 +25,8 @@ from .boundary import (
     analytic_family,
     boundary_residuals,
     closed_form_params,
+    column_deviations,
+    column_scales,
     consistency_scan,
     consistent_scale,
     exp_boundary_check,
@@ -130,6 +132,18 @@ def column_gap(c: BoundaryConstants, target: str) -> float:
     col_plus, col_minus = exp_boundary_check(c)
     column = np.array(TRANSFER_COLUMNS[target])
     return max(float(np.max(np.abs(col_plus - column))), float(np.max(np.abs(col_minus + column))))
+
+
+def equations_against_columns(constants: list[BoundaryConstants]) -> float:
+    """Largest |r/D - (col - target)| / max(1, 1/|D|) over constants: the x8 identity r = D·(col - target) (README)."""
+    column = np.array(TRANSFER_COLUMNS["x8"])
+    worst = 0.0
+    for c in constants:
+        # entries (1, 3, 2, 4) of the + and - first columns, interleaved: the equations' component order
+        deviations = (np.stack(exp_boundary_check(c), axis=1) - np.stack([column, -column], axis=1))[[0, 2, 1, 3]]
+        gap = np.abs(column_deviations(c) - deviations.reshape(8)) * np.minimum(1.0, np.abs(column_scales(c)))
+        worst = max(worst, float(np.max(gap)))
+    return worst
 
 
 def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[float, float]:
@@ -289,6 +303,16 @@ def run_verification(
         worst_exact if dyn_params else None,
         1e-8,
         "rotating-frame closed form vs reduced RK4",
+    )
+
+    # --- the boundary equations away from their zeros, drawn after the dynamics sets ---
+    generic = [BoundaryConstants(*rng.uniform(-8.0, 8.0, 5)) for _ in range(8)]
+    report.add_bounded(
+        "boundary_equations_generic",
+        equations_against_columns(generic),
+        1e-12,
+        "scalar boundary system over its scales vs exponential columns",
+        note="8 random constants in [-8, 8]^5, relative to max(1, 1/|D|)",
     )
 
     # --- consistency of the closed-form control constants ---

@@ -1,3 +1,6 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -32,3 +35,18 @@ def su2_matrices(quaternions):
 def su2():
     """The 2x2 complex view of sector quaternions (``su2_matrices``), which the package itself never builds."""
     return su2_matrices
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """mutate(module, name, old, new): module.<name>, for one test, compiled from its source with old, which must occur
+    once, replaced by new, as a one-line bug would change it.  The copy reads a snapshot of the module's globals."""
+
+    def apply(module, name, old, new):
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(old) == 1, (name, old)
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return apply

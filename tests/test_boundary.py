@@ -17,6 +17,7 @@ from trispin.boundary import (
     boundary_residuals,
     closed_form_params,
     column_deviations,
+    column_scales,
     consistency_scan,
     consistent_scale,
     derived_quantities,
@@ -493,6 +494,11 @@ def test_boundary_equations_are_scaled_column_deviations():
         assert np.all(np.abs(boundary_residuals(c) - want) <= 1e-14 * np.maximum(1.0, np.abs(d)))
 
 
+def test_column_scales_are_the_identitys_diagonal():
+    for c in random_constants(200):
+        assert np.array_equal(column_scales(c), scaled_column_deviations(c)[0])
+
+
 def test_column_deviations_are_the_equations_over_their_scales():
     """r / D is col - target, the quantity the analytic record reports, at generic constants and at the labels."""
     labels = [analytic_family(m0, n0) for m0 in range(8) for n0 in range(m0, 8)]
@@ -805,8 +811,9 @@ def test_scan_rejects_a_range_with_too_many_scales():
 @pytest.mark.parametrize("k_sign", [1, -1])
 @pytest.mark.parametrize("omega_hat", [1.6, 2.7, 4.5])
 def test_scan_branches_are_distinct_controls(k_sign, omega_hat):
-    labels = np.broadcast_arrays(*(_SCAN_BRANCHES[key] for key in ("omega_sign", "theta_sign", "r")))
-    assert [dict(zip(("omega_sign", "theta_sign", "r"), map(int, v))) for v in zip(*map(np.ravel, labels))] == SCAN_LABELS
+    # the scan evaluates two of the eight labels: consistent_scale's branch family, on its r axis
+    live = [{**_SCAN_BRANCHES, "r": int(r)} for r in np.ravel(_SCAN_BRANCHES["r"])]
+    assert live == [consistent_scale(j)[1] for j in (0, 1)] and all(branch in SCAN_LABELS for branch in live)
     kept = []
     for branch in SCAN_LABELS:
         p = closed_form_params(omega_hat, k_sign=k_sign, **branch)
@@ -881,9 +888,61 @@ def test_scan_windows_equal_the_per_branch_loop_bitwise(k_sign, samples):
 
 
 @pytest.mark.parametrize("k_sign", [1, -1])
+def test_dropped_scan_branches_never_undercut_the_live_pair(k_sign):
+    # with x = sqrt(3)*R/2, theta_sign = -omega_sign is pi*(1 - |sin x|) off on its best r and theta_sign = omega_sign
+    # at least pi*(1 - |cos(2x)*sin(x)|), no less: the six labels the scan drops may tie with its two, not undercut them
+    w = np.random.default_rng(39).uniform(math.sqrt(2.0), 40.0, 2000)
+    tau_star, b_target = transfer_time(0, 0), -PI * k_sign
+    residuals = []
+    for branch in SCAN_LABELS:
+        c = abcd_from_physical(closed_form_params(w, k_sign=k_sign, **branch), tau_star)
+        residuals.append(np.maximum(np.abs(c.b - b_target), np.abs(c.d)))
+    live = np.minimum(*(residuals[SCAN_LABELS.index(consistent_scale(j)[1])] for j in (0, 1)))
+    for branch, residual in zip(SCAN_LABELS, residuals):
+        assert np.all(residual >= live - 4.0 * np.spacing(PI)), branch
+
+
+# the bounds tie at x = (2j+1)*pi/2: within about 5e-8 of omega_hat_j a dropped label may read a few ulp of pi lower,
+# the curve's own rounding there (seen: 7e-16 and 2.8e-15 at 48 and 50 of these 200,001 samples 1e-10 apart)
+@pytest.mark.parametrize("k_sign", [1, -1])
+@pytest.mark.parametrize("j", [0, 1])
+def test_scan_near_a_consistent_scale_matches_the_eight_branches(j, k_sign):
+    w = float(consistent_scale(j)[0])
+    scan = consistency_scan(w - 1e-5, w + 1e-5, k_sign=k_sign, samples=200_001)
+    residuals, _ = scan_by_branch(w - 1e-5, w + 1e-5, k_sign, 200_001)
+    assert np.max(np.abs(scan.residuals - residuals)) <= 5e-15
+
+
+def test_scan_phase_residuals_are_rounding_at_every_scale():
+    # the 10,000 scales up to omega_hat_9999 all pass the 1e-12 phase gate, each within 3 ulp of (2j+1)*pi/2
+    scan = consistency_scan(1.5, float(consistent_scale(9999)[0]), samples=1)
+    assert len(scan.consistent) == 10_000
+    phase = (2 * np.arange(10_000) + 1) * PI / 2.0
+    assert np.all(np.array([cp.residual_phase for cp in scan.consistent]) <= 3.0 * np.spacing(phase))
+
+
+def test_phase_gate_refuses_a_shifted_scale(mutate):
+    # a radicand 1e-6 too large moves omega_hat_j by about 2e-7: the b residual, quadratic in that, reads 9e-14 and
+    # passes its 1e-9 gate; the phase residual, linear in it, reads 2.4e-7 and 8.0e-8
+    mutate(boundary, "consistent_scale", "PI**2 / 3.0)", "PI**2 / 3.0 + 1e-6)")
+    scales, branch = boundary.consistent_scale(np.arange(2))
+    c = abcd_from_physical(closed_form_params(scales, **branch), TAU_STAR)
+    assert np.all(np.maximum(np.abs(c.b + PI), np.abs(c.d)) <= 1e-9)
+    phase = math.sqrt(3.0) * np.sqrt(np.square(scales) - 2.0) / 2.0 - np.array([1.0, 3.0]) * PI / 2.0
+    assert np.all(np.abs(phase) >= 1e-8)
+    assert consistency_scan(1.5, 6.0, samples=11).consistent == []
+
+
+@pytest.mark.parametrize("k_sign", [1, -1])
 def test_closed_form_params_array_labels_equal_scalar_labels_bitwise(k_sign):
     w = np.linspace(1.5, 6.0, 37)
-    p = closed_form_params(w, k_sign=k_sign, **_SCAN_BRANCHES)
+    # the eight labels of SCAN_LABELS on three axes, broadcast against the scales on the last
+    labels = {
+        "omega_sign": np.array([1, -1])[:, None, None, None],
+        "theta_sign": np.array([1, -1])[:, None, None],
+        "r": np.array([0, 1])[:, None],
+    }
+    p = closed_form_params(w, k_sign=k_sign, **labels)
     rates, phases = (np.broadcast_to(v, (2, 2, 2, len(w))).reshape(8, -1) for v in (p.omega_rf, p.theta0))
     for i, branch in enumerate(SCAN_LABELS):
         q = closed_form_params(w, k_sign=k_sign, **branch)

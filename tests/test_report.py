@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
-from trispin import dynamics
+from trispin import boundary, dynamics
 from trispin.algebra import E1, TAU_STAR
-from trispin.boundary import closed_form_params, consistent_scale, invert_to_physical, transfer_time
+from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
+from trispin.cli import main
 from trispin.dynamics import (
     _WINDOW_ROWS,
     _mode_rows,
@@ -61,6 +63,38 @@ def test_each_rule_fails_its_check_alone(monkeypatch, patch, failing):
     assert [c.name for c in report.checks if c.status == "fail"] == [failing]
     assert not report.passed
     assert report.to_text().endswith("overall: FAIL")
+
+
+@pytest.mark.parametrize(
+    "name, old, new, failing",
+    [
+        # the second term of r[0] times 1.001, and the sign of the c+ d term of r[4]: at the family constants each
+        # term is 0 alone, so only constants away from the labels see them
+        ("_residual_system", "- (x_p - 2 * a * a + sd_p) * czm", "- 1.001 * (x_p - 2 * a * a + sd_p) * czm",
+         "boundary_equations_generic"),
+        ("_residual_system", "r[4] = b * (czp - czm) - cp * d", "r[4] = b * (czp - czm) + cp * d",
+         "boundary_equations_generic"),
+        # the radicand 1e-6 too large: b is 9e-14 off, under its 1e-9 gate; the phase 2.4e-7 off, over its 1.6e-12
+        ("consistent_scale", "PI**2 / 3.0)", "PI**2 / 3.0 + 1e-6)", "consistency_scan"),
+    ],
+    ids=["r0_term", "r4_sign", "scale_radicand"],
+)
+def test_boundary_mutants_fail_verify(mutate, tmp_path, capsys, name, old, new, failing):
+    mutate(boundary, name, old, new)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--dynamics-sets", "0", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
+
+
+def test_generic_equations_check_reads_the_identity():
+    # r/D against col - target at random constants, relative to max(1, 1/|D|): rounding, far inside the 1e-12 gate
+    constants = [BoundaryConstants(*np.random.default_rng(3).uniform(-8.0, 8.0, 5)) for _ in range(50)]
+    assert report_module.equations_against_columns(constants) <= 1e-14
+    report = run_verification(**QUICK)
+    check = {c.name: c for c in report.checks}["boundary_equations_generic"]
+    assert check.status == "pass" and check.tolerance == 1e-12 and check.measured <= 1e-14
 
 
 def test_default_grid_values():

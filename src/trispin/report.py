@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
+from .algebra import E1, TAU_STAR, ControlParams, energy_residual, energy_shell, transverse_amplitude
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
@@ -341,6 +341,16 @@ def run_verification(
         disc.max_deviation,
         "integrated-generator ansatz vs time-ordered propagator on [0, tau_star]",
         note=f"largest gap at tau={disc.tau_at_max:.6g}",
+    )
+
+    # --- the energy shell of every control propagated: the one above, the random sets and the grid's results ---
+    found = [p for _, _, p in gs.peaks.values() if p is not None] + ([gs.best_params] if gs.feasible else [])
+    report.add_bounded(
+        "energy_residual_max",
+        float(max(abs(energy_residual(p)) for p in [params, *dyn_params, *found])),
+        1e-12,
+        "fixed-energy condition b0^2 + bz^2 = omega_hat^2 - (1 + k^2)",
+        note=f"the {control}, {n_dynamics} random parameter sets and {len(found)} grid results",
     )
 
     # --- reachability probes: one grid pass measures both x8 and x7 ---

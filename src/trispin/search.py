@@ -2,8 +2,10 @@
 
 The search space is the energy shell of the rotating drive: (bz, omega_rf)
 free, b0 fixed by the energy constraint, and theta0 a gauge read off the state
-from e1.  Every search minimizes one objective, the first crossing of the
-theta0-best target value, solved by ``_first_crossing`` on the mode table.
+from e1.  Every search minimizes one objective, the first crossing time of the
+theta0-best target value, solved by ``_first_crossing`` on the mode table; no
+objective reads theta0, so a search reads it once per result it reports
+(``_best_theta0``), not at every crossing and peak it solves.
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 
@@ -117,15 +119,16 @@ def _target_values(modes: tuple, j: int, taus: np.ndarray) -> np.ndarray:
 
 
 def _first_crossing(
-    p: ControlParams, modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray | None = None, sign: float = 1.0
-) -> tuple[float, ControlParams] | None:
-    """(tau, p at the best theta0 there) where sign times the theta0-best x_j first reaches threshold; None if never.
+    modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray | None = None, sign: float = 1.0
+) -> float | None:
+    """The tau where sign times the theta0-best x_j first reaches threshold; None if never.
 
-    modes is a ``mode_table`` from e1 of a theta0 = 0 control, and p that control or, with sign -1 and j x5 or x7,
-    its mirror (bz, omega_rf) -> (-bz, -omega_rf), whose x_j is -x_j (module docstring; theta0 moves neither).
-    best is x_j on taus, as a grid search has it, or else ``_target_values`` on taus.  brentq solves the crossing
-    in the grid interval of the first hit on the scalar theta0-best x_j off ``_state``, which has the bits of the
+    modes is a ``mode_table`` from e1 of a theta0 = 0 control or, with sign -1 and j x5 or x7, of the pair whose
+    mirror (bz, omega_rf) -> (-bz, -omega_rf) is searched: the mirror's x_j is -x_j (module docstring).  best is
+    x_j on taus, as a grid search has it, or else ``_target_values`` on taus.  brentq solves the crossing in the
+    grid interval of the first hit on the scalar theta0-best x_j off ``_state``, which has the bits of the
     single-tau ``_best_over_theta0``; the bracket's ends keep their grid values, which it may miss in the last bits.
+    The gauge theta0 is not read here: a search reads it once per reported result (``_best_theta0``).
     """
     x = _target_values(modes, j, taus) if best is None else best
     hits = np.flatnonzero(sign * x >= threshold)
@@ -133,7 +136,7 @@ def _first_crossing(
         return None
     i = int(hits[0])
     if i == 0:  # the state is e1, whatever theta0
-        return 0.0, p
+        return 0.0
     from scipy.optimize import brentq  # imported here: the CLI's start-up needs no scipy
     ends = {float(taus[i - 1]): sign * x[i - 1] - threshold, float(taus[i]): sign * x[i] - threshold}
 
@@ -143,21 +146,19 @@ def _first_crossing(
         y = _state(modes, tau)
         return sign * (np.hypot(y[j & ~2], y[j | 2]) if j % 2 else y[j]) - threshold
 
-    tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
-    return float(tau), replace(p, theta0=_best_theta0(modes, tau, p.omega_rf, j))
+    return float(brentq(gap, taus[i - 1], taus[i], xtol=1e-15))
 
 
-def min_time_to_target(
-    p: ControlParams, target: str, threshold: float, tau_max: float, dtau: float
-) -> tuple[float, ControlParams] | None:
-    """(tau, p at the best theta0 there) of the first crossing of the theta0-best x_target; None if never reached.
+def min_time_to_target(p: ControlParams, target: str, threshold: float, tau_max: float, dtau: float) -> float | None:
+    """The first crossing time of the theta0-best x_target; None if never reached.
 
-    p.theta0 is ignored (from e1 it is a gauge).  The crossing is bracketed on _time_grid(tau_max, dtau) off the
-    target's columns, 0.24 ms on the search's 410 taus (``_first_crossing``); a threshold above 1 is unreachable.
+    p.theta0 is ignored (from e1 it is a gauge), and the theta0 of the crossing is not read.  The crossing is
+    bracketed on _time_grid(tau_max, dtau) off the target's columns (``_first_crossing``); a threshold above 1 is
+    unreachable.
     """
     _check_threshold(threshold)
-    j, taus, p = _target_index(target), _time_grid(tau_max, dtau), replace(p, theta0=0.0)
-    return _first_crossing(p, mode_table(p, _Y1), j, threshold, taus)
+    j, taus = _target_index(target), _time_grid(tau_max, dtau)
+    return _first_crossing(mode_table(replace(p, theta0=0.0), _Y1), j, threshold, taus)
 
 
 def grid_search(
@@ -179,8 +180,10 @@ def grid_search(
     on-shell (bz, omega_rf) pairs, row by row, are taken in blocks of _CHUNK_STEPS (pair, tau)
     rows, one pair at least: one ``mode_table`` (one eigh) and one ``_best_over_theta0`` pass
     per block, 64 blocks on the benchmark's grids (81 by bz row).  argmax and argmin find a
-    block's peaks, the first of equal ones as a loop would, and its crossing pairs, solved on
-    their grid rows (``_first_crossing``); only those and new peaks get a ControlParams.  bz
+    block's peaks, the first of equal ones as a loop would (argmin, for the mirror, over x5
+    and x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).
+    The best crossing and each peak keep their pair and its modes, and after the last block
+    each reported entry gets its ControlParams and theta0, at most 9 ``_best_theta0``.  bz
     off the energy shell is skipped (no real transverse amplitude there); an omega_hat at or
     below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not
     positive are ValueErrors.  The result also records the largest value of every
@@ -205,31 +208,38 @@ def grid_search(
     def pair(m: int, sign: float) -> ControlParams:  # pair m, or its mirror, at theta0 = 0
         return ControlParams(k=k, omega_hat=omega_hat, b0=float(b0[m]), bz=sign * bz[m], omega_rf=sign * rf[m], theta0=0.0)
 
-    best_tau, best_params, landscape, peaks = math.inf, None, [], {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
+    # the best crossing and the running peaks keep (pair, sign, the pair's modes); theta0 is read once they are final
+    best_tau, kept, landscape, peaks = math.inf, None, [], {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     for start in range(0, len(bz), width):
         span = slice(start, start + width)
         block = ControlParams(k=k, omega_hat=omega_hat, b0=b0[span], bz=bz[span], omega_rf=rf[span], theta0=0.0)
         tables, rates = mode_table(block, _Y1)
         best = _best_over_theta0((tables, rates), taus)  # (pairs, taus, 8)
-        ends = best.argmax(axis=1), best.argmin(axis=1)  # (pairs, 8): the peak rows of each pair and of its mirror
+        ends = best.argmax(axis=1), np.zeros((len(best), 8), dtype=np.intp)  # the peak rows of each pair and of its mirror
+        ends[1][:, mirrored] = best[:, :, mirrored].argmin(axis=1)  # the mirror is read for x5 and x7 alone
         high, low = (np.take_along_axis(best, end[:, None], axis=1)[:, 0] for end in ends)
         values = high, np.where(mirrored, -low, -math.inf)  # the peaks of a pair, and of its mirror for x5 and x7
         candidates = np.stack(values, axis=1).reshape(-1, 8)  # each pair's peaks, then its mirror's
         first = candidates.argmax(axis=0)  # the first of equal peaks, as a loop over the pairs would take
         for j in np.flatnonzero(candidates[first, range(8)] > [peak[0] for peak in peaks.values()]):
             n, side = divmod(first[j], 2)
-            i, q = ends[side][n, j], pair(start + n, (1.0, -1.0)[side])
-            theta0 = 0.0 if side else _best_theta0((tables[n], rates[n]), taus[i], q.omega_rf, j)
-            peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[i]), replace(q, theta0=theta0))
+            source = start + n, (1.0, -1.0)[side], (tables[n], rates[n])
+            peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[ends[side][n, j]]), source)
         x, crosses = best[:, :, idx], np.stack(values[: len(signs)], axis=1)[:, :, idx] >= threshold  # a peak reaches it
         for n, side in np.ndindex(crosses.shape):  # pair by pair, each before its mirror
             m, i, sign = start + n, ends[side][n, idx], signs[side]
-            hit = crosses[n, side] and _first_crossing(pair(m, sign), (tables[n], rates[n]), idx, threshold, taus, x[n], sign)
-            if hit and hit[0] < best_tau:
-                best_tau, best_params = hit
+            tau = _first_crossing((tables[n], rates[n]), idx, threshold, taus, x[n], sign) if crosses[n, side] else None
+            if tau is not None and tau < best_tau:
+                best_tau, kept = tau, (m, sign, (tables[n], rates[n]))
             if collect_landscape and (side == 0 or m >= len(rf_axis) or resolution % 2 == 0):  # a centre row holds its mirrors
-                landscape.append((sign * float(bz[m]), sign * float(rf[m]), hit[0] if hit else None,
-                                  float(sign * x[n, i]), float(taus[i])))
+                landscape.append((sign * float(bz[m]), sign * float(rf[m]), tau, float(sign * x[n, i]), float(taus[i])))
+
+    def at_theta0(m: int, sign: float, modes: tuple, tau: float, j: int) -> ControlParams:  # theta0 of the best x_j
+        return replace(pair(m, sign), theta0=_best_theta0(modes, tau, sign * rf[m], j))
+
+    peaks = {name: (value, tau, source and at_theta0(*source, tau, j))
+             for (name, (value, tau, source)), j in zip(peaks.items(), COMPONENT_INDEX.values())}
+    best_params = kept and (pair(*kept[:2]) if best_tau == 0.0 else at_theta0(*kept, best_tau, idx))  # row 0 is e1
     return SearchResult(
         best_params=best_params,
         best_tau=None if math.isinf(best_tau) else best_tau,
@@ -251,9 +261,10 @@ def grid_search(
 def refine_local(seed: SearchResult) -> SearchResult:
     """Simplex refinement of (bz, omega_rf) minimizing the threshold-crossing time, at most 120 evaluations.
 
-    theta0 is read off the state and b0 restores the energy constraint after
-    every move.  The reported time is the best seen, so never later than the
-    seed's; an infeasible seed is returned unchanged.
+    b0 restores the energy constraint after every move, and theta0 is read off the
+    state once, at the best control.  The reported time is the best seen, so never
+    later than the seed's; a seed that is infeasible or not improved on is returned
+    unchanged.
     """
     if not seed.feasible:
         return seed
@@ -263,21 +274,26 @@ def refine_local(seed: SearchResult) -> SearchResult:
     target, threshold = spec["target"], spec["threshold"]
     tau_max, dtau = spec["tau_max"], spec["dtau"]
     shell = energy_shell(omega_hat, k)
-    best = {"tau": seed.best_tau, "params": seed.best_params}
+    best = {"tau": seed.best_tau, "params": None}  # the best control improving on the seed, at theta0 = 0
 
     def objective(v: np.ndarray) -> float:
         bz, omega_rf = v
         if bz**2 >= shell:
             return 10.0 * tau_max
-        p = replace(seed.best_params, b0=transverse_amplitude(omega_hat, k, bz), bz=float(bz), omega_rf=float(omega_rf))
-        hit = min_time_to_target(p, target, threshold, tau_max=tau_max, dtau=dtau)
-        if hit is None:
+        p = replace(seed.best_params, b0=transverse_amplitude(omega_hat, k, bz), bz=float(bz), omega_rf=float(omega_rf),
+                    theta0=0.0)
+        t = min_time_to_target(p, target, threshold, tau_max=tau_max, dtau=dtau)
+        if t is None:
             return 10.0 * tau_max
-        t, p = hit
         if t < best["tau"]:
             best["tau"], best["params"] = t, p
         return t
 
     x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf])
     minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 120, "xatol": 1e-10, "fatol": 1e-12})
-    return replace(seed, best_params=best["params"], best_tau=best["tau"])
+    p, tau = best["params"], best["tau"]
+    if p is None:
+        return seed
+    if tau > 0.0:  # at tau = 0 the state is e1, and theta0 stays 0
+        p = replace(p, theta0=_best_theta0(mode_table(p, _Y1), tau, p.omega_rf, _target_index(target)))
+    return replace(seed, best_params=p, best_tau=tau)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
-from trispin import boundary, dynamics
+from trispin import algebra, boundary, dynamics, search
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
@@ -86,6 +86,28 @@ def test_boundary_mutants_fail_verify(mutate, tmp_path, capsys, name, old, new, 
     assert code == 1 and capsys.readouterr().err == ""
     checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
+
+
+def test_energy_mutant_fails_verify(mutate, monkeypatch, tmp_path, capsys):
+    # b0 off the energy shell: 0.01 under the root of transverse_amplitude, read by name where the random
+    # sets and the grid's pairs are built.  No other check reads the energy, so only the energy check fails
+    mutate(algebra, "transverse_amplitude", "math.sqrt(r)", "math.sqrt(r + 0.01)")
+    for module in (report_module, search):
+        monkeypatch.setattr(module, "transverse_amplitude", algebra.transverse_amplitude)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == ["energy_residual_max"]
+    assert abs({c["name"]: c for c in checks}["energy_residual_max"]["measured"] - 0.01) <= 1e-15
+
+
+def test_energy_check_reads_every_propagated_control():
+    # the control of the transfer check, the random sets and the grid's 8 peaks and best (it crosses 0.999 here)
+    report = run_verification(omega_hat=2.7, n_dynamics=2, grid_resolution=21, scan_samples=801)
+    check = {c.name: c for c in report.checks}["energy_residual_max"]
+    assert check.status == "pass" and check.tolerance == 1e-12 and check.measured <= 4e-15
+    assert check.note == "the inverted control, 2 random parameter sets and 9 grid results"
 
 
 def test_generic_equations_check_reads_the_identity():

@@ -273,8 +273,10 @@ def invert_to_physical(omega_hat: float, k: float, tau_star: float, b_target: fl
     has omega_rf <= 4*b0/|b_target|, the end included (at a ``consistent_scale``
     the end is the closed-form rate).  So the grid runs from 0 in steps of
     ROOT_STEP to one step past the end, shared by r = 0, 1, and brentq solves each
-    sign change on it; more than MAX_ROOT_STEPS steps is a ValueError.  An empty
-    result means no sign change was bracketed, not a failure.
+    sign change on it; more than MAX_ROOT_STEPS steps is a ValueError.  A root is
+    kept if its controls meet b and d = 0 to 1e-10.  An empty result is not a
+    failure: no sign change was bracketed, or every root failed that gate (at
+    tau_star = 1e300, omega_hat = 2.7 and b_target = -pi, all 1,411 do).
     """
     if b_target == 0.0:
         raise ValueError("b_target must be nonzero (the d = 0 branch requires b != 0)")

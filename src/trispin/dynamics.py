@@ -8,10 +8,11 @@ M_pm = 2(P +- Q), which is linear in the drive:
     M_pm(tau) = M0_pm + b0*(cos(theta)*MC + sin(theta)*MS),  M0_pm = MB + (bz +- k)*MZ.
 
 Every generator in the package is assembled from the four constant matrices
-MB, MZ, MC and MS.  Generators and propagated states carry both halves on one
-axis of length 2, + first.  Three propagation routes are provided:
+MB, MZ, MC and MS.  The half generators M_pm and the states of the last two
+routes below carry both halves on one axis of length 2, + first; RK4 steps the
+8-vector itself.  Three propagation routes are provided:
 
-* ``propagate_rk4``            classic fixed-step RK4 on the two 4-vectors y_pm,
+* ``propagate_rk4``            classic fixed-step RK4 on x with the 8x8 ``build_M``,
                                one step map per run in the co-rotating frame,
 * ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
                                for the rotating drive the generator does not
@@ -61,6 +62,10 @@ MS = _skew(1, 2, 2.0)
 # (2,4) plane itself) commute with R.  Hence M_pm(tau) = R M_pm(0) R^T with
 # phi = omega_rf*tau, and y_pm(tau) = R exp[tau*(M_pm(0) - omega_rf*J)] y_pm(0).
 J = _skew(1, 3, -1.0)
+# The frame turn of the 8-vector: J on each of x_plus and x_minus, as on each of y_pm.  With P = -K^2 and D = I - P,
+# exp(phi K)^T = D + cos(phi) P - sin(phi) K; _TURN_PARTS = (D, P, -K).
+_TURN = np.kron(np.eye(2), J)
+_TURN_PARTS = np.stack([np.eye(8) + _TURN @ _TURN, -_TURN @ _TURN, -_TURN])
 
 
 # the (+, -) halves axis of every generator and state: M0_pm = MB + (bz + _PM*k)*MZ
@@ -143,20 +148,20 @@ class _Rows:
 
     Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the row source starts, b = maps.shape[-3]: a row of one
     GEMM with the maps side by side in a table.  A last partial block, the one-row product with the table's first
-    columns, is made here and heads the tail.  turn = (K, phi, psi, o), if given, also turns row (j, l) by
-    exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K skew with K^3 = -K, and then maps it by o.  With P = -K^2
-    and D = I - P, exp(phi K)^T = D + cos(phi) P - sin(phi) K, so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @
-    [T_l D o; T_l P o; -T_l K o] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
+    columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns row (j, l) by the frame turn
+    exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi K)^T = D + cos(phi) P -
+    sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @
+    [T_l D; T_l P; -T_l K] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
     """
 
     def __init__(self, tail, starts=None, maps=None, count=0, turn=None):
         self.tail, self.starts, self.count, self.trig = tail, starts, count, None
         self.n = count + tail.shape[-2]
         if turn is not None:
-            k, phi, psi, o = turn
-            parts = np.stack([np.eye(len(k)) + k @ k, -k @ k, -k])  # D, P, -K
-            maps = maps @ (parts[0] + np.cos(psi)[:, None, None] * parts[1] + np.sin(psi)[:, None, None] * parts[2])
-            maps = np.concatenate([maps @ part for part in parts @ o], axis=-2)
+            phi, psi = turn
+            d, p, minus_k = _TURN_PARTS
+            maps = maps @ (d + np.cos(psi)[:, None, None] * p + np.sin(psi)[:, None, None] * minus_k)
+            maps = np.concatenate([maps @ part for part in _TURN_PARTS], axis=-2)
             self.trig = np.cos(phi)[:, None], np.sin(phi)[:, None]
         if count:
             self.b, width = maps.shape[-3], maps.shape[-1]
@@ -202,50 +207,42 @@ class _Rows:
 
 
 def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None) -> _Rows:
-    """Rows exp(omega*t_i*K) y_i @ o, frame = (K, omega, t, o), of the powers y_i of a step map: n rows of o.shape[1].
+    """Rows exp(omega*t_i*K) x_i, frame = (omega, t), K = _TURN, of the powers x_i of a step map: n rows of 8.
 
-    y_i = (I + e[0])^i first for i < n - 1 and y_(n-1) = (I + e[1]) y_(n-2).  first has shape (k, m), k
-    independent halves, and K, the frame turn, acts on the flattened state; e (2, k, m, m) holds the
+    x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, 8, 8) holds the
     increments of a step of dtau and of the grid's last step, and t has length n.  With E_0 = 0 and
-    E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, y_i at i = j*_BLOCK_STEPS + l < n - 1 is (I + E_l) s_j,
-    turned and mapped by o on the block grid of a ``_Rows``; y_(n-1) is its one held row.  The block starts
+    E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T,
+    turned on the block grid of a ``_Rows``; x_(n-1) is its one held row.  The block starts
     s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on E_last with no frame: n
     entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e
     and E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
-    width = first.size
     if n == 1:
-        row = first.reshape(width)
-        return _Rows((row if frame is None else row @ frame[3])[None])
+        return _Rows(first[None])
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
     powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
     starts = _powers(powers[[-1, -1]], first, (n - 2) // _BLOCK_STEPS + 1)
-    # maps[l, (h, j), (g, i)] = (I + E_l)[h, i, j] if g = h, else 0, so (s @ maps[l])[(g, i)] = ((I + E_l) s)[g, i]
-    maps = np.einsum("lhij,hg->lhjgi", powers[:_BLOCK_STEPS], np.eye(len(first))).reshape(-1, width, width) + np.eye(width)
+    maps = powers[:_BLOCK_STEPS].swapaxes(-1, -2) + np.eye(len(first))  # s @ maps[l] = (I + E_l) s
     j, l = divmod(n - 2, _BLOCK_STEPS)
-    y = starts.take(j, j + 1)[0] @ maps[l]  # y_(n-2)
-    y = (y + (e[1] @ y.reshape(first.shape + (1,))).reshape(width))[None]
+    x = starts.take(j, j + 1)[0] @ maps[l]  # x_(n-2)
+    x = (x + e[1] @ x)[None]
     if frame is None:
-        return _Rows(y, starts, maps, n - 1)
-    k, omega, t, o = frame
-    last = _Rows(np.empty((0, o.shape[1])), _Rows(y), np.eye(width)[None], 1, (k, omega * t[-1:], np.zeros(1), o))
-    return _Rows(last.array(), starts, maps, n - 1, (k, omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)], o))
-
-
-_TURN = np.kron(np.eye(2), J)  # the frame turn of both halves of a flattened (2, 4) state and of (x_plus, x_minus)
-_JOIN_ROWS = join_halves(np.eye(8).reshape(8, 2, 4))  # y.reshape(8) @ _JOIN_ROWS = join_halves(y)
+        return _Rows(x, starts, maps, n - 1)
+    omega, t = frame
+    last = _Rows(np.empty((0, len(first))), _Rows(x), np.eye(len(first))[None], 1, (omega * t[-1:], np.zeros(1)))
+    return _Rows(last.array(), starts, maps, n - 1, (omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)]))
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step RK4 of dy_pm/dtau = M_pm y_pm on ``_time_grid(tau_end, dtau)``, both halves at once.
+    """Classic 4th-order fixed-step RK4 of dx/dtau = M x on ``_time_grid(tau_end, dtau)``, M the 8x8 ``build_M``.
 
     With left, middle and right generators A1, A2, A4 of a step of length h, the stages of a
     linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
-    step adds D y, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M_pm(t + s) = R M_pm(s) R^T (see J),
+    step adds D x, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M(t + s) = R M(s) R^T, R = exp(omega_rf*t*_TURN) (see J),
     every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
-    turns each state back by exp(omega_rf*tau*J) and joins the halves inside its GEMM.
+    turns each state back by exp(omega_rf*tau*_TURN) inside its GEMM.  The states are a new array, never x0.
     """
     taus, rows = _rk4_rows(p, x0, tau_end, dtau)
     return Trajectory(taus=taus, states=rows.array())
@@ -254,15 +251,16 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
 def _rk4_rows(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> tuple[np.ndarray, _Rows]:
     """(taus, rows): the grid of ``propagate_rk4`` and its states as a row source."""
     taus = _time_grid(tau_end, dtau)
-    h = np.append(dtau, np.diff(taus[-2:]))[:, None, None, None]  # every step of _time_grid but its last is dtau long
-    left, mid, right = build_M_half(p, np.outer([0.0, 0.5, 1.0], h))
+    h = np.append(dtau, np.diff(taus[-2:]))[:, None, None]  # every step of _time_grid but its last is dtau long
+    left, mid, right = build_M(p, np.outer([0.0, 0.5, 1.0], h))
     k2 = mid + (h / 2.0) * (mid @ left)
     k3 = mid + (h / 2.0) * (mid @ k2)
     k4 = right + h * (right @ k3)
     d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
-    # R(-omega_rf h) - I = -sin(omega_rf h) J + (1 - cos(omega_rf h)) J^2, as J^3 = -J
-    turn = -np.sin(p.omega_rf * h) * J + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (J @ J)
-    return taus, _powers(turn + d + turn @ d, split_halves(x0), len(taus), (_TURN, p.omega_rf, taus, _JOIN_ROWS))
+    # R(-omega_rf h) - I = -sin(omega_rf h) K + (1 - cos(omega_rf h)) K^2, as K^3 = -K for K = _TURN
+    turn = -np.sin(p.omega_rf * h) * _TURN + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (_TURN @ _TURN)
+    # a copy: a one-point grid's only row is first itself
+    return taus, _powers(turn + d + turn @ d, np.array(x0, dtype=float), len(taus), (p.omega_rf, taus))
 
 
 def sinc(z):
@@ -386,7 +384,7 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: flo
     c, s = (np.swapaxes(v, -1, -2)[..., None, :] for v in trig(block))  # (lead, 4, 1, b): inner loops over 32 taus, not 8 columns
     t_c, t_s = table[..., :4, :, None], table[..., 4:, :, None]
     maps = np.moveaxis(np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-3), -1, -3)  # (lead, b, 8, width)
-    turn = None if omega_rf is None else (_TURN, omega_rf * starts, omega_rf * block, np.eye(8))
+    turn = None if omega_rf is None else (omega_rf * starts, omega_rf * block)
     return _Rows(rows, _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn)
 
 

@@ -3,9 +3,9 @@
 ``propagate_rk4`` steps in the co-rotating frame, where every step of dtau is
 one constant map and the grid's last step has its own; ``dynamics._powers``
 takes the powers of that map in blocks of ``dynamics._BLOCK_STEPS`` steps, with
-the turn back to the lab frame and the output map folded into one GEMM per block
-table.  The oracles below are the plain one-step-at-a-time versions in the lab
-frame, one generator per step, kept here only as references.  Every block grid starts at state row 0 and holds all rows
+the turn back to the lab frame folded into one GEMM per block table.  The
+oracles below are the plain one-step-at-a-time versions in the lab frame, one
+generator per step, kept here only as references.  Every block grid starts at state row 0 and holds all rows
 but the last, so a grid of s steps has s grid rows.  The grids hold one point,
 one step (the last map alone) or two, end one step before, on and one step after
 a block edge, end in a shortened last step after whole blocks, or are one long
@@ -15,9 +15,10 @@ own grid: grids of b*b - 1, b*b and b*b + 1 steps give b, b and b + 1 starts, so
 b*b + 1 steps are the first whole block of starts, and b*(b + 1) steps, b + 1
 whole blocks, are the last grid whose starts are one whole block and one more.
 
-``propagate_rk4`` steps the two decoupled halves y_pm with M_pm; its oracle
-steps the full 8-vector with the 8x8 ``build_M``, from e1 (where y_+ = y_-)
-and from a generic unit vector whose halves differ.
+``propagate_rk4`` steps the 8-vector with the 8x8 ``build_M``; its oracles step
+the 8-vector the same way and the two decoupled halves y_pm with M_pm, joined
+after each step, so the two formulations meet: from e1 (where y_+ = y_-) and
+from a generic unit vector whose halves differ.
 
 ``full_hilbert_trajectory`` reads the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of
 the conserved (sz1, sz3) sectors that the coherences need off ``hilbert.sector_table``,
@@ -81,10 +82,12 @@ from trispin.dynamics import (
     exact_state_trajectory,
     expm_skew,
     integral_generator,
+    join_halves,
     phase_integrals,
     propagate_rk4,
     propagate_rotating_exact,
     propagator_discrepancy,
+    split_halves,
 )
 from trispin.hilbert import full_hilbert_trajectory, sector_table
 from trispin.report import random_consistent_params
@@ -124,6 +127,25 @@ def rk4_per_step(p, x0, tau_end, dtau):
         k4 = m_right @ (x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i] = x
+    return taus, states
+
+
+def rk4_halves_per_step(p, x0, tau_end, dtau):
+    """RK4 of the two halves y_pm with M_pm, one step per iteration, joined into 8-vectors."""
+    taus = _time_grid(tau_end, dtau)
+    y = split_halves(x0)[..., None]  # (2, 4, 1): both halves, + first
+    states = np.empty((len(taus), 8))
+    states[0] = join_halves(y[..., 0])
+    for i in range(1, len(taus)):
+        t = taus[i - 1]
+        h = taus[i] - t
+        m_left, m_mid, m_right = build_M_half(p, t), build_M_half(p, t + h / 2.0), build_M_half(p, t + h)
+        k1 = m_left @ y
+        k2 = m_mid @ (y + (h / 2.0) * k1)
+        k3 = m_mid @ (y + (h / 2.0) * k2)
+        k4 = m_right @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i] = join_halves(y[..., 0])
     return taus, states
 
 
@@ -185,9 +207,10 @@ DEGENERATE = {
 def test_rk4_matches_per_step_loop(params, tau_end):
     for x0 in (E1, GENERIC_X0):
         traj = propagate_rk4(params, x0, tau_end, DTAU)
-        taus, states = rk4_per_step(params, x0, tau_end, DTAU)
-        assert np.array_equal(traj.taus, taus)
-        assert np.max(np.abs(traj.states - states)) <= 1e-13
+        for per_step in (rk4_per_step, rk4_halves_per_step):
+            taus, states = per_step(params, x0, tau_end, DTAU)
+            assert np.array_equal(traj.taus, taus)
+            assert np.max(np.abs(traj.states - states)) <= 1e-13, per_step.__name__
 
 
 @on_grids

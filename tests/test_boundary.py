@@ -752,6 +752,15 @@ def test_invert_empty_when_unreachable():
     assert sols == []
 
 
+def test_invert_empty_when_every_bracketed_root_fails_the_residual_gate(monkeypatch):
+    # at tau_star = 1e300 the grid brackets 1,411 sign changes of the rounded sinc and brentq solves each, but
+    # omega_rf*tau_star carries rounding of order tau_star*eps, so no root meets b and d to 1e-10: empty, not unbracketed
+    solved = []
+    monkeypatch.setattr("scipy.optimize.brentq", lambda *args, **kwargs: solved.append(args) or brentq(*args, **kwargs))
+    assert invert_to_physical(2.7, 1.0, 1e300, -PI) == []
+    assert len(solved) == 1411
+
+
 # --- consistency scan -----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from trispin import algebra
 from trispin.algebra import ControlParams, transverse_amplitude
 from trispin.dynamics import (
     CSV_HEADER,
@@ -229,6 +230,14 @@ def test_rk4_grid_endpoints():
     assert traj.taus[0] == 0.0
     assert abs(traj.taus[-1] - 0.95) < 1e-15
     assert np.all(np.diff(traj.taus) > 0)
+
+
+def test_rk4_one_point_states_are_a_new_writable_array():
+    # a one-point grid's only row is the start state: the trajectory holds a copy of the read-only e1, not a view
+    start = algebra.E1
+    traj = propagate_rk4(_params(), start, 0.0, 1e-3)
+    assert traj.states.flags.writeable and not np.shares_memory(traj.states, start)
+    assert np.array_equal(traj.states, start[None])
 
 
 # --- integrated generator -------------------------------------------------

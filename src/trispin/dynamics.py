@@ -210,15 +210,17 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None
     """Rows exp(omega*t_i*K) x_i, frame = (omega, t), K = _TURN, of the powers x_i of a step map: n rows of 8.
 
     x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, 8, 8) holds the
-    increments of a step of dtau and of the grid's last step, and t has length n.  With E_0 = 0 and
+    increments of a step of dtau and of the grid's last step, and t ends at t_(n-1).  With E_0 = 0 and
     E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T,
-    turned on the block grid of a ``_Rows``; x_(n-1) is its one held row.  The block starts
-    s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on E_last with no frame: n
-    entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e
-    and E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
+    turned on the block grid of a ``_Rows``; x_(n-1) is its one held row, turned as n = 1 turns first: on a grid of
+    one row.  The block starts s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on
+    E_last with no frame: n entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being
+    rounded each step; e and E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks
+    are short.
     """
     if n == 1:
-        return _Rows(first[None])
+        one = _Rows(first[None])
+        return one if frame is None else _Rows(np.empty((0, 8)), one, np.eye(8)[None], 1, (frame[0] * frame[1][-1:], np.zeros(1)))
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
     powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
@@ -227,12 +229,11 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None
     maps = powers[:_BLOCK_STEPS].swapaxes(-1, -2) + np.eye(len(first))  # s @ maps[l] = (I + E_l) s
     j, l = divmod(n - 2, _BLOCK_STEPS)
     x = starts.take(j, j + 1)[0] @ maps[l]  # x_(n-2)
-    x = (x + e[1] @ x)[None]
+    x = x + e[1] @ x
     if frame is None:
-        return _Rows(x, starts, maps, n - 1)
-    omega, t = frame
-    last = _Rows(np.empty((0, len(first))), _Rows(x), np.eye(len(first))[None], 1, (omega * t[-1:], np.zeros(1)))
-    return _Rows(last.array(), starts, maps, n - 1, (omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)]))
+        return _Rows(x[None], starts, maps, n - 1)
+    last, (omega, t) = _powers(e, x, 1, frame).array(), frame
+    return _Rows(last, starts, maps, n - 1, (omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)]))
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
@@ -244,12 +245,12 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
     turns each state back by exp(omega_rf*tau*_TURN) inside its GEMM.  The states are a new array, never x0.
     """
-    taus, rows = _rk4_rows(p, x0, tau_end, dtau)
-    return Trajectory(taus=taus, states=rows.array())
+    taus, e = _rk4_map(p, tau_end, dtau)
+    return Trajectory(taus=taus, states=_powers(e, np.asarray(x0, dtype=float), len(taus), (p.omega_rf, taus)).array())
 
 
-def _rk4_rows(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> tuple[np.ndarray, _Rows]:
-    """(taus, rows): the grid of ``propagate_rk4`` and its states as a row source."""
+def _rk4_map(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, e): the grid of ``propagate_rk4`` and the co-rotating step map's increments for ``_powers``, shape (2, 8, 8)."""
     taus = _time_grid(tau_end, dtau)
     h = np.append(dtau, np.diff(taus[-2:]))[:, None, None]  # every step of _time_grid but its last is dtau long
     left, mid, right = build_M(p, np.outer([0.0, 0.5, 1.0], h))
@@ -259,8 +260,7 @@ def _rk4_rows(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> 
     d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
     # R(-omega_rf h) - I = -sin(omega_rf h) K + (1 - cos(omega_rf h)) K^2, as K^3 = -K for K = _TURN
     turn = -np.sin(p.omega_rf * h) * _TURN + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (_TURN @ _TURN)
-    # a copy: a one-point grid's only row is first itself
-    return taus, _powers(turn + d + turn @ d, np.array(x0, dtype=float), len(taus), (p.omega_rf, taus))
+    return taus, turn + d + turn @ d
 
 
 def sinc(z):

@@ -35,7 +35,7 @@ from .boundary import (
     sweep_tau,
     transfer_time,
 )
-from .dynamics import _WINDOW_ROWS, _mode_rows, _rk4_rows, _time_grid, exact_state_trajectory, mode_table
+from .dynamics import _WINDOW_ROWS, _mode_rows, _powers, _rk4_map, _time_grid, exact_state_trajectory, mode_table
 from .dynamics import propagator_discrepancy, split_halves
 from .hilbert import closure_check, sector_table
 from .search import grid_search
@@ -149,25 +149,29 @@ def equations_against_columns(constants: list[BoundaryConstants]) -> float:
 def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[float, float]:
     """(max full-Hilbert vs RK4 deviation, max rotating-exact vs RK4 deviation), all from x = e1.
 
-    A deviation is the largest Euclidean distance between matching state rows.  The oracles' row sources give the
-    same windows of _WINDOW_ROWS rows, compared as they are taken, so no trajectory is held."""
+    A deviation is the largest Euclidean distance between matching state rows.  The oracles share the frame turn R, an
+    orthogonal map, so |R a - R b| = |a - b|: their rows are compared co-rotating, in windows of _WINDOW_ROWS rows from
+    one source for both mode tables (full, exact) and one for RK4, as they are taken, so no trajectory is held.  The
+    last row is compared turned too: RK4's by ``_powers``' block turn, the mode tables' by ``_mode_rows``' direct one."""
     worst = np.zeros(2)  # largest row sums of squares, full and exact
-    # full, exact and RK4 rows of every window: no window allocates its rows, so the heap neither grows nor is
-    # trimmed window after window, and the loop takes no fresh pages from the kernel
-    window = np.empty((3, _WINDOW_ROWS, 8))
     for p in params_list:
-        # a source holds no trajectory and a time grid 8 bytes a row: each source is built before the next grid
-        exact = _mode_rows(*mode_table(p, split_halves(E1)), _time_grid(tau_end, dtau), p.omega_rf)
-        full = _mode_rows(*sector_table(p), _time_grid(tau_end, dtau), p.omega_rf)
-        reduced = _rk4_rows(p, E1, tau_end, dtau)[1]
+        tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
+        taus, e = _rk4_map(p, tau_end, dtau)
+        modes, reduced = _mode_rows(tables, w, taus, None), _powers(e, E1, len(taus))
+        lab = _mode_rows(tables, w, taus[-1:], p.omega_rf).array()[:, 0]  # the last rows in the lab frame
+        lab -= _powers(e, reduced.tail[-1], 1, (p.omega_rf, taus)).array()
+        worst = np.maximum(worst, np.einsum("ki,ki->k", lab, lab))
+        del taus  # a source holds no trajectory and the grid 8 bytes a row: it is not held through the windows
+        # full, exact and RK4 rows of every window, each window C-contiguous, made after the sources, which peak with
+        # the grid: no window allocates its rows, so the heap neither grows nor is trimmed window after window
+        window = np.empty(3 * _WINDOW_ROWS * 8)
         for lo in range(0, reduced.n, _WINDOW_ROWS):
-            d = window[:, : min(_WINDOW_ROWS, reduced.n - lo)]
-            full.take(lo, lo + _WINDOW_ROWS, d[0])
-            exact.take(lo, lo + _WINDOW_ROWS, d[1])
+            d = window[: 3 * 8 * min(_WINDOW_ROWS, reduced.n - lo)].reshape(3, -1, 8)
+            modes.take(lo, lo + _WINDOW_ROWS, d[:2])
             reduced.take(lo, lo + _WINDOW_ROWS, d[2])
             d[:2] -= d[2]
-            worst = np.maximum(worst, [np.einsum("ij,ij->i", rows, rows).max() for rows in d[:2]])
-        del exact, full, reduced  # before the next set's sources are built
+            worst = np.maximum(worst, np.einsum("kij,kij->ki", d[:2], d[:2]).max(axis=1))
+        del modes, reduced, window, d  # d views the window: none is held while the next set's sources are built
     return math.sqrt(float(worst[0])), math.sqrt(float(worst[1]))
 
 

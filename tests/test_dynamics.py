@@ -240,6 +240,15 @@ def test_rk4_one_point_states_are_a_new_writable_array():
     assert np.array_equal(traj.states, start[None])
 
 
+def test_rk4_first_row_is_one_product_on_every_grid():
+    # the first row comes from the frame turn's product on every grid, a one-point grid's too: each bit, the sign of
+    # a zero included (a -0.0 entry of x0 reads +0.0 as on longer grids), is the same whatever the grid's length
+    x0 = np.array([-0.0, 0.3, -0.0, 0.4, 0.5, -0.0, 0.1, -0.2])
+    firsts = [propagate_rk4(_params(), x0, tau_end, 1e-3).states[0] for tau_end in (0.0, 1e-3, 2e-3, 0.5)]
+    assert all(np.array_equal(row, x0) and np.array_equal(np.signbit(row), np.signbit(firsts[0])) for row in firsts)
+    assert not np.any(np.signbit(firsts[0][[0, 2, 5]]))
+
+
 # --- integrated generator -------------------------------------------------
 
 

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
-from trispin import algebra, boundary, dynamics, search
+from trispin import algebra, boundary, dynamics, hilbert, search
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
 from trispin.dynamics import (
+    _TURN,
     _WINDOW_ROWS,
     _mode_rows,
-    _rk4_rows,
+    _powers,
+    _rk4_map,
     _time_grid,
     exact_state_trajectory,
+    mode_states,
     mode_table,
     propagate_rk4,
     split_halves,
@@ -100,6 +103,42 @@ def test_energy_mutant_fails_verify(mutate, monkeypatch, tmp_path, capsys):
     checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks if c["status"] == "fail"] == ["energy_residual_max"]
     assert abs({c["name"]: c for c in checks}["energy_residual_max"]["measured"] - 0.01) <= 1e-15
+
+
+BOTH = ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
+
+
+@pytest.mark.parametrize(
+    "module, name, old, new, failing",
+    [
+        # the step map's frame turn, R(-omega_rf h) turned the other way: RK4's co-rotating rows
+        (dynamics, "_rk4_map", "-np.sin(p.omega_rf * h) * _TURN", "+np.sin(p.omega_rf * h) * _TURN", BOTH),
+        # the block turn, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
+        (dynamics, "_TURN_PARTS", None, None, BOTH),
+        (dynamics, "_Rows", "np.sin(phi)[:, None]", "-np.sin(phi)[:, None]", BOTH),
+        # the direct turn of the mode rows: the full and exact last rows in the lab frame
+        (dynamics, "_mode_rows", "f(omega_rf * direct)", "f(-omega_rf * direct)", BOTH),
+        # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
+        (hilbert, "sector_table", "- [0.0, 0.0, p.omega_rf / 2.0]", "+ [0.0, 0.0, p.omega_rf / 2.0]", BOTH[:1]),
+        (dynamics, "rotating_generator", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
+         "+ np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J", BOTH[1:]),
+    ],
+    ids=["rk4_step_turn", "turn_parts", "block_turn_sine", "direct_turn", "sector_frame", "rotating_J"],
+)
+def test_frame_and_turn_mutants_fail_verify(mutate, monkeypatch, tmp_path, capsys, module, name, old, new, failing):
+    # the oracles are compared co-rotating, where one frame turn cancels; each set's last row, compared in the lab
+    # frame, still sees a fault in either turn.  Names report imports are patched there too
+    if old is None:
+        monkeypatch.setattr(dynamics, name, np.stack([np.eye(8) + _TURN @ _TURN, -_TURN @ _TURN, _TURN]))
+    else:
+        mutate(module, name, old, new)
+        if hasattr(report_module, name):
+            monkeypatch.setattr(report_module, name, getattr(module, name))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == failing
 
 
 def test_energy_check_reads_every_propagated_control():
@@ -203,39 +242,78 @@ def _whole_trajectory_gaps(params_list, tau_end, dtau):
     return worst_full, worst_exact
 
 
+def _corotating_gaps(params_list, tau_end, dtau):
+    """dynamics_equivalence by whole trajectories: the reference it streams.
+
+    Every row co-rotating, RK4's the powers of its step map and the others the public mode_states with no turn; and
+    the last row in the lab frame, RK4's from propagate_rk4 and the others mode_states at the last tau alone (a 2-row
+    grid's trajectories take their last row in a two-row product, whose last bits can differ)."""
+    worst_full = worst_exact = 0.0
+    for p in params_list:
+        taus, e = _rk4_map(p, tau_end, dtau)
+        reduced, lab = _powers(e, E1, len(taus)).array(), propagate_rk4(p, E1, tau_end, dtau).states[-1]
+        gaps = []
+        for table, w in (sector_table(p), mode_table(p, split_halves(E1))):
+            last = mode_states(table, w, taus[-1:], p.omega_rf).reshape(8)
+            d = np.vstack([mode_states(table, w, taus).reshape(-1, 8) - reduced, last - lab])
+            gaps.append(math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d)))))
+        worst_full, worst_exact = max(worst_full, gaps[0]), max(worst_exact, gaps[1])
+    return worst_full, worst_exact
+
+
 # rows, of which every oracle's grid holds all but the last, in blocks of 32 from row 0: 2 and 3 a lone step and
 # two; 32, 33 and 34 end one grid row before, on and after the first block edge, 35 two after; 2048, 2049 and 2050
 # one grid row before, on and after the first window edge (2,048 rows, 64 blocks); in 2081 the last window holds
 # one whole block, which takes a neighbour; 40,812 is verify's default grid
-@pytest.mark.parametrize("rows", [2, 3, 32, 33, 34, 35, 2048, 2049, 2050, 2081, 40812])
-def test_windowed_comparison_equals_whole_trajectories(rows):
+ROWS = [2, 3, 32, 33, 34, 35, 2048, 2049, 2050, 2081, 40812]
+
+
+def _grid(rows):
     tau_end, dtau = (3.0 * TAU_STAR, 1e-4) if rows == 40812 else ((rows - 1) * 1e-3, 1e-3)
     assert len(_time_grid(tau_end, dtau)) == rows
+    return tau_end, dtau
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_windowed_comparison_equals_whole_trajectories(rows):
+    tau_end, dtau = _grid(rows)
     rng = np.random.default_rng(rows)
     params = [random_consistent_params(rng) for _ in range(2)]
     got = dynamics_equivalence(params, tau_end, dtau)
-    assert got == _whole_trajectory_gaps(params, tau_end, dtau)
+    assert got == _corotating_gaps(params, tau_end, dtau)
     assert all(type(v) is float for v in got)
-    # row by row, not only at the largest gap: each oracle's windows are its public trajectory bit for bit
+    # row by row, not only at the largest gap: the windows of the two sources are the co-rotating whole trajectories
+    # bit for bit, the mode tables' both at once, full then exact, on a leading axis of 2
     p = params[0]
-    taus, reduced = _rk4_rows(p, E1, tau_end, dtau)
-    sources = {
-        "rk4": (reduced, propagate_rk4(p, E1, tau_end, dtau).states),
-        "full": (_mode_rows(*sector_table(p), taus, p.omega_rf), full_hilbert_trajectory(p, tau_end, dtau).states),
-        "exact": (_mode_rows(*mode_table(p, split_halves(E1)), taus, p.omega_rf), exact_state_trajectory(p, E1, taus)),
-    }
-    for name, (source, whole) in sources.items():
+    taus, e = _rk4_map(p, tau_end, dtau)
+    tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
+    rk4 = _powers(e, E1, len(taus))
+    modes = np.stack([mode_states(*sector_table(p), taus), mode_states(*mode_table(p, split_halves(E1)), taus).reshape(-1, 8)])
+    for name, (source, whole) in {"rk4": (rk4, rk4.array()), "modes": (_mode_rows(tables, w, taus, None), modes)}.items():
         windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
-        assert np.array_equal(np.concatenate(windows), whole), name
+        assert np.array_equal(np.concatenate(windows, axis=-2), whole), name
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_corotating_comparison_equals_the_lab_frame_one(rows):
+    # |R a - R b| = |a - b| for the shared orthogonal turn R: the streamed gaps match the public lab-frame trajectories'
+    # to rounding, a few last bits of gaps near 1e-15
+    tau_end, dtau = _grid(rows)
+    for seed in range(3):
+        rng = np.random.default_rng([rows, seed])
+        params = [random_consistent_params(rng) for _ in range(2)]
+        got, lab = dynamics_equivalence(params, tau_end, dtau), _whole_trajectory_gaps(params, tau_end, dtau)
+        assert max(abs(a - b) for a, b in zip(got, lab)) <= 2.2e-16, (seed, got, lab)
 
 
 def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
     # every grid starts at state row 0, so each 2,048-row window of verify's default grid is 64 whole blocks (the last
-    # window 59 and the held rows): one GEMM over exactly its own block starts, written in place, in every oracle
+    # window 59 and the held rows): one GEMM over exactly its own block starts, written in place, in both sources
     windows, take, starts = [], dynamics._Rows.take, dynamics._Rows._starts
 
     def comparison_take(self, lo, hi, out=None):
         if out is not None:  # only the comparison passes its window buffer
+            assert out.flags.c_contiguous
             windows.append((self, lo, min(hi, self.count), []))
         return take(self, lo, hi, out)
 
@@ -247,16 +325,17 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
     monkeypatch.setattr(dynamics._Rows, "take", comparison_take)
     monkeypatch.setattr(dynamics._Rows, "_starts", recorded_starts)
     dynamics_equivalence([random_consistent_params(np.random.default_rng(DEFAULT_SEED))], 3.0 * TAU_STAR, 1e-4)
-    assert len(windows) == 3 * 20 and len({id(source) for source, *_ in windows}) == 3
+    assert len(windows) == 2 * 20 and len({id(source) for source, *_ in windows}) == 2
     for source, lo, grid_hi, asked in windows:
         assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
         assert asked == [(lo // 32, grid_hi // 32)]
-    # each window takes the full-space, exact and RK4 rows in turn; the block starts of RK4 are a plain power source,
-    # with no turn and an 8-row table, and those of the two mode tables are held rows
-    full, exact, reduced = (source for source, *_ in windows[:3])
-    assert all(rows.trig is not None for rows in (full, exact, reduced))
+    # each window takes the two mode tables' rows, then RK4's, all co-rotating: no turn, so 8-column starts and
+    # 8-row tables.  The block starts of RK4 are a plain power source, and those of the mode tables held rows
+    modes, reduced = (source for source, *_ in windows[:2])
+    assert modes.trig is None and reduced.trig is None
+    assert modes.table.shape == (2, 8, 32 * 8) and reduced.table.shape == (8, 32 * 8)
     assert reduced.starts.trig is None and reduced.starts.table.shape == (8, 32 * 8)
-    assert full.starts.count == exact.starts.count == 0
+    assert modes.starts.count == 0 and modes.starts.tail.shape[::2] == (2, 8)
 
 
 def test_windowed_comparison_holds_no_trajectory():

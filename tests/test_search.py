@@ -358,13 +358,15 @@ def crossing_by_pair(p, modes, j, threshold, taus, best, sign):
     return float(tau), dataclasses.replace(p, theta0=search._best_theta0(modes, tau, p.omega_rf, j))
 
 
-def grid_by_pair(omega_hat, k, target, resolution, threshold, tau_max, dtau):
-    """(best_tau, best_params, peaks, landscape) of grid_search before its pair blocks: blocks of one bz row's
-    omega_rf values, and peaks and crossings pair by pair, with theta0 read at every crossing and every new peak."""
+def grid_by_pair(omega_hat, k, targets, resolution, tau_max, dtau):
+    """{(target, threshold): (best_tau, best_params, peaks, landscape)} of grid_search before its pair blocks, for
+    each (target, threshold) of targets: blocks of one bz row's omega_rf values, and peaks and crossings pair by pair,
+    with theta0 read at every crossing and every new peak.  The pairs' rows and peaks, which no target changes, are
+    made once for all targets."""
     shell, bounds, taus = energy_shell(omega_hat, k), search.default_bounds(omega_hat), _time_grid(tau_max, dtau)
-    idx, rf_axis = search.COMPONENT_INDEX[target], search._axis(bounds, "omega_rf", resolution)
+    rf_axis = search._axis(bounds, "omega_rf", resolution)
     width = max(1, search._CHUNK_STEPS // len(taus))
-    best_tau, best_params, landscape = math.inf, None, []
+    found = {key: [math.inf, None, []] for key in targets}  # best_tau, best_params, landscape
     peaks = {name: (-math.inf, None, None) for name in search.COMPONENT_INDEX}
     for row, bz in enumerate(search._axis(bounds, "bz", resolution)[resolution // 2 :]):
         if bz**2 > shell:
@@ -386,22 +388,43 @@ def grid_by_pair(omega_hat, k, target, resolution, threshold, tau_max, dtau):
                     i = bottom[j]
                     if name in search._MIRRORED and -best[i, j] > peaks[name][0]:
                         peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
-                sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in search._MIRRORED else [])
-                for side, (q, sign, i) in enumerate(sides):
-                    hit = crossing_by_pair(q, modes, idx, threshold, taus, best, sign)
-                    if hit and hit[0] < best_tau:
-                        best_tau, best_params = hit
-                    if side == 0 or row > 0 or resolution % 2 == 0:  # a centre row holds its mirrors
-                        reached = hit[0] if hit else None
-                        landscape.append((float(q.bz), float(q.omega_rf), reached, float(sign * best[i, idx]), float(taus[i])))
-    return (None if math.isinf(best_tau) else best_tau), best_params, peaks, landscape
+                for (target, threshold), result in found.items():
+                    idx = search.COMPONENT_INDEX[target]
+                    sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in search._MIRRORED else [])
+                    for side, (q, sign, i) in enumerate(sides):
+                        hit = crossing_by_pair(q, modes, idx, threshold, taus, best, sign)
+                        if hit and hit[0] < result[0]:
+                            result[:2] = hit
+                        if side == 0 or row > 0 or resolution % 2 == 0:  # a centre row holds its mirrors
+                            reached = hit[0] if hit else None
+                            peak = float(sign * best[i, idx])
+                            result[2].append((float(q.bz), float(q.omega_rf), reached, peak, float(taus[i])))
+    return {key: (None if math.isinf(tau) else tau, params, peaks, rows) for key, (tau, params, rows) in found.items()}
 
 
-def assert_grid_equals_the_per_pair_loop(omega_hat, k, target, resolution, threshold, dtau):
+# every (target, threshold) that the grids below compare with the per-pair loop
+PER_PAIR_TARGETS = [("x1", 0.999), ("x2", 0.6), ("x3", 0.5), ("x4", 0.6), ("x5", 0.5), ("x6", 0.6), ("x7", 0.3), ("x8", 0.6)]
+
+
+@pytest.fixture(scope="module")
+def per_pair():
+    """per_pair(omega_hat, k, resolution, dtau): grid_by_pair at every PER_PAIR_TARGETS entry on the default tau_max,
+    made once per module for each grid and read by every case that compares a target on it."""
+    grids = {}
+
+    def reference(*grid):
+        if grid not in grids:
+            omega_hat, k, resolution, dtau = grid
+            grids[grid] = grid_by_pair(omega_hat, k, PER_PAIR_TARGETS, resolution, 3.0 * TAU_STAR, dtau)
+        return grids[grid]
+
+    return reference
+
+
+def assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolution, threshold, dtau):
     res = grid_search(omega_hat, k, target=target, resolution=resolution, threshold=threshold, dtau=dtau,
                       collect_landscape=True)
-    best_tau, best_params, peaks, landscape = grid_by_pair(omega_hat, k, target, resolution, threshold,
-                                                           3.0 * TAU_STAR, dtau)
+    best_tau, best_params, peaks, landscape = reference[target, threshold]
     assert bits(res.peaks) == bits(peaks)
     assert bits(res.best_params) == bits(best_params)
     assert bits(res.best_tau) == bits(best_tau)
@@ -412,10 +435,11 @@ def assert_grid_equals_the_per_pair_loop(omega_hat, k, target, resolution, thres
 @pytest.mark.parametrize("k", [1.0, -1.0])
 @pytest.mark.parametrize("resolution", [1, 2, 7, 21])
 @pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)])
-def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
+def test_pair_blocks_equal_the_per_pair_loop(per_pair, target, threshold, resolution, k):
     # at dtau = 1e-2 a block holds 9 pairs: the rows of 7 and of 21 omega_rf values straddle blocks, and the
     # 21 pairs of resolution 7 end in a partial one; resolution 2 has no bz node on the energy shell, and 1 one pair
-    _, landscape = assert_grid_equals_the_per_pair_loop(2.7, k, target, resolution, threshold, 1e-2)
+    reference = per_pair(2.7, k, resolution, 1e-2)
+    _, landscape = assert_grid_equals_the_per_pair_loop(reference, 2.7, k, target, resolution, threshold, 1e-2)
     assert (resolution == 2) == (not landscape)
     if resolution >= 7:
         assert any(tau is not None for _, _, tau, _, _ in landscape)
@@ -426,14 +450,15 @@ def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
     "target, threshold",
     [("x1", 0.999), ("x2", 0.6), ("x3", 0.5), ("x4", 0.6), ("x5", 0.5), ("x6", 0.6), ("x7", 0.3), ("x8", 0.6)],
 )
-def test_theta0_read_once_per_result_equals_the_per_pair_loop(target, threshold, k):
+def test_theta0_read_once_per_result_equals_the_per_pair_loop(per_pair, target, threshold, k):
     # grid_search reads theta0 after its last block, once for the best crossing and each peak; the per-pair loop
     # reads it at every crossing and every new peak.  Every target, at three scales and four resolutions: x1 is
     # reached at row 0, where theta0 stays 0, and the odd targets have a theta0 of their own
     crossed = 0
     for omega_hat in (2.3, 2.7, 3.45):
         for resolution in (1, 2, 7, 21):
-            best_tau, _ = assert_grid_equals_the_per_pair_loop(omega_hat, k, target, resolution, threshold, 1e-2)
+            reference = per_pair(omega_hat, k, resolution, 1e-2)
+            best_tau, _ = assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolution, threshold, 1e-2)
             crossed += best_tau is not None
             assert target != "x1" or best_tau in (None, 0.0)
     assert crossed >= 3
@@ -508,7 +533,8 @@ def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target,
     # the rows, and all but blocks of 3 end in a partial block
     rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
     monkeypatch.setattr(search, "_CHUNK_STEPS", pairs * rows + rows - 1)
-    _, landscape = assert_grid_equals_the_per_pair_loop(2.7, 1.0, target, 7, threshold, 5e-2)
+    reference = grid_by_pair(2.7, 1.0, [(target, threshold)], 7, 3.0 * TAU_STAR, 5e-2)  # blocks of the patched size
+    _, landscape = assert_grid_equals_the_per_pair_loop(reference, 2.7, 1.0, target, 7, threshold, 5e-2)
     assert len({bz for bz, _, _, _, _ in landscape if bz >= 0.0}) == 3 and 7 % pairs and (21 % pairs or pairs == 3)
 
 

@@ -151,7 +151,9 @@ SECTORS = np.array([[0, 2], [1, 3], [4, 6], [5, 7]])
 
 
 def sector_fields(p: ControlParams, tau) -> np.ndarray:
-    """Fields n_s(tau), H = n_s.sigma on sector s (both bonds add s1 + k*s3 to bz), shape np.shape(tau) + (4, 3)."""
+    """Fields n_s(tau), H = n_s.sigma on sector s (both bonds add s1 + k*s3 to bz), shape np.shape(tau) + (4, 3);
+    at a scalar tau, array fields of p (a stack of controls) give their shape + (4, 3)."""
     th = p.theta(np.asarray(tau, dtype=float))[..., None]
-    nz = np.array([1.0 + p.k, 1.0 - p.k, -1.0 + p.k, -1.0 - p.k]) + p.bz
-    return np.stack(np.broadcast_arrays(p.b0 * np.cos(th), p.b0 * np.sin(th), nz), axis=-1)
+    nz = np.array([1.0, 1.0, -1.0, -1.0]) + np.multiply.outer(p.k, [1.0, -1.0, 1.0, -1.0]) + np.asarray(p.bz)[..., None]
+    b0 = np.asarray(p.b0)[..., None]
+    return np.stack(np.broadcast_arrays(b0 * np.cos(th), b0 * np.sin(th), nz), axis=-1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .algebra import ControlParams
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
 _BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
-_WINDOW_ROWS = 2048  # state rows per window of a streamed comparison: 64 blocks, 128 KB of 8-wide rows, within L2
+_WINDOW_ROWS = 2048  # rows per window of _on_grid's check and of the consistency scan: 64 blocks, 128 KB of 8-wide rows
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -75,8 +76,9 @@ _JOIN = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])[:, None, :, None, None]
 
 
 def static_generator(p: ControlParams) -> np.ndarray:
-    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase, shape np.shape(bz) + (2, 4, 4), + first."""
-    return MB + (np.asarray(p.bz, dtype=float)[..., None, None, None] + _PM * p.k) * MZ
+    """M0_pm = MB + (bz +- k)*MZ, the part of M_pm that does not depend on the phase, shape (bz's, k's) + (2, 4, 4), + first."""
+    bz, k = (np.asarray(v, dtype=float)[..., None, None, None] for v in (p.bz, p.k))
+    return MB + (bz + _PM * k) * MZ
 
 
 def build_M_half(p: ControlParams, tau) -> np.ndarray:
@@ -88,9 +90,9 @@ def build_M_half(p: ControlParams, tau) -> np.ndarray:
 def build_M(p: ControlParams, tau) -> np.ndarray:
     """Full 8x8 generator 2*[[P, Q], [Q, P]], with 2P = (M_+ + M_-)/2 and 2Q = (M_+ - M_-)/2.
 
-    The result has shape ``np.shape(tau) + (8, 8)``."""
+    The result has shape (the broadcast of tau and the fields of p) + (8, 8)."""
     m_plus, m_minus = np.moveaxis(build_M_half(p, tau), -3, 0)
-    out = np.empty(np.shape(tau) + (8, 8))
+    out = np.empty(m_plus.shape[:-2] + (8, 8))
     out[..., :4, :4] = out[..., 4:, 4:] = 0.5 * (m_plus + m_minus)
     out[..., :4, 4:] = out[..., 4:, :4] = 0.5 * (m_plus - m_minus)
     return out
@@ -127,8 +129,8 @@ class Trajectory:
                 fh.write(",".join(cells) + "\n")
 
 
-def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
-    """Grid 0, dtau, 2*dtau, ..., tau_end with the last step shortened; the one check of every step."""
+def _grid_rows(tau_end: float, dtau: float) -> int:
+    """Rows of the grid 0, dtau, 2*dtau, ..., tau_end with the last step shortened; the one check of every step."""
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise ValueError(f"tau_end must be finite and nonnegative, got {tau_end:g}")
     if not (math.isfinite(dtau) and dtau > 0):
@@ -137,7 +139,12 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
         raise ValueError(f"tau_end / dtau must be finite, got {tau_end:g} / {dtau:g}")
     n_full = int(math.floor(tau_end / dtau + 1e-12))
     short = dtau * n_full < tau_end - 1e-12 * max(1.0, tau_end)  # a shortened last step ends one more point
-    taus = np.arange(n_full + 1 + short, dtype=float)
+    return n_full + 1 + short
+
+
+def _time_grid(tau_end: float, dtau: float, first: int = 0) -> np.ndarray:
+    """The grid of ``_grid_rows``, i*dtau at row i and tau_end at the last, from row first on: any tail has its bits."""
+    taus = np.arange(first, _grid_rows(tau_end, dtau), dtype=float)
     taus *= dtau  # in place: a grid of n points holds 8n bytes at its peak
     taus[-1] = tau_end
     return taus
@@ -146,12 +153,13 @@ def _time_grid(tau_end: float, dtau: float) -> np.ndarray:
 class _Rows:
     """A row source: count rows of a block grid, then the held rows tail; take makes any range of them.
 
-    Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the row source starts, b = maps.shape[-3]: a row of one
-    GEMM with the maps side by side in a table.  A last partial block, the one-row product with the table's first
-    columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns row (j, l) by the frame turn
-    exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi K)^T = D + cos(phi) P -
-    sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j, sin(phi_j) s_j] @
-    [T_l D; T_l P; -T_l K] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
+    Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the block starts (starts.take(a, z) makes rows a..z-1),
+    b = maps.shape[-3]: a row of one GEMM with the maps side by side in a table.  Leading axes of the tail and the maps
+    (sets, oracles) give each entry a GEMM of the shape a lone source has.  A last partial block, the one-row product
+    with the table's first columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns row (j, l)
+    by the frame turn exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi K)^T = D +
+    cos(phi) P - sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j, sin(phi_j)
+    s_j] @ [T_l D; T_l P; -T_l K] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
     """
 
     def __init__(self, tail, starts=None, maps=None, count=0, turn=None):
@@ -160,9 +168,9 @@ class _Rows:
         if turn is not None:
             phi, psi = turn
             d, p, minus_k = _TURN_PARTS
-            maps = maps @ (d + np.cos(psi)[:, None, None] * p + np.sin(psi)[:, None, None] * minus_k)
+            maps = maps @ (d + np.cos(psi)[..., None, None] * p + np.sin(psi)[..., None, None] * minus_k)
             maps = np.concatenate([maps @ part for part in _TURN_PARTS], axis=-2)
-            self.trig = np.cos(phi)[:, None], np.sin(phi)[:, None]
+            self.trig = np.cos(phi)[..., None], np.sin(phi)[..., None]
         if count:
             self.b, width = maps.shape[-3], maps.shape[-1]
             self.table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], self.b * width))
@@ -174,7 +182,7 @@ class _Rows:
     def _starts(self, a: int, z: int) -> np.ndarray:
         """Starts a..z-1 of the grid, with a turn each beside its cos(phi) and sin(phi) multiples."""
         s = self.starts.take(a, z)
-        return s if self.trig is None else np.concatenate([s, self.trig[0][a:z] * s, self.trig[1][a:z] * s], axis=-1)
+        return s if self.trig is None else np.concatenate([s] + [f[..., a:z, :] * s for f in self.trig], axis=-1)
 
     def take(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """State rows lo..hi-1, shape (..., rows, width), each with the bits it has in the GEMM over every start.
@@ -209,8 +217,9 @@ class _Rows:
 def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None) -> _Rows:
     """Rows exp(omega*t_i*K) x_i, frame = (omega, t), K = _TURN, of the powers x_i of a step map: n rows of 8.
 
-    x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, 8, 8) holds the
-    increments of a step of dtau and of the grid's last step, and t ends at t_(n-1).  With E_0 = 0 and
+    x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, ..., 8, 8) holds
+    the increments of a step of dtau and of the grid's last step, of a stack of sets on its middle axes with omega
+    and first of their shape (first may be shared if n > 1), and t ends at t_(n-1).  With E_0 = 0 and
     E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T,
     turned on the block grid of a ``_Rows``; x_(n-1) is its one held row, turned as n = 1 turns first: on a grid of
     one row.  The block starts s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on
@@ -219,21 +228,24 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None
     are short.
     """
     if n == 1:
-        one = _Rows(first[None])
-        return one if frame is None else _Rows(np.empty((0, 8)), one, np.eye(8)[None], 1, (frame[0] * frame[1][-1:], np.zeros(1)))
+        one = _Rows(first[..., None, :])
+        if frame is None:
+            return one
+        return _Rows(one.tail[..., :0, :], one, np.eye(8)[None], 1, (np.multiply.outer(frame[0], frame[1][-1:]), np.zeros(1)))
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
     powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
     starts = _powers(powers[[-1, -1]], first, (n - 2) // _BLOCK_STEPS + 1)
-    maps = powers[:_BLOCK_STEPS].swapaxes(-1, -2) + np.eye(len(first))  # s @ maps[l] = (I + E_l) s
+    maps = np.moveaxis(powers[:_BLOCK_STEPS], 0, -3).swapaxes(-1, -2) + np.eye(8)  # s @ maps[..., l, :, :] = (I + E_l) s
     j, l = divmod(n - 2, _BLOCK_STEPS)
-    x = starts.take(j, j + 1)[0] @ maps[l]  # x_(n-2)
-    x = x + e[1] @ x
+    x = (starts.take(j, j + 1) @ maps[..., l, :, :])[..., 0, :]  # x_(n-2)
+    x = x + (e[1] @ x[..., None])[..., 0]
     if frame is None:
-        return _Rows(x[None], starts, maps, n - 1)
+        return _Rows(x[..., None, :], starts, maps, n - 1)
     last, (omega, t) = _powers(e, x, 1, frame).array(), frame
-    return _Rows(last, starts, maps, n - 1, (omega * t[: n - 1 : _BLOCK_STEPS], omega * t[: len(maps)]))
+    turn = np.multiply.outer(omega, t[: n - 1 : _BLOCK_STEPS]), np.multiply.outer(omega, t[: maps.shape[-3]])
+    return _Rows(last, starts, maps, n - 1, turn)
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
@@ -245,22 +257,25 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
     turns each state back by exp(omega_rf*tau*_TURN) inside its GEMM.  The states are a new array, never x0.
     """
-    taus, e = _rk4_map(p, tau_end, dtau)
+    taus = _time_grid(tau_end, dtau)
+    e = _rk4_map(p, taus, dtau)
     return Trajectory(taus=taus, states=_powers(e, np.asarray(x0, dtype=float), len(taus), (p.omega_rf, taus)).array())
 
 
-def _rk4_map(p: ControlParams, tau_end: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, e): the grid of ``propagate_rk4`` and the co-rotating step map's increments for ``_powers``, shape (2, 8, 8)."""
-    taus = _time_grid(tau_end, dtau)
-    h = np.append(dtau, np.diff(taus[-2:]))[:, None, None]  # every step of _time_grid but its last is dtau long
-    left, mid, right = build_M(p, np.outer([0.0, 0.5, 1.0], h))
+def _rk4_map(p: ControlParams, taus: np.ndarray, dtau: float) -> np.ndarray:
+    """The co-rotating step map's increments for ``_powers`` on a grid of step dtau ending in taus, shape (2,) + s + (8, 8):
+    a step of dtau and the grid's last step, s the shape of p's fields, each control of a stack with its bits alone."""
+    h = np.append(dtau, np.diff(taus[-2:])).reshape((-1,) + (1,) * np.ndim(p.omega_rf))  # all steps but the last are dtau
+    left, mid, right = build_M(p, np.multiply.outer([0.0, 0.5, 1.0], h))
+    h = h[..., None, None]
     k2 = mid + (h / 2.0) * (mid @ left)
     k3 = mid + (h / 2.0) * (mid @ k2)
     k4 = right + h * (right @ k3)
     d = (h / 6.0) * (left + 2.0 * k2 + 2.0 * k3 + k4)
     # R(-omega_rf h) - I = -sin(omega_rf h) K + (1 - cos(omega_rf h)) K^2, as K^3 = -K for K = _TURN
-    turn = -np.sin(p.omega_rf * h) * _TURN + 2.0 * np.sin(p.omega_rf * h / 2.0) ** 2 * (_TURN @ _TURN)
-    return taus, turn + d + turn @ d
+    angle = np.asarray(p.omega_rf)[..., None, None] * h
+    turn = -np.sin(angle) * _TURN + 2.0 * np.sin(angle / 2.0) ** 2 * (_TURN @ _TURN)
+    return turn + d + turn @ d
 
 
 def sinc(z):
@@ -315,7 +330,7 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray |
 
 
 def rotating_generator(p: ControlParams) -> np.ndarray:
-    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (the broadcast of bz, b0, omega_rf) + (2, 4, 4);
+    """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (the broadcast of k, bz, b0, omega_rf) + (2, 4, 4);
     each control of a stack keeps its bits, and one ``mode_table`` (one eigh) takes 9 of the search's (bz, omega_rf) pairs."""
     return build_M_half(p, 0.0) - np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J
 
@@ -325,7 +340,7 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     That is exp[tau (M_pm(0) - omega_rf J)] y0 before the frame turn exp(omega_rf*tau*J), y0 of shape (2, 4) or
     (2, 4, m), both halves + first, joined: the table's halves axis holds x_plus, x_minus = (y_+ +- y_-)/2, so
-    from y0 = split_halves(x0) it gives the 8-vector.  Array-valued bz, b0 or omega_rf prepend their shape to both.  eigh
+    from y0 = split_halves(x0) it gives the 8-vector.  Array-valued k, bz, b0 or omega_rf prepend their shape to both.  eigh
     of the Hermitian 1j*gen gives a unitary basis vec even at degenerate spectra, where eig can give a singular one,
     and each half's rates as (-w1, -w2, w2, w1), gen being real and skew.  Mode m of half h carries T_m = vec[:, m]
     (vec[:, m]^H y0_h); modes m = 2, 3 at w = ev_m and m' = 3 - m at -w give Re(T_m + T_m') cos(w*tau) +
@@ -357,12 +372,13 @@ def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None =
     return _mode_rows(table, w, taus, omega_rf).array().reshape(lead + taus.shape + state)
 
 
-def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: float | None) -> _Rows:
-    """The rows of ``mode_states``, shape s + (taus.size, width), as a row source.
+def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf, grid: tuple | None = None) -> _Rows:
+    """The rows of ``mode_states``, shape s + (taus.size, width), as a row source; omega_rf has s's last axes or none.
 
-    For an 8-wide state (2, 4) on ``_on_grid`` taus, all but the last tau are its block grid: by angle addition the
-    rows at block step l are [cos_l T_c + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and
-    sin rows of the table, so cos and sin run on the block starts and one block, and the turn exp(omega_rf*tau_j*J)
+    For an 8-wide state (2, 4) on ``_on_grid`` taus, or with grid = (n, dtau), taus the last of n >= 3 rows i*dtau
+    of ``_time_grid``, all but the last tau are a block grid: by angle addition the rows at block step l are [cos_l T_c
+    + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin
+    run on one block and on the block starts, made as a window takes them, and the turn exp(omega_rf*tau_j*J)
     exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, any other taus and wider states take the direct
     form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus."""
     table = table.reshape(w.shape[:-1] + (8, -1))
@@ -371,21 +387,26 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf: flo
         phase = w[..., None, :] * t[:, None]
         return np.cos(phase), np.sin(phase)
 
-    on_grid = table.shape[-1] == 8 and _on_grid(taus)
-    direct = taus[-1:] if on_grid else taus.reshape(-1)
+    if grid is None and table.shape[-1] == 8 and _on_grid(taus):
+        grid = len(taus), taus[1]
+    direct = taus[-1:] if grid else taus.reshape(-1)
     rows = np.concatenate(trig(direct), axis=-1) @ table
     if omega_rf is not None:  # exp(phi*J) rotates the (2,4) plane of both halves by phi = omega_rf*tau
+        omega_rf = np.asarray(omega_rf)[..., None]
         y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
-        c, s = (f(omega_rf * direct)[:, None, None] for f in (np.cos, np.sin))
+        c, s = (f(omega_rf * direct)[..., None, None] for f in (np.cos, np.sin))
         y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
-    if not on_grid:
+    if not grid:
         return _Rows(rows)
-    starts, block = taus[:-1:_BLOCK_STEPS], taus[:-1][:_BLOCK_STEPS]
+    (n, dtau), b = grid, _BLOCK_STEPS
+    block = np.arange(min(b, n - 1)) * dtau  # the grid's taus: i*dtau, i an exact float
+    # [cos, sin] at the block starts a..z-1, made as they are taken
+    starts = SimpleNamespace(take=lambda a, z: np.concatenate(trig(np.arange(a * b, z * b, b, dtype=float) * dtau), axis=-1))
     c, s = (np.swapaxes(v, -1, -2)[..., None, :] for v in trig(block))  # (lead, 4, 1, b): inner loops over 32 taus, not 8 columns
     t_c, t_s = table[..., :4, :, None], table[..., 4:, :, None]
     maps = np.moveaxis(np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-3), -1, -3)  # (lead, b, 8, width)
-    turn = None if omega_rf is None else (omega_rf * starts, omega_rf * block)
-    return _Rows(rows, _Rows(np.concatenate(trig(starts), axis=-1)), maps, len(taus) - 1, turn)
+    turn = None if omega_rf is None else (omega_rf * (np.arange(0, n - 1, b) * dtau), omega_rf * block)
+    return _Rows(rows, starts, maps, n - 1, turn)
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:

@@ -37,7 +37,8 @@ _PROJECTION = np.einsum("isab,jab->sji", _WEIGHTS, _UNITS).real.reshape(8, 8) / 
 
 
 def sector_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
-    """(table, w), shapes (8, 8) and (4,): [cos(w*tau), sin(w*tau)] @ table is x1..x8 before the frame turn.
+    """(table, w), shapes s + (8, 8) and s + (4,), s the shape of p's fields: [cos(w*tau), sin(w*tau)] @ table is
+    x1..x8 before the frame turn.
 
     A mode table like ``dynamics.mode_table``'s, for ``dynamics.mode_states``.  U_s = Q_tau V_s solves
     i dU/dtau = H U from the identity, as n_s(tau).sigma = Q_tau (n_s(0).sigma) Q_tau^dag, with
@@ -47,18 +48,20 @@ def sector_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
     turn of G's (g1, g2) planes by omega_rf*tau, projected, is that of the (x2, x4) and (x6, x8) planes by
     exp(omega_rf*tau*J), which ``mode_states`` applies: _PROJECTION maps the one turn generator onto the other.
     """
-    m = sector_fields(p, 0.0) - [0.0, 0.0, p.omega_rf / 2.0]
+    m = sector_fields(p, 0.0)
+    m[..., 2] -= np.asarray(p.omega_rf)[..., None] / 2.0
     r = np.sqrt(np.sum(m * m, axis=-1))
+    lead = r.shape[:-1]
     # quaternions of the cos(r_s tau) and sin(r_s tau) parts of V_s, of V_s^dag for s1 = -; r_s = 0 takes axis 0
-    parts = np.zeros((2, 4, 4))
-    parts[0, :, 0] = 1.0
-    np.divide(m, r[:, None], out=parts[1, :, 1:], where=r[:, None] > 0.0)
-    parts[1, 2:] *= -1.0
+    parts = np.zeros(lead + (2, 4, 4))
+    parts[..., 0, :, 0] = 1.0
+    np.divide(m, r[..., None], out=parts[..., 1, :, 1:], where=r[..., None] > 0.0)
+    parts[..., 1, 2:, :] *= -1.0
     # the cos.cos, cos.sin, sin.cos and sin.sin parts of F_s3 on the rows, (s3, quaternion) on the columns
-    products = np.einsum("ash,bsk,hkr->absr", parts[:, :2], parts[:, 2:], _HAMILTON).reshape(4, 8)
-    coef = (_TO_SUM @ products).reshape(2, 2, 2, 1, 4)  # (cos|sin, sum|difference, s3, 1, quaternion)
-    table = (coef * np.eye(2)[:, :, None]).reshape(8, 8) @ _PROJECTION  # each s3's rates on its own quaternion
-    return table, np.concatenate([r[:2] + r[2:], r[:2] - r[2:]])
+    products = np.einsum("...ash,...bsk,hkr->...absr", parts[..., :2, :], parts[..., 2:, :], _HAMILTON).reshape(lead + (4, 8))
+    coef = (_TO_SUM @ products).reshape(lead + (2, 2, 2, 1, 4))  # (cos|sin, sum|difference, s3, 1, quaternion)
+    table = (coef * np.eye(2)[:, :, None]).reshape(lead + (8, 8)) @ _PROJECTION  # each s3's rates on its own quaternion
+    return table, np.concatenate([r[..., :2] + r[..., 2:], r[..., :2] - r[..., 2:]], axis=-1)
 
 
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
@@ -78,14 +81,15 @@ def closure_check(p: ControlParams, tau_samples) -> float:
 
     The projection coefficients Tr[O_j i[H,O_i]]/8 must equal row i of the
     reduced generator and the projection must exhaust the commutator; all
-    samples and basis operators are projected at once.
+    samples and basis operators are projected at once, in two GEMMs over the flattened operators.
     """
     taus = np.atleast_1d(np.asarray(tau_samples, dtype=float))
     basis = np.stack(coherence_basis())
     h = build_hamiltonian(p, taus)[:, None]
-    comm = 1j * (h @ basis - basis @ h)  # (n, 8, 8, 8): sample, operator i, matrix
-    coeffs = np.einsum("jab,niab->nij", basis.conj(), comm).real / 8.0
-    remainder = comm - np.einsum("nij,jab->niab", coeffs, basis)
+    comm = (1j * (h @ basis - basis @ h)).reshape(len(taus), 8, 64)  # sample, operator i, flattened matrix
+    flat = basis.reshape(8, 64)
+    coeffs = (comm @ flat.conj().T).real / 8.0
+    remainder = comm - coeffs @ flat
     return max(
         float(np.max(np.abs(coeffs - build_M(p, taus)), initial=0.0)),  # worst |projection - generator entry|
         float(np.max(np.abs(remainder), initial=0.0)),  # worst component outside the span

@@ -116,8 +116,8 @@ def test_criterion_05_structural_closure():
 
 
 def test_criterion_06_dynamics_equivalence(equivalence):
-    worst_full, worst_exact = equivalence
-    ok = worst_full <= 1e-8 and worst_exact <= 1e-8
+    worst_full, worst_exact, rows = equivalence
+    ok = worst_full <= 1e-8 and worst_exact <= 1e-8 and rows == 5 * 40812  # every row of the 5 sets' grids
     assert _line(
         6,
         "dynamics oracle equivalence",

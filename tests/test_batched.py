@@ -292,8 +292,8 @@ def test_grid_lengths_cover_run_boundaries(params):
     assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
     assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
     for name, tau_end in GRIDS.items():
-        taus, e = dynamics._rk4_map(params, tau_end, DTAU)
-        rk4 = dynamics._powers(e, E1, len(taus))
+        taus = _time_grid(tau_end, DTAU)
+        rk4 = dynamics._powers(dynamics._rk4_map(params, taus, DTAU), E1, len(taus))
         full = dynamics._mode_rows(*sector_table(params), taus, params.omega_rf)
         exact = dynamics._mode_rows(*dynamics.mode_table(params, dynamics.split_halves(E1)), taus, params.omega_rf)
         # on a grid the three hold the same rows: blocks of b from row 0 (one shorter block below b grid rows), then
@@ -309,8 +309,8 @@ def test_grid_lengths_cover_run_boundaries(params):
         "block_of_blocks_and_one": (b + 1, b),
         "starts_take_a_whole_block": (b + 1, b),
     }.items():
-        taus, e = dynamics._rk4_map(params, GRIDS[name], DTAU)
-        starts = dynamics._powers(e, E1, len(taus)).starts
+        taus = _time_grid(GRIDS[name], DTAU)
+        starts = dynamics._powers(dynamics._rk4_map(params, taus, DTAU), E1, len(taus)).starts
         assert (starts.n, starts.count) == want, name
 
 

@@ -112,14 +112,14 @@ BOTH = ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
     "module, name, old, new, failing",
     [
         # the step map's frame turn, R(-omega_rf h) turned the other way: RK4's co-rotating rows
-        (dynamics, "_rk4_map", "-np.sin(p.omega_rf * h) * _TURN", "+np.sin(p.omega_rf * h) * _TURN", BOTH),
+        (dynamics, "_rk4_map", "-np.sin(angle) * _TURN", "+np.sin(angle) * _TURN", BOTH),
         # the block turn, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
         (dynamics, "_TURN_PARTS", None, None, BOTH),
-        (dynamics, "_Rows", "np.sin(phi)[:, None]", "-np.sin(phi)[:, None]", BOTH),
+        (dynamics, "_Rows", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", BOTH),
         # the direct turn of the mode rows: the full and exact last rows in the lab frame
         (dynamics, "_mode_rows", "f(omega_rf * direct)", "f(-omega_rf * direct)", BOTH),
         # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
-        (hilbert, "sector_table", "- [0.0, 0.0, p.omega_rf / 2.0]", "+ [0.0, 0.0, p.omega_rf / 2.0]", BOTH[:1]),
+        (hilbert, "sector_table", "m[..., 2] -= ", "m[..., 2] += ", BOTH[:1]),
         (dynamics, "rotating_generator", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
          "+ np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J", BOTH[1:]),
     ],
@@ -250,8 +250,8 @@ def _corotating_gaps(params_list, tau_end, dtau):
     grid's trajectories take their last row in a two-row product, whose last bits can differ)."""
     worst_full = worst_exact = 0.0
     for p in params_list:
-        taus, e = _rk4_map(p, tau_end, dtau)
-        reduced, lab = _powers(e, E1, len(taus)).array(), propagate_rk4(p, E1, tau_end, dtau).states[-1]
+        taus = _time_grid(tau_end, dtau)
+        reduced, lab = _powers(_rk4_map(p, taus, dtau), E1, len(taus)).array(), propagate_rk4(p, E1, tau_end, dtau).states[-1]
         gaps = []
         for table, w in (sector_table(p), mode_table(p, split_halves(E1))):
             last = mode_states(table, w, taus[-1:], p.omega_rf).reshape(8)
@@ -261,11 +261,13 @@ def _corotating_gaps(params_list, tau_end, dtau):
     return worst_full, worst_exact
 
 
-# rows, of which every oracle's grid holds all but the last, in blocks of 32 from row 0: 2 and 3 a lone step and
-# two; 32, 33 and 34 end one grid row before, on and after the first block edge, 35 two after; 2048, 2049 and 2050
-# one grid row before, on and after the first window edge (2,048 rows, 64 blocks); in 2081 the last window holds
-# one whole block, which takes a neighbour; 40,812 is verify's default grid
-ROWS = [2, 3, 32, 33, 34, 35, 2048, 2049, 2050, 2081, 40812]
+# rows, of which every oracle's grid holds all but the last, in blocks of 32 from row 0: 1 the lone tau 0, 2 and 3 a
+# lone step and two; 32, 33 and 34 end one grid row before, on and after the first block edge, 35 two after.  A window
+# takes 6,144 // sets rows of each set, in whole blocks: 3,072 for 2 sets, 1,216 for 5 and 1,024 for a group of 6.
+# 2048, 2049 and 2050 end one grid row before, on and after the second window edge of 6 sets, 3072, 3073 and 3074 the
+# first of 2 and 1217 on the first of 5; in 1249, 2081 and 3105 the last window of 5, 6 and 2 sets holds one whole
+# block, which takes a neighbour; 40,812 is verify's default grid
+ROWS = [1, 2, 3, 32, 33, 34, 35, 1217, 1249, 2048, 2049, 2050, 2081, 3072, 3073, 3074, 3105, 40812]
 
 
 def _grid(rows):
@@ -280,14 +282,14 @@ def test_windowed_comparison_equals_whole_trajectories(rows):
     rng = np.random.default_rng(rows)
     params = [random_consistent_params(rng) for _ in range(2)]
     got = dynamics_equivalence(params, tau_end, dtau)
-    assert got == _corotating_gaps(params, tau_end, dtau)
-    assert all(type(v) is float for v in got)
+    assert got == _corotating_gaps(params, tau_end, dtau) + (2 * rows,)
+    assert all(type(v) is float for v in got[:2])
     # row by row, not only at the largest gap: the windows of the two sources are the co-rotating whole trajectories
     # bit for bit, the mode tables' both at once, full then exact, on a leading axis of 2
     p = params[0]
-    taus, e = _rk4_map(p, tau_end, dtau)
+    taus = _time_grid(tau_end, dtau)
     tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
-    rk4 = _powers(e, E1, len(taus))
+    rk4 = _powers(_rk4_map(p, taus, dtau), E1, len(taus))
     modes = np.stack([mode_states(*sector_table(p), taus), mode_states(*mode_table(p, split_halves(E1)), taus).reshape(-1, 8)])
     for name, (source, whole) in {"rk4": (rk4, rk4.array()), "modes": (_mode_rows(tables, w, taus, None), modes)}.items():
         windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
@@ -306,9 +308,56 @@ def test_corotating_comparison_equals_the_lab_frame_one(rows):
         assert max(abs(a - b) for a, b in zip(got, lab)) <= 2.2e-16, (seed, got, lab)
 
 
+@pytest.mark.parametrize("rows", ROWS)
+def test_stacked_sets_equal_single_set_calls(rows):
+    # 1, 2, 5 and 7 sets at once (7 as groups of 6 and 1), k = +-1 mixed: the gaps of a stack are, bit for bit, the
+    # largest of its sets' gaps alone, as every GEMM keeps a lone set's shape, and every row of every set is compared
+    tau_end, dtau = _grid(rows)
+    rng = np.random.default_rng([rows, 7])
+    params = [random_consistent_params(rng) for _ in range(7)]
+    assert {p.k for p in params} == {1.0, -1.0}
+    alone = [dynamics_equivalence([p], tau_end, dtau) for p in params]
+    assert {single[2] for single in alone} == {rows}
+    for sets in (1, 2, 5, 7):
+        full, exact = (max(single[i] for single in alone[:sets]) for i in (0, 1))
+        assert dynamics_equivalence(params[:sets], tau_end, dtau) == (full, exact, sets * rows), sets
+
+
+def test_comparison_memory_does_not_grow_with_the_set_count():
+    # at most 6 sets at once, and a window of 6,144 rows over them: 20 sets (groups of 6, 6, 6 and 2) peak about
+    # where 5 do, one set's sources more
+    rng = np.random.default_rng(DEFAULT_SEED)
+    params = [random_consistent_params(rng) for _ in range(20)]
+    peaks = []
+    for sets in (5, 20):
+        tracemalloc.start()
+        try:
+            dynamics_equivalence(params[:sets], 3.0 * TAU_STAR, 1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_skipped_window_fails_both_oracle_checks(mutate, tmp_path, capsys):
+    # the last window left out: the rows compared still pass their gates, but a gap stands for every row of every
+    # set, so both checks fail and say how many rows they compared
+    mutate(report_module, "dynamics_equivalence", "for lo in range(0, n, share):", "for lo in range(0, n, share)[:-1]:")
+    out = tmp_path / "report.json"
+    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == BOTH
+    assert all(checks[name]["measured"] <= 1e-8 for name in BOTH)
+    missed = "compared 36864 of 40812 state rows"  # 6 windows of 6,144 rows, the seventh's 3,948 left out
+    assert checks[BOTH[0]]["note"] == f"1 random parameter sets on [0, 3*tau_star], dtau=0.0001; {missed}"
+    assert checks[BOTH[1]]["note"] == missed
+
+
 def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
-    # every grid starts at state row 0, so each 2,048-row window of verify's default grid is 64 whole blocks (the last
-    # window 59 and the held rows): one GEMM over exactly its own block starts, written in place, in both sources
+    # verify's 5 default sets at once: every window takes the same 1,216 rows (38 whole blocks, 6,144 // 5 rounded down
+    # to blocks) of each set, the last window 21 blocks and the held rows, in one GEMM over exactly its own
+    # block starts, written in place, in both sources.  No source reads the whole grid or checks it
     windows, take, starts = [], dynamics._Rows.take, dynamics._Rows._starts
 
     def comparison_take(self, lo, hi, out=None):
@@ -322,31 +371,49 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
             windows[-1][3].append((a, z))
         return starts(self, a, z)
 
+    def forbidden(taus):
+        assert len(taus) == 1, "a grid checked"  # only the lab frame's last row is a tau array
+        return False
+
+    def tail_only(tau_end, dtau, first=0):
+        taus = _time_grid(tau_end, dtau, first)
+        assert len(taus) <= 2
+        return taus
+
     monkeypatch.setattr(dynamics._Rows, "take", comparison_take)
     monkeypatch.setattr(dynamics._Rows, "_starts", recorded_starts)
-    dynamics_equivalence([random_consistent_params(np.random.default_rng(DEFAULT_SEED))], 3.0 * TAU_STAR, 1e-4)
-    assert len(windows) == 2 * 20 and len({id(source) for source, *_ in windows}) == 2
+    monkeypatch.setattr(dynamics, "_on_grid", forbidden)
+    monkeypatch.setattr(report_module, "_time_grid", tail_only)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    params = [random_consistent_params(rng) for _ in range(5)]
+    *_, rows = dynamics_equivalence(params, 3.0 * TAU_STAR, 1e-4)
+    assert rows == 5 * 40812 and len(windows) == 2 * 34 and len({id(source) for source, *_ in windows}) == 2
+    assert {hi - lo for _, lo, hi, _ in windows[:-2]} == {1216} and windows[-1][2] - windows[-1][1] == 21 * 32
     for source, lo, grid_hi, asked in windows:
         assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
         assert asked == [(lo // 32, grid_hi // 32)]
     # each window takes the two mode tables' rows, then RK4's, all co-rotating: no turn, so 8-column starts and
-    # 8-row tables.  The block starts of RK4 are a plain power source, and those of the mode tables held rows
+    # 8-row tables, one per set and oracle.  The block starts of RK4 are a plain power source; the mode tables' are
+    # cos and sin of the rates at the starts' taus, made as a window takes them, with the bits of the grid's taus
     modes, reduced = (source for source, *_ in windows[:2])
     assert modes.trig is None and reduced.trig is None
-    assert modes.table.shape == (2, 8, 32 * 8) and reduced.table.shape == (8, 32 * 8)
-    assert reduced.starts.trig is None and reduced.starts.table.shape == (8, 32 * 8)
-    assert modes.starts.count == 0 and modes.starts.tail.shape[::2] == (2, 8)
+    assert modes.table.shape == (2, 5, 8, 32 * 8) and reduced.table.shape == (5, 8, 32 * 8)
+    assert reduced.starts.trig is None and reduced.starts.table.shape == (5, 8, 32 * 8)
+    assert not isinstance(modes.starts, dynamics._Rows)
+    w = np.stack([np.stack([sector_table(p)[1], mode_table(p, split_halves(E1))[1]]) for p in params], axis=1)
+    phase = w[..., None, :] * _time_grid(3.0 * TAU_STAR, 1e-4)[:-1:32, None]
+    assert np.array_equal(modes.starts.take(0, 1276), np.concatenate([np.cos(phase), np.sin(phase)], axis=-1))
 
 
 def test_windowed_comparison_holds_no_trajectory():
-    # whole trajectories peaked at 49.1e6 bytes: three 163,245 x 8 trajectories of a set and their differences
+    # whole trajectories peaked at 49.1e6 bytes: three 163,243 x 8 trajectories of a set and their differences
     rng = np.random.default_rng(DEFAULT_SEED)
     params = [random_consistent_params(rng) for _ in range(2)]
     tracemalloc.start()
     try:
-        gaps = dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5)
+        *gaps, rows = dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(gaps) <= 1e-12
+    assert max(gaps) <= 1e-12 and rows == 2 * len(_time_grid(3.0 * TAU_STAR, 2.5e-5))
     assert peak <= 3e6

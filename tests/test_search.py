@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
-from trispin import search
+from trispin import dynamics, search
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params
+from trispin.hilbert import sector_table
 from trispin.dynamics import _BLOCK_STEPS, _on_grid, _time_grid, exact_state_trajectory, mode_table, split_halves
 from trispin.search import _best_over_theta0, grid_search, min_time_to_target, refine_local
 
@@ -539,17 +540,28 @@ def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target,
 
 
 def test_mode_table_of_a_pair_block_equals_the_per_control_tables_bitwise():
-    # rotating_generator broadcasts bz and b0 as it does omega_rf, and eigh takes each control alone
+    # rotating_generator broadcasts bz and b0 as it does omega_rf, and eigh takes each control alone.  The oracle
+    # comparison stacks verify's random sets, which draw k = +-1: with a k per control, the sectors' tables and the RK4
+    # step maps of such a stack are the per-control ones too
     rng = np.random.default_rng(5)
     bz = rng.uniform(-1.0, 1.0, 13) * math.sqrt(energy_shell(2.7, 1.0))
     b0 = np.array([transverse_amplitude(2.7, 1.0, v) for v in bz])
     block = ControlParams(k=1.0, omega_hat=2.7, b0=b0, bz=bz, omega_rf=rng.uniform(-8.0, 8.0, 13), theta0=0.0)
-    tables, rates = mode_table(block, split_halves(E1))
-    assert tables.shape == (13, 8, 2, 4) and rates.shape == (13, 4)
-    for n in range(13):
-        alone = dataclasses.replace(block, b0=float(b0[n]), bz=float(bz[n]), omega_rf=float(block.omega_rf[n]))
-        table, w = mode_table(alone, split_halves(E1))
-        assert tables[n].tobytes() == table.tobytes() and rates[n].tobytes() == w.tobytes()
+    mixed = dataclasses.replace(block, k=rng.choice([1.0, -1.0], 13), theta0=rng.uniform(0.0, 2.0 * math.pi, 13))
+    assert set(mixed.k) == {1.0, -1.0}  # energy_shell and transverse_amplitude read k^2 alone
+    tail = _time_grid(3.0 * TAU_STAR, 1e-4)[-2:]
+    sectors, steps = sector_table(mixed), dynamics._rk4_map(mixed, tail, 1e-4)
+    assert sectors[0].shape == (13, 8, 8) and steps.shape == (2, 13, 8, 8)
+    for stack in (block, mixed):
+        tables, rates = mode_table(stack, split_halves(E1))
+        assert tables.shape == (13, 8, 2, 4) and rates.shape == (13, 4)
+        for n in range(13):
+            alone = ControlParams(*(float(np.broadcast_to(v, 13)[n]) for v in dataclasses.astuple(stack)))
+            table, w = mode_table(alone, split_halves(E1))
+            assert tables[n].tobytes() == table.tobytes() and rates[n].tobytes() == w.tobytes()
+            if stack is mixed:
+                assert all(a[n].tobytes() == b.tobytes() for a, b in zip(sectors, sector_table(alone)))
+                assert steps[:, n].tobytes() == dynamics._rk4_map(alone, tail, 1e-4).tobytes()
 
 
 @pytest.mark.parametrize("j", range(8))

@@ -153,27 +153,26 @@ def _time_grid(tau_end: float, dtau: float, first: int = 0) -> np.ndarray:
 class _Rows:
     """A row source: count rows of a block grid, then the held rows tail; take makes any range of them.
 
-    Grid row j*b + l is s_j @ maps[..., l, :, :], s_j row j of the block starts (starts.take(a, z) makes rows a..z-1),
-    b = maps.shape[-3]: a row of one GEMM with the maps side by side in a table.  Leading axes of the tail and the maps
-    (sets, oracles) give each entry a GEMM of the shape a lone source has.  A last partial block, the one-row product
-    with the table's first columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns row (j, l)
-    by the frame turn exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi K)^T = D +
-    cos(phi) P - sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j, sin(phi_j)
-    s_j] @ [T_l D; T_l P; -T_l K] with T_l = maps[l] exp(psi_l K)^T: cos and sin of the starts and of one block's psi.
+    Grid row j*b + l is s_j @ table[..., :, l, :], s_j row j of the block starts (starts.take(a, z) makes rows a..z-1),
+    table of shape (..., 8, b, width): one GEMM reads a block's maps side by side.  Leading axes of the tail and the
+    table (sets, oracles) give each entry a GEMM of the shape a lone source has.  A last partial block, the one-row
+    product with the table's first columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns
+    row (j, l) by the frame turn exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi
+    K)^T = D + cos(phi) P - sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j,
+    sin(phi_j) s_j] @ [T_l D; T_l P; -T_l K], T_l = table[:, l] exp(psi_l K)^T: cos and sin of the starts and of psi.
     """
 
-    def __init__(self, tail, starts=None, maps=None, count=0, turn=None):
+    def __init__(self, tail, starts=None, table=None, count=0, turn=None):
         self.tail, self.starts, self.count, self.trig = tail, starts, count, None
         self.n = count + tail.shape[-2]
         if turn is not None:
-            phi, psi = turn
-            d, p, minus_k = _TURN_PARTS
-            maps = maps @ (d + np.cos(psi)[..., None, None] * p + np.sin(psi)[..., None, None] * minus_k)
-            maps = np.concatenate([maps @ part for part in _TURN_PARTS], axis=-2)
+            (phi, psi), (d, p, minus_k) = turn, _TURN_PARTS
+            maps = np.swapaxes(table, -3, -2) @ (d + np.cos(psi)[..., None, None] * p + np.sin(psi)[..., None, None] * minus_k)
+            table = np.swapaxes(np.concatenate([maps @ part for part in _TURN_PARTS], axis=-2), -3, -2)
             self.trig = np.cos(phi)[..., None], np.sin(phi)[..., None]
         if count:
-            self.b, width = maps.shape[-3], maps.shape[-1]
-            self.table = np.moveaxis(maps, -3, -2).reshape(maps.shape[:-3] + (maps.shape[-2], self.b * width))
+            self.b, width = table.shape[-2:]
+            self.table = table.reshape(table.shape[:-3] + (-1, self.b * width))
             full, rest = divmod(count, self.b)
             if rest:
                 last = (self._starts(full, full + 1) @ self.table[..., : rest * width]).reshape(tail.shape[:-2] + (rest, width))
@@ -231,21 +230,21 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None
         one = _Rows(first[..., None, :])
         if frame is None:
             return one
-        return _Rows(one.tail[..., :0, :], one, np.eye(8)[None], 1, (np.multiply.outer(frame[0], frame[1][-1:]), np.zeros(1)))
+        return _Rows(one.tail[..., :0, :], one, np.eye(8)[:, None], 1, (np.multiply.outer(frame[0], frame[1][-1:]), np.zeros(1)))
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
     powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
     starts = _powers(powers[[-1, -1]], first, (n - 2) // _BLOCK_STEPS + 1)
-    maps = np.moveaxis(powers[:_BLOCK_STEPS], 0, -3).swapaxes(-1, -2) + np.eye(8)  # s @ maps[..., l, :, :] = (I + E_l) s
+    table = np.moveaxis(powers[:_BLOCK_STEPS], 0, -2).swapaxes(-1, -3) + np.eye(8)[:, None]  # s @ table[..., l, :] = (I + E_l) s
     j, l = divmod(n - 2, _BLOCK_STEPS)
-    x = (starts.take(j, j + 1) @ maps[..., l, :, :])[..., 0, :]  # x_(n-2)
+    x = (starts.take(j, j + 1) @ table[..., l, :])[..., 0, :]  # x_(n-2)
     x = x + (e[1] @ x[..., None])[..., 0]
     if frame is None:
-        return _Rows(x[..., None, :], starts, maps, n - 1)
+        return _Rows(x[..., None, :], starts, table, n - 1)
     last, (omega, t) = _powers(e, x, 1, frame).array(), frame
-    turn = np.multiply.outer(omega, t[: n - 1 : _BLOCK_STEPS]), np.multiply.outer(omega, t[: maps.shape[-3]])
-    return _Rows(last, starts, maps, n - 1, turn)
+    turn = np.multiply.outer(omega, t[: n - 1 : _BLOCK_STEPS]), np.multiply.outer(omega, t[: table.shape[-2]])
+    return _Rows(last, starts, table, n - 1, turn)
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
@@ -331,7 +330,7 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray |
 
 def rotating_generator(p: ControlParams) -> np.ndarray:
     """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (the broadcast of k, bz, b0, omega_rf) + (2, 4, 4);
-    each control of a stack keeps its bits, and one ``mode_table`` (one eigh) takes 9 of the search's (bz, omega_rf) pairs."""
+    each control of a stack keeps its bits, and one ``mode_table`` (one eigh) takes a group of the search's pairs."""
     return build_M_half(p, 0.0) - np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J
 
 
@@ -379,32 +378,33 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf, gri
     of ``_time_grid``, all but the last tau are a block grid: by angle addition the rows at block step l are [cos_l T_c
     + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin
     run on one block and on the block starts, made as a window takes them, and the turn exp(omega_rf*tau_j*J)
-    exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, any other taus and wider states take the direct
-    form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus."""
+    exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, any other taus, a grid of n < 3 rows and wider
+    states take the direct form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus."""
     table = table.reshape(w.shape[:-1] + (8, -1))
 
     def trig(t):  # cos(w*t) and sin(w*t), shape lead + (len(t), 4) each
         phase = w[..., None, :] * t[:, None]
         return np.cos(phase), np.sin(phase)
 
-    if grid is None and table.shape[-1] == 8 and _on_grid(taus):
-        grid = len(taus), taus[1]
-    direct = taus[-1:] if grid else taus.reshape(-1)
+    n, dtau = grid or ((len(taus), taus[1]) if table.shape[-1] == 8 and _on_grid(taus) else (0, None))
+    direct = taus[-1:] if n > 2 else taus.reshape(-1)
     rows = np.concatenate(trig(direct), axis=-1) @ table
     if omega_rf is not None:  # exp(phi*J) rotates the (2,4) plane of both halves by phi = omega_rf*tau
         omega_rf = np.asarray(omega_rf)[..., None]
         y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
         c, s = (f(omega_rf * direct)[..., None, None] for f in (np.cos, np.sin))
         y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
-    if not grid:
+    if n < 3:
         return _Rows(rows)
-    (n, dtau), b = grid, _BLOCK_STEPS
+    b = _BLOCK_STEPS
     block = np.arange(min(b, n - 1)) * dtau  # the grid's taus: i*dtau, i an exact float
     # [cos, sin] at the block starts a..z-1, made as they are taken
     starts = SimpleNamespace(take=lambda a, z: np.concatenate(trig(np.arange(a * b, z * b, b, dtype=float) * dtau), axis=-1))
     c, s = (np.swapaxes(v, -1, -2)[..., None, :] for v in trig(block))  # (lead, 4, 1, b): inner loops over 32 taus, not 8 columns
     t_c, t_s = table[..., :4, :, None], table[..., 4:, :, None]
-    maps = np.moveaxis(np.concatenate([c * t_c + s * t_s, c * t_s - s * t_c], axis=-3), -1, -3)  # (lead, b, 8, width)
+    maps = np.empty(table.shape[:-2] + (8, len(block), table.shape[-1]))  # the block table (lead, 8, b, width), written
+    out = np.swapaxes(maps, -1, -2)  # through its (lead, 8, width, b) view
+    np.add(c * t_c, s * t_s, out=out[..., :4, :, :]), np.subtract(c * t_s, s * t_c, out=out[..., 4:, :, :])
     turn = None if omega_rf is None else (omega_rf * (np.arange(0, n - 1, b) * dtau), omega_rf * block)
     return _Rows(rows, starts, maps, n - 1, turn)
 

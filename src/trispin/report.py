@@ -160,15 +160,14 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
     does not grow with the set count; each GEMM has a lone set's shape, so a set's gaps keep their bits.  The last
     row is compared turned too: RK4's by ``_powers``' block turn, the mode tables' by ``_mode_rows``' direct one."""
     n = _grid_rows(tau_end, dtau)
-    tail = _time_grid(tau_end, dtau, max(n - 2, 0))  # the last two taus, with the grid's bits
-    grid = (n, dtau) if n > 2 else None  # a grid of one or two rows is its tail, all direct rows, as _on_grid has it
+    tail = _time_grid(tau_end, dtau, max(n - 2, 0))  # the last two taus with the grid's bits: all of a grid of 1 or 2 rows
     worst, rows, size = np.zeros(2), 0, _COMPARISON_ROWS // _BLOCK_STEPS**2  # largest row sums of squares, full and exact
     for first in range(0, len(params_list), size):
         group = params_list[first : first + size]
         p = ControlParams(*np.array([astuple(q) for q in group]).T)  # each field of the stack an array, one per set
         tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
         e = _rk4_map(p, tail, dtau)
-        modes, reduced = _mode_rows(tables, w, tail, None, grid), _powers(e, np.tile(E1, (len(group), 1)), n)
+        modes, reduced = _mode_rows(tables, w, tail, None, (n, dtau)), _powers(e, np.tile(E1, (len(group), 1)), n)
         lab = _mode_rows(tables, w, tail[-1:], p.omega_rf).array()[..., 0, :]  # the last rows in the lab frame
         lab -= _powers(e, reduced.tail[..., -1, :], 1, (p.omega_rf, tail)).array()[..., 0, :]
         worst = np.maximum(worst, np.einsum("ksi,ksi->ks", lab, lab).max(axis=1))

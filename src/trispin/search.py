@@ -26,6 +26,7 @@ from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_ampli
 from .dynamics import _time_grid, mode_states, mode_table, split_halves
 
 _CHUNK_STEPS = 4096  # (pair, tau) rows per block of grid_search
+_GROUP_PAIRS = 256  # pairs per mode_table (one eigh) of grid_search: every default grid's 168-231, 128 KB of tables
 _Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
@@ -173,23 +174,18 @@ def grid_search(
 ) -> SearchResult:
     """Grid scan of the energy-shell ansatz over default_bounds(omega_hat) for the earliest threshold crossing.
 
-    Deterministic for fixed inputs; a control between grid nodes is not seen.  Only
-    the bz rows from the centre row up are evaluated (not bz >= 0: the centre node may
-    read +-4.4e-16), on the whole omega_rf axis, so the mirror of every other node is
-    among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The
-    on-shell (bz, omega_rf) pairs, row by row, are taken in blocks of _CHUNK_STEPS (pair, tau)
-    rows, one pair at least: one ``mode_table`` (one eigh) and one ``_best_over_theta0`` pass
-    per block, 64 blocks on the benchmark's grids (81 by bz row).  argmax and argmin find a
-    block's peaks, the first of equal ones as a loop would (argmin, for the mirror, over x5
-    and x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).
-    The best crossing and each peak keep their pair and its modes, and after the last block
-    each reported entry gets its ControlParams and theta0, at most 9 ``_best_theta0``.  bz
-    off the energy shell is skipped (no real transverse amplitude there); an omega_hat at or
-    below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not
-    positive are ValueErrors.  The result also records the largest value of every
-    component x1..x8 seen, reached or not, so one pass also bounds the components it
-    does not target, and optionally the ((bz, omega_rf) -> reach time, peak)
-    landscape of the whole box (``SearchResult.landscape``).
+    Deterministic for fixed inputs; a control between grid nodes is not seen.  Only the bz rows from the centre row up
+    are evaluated (not bz >= 0: the centre node may read +-4.4e-16), on the whole omega_rf axis, so the mirror of every
+    other node is among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The on-shell (bz,
+    omega_rf) pairs, row by row, get their mode tables from one ``mode_table`` (one eigh) per group of _GROUP_PAIRS and
+    their rows from one ``_best_over_theta0`` pass per block of _CHUNK_STEPS (pair, tau) rows in a group, one pair at
+    least, so memory is bounded at any resolution.  argmax and argmin find a block's peaks, the first of equal ones as a
+    loop would (argmin, for the mirror, over x5 and x7 alone), and its crossing pairs, solved on their grid rows
+    (``_first_crossing``).  The best crossing and each peak keep their pair and its modes; after the last block each
+    gets its ControlParams and theta0 (``_best_theta0``).  bz off the energy shell (no real transverse amplitude there)
+    is skipped; an omega_hat at or below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not positive
+    are ValueErrors.  The result also records the largest value of every component x1..x8 seen, reached or not, and
+    optionally the ((bz, omega_rf) -> reach time, peak) landscape of the whole box (``SearchResult.landscape``).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -208,31 +204,35 @@ def grid_search(
     def pair(m: int, sign: float) -> ControlParams:  # pair m, or its mirror, at theta0 = 0
         return ControlParams(k=k, omega_hat=omega_hat, b0=float(b0[m]), bz=sign * bz[m], omega_rf=sign * rf[m], theta0=0.0)
 
+    def blocks():  # (first pair, tables, rates) of each block of width pairs in a group, the group's tables in one eigh
+        for first in range(0, len(bz), _GROUP_PAIRS):
+            span = slice(first, first + _GROUP_PAIRS)
+            tables, rates = mode_table(ControlParams(k, omega_hat, b0[span], bz[span], rf[span], 0.0), _Y1)
+            yield from ((first + n, tables[n : n + width], rates[n : n + width]) for n in range(0, len(rates), width))
+
     # the best crossing and the running peaks keep (pair, sign, the pair's modes); theta0 is read once they are final
     best_tau, kept, landscape, peaks = math.inf, None, [], {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
-    for start in range(0, len(bz), width):
-        span = slice(start, start + width)
-        block = ControlParams(k=k, omega_hat=omega_hat, b0=b0[span], bz=bz[span], omega_rf=rf[span], theta0=0.0)
-        tables, rates = mode_table(block, _Y1)
+    for start, tables, rates in blocks():
         best = _best_over_theta0((tables, rates), taus)  # (pairs, taus, 8)
         ends = best.argmax(axis=1), np.zeros((len(best), 8), dtype=np.intp)  # the peak rows of each pair and of its mirror
         ends[1][:, mirrored] = best[:, :, mirrored].argmin(axis=1)  # the mirror is read for x5 and x7 alone
-        high, low = (np.take_along_axis(best, end[:, None], axis=1)[:, 0] for end in ends)
+        high, low = (best[np.arange(len(best))[:, None], end, range(8)] for end in ends)  # the rows of the peaks
         values = high, np.where(mirrored, -low, -math.inf)  # the peaks of a pair, and of its mirror for x5 and x7
         candidates = np.stack(values, axis=1).reshape(-1, 8)  # each pair's peaks, then its mirror's
         first = candidates.argmax(axis=0)  # the first of equal peaks, as a loop over the pairs would take
         for j in np.flatnonzero(candidates[first, range(8)] > [peak[0] for peak in peaks.values()]):
             n, side = divmod(first[j], 2)
-            source = start + n, (1.0, -1.0)[side], (tables[n], rates[n])
+            source = start + n, (1.0, -1.0)[side], (tables[n].copy(), rates[n].copy())  # a view would hold the group's tables
             peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[ends[side][n, j]]), source)
         x, crosses = best[:, :, idx], np.stack(values[: len(signs)], axis=1)[:, :, idx] >= threshold  # a peak reaches it
-        for n, side in np.ndindex(crosses.shape):  # pair by pair, each before its mirror
+        for n, side in np.argwhere(crosses | collect_landscape):  # pair by pair, each before its mirror
             m, i, sign = start + n, ends[side][n, idx], signs[side]
             tau = _first_crossing((tables[n], rates[n]), idx, threshold, taus, x[n], sign) if crosses[n, side] else None
             if tau is not None and tau < best_tau:
-                best_tau, kept = tau, (m, sign, (tables[n], rates[n]))
+                best_tau, kept = tau, (m, sign, (tables[n].copy(), rates[n].copy()))
             if collect_landscape and (side == 0 or m >= len(rf_axis) or resolution % 2 == 0):  # a centre row holds its mirrors
                 landscape.append((sign * float(bz[m]), sign * float(rf[m]), tau, float(sign * x[n, i]), float(taus[i])))
+        del best, x  # so that the next block's rows are made with none of these held
 
     def at_theta0(m: int, sign: float, modes: tuple, tau: float, j: int) -> ControlParams:  # theta0 of the best x_j
         return replace(pair(m, sign), theta0=_best_theta0(modes, tau, sign * rf[m], j))

@@ -622,6 +622,16 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
         crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau
         pairs = sum(a[..., 0, 0].size for a in calls) / 2
         assert pairs == on_shell * resolution and (crossing is None) == (level > 1.0)
+    # grids of default size take their mode tables in groups of search._GROUP_PAIRS pairs, one eigh call a group:
+    # the 21 x 21 grid (168 or 189 on-shell pairs here) in one call, and a 29 x 29 grid's in two, each full but the last
+    for size in (21, 29):
+        on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, size)[size // 2 :])
+        calls.clear()
+        search.grid_search(omega_hat, k, resolution=size, threshold=2.0)
+        groups = [a[..., 0, 0].size // 2 for a in calls]
+        assert all(a.shape[-3:] == (2, 4, 4) for a in calls) and sum(groups) == on_shell * size
+        assert len(groups) == -(-on_shell * size // search._GROUP_PAIRS) == (1 if size == 21 else 2)
+        assert groups[:-1] == [search._GROUP_PAIRS] * (len(groups) - 1)
 
 
 @pytest.mark.parametrize("resolution", [5, 6])

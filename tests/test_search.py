@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,6 +538,55 @@ def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target,
     reference = grid_by_pair(2.7, 1.0, [(target, threshold)], 7, 3.0 * TAU_STAR, 5e-2)  # blocks of the patched size
     _, landscape = assert_grid_equals_the_per_pair_loop(reference, 2.7, 1.0, target, 7, threshold, 5e-2)
     assert len({bz for bz, _, _, _, _ in landscape if bz >= 0.0}) == 3 and 7 % pairs and (21 % pairs or pairs == 3)
+
+
+# the targets of the group edge cases: one reached at row 0, one mirrored pair, and x8
+GROUP_TARGETS = [("x1", 0.999), ("x5", 0.5), ("x7", 0.3), ("x8", 0.6)]
+
+
+@pytest.mark.parametrize("block", [2, None])
+@pytest.mark.parametrize("steps", [0.0, 0.5, 32.0, 33.5])
+@pytest.mark.parametrize("group", [3, 4, 9, 16])
+def test_mode_table_groups_equal_the_per_pair_loop(monkeypatch, group, steps, block):
+    # resolution 7 at omega_hat 2.7 evaluates 3 bz rows of 7 pairs; mode-table groups of 3, 4, 9 and 16 pairs
+    # straddle the rows, and all but groups of 3 end part-full.  tau_max of 0, half a step, 32 and 33.5 steps makes
+    # grids of 1, 2, 33 and 35 rows: below 3 rows _mode_rows takes every row direct, 33 rows are one whole block and
+    # the held row, and 35 end in a partial block after a shortened last step.  Blocks of 2 pairs also end part-full
+    # inside a group; at the default block size each group is one block
+    dtau = 5e-2
+    tau_max = steps * dtau
+    rows = len(_time_grid(tau_max, dtau))
+    assert rows == {0.0: 1, 0.5: 2, 32.0: 33, 33.5: 35}[steps]
+    monkeypatch.setattr(search, "_GROUP_PAIRS", group)
+    if block:
+        monkeypatch.setattr(search, "_CHUNK_STEPS", block * rows + rows - 1)
+    reference = grid_by_pair(2.7, 1.0, GROUP_TARGETS, 7, tau_max, dtau)
+    for target, threshold in GROUP_TARGETS:
+        res = grid_search(2.7, 1.0, target=target, resolution=7, threshold=threshold, tau_max=tau_max, dtau=dtau,
+                          collect_landscape=True)
+        best_tau, best_params, peaks, landscape = reference[target, threshold]
+        assert bits(res.peaks) == bits(peaks)
+        assert bits((res.best_tau, res.best_params)) == bits((best_tau, best_params))
+        assert bits(res.landscape) == bits(landscape) and len({bz for bz, *_ in landscape if bz >= 0.0}) == 3
+        assert (target == "x1") <= (best_tau == 0.0)
+
+
+def test_grid_memory_does_not_grow_with_the_resolution():
+    # the pairs' mode tables are made in groups of _GROUP_PAIRS and their rows in blocks, so only the pair axes grow
+    # with the resolution.  At this tau_max (6 rows) _CHUNK_STEPS would allow blocks of 682 pairs, so each group of
+    # 256 pairs is one block and the ratio checks the group bound: resolution 41 evaluates 738 pairs in 3 groups, and
+    # 81, 2,835 in 12.  One mode table for the whole grid peaked at 4.3 and 6.9 MB, here at 1.8 and 1.9 MB; a kept
+    # peak that held a view of its group's tables held up to 9 groups
+    grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
+    peaks = []
+    for resolution in (41, 81):
+        tracemalloc.start()
+        try:
+            grid_search(2.7, 1.0, resolution=resolution, threshold=0.6, tau_max=0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 3e6
 
 
 def test_mode_table_of_a_pair_block_equals_the_per_control_tables_bitwise():

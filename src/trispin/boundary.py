@@ -362,7 +362,8 @@ def consistency_scan(
     of closed_form_params generate at the minimal tau_star.  Two branches set it, _SCAN_BRANCHES (README): with x =
     sqrt(3)*R/2, theta_sign = -omega_sign gives d = 0 and b = -pi*k*(-1)^r*sin(x), so its best r is pi*(1 - |sin x|)
     off, and its two omega_sign tie bitwise; theta_sign = omega_sign gives b = -pi*k*(-1)^r*cos(2x)*sin(x), at least
-    pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  The consistent points are the scales of consistent_scale in
+    pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  The curve is made in windows of the memory budget, _WINDOW_ROWS
+    samples, so its temporaries do not grow with samples.  The consistent points are the scales of consistent_scale in
     the range, whatever samples is; each is kept only if its b, d residuals are at most 1e-9 and its residual_phase,
     linear in the scale's error where the b residual is quadratic, at most 1e-12*(2j+1)*pi/2.
     """
@@ -385,7 +386,7 @@ def consistency_scan(
 
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
     residuals = np.empty(samples)
-    for lo in range(0, samples, _WINDOW_ROWS):  # both branches of a window at once, each temporary 32 KB
+    for lo in range(0, samples, _WINDOW_ROWS):  # both branches of a window at once, each temporary 96 KB
         worst = np.maximum(*branch_residuals(omegas[lo : lo + _WINDOW_ROWS], _SCAN_BRANCHES))
         # best over the branches; fmin passes over a NaN branch
         residuals[lo : lo + _WINDOW_ROWS] = np.fmin.reduce(worst, axis=0, initial=math.inf)

@@ -27,6 +27,7 @@ from .boundary import (
     column_deviations,
     consistency_scan,
     consistent_scale,
+    derived_quantities,
     invert_to_physical,
     sweep_tau,
     transfer_time,
@@ -42,7 +43,7 @@ from .dynamics import (
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
-from .report import DEFAULT_SEED, column_gap, run_verification
+from .report import COLUMN_TOLERANCE, DEFAULT_SEED, column_gap, run_verification
 from .search import COMPONENT_INDEX, grid_search
 
 
@@ -111,6 +112,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     tau_star = transfer_time(args.m0, args.n0)
     # the scalar boundary system is written for x8, so it is evaluated at the x8 constants
     residuals = column_deviations(analytic_family(args.m0, args.n0))
+    angle = max(half[2] for half in derived_quantities(constants))  # the largest rotation angle of A_pm
+    # the columns are cos and sin of it, a float only to its spacing: past COLUMN_TOLERANCE the spacing sets their gap
+    columns = column_gap(constants, args.target) if math.ulp(angle) <= COLUMN_TOLERANCE else None
     record = {
         "m0": args.m0,
         "n0": args.n0,
@@ -121,11 +125,14 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         "params": None,
         "residuals": {
             "boundary": [float(v) for v in residuals],
-            "columns": column_gap(constants, args.target),
+            "columns": columns,
             "b_eq": None,
             "d_eq": None,
         },
     }
+    if columns is None:
+        record["note"] = (f"residuals.columns skipped: the rotation angle {angle:.6g} of A_pm is a float only to "
+                          f"{math.ulp(angle):.3g}, above the columns' tolerance {COLUMN_TOLERANCE:g}")
     if args.omega_hat is not None:
         sols = invert_to_physical(args.omega_hat, 1.0, tau_star, constants.b)
         _require(bool(sols), f"no inverted control realizes label (m0, n0) = ({args.m0}, {args.n0}) "

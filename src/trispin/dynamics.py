@@ -38,7 +38,7 @@ from .algebra import ControlParams
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 
 _BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
-_WINDOW_ROWS = 2048  # rows per window of _on_grid's check and of the consistency scan: 64 blocks, 128 KB of 8-wide rows
+_WINDOW_ROWS = 6144  # the one memory budget, rows a streamed loop holds per source; a search block counts its block tables
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:

@@ -36,16 +36,14 @@ from .boundary import (
     transfer_time,
 )
 from .dynamics import _BLOCK_STEPS, _grid_rows, _mode_rows, _powers, _rk4_map, _time_grid, exact_state_trajectory, mode_table
-from .dynamics import propagator_discrepancy, split_halves
+from .dynamics import _WINDOW_ROWS, propagator_discrepancy, split_halves
 from .hilbert import closure_check, sector_table
 from .search import grid_search
 
 DEFAULT_SEED = 20260810
+COLUMN_TOLERANCE = 1e-10  # gate of an exponential's first columns against their transfer target
 # omega_hat window of the consistency_scan check
 SCAN_RANGE = (2.0, 4.0)
-# state rows per window of the oracle comparison, over all the sets it takes at once: 3 x 6,144 8-wide rows, 1.2 MB,
-# whatever the set count, and at most 6 sets at once, each 32 blocks a window or more
-_COMPARISON_ROWS = 6144
 
 
 @dataclass
@@ -153,15 +151,15 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
     """(max full-Hilbert vs RK4 deviation, max rotating-exact vs RK4 deviation, rows compared per oracle), from x = e1.
 
     A deviation is the largest Euclidean distance between matching state rows.  The oracles share the frame turn R, an
-    orthogonal map, so |R a - R b| = |a - b|: their rows are compared co-rotating.  Up to _COMPARISON_ROWS //
-    _BLOCK_STEPS**2 sets are stacked at once, with one set-up for all: a ``_mode_rows`` source for both mode tables
-    (full, exact) and one for RK4, from the grid's first block, block starts and last two taus, not the whole grid.
-    Each window takes whole blocks of every set, _COMPARISON_ROWS rows in all, so no trajectory is held and memory
+    orthogonal map, so |R a - R b| = |a - b|: their rows are compared co-rotating.  Up to _WINDOW_ROWS // _BLOCK_STEPS**2
+    = 6 sets are stacked at once, with one set-up for all: a ``_mode_rows`` source for both mode tables (full, exact)
+    and one for RK4, from the grid's first block, block starts and last two taus, not the whole grid.  Each window takes
+    whole blocks of every set, the budget of _WINDOW_ROWS rows per oracle in all, so no trajectory is held and memory
     does not grow with the set count; each GEMM has a lone set's shape, so a set's gaps keep their bits.  The last
     row is compared turned too: RK4's by ``_powers``' block turn, the mode tables' by ``_mode_rows``' direct one."""
     n = _grid_rows(tau_end, dtau)
     tail = _time_grid(tau_end, dtau, max(n - 2, 0))  # the last two taus with the grid's bits: all of a grid of 1 or 2 rows
-    worst, rows, size = np.zeros(2), 0, _COMPARISON_ROWS // _BLOCK_STEPS**2  # largest row sums of squares, full and exact
+    worst, rows, size = np.zeros(2), 0, _WINDOW_ROWS // _BLOCK_STEPS**2  # largest row sums of squares, full and exact
     for first in range(0, len(params_list), size):
         group = params_list[first : first + size]
         p = ControlParams(*np.array([astuple(q) for q in group]).T)  # each field of the stack an array, one per set
@@ -173,7 +171,7 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
         worst = np.maximum(worst, np.einsum("ksi,ksi->ks", lab, lab).max(axis=1))
         # full, exact and RK4 rows of every window, each window C-contiguous, made after the sources: no window
         # allocates its rows, so the heap neither grows nor is trimmed window after window
-        share = _COMPARISON_ROWS // len(group) // _BLOCK_STEPS * _BLOCK_STEPS  # rows of each set, whole blocks
+        share = _WINDOW_ROWS // len(group) // _BLOCK_STEPS * _BLOCK_STEPS  # rows of each set, whole blocks
         window = np.empty(3 * len(group) * share * 8)
         for lo in range(0, n, share):
             d = window[: 3 * len(group) * 8 * min(share, n - lo)].reshape(3, len(group), -1, 8)
@@ -266,7 +264,7 @@ def run_verification(
     report.add_bounded(
         "exp_boundary_columns",
         column_gap(constants, "x8"),
-        1e-10,
+        COLUMN_TOLERANCE,
         "matrix exponential of the final-time generator",
     )
 
@@ -285,7 +283,7 @@ def run_verification(
     report.add_bounded(
         "x6_variant",
         column_gap(analytic_family(0, 0, "x6"), "x6"),
-        1e-10,
+        COLUMN_TOLERANCE,
         "exponential columns of the exchanged-constants family",
     )
 

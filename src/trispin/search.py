@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _time_grid, mode_states, mode_table, split_halves
+from .dynamics import _BLOCK_STEPS, _WINDOW_ROWS, _time_grid, mode_states, mode_table, split_halves
 
-_CHUNK_STEPS = 4096  # (pair, tau) rows per block of grid_search
 _GROUP_PAIRS = 256  # pairs per mode_table (one eigh) of grid_search: every default grid's 168-231, 128 KB of tables
 _Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
@@ -178,14 +177,14 @@ def grid_search(
     are evaluated (not bz >= 0: the centre node may read +-4.4e-16), on the whole omega_rf axis, so the mirror of every
     other node is among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The on-shell (bz,
     omega_rf) pairs, row by row, get their mode tables from one ``mode_table`` (one eigh) per group of _GROUP_PAIRS and
-    their rows from one ``_best_over_theta0`` pass per block of _CHUNK_STEPS (pair, tau) rows in a group, one pair at
-    least, so memory is bounded at any resolution.  argmax and argmin find a block's peaks, the first of equal ones as a
-    loop would (argmin, for the mirror, over x5 and x7 alone), and its crossing pairs, solved on their grid rows
-    (``_first_crossing``).  The best crossing and each peak keep their pair and its modes; after the last block each
-    gets its ControlParams and theta0 (``_best_theta0``).  bz off the energy shell (no real transverse amplitude there)
-    is skipped; an omega_hat at or below the energy floor, omega_hat^2 <= 1 + k^2, and a threshold that is not positive
-    are ValueErrors.  The result also records the largest value of every component x1..x8 seen, reached or not, and
-    optionally the ((bz, omega_rf) -> reach time, peak) landscape of the whole box (``SearchResult.landscape``).
+    their rows from one ``_best_over_theta0`` pass per block in a group, one pair at least: a block holds the budget of
+    _WINDOW_ROWS rows, a pair's n grid rows and 8*min(_BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, so memory
+    is bounded.  argmax and argmin find a block's peaks, the first of equal ones as a loop would (argmin, for the mirror,
+    over x5 and x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).  The best crossing
+    and each peak keep their pair and its modes; after the last block each gets its ControlParams and theta0
+    (``_best_theta0``).  bz off the energy shell is skipped; an omega_hat at or below the energy floor, omega_hat^2 <=
+    1 + k^2, and a threshold that is not positive are ValueErrors.  The result also records the largest value of every
+    component x1..x8 seen, reached or not, and optionally the landscape of the whole box (``SearchResult.landscape``).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -198,7 +197,8 @@ def grid_search(
     rf_axis = _axis(bounds, "omega_rf", resolution)
     rows = [bz for bz in _axis(bounds, "bz", resolution)[resolution // 2 :] if bz**2 <= shell]
     b0, bz = (np.repeat(v, len(rf_axis)) for v in ([transverse_amplitude(omega_hat, k, v) for v in rows], rows))
-    rf, width = np.tile(rf_axis, len(rows)), max(1, _CHUNK_STEPS // len(taus))  # the pairs, row by row; per block
+    held = len(taus) + 8 * min(_BLOCK_STEPS, len(taus) - 1)  # a pair's rows in a block: its grid rows and block table
+    rf, width = np.tile(rf_axis, len(rows)), max(1, _WINDOW_ROWS // held)  # the pairs, row by row; per block
     signs, mirrored = (1.0, -1.0)[: 1 + (target in _MIRRORED)], [x in _MIRRORED for x in COMPONENT_INDEX]
 
     def pair(m: int, sign: float) -> ControlParams:  # pair m, or its mirror, at theta0 = 0

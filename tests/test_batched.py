@@ -271,6 +271,21 @@ def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
     assert propagator_discrepancy(params, taus).max_deviation > 0.0
 
 
+@pytest.mark.parametrize("steps", [2, 6143, 6144, 6145, 2 * 6144 + 1])
+def test_on_grid_compares_every_window(steps):
+    # _on_grid compares all but the last tau in windows of dynamics._WINDOW_ROWS = 6,144: one partial window, one
+    # whole, one whole and one of a single tau, and two whole and one.  An ulp off at a window's first or last tau is
+    # off the grid; the last tau is tau_end, free of the grid, and taus[1] the step the others are checked against
+    assert dynamics._WINDOW_ROWS == 6144
+    taus = _time_grid(steps * DTAU, DTAU)
+    assert len(taus) == steps + 1 and _on_grid(taus)
+    edges = {i for lo in range(0, steps, 6144) for i in (lo, min(lo + 6143, steps - 1))}
+    for i in sorted(edges - {1} | {steps}):
+        moved = taus.copy()
+        moved[i] = np.nextafter(moved[i], np.inf)
+        assert _on_grid(moved) == (i == steps), i
+
+
 def test_exact_other_taus_give_the_per_tau_result(params):
     # a linspace grid is dtau*arange but for its last entry, so it may take either path; a grid with
     # one entry moved by an ulp is not a grid and takes the per-tau path itself

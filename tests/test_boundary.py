@@ -885,9 +885,10 @@ def scan_by_branch(omega_lo, omega_hi, k_sign, samples):
     return residuals, consistent
 
 
-# windows of dynamics._WINDOW_ROWS = 2,048 samples: one partial, one whole, one whole and one sample, and more
+# windows of dynamics._WINDOW_ROWS = 6,144 samples: one partial (up to 6,143), one whole, one whole and one sample, and
+# more; 2,047 to 2,049 were the edges of an earlier budget of 2,048
 @pytest.mark.parametrize("k_sign", [1, -1])
-@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4001, 20000])
+@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4001, 6143, 6144, 6145, 20000])
 def test_scan_windows_equal_the_per_branch_loop_bitwise(k_sign, samples):
     scan = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=samples)
     residuals, consistent = scan_by_branch(1.5, 6.0, k_sign, samples)

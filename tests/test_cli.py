@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trispin.boundary import analytic_family, boundary_residuals, closed_form_params, column_deviations, consistent_scale
+from trispin.boundary import derived_quantities
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER
 from trispin.report import column_gap
@@ -110,6 +111,25 @@ def test_analytic_boundary_residuals_are_column_deviations(capsys, n0):
     assert boundary == column_deviations(c).tolist()
     assert max(abs(v) for v in boundary) <= 1e-15
     assert (max(abs(v) for v in boundary_residuals(c)) > 1e280) == (n0 > 0)
+
+
+@pytest.mark.parametrize("target", ["x8", "x6"])
+@pytest.mark.parametrize("n0, resolved", [(83442, True), (83443, False), (10**150, False)])
+def test_analytic_columns_are_measured_or_skipped(capsys, n0, resolved, target):
+    # the columns are cos and sin of A_pm's rotation angles, each a float only to its spacing: from the angle 2**19 on
+    # that spacing is 2**-33 = 1.2e-10, over the columns' 1e-10, and the gap would be the spacing's, not the constants'.
+    # Label (0, 83442) has a largest angle of 524286.26 (spacing 5.8e-11), (0, 83443) 524292.54 (1.2e-10), and
+    # (0, 10**150) 6.3e150, where the columns read 1.0 beside column deviations of 2.1e-16
+    code, out, _ = _run(capsys, "analytic", "--m0", "0", "--n0", str(n0), "--target", target)
+    rec, c = json.loads(out), analytic_family(0, n0, target)
+    angle = max(half[2] for half in derived_quantities(c))
+    assert code == 0 and (angle < 2.0**19) == resolved and (math.ulp(angle) <= 1e-10) == resolved
+    if resolved:
+        assert rec["residuals"]["columns"] == column_gap(c, target) <= 1e-10 and "note" not in rec
+    else:
+        assert rec["residuals"]["columns"] is None and column_gap(c, target) > 0.0
+        assert rec["note"] == (f"residuals.columns skipped: the rotation angle {angle:.6g} of A_pm is a float only to "
+                               f"{math.ulp(angle):.3g}, above the columns' tolerance 1e-10")
 
 
 @pytest.mark.parametrize("target", ["x8", "x6"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
-from trispin import algebra, boundary, dynamics, hilbert, search
+from trispin import algebra, boundary, cli, dynamics, hilbert, search
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
@@ -89,6 +89,39 @@ def test_boundary_mutants_fail_verify(mutate, tmp_path, capsys, name, old, new, 
     assert code == 1 and capsys.readouterr().err == ""
     checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
+
+
+class MutantPassed(Exception):
+    """verify exited 0 with a one-line fault in place."""
+
+
+@pytest.mark.xfail(strict=True, raises=MutantPassed, reason="no verify check reads this fault yet (ROADMAP item 10)")
+@pytest.mark.parametrize(
+    "module, name, old, new",
+    [
+        # the theta0-best x2, x4, x6 and x8 read as |x2| and |x6|: the grid's x8 peak falls, and no crossing was read
+        (search, "_best_over_theta0", "np.hypot(x[..., 1::4], x[..., 3::4])", "np.abs(x[..., 1::4])"),
+        # the mirror's x5 and x7 taken with the pair's sign: x7's peak stays under its 0.999 bound
+        (search, "grid_search", "np.where(mirrored, -low, -math.inf)", "np.where(mirrored, low, -math.inf)"),
+        # an early crossing of x8 against 0 instead of 0.95*tau_star: no grid control reaches 0.999, so none is judged
+        (report_module, "run_verification", "gs.best_tau > 0.95 * tau_star", "gs.best_tau > 0"),
+        # the sweep in label order: label (0, 0) is first either way, and (0, 1) after it takes longer
+        (boundary, "sweep_tau", 'return sorted(rows, key=lambda row: row["tau_star"])', "return list(rows)"),
+    ],
+    ids=["hypot_to_abs", "mirror_sign", "early_best_tau_zero", "sweep_unsorted"],
+)
+def test_mutants_that_verify_still_passes(mutate, monkeypatch, tmp_path, capsys, module, name, old, new):
+    # the standing audit of the faults verify does not see at its default grid: each case is an expected failure
+    # until a check catches its fault, when it shows as an XPASS and the case moves to the tests above
+    mutate(module, name, old, new)
+    for other in (report_module, cli):  # the names report and the CLI import are patched there too
+        if other is not module and hasattr(other, name):
+            monkeypatch.setattr(other, name, getattr(module, name))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--dynamics-sets", "0", "--scan-samples", "801", "--out", str(out)])
+    assert code in (0, 1) and capsys.readouterr().err == ""
+    if code == 0:
+        raise MutantPassed(f"{name}: {old!r} -> {new!r}")
 
 
 def test_energy_mutant_fails_verify(mutate, monkeypatch, tmp_path, capsys):

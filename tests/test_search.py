@@ -19,6 +19,16 @@ OMEGA = math.sqrt(2.0 + PI**2 / 3.0)  # consistent energy scale
 PARAMS = closed_form_params(OMEGA)
 
 
+def pair_rows(rows):
+    """The rows a grid_search block holds per pair on a grid of rows taus: the grid rows and the block table."""
+    return rows + 8 * min(_BLOCK_STEPS, rows - 1)
+
+
+def budget(pairs, rows):
+    """The largest search._WINDOW_ROWS that gives blocks of pairs pairs on a grid of rows taus."""
+    return (pairs + 1) * pair_rows(rows) - 1
+
+
 def component(p, tau, j):
     return float(exact_state_trajectory(p, E1, np.array([tau]))[0, j])
 
@@ -160,11 +170,14 @@ def _grid():
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_omega_rf_blocks_do_not_change_the_grid(monkeypatch, width):
-    # at the default block size the 3 rows of 7 pairs are one block; here they split into blocks of
-    # width pairs, which straddle the bz rows for widths 2 and 3, and with width 2 the last is partial
-    whole = _grid()
+    # with a budget of all 21 pairs the 3 rows of 7 pairs are one block (at the default budget, 18 pairs and 3); here
+    # they split into blocks of width pairs, which straddle the bz rows for widths 2 and 3, and with width 2 the last
+    # is partial
     rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
-    monkeypatch.setattr(search, "_CHUNK_STEPS", width * rows + rows - 1)
+    assert search._WINDOW_ROWS // pair_rows(rows) == 18
+    monkeypatch.setattr(search, "_WINDOW_ROWS", 21 * pair_rows(rows))
+    whole = _grid()
+    monkeypatch.setattr(search, "_WINDOW_ROWS", budget(width, rows))
     blocked = _grid()
     assert blocked.peaks == whole.peaks
     assert blocked.best_tau == whole.best_tau and blocked.best_params == whole.best_params
@@ -367,7 +380,7 @@ def grid_by_pair(omega_hat, k, targets, resolution, tau_max, dtau):
     made once for all targets."""
     shell, bounds, taus = energy_shell(omega_hat, k), search.default_bounds(omega_hat), _time_grid(tau_max, dtau)
     rf_axis = search._axis(bounds, "omega_rf", resolution)
-    width = max(1, search._CHUNK_STEPS // len(taus))
+    width = max(1, search._WINDOW_ROWS // pair_rows(len(taus)))
     found = {key: [math.inf, None, []] for key in targets}  # best_tau, best_params, landscape
     peaks = {name: (-math.inf, None, None) for name in search.COMPONENT_INDEX}
     for row, bz in enumerate(search._axis(bounds, "bz", resolution)[resolution // 2 :]):
@@ -534,7 +547,7 @@ def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target,
     # resolution 7 at omega_hat 2.7 evaluates 3 bz rows of 7 pairs; blocks of 3, 4, 9 and 16 pairs straddle
     # the rows, and all but blocks of 3 end in a partial block
     rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
-    monkeypatch.setattr(search, "_CHUNK_STEPS", pairs * rows + rows - 1)
+    monkeypatch.setattr(search, "_WINDOW_ROWS", budget(pairs, rows))
     reference = grid_by_pair(2.7, 1.0, [(target, threshold)], 7, 3.0 * TAU_STAR, 5e-2)  # blocks of the patched size
     _, landscape = assert_grid_equals_the_per_pair_loop(reference, 2.7, 1.0, target, 7, threshold, 5e-2)
     assert len({bz for bz, _, _, _, _ in landscape if bz >= 0.0}) == 3 and 7 % pairs and (21 % pairs or pairs == 3)
@@ -559,7 +572,7 @@ def test_mode_table_groups_equal_the_per_pair_loop(monkeypatch, group, steps, bl
     assert rows == {0.0: 1, 0.5: 2, 32.0: 33, 33.5: 35}[steps]
     monkeypatch.setattr(search, "_GROUP_PAIRS", group)
     if block:
-        monkeypatch.setattr(search, "_CHUNK_STEPS", block * rows + rows - 1)
+        monkeypatch.setattr(search, "_WINDOW_ROWS", budget(block, rows))
     reference = grid_by_pair(2.7, 1.0, GROUP_TARGETS, 7, tau_max, dtau)
     for target, threshold in GROUP_TARGETS:
         res = grid_search(2.7, 1.0, target=target, resolution=7, threshold=threshold, tau_max=tau_max, dtau=dtau,
@@ -573,10 +586,10 @@ def test_mode_table_groups_equal_the_per_pair_loop(monkeypatch, group, steps, bl
 
 def test_grid_memory_does_not_grow_with_the_resolution():
     # the pairs' mode tables are made in groups of _GROUP_PAIRS and their rows in blocks, so only the pair axes grow
-    # with the resolution.  At this tau_max (6 rows) _CHUNK_STEPS would allow blocks of 682 pairs, so each group of
-    # 256 pairs is one block and the ratio checks the group bound: resolution 41 evaluates 738 pairs in 3 groups, and
-    # 81, 2,835 in 12.  One mode table for the whole grid peaked at 4.3 and 6.9 MB, here at 1.8 and 1.9 MB; a kept
-    # peak that held a view of its group's tables held up to 9 groups
+    # with the resolution.  At this tau_max (6 rows) the budget gives blocks of 133 pairs, 6 grid rows and 40 block
+    # table rows each, so each group of 256 pairs is two blocks and the ratio checks the group bound: resolution 41
+    # evaluates 738 pairs in 3 groups, and 81, 2,835 in 12.  One mode table for the whole grid peaked at 4.3 and
+    # 6.9 MB, here at 1.1 and 1.2 MB; a kept peak that held a view of its group's tables held up to 9 groups
     grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
     peaks = []
     for resolution in (41, 81):
@@ -587,6 +600,25 @@ def test_grid_memory_does_not_grow_with_the_resolution():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 3e6
+
+
+@pytest.mark.parametrize("tau_max, rows, pairs", [(0.34, 35, 21), (0.5, 51, 20)])
+def test_short_grid_memory_stays_near_the_default_grid(tau_max, rows, pairs):
+    # a block counts each pair's _mode_rows block table, 8*min(_BLOCK_STEPS, n - 1) rows, with its n grid rows: 9 pairs
+    # a block on the default 410 rows, as when only the grid rows were counted, but 21 and 20 pairs on these short
+    # grids, not 117 and 80, which peaked at 4.4 and 3.1 MB against the default grid's 0.87 MB
+    assert len(_time_grid(tau_max, 1e-2)) == rows and search._WINDOW_ROWS // pair_rows(rows) == pairs
+    assert search._WINDOW_ROWS // pair_rows(len(_time_grid(3.0 * TAU_STAR, 1e-2))) == 9
+    grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
+    peaks = []
+    for grid_end in (None, tau_max):
+        tracemalloc.start()
+        try:
+            grid_search(2.7, 1.0, resolution=41, threshold=0.6, tau_max=grid_end)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_mode_table_of_a_pair_block_equals_the_per_control_tables_bitwise():

@@ -156,32 +156,20 @@ class _Rows:
     Grid row j*b + l is s_j @ table[..., :, l, :], s_j row j of the block starts (starts.take(a, z) makes rows a..z-1),
     table of shape (..., 8, b, width): one GEMM reads a block's maps side by side.  Leading axes of the tail and the
     table (sets, oracles) give each entry a GEMM of the shape a lone source has.  A last partial block, the one-row
-    product with the table's first columns, is made here and heads the tail.  turn = (phi, psi), if given, also turns
-    row (j, l) by the frame turn exp((phi_j + psi_l) K) = exp(phi_j K) exp(psi_l K), K = _TURN.  As K^3 = -K, exp(phi
-    K)^T = D + cos(phi) P - sin(phi) K with P = -K^2 and D = I - P (_TURN_PARTS), so the row is [s_j, cos(phi_j) s_j,
-    sin(phi_j) s_j] @ [T_l D; T_l P; -T_l K], T_l = table[:, l] exp(psi_l K)^T: cos and sin of the starts and of psi.
+    product with the table's first columns, is made here and heads the tail.  The rows are co-rotating: each oracle
+    turns its own to the lab frame after them, RK4 by ``_turned`` and the mode tables in ``mode_states``.
     """
 
-    def __init__(self, tail, starts=None, table=None, count=0, turn=None):
-        self.tail, self.starts, self.count, self.trig = tail, starts, count, None
+    def __init__(self, tail, starts=None, table=None, count=0):
+        self.tail, self.starts, self.count = tail, starts, count
         self.n = count + tail.shape[-2]
-        if turn is not None:
-            (phi, psi), (d, p, minus_k) = turn, _TURN_PARTS
-            maps = np.swapaxes(table, -3, -2) @ (d + np.cos(psi)[..., None, None] * p + np.sin(psi)[..., None, None] * minus_k)
-            table = np.swapaxes(np.concatenate([maps @ part for part in _TURN_PARTS], axis=-2), -3, -2)
-            self.trig = np.cos(phi)[..., None], np.sin(phi)[..., None]
         if count:
             self.b, width = table.shape[-2:]
             self.table = table.reshape(table.shape[:-3] + (-1, self.b * width))
             full, rest = divmod(count, self.b)
             if rest:
-                last = (self._starts(full, full + 1) @ self.table[..., : rest * width]).reshape(tail.shape[:-2] + (rest, width))
+                last = (starts.take(full, full + 1) @ self.table[..., : rest * width]).reshape(tail.shape[:-2] + (rest, width))
                 self.count, self.tail = full * self.b, np.concatenate([last, tail], axis=-2)
-
-    def _starts(self, a: int, z: int) -> np.ndarray:
-        """Starts a..z-1 of the grid, with a turn each beside its cos(phi) and sin(phi) multiples."""
-        s = self.starts.take(a, z)
-        return s if self.trig is None else np.concatenate([s] + [f[..., a:z, :] * s for f in self.trig], axis=-1)
 
     def take(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """State rows lo..hi-1, shape (..., rows, width), each with the bits it has in the GEMM over every start.
@@ -202,9 +190,9 @@ class _Rows:
                 j0, j1 = (j0 - 1, j1) if j0 else (j0, j1 + 1)
             dest = out[..., : g_hi - lo, :]
             if (lo, g_hi) == (j0 * b, j1 * b):
-                np.matmul(self._starts(j0, j1), self.table, out=dest.reshape(dest.shape[:-2] + (j1 - j0, -1)))
+                np.matmul(self.starts.take(j0, j1), self.table, out=dest.reshape(dest.shape[:-2] + (j1 - j0, -1)))
             else:
-                rows = (self._starts(j0, j1) @ self.table).reshape(dest.shape[:-2] + (-1, width))
+                rows = (self.starts.take(j0, j1) @ self.table).reshape(dest.shape[:-2] + (-1, width))
                 dest[...] = rows[..., lo - j0 * b : g_hi - j0 * b, :]
         return out
 
@@ -213,24 +201,19 @@ class _Rows:
         return self.take(0, self.n)
 
 
-def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None) -> _Rows:
-    """Rows exp(omega*t_i*K) x_i, frame = (omega, t), K = _TURN, of the powers x_i of a step map: n rows of 8.
+def _powers(e: np.ndarray, first: np.ndarray, n: int) -> _Rows:
+    """Rows x_i of the powers of a step map: n rows of 8.
 
     x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, ..., 8, 8) holds
-    the increments of a step of dtau and of the grid's last step, of a stack of sets on its middle axes with omega
-    and first of their shape (first may be shared if n > 1), and t ends at t_(n-1).  With E_0 = 0 and
-    E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T,
-    turned on the block grid of a ``_Rows``; x_(n-1) is its one held row, turned as n = 1 turns first: on a grid of
-    one row.  The block starts s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on
-    E_last with no frame: n entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being
-    rounded each step; e and E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks
-    are short.
+    the increments of a step of dtau and of the grid's last step, of a stack of sets on its middle axes with first of
+    their shape (first may be shared if n > 1).  With E_0 = 0 and E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i
+    at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T, on the block grid of a ``_Rows``; x_(n-1) is its one held
+    row.  The block starts s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on E_last:
+    n entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and
+    E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
     """
     if n == 1:
-        one = _Rows(first[..., None, :])
-        if frame is None:
-            return one
-        return _Rows(one.tail[..., :0, :], one, np.eye(8)[:, None], 1, (np.multiply.outer(frame[0], frame[1][-1:]), np.zeros(1)))
+        return _Rows(first[..., None, :])
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
     powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
@@ -240,11 +223,15 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int, frame: tuple | None = None
     j, l = divmod(n - 2, _BLOCK_STEPS)
     x = (starts.take(j, j + 1) @ table[..., l, :])[..., 0, :]  # x_(n-2)
     x = x + (e[1] @ x[..., None])[..., 0]
-    if frame is None:
-        return _Rows(x[..., None, :], starts, table, n - 1)
-    last, (omega, t) = _powers(e, x, 1, frame).array(), frame
-    turn = np.multiply.outer(omega, t[: n - 1 : _BLOCK_STEPS]), np.multiply.outer(omega, t[: table.shape[-2]])
-    return _Rows(last, starts, table, n - 1, turn)
+    return _Rows(x[..., None, :], starts, table, n - 1)
+
+
+def _turned(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """RK4's rows turned to the lab frame by exp(phi K), K = _TURN, phi an angle a row: as K^3 = -K, exp(phi K)^T =
+    D + cos(phi) P - sin(phi) K (_TURN_PARTS), so x turns to [x, cos(phi) x, sin(phi) x] @ [D; P; -K], one GEMM for all
+    rows.  Each column sums at most two nonzero terms, so a row has the same bits in any GEMM."""
+    c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    return np.concatenate([rows, c * rows, s * rows], axis=-1) @ _TURN_PARTS.reshape(24, 8)
 
 
 def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
@@ -253,12 +240,12 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     With left, middle and right generators A1, A2, A4 of a step of length h, the stages of a
     linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
     step adds D x, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M(t + s) = R M(s) R^T, R = exp(omega_rf*t*_TURN) (see J),
-    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers``
-    turns each state back by exp(omega_rf*tau*_TURN) inside its GEMM.  The states are a new array, never x0.
+    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers`` takes the
+    co-rotating states and ``_turned`` turns each back by exp(omega_rf*tau*_TURN).  The states are a new array, never x0.
     """
     taus = _time_grid(tau_end, dtau)
-    e = _rk4_map(p, taus, dtau)
-    return Trajectory(taus=taus, states=_powers(e, np.asarray(x0, dtype=float), len(taus), (p.omega_rf, taus)).array())
+    rows = _powers(_rk4_map(p, taus, dtau), np.asarray(x0, dtype=float), len(taus)).array()
+    return Trajectory(taus=taus, states=_turned(rows, p.omega_rf * taus))
 
 
 def _rk4_map(p: ControlParams, taus: np.ndarray, dtau: float) -> np.ndarray:
@@ -365,21 +352,26 @@ def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None =
     """[cos(w*tau), sin(w*tau)] @ table at every tau in taus, turned by exp(omega_rf*tau*J) if omega_rf is given.
 
     (table, w) is a ``mode_table`` with leading shape s and a state of shape (2, 4) or (2, 4, m); the result
-    has shape s + np.shape(taus) + state, the rows of ``_mode_rows``."""
+    has shape s + np.shape(taus) + state, the rows of ``_mode_rows``, each turned in the (2,4) plane of both halves,
+    of y_pm or alike of x_plus and x_minus; omega_rf has s's last axes or none."""
     taus = np.asarray(taus, dtype=float)
     lead, state = w.shape[:-1], table.shape[w.ndim :]
-    return _mode_rows(table, w, taus, omega_rf).array().reshape(lead + taus.shape + state)
+    rows = _mode_rows(table, w, taus).array()
+    y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
+    if omega_rf is not None:
+        c, s = (f(np.asarray(omega_rf)[..., None] * taus.reshape(-1))[..., None, None] for f in (np.cos, np.sin))
+        y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
+    return y.reshape(lead + taus.shape + state)
 
 
-def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf, grid: tuple | None = None) -> _Rows:
-    """The rows of ``mode_states``, shape s + (taus.size, width), as a row source; omega_rf has s's last axes or none.
+def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, grid: tuple | None = None) -> _Rows:
+    """The rows of ``mode_states`` before its turn, shape s + (taus.size, width), as a row source.
 
     For an 8-wide state (2, 4) on ``_on_grid`` taus, or with grid = (n, dtau), taus the last of n >= 3 rows i*dtau
     of ``_time_grid``, all but the last tau are a block grid: by angle addition the rows at block step l are [cos_l T_c
     + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin
-    run on one block and on the block starts, made as a window takes them, and the turn exp(omega_rf*tau_j*J)
-    exp(omega_rf*tau_l*J) folds into the same GEMM.  The last tau, any other taus, a grid of n < 3 rows and wider
-    states take the direct form and turn (x2, x4) of each half, of y_pm or alike of x_plus and x_minus."""
+    run on one block and on the block starts, made as a window takes them.  The last tau, any other taus, a grid of
+    n < 3 rows and wider states take the direct form."""
     table = table.reshape(w.shape[:-1] + (8, -1))
 
     def trig(t):  # cos(w*t) and sin(w*t), shape lead + (len(t), 4) each
@@ -389,11 +381,6 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf, gri
     n, dtau = grid or ((len(taus), taus[1]) if table.shape[-1] == 8 and _on_grid(taus) else (0, None))
     direct = taus[-1:] if n > 2 else taus.reshape(-1)
     rows = np.concatenate(trig(direct), axis=-1) @ table
-    if omega_rf is not None:  # exp(phi*J) rotates the (2,4) plane of both halves by phi = omega_rf*tau
-        omega_rf = np.asarray(omega_rf)[..., None]
-        y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
-        c, s = (f(omega_rf * direct)[..., None, None] for f in (np.cos, np.sin))
-        y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
     if n < 3:
         return _Rows(rows)
     b = _BLOCK_STEPS
@@ -405,8 +392,7 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, omega_rf, gri
     maps = np.empty(table.shape[:-2] + (8, len(block), table.shape[-1]))  # the block table (lead, 8, b, width), written
     out = np.swapaxes(maps, -1, -2)  # through its (lead, 8, width, b) view
     np.add(c * t_c, s * t_s, out=out[..., :4, :, :]), np.subtract(c * t_s, s * t_c, out=out[..., 4:, :, :])
-    turn = None if omega_rf is None else (omega_rf * (np.arange(0, n - 1, b) * dtau), omega_rf * block)
-    return _Rows(rows, starts, maps, n - 1, turn)
+    return _Rows(rows, starts, maps, n - 1)
 
 
 def propagate_rotating_exact(p: ControlParams, y0: np.ndarray, taus: np.ndarray | float) -> np.ndarray:

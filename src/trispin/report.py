@@ -35,8 +35,8 @@ from .boundary import (
     sweep_tau,
     transfer_time,
 )
-from .dynamics import _BLOCK_STEPS, _grid_rows, _mode_rows, _powers, _rk4_map, _time_grid, exact_state_trajectory, mode_table
-from .dynamics import _WINDOW_ROWS, propagator_discrepancy, split_halves
+from .dynamics import _BLOCK_STEPS, _WINDOW_ROWS, _grid_rows, _mode_rows, _powers, _rk4_map, _time_grid, _turned
+from .dynamics import exact_state_trajectory, mode_states, mode_table, propagator_discrepancy, split_halves
 from .hilbert import closure_check, sector_table
 from .search import grid_search
 
@@ -156,7 +156,8 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
     and one for RK4, from the grid's first block, block starts and last two taus, not the whole grid.  Each window takes
     whole blocks of every set, the budget of _WINDOW_ROWS rows per oracle in all, so no trajectory is held and memory
     does not grow with the set count; each GEMM has a lone set's shape, so a set's gaps keep their bits.  The last
-    row is compared turned too: RK4's by ``_powers``' block turn, the mode tables' by ``_mode_rows``' direct one."""
+    row is compared in the lab frame too, by two independent turns: RK4's by ``_turned``, the mode tables' in
+    ``mode_states``, so a fault in either one shows."""
     n = _grid_rows(tau_end, dtau)
     tail = _time_grid(tau_end, dtau, max(n - 2, 0))  # the last two taus with the grid's bits: all of a grid of 1 or 2 rows
     worst, rows, size = np.zeros(2), 0, _WINDOW_ROWS // _BLOCK_STEPS**2  # largest row sums of squares, full and exact
@@ -165,9 +166,9 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
         p = ControlParams(*np.array([astuple(q) for q in group]).T)  # each field of the stack an array, one per set
         tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
         e = _rk4_map(p, tail, dtau)
-        modes, reduced = _mode_rows(tables, w, tail, None, (n, dtau)), _powers(e, np.tile(E1, (len(group), 1)), n)
-        lab = _mode_rows(tables, w, tail[-1:], p.omega_rf).array()[..., 0, :]  # the last rows in the lab frame
-        lab -= _powers(e, reduced.tail[..., -1, :], 1, (p.omega_rf, tail)).array()[..., 0, :]
+        modes, reduced = _mode_rows(tables, w, tail, (n, dtau)), _powers(e, np.tile(E1, (len(group), 1)), n)
+        lab = mode_states(tables, w, tail[-1:], p.omega_rf)[..., 0, :]  # the last rows in the lab frame
+        lab -= _turned(reduced.tail[..., -1:, :], np.multiply.outer(p.omega_rf, tail[-1:]))[..., 0, :]
         worst = np.maximum(worst, np.einsum("ksi,ksi->ks", lab, lab).max(axis=1))
         # full, exact and RK4 rows of every window, each window C-contiguous, made after the sources: no window
         # allocates its rows, so the heap neither grows nor is trimmed window after window
@@ -354,10 +355,11 @@ def run_verification(
 
     # --- the energy shell of every control propagated: the one above, the random sets and the grid's results ---
     found = [p for _, _, p in gs.peaks.values() if p is not None] + ([gs.best_params] if gs.feasible else [])
+    controls = [params, *dyn_params, *found]
     report.add_bounded(
         "energy_residual_max",
-        float(max(abs(energy_residual(p)) for p in [params, *dyn_params, *found])),
-        1e-12,
+        float(max(abs(energy_residual(p)) for p in controls)),
+        8 * max(math.ulp(p.omega_hat**2) for p in controls),  # its rounding bound in ulps of omega_hat^2 (README)
         "fixed-energy condition b0^2 + bz^2 = omega_hat^2 - (1 + k^2)",
         note=f"the {control}, {n_dynamics} random parameter sets and {len(found)} grid results",
     )

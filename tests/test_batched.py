@@ -2,8 +2,8 @@
 
 ``propagate_rk4`` steps in the co-rotating frame, where every step of dtau is
 one constant map and the grid's last step has its own; ``dynamics._powers``
-takes the powers of that map in blocks of ``dynamics._BLOCK_STEPS`` steps, with
-the turn back to the lab frame folded into one GEMM per block table.  The
+takes the powers of that map in blocks of ``dynamics._BLOCK_STEPS`` steps, and
+``dynamics._turned`` turns those co-rotating rows back to the lab frame.  The
 oracles below are the plain one-step-at-a-time versions in the lab frame, one
 generator per step, kept here only as references.  Every block grid starts at state row 0 and holds all rows
 but the last, so a grid of s steps has s grid rows.  The grids hold one point,
@@ -28,9 +28,11 @@ and a trace per operator, which holds to the Magnus truncation, and the exact
 reduced route, which holds to rounding, at degenerate controls too.
 
 ``dynamics.mode_states`` evaluates a mode table on a ``_time_grid`` in blocks,
-by angle addition, with the frame turn folded into one GEMM, for the 8-vectors
-of ``exact_state_trajectory``; its oracle is the per-tau path, which the same taus
-take as a column, and which the propagators of ``propagate_rotating_exact`` take.
+by angle addition, for the 8-vectors of ``exact_state_trajectory``, then turns
+every row by the plane turn of (x2, x4) and (x6, x8); its oracles are the per-tau
+path, which the same taus take as a column, and which the propagators of
+``propagate_rotating_exact`` take, and, for the turn too, ``expm_skew`` of the
+turn and of the co-rotating generator.
 
 ``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
 forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
@@ -51,6 +53,7 @@ residual curve refined by bounded scalar minimization.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,6 +90,7 @@ from trispin.dynamics import (
     propagate_rk4,
     propagate_rotating_exact,
     propagator_discrepancy,
+    rotating_generator,
     split_halves,
 )
 from trispin.hilbert import full_hilbert_trajectory, sector_table
@@ -254,6 +258,14 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
     grid = propagate_rotating_exact(p, eye, taus)
     assert grid.shape == (len(taus), 2, 4, 4)
     assert np.max(np.abs(grid - propagate_rotating_exact(p, eye, taus[:, None])[:, 0])) <= 1e-14
+    # grid and per-tau rows share mode_states' one turn; the so(4) closed form of exp(omega_rf*tau*J) exp[tau (M_pm(0)
+    # - omega_rf J)], with no mode table, is a reference for the turn too
+    turned = expm_skew(np.multiply.outer(p.omega_rf * taus, J))[:, None] @ expm_skew(np.multiply.outer(taus, rotating_generator(p)))
+    for x0 in (E1, GENERIC_X0):
+        want = join_halves((turned @ split_halves(x0)[..., None])[..., 0])
+        assert np.max(np.abs(exact_state_trajectory(p, x0, taus) - want)) <= 1e-13
+        if x0 is E1:
+            assert np.max(np.abs(dynamics.mode_states(*sector_table(p), taus, p.omega_rf) - want)) <= 1e-13
 
 
 def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
@@ -265,7 +277,8 @@ def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
     def forbidden(*args):
         raise AssertionError("block grid rows taken")
 
-    monkeypatch.setattr(dynamics._Rows, "_starts", forbidden)
+    # every mode-table grid's block starts, made as the grid takes them, refuse to be taken
+    monkeypatch.setattr(dynamics, "SimpleNamespace", lambda take: SimpleNamespace(take=forbidden))
     with pytest.raises(AssertionError, match="block grid rows taken"):
         exact_state_trajectory(params, E1, taus)
     assert propagator_discrepancy(params, taus).max_deviation > 0.0
@@ -309,8 +322,8 @@ def test_grid_lengths_cover_run_boundaries(params):
     for name, tau_end in GRIDS.items():
         taus = _time_grid(tau_end, DTAU)
         rk4 = dynamics._powers(dynamics._rk4_map(params, taus, DTAU), E1, len(taus))
-        full = dynamics._mode_rows(*sector_table(params), taus, params.omega_rf)
-        exact = dynamics._mode_rows(*dynamics.mode_table(params, dynamics.split_halves(E1)), taus, params.omega_rf)
+        full = dynamics._mode_rows(*sector_table(params), taus)
+        exact = dynamics._mode_rows(*dynamics.mode_table(params, dynamics.split_halves(E1)), taus)
         # on a grid the three hold the same rows: blocks of b from row 0 (one shorter block below b grid rows), then
         # a partial last block and the last row; the two mode tables take a block grid only from 3 rows up
         grid = len(taus) - 1

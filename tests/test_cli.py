@@ -10,7 +10,7 @@ import pytest
 from trispin.boundary import analytic_family, boundary_residuals, closed_form_params, column_deviations, consistent_scale
 from trispin.boundary import derived_quantities
 from trispin.cli import main
-from trispin.dynamics import CSV_HEADER
+from trispin.dynamics import CSV_HEADER, build_M
 from trispin.report import column_gap
 from trispin.search import grid_search
 
@@ -786,3 +786,49 @@ def test_propagate_refuses_a_trajectory_that_is_not_finite(tmp_path, capsys, met
     code, stdout, err = _run(capsys, *argv, "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and str(pf) in err and "not finite" in err
+
+
+# (grid flags, rows): 1, 2, 3, 33 and 34 rows, a step longer than the run (one shortened step), and two grids refused
+# with exit 2, a step count that is not finite and one too large to allocate (1e303 rows)
+PROPAGATE_GRIDS = {
+    "1_row": (("--tau-end", "1e-300"), 1),
+    "2_rows": (("--tau-end", "1e-3"), 2),
+    "3_rows": (("--tau-end", "2e-3"), 3),
+    "33_rows": (("--tau-end", "0.032"), 33),
+    "34_rows": (("--tau-end", "0.033"), 34),
+    "step_past_the_end": (("--tau-end", "1", "--dtau", "10"), 2),
+    "subnormal_step": (("--dtau", "5e-324"), None),
+    "huge_run": (("--tau-end", "1e300"), None),
+}
+
+
+@pytest.mark.parametrize("grid, rows", PROPAGATE_GRIDS.values(), ids=PROPAGATE_GRIDS.keys())
+def test_propagate_edge_grids_exit_cleanly(tmp_path, capsys, grid, rows):
+    # every method exits 0, or 2 with nothing on stdout and one error line: a traceback would raise here.  Where they
+    # run, the three routes agree: RK4 to 1e-8 and the two exact ones to 1e-13; over one step of length 1 RK4's
+    # truncation is of order 1, so there it must equal one classic RK4 step of the lab-frame build_M
+    pf = _write_params(tmp_path)
+    states = {}
+    for method in ("rk4", "expm-integral", "rotating-exact", "full-hilbert"):
+        out = tmp_path / f"{method}.csv"
+        code, stdout, err = _run(capsys, "propagate", "--params-file", pf, "--method", method, *grid, "--out", str(out))
+        if rows is None:
+            assert code == 2 and stdout == "" and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0 and err == "" and stdout.endswith(f"wrote {rows} samples (method={method}) to {out}\n")
+            states[method] = _read_csv(out)
+    if rows is None:
+        return
+    rk4, exact, full = (states[m] for m in ("rk4", "rotating-exact", "full-hilbert"))
+    assert all(np.array_equal(s[:, 0], rk4[:, 0]) for s in states.values()) and len(rk4) == rows
+    assert np.max(np.abs(exact[:, 1:9] - full[:, 1:9])) <= 1e-13
+    if rk4[-1, 0] <= 0.1:
+        assert max(np.max(np.abs(rk4[:, 1:9] - s[:, 1:9])) for s in (exact, full)) <= 1e-8
+    else:
+        p, h, x = closed_form_params(OMEGA), rk4[-1, 0], rk4[0, 1:9]
+        m_left, m_mid, m_right = (build_M(p, f * h) for f in (0.0, 0.5, 1.0))
+        k2 = m_mid @ (x + (h / 2.0) * (m_left @ x))
+        k3 = m_mid @ (x + (h / 2.0) * k2)
+        step = x + (h / 6.0) * (m_left @ x + 2.0 * k2 + 2.0 * k3 + m_right @ (x + h * k3))
+        assert np.max(np.abs(rk4[-1, 1:9] - step)) <= 1e-13

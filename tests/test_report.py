@@ -126,16 +126,29 @@ def test_mutants_that_verify_still_passes(mutate, monkeypatch, tmp_path, capsys,
 
 def test_energy_mutant_fails_verify(mutate, monkeypatch, tmp_path, capsys):
     # b0 off the energy shell: 0.01 under the root of transverse_amplitude, read by name where the random
-    # sets and the grid's pairs are built.  No other check reads the energy, so only the energy check fails
+    # sets and the grid's pairs are built.  No other check reads the energy, so only the energy check fails, at the
+    # auto scale and at 1000, where its gate, 8 ulps of omega_hat^2, is 9.3e-10 and the residual's rounding 1.2e-10
     mutate(algebra, "transverse_amplitude", "math.sqrt(r)", "math.sqrt(r + 0.01)")
     for module in (report_module, search):
         monkeypatch.setattr(module, "transverse_amplitude", algebra.transverse_amplitude)
     out = tmp_path / "report.json"
-    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
-    assert code == 1 and capsys.readouterr().err == ""
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["name"] for c in checks if c["status"] == "fail"] == ["energy_residual_max"]
-    assert abs({c["name"]: c for c in checks}["energy_residual_max"]["measured"] - 0.01) <= 1e-15
+    for scale, rounding in (([], 1e-15), (["--omega-hat", "1000"], 1e-9)):
+        code = main(["verify", *scale, "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks if c["status"] == "fail"] == ["energy_residual_max"]
+        assert abs({c["name"]: c for c in checks}["energy_residual_max"]["measured"] - 0.01) <= rounding
+
+
+@pytest.mark.parametrize("omega_hat", [100.0, 1000.0, 1533.98])
+def test_energy_gate_follows_the_shell(tmp_path, capsys, omega_hat):
+    # b0^2 + bz^2 and omega_hat^2 round to ulps of omega_hat^2: residuals of 1.8e-12, 1.2e-10 and 4.7e-10 here, one
+    # ulp each, under a gate of 8 ulps (README) and over an absolute 1e-12
+    out = tmp_path / "report.json"
+    code = main(["verify", "--omega-hat", str(omega_hat), "--dynamics-sets", "0", "--scan-samples", "801", "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["energy_residual_max"]
+    assert check["status"] == "pass" and check["tolerance"] == 8 * math.ulp(omega_hat**2) and check["measured"] > 1e-12
 
 
 BOTH = ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
@@ -146,11 +159,11 @@ BOTH = ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
     [
         # the step map's frame turn, R(-omega_rf h) turned the other way: RK4's co-rotating rows
         (dynamics, "_rk4_map", "-np.sin(angle) * _TURN", "+np.sin(angle) * _TURN", BOTH),
-        # the block turn, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
+        # RK4's turn to the lab frame, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
         (dynamics, "_TURN_PARTS", None, None, BOTH),
-        (dynamics, "_Rows", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", BOTH),
-        # the direct turn of the mode rows: the full and exact last rows in the lab frame
-        (dynamics, "_mode_rows", "f(omega_rf * direct)", "f(-omega_rf * direct)", BOTH),
+        (dynamics, "_turned", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", BOTH),
+        # the plane turn of the mode rows: the full and exact last rows in the lab frame
+        (dynamics, "mode_states", "np.asarray(omega_rf)[..., None] * taus", "-np.asarray(omega_rf)[..., None] * taus", BOTH),
         # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
         (hilbert, "sector_table", "m[..., 2] -= ", "m[..., 2] += ", BOTH[:1]),
         (dynamics, "rotating_generator", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
@@ -178,7 +191,8 @@ def test_energy_check_reads_every_propagated_control():
     # the control of the transfer check, the random sets and the grid's 8 peaks and best (it crosses 0.999 here)
     report = run_verification(omega_hat=2.7, n_dynamics=2, grid_resolution=21, scan_samples=801)
     check = {c.name: c for c in report.checks}["energy_residual_max"]
-    assert check.status == "pass" and check.tolerance == 1e-12 and check.measured <= 4e-15
+    # its gate, 8 ulps of the largest omega_hat^2, in [4, 16) here: far inside 1e-12
+    assert check.status == "pass" and check.tolerance in (8 * math.ulp(4.0), 8 * math.ulp(8.0)) and check.measured <= 4e-15
     assert check.note == "the inverted control, 2 random parameter sets and 9 grid results"
 
 
@@ -324,7 +338,7 @@ def test_windowed_comparison_equals_whole_trajectories(rows):
     tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
     rk4 = _powers(_rk4_map(p, taus, dtau), E1, len(taus))
     modes = np.stack([mode_states(*sector_table(p), taus), mode_states(*mode_table(p, split_halves(E1)), taus).reshape(-1, 8)])
-    for name, (source, whole) in {"rk4": (rk4, rk4.array()), "modes": (_mode_rows(tables, w, taus, None), modes)}.items():
+    for name, (source, whole) in {"rk4": (rk4, rk4.array()), "modes": (_mode_rows(tables, w, taus), modes)}.items():
         windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
         assert np.array_equal(np.concatenate(windows, axis=-2), whole), name
 
@@ -391,18 +405,20 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
     # verify's 5 default sets at once: every window takes the same 1,216 rows (38 whole blocks, 6,144 // 5 rounded down
     # to blocks) of each set, the last window 21 blocks and the held rows, in one GEMM over exactly its own
     # block starts, written in place, in both sources.  No source reads the whole grid or checks it
-    windows, take, starts = [], dynamics._Rows.take, dynamics._Rows._starts
+    windows, take = [], dynamics._Rows.take
 
     def comparison_take(self, lo, hi, out=None):
-        if out is not None:  # only the comparison passes its window buffer
-            assert out.flags.c_contiguous
-            windows.append((self, lo, min(hi, self.count), []))
-        return take(self, lo, hi, out)
-
-    def recorded_starts(self, a, z):
-        if windows and windows[-1][0] is self:
-            windows[-1][3].append((a, z))
-        return starts(self, a, z)
+        if out is None:
+            return take(self, lo, hi)
+        # only the comparison passes its window buffer; the block starts record what the window takes of them
+        assert out.flags.c_contiguous
+        asked, starts_take = [], self.starts.take
+        windows.append((self, lo, min(hi, self.count), asked))
+        self.starts.take = lambda a, z: asked.append((a, z)) or starts_take(a, z)
+        try:
+            return take(self, lo, hi, out)
+        finally:
+            self.starts.take = starts_take
 
     def forbidden(taus):
         assert len(taus) == 1, "a grid checked"  # only the lab frame's last row is a tau array
@@ -414,7 +430,6 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
         return taus
 
     monkeypatch.setattr(dynamics._Rows, "take", comparison_take)
-    monkeypatch.setattr(dynamics._Rows, "_starts", recorded_starts)
     monkeypatch.setattr(dynamics, "_on_grid", forbidden)
     monkeypatch.setattr(report_module, "_time_grid", tail_only)
     rng = np.random.default_rng(DEFAULT_SEED)
@@ -425,13 +440,13 @@ def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
     for source, lo, grid_hi, asked in windows:
         assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
         assert asked == [(lo // 32, grid_hi // 32)]
-    # each window takes the two mode tables' rows, then RK4's, all co-rotating: no turn, so 8-column starts and
-    # 8-row tables, one per set and oracle.  The block starts of RK4 are a plain power source; the mode tables' are
-    # cos and sin of the rates at the starts' taus, made as a window takes them, with the bits of the grid's taus
+    # each window takes the two mode tables' rows, then RK4's, all co-rotating: 8-column starts and 8-row tables,
+    # one per set and oracle.  The block starts of RK4 are a plain power source; the mode tables' are cos and sin of
+    # the rates at the starts' taus, made as a window takes them, with the bits of the grid's taus
     modes, reduced = (source for source, *_ in windows[:2])
-    assert modes.trig is None and reduced.trig is None
+    assert modes.starts.take(0, 1).shape[-1] == reduced.starts.take(0, 1).shape[-1] == 8
     assert modes.table.shape == (2, 5, 8, 32 * 8) and reduced.table.shape == (5, 8, 32 * 8)
-    assert reduced.starts.trig is None and reduced.starts.table.shape == (5, 8, 32 * 8)
+    assert reduced.starts.table.shape == (5, 8, 32 * 8)
     assert not isinstance(modes.starts, dynamics._Rows)
     w = np.stack([np.stack([sector_table(p)[1], mode_table(p, split_halves(E1))[1]]) for p in params], axis=1)
     phase = w[..., None, :] * _time_grid(3.0 * TAU_STAR, 1e-4)[:-1:32, None]

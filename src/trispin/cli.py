@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -40,6 +41,7 @@ from .dynamics import (
     propagate_expm_integral,
     split_halves,
     join_halves,
+    _grid_rows,
     _time_grid,
 )
 from .hilbert import full_hilbert_trajectory
@@ -168,6 +170,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     _require(args.out is not None, "--out is required for propagate")
     p = _read_params_file(args.params_file)
     _require(args.tau_end > 0, "--tau-end must be positive")
+    # refused before anything is allocated: the taus and states alone, 72 bytes a row, must fit in physical memory
+    rows, memory = _grid_rows(args.tau_end, args.dtau), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _require(72 * rows <= memory, f"--tau-end {args.tau_end:g} and --dtau {args.dtau:g} make {rows} rows, whose taus and "
+                                  f"states need {72 * rows} bytes, more than the {memory} bytes of physical memory")
     disc = None
     with np.errstate(over="ignore", invalid="ignore"):  # huge fields overflow: refused below, not warned about
         if args.method == "rk4":

@@ -241,11 +241,16 @@ def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float)
     linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
     step adds D x, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M(t + s) = R M(s) R^T, R = exp(omega_rf*t*_TURN) (see J),
     every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers`` takes the
-    co-rotating states and ``_turned`` turns each back by exp(omega_rf*tau*_TURN).  The states are a new array, never x0.
+    co-rotating states and ``_turned`` turns each back by exp(omega_rf*tau*_TURN), a window of _WINDOW_ROWS rows at a
+    time, written into the states: beyond taus and states, memory does not grow with the grid.  The states are a new
+    array, never x0.
     """
     taus = _time_grid(tau_end, dtau)
-    rows = _powers(_rk4_map(p, taus, dtau), np.asarray(x0, dtype=float), len(taus)).array()
-    return Trajectory(taus=taus, states=_turned(rows, p.omega_rf * taus))
+    rows, states = _powers(_rk4_map(p, taus, dtau), np.asarray(x0, dtype=float), len(taus)), np.empty((len(taus), 8))
+    for lo in range(0, len(taus), _WINDOW_ROWS):
+        window = rows.take(lo, lo + _WINDOW_ROWS, states[lo : lo + _WINDOW_ROWS])
+        window[...] = _turned(window, p.omega_rf * taus[lo : lo + _WINDOW_ROWS])
+    return Trajectory(taus=taus, states=states)
 
 
 def _rk4_map(p: ControlParams, taus: np.ndarray, dtau: float) -> np.ndarray:

@@ -1,6 +1,4 @@
-import inspect
-import textwrap
-
+import mutants
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -38,15 +36,6 @@ def su2():
 
 
 @pytest.fixture
-def mutate(monkeypatch):
-    """mutate(module, name, old, new): module.<name>, for one test, compiled from its source with old, which must occur
-    once, replaced by new, as a one-line bug would change it.  The copy reads a snapshot of the module's globals."""
-
-    def apply(module, name, old, new):
-        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-        assert source.count(old) == 1, (name, old)
-        namespace = dict(vars(module))
-        exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(module, name, namespace[name])
-
-    return apply
+def plant(monkeypatch):
+    """plant(row): a row of the mutation table (mutants.py) planted in the loaded package for one test."""
+    return lambda row: mutants.plant(row, monkeypatch.setattr)

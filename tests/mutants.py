@@ -1,0 +1,226 @@
+"""The one-line faults the suite plants, in one table, and a runner that plants one in a copy of ``src/``.
+
+Each row is a plausible bug: one text of one file of ``src/trispin`` replaced, a text that occurs there once.  Its
+record says what ``trispin verify``, run with the row's flags, does with the fault in place: the checks that fail, or,
+where verify passes, why; and whether Tier-1 catches it.  Tests read their rows from here and plant them in process
+(``plant``, through the ``plant`` fixture of conftest.py).  The runner plants a row in a temporary copy of ``src/``
+and runs, in a subprocess, one of two modes:
+
+    python tests/mutants.py verify [ID ...]  # trispin verify with the row's flags (about 0.25 s a row)
+    python tests/mutants.py tier1 [ID ...]   # Tier-1 (pytest -x), less the tests that plant rows (up to 20 s a row)
+
+Each prints one line a row and exits 1 if any outcome differs from the row's record.  Tier-1 mode leaves out the
+tests that plant rows: with the row already in the copy their own planting would fail, and what verify does with a
+row is verify mode's question.
+"""
+
+from __future__ import annotations
+
+import __future__
+import argparse
+import ast
+import importlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# verify's flags beyond its defaults: no dynamics sets or one, and a 3 x 3 grid or the default 21 x 21
+QUICK = ("--dynamics-sets", "0", "--resolution", "3", "--scan-samples", "801")
+ONE_SET = ("--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801")
+GRID = ("--dynamics-sets", "0", "--scan-samples", "801")
+BOTH = ("cross_validate_full_vs_rk4", "rotating_exact_vs_rk4")
+
+# the tests that plant rows of this table; Tier-1 mode leaves them out
+PLANTING = (
+    "test_boundary_mutants_fail_verify",
+    "test_mutants_that_verify_still_passes",
+    "test_energy_mutant_fails_verify",
+    "test_frame_and_turn_mutants_fail_verify",
+    "test_skipped_window_fails_both_oracle_checks",
+    "test_phase_gate_refuses_a_shifted_scale",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    file: str  # under src/trispin
+    old: str
+    new: str
+    flags: tuple  # verify's flags
+    fails: tuple = ()  # the checks verify fails, in report order; none if it passes
+    reason: str = ""  # why verify passes; empty if it fails
+    tier1: bool = True  # whether Tier-1, less the planting tests, fails
+
+    def __post_init__(self):
+        assert bool(self.fails) != bool(self.reason), self.id
+
+
+TABLE = {row.id: row for row in [
+    # the second term of r[0] times 1.001, and the sign of the c+ d term of r[4]: at the family constants each term is
+    # 0 alone, so only constants away from the labels see them
+    Mutant("r0_term", "boundary.py", "- (x_p - 2 * a * a + sd_p) * czm", "- 1.001 * (x_p - 2 * a * a + sd_p) * czm",
+           QUICK, ("boundary_equations_generic",)),
+    Mutant("r4_sign", "boundary.py", "r[4] = b * (czp - czm) - cp * d", "r[4] = b * (czp - czm) + cp * d",
+           QUICK, ("boundary_equations_generic",)),
+    # the radicand 1e-6 too large: b is 9e-14 off, under its 1e-9 gate; the phase 2.4e-7 off, over its 1.6e-12
+    Mutant("scale_radicand", "boundary.py", "PI**2 / 3.0)", "PI**2 / 3.0 + 1e-6)", QUICK, ("consistency_scan",)),
+    # b0 0.01 under the root of transverse_amplitude: only the energy check reads the energy
+    Mutant("energy_shell", "algebra.py", "math.sqrt(r)", "math.sqrt(r + 0.01)", ONE_SET, ("energy_residual_max",)),
+    # the step map's frame turn, R(-omega_rf h) turned the other way: RK4's co-rotating rows
+    Mutant("rk4_step_turn", "dynamics.py", "-np.sin(angle) * _TURN", "+np.sin(angle) * _TURN", ONE_SET, BOTH),
+    # RK4's turn to the lab frame, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
+    Mutant("turn_parts", "dynamics.py", "-_TURN])", "_TURN])", ONE_SET, BOTH),
+    Mutant("block_turn_sine", "dynamics.py", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", ONE_SET, BOTH),
+    # the plane turn of the mode rows: the full and exact last rows in the lab frame
+    Mutant("direct_turn", "dynamics.py", "np.asarray(omega_rf)[..., None] * taus", "-np.asarray(omega_rf)[..., None] * taus",
+           ONE_SET, BOTH),
+    # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
+    Mutant("sector_frame", "hilbert.py", "m[..., 2] -= ", "m[..., 2] += ", ONE_SET, BOTH[:1]),
+    Mutant("rotating_J", "dynamics.py", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
+           "+ np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J", ONE_SET, BOTH[1:]),
+    # the comparison's last window left out: the rows compared pass their gates, but the row count does not
+    Mutant("skipped_window", "report.py", "for lo in range(0, n, share):", "for lo in range(0, n, share)[:-1]:",
+           ONE_SET, BOTH),
+    # RK4's shortened last step taken as a whole one: its last row, compared in the lab frame
+    Mutant("rk4_last_step", "dynamics.py", "h = np.append(dtau, np.diff(taus[-2:]))", "h = np.append(dtau, dtau)",
+           ONE_SET, BOTH),
+    # the comparison's groups one set short: at 7 sets (groups of 6 and 1) a set is never compared, and the row count
+    # says so; verify's default 5 sets are one group, which loses none
+    Mutant("set_group_edge", "report.py", "group = params_list[first : first + size]",
+           "group = params_list[first : first + size - 1]",
+           ("--dynamics-sets", "7", "--resolution", "3", "--scan-samples", "801"), BOTH),
+    # a partial last block made from the block start before its own: RK4's block starts are a _Rows of their own,
+    # which the mode tables' are not, so the oracles part
+    Mutant("partial_block_start", "dynamics.py", "starts.take(full, full + 1) @ self.table",
+           "starts.take(full - 1, full) @ self.table", ONE_SET, BOTH),
+    # a range inside one block made by a one-row product: rounding only
+    Mutant("single_block_window", "dynamics.py", "if j1 - j0 == 1 and count > b:", "if j1 - j0 == 0 and count > b:",
+           ONE_SET, reason="only the last bits of a one-block window change, far inside the 1e-8 oracle gates"),
+    # the last tau of each whole window of _on_grid left unchecked
+    Mutant("grid_window_edge", "dynamics.py", "min(lo + _WINDOW_ROWS, n)) for lo", "min(lo + _WINDOW_ROWS - 1, n)) for lo",
+           ONE_SET, reason="every tau verify propagates lies on its grid, so a tau the grid check skips changes nothing"),
+    # matrix states on the block grid
+    Mutant("matrix_states_on_grid", "dynamics.py", "table.shape[-1] == 8 and _on_grid(taus)", "_on_grid(taus)", ONE_SET,
+           reason="only propagator_discrepancy, a measured check, propagates matrix states: its rounding moves"),
+    # the full-space trajectory left co-rotating
+    Mutant("hilbert_unturned", "hilbert.py", "mode_states(*sector_table(p), taus, p.omega_rf)",
+           "mode_states(*sector_table(p), taus)", ONE_SET,
+           reason="verify reads sector_table itself; only propagate --method full-hilbert runs this function"),
+    # the last pair of every mode-table group lost, and a group's last block when it holds one pair
+    Mutant("group_last_pair", "search.py", "span = slice(first, first + _GROUP_PAIRS)",
+           "span = slice(first, first + _GROUP_PAIRS - 1)", GRID,
+           reason="verify's grid, 168 pairs, is one group, which loses no pair"),
+    Mutant("one_pair_block", "search.py", "for n in range(0, len(rates), width))", "for n in range(0, len(rates) - 1, width))",
+           GRID, reason="verify's grid ends in a block of 6 pairs, which is not lost"),
+    # faults no verify check reads yet, each named with the ROADMAP item that should catch it
+    Mutant("hypot_to_abs", "search.py", "np.hypot(x[..., 1::4], x[..., 3::4])", "np.abs(x[..., 1::4])", GRID,
+           reason="the grid's x8 peak falls and no crossing is read, so both grid checks still pass (items 5, 7)"),
+    Mutant("mirror_sign", "search.py", "np.where(mirrored, -low, -math.inf)", "np.where(mirrored, low, -math.inf)", GRID,
+           reason="x7's peak stays under its 0.999 bound, so both grid checks still pass (items 5, 8)"),
+    Mutant("early_best_tau_zero", "report.py", "gs.best_tau > 0.95 * tau_star", "gs.best_tau > 0", GRID,
+           reason="no grid control reaches 0.999, so no crossing is judged (item 7)"),
+    Mutant("sweep_unsorted", "boundary.py", 'return sorted(rows, key=lambda row: row["tau_star"])', "return list(rows)", GRID,
+           reason="label (0, 0) is first either way, and (0, 1) after it takes longer (item 1)", tier1=False),
+]}
+
+
+def rows(*ids: str) -> list[Mutant]:
+    return [TABLE[i] for i in ids]
+
+
+def _planted(text: str, row: Mutant) -> str:
+    """text, the source of row's file, with row planted; its old text must occur there once."""
+    if text.count(row.old) != 1:
+        raise ValueError(f"{row.id}: {row.old!r} occurs {text.count(row.old)} times in {row.file}, not once")
+    return text.replace(row.old, row.new)
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets]
+
+
+def plant(row: Mutant, setattr) -> None:
+    """Plant row in the loaded package: the top-level statement of its file that holds old is compiled again with new,
+    in a copy of its module's globals, and each name it binds is set by setattr (monkeypatch.setattr, say) in every
+    loaded trispin module that holds the same object by that name, as it would be with the file changed."""
+    module = importlib.import_module(f"trispin.{row.file.removesuffix('.py')}")
+    source = Path(module.__file__).read_text()
+    planted = _planted(source, row).splitlines(keepends=True)  # old and new are one line: the lines stay in place
+    line = source.count("\n", 0, source.index(row.old)) + 1
+    node = next(n for n in ast.parse(source).body if n.lineno <= line <= n.end_lineno)
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    statement = "".join(planted[first - 1 : node.end_lineno])
+    namespace = dict(vars(module))
+    flags = __future__.annotations.compiler_flag
+    exec(compile("\n" * (first - 1) + statement, module.__file__, "exec", flags=flags, dont_inherit=True), namespace)
+    for name in _bound_names(node):
+        was = getattr(module, name)
+        for loaded in [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "trispin"]:
+            if getattr(loaded, name, None) is was:
+                setattr(loaded, name, namespace[name])
+
+
+def _planted_copy(row: Mutant, into: Path) -> dict:
+    """Copy src/ into into with row planted; the environment that imports the copy."""
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "trispin" / row.file
+    path.write_text(_planted(path.read_text(), row))
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def verify_outcome(row: Mutant) -> tuple[str, bool]:
+    """(what verify did with row planted, whether that is its record)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env, out = _planted_copy(row, Path(tmp)), Path(tmp) / "report.json"
+        run = subprocess.run([sys.executable, "-m", "trispin.cli", "verify", *row.flags, "--out", str(out)],
+                             env=env, capture_output=True, text=True)
+        if run.returncode not in (0, 1) or not out.exists():
+            return f"exit {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}", False
+        failed = tuple(c["name"] for c in json.loads(out.read_text())["checks"] if c["status"] == "fail")
+    said = f"fails {', '.join(failed)}" if failed else "passes"
+    return said, failed == row.fails and run.returncode == (1 if failed else 0)
+
+
+def tier1_outcome(row: Mutant) -> tuple[str, bool]:
+    """(the first Tier-1 test that fails with row planted, or that none does, whether that is its record)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = _planted_copy(row, Path(tmp))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-k",
+                   f"not ({' or '.join(PLANTING)})", str(ROOT / "tests")]
+        run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    if run.returncode == 0:
+        return "not caught", not row.tier1
+    first = next((line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), "no summary line")
+    return f"caught: {first.split(' - ')[0]}", row.tier1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Plant each row of the mutation table in a copy of src/ and run a check.")
+    parser.add_argument("mode", choices=("verify", "tier1"))
+    parser.add_argument("ids", nargs="*", help="rows to run (default: all)")
+    args = parser.parse_args(argv)
+    outcome = verify_outcome if args.mode == "verify" else tier1_outcome
+    differ = []
+    for row in rows(*args.ids) if args.ids else TABLE.values():
+        said, as_recorded = outcome(row)
+        record = "" if as_recorded else "   <-- differs from its record"
+        print(f"{row.id:24s} {said}{record}", flush=True)
+        differ += [] if as_recorded else [row.id]
+    print(f"{len(differ)} row(s) differ from their record" + (f": {', '.join(differ)}" if differ else ""))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,7 +53,6 @@ residual curve refined by bounded scalar minimization.
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +72,7 @@ from trispin.algebra import (
 from trispin.boundary import ROOT_STEP, consistency_scan, consistent_scale, invert_to_physical
 from trispin.dynamics import (
     _BLOCK_STEPS,
+    _WINDOW_ROWS,
     MB,
     MC,
     MS,
@@ -116,40 +116,21 @@ on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
 
 
 def rk4_per_step(p, x0, tau_end, dtau):
-    """Vector RK4, one step per iteration, generators built one time at a time."""
+    """Vector RK4 in the lab frame, one step per iteration, with the left, middle and right generators of each step
+    (``build_M`` over all of them at once has the bits of one call a time)."""
     taus = _time_grid(tau_end, dtau)
+    h = np.diff(taus)
+    lefts, mids, rights = build_M(p, taus[:-1]), build_M(p, taus[:-1] + h / 2.0), build_M(p, taus[1:])
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((len(taus), 8))
     states[0] = x
-    for i in range(1, len(taus)):
-        t = taus[i - 1]
-        h = taus[i] - t
-        m_left, m_mid, m_right = build_M(p, t), build_M(p, t + h / 2.0), build_M(p, t + h)
+    for i, (h, m_left, m_mid, m_right) in enumerate(zip(h, lefts, mids, rights), start=1):
         k1 = m_left @ x
         k2 = m_mid @ (x + (h / 2.0) * k1)
         k3 = m_mid @ (x + (h / 2.0) * k2)
         k4 = m_right @ (x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i] = x
-    return taus, states
-
-
-def rk4_halves_per_step(p, x0, tau_end, dtau):
-    """RK4 of the two halves y_pm with M_pm, one step per iteration, joined into 8-vectors."""
-    taus = _time_grid(tau_end, dtau)
-    y = split_halves(x0)[..., None]  # (2, 4, 1): both halves, + first
-    states = np.empty((len(taus), 8))
-    states[0] = join_halves(y[..., 0])
-    for i in range(1, len(taus)):
-        t = taus[i - 1]
-        h = taus[i] - t
-        m_left, m_mid, m_right = build_M_half(p, t), build_M_half(p, t + h / 2.0), build_M_half(p, t + h)
-        k1 = m_left @ y
-        k2 = m_mid @ (y + (h / 2.0) * k1)
-        k3 = m_mid @ (y + (h / 2.0) * k2)
-        k4 = m_right @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i] = join_halves(y[..., 0])
     return taus, states
 
 
@@ -207,14 +188,14 @@ DEGENERATE = {
 }
 
 
-@on_grids
+# propagate_rk4 turns its rows to the lab frame a window of _WINDOW_ROWS rows at a time: W + 1 rows end in a window of one
+@pytest.mark.parametrize("tau_end", [*GRIDS.values(), _WINDOW_ROWS * DTAU], ids=[*GRIDS, "window_and_one"])
 def test_rk4_matches_per_step_loop(params, tau_end):
     for x0 in (E1, GENERIC_X0):
         traj = propagate_rk4(params, x0, tau_end, DTAU)
-        for per_step in (rk4_per_step, rk4_halves_per_step):
-            taus, states = per_step(params, x0, tau_end, DTAU)
-            assert np.array_equal(traj.taus, taus)
-            assert np.max(np.abs(traj.states - states)) <= 1e-13, per_step.__name__
+        taus, states = rk4_per_step(params, x0, tau_end, DTAU)
+        assert np.array_equal(traj.taus, taus)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13
 
 
 @on_grids
@@ -268,78 +249,47 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
             assert np.max(np.abs(dynamics.mode_states(*sector_table(p), taus, p.omega_rf) - want)) <= 1e-13
 
 
-def test_matrix_states_stay_off_the_block_grid(params, monkeypatch):
-    # only an 8-wide state takes the grid path: the exact leg of propagator_discrepancy, on the 241 taus
-    # that verify gives it, takes no rows of the block grid that RK4 and the exact 8-vectors share
+def test_matrix_states_stay_off_the_block_grid(params):
+    # only an 8-wide state takes the grid path: the exact leg of propagator_discrepancy, on the 241 taus that verify
+    # gives it, a grid, has the bits of the per-tau path that the same taus take as a column
     taus = np.linspace(0.0, TAU_STAR, 241)
-    assert _on_grid(taus)
-
-    def forbidden(*args):
-        raise AssertionError("block grid rows taken")
-
-    # every mode-table grid's block starts, made as the grid takes them, refuse to be taken
-    monkeypatch.setattr(dynamics, "SimpleNamespace", lambda take: SimpleNamespace(take=forbidden))
-    with pytest.raises(AssertionError, match="block grid rows taken"):
-        exact_state_trajectory(params, E1, taus)
+    eye = np.broadcast_to(np.eye(4), (2, 4, 4))
+    assert np.array_equal(propagate_rotating_exact(params, eye, taus), propagate_rotating_exact(params, eye, taus[:, None])[:, 0])
     assert propagator_discrepancy(params, taus).max_deviation > 0.0
 
 
-@pytest.mark.parametrize("steps", [2, 6143, 6144, 6145, 2 * 6144 + 1])
-def test_on_grid_compares_every_window(steps):
-    # _on_grid compares all but the last tau in windows of dynamics._WINDOW_ROWS = 6,144: one partial window, one
-    # whole, one whole and one of a single tau, and two whole and one.  An ulp off at a window's first or last tau is
-    # off the grid; the last tau is tau_end, free of the grid, and taus[1] the step the others are checked against
-    assert dynamics._WINDOW_ROWS == 6144
+@pytest.mark.parametrize("steps", [2, _WINDOW_ROWS - 1, _WINDOW_ROWS, _WINDOW_ROWS + 1, 2 * _WINDOW_ROWS + 1])
+def test_on_grid_compares_every_window(params, steps):
+    # taus on the grid but for one, an ulp off, at the first or last tau of a window of _WINDOW_ROWS or in the middle,
+    # in one partial window, one whole, one whole and one of a single tau, and two whole and one: not a grid, so they
+    # take the per-tau path, bit for bit.  The last tau is tau_end, free of the grid, and taus[1] the step the others
+    # are checked against
     taus = _time_grid(steps * DTAU, DTAU)
-    assert len(taus) == steps + 1 and _on_grid(taus)
-    edges = {i for lo in range(0, steps, 6144) for i in (lo, min(lo + 6143, steps - 1))}
-    for i in sorted(edges - {1} | {steps}):
+    assert len(taus) == steps + 1
+    edges = {i for lo in range(0, steps, _WINDOW_ROWS) for i in (lo, min(lo + _WINDOW_ROWS - 1, steps - 1))}
+    for i in sorted((edges | {steps // 2}) - {1}):
         moved = taus.copy()
         moved[i] = np.nextafter(moved[i], np.inf)
-        assert _on_grid(moved) == (i == steps), i
+        assert np.array_equal(exact_state_trajectory(params, E1, moved), exact_state_trajectory(params, E1, moved[:, None])[:, 0]), i
 
 
 def test_exact_other_taus_give_the_per_tau_result(params):
-    # a linspace grid is dtau*arange but for its last entry, so it may take either path; a grid with
-    # one entry moved by an ulp is not a grid and takes the per-tau path itself
+    # a linspace grid is dtau*arange but for its last entry, so it may take either path (a grid with one entry moved
+    # by an ulp takes the per-tau path itself: test_on_grid_compares_every_window)
     taus = np.linspace(0.0, 3.0 * TAU_STAR, 1001)
     per_tau = exact_state_trajectory(params, GENERIC_X0, taus[:, None])[:, 0]
     assert np.max(np.abs(exact_state_trajectory(params, GENERIC_X0, taus) - per_tau)) <= 1e-14
-    taus[500] = np.nextafter(taus[500], np.inf)
-    assert not _on_grid(taus)
-    per_tau = exact_state_trajectory(params, GENERIC_X0, taus[:, None])[:, 0]
-    assert np.array_equal(exact_state_trajectory(params, GENERIC_X0, taus), per_tau)
 
 
-def test_grid_lengths_cover_run_boundaries(params):
-    # the GRIDS above really end on both sides of a block edge, after whole blocks and a shortened
-    # last step, around b*b steps and where the starts are one whole block, and in a long run whose
-    # last block is partial; a grid of s steps has s grid rows in each of the three oracles
+def test_grid_lengths_cover_run_boundaries():
+    # the GRIDS above really end on both sides of a block edge, after whole blocks and a shortened last step, around
+    # b*b steps, where the block starts (one a block, on a block grid of their own) reach their first block edge, at
+    # b*(b + 1), where they are one whole block and one more, and in a long run whose last block is partial; a grid of
+    # s steps holds s rows of the block grid and the last row
     b = _BLOCK_STEPS
     steps = [0, 1, 2, b - 1, b, b + 1, 3 * b, b * b - 1, b * b, b * b + 1, b * (b + 1), 4095]
     assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
     assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
-    for name, tau_end in GRIDS.items():
-        taus = _time_grid(tau_end, DTAU)
-        rk4 = dynamics._powers(dynamics._rk4_map(params, taus, DTAU), E1, len(taus))
-        full = dynamics._mode_rows(*sector_table(params), taus)
-        exact = dynamics._mode_rows(*dynamics.mode_table(params, dynamics.split_halves(E1)), taus)
-        # on a grid the three hold the same rows: blocks of b from row 0 (one shorter block below b grid rows), then
-        # a partial last block and the last row; the two mode tables take a block grid only from 3 rows up
-        grid = len(taus) - 1
-        whole = grid - grid % b if grid > b else grid
-        sources = (rk4, full, exact) if len(taus) >= 3 else (rk4,)
-        assert {(source.count, source.n) for source in sources} == {(whole, len(taus))}, name
-    # the starts hold one row a block, all but the last on their own block grid: (starts, grid rows of them)
-    for name, want in {
-        "block_of_blocks_less_one": (b, b - 1),
-        "block_of_blocks": (b, b - 1),
-        "block_of_blocks_and_one": (b + 1, b),
-        "starts_take_a_whole_block": (b + 1, b),
-    }.items():
-        taus = _time_grid(GRIDS[name], DTAU)
-        starts = dynamics._powers(dynamics._rk4_map(params, taus, DTAU), E1, len(taus)).starts
-        assert (starts.n, starts.count) == want, name
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])

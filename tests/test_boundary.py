@@ -31,6 +31,8 @@ from trispin.boundary import (
 from trispin import boundary
 from trispin.dynamics import integral_generator, phase_integrals, sinc
 
+from mutants import TABLE
+
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
 # the scan's eight labels omega_sign x theta_sign x r, in the order of its axes
@@ -931,10 +933,10 @@ def test_scan_phase_residuals_are_rounding_at_every_scale():
     assert np.all(np.array([cp.residual_phase for cp in scan.consistent]) <= 3.0 * np.spacing(phase))
 
 
-def test_phase_gate_refuses_a_shifted_scale(mutate):
+def test_phase_gate_refuses_a_shifted_scale(plant):
     # a radicand 1e-6 too large moves omega_hat_j by about 2e-7: the b residual, quadratic in that, reads 9e-14 and
     # passes its 1e-9 gate; the phase residual, linear in it, reads 2.4e-7 and 8.0e-8
-    mutate(boundary, "consistent_scale", "PI**2 / 3.0)", "PI**2 / 3.0 + 1e-6)")
+    plant(TABLE["scale_radicand"])
     scales, branch = boundary.consistent_scale(np.arange(2))
     c = abcd_from_physical(closed_form_params(scales, **branch), TAU_STAR)
     assert np.all(np.maximum(np.abs(c.b + PI), np.abs(c.d)) <= 1e-9)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -738,6 +740,33 @@ def test_propagate_refuses_a_scale_that_is_not_positive(tmp_path, capsys, omega_
     code, stdout, err = _run(capsys, "propagate", "--params-file", str(pf), "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err == f"error: parameter file {pf} has omega_hat must be positive, got {omega_hat:g}\n"
+
+
+@pytest.mark.parametrize("method", ["rk4", "full-hilbert", "rotating-exact", "expm-integral"])
+def test_propagate_refuses_a_trajectory_over_physical_memory(tmp_path, capsys, monkeypatch, method):
+    # the machine read as 64 MiB: 932,068 rows need 72 bytes each of taus and states, 32 bytes too many.  They are
+    # refused before the grid is made, whose taus alone take 7.5 MB, with one error line and no file
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}.__getitem__)
+    pf, out = _write_params(tmp_path), tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code, stdout, err = _run(capsys, "propagate", "--params-file", pf, "--method", method, "--dtau", "1e-5",
+                                 "--tau-end", "9.32067", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == "" and not out.exists() and peak <= 1e6
+    assert err == ("error: --tau-end 9.32067 and --dtau 1e-05 make 932068 rows, whose taus and states need 67108896 "
+                   "bytes, more than the 67108864 bytes of physical memory\n")
+
+
+def test_propagate_fits_a_trajectory_to_the_last_row(tmp_path, capsys, monkeypatch):
+    # the machine read as 256 KiB: 3,640 rows of 72 bytes fit, 3,641 do not
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
+    pf, out = _write_params(tmp_path), tmp_path / "x.csv"
+    for tau_end, code in (("3.639", 0), ("3.64", 2)):
+        assert _run(capsys, "propagate", "--params-file", pf, "--dtau", "1e-3", "--tau-end", tau_end, "--out", str(out))[0] == code
+    assert len(_read_csv(out)) == 3640
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 import trispin.report as report_module
-from trispin import algebra, boundary, cli, dynamics, hilbert, search
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
 from trispin.dynamics import (
-    _TURN,
     _WINDOW_ROWS,
     _mode_rows,
     _powers,
@@ -26,6 +24,8 @@ from trispin.dynamics import (
 )
 from trispin.hilbert import full_hilbert_trajectory, sector_table
 from trispin.report import DEFAULT_SEED, dynamics_equivalence, random_consistent_params, run_verification
+
+from mutants import BOTH, TABLE, rows
 
 QUICK = dict(n_dynamics=0, grid_resolution=3, scan_samples=801)
 
@@ -68,75 +68,47 @@ def test_each_rule_fails_its_check_alone(monkeypatch, patch, failing):
     assert report.to_text().endswith("overall: FAIL")
 
 
+def verify_checks(tmp_path, capsys, flags):
+    """(exit code, checks) of verify at flags, which write no error."""
+    out = tmp_path / "report.json"
+    code = main(["verify", *flags, "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    return code, json.loads(out.read_text())["checks"]
+
+
+def assert_outcome_is_the_record(plant, row, tmp_path, capsys):
+    # with row planted, the checks its record names fail, and only they; a row verify passes exits 0
+    plant(row)
+    code, checks = verify_checks(tmp_path, capsys, row.flags)
+    assert tuple(c["name"] for c in checks if c["status"] == "fail") == row.fails
+    assert code == (1 if row.fails else 0)
+    return checks
+
+
+@pytest.mark.parametrize("row", rows("r0_term", "r4_sign", "scale_radicand"), ids=lambda row: row.id)
+def test_boundary_mutants_fail_verify(plant, tmp_path, capsys, row):
+    assert_outcome_is_the_record(plant, row, tmp_path, capsys)
+
+
 @pytest.mark.parametrize(
-    "name, old, new, failing",
-    [
-        # the second term of r[0] times 1.001, and the sign of the c+ d term of r[4]: at the family constants each
-        # term is 0 alone, so only constants away from the labels see them
-        ("_residual_system", "- (x_p - 2 * a * a + sd_p) * czm", "- 1.001 * (x_p - 2 * a * a + sd_p) * czm",
-         "boundary_equations_generic"),
-        ("_residual_system", "r[4] = b * (czp - czm) - cp * d", "r[4] = b * (czp - czm) + cp * d",
-         "boundary_equations_generic"),
-        # the radicand 1e-6 too large: b is 9e-14 off, under its 1e-9 gate; the phase 2.4e-7 off, over its 1.6e-12
-        ("consistent_scale", "PI**2 / 3.0)", "PI**2 / 3.0 + 1e-6)", "consistency_scan"),
-    ],
-    ids=["r0_term", "r4_sign", "scale_radicand"],
+    "row", rows("hypot_to_abs", "mirror_sign", "early_best_tau_zero", "sweep_unsorted"), ids=lambda row: row.id
 )
-def test_boundary_mutants_fail_verify(mutate, tmp_path, capsys, name, old, new, failing):
-    mutate(boundary, name, old, new)
-    out = tmp_path / "report.json"
-    code = main(["verify", "--dynamics-sets", "0", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
-    assert code == 1 and capsys.readouterr().err == ""
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["name"] for c in checks if c["status"] == "fail"] == [failing]
+def test_mutants_that_verify_still_passes(plant, tmp_path, capsys, row):
+    # the standing audit of the faults verify does not see at its default grid, each with its reason in the table: a
+    # check that catches one fails its case here, and the row's record moves to the checks that fail
+    assert row.reason
+    assert_outcome_is_the_record(plant, row, tmp_path, capsys)
 
 
-class MutantPassed(Exception):
-    """verify exited 0 with a one-line fault in place."""
-
-
-@pytest.mark.xfail(strict=True, raises=MutantPassed, reason="no verify check reads this fault yet (ROADMAP item 10)")
-@pytest.mark.parametrize(
-    "module, name, old, new",
-    [
-        # the theta0-best x2, x4, x6 and x8 read as |x2| and |x6|: the grid's x8 peak falls, and no crossing was read
-        (search, "_best_over_theta0", "np.hypot(x[..., 1::4], x[..., 3::4])", "np.abs(x[..., 1::4])"),
-        # the mirror's x5 and x7 taken with the pair's sign: x7's peak stays under its 0.999 bound
-        (search, "grid_search", "np.where(mirrored, -low, -math.inf)", "np.where(mirrored, low, -math.inf)"),
-        # an early crossing of x8 against 0 instead of 0.95*tau_star: no grid control reaches 0.999, so none is judged
-        (report_module, "run_verification", "gs.best_tau > 0.95 * tau_star", "gs.best_tau > 0"),
-        # the sweep in label order: label (0, 0) is first either way, and (0, 1) after it takes longer
-        (boundary, "sweep_tau", 'return sorted(rows, key=lambda row: row["tau_star"])', "return list(rows)"),
-    ],
-    ids=["hypot_to_abs", "mirror_sign", "early_best_tau_zero", "sweep_unsorted"],
-)
-def test_mutants_that_verify_still_passes(mutate, monkeypatch, tmp_path, capsys, module, name, old, new):
-    # the standing audit of the faults verify does not see at its default grid: each case is an expected failure
-    # until a check catches its fault, when it shows as an XPASS and the case moves to the tests above
-    mutate(module, name, old, new)
-    for other in (report_module, cli):  # the names report and the CLI import are patched there too
-        if other is not module and hasattr(other, name):
-            monkeypatch.setattr(other, name, getattr(module, name))
-    out = tmp_path / "report.json"
-    code = main(["verify", "--dynamics-sets", "0", "--scan-samples", "801", "--out", str(out)])
-    assert code in (0, 1) and capsys.readouterr().err == ""
-    if code == 0:
-        raise MutantPassed(f"{name}: {old!r} -> {new!r}")
-
-
-def test_energy_mutant_fails_verify(mutate, monkeypatch, tmp_path, capsys):
-    # b0 off the energy shell: 0.01 under the root of transverse_amplitude, read by name where the random
-    # sets and the grid's pairs are built.  No other check reads the energy, so only the energy check fails, at the
-    # auto scale and at 1000, where its gate, 8 ulps of omega_hat^2, is 9.3e-10 and the residual's rounding 1.2e-10
-    mutate(algebra, "transverse_amplitude", "math.sqrt(r)", "math.sqrt(r + 0.01)")
-    for module in (report_module, search):
-        monkeypatch.setattr(module, "transverse_amplitude", algebra.transverse_amplitude)
-    out = tmp_path / "report.json"
-    for scale, rounding in (([], 1e-15), (["--omega-hat", "1000"], 1e-9)):
-        code = main(["verify", *scale, "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
-        assert code == 1 and capsys.readouterr().err == ""
-        checks = json.loads(out.read_text())["checks"]
-        assert [c["name"] for c in checks if c["status"] == "fail"] == ["energy_residual_max"]
+def test_energy_mutant_fails_verify(plant, tmp_path, capsys):
+    # b0 off the energy shell, wherever the random sets and the grid's pairs are built.  No other check reads the
+    # energy, so only the energy check fails, at the auto scale and at 1000, where its gate, 8 ulps of omega_hat^2, is
+    # 9.3e-10 and the residual's rounding 1.2e-10
+    row = TABLE["energy_shell"]
+    plant(row)
+    for scale, rounding in (((), 1e-15), (("--omega-hat", "1000"), 1e-9)):
+        code, checks = verify_checks(tmp_path, capsys, scale + row.flags)
+        assert code == 1 and [c["name"] for c in checks if c["status"] == "fail"] == list(row.fails)
         assert abs({c["name"]: c for c in checks}["energy_residual_max"]["measured"] - 0.01) <= rounding
 
 
@@ -151,40 +123,15 @@ def test_energy_gate_follows_the_shell(tmp_path, capsys, omega_hat):
     assert check["status"] == "pass" and check["tolerance"] == 8 * math.ulp(omega_hat**2) and check["measured"] > 1e-12
 
 
-BOTH = ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
-
-
 @pytest.mark.parametrize(
-    "module, name, old, new, failing",
-    [
-        # the step map's frame turn, R(-omega_rf h) turned the other way: RK4's co-rotating rows
-        (dynamics, "_rk4_map", "-np.sin(angle) * _TURN", "+np.sin(angle) * _TURN", BOTH),
-        # RK4's turn to the lab frame, as -K in _TURN_PARTS or as the sine of its angles: RK4's last row in the lab frame
-        (dynamics, "_TURN_PARTS", None, None, BOTH),
-        (dynamics, "_turned", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", BOTH),
-        # the plane turn of the mode rows: the full and exact last rows in the lab frame
-        (dynamics, "mode_states", "np.asarray(omega_rf)[..., None] * taus", "-np.asarray(omega_rf)[..., None] * taus", BOTH),
-        # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
-        (hilbert, "sector_table", "m[..., 2] -= ", "m[..., 2] += ", BOTH[:1]),
-        (dynamics, "rotating_generator", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
-         "+ np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J", BOTH[1:]),
-    ],
-    ids=["rk4_step_turn", "turn_parts", "block_turn_sine", "direct_turn", "sector_frame", "rotating_J"],
+    "row",
+    rows("rk4_step_turn", "turn_parts", "block_turn_sine", "direct_turn", "sector_frame", "rotating_J"),
+    ids=lambda row: row.id,
 )
-def test_frame_and_turn_mutants_fail_verify(mutate, monkeypatch, tmp_path, capsys, module, name, old, new, failing):
+def test_frame_and_turn_mutants_fail_verify(plant, tmp_path, capsys, row):
     # the oracles are compared co-rotating, where one frame turn cancels; each set's last row, compared in the lab
-    # frame, still sees a fault in either turn.  Names report imports are patched there too
-    if old is None:
-        monkeypatch.setattr(dynamics, name, np.stack([np.eye(8) + _TURN @ _TURN, -_TURN @ _TURN, _TURN]))
-    else:
-        mutate(module, name, old, new)
-        if hasattr(report_module, name):
-            monkeypatch.setattr(report_module, name, getattr(module, name))
-    out = tmp_path / "report.json"
-    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
-    assert code == 1 and capsys.readouterr().err == ""
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["name"] for c in checks if c["status"] == "fail"] == failing
+    # frame, still sees a fault in either turn
+    assert_outcome_is_the_record(plant, row, tmp_path, capsys)
 
 
 def test_energy_check_reads_every_propagated_control():
@@ -386,71 +333,14 @@ def test_comparison_memory_does_not_grow_with_the_set_count():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def test_skipped_window_fails_both_oracle_checks(mutate, tmp_path, capsys):
+def test_skipped_window_fails_both_oracle_checks(plant, tmp_path, capsys):
     # the last window left out: the rows compared still pass their gates, but a gap stands for every row of every
     # set, so both checks fail and say how many rows they compared
-    mutate(report_module, "dynamics_equivalence", "for lo in range(0, n, share):", "for lo in range(0, n, share)[:-1]:")
-    out = tmp_path / "report.json"
-    code = main(["verify", "--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801", "--out", str(out)])
-    assert code == 1 and capsys.readouterr().err == ""
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assert [name for name, c in checks.items() if c["status"] == "fail"] == BOTH
+    checks = {c["name"]: c for c in assert_outcome_is_the_record(plant, TABLE["skipped_window"], tmp_path, capsys)}
     assert all(checks[name]["measured"] <= 1e-8 for name in BOTH)
     missed = "compared 36864 of 40812 state rows"  # 6 windows of 6,144 rows, the seventh's 3,948 left out
     assert checks[BOTH[0]]["note"] == f"1 random parameter sets on [0, 3*tau_star], dtau=0.0001; {missed}"
     assert checks[BOTH[1]]["note"] == missed
-
-
-def test_comparison_windows_take_only_their_own_blocks(monkeypatch):
-    # verify's 5 default sets at once: every window takes the same 1,216 rows (38 whole blocks, 6,144 // 5 rounded down
-    # to blocks) of each set, the last window 21 blocks and the held rows, in one GEMM over exactly its own
-    # block starts, written in place, in both sources.  No source reads the whole grid or checks it
-    windows, take = [], dynamics._Rows.take
-
-    def comparison_take(self, lo, hi, out=None):
-        if out is None:
-            return take(self, lo, hi)
-        # only the comparison passes its window buffer; the block starts record what the window takes of them
-        assert out.flags.c_contiguous
-        asked, starts_take = [], self.starts.take
-        windows.append((self, lo, min(hi, self.count), asked))
-        self.starts.take = lambda a, z: asked.append((a, z)) or starts_take(a, z)
-        try:
-            return take(self, lo, hi, out)
-        finally:
-            self.starts.take = starts_take
-
-    def forbidden(taus):
-        assert len(taus) == 1, "a grid checked"  # only the lab frame's last row is a tau array
-        return False
-
-    def tail_only(tau_end, dtau, first=0):
-        taus = _time_grid(tau_end, dtau, first)
-        assert len(taus) <= 2
-        return taus
-
-    monkeypatch.setattr(dynamics._Rows, "take", comparison_take)
-    monkeypatch.setattr(dynamics, "_on_grid", forbidden)
-    monkeypatch.setattr(report_module, "_time_grid", tail_only)
-    rng = np.random.default_rng(DEFAULT_SEED)
-    params = [random_consistent_params(rng) for _ in range(5)]
-    *_, rows = dynamics_equivalence(params, 3.0 * TAU_STAR, 1e-4)
-    assert rows == 5 * 40812 and len(windows) == 2 * 34 and len({id(source) for source, *_ in windows}) == 2
-    assert {hi - lo for _, lo, hi, _ in windows[:-2]} == {1216} and windows[-1][2] - windows[-1][1] == 21 * 32
-    for source, lo, grid_hi, asked in windows:
-        assert source.b == 32 and lo % 32 == grid_hi % 32 == 0
-        assert asked == [(lo // 32, grid_hi // 32)]
-    # each window takes the two mode tables' rows, then RK4's, all co-rotating: 8-column starts and 8-row tables,
-    # one per set and oracle.  The block starts of RK4 are a plain power source; the mode tables' are cos and sin of
-    # the rates at the starts' taus, made as a window takes them, with the bits of the grid's taus
-    modes, reduced = (source for source, *_ in windows[:2])
-    assert modes.starts.take(0, 1).shape[-1] == reduced.starts.take(0, 1).shape[-1] == 8
-    assert modes.table.shape == (2, 5, 8, 32 * 8) and reduced.table.shape == (5, 8, 32 * 8)
-    assert reduced.starts.table.shape == (5, 8, 32 * 8)
-    assert not isinstance(modes.starts, dynamics._Rows)
-    w = np.stack([np.stack([sector_table(p)[1], mode_table(p, split_halves(E1))[1]]) for p in params], axis=1)
-    phase = w[..., None, :] * _time_grid(3.0 * TAU_STAR, 1e-4)[:-1:32, None]
-    assert np.array_equal(modes.starts.take(0, 1276), np.concatenate([np.cos(phase), np.sin(phase)], axis=-1))
 
 
 def test_windowed_comparison_holds_no_trajectory():

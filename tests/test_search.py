@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from trispin import dynamics, search
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
@@ -17,16 +17,6 @@ PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
 OMEGA = math.sqrt(2.0 + PI**2 / 3.0)  # consistent energy scale
 PARAMS = closed_form_params(OMEGA)
-
-
-def pair_rows(rows):
-    """The rows a grid_search block holds per pair on a grid of rows taus: the grid rows and the block table."""
-    return rows + 8 * min(_BLOCK_STEPS, rows - 1)
-
-
-def budget(pairs, rows):
-    """The largest search._WINDOW_ROWS that gives blocks of pairs pairs on a grid of rows taus."""
-    return (pairs + 1) * pair_rows(rows) - 1
 
 
 def component(p, tau, j):
@@ -166,22 +156,6 @@ def test_grid_search_membership_of_reference_point():
 
 def _grid():
     return grid_search(2.7, 1.0, resolution=7, threshold=0.6, dtau=5e-2, collect_landscape=True)
-
-
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_omega_rf_blocks_do_not_change_the_grid(monkeypatch, width):
-    # with a budget of all 21 pairs the 3 rows of 7 pairs are one block (at the default budget, 18 pairs and 3); here
-    # they split into blocks of width pairs, which straddle the bz rows for widths 2 and 3, and with width 2 the last
-    # is partial
-    rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
-    assert search._WINDOW_ROWS // pair_rows(rows) == 18
-    monkeypatch.setattr(search, "_WINDOW_ROWS", 21 * pair_rows(rows))
-    whole = _grid()
-    monkeypatch.setattr(search, "_WINDOW_ROWS", budget(width, rows))
-    blocked = _grid()
-    assert blocked.peaks == whole.peaks
-    assert blocked.best_tau == whole.best_tau and blocked.best_params == whole.best_params
-    assert blocked.landscape == whole.landscape
 
 
 def test_landscape_crossings_are_the_per_pair_crossings():
@@ -375,69 +349,66 @@ def crossing_by_pair(p, modes, j, threshold, taus, best, sign):
 
 def grid_by_pair(omega_hat, k, targets, resolution, tau_max, dtau):
     """{(target, threshold): (best_tau, best_params, peaks, landscape)} of grid_search before its pair blocks, for
-    each (target, threshold) of targets: blocks of one bz row's omega_rf values, and peaks and crossings pair by pair,
-    with theta0 read at every crossing and every new peak.  The pairs' rows and peaks, which no target changes, are
-    made once for all targets."""
+    each (target, threshold) of targets: one mode table and one pass of rows per pair, and peaks and crossings pair by
+    pair, with theta0 read at every crossing and every new peak.  The pairs' rows and peaks, which no target changes,
+    are made once for all targets."""
     shell, bounds, taus = energy_shell(omega_hat, k), search.default_bounds(omega_hat), _time_grid(tau_max, dtau)
-    rf_axis = search._axis(bounds, "omega_rf", resolution)
-    width = max(1, search._WINDOW_ROWS // pair_rows(len(taus)))
     found = {key: [math.inf, None, []] for key in targets}  # best_tau, best_params, landscape
     peaks = {name: (-math.inf, None, None) for name in search.COMPONENT_INDEX}
     for row, bz in enumerate(search._axis(bounds, "bz", resolution)[resolution // 2 :]):
         if bz**2 > shell:
             continue
         b0 = transverse_amplitude(omega_hat, k, bz)
-        for start in range(0, len(rf_axis), width):
-            block = rf_axis[start : start + width]
-            p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=block, theta0=0.0)
-            tables, rates = mode_table(p, split_halves(E1))
-            for omega_rf, modes, best in zip(block, zip(tables, rates), _best_over_theta0((tables, rates), taus)):
-                p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
-                mirror = dataclasses.replace(p, bz=-bz, omega_rf=-omega_rf)
-                top, bottom = np.argmax(best, axis=0), np.argmin(best, axis=0)
-                for name, j in search.COMPONENT_INDEX.items():
-                    i = top[j]
-                    if best[i, j] > peaks[name][0]:
-                        theta0 = search._best_theta0(modes, taus[i], omega_rf, j)
-                        peaks[name] = (float(best[i, j]), float(taus[i]), dataclasses.replace(p, theta0=theta0))
-                    i = bottom[j]
-                    if name in search._MIRRORED and -best[i, j] > peaks[name][0]:
-                        peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
-                for (target, threshold), result in found.items():
-                    idx = search.COMPONENT_INDEX[target]
-                    sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in search._MIRRORED else [])
-                    for side, (q, sign, i) in enumerate(sides):
-                        hit = crossing_by_pair(q, modes, idx, threshold, taus, best, sign)
-                        if hit and hit[0] < result[0]:
-                            result[:2] = hit
-                        if side == 0 or row > 0 or resolution % 2 == 0:  # a centre row holds its mirrors
-                            reached = hit[0] if hit else None
-                            peak = float(sign * best[i, idx])
-                            result[2].append((float(q.bz), float(q.omega_rf), reached, peak, float(taus[i])))
+        for omega_rf in search._axis(bounds, "omega_rf", resolution):
+            p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
+            mirror = dataclasses.replace(p, bz=-bz, omega_rf=-omega_rf)
+            modes = mode_table(p, split_halves(E1))
+            best = _best_over_theta0(modes, taus)
+            top, bottom = np.argmax(best, axis=0), np.argmin(best, axis=0)
+            for name, j in search.COMPONENT_INDEX.items():
+                i = top[j]
+                if best[i, j] > peaks[name][0]:
+                    theta0 = search._best_theta0(modes, taus[i], omega_rf, j)
+                    peaks[name] = (float(best[i, j]), float(taus[i]), dataclasses.replace(p, theta0=theta0))
+                i = bottom[j]
+                if name in search._MIRRORED and -best[i, j] > peaks[name][0]:
+                    peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
+            for (target, threshold), result in found.items():
+                idx = search.COMPONENT_INDEX[target]
+                sides = [(p, 1.0, top[idx])] + ([(mirror, -1.0, bottom[idx])] if target in search._MIRRORED else [])
+                for side, (q, sign, i) in enumerate(sides):
+                    hit = crossing_by_pair(q, modes, idx, threshold, taus, best, sign)
+                    if hit and hit[0] < result[0]:
+                        result[:2] = hit
+                    if side == 0 or row > 0 or resolution % 2 == 0:  # a centre row holds its mirrors
+                        reached = hit[0] if hit else None
+                        peak = float(sign * best[i, idx])
+                        result[2].append((float(q.bz), float(q.omega_rf), reached, peak, float(taus[i])))
     return {key: (None if math.isinf(tau) else tau, params, peaks, rows) for key, (tau, params, rows) in found.items()}
 
 
 # every (target, threshold) that the grids below compare with the per-pair loop
 PER_PAIR_TARGETS = [("x1", 0.999), ("x2", 0.6), ("x3", 0.5), ("x4", 0.6), ("x5", 0.5), ("x6", 0.6), ("x7", 0.3), ("x8", 0.6)]
+BLOCK_TARGETS = [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)]  # the paper's target, and the two with a mirror
 
 
 @pytest.fixture(scope="module")
 def per_pair():
-    """per_pair(omega_hat, k, resolution, dtau): grid_by_pair at every PER_PAIR_TARGETS entry on the default tau_max,
+    """per_pair(omega_hat, k, resolution, dtau): grid_by_pair at every BLOCK_TARGETS entry on the default tau_max,
     made once per module for each grid and read by every case that compares a target on it."""
     grids = {}
 
     def reference(*grid):
         if grid not in grids:
             omega_hat, k, resolution, dtau = grid
-            grids[grid] = grid_by_pair(omega_hat, k, PER_PAIR_TARGETS, resolution, 3.0 * TAU_STAR, dtau)
+            grids[grid] = grid_by_pair(omega_hat, k, BLOCK_TARGETS, resolution, 3.0 * TAU_STAR, dtau)
         return grids[grid]
 
     return reference
 
 
-def assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolution, threshold, dtau):
-    res = grid_search(omega_hat, k, target=target, resolution=resolution, threshold=threshold, dtau=dtau,
+def assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolution, threshold, dtau, tau_max=None):
+    res = grid_search(omega_hat, k, target=target, resolution=resolution, threshold=threshold, tau_max=tau_max, dtau=dtau,
                       collect_landscape=True)
     best_tau, best_params, peaks, landscape = reference[target, threshold]
     assert bits(res.peaks) == bits(peaks)
@@ -449,7 +420,7 @@ def assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolu
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
 @pytest.mark.parametrize("resolution", [1, 2, 7, 21])
-@pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)])
+@pytest.mark.parametrize("target, threshold", BLOCK_TARGETS)
 def test_pair_blocks_equal_the_per_pair_loop(per_pair, target, threshold, resolution, k):
     # at dtau = 1e-2 a block holds 9 pairs: the rows of 7 and of 21 omega_rf values straddle blocks, and the
     # 21 pairs of resolution 7 end in a partial one; resolution 2 has no bz node on the energy shell, and 1 one pair
@@ -460,68 +431,34 @@ def test_pair_blocks_equal_the_per_pair_loop(per_pair, target, threshold, resolu
         assert any(tau is not None for _, _, tau, _, _ in landscape)
 
 
-@pytest.mark.parametrize("k", [1.0, -1.0])
-@pytest.mark.parametrize(
-    "target, threshold",
-    [("x1", 0.999), ("x2", 0.6), ("x3", 0.5), ("x4", 0.6), ("x5", 0.5), ("x6", 0.6), ("x7", 0.3), ("x8", 0.6)],
-)
-def test_theta0_read_once_per_result_equals_the_per_pair_loop(per_pair, target, threshold, k):
-    # grid_search reads theta0 after its last block, once for the best crossing and each peak; the per-pair loop
-    # reads it at every crossing and every new peak.  Every target, at three scales and four resolutions: x1 is
-    # reached at row 0, where theta0 stays 0, and the odd targets have a theta0 of their own
-    crossed = 0
-    for omega_hat in (2.3, 2.7, 3.45):
-        for resolution in (1, 2, 7, 21):
-            reference = per_pair(omega_hat, k, resolution, 1e-2)
-            best_tau, _ = assert_grid_equals_the_per_pair_loop(reference, omega_hat, k, target, resolution, threshold, 1e-2)
-            crossed += best_tau is not None
-            assert target != "x1" or best_tau in (None, 0.0)
-    assert crossed >= 3
+# grids that reach every edge of grid_search's layout through its public inputs, at the package's budgets, at dtau
+# 1e-2: a grid of 1 or 2 rows, all made direct; b, b + 1, b + 2 and b + 3 rows around the first block edge of the mode
+# rows (b = _BLOCK_STEPS; b + 3 after a shortened last step); 51 rows, whose blocks of 20 pairs leave the last of
+# resolution 7's 21 pairs alone; the default 410 rows, whose blocks of 9 pairs straddle the bz rows of 7 and end
+# part-full; and resolution 29, 348 pairs, over one eigh group of 256: the second group is part-full, and the first ends
+# in a block of 4.  Every target, at three scales and k = +-1 (on the largest grid one reached at row 0, where theta0
+# stays 0, one mirrored, and x8): the odd targets have a theta0 of their own, and x5 and x7 a mirror
+EDGES = {
+    "one_row": (2.7, 1.0, 7, 0.0, PER_PAIR_TARGETS),
+    "two_rows": (2.3, -1.0, 7, 0.5e-2, PER_PAIR_TARGETS),
+    "block_less_one": (2.7, -1.0, 7, (_BLOCK_STEPS - 1) * 1e-2, PER_PAIR_TARGETS),
+    "one_block": (3.45, 1.0, 7, _BLOCK_STEPS * 1e-2, PER_PAIR_TARGETS),
+    "block_and_one": (2.7, 1.0, 7, (_BLOCK_STEPS + 1) * 1e-2, PER_PAIR_TARGETS),
+    "partial_block_short_step": (2.3, 1.0, 7, (_BLOCK_STEPS + 1.5) * 1e-2, PER_PAIR_TARGETS),
+    "one_pair_block": (2.7, -1.0, 7, 0.5, PER_PAIR_TARGETS),
+    "blocks_straddle_rows": (3.45, -1.0, 7, None, PER_PAIR_TARGETS),
+    "two_groups": (2.7, 1.0, 29, None, [("x1", 0.999), ("x5", 0.5), ("x8", 0.6)]),
+}
 
 
-def refine_by_evaluation(seed):
-    """(best_tau, best_params) of refine_local before theta0 was read once per result: every evaluation whose
-    crossing is solved reads theta0 there, and the best is kept with it."""
-    spec = seed.grid_spec
-    omega_hat, k, tau_max = spec["omega_hat"], spec["k"], spec["tau_max"]
-    j, taus, shell = search.COMPONENT_INDEX[spec["target"]], _time_grid(tau_max, spec["dtau"]), energy_shell(omega_hat, k)
-    best = {"tau": seed.best_tau, "params": seed.best_params}
-
-    def objective(v):
-        bz, omega_rf = v
-        if bz**2 >= shell:
-            return 10.0 * tau_max
-        p = dataclasses.replace(seed.best_params, b0=transverse_amplitude(omega_hat, k, bz), bz=float(bz),
-                                omega_rf=float(omega_rf), theta0=0.0)
-        modes = mode_table(p, split_halves(E1))
-        tau = search._first_crossing(modes, j, spec["threshold"], taus)
-        if tau is None:
-            return 10.0 * tau_max
-        p = dataclasses.replace(p, theta0=search._best_theta0(modes, tau, p.omega_rf, j) if tau else 0.0)
-        if tau < best["tau"]:
-            best["tau"], best["params"] = tau, p
-        return tau
-
-    x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf])
-    minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 120, "xatol": 1e-10, "fatol": 1e-12})
-    return best["tau"], best["params"]
-
-
-@pytest.mark.parametrize("k", [1.0, -1.0])
-@pytest.mark.parametrize("target, threshold", [("x2", 0.6), ("x5", 0.5), ("x6", 0.6), ("x8", 0.6)])
-def test_refine_reads_theta0_once_with_the_per_evaluation_bits(target, threshold, k):
-    # the simplex follows the crossing times alone, so reading theta0 once, at the best control, gives the
-    # bits of reading it at every evaluation; a seed that is not improved on comes back as it is
-    improved = 0
-    for omega_hat in (2.3, 2.7, 3.45):
-        seed = grid_search(omega_hat, k, target=target, resolution=7, threshold=threshold)
-        if not seed.feasible:
-            continue
-        out = refine_local(seed)
-        assert bits((out.best_tau, out.best_params)) == bits(refine_by_evaluation(seed))
-        improved += out.best_tau < seed.best_tau
-        assert (out is seed) == (out.best_tau == seed.best_tau)
-    assert improved >= 2
+@pytest.mark.parametrize("omega_hat, k, resolution, tau_max, targets", EDGES.values(), ids=EDGES)
+def test_grid_edges_equal_the_per_pair_loop(omega_hat, k, resolution, tau_max, targets):
+    reference = grid_by_pair(omega_hat, k, targets, resolution, 3.0 * TAU_STAR if tau_max is None else tau_max, 1e-2)
+    for target, threshold in targets:
+        best_tau, landscape = assert_grid_equals_the_per_pair_loop(
+            reference, omega_hat, k, target, resolution, threshold, 1e-2, tau_max
+        )
+        assert landscape and (target != "x1" or best_tau == 0.0)
 
 
 def test_theta0_is_read_once_per_reported_result(monkeypatch):
@@ -539,49 +476,6 @@ def test_theta0_is_read_once_per_reported_result(monkeypatch):
         assert out is not seed and len(reads) == 1 and 0 < len(evals) <= 120
         reads.clear()
         evals.clear()
-
-
-@pytest.mark.parametrize("pairs", [3, 4, 9, 16])
-@pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x5", 0.5)])
-def test_pair_blocks_across_bz_rows_equal_the_per_pair_loop(monkeypatch, target, threshold, pairs):
-    # resolution 7 at omega_hat 2.7 evaluates 3 bz rows of 7 pairs; blocks of 3, 4, 9 and 16 pairs straddle
-    # the rows, and all but blocks of 3 end in a partial block
-    rows = len(_time_grid(3.0 * TAU_STAR, 5e-2))
-    monkeypatch.setattr(search, "_WINDOW_ROWS", budget(pairs, rows))
-    reference = grid_by_pair(2.7, 1.0, [(target, threshold)], 7, 3.0 * TAU_STAR, 5e-2)  # blocks of the patched size
-    _, landscape = assert_grid_equals_the_per_pair_loop(reference, 2.7, 1.0, target, 7, threshold, 5e-2)
-    assert len({bz for bz, _, _, _, _ in landscape if bz >= 0.0}) == 3 and 7 % pairs and (21 % pairs or pairs == 3)
-
-
-# the targets of the group edge cases: one reached at row 0, one mirrored pair, and x8
-GROUP_TARGETS = [("x1", 0.999), ("x5", 0.5), ("x7", 0.3), ("x8", 0.6)]
-
-
-@pytest.mark.parametrize("block", [2, None])
-@pytest.mark.parametrize("steps", [0.0, 0.5, 32.0, 33.5])
-@pytest.mark.parametrize("group", [3, 4, 9, 16])
-def test_mode_table_groups_equal_the_per_pair_loop(monkeypatch, group, steps, block):
-    # resolution 7 at omega_hat 2.7 evaluates 3 bz rows of 7 pairs; mode-table groups of 3, 4, 9 and 16 pairs
-    # straddle the rows, and all but groups of 3 end part-full.  tau_max of 0, half a step, 32 and 33.5 steps makes
-    # grids of 1, 2, 33 and 35 rows: below 3 rows _mode_rows takes every row direct, 33 rows are one whole block and
-    # the held row, and 35 end in a partial block after a shortened last step.  Blocks of 2 pairs also end part-full
-    # inside a group; at the default block size each group is one block
-    dtau = 5e-2
-    tau_max = steps * dtau
-    rows = len(_time_grid(tau_max, dtau))
-    assert rows == {0.0: 1, 0.5: 2, 32.0: 33, 33.5: 35}[steps]
-    monkeypatch.setattr(search, "_GROUP_PAIRS", group)
-    if block:
-        monkeypatch.setattr(search, "_WINDOW_ROWS", budget(block, rows))
-    reference = grid_by_pair(2.7, 1.0, GROUP_TARGETS, 7, tau_max, dtau)
-    for target, threshold in GROUP_TARGETS:
-        res = grid_search(2.7, 1.0, target=target, resolution=7, threshold=threshold, tau_max=tau_max, dtau=dtau,
-                          collect_landscape=True)
-        best_tau, best_params, peaks, landscape = reference[target, threshold]
-        assert bits(res.peaks) == bits(peaks)
-        assert bits((res.best_tau, res.best_params)) == bits((best_tau, best_params))
-        assert bits(res.landscape) == bits(landscape) and len({bz for bz, *_ in landscape if bz >= 0.0}) == 3
-        assert (target == "x1") <= (best_tau == 0.0)
 
 
 def test_grid_memory_does_not_grow_with_the_resolution():
@@ -602,13 +496,12 @@ def test_grid_memory_does_not_grow_with_the_resolution():
     assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 3e6
 
 
-@pytest.mark.parametrize("tau_max, rows, pairs", [(0.34, 35, 21), (0.5, 51, 20)])
-def test_short_grid_memory_stays_near_the_default_grid(tau_max, rows, pairs):
+@pytest.mark.parametrize("tau_max, rows", [(0.34, 35), (0.5, 51)])
+def test_short_grid_memory_stays_near_the_default_grid(tau_max, rows):
     # a block counts each pair's _mode_rows block table, 8*min(_BLOCK_STEPS, n - 1) rows, with its n grid rows: 9 pairs
     # a block on the default 410 rows, as when only the grid rows were counted, but 21 and 20 pairs on these short
     # grids, not 117 and 80, which peaked at 4.4 and 3.1 MB against the default grid's 0.87 MB
-    assert len(_time_grid(tau_max, 1e-2)) == rows and search._WINDOW_ROWS // pair_rows(rows) == pairs
-    assert search._WINDOW_ROWS // pair_rows(len(_time_grid(3.0 * TAU_STAR, 1e-2))) == 9
+    assert len(_time_grid(tau_max, 1e-2)) == rows
     grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
     peaks = []
     for grid_end in (None, tau_max):

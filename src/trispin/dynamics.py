@@ -121,12 +121,8 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
     def write_csv(self, path) -> None:
-        norms = self.norms()
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for tau, row, nrm in zip(self.taus, self.states, norms):
-                cells = [f"{tau:.17g}"] + [f"{v:.17g}" for v in row] + [f"{nrm:.17g}"]
-                fh.write(",".join(cells) + "\n")
+        rows = np.column_stack([self.taus, self.states, self.norms()])
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")
 
 
 def _grid_rows(tau_end: float, dtau: float) -> int:

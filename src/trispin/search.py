@@ -5,7 +5,7 @@ free, b0 fixed by the energy constraint, and theta0 a gauge read off the state
 from e1.  Every search minimizes one objective, the first crossing time of the
 theta0-best target value, solved by ``_first_crossing`` on the mode table; no
 objective reads theta0, so a search reads it once per result it reports
-(``_best_theta0``), not at every crossing and peak it solves.
+(``_at_best_theta0``), not at every crossing and peak it solves.
 A grid search records the peak of every component x1..x8, so the search for
 x8 also measures how close the unreachable x7 comes.
 
@@ -93,17 +93,18 @@ def _state(modes: tuple, tau: float) -> np.ndarray:
     return np.concatenate([np.cos(phase), np.sin(phase)]) @ table.reshape(8, 8)
 
 
-def _best_theta0(modes: tuple, tau: float, omega_rf: float, j: int) -> float:
-    """theta0 at which component j takes its ``_best_over_theta0`` value at tau; 0 for x1, x3, x5 and x7.
+def _at_best_theta0(p: ControlParams, tau: float, j: int) -> ControlParams:
+    """p, a theta0 = 0 control, at the theta0 where x_j takes its ``_best_over_theta0`` value at tau: the theta0 reader.
 
-    Read off the lab-frame state (x2, x4) of theta0 = 0, and alike (x6, x8): the best
-    x4 is at theta0 = atan2(x2, x4), the best x2 at atan2(-x4, x2).
+    Read off p's lab-frame (x2, x4) at tau, from p's own ``mode_table`` (which has the bits of p's row of a block's
+    table: eigh and the amplitude products run per matrix), and alike (x6, x8): the best x4 is at theta0 = atan2(x2,
+    x4), the best x2 at atan2(-x4, x2).  x1, x3, x5 and x7 keep p, and so does tau = 0, where the state is e1.
     """
-    if j % 2 == 0:
-        return 0.0
-    x = mode_states(*modes, tau, omega_rf).reshape(8)
+    if j % 2 == 0 or tau == 0.0:
+        return p
+    x = mode_states(*mode_table(p, _Y1), tau, p.omega_rf).reshape(8)
     u, v = x[1::4], x[3::4]  # (x2, x6) and (x4, x8)
-    return float((np.arctan2(-v, u) if j % 4 == 1 else np.arctan2(u, v))[j // 4])
+    return replace(p, theta0=float((np.arctan2(-v, u) if j % 4 == 1 else np.arctan2(u, v))[j // 4]))
 
 
 def _check_threshold(threshold: float) -> None:
@@ -118,19 +119,17 @@ def _target_values(modes: tuple, j: int, taus: np.ndarray) -> np.ndarray:
     return np.hypot(x[:, 0], x[:, 1]) if j % 2 else x[:, 0]
 
 
-def _first_crossing(
-    modes: tuple, j: int, threshold: float, taus: np.ndarray, best: np.ndarray | None = None, sign: float = 1.0
-) -> float | None:
+def _first_crossing(modes: tuple, j: int, threshold: float, taus: np.ndarray, x: np.ndarray,
+                    sign: float = 1.0) -> float | None:
     """The tau where sign times the theta0-best x_j first reaches threshold; None if never.
 
     modes is a ``mode_table`` from e1 of a theta0 = 0 control or, with sign -1 and j x5 or x7, of the pair whose
-    mirror (bz, omega_rf) -> (-bz, -omega_rf) is searched: the mirror's x_j is -x_j (module docstring).  best is
-    x_j on taus, as a grid search has it, or else ``_target_values`` on taus.  brentq solves the crossing in the
+    mirror (bz, omega_rf) -> (-bz, -omega_rf) is searched: the mirror's x_j is -x_j (module docstring).  x is the
+    theta0-best x_j on taus: a grid search's rows, or ``_target_values``.  brentq solves the crossing in the
     grid interval of the first hit on the scalar theta0-best x_j off ``_state``, which has the bits of the
     single-tau ``_best_over_theta0``; the bracket's ends keep their grid values, which it may miss in the last bits.
-    The gauge theta0 is not read here: a search reads it once per reported result (``_best_theta0``).
+    The gauge theta0 is not read here: a search reads it once per reported result (``_at_best_theta0``).
     """
-    x = _target_values(modes, j, taus) if best is None else best
     hits = np.flatnonzero(sign * x >= threshold)
     if len(hits) == 0:
         return None
@@ -157,8 +156,8 @@ def min_time_to_target(p: ControlParams, target: str, threshold: float, tau_max:
     unreachable.
     """
     _check_threshold(threshold)
-    j, taus = _target_index(target), _time_grid(tau_max, dtau)
-    return _first_crossing(mode_table(replace(p, theta0=0.0), _Y1), j, threshold, taus)
+    j, taus, modes = _target_index(target), _time_grid(tau_max, dtau), mode_table(replace(p, theta0=0.0), _Y1)
+    return _first_crossing(modes, j, threshold, taus, _target_values(modes, j, taus))
 
 
 def grid_search(
@@ -181,10 +180,11 @@ def grid_search(
     _WINDOW_ROWS rows, a pair's n grid rows and 8*min(_BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, so memory
     is bounded.  argmax and argmin find a block's peaks, the first of equal ones as a loop would (argmin, for the mirror,
     over x5 and x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).  The best crossing
-    and each peak keep their pair and its modes; after the last block each gets its ControlParams and theta0
-    (``_best_theta0``).  bz off the energy shell is skipped; an omega_hat at or below the energy floor, omega_hat^2 <=
-    1 + k^2, and a threshold that is not positive are ValueErrors.  The result also records the largest value of every
-    component x1..x8 seen, reached or not, and optionally the landscape of the whole box (``SearchResult.landscape``).
+    and each peak keep their pair and sign alone; after the last block each control is rebuilt from its pair, at its
+    theta0 (``_at_best_theta0``).  bz off the energy shell is skipped; an omega_hat at or below the energy floor,
+    omega_hat^2 <= 1 + k^2, and a threshold that is not positive are ValueErrors.  The result also records the largest
+    value of every component x1..x8 seen, reached or not, and optionally the landscape of the whole box
+    (``SearchResult.landscape``).
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -210,7 +210,7 @@ def grid_search(
             tables, rates = mode_table(ControlParams(k, omega_hat, b0[span], bz[span], rf[span], 0.0), _Y1)
             yield from ((first + n, tables[n : n + width], rates[n : n + width]) for n in range(0, len(rates), width))
 
-    # the best crossing and the running peaks keep (pair, sign, the pair's modes); theta0 is read once they are final
+    # the best crossing and the running peaks keep (pair, sign); their controls are built once they are final
     best_tau, kept, landscape, peaks = math.inf, None, [], {name: (-math.inf, None, None) for name in COMPONENT_INDEX}
     for start, tables, rates in blocks():
         best = _best_over_theta0((tables, rates), taus)  # (pairs, taus, 8)
@@ -222,24 +222,21 @@ def grid_search(
         first = candidates.argmax(axis=0)  # the first of equal peaks, as a loop over the pairs would take
         for j in np.flatnonzero(candidates[first, range(8)] > [peak[0] for peak in peaks.values()]):
             n, side = divmod(first[j], 2)
-            source = start + n, (1.0, -1.0)[side], (tables[n].copy(), rates[n].copy())  # a view would hold the group's tables
-            peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[ends[side][n, j]]), source)
+            found = start + n, (1.0, -1.0)[side]
+            peaks[f"x{j + 1}"] = (float(candidates[first[j], j]), float(taus[ends[side][n, j]]), found)
         x, crosses = best[:, :, idx], np.stack(values[: len(signs)], axis=1)[:, :, idx] >= threshold  # a peak reaches it
         for n, side in np.argwhere(crosses | collect_landscape):  # pair by pair, each before its mirror
             m, i, sign = start + n, ends[side][n, idx], signs[side]
             tau = _first_crossing((tables[n], rates[n]), idx, threshold, taus, x[n], sign) if crosses[n, side] else None
             if tau is not None and tau < best_tau:
-                best_tau, kept = tau, (m, sign, (tables[n].copy(), rates[n].copy()))
+                best_tau, kept = tau, (m, sign)
             if collect_landscape and (side == 0 or m >= len(rf_axis) or resolution % 2 == 0):  # a centre row holds its mirrors
                 landscape.append((sign * float(bz[m]), sign * float(rf[m]), tau, float(sign * x[n, i]), float(taus[i])))
         del best, x  # so that the next block's rows are made with none of these held
 
-    def at_theta0(m: int, sign: float, modes: tuple, tau: float, j: int) -> ControlParams:  # theta0 of the best x_j
-        return replace(pair(m, sign), theta0=_best_theta0(modes, tau, sign * rf[m], j))
-
-    peaks = {name: (value, tau, source and at_theta0(*source, tau, j))
-             for (name, (value, tau, source)), j in zip(peaks.items(), COMPONENT_INDEX.values())}
-    best_params = kept and (pair(*kept[:2]) if best_tau == 0.0 else at_theta0(*kept, best_tau, idx))  # row 0 is e1
+    peaks = {name: (value, tau, found and _at_best_theta0(pair(*found), tau, j))
+             for (name, (value, tau, found)), j in zip(peaks.items(), COMPONENT_INDEX.values())}
+    best_params = kept and _at_best_theta0(pair(*kept), best_tau, idx)
     return SearchResult(
         best_params=best_params,
         best_tau=None if math.isinf(best_tau) else best_tau,
@@ -261,10 +258,9 @@ def grid_search(
 def refine_local(seed: SearchResult) -> SearchResult:
     """Simplex refinement of (bz, omega_rf) minimizing the threshold-crossing time, at most 120 evaluations.
 
-    b0 restores the energy constraint after every move, and theta0 is read off the
-    state once, at the best control.  The reported time is the best seen, so never
-    later than the seed's; a seed that is infeasible or not improved on is returned
-    unchanged.
+    b0 restores the energy constraint after every move, and theta0 is read off the state once, at the best control
+    (``_at_best_theta0``).  The reported time is the best seen, so never later than the seed's; a seed that is
+    infeasible or not improved on is returned unchanged.
     """
     if not seed.feasible:
         return seed
@@ -280,8 +276,7 @@ def refine_local(seed: SearchResult) -> SearchResult:
         bz, omega_rf = v
         if bz**2 >= shell:
             return 10.0 * tau_max
-        p = replace(seed.best_params, b0=transverse_amplitude(omega_hat, k, bz), bz=float(bz), omega_rf=float(omega_rf),
-                    theta0=0.0)
+        p = ControlParams(k, omega_hat, transverse_amplitude(omega_hat, k, bz), float(bz), float(omega_rf), 0.0)
         t = min_time_to_target(p, target, threshold, tau_max=tau_max, dtau=dtau)
         if t is None:
             return 10.0 * tau_max
@@ -292,8 +287,4 @@ def refine_local(seed: SearchResult) -> SearchResult:
     x0 = np.array([seed.best_params.bz, seed.best_params.omega_rf])
     minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 120, "xatol": 1e-10, "fatol": 1e-12})
     p, tau = best["params"], best["tau"]
-    if p is None:
-        return seed
-    if tau > 0.0:  # at tau = 0 the state is e1, and theta0 stays 0
-        p = replace(p, theta0=_best_theta0(mode_table(p, _Y1), tau, p.omega_rf, _target_index(target)))
-    return replace(seed, best_params=p, best_tau=tau)
+    return seed if p is None else replace(seed, best_params=_at_best_theta0(p, tau, _target_index(target)), best_tau=tau)

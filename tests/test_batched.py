@@ -586,27 +586,33 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
     # the gauge-optimal crossing comes no later than the crossing at any fixed theta0
     assert math.isfinite(best_tau) and res.best_tau <= best_tau + 1e-9
 
-    # one eigendecomposition per on-shell (bz, omega_rf) pair: the peaks and the
-    # crossing solves read its mode table, reached threshold or not.  An eigh
-    # call may take a stack of omega_rf blocks, so the count is of the matrices
-    # passed, both halves of a pair each
+    # one eigendecomposition per on-shell (bz, omega_rf) pair: the peaks and the crossing solves read its mode table,
+    # reached threshold or not.  Then one more for each reported control with a theta0 of its own, an x2, x4, x6 or x8
+    # result at tau > 0, rebuilt from its pair.  An eigh call may take a stack of pairs, so the count is of the
+    # matrices passed, both halves of a pair each
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+
+    def rebuilt(found):  # the reported controls that read their theta0 off a table of their own
+        taus = [found.peaks[name][1] for name in ("x2", "x4", "x6", "x8")] + [found.best_tau]
+        return [1] * sum(tau is not None and tau > 0.0 for tau in taus)
+
     # the bz rows from the centre up: the half box
     on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution)[resolution // 2 :])
     for level in (threshold, 2.0):
         calls.clear()
-        crossing = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau).best_tau
-        pairs = sum(a[..., 0, 0].size for a in calls) / 2
-        assert pairs == on_shell * resolution and (crossing is None) == (level > 1.0)
+        found = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau)
+        assert [a[..., 0, 0].size // 2 for a in calls] == [on_shell * resolution] + rebuilt(found)
+        assert (found.best_tau is None) == (level > 1.0) and len(rebuilt(found)) == 4 + (level < 1.0)
     # grids of default size take their mode tables in groups of search._GROUP_PAIRS pairs, one eigh call a group:
     # the 21 x 21 grid (168 or 189 on-shell pairs here) in one call, and a 29 x 29 grid's in two, each full but the last
     for size in (21, 29):
         on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, size)[size // 2 :])
         calls.clear()
-        search.grid_search(omega_hat, k, resolution=size, threshold=2.0)
-        groups = [a[..., 0, 0].size // 2 for a in calls]
+        found = search.grid_search(omega_hat, k, resolution=size, threshold=2.0)
+        groups, single = [a[..., 0, 0].size // 2 for a in calls[: len(calls) - 4]], calls[len(calls) - 4 :]
+        assert [a[..., 0, 0].size // 2 for a in single] == rebuilt(found) == [1] * 4
         assert all(a.shape[-3:] == (2, 4, 4) for a in calls) and sum(groups) == on_shell * size
         assert len(groups) == -(-on_shell * size // search._GROUP_PAIRS) == (1 if size == 21 else 2)
         assert groups[:-1] == [search._GROUP_PAIRS] * (len(groups) - 1)

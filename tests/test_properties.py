@@ -29,7 +29,7 @@ from trispin.dynamics import (
     split_halves,
 )
 from trispin.hilbert import _PROJECTION, sector_table
-from trispin.search import _best_over_theta0, _best_theta0
+from trispin.search import _at_best_theta0, _best_over_theta0
 
 
 def _floats(lo, hi):
@@ -106,8 +106,7 @@ def test_mode_table_gives_the_theta0_best_state(p, taus):
     assert np.max(np.abs(best - expected)) <= 1e-14
     # the theta0 read at each component's peak row attains the peak there
     for j, i in enumerate(np.argmax(best, axis=0)):
-        theta0 = _best_theta0(modes, taus[i], p.omega_rf, j)
-        turned = exact_state_trajectory(dataclasses.replace(p, theta0=theta0), E1, taus[i])
+        turned = exact_state_trajectory(_at_best_theta0(p, taus[i], j), E1, taus[i])
         assert abs(turned[j] - best[i, j]) <= 1e-12
 
 

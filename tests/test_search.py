@@ -62,9 +62,8 @@ def test_min_time_without_transverse_drive():
 def test_min_time_bisection_accuracy():
     t = min_time_to_target(PARAMS, "x8", threshold=0.5, tau_max=5.0, dtau=1e-2)
     assert t is not None
-    # the crossing is that of x8 at the theta0 _best_theta0 reads there
-    modes = mode_table(dataclasses.replace(PARAMS, theta0=0.0), split_halves(E1))
-    p = dataclasses.replace(PARAMS, theta0=search._best_theta0(modes, t, PARAMS.omega_rf, 7))
+    # the crossing is that of x8 at the theta0 _at_best_theta0 reads there
+    p = search._at_best_theta0(dataclasses.replace(PARAMS, theta0=0.0), t, 7)
     assert abs(x8(p, t) - 0.5) < 1e-7
     # crossing is located to 1e-9 in tau
     assert x8(p, t - 1e-9) < 0.5
@@ -344,7 +343,7 @@ def crossing_by_pair(p, modes, j, threshold, taus, best, sign):
         return ends[tau] if tau in ends else sign * _best_over_theta0(modes, tau)[j] - threshold
 
     tau = brentq(gap, taus[i - 1], taus[i], xtol=1e-15)
-    return float(tau), dataclasses.replace(p, theta0=search._best_theta0(modes, tau, p.omega_rf, j))
+    return float(tau), search._at_best_theta0(p, float(tau), j)
 
 
 def grid_by_pair(omega_hat, k, targets, resolution, tau_max, dtau):
@@ -368,8 +367,7 @@ def grid_by_pair(omega_hat, k, targets, resolution, tau_max, dtau):
             for name, j in search.COMPONENT_INDEX.items():
                 i = top[j]
                 if best[i, j] > peaks[name][0]:
-                    theta0 = search._best_theta0(modes, taus[i], omega_rf, j)
-                    peaks[name] = (float(best[i, j]), float(taus[i]), dataclasses.replace(p, theta0=theta0))
+                    peaks[name] = (float(best[i, j]), float(taus[i]), search._at_best_theta0(p, float(taus[i]), j))
                 i = bottom[j]
                 if name in search._MIRRORED and -best[i, j] > peaks[name][0]:
                     peaks[name] = (float(-best[i, j]), float(taus[i]), mirror)
@@ -459,14 +457,17 @@ def test_grid_edges_equal_the_per_pair_loop(omega_hat, k, resolution, tau_max, t
             reference, omega_hat, k, target, resolution, threshold, 1e-2, tau_max
         )
         assert landscape and (target != "x1" or best_tau == 0.0)
+    if tau_max == 0.0:  # the one row is e1 itself, whatever theta0: every reported control keeps theta0 = 0
+        assert all(p.theta0 == 0.0 for _, _, p in grid_search(omega_hat, k, resolution=7, tau_max=0.0).peaks.values())
 
 
 def test_theta0_is_read_once_per_reported_result(monkeypatch):
     # a grid search reads theta0 for its 8 peaks and its best crossing, at most 9 times, and refine_local once,
-    # at its best control, after the simplex; its evaluations call min_time_to_target through the module
+    # at its best control, after the simplex, both through the one reader; its evaluations call min_time_to_target
+    # through the module
     reads, evals = [], []
-    best_theta0, min_time = search._best_theta0, search.min_time_to_target
-    monkeypatch.setattr(search, "_best_theta0", lambda *a: reads.append(a) or best_theta0(*a))
+    at_best_theta0, min_time = search._at_best_theta0, search.min_time_to_target
+    monkeypatch.setattr(search, "_at_best_theta0", lambda *a: reads.append(a) or at_best_theta0(*a))
     monkeypatch.setattr(search, "min_time_to_target", lambda *a, **kw: evals.append(a) or min_time(*a, **kw))
     for omega_hat in (2.7, 3.0179148702571723, 3.451292785680343):
         seed = grid_search(omega_hat, 1.0, threshold=0.95)
@@ -572,7 +573,30 @@ def test_first_crossing_on_the_target_columns():
     assert np.all(np.diff(values) > 0.0)
     for j, row in [(7, 1), (7, 2500), (7, len(taus) - 1), (0, 0), (7, None)]:
         threshold = 0.5 if j == 0 else 1.0 if row is None else float(values[row])
-        hit = search._first_crossing(modes, j, threshold, taus)
+        hit = search._first_crossing(modes, j, threshold, taus, search._target_values(modes, j, taus))
         assert (hit is None) if row is None else hit == taus[row]
     # a grid of the one row tau = 0
     assert min_time_to_target(PARAMS, "x1", 0.5, tau_max=0.0, dtau=1e-2) == 0.0
+
+
+@pytest.mark.parametrize("target, threshold", [("x8", 0.6), ("x7", 0.3), ("x6", 0.6), ("x5", 0.5)])
+def test_each_reported_control_does_what_the_report_says(target, threshold):
+    # through public routes alone: every peak's control, theta0 included, gives the peak's value at its tau under the
+    # exact propagator, the mirror pair's control for a peak or crossing of x5 and x7 read off the mirror; and the
+    # grid's and the refinement's best control reaches the threshold at best_tau.  On resolution 7 at three scales and
+    # k = +-1, the crossings of x8 and x6 need a theta0 of their own, and some results come from the mirror
+    j, mirrored, theta0s = search.COMPONENT_INDEX[target], [], []
+    for k in (1.0, -1.0):
+        for omega_hat in (2.3, 2.7, 3.45):
+            res = grid_search(omega_hat, k, target=target, resolution=7, threshold=threshold)
+            for name, (value, tau, p) in res.peaks.items():
+                x = exact_state_trajectory(p, E1, np.array([tau]))[0, search.COMPONENT_INDEX[name]]
+                assert abs(x - value) <= 1e-12, (name, k, omega_hat)
+                mirrored.append(p.bz < -1e-9)
+            for found in (res, refine_local(res)):
+                p = found.best_params
+                x = exact_state_trajectory(p, E1, np.array([found.best_tau]))[0, j]
+                assert found.feasible and abs(x - threshold) <= 1e-12, (k, omega_hat)
+                mirrored.append(p.bz < -1e-9)
+                theta0s.append(abs(p.theta0))
+    assert any(mirrored) and (max(theta0s) > 0.1) == (target in ("x8", "x6"))

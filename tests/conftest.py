@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+pytest.register_assert_rewrite("grid_reference")
+
 # property tests draw the same examples on every run of the same test selection
 # (hypothesis also draws literals from the loaded modules, so running one file
 # alone can give other examples); eigendecompositions make per-example timings

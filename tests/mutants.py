@@ -128,7 +128,7 @@ TABLE = {row.id: row for row in [
     Mutant("early_best_tau_zero", "report.py", "gs.best_tau > 0.95 * tau_star", "gs.best_tau > 0", GRID,
            reason="no grid control reaches 0.999, so no crossing is judged (item 7)"),
     Mutant("sweep_unsorted", "boundary.py", 'return sorted(rows, key=lambda row: row["tau_star"])', "return list(rows)", GRID,
-           reason="label (0, 0) is first either way, and (0, 1) after it takes longer (item 1)", tier1=False),
+           reason="label (0, 0) is first either way, and (0, 1) after it takes longer (item 1)"),
 ]}
 
 

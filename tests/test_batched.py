@@ -1,24 +1,16 @@
-"""The batched routes against the one-at-a-time loops they replace.
+"""The batched routes against one-at-a-time references built from public names.
 
-``propagate_rk4`` steps in the co-rotating frame, where every step of dtau is
-one constant map and the grid's last step has its own; ``dynamics._powers``
-takes the powers of that map in blocks of ``dynamics._BLOCK_STEPS`` steps, and
-``dynamics._turned`` turns those co-rotating rows back to the lab frame.  The
-oracles below are the plain one-step-at-a-time versions in the lab frame, one
-generator per step, kept here only as references.  Every block grid starts at state row 0 and holds all rows
-but the last, so a grid of s steps has s grid rows.  The grids hold one point,
-one step (the last map alone) or two, end one step before, on and one step after
-a block edge, end in a shortened last step after whole blocks, or are one long
-run with a partial last block.  The block starts are the powers of the block's
-map, which ``_powers`` takes in blocks again, all starts but the last on their
-own grid: grids of b*b - 1, b*b and b*b + 1 steps give b, b and b + 1 starts, so
-b*b + 1 steps are the first whole block of starts, and b*(b + 1) steps, b + 1
-whole blocks, are the last grid whose starts are one whole block and one more.
-
-``propagate_rk4`` steps the 8-vector with the 8x8 ``build_M``; its oracles step
-the 8-vector the same way and the two decoupled halves y_pm with M_pm, joined
-after each step, so the two formulations meet: from e1 (where y_+ = y_-) and
-from a generic unit vector whose halves differ.
+``propagate_rk4`` steps the 8-vector with the 8x8 ``build_M``; its reference is
+the plain RK4 loop in the lab frame, one generator per step, from e1 (where
+y_+ = y_-) and from a generic unit vector whose halves differ.  The streamed
+routes take their rows in blocks of ``dynamics._BLOCK_STEPS`` steps and windows
+of ``dynamics._WINDOW_ROWS`` rows; the grids below reach each edge of that
+layout through public inputs alone, ``tau_end`` and ``dtau``.  They hold one
+point, one step or two, end one step before, on and one step after a block
+edge, end in a shortened last step after whole blocks, are one long run with a
+partial last block, or hold b*b - 1, b*b, b*b + 1 and b*(b + 1) steps, where
+the block starts, one a block and taken in blocks again, reach their own first
+block edge and pass it.
 
 ``full_hilbert_trajectory`` reads the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of
 the conserved (sz1, sz3) sectors that the coherences need off ``hilbert.sector_table``,
@@ -41,10 +33,10 @@ generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
 ``propagator_discrepancy`` propagates both halves y_pm on one stacked axis;
 its oracle is the loop over the two signs, with scipy's ``expm`` per tau.
 
-``grid_search`` takes one eigendecomposition per (bz, omega_rf) pair of the half
-box from the centre bz row up and reads theta0 off the state; its oracles are the
-loop over a (bz, omega_rf, theta0) grid and the pair-by-pair loop over the whole box,
-which also holds every row of the x5 and x7 landscapes, their mirror rows included.
+``grid_search`` evaluates the half box from the centre bz row up and reads theta0
+off the state; its oracles are the loop over a (bz, omega_rf, theta0) grid and the
+whole box node by node (``grid_reference.py``), which also holds every row of the
+x5 and x7 landscapes, their mirror rows included.
 
 ``consistency_scan`` takes its consistent scales from the closed form
 ``consistent_scale``; its oracle is the numerical search, local minima of the
@@ -56,6 +48,7 @@ import math
 
 import numpy as np
 import pytest
+from grid_reference import assert_grid_is_the_whole_box
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
@@ -78,7 +71,6 @@ from trispin.dynamics import (
     MS,
     MZ,
     J,
-    _on_grid,
     _time_grid,
     build_M,
     build_M_half,
@@ -226,7 +218,6 @@ def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
     # column are not a grid and take the per-tau path
     p = params if control == "random" else DEGENERATE[control]
     taus = _time_grid(tau_end, DTAU)
-    assert _on_grid(taus) == (len(taus) >= 3)
     for x0 in (E1, GENERIC_X0):
         grid = exact_state_trajectory(p, x0, taus)
         assert np.max(np.abs(grid - exact_state_trajectory(p, x0, taus[:, None])[:, 0])) <= 1e-14
@@ -525,97 +516,22 @@ def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
     return peaks, best_tau
 
 
-def grid_search_full_box(omega_hat, k, target, resolution, threshold, dtau):
-    """((value, tau) of the peak of each of x1..x8, earliest crossing of x_target or inf, landscape) over the whole box.
-
-    Every on-shell (bz, omega_rf) node of default_bounds is propagated on its own at
-    theta0 = 0, and the theta0-best x2, x4 (x6, x8) are hypot(x2, x4) (hypot(x6, x8)).
-    The landscape maps each node to (its crossing or None, peak of x_target, tau of the peak).
-    """
-    taus = _time_grid(3.0 * TAU_STAR, dtau)
-    bounds = search.default_bounds(omega_hat)
-    bz_axis, rf_axis = (np.linspace(*bounds[name], resolution) for name in ("bz", "omega_rf"))
-    j = search.COMPONENT_INDEX[target]
-
-    def theta0_best(p, tau):
-        x = exact_state_trajectory(p, E1, tau)
-        x[..., [1, 3]] = np.hypot(x[..., 1], x[..., 3])[..., None]
-        x[..., [5, 7]] = np.hypot(x[..., 5], x[..., 7])[..., None]
-        return x
-
-    peaks, best_tau, landscape = [(-math.inf, None)] * 8, math.inf, {}
-    for bz in bz_axis:
-        if bz**2 > energy_shell(omega_hat, k):
-            continue
-        for omega_rf in rf_axis:
-            p = ControlParams(k=k, omega_hat=omega_hat, b0=transverse_amplitude(omega_hat, k, bz), bz=bz, omega_rf=omega_rf, theta0=0.0)
-            x = theta0_best(p, taus)
-            rows = np.argmax(x, axis=0)
-            peaks = [max(peak, (x[i, n], taus[i])) for n, (peak, i) in enumerate(zip(peaks, rows))]
-            hits = np.nonzero(x[:, j] >= threshold)[0]
-            t = None
-            if len(hits):
-                i = hits[0]
-                t = brentq(lambda t: theta0_best(p, t)[j] - threshold, taus[i - 1], taus[i], xtol=1e-15)
-                best_tau = min(best_tau, t)
-            landscape[(bz, omega_rf)] = (t, x[rows[j], j], taus[rows[j]])
-    return peaks, best_tau, landscape
-
-
 @pytest.mark.parametrize("k", [1.0, -1.0])
 @pytest.mark.parametrize("omega_hat", [2.3, 3.0])
-def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
+def test_grid_search_matches_theta0_loop(omega_hat, k):
     resolution, threshold, dtau = 5, 0.8, 5e-2
-    res = search.grid_search(omega_hat, k, resolution=resolution, threshold=threshold, dtau=dtau)
     # the half box (bz rows from the centre up, x5 and x7 of the other half read as -x5 and -x7) is the whole box,
     # searched for the reachable x8 and for x7, whose peak lies in the other half at k = -1
-    for target, level in (("x8", threshold), ("x7", 0.5)):
-        half = res if target == "x8" else search.grid_search(omega_hat, k, target, resolution, level, dtau=dtau)
-        whole, whole_tau, _ = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
-        for (value, tau, _), (want, want_tau) in zip(half.peaks.values(), whole):
-            assert abs(value - want) <= 1e-12 and abs(tau - want_tau) <= 1e-12
-        assert abs(half.peaks[target][0] - whole[search.COMPONENT_INDEX[target]][0]) <= 1e-12
-        assert math.isfinite(whole_tau) and abs(half.best_tau - whole_tau) <= 1e-12
+    res, probe = (assert_grid_is_the_whole_box(omega_hat, k, t, resolution, level, dtau=dtau)
+                  for t, level in (("x8", threshold), ("x7", 0.5)))
+    assert res.best_tau is not None and probe.best_tau is not None
     peaks, best_tau = grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau)
     values = np.array([res.peaks[f"x{i}"][0] for i in range(1, 9)])
     # the best over a continuous theta0 is at least the best over its grid, and x1, x3, x5, x7 do not depend on it
     assert np.all(values >= peaks - 1e-12)
     assert np.max(np.abs(values[::2] - peaks[::2])) <= 1e-12
-    for j, (value, tau, p) in enumerate(res.peaks.values()):
-        assert abs(exact_state_trajectory(p, E1, np.array([tau]))[0, j] - value) <= 1e-12
     # the gauge-optimal crossing comes no later than the crossing at any fixed theta0
     assert math.isfinite(best_tau) and res.best_tau <= best_tau + 1e-9
-
-    # one eigendecomposition per on-shell (bz, omega_rf) pair: the peaks and the crossing solves read its mode table,
-    # reached threshold or not.  Then one more for each reported control with a theta0 of its own, an x2, x4, x6 or x8
-    # result at tau > 0, rebuilt from its pair.  An eigh call may take a stack of pairs, so the count is of the
-    # matrices passed, both halves of a pair each
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-
-    def rebuilt(found):  # the reported controls that read their theta0 off a table of their own
-        taus = [found.peaks[name][1] for name in ("x2", "x4", "x6", "x8")] + [found.best_tau]
-        return [1] * sum(tau is not None and tau > 0.0 for tau in taus)
-
-    # the bz rows from the centre up: the half box
-    on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, resolution)[resolution // 2 :])
-    for level in (threshold, 2.0):
-        calls.clear()
-        found = search.grid_search(omega_hat, k, resolution=resolution, threshold=level, dtau=dtau)
-        assert [a[..., 0, 0].size // 2 for a in calls] == [on_shell * resolution] + rebuilt(found)
-        assert (found.best_tau is None) == (level > 1.0) and len(rebuilt(found)) == 4 + (level < 1.0)
-    # grids of default size take their mode tables in groups of search._GROUP_PAIRS pairs, one eigh call a group:
-    # the 21 x 21 grid (168 or 189 on-shell pairs here) in one call, and a 29 x 29 grid's in two, each full but the last
-    for size in (21, 29):
-        on_shell = sum(bz**2 <= energy_shell(omega_hat, k) for bz in np.linspace(-omega_hat, omega_hat, size)[size // 2 :])
-        calls.clear()
-        found = search.grid_search(omega_hat, k, resolution=size, threshold=2.0)
-        groups, single = [a[..., 0, 0].size // 2 for a in calls[: len(calls) - 4]], calls[len(calls) - 4 :]
-        assert [a[..., 0, 0].size // 2 for a in single] == rebuilt(found) == [1] * 4
-        assert all(a.shape[-3:] == (2, 4, 4) for a in calls) and sum(groups) == on_shell * size
-        assert len(groups) == -(-on_shell * size // search._GROUP_PAIRS) == (1 if size == 21 else 2)
-        assert groups[:-1] == [search._GROUP_PAIRS] * (len(groups) - 1)
 
 
 @pytest.mark.parametrize("resolution", [5, 6])
@@ -623,19 +539,6 @@ def test_grid_search_matches_theta0_loop(monkeypatch, omega_hat, k):
 def test_mirrored_landscape_is_the_whole_box(target, resolution):
     # for x5 and x7 each evaluated pair off the centre row also lists its mirror (-bz, -omega_rf), whose
     # crossing and peak are those of -x5 and -x7 at the pair: every node of the box once, as evaluated alone
-    omega_hat, k, level, dtau = 3.0, 1.0, 0.5, 5e-2
-    res = search.grid_search(omega_hat, k, target, resolution, level, dtau=dtau, collect_landscape=True)
-    _, whole_tau, whole = grid_search_full_box(omega_hat, k, target, resolution, level, dtau)
-    listed = []
-    for bz, omega_rf, reached, peak, peak_tau in res.landscape:
-        node = min(whole, key=lambda node: math.dist(node, (bz, omega_rf)))
-        assert math.dist(node, (bz, omega_rf)) <= 1e-12
-        listed.append(node)
-        want, want_peak, want_tau = whole[node]
-        assert (reached is None) == (want is None) and (reached is None or abs(reached - want) <= 1e-12)
-        assert abs(peak - want_peak) <= 1e-12
-        if want_peak > 1e-9:  # a peak at rounding level has no definite tau
-            assert abs(peak_tau - want_tau) <= 1e-12
-    assert sorted(listed) == sorted(whole)
+    res = assert_grid_is_the_whole_box(3.0, 1.0, target, resolution, 0.5, dtau=5e-2)
     crossings = [tau for _, _, tau, _, _ in res.landscape if tau is not None]
-    assert abs(res.best_tau - min(crossings)) <= 1e-12 and abs(res.best_tau - whole_tau) <= 1e-12
+    assert crossings and res.best_tau == min(crossings)

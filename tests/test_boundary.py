@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from trispin.algebra import ControlParams, energy_residual, transverse_amplitude
 from trispin.boundary import (
-    _SCAN_BRANCHES,
     TRANSFER_COLUMNS,
     BoundaryConstants,
     _residual_system,
@@ -822,9 +821,9 @@ def test_scan_rejects_a_range_with_too_many_scales():
 @pytest.mark.parametrize("k_sign", [1, -1])
 @pytest.mark.parametrize("omega_hat", [1.6, 2.7, 4.5])
 def test_scan_branches_are_distinct_controls(k_sign, omega_hat):
-    # the scan evaluates two of the eight labels: consistent_scale's branch family, on its r axis
-    live = [{**_SCAN_BRANCHES, "r": int(r)} for r in np.ravel(_SCAN_BRANCHES["r"])]
-    assert live == [consistent_scale(j)[1] for j in (0, 1)] and all(branch in SCAN_LABELS for branch in live)
+    # the scan evaluates two of the eight labels, consistent_scale's branches (test_batched.py holds its curve equal to
+    # the best over all eight)
+    assert all(consistent_scale(j)[1] in SCAN_LABELS for j in (0, 1))
     kept = []
     for branch in SCAN_LABELS:
         p = closed_form_params(omega_hat, k_sign=k_sign, **branch)

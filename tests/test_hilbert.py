@@ -47,7 +47,7 @@ def test_the_blocks_frame_turn_projects_onto_the_reduced_one(rng, su2):
     # Q G Q^dag, Q = exp(-i phi sz/2), turns each block's (g1, g2) plane by phi: generator k, d(g1, g2)/dphi =
     # (-g2, g1); projected, k is the turn of the (x2, x4) and (x6, x8) planes that mode_states applies, exactly
     k = np.kron(np.eye(2), _skew(1, 2, -1.0))
-    assert np.array_equal(k @ _PROJECTION, _PROJECTION @ dynamics._TURN)
+    assert np.array_equal(k @ _PROJECTION, _PROJECTION @ np.kron(np.eye(2), dynamics.J))
     g = rng.normal(size=(5, 8))
     for phi in (0.3, 2.0, -4.0):
         q = expm(-0.5j * phi * _PAULI["z"])

@@ -29,7 +29,6 @@ from trispin.dynamics import (
     split_halves,
 )
 from trispin.hilbert import _PROJECTION, sector_table
-from trispin.search import _at_best_theta0, _best_over_theta0
 
 
 def _floats(lo, hi):
@@ -95,19 +94,15 @@ EXAMPLE_TAUS = [0.0, 0.37, 1.2, 2.9, 7.5]
 @example(ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0), EXAMPLE_TAUS)
 @given(static_or_degenerate_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
 def test_mode_table_gives_the_theta0_best_state(p, taus):
-    # the frame rotation turns only the (x2, x4) and (x6, x8) planes, so the
-    # co-rotating table gives the best value over theta0 of every component
+    # the frame rotation turns only the (x2, x4) and (x6, x8) planes, as theta0 does, so the co-rotating table
+    # (mode_states with no omega_rf) gives the lab frame's x1, x3, x5, x7 and the lengths of those two planes
     taus = np.array(taus)
     lab = exact_state_trajectory(p, E1, taus)
-    expected = lab.copy()
-    expected[:, 1::4] = expected[:, 3::4] = np.hypot(lab[:, 1::4], lab[:, 3::4])
-    modes = mode_table(p, split_halves(E1))
-    best = _best_over_theta0(modes, taus)
-    assert np.max(np.abs(best - expected)) <= 1e-14
-    # the theta0 read at each component's peak row attains the peak there
-    for j, i in enumerate(np.argmax(best, axis=0)):
-        turned = exact_state_trajectory(_at_best_theta0(p, taus[i], j), E1, taus[i])
-        assert abs(turned[j] - best[i, j]) <= 1e-12
+    co = mode_states(*mode_table(p, split_halves(E1)), taus).reshape(-1, 8)
+    assert np.max(np.abs(co[:, ::2] - lab[:, ::2])) <= 1e-14
+    for x in (co, lab):
+        x[:, 1::4] = np.hypot(x[:, 1::4], x[:, 3::4])
+    assert np.max(np.abs(co[:, 1::4] - lab[:, 1::4])) <= 1e-14
 
 
 @given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))

@@ -10,19 +10,8 @@ import trispin.report as report_module
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
-from trispin.dynamics import (
-    _WINDOW_ROWS,
-    _mode_rows,
-    _powers,
-    _rk4_map,
-    _time_grid,
-    exact_state_trajectory,
-    mode_states,
-    mode_table,
-    propagate_rk4,
-    split_halves,
-)
-from trispin.hilbert import full_hilbert_trajectory, sector_table
+from trispin.dynamics import _time_grid, exact_state_trajectory, propagate_rk4
+from trispin.hilbert import full_hilbert_trajectory
 from trispin.report import DEFAULT_SEED, dynamics_equivalence, random_consistent_params, run_verification
 
 from mutants import BOTH, TABLE, rows
@@ -152,15 +141,6 @@ def test_generic_equations_check_reads_the_identity():
     assert check.status == "pass" and check.tolerance == 1e-12 and check.measured <= 1e-14
 
 
-def test_default_grid_values():
-    # verify's grid over the energy-shell ansatz at its defaults reads its rows off the block-factored mode table
-    report = run_verification()
-    assert report.passed
-    checks = {c.name: c for c in report.checks}
-    assert checks["ansatz_grid_search_x8"].note == "largest x8 seen 0.982243 at tau=1.34"
-    assert f"{checks['no_transfer_probe_x7'].measured:.6g}" == "0.829033"
-
-
 @pytest.mark.parametrize(
     "omega_hat, control",
     [
@@ -236,25 +216,6 @@ def _whole_trajectory_gaps(params_list, tau_end, dtau):
     return worst_full, worst_exact
 
 
-def _corotating_gaps(params_list, tau_end, dtau):
-    """dynamics_equivalence by whole trajectories: the reference it streams.
-
-    Every row co-rotating, RK4's the powers of its step map and the others the public mode_states with no turn; and
-    the last row in the lab frame, RK4's from propagate_rk4 and the others mode_states at the last tau alone (a 2-row
-    grid's trajectories take their last row in a two-row product, whose last bits can differ)."""
-    worst_full = worst_exact = 0.0
-    for p in params_list:
-        taus = _time_grid(tau_end, dtau)
-        reduced, lab = _powers(_rk4_map(p, taus, dtau), E1, len(taus)).array(), propagate_rk4(p, E1, tau_end, dtau).states[-1]
-        gaps = []
-        for table, w in (sector_table(p), mode_table(p, split_halves(E1))):
-            last = mode_states(table, w, taus[-1:], p.omega_rf).reshape(8)
-            d = np.vstack([mode_states(table, w, taus).reshape(-1, 8) - reduced, last - lab])
-            gaps.append(math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d)))))
-        worst_full, worst_exact = max(worst_full, gaps[0]), max(worst_exact, gaps[1])
-    return worst_full, worst_exact
-
-
 # rows, of which every oracle's grid holds all but the last, in blocks of 32 from row 0: 1 the lone tau 0, 2 and 3 a
 # lone step and two; 32, 33 and 34 end one grid row before, on and after the first block edge, 35 two after.  A window
 # takes 6,144 // sets rows of each set, in whole blocks: 3,072 for 2 sets, 1,216 for 5 and 1,024 for a group of 6.
@@ -268,26 +229,6 @@ def _grid(rows):
     tau_end, dtau = (3.0 * TAU_STAR, 1e-4) if rows == 40812 else ((rows - 1) * 1e-3, 1e-3)
     assert len(_time_grid(tau_end, dtau)) == rows
     return tau_end, dtau
-
-
-@pytest.mark.parametrize("rows", ROWS)
-def test_windowed_comparison_equals_whole_trajectories(rows):
-    tau_end, dtau = _grid(rows)
-    rng = np.random.default_rng(rows)
-    params = [random_consistent_params(rng) for _ in range(2)]
-    got = dynamics_equivalence(params, tau_end, dtau)
-    assert got == _corotating_gaps(params, tau_end, dtau) + (2 * rows,)
-    assert all(type(v) is float for v in got[:2])
-    # row by row, not only at the largest gap: the windows of the two sources are the co-rotating whole trajectories
-    # bit for bit, the mode tables' both at once, full then exact, on a leading axis of 2
-    p = params[0]
-    taus = _time_grid(tau_end, dtau)
-    tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
-    rk4 = _powers(_rk4_map(p, taus, dtau), E1, len(taus))
-    modes = np.stack([mode_states(*sector_table(p), taus), mode_states(*mode_table(p, split_halves(E1)), taus).reshape(-1, 8)])
-    for name, (source, whole) in {"rk4": (rk4, rk4.array()), "modes": (_mode_rows(tables, w, taus), modes)}.items():
-        windows = [source.take(lo, lo + _WINDOW_ROWS) for lo in range(0, rows, _WINDOW_ROWS)]
-        assert np.array_equal(np.concatenate(windows, axis=-2), whole), name
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -339,8 +280,8 @@ def test_skipped_window_fails_both_oracle_checks(plant, tmp_path, capsys):
     checks = {c["name"]: c for c in assert_outcome_is_the_record(plant, TABLE["skipped_window"], tmp_path, capsys)}
     assert all(checks[name]["measured"] <= 1e-8 for name in BOTH)
     missed = "compared 36864 of 40812 state rows"  # 6 windows of 6,144 rows, the seventh's 3,948 left out
-    assert checks[BOTH[0]]["note"] == f"1 random parameter sets on [0, 3*tau_star], dtau=0.0001; {missed}"
-    assert checks[BOTH[1]]["note"] == missed
+    sets = "1 random parameter sets, omega_hat drawn in (1.6, 3.0), on [0, 3*tau_star], dtau=0.0001"
+    assert [checks[name]["note"] for name in BOTH] == [f"{sets}; {missed}"] * 2
 
 
 def test_windowed_comparison_holds_no_trajectory():

@@ -43,6 +43,7 @@ from .dynamics import (
     join_halves,
     _grid_rows,
     _time_grid,
+    _windows,
 )
 from .hilbert import full_hilbert_trajectory
 from .report import COLUMN_TOLERANCE, DEFAULT_SEED, column_gap, run_verification
@@ -184,11 +185,14 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             taus = _time_grid(args.tau_end, args.dtau)
             if args.method == "rotating-exact":
                 states = exact_state_trajectory(p, E1, taus)
-            else:  # expm-integral
-                states = join_halves(propagate_expm_integral(p, split_halves(E1), taus))
+            else:  # expm-integral, a window of taus at a time
+                states = np.empty((len(taus), 8))
+                for window in _windows(len(taus)):
+                    states[window] = join_halves(propagate_expm_integral(p, split_halves(E1), taus[window]))
                 disc = propagator_discrepancy(p, taus)
             traj = Trajectory(taus=taus, states=states)
-        bounded = np.all(np.isfinite(traj.norms())) and (disc is None or math.isfinite(disc.max_deviation))
+        finite = all(np.all(np.isfinite(norms)) for *_, norms in traj.windows())
+        bounded = finite and (disc is None or math.isfinite(disc.max_deviation))
     _require(bounded, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
     if disc is not None:
         print(f"propagator discrepancy vs rotating-exact: max={disc.max_deviation:.17g} at tau={disc.tau_at_max:.17g}")
@@ -260,8 +264,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         with open(args.landscape, "w") as fh:
             fh.write("bz,omega_rf,tau_to_threshold,peak,peak_tau\n")
             for bz, omega_rf, reached, peak, peak_tau in result.landscape:
-                reach_cell = f"{reached:.17g}" if reached is not None else ""
-                fh.write(f"{bz:.17g},{omega_rf:.17g},{reach_cell},{peak:.17g},{peak_tau:.17g}\n")
+                reach_cell, tau_cell = (f"{v:.17g}" if v is not None else "" for v in (reached, peak_tau))
+                fh.write(f"{bz:.17g},{omega_rf:.17g},{reach_cell},{peak:.17g},{tau_cell}\n")
     peak, peak_tau, peak_params = result.peaks[args.target]
     payload = {
         "grid_spec": result.grid_spec,

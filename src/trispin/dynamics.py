@@ -36,6 +36,7 @@ import numpy as np
 from .algebra import ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
+_CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 
 _BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
 _WINDOW_ROWS = 6144  # the one memory budget, rows a streamed loop holds per source; a search block counts its block tables
@@ -117,12 +118,27 @@ class Trajectory:
     taus: np.ndarray
     states: np.ndarray  # shape (n, 8)
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
+    def windows(self):
+        """(taus, states, norms) of each window of rows (``_windows``): nothing as long as the trajectory is made."""
+        for window in _windows(len(self.taus)):
+            yield self.taus[window], self.states[window], np.linalg.norm(self.states[window], axis=1)
 
     def write_csv(self, path) -> None:
-        rows = np.column_stack([self.taus, self.states, self.norms()])
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=CSV_HEADER, comments="")
+        """CSV_HEADER, then each row's tau, x1..x8 and norm to 17 significant digits, a window at a time."""
+        with open(path, "w") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for window in self.windows():
+                fh.writelines(_CSV_ROW % tuple(row) for row in np.column_stack(window).tolist())
+
+
+def _windows(n: int):
+    """Slices of _WINDOW_ROWS rows that cover rows 0..n-1, the last of two rows or more where n > 1: a one-row product
+    (gemv) rounds otherwise than a GEMM over more rows, so a lone last row joins the window before it."""
+    lo = 0
+    while lo < n:
+        hi = n if n - lo == _WINDOW_ROWS + 1 else lo + _WINDOW_ROWS
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _grid_rows(tau_end: float, dtau: float) -> int:
@@ -356,12 +372,15 @@ def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None =
     has shape s + np.shape(taus) + state, the rows of ``_mode_rows``, each turned in the (2,4) plane of both halves,
     of y_pm or alike of x_plus and x_minus; omega_rf has s's last axes or none."""
     taus = np.asarray(taus, dtype=float)
-    lead, state = w.shape[:-1], table.shape[w.ndim :]
+    lead, state, flat = w.shape[:-1], table.shape[w.ndim :], taus.reshape(-1)
     rows = _mode_rows(table, w, taus).array()
     y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
     if omega_rf is not None:
-        c, s = (f(np.asarray(omega_rf)[..., None] * taus.reshape(-1))[..., None, None] for f in (np.cos, np.sin))
-        y[..., 1, :], y[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
+        for window in _windows(len(flat)):  # turned in place, window by window
+            c, s = (f(np.asarray(omega_rf)[..., None] * flat[window])[..., None, None] for f in (np.cos, np.sin))
+            part = y[..., window, :, :, :]
+            u, v = part[..., 1, :], part[..., 3, :]
+            part[..., 1, :], part[..., 3, :] = c * u - s * v, s * u + c * v
     return y.reshape(lead + taus.shape + state)
 
 
@@ -424,11 +443,18 @@ class DiscrepancyResult:
 
 
 def propagator_discrepancy(p: ControlParams, tau_grid: np.ndarray) -> DiscrepancyResult:
-    """max over the grid, both halves and all basis initial states of the propagator gap."""
+    """max over the grid, both halves and all basis initial states of the propagator gap, at its first tau.
+
+    The taus are taken a window (``_windows``) at a time, so memory does not grow with the grid."""
     taus = np.asarray(tau_grid, dtype=float)
     # ansatz[n, h, :, j] = U_ansatz(tau_n) e_j and exact[n, h, :, j] = U_exact(tau_n) e_j on half h
     eye = np.broadcast_to(np.eye(4), (2, 4, 4))
-    gap = propagate_expm_integral(p, eye, taus) - propagate_rotating_exact(p, eye, taus)
-    worst = np.max(np.linalg.norm(gap, axis=2), axis=(1, 2))
-    i = int(np.argmax(worst))
-    return DiscrepancyResult(max_deviation=float(worst[i]), tau_at_max=float(taus[i]))
+    found = []  # (largest gap, its tau) of each window; the first window's of equal ones, as argmax over all taus
+    for window in map(taus.__getitem__, _windows(len(taus))):
+        gap = propagate_expm_integral(p, eye, window) - propagate_rotating_exact(p, eye, window)
+        worst = np.max(np.linalg.norm(gap, axis=2), axis=(1, 2))
+        del gap  # so that the next window is made with none of this one held
+        i = int(np.argmax(worst))
+        found.append((worst[i], window[i]))
+    worst, tau = found[int(np.argmax([gap for gap, _ in found]))]
+    return DiscrepancyResult(max_deviation=float(worst), tau_at_max=float(tau))

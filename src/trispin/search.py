@@ -30,6 +30,10 @@ _Y1 = split_halves(E1)  # both halves of the start state e1
 # component name -> index in the 8-vector; also the CLI's --target choices
 COMPONENT_INDEX = {f"x{i}": i - 1 for i in range(1, 9)}
 _MIRRORED = ("x5", "x7")  # the components the mirror (bz, omega_rf) -> (-bz, -omega_rf) flips
+# A peak at most this is rounding: the state has unit norm, so a component sums terms of at most unit size, each
+# rounded to an ulp of 1, and 2**-40 is 4096 ulps of 1.  Over the x2..x8 grids measured (omega_hat 2.3 to 1000, k = +-1)
+# rounding read at most 1.1e-14, and the smallest peak that rose 2.5e-6
+ROUNDING = 2.0**-40
 
 
 def _target_index(target: str) -> int:
@@ -56,7 +60,8 @@ class SearchResult:
     peaks: dict
     grid_spec: dict
     # (bz, omega_rf, tau_to_threshold, peak, peak_tau) per evaluated pair, bz from the centre row up; for x5
-    # and x7 each pair off the centre row is followed by its mirror (-bz, -omega_rf), so the whole box is listed
+    # and x7 each pair off the centre row is followed by its mirror (-bz, -omega_rf), so the whole box is listed.
+    # peak_tau is None where the peak is at most ROUNDING: a target that never rises above rounding has no peak tau
     landscape: list = field(default_factory=list)
 
     @property
@@ -177,14 +182,16 @@ def grid_search(
     other node is among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The on-shell (bz,
     omega_rf) pairs, row by row, get their mode tables from one ``mode_table`` (one eigh) per group of _GROUP_PAIRS and
     their rows from one ``_best_over_theta0`` pass per block in a group, one pair at least: a block holds the budget of
-    _WINDOW_ROWS rows, a pair's n grid rows and 8*min(_BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, so memory
-    is bounded.  argmax and argmin find a block's peaks, the first of equal ones as a loop would (argmin, for the mirror,
-    over x5 and x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).  The best crossing
+    _WINDOW_ROWS rows, a pair's n grid rows and 8*min(_BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, and a
+    group's fields are read off the bz and omega_rf axes by row and column, so memory does not grow with the pairs.
+    argmax and argmin find a block's peaks, the first of equal ones as a loop would (argmin, for the mirror, over x5 and
+    x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).  The best crossing
     and each peak keep their pair and sign alone; after the last block each control is rebuilt from its pair, at its
     theta0 (``_at_best_theta0``).  bz off the energy shell is skipped; an omega_hat at or below the energy floor,
     omega_hat^2 <= 1 + k^2, and a threshold that is not positive are ValueErrors.  The result also records the largest
     value of every component x1..x8 seen, reached or not, and optionally the landscape of the whole box
-    (``SearchResult.landscape``).
+    (``SearchResult.landscape``), with no peak tau where the peak is at most ROUNDING: the state has unit norm, so a
+    target that never rises above 4096 ulps of 1 is rounding, and the argmax of rounding is no tau.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -195,19 +202,24 @@ def grid_search(
     taus = _time_grid(tau_max, dtau)
     idx = _target_index(target)
     rf_axis = _axis(bounds, "omega_rf", resolution)
-    rows = [bz for bz in _axis(bounds, "bz", resolution)[resolution // 2 :] if bz**2 <= shell]
-    b0, bz = (np.repeat(v, len(rf_axis)) for v in ([transverse_amplitude(omega_hat, k, v) for v in rows], rows))
+    bz_axis = np.array([bz for bz in _axis(bounds, "bz", resolution)[resolution // 2 :] if bz**2 <= shell])
+    b0_axis = np.array([transverse_amplitude(omega_hat, k, v) for v in bz_axis])
     held = len(taus) + 8 * min(_BLOCK_STEPS, len(taus) - 1)  # a pair's rows in a block: its grid rows and block table
-    rf, width = np.tile(rf_axis, len(rows)), max(1, _WINDOW_ROWS // held)  # the pairs, row by row; per block
+    pairs, width = len(bz_axis) * len(rf_axis), max(1, _WINDOW_ROWS // held)  # the pairs, row by row; per block
     signs, mirrored = (1.0, -1.0)[: 1 + (target in _MIRRORED)], [x in _MIRRORED for x in COMPONENT_INDEX]
 
+    def fields(m):  # (b0, bz, omega_rf) of pair m, or of an array of pairs: row m // len(rf_axis), column m % len(rf_axis)
+        row, col = np.divmod(m, len(rf_axis))
+        return b0_axis[row], bz_axis[row], rf_axis[col]
+
     def pair(m: int, sign: float) -> ControlParams:  # pair m, or its mirror, at theta0 = 0
-        return ControlParams(k=k, omega_hat=omega_hat, b0=float(b0[m]), bz=sign * bz[m], omega_rf=sign * rf[m], theta0=0.0)
+        b0, bz, rf = map(float, fields(m))
+        return ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=sign * bz, omega_rf=sign * rf, theta0=0.0)
 
     def blocks():  # (first pair, tables, rates) of each block of width pairs in a group, the group's tables in one eigh
-        for first in range(0, len(bz), _GROUP_PAIRS):
-            span = slice(first, first + _GROUP_PAIRS)
-            tables, rates = mode_table(ControlParams(k, omega_hat, b0[span], bz[span], rf[span], 0.0), _Y1)
+        for first in range(0, pairs, _GROUP_PAIRS):
+            group = fields(np.arange(first, min(first + _GROUP_PAIRS, pairs)))
+            tables, rates = mode_table(ControlParams(k, omega_hat, *group, 0.0), _Y1)
             yield from ((first + n, tables[n : n + width], rates[n : n + width]) for n in range(0, len(rates), width))
 
     # the best crossing and the running peaks keep (pair, sign); their controls are built once they are final
@@ -231,7 +243,9 @@ def grid_search(
             if tau is not None and tau < best_tau:
                 best_tau, kept = tau, (m, sign)
             if collect_landscape and (side == 0 or m >= len(rf_axis) or resolution % 2 == 0):  # a centre row holds its mirrors
-                landscape.append((sign * float(bz[m]), sign * float(rf[m]), tau, float(sign * x[n, i]), float(taus[i])))
+                (_, bz, rf), peak = fields(m), float(sign * x[n, i])
+                peak_tau = float(taus[i]) if peak > ROUNDING else None
+                landscape.append((sign * float(bz), sign * float(rf), tau, peak, peak_tau))
         del best, x  # so that the next block's rows are made with none of these held
 
     peaks = {name: (value, tau, found and _at_best_theta0(pair(*found), tau, j))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import mutants
 import numpy as np
 import pytest
@@ -35,6 +38,17 @@ def su2_matrices(quaternions):
 def su2():
     """The 2x2 complex view of sector quaternions (``su2_matrices``), which the package itself never builds."""
     return su2_matrices
+
+
+def _refuse(literal):
+    raise ValueError(f"{literal} is not JSON")
+
+
+@pytest.fixture(scope="session")
+def strict_json():
+    """strict_json(path): the JSON value in path, NaN and Infinity refused: Python's json writes and reads them, but
+    RFC 8259 has neither."""
+    return lambda path: json.loads(Path(path).read_text(), parse_constant=_refuse)
 
 
 @pytest.fixture

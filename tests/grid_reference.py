@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from trispin.dynamics import _time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
-from trispin.search import COMPONENT_INDEX, default_bounds, grid_search
+from trispin.search import COMPONENT_INDEX, ROUNDING, default_bounds, grid_search
 
 Y1 = split_halves(E1)
 
@@ -28,8 +28,9 @@ def grid_search_full_box(omega_hat, k, resolution, targets, tau_max, dtau):
     Every on-shell (bz, omega_rf) node of default_bounds (the centre alone at resolution 1) is propagated on its own from
     e1 at theta0 = 0 (its ``mode_table`` and ``mode_states``, as ``exact_state_trajectory``) and read at its best theta0.
     peaks holds the (value, tau) of the largest of each of x1..x8; found maps each (target, threshold) of targets to
-    (the earliest crossing or inf, {(i, j): (the crossing or None, the peak of x_target, its tau)}) over the nodes
-    (bz_axis[i], rf_axis[j]), each crossing solved by brentq on the node's own values; axes is (bz_axis, rf_axis).
+    (the earliest crossing or inf, {(i, j): (the crossing or None, the peak of x_target, its tau or None where the peak
+    is at most ROUNDING)}) over the nodes (bz_axis[i], rf_axis[j]), each crossing solved by brentq on the node's own
+    values; axes is (bz_axis, rf_axis).
     Cached for the session, so every caller reads the same objects and none may change them.
     """
     taus, bounds = _time_grid(tau_max, dtau), default_bounds(omega_hat)
@@ -51,7 +52,7 @@ def grid_search_full_box(omega_hat, k, resolution, targets, tau_max, dtau):
                 t = brentq(lambda t: theta0_best(mode_states(*modes, t, omega_rf).reshape(8))[n] - level,
                            taus[r - 1], taus[r], xtol=1e-15) if r else 0.0
                 result[0] = min(result[0], t)
-            result[1][i, j] = (t, x[rows[n], n], taus[rows[n]])
+            result[1][i, j] = (t, x[rows[n], n], taus[rows[n]] if x[rows[n], n] > ROUNDING else None)
     return peaks, found, axes
 
 
@@ -60,8 +61,9 @@ def assert_grid_is_the_whole_box(omega_hat, k, target, resolution, threshold, ta
 
     Every reported peak matches with its tau, and its control gives it under ``exact_state_trajectory``; best_tau
     matches; every on-shell node is listed once, from the centre bz row up (the whole box for x5 and x7, which list each
-    mirror), with its crossing, peak and peak tau.  A peak of at most 1e-9 is rounding and has no definite tau, which is
-    not compared.  targets, (target, threshold) pairs holding this one, share one reference over several targets.
+    mirror), with its crossing, peak and peak tau, which both leave empty where the peak is rounding.  A reported peak
+    at rounding level (every node's) has no definite tau, which is not compared.  targets, (target, threshold) pairs
+    holding this one, share one reference over several targets.
     """
     res = grid_search(omega_hat, k, target, resolution, threshold, tau_max, dtau, collect_landscape=True)
     tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
@@ -71,7 +73,7 @@ def assert_grid_is_the_whole_box(omega_hat, k, target, resolution, threshold, ta
         if p is None:  # no node on the energy shell
             assert (value, tau, want, want_tau) == (-math.inf, None, -math.inf, None)
             continue
-        assert abs(value - want) <= 1e-12 and (abs(want) <= 1e-9 or abs(tau - want_tau) <= 1e-12), name
+        assert abs(value - want) <= 1e-12 and (want <= ROUNDING or abs(tau - want_tau) <= 1e-12), name
         assert abs(exact_state_trajectory(p, E1, np.array([tau]))[0, COMPONENT_INDEX[name]] - value) <= 1e-12, name
     assert (res.best_tau is None) == math.isinf(best_tau)
     assert res.best_tau is None or abs(res.best_tau - best_tau) <= 1e-12
@@ -81,7 +83,8 @@ def assert_grid_is_the_whole_box(omega_hat, k, target, resolution, threshold, ta
         assert max(abs(axis[n] - v) for axis, n, v in zip(axes, node, (bz, omega_rf))) <= 1e-12
         want, want_peak, want_tau = nodes[node]
         assert (reached is None) == (want is None) and (reached is None or abs(reached - want) <= 1e-12), node
-        assert abs(peak - want_peak) <= 1e-12 and (abs(want_peak) <= 1e-9 or abs(peak_tau - want_tau) <= 1e-12), node
+        assert abs(peak - want_peak) <= 1e-12 and (peak_tau is None) == (want_tau is None), node
+        assert peak_tau is None or abs(peak_tau - want_tau) <= 1e-12, node
         listed.append(node)
     assert sorted(listed) == sorted(n for n in nodes if target in ("x5", "x7") or n[0] >= resolution // 2)
     return res

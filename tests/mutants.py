@@ -80,8 +80,8 @@ TABLE = {row.id: row for row in [
     Mutant("turn_parts", "dynamics.py", "-_TURN])", "_TURN])", ONE_SET, BOTH),
     Mutant("block_turn_sine", "dynamics.py", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", ONE_SET, BOTH),
     # the plane turn of the mode rows: the full and exact last rows in the lab frame
-    Mutant("direct_turn", "dynamics.py", "np.asarray(omega_rf)[..., None] * taus", "-np.asarray(omega_rf)[..., None] * taus",
-           ONE_SET, BOTH),
+    Mutant("direct_turn", "dynamics.py", "np.asarray(omega_rf)[..., None] * flat[window]",
+           "-np.asarray(omega_rf)[..., None] * flat[window]", ONE_SET, BOTH),
     # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
     Mutant("sector_frame", "hilbert.py", "m[..., 2] -= ", "m[..., 2] += ", ONE_SET, BOTH[:1]),
     Mutant("rotating_J", "dynamics.py", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
@@ -115,8 +115,7 @@ TABLE = {row.id: row for row in [
            "mode_states(*sector_table(p), taus)", ONE_SET,
            reason="verify reads sector_table itself; only propagate --method full-hilbert runs this function"),
     # the last pair of every mode-table group lost, and a group's last block when it holds one pair
-    Mutant("group_last_pair", "search.py", "span = slice(first, first + _GROUP_PAIRS)",
-           "span = slice(first, first + _GROUP_PAIRS - 1)", GRID,
+    Mutant("group_last_pair", "search.py", "min(first + _GROUP_PAIRS, pairs)", "min(first + _GROUP_PAIRS - 1, pairs)", GRID,
            reason="verify's grid, 168 pairs, is one group, which loses no pair"),
     Mutant("one_pair_block", "search.py", "for n in range(0, len(rates), width))", "for n in range(0, len(rates) - 1, width))",
            GRID, reason="verify's grid ends in a block of 6 pairs, which is not lost"),

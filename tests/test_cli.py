@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -9,11 +10,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from trispin import dynamics
+from trispin.algebra import E1, ControlParams
 from trispin.boundary import analytic_family, boundary_residuals, closed_form_params, column_deviations, consistent_scale
 from trispin.boundary import derived_quantities
 from trispin.cli import main
-from trispin.dynamics import CSV_HEADER, build_M
+from trispin.dynamics import CSV_HEADER, build_M, propagate_rk4
 from trispin.report import column_gap
+from trispin.search import COMPONENT_INDEX
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
@@ -415,18 +419,48 @@ def test_scan_finds_consistent_scale(tmp_path, capsys):
     assert [c["omega_hat"] for c in payload["consistent"]] == [OMEGA]
 
 
-def test_search_off_the_energy_shell_writes_null_achieved(tmp_path, capsys):
+def test_search_off_the_energy_shell_writes_null_achieved(tmp_path, capsys, strict_json):
     # at resolution 2 no bz grid value lies on the energy shell, so the target has no peak: null, not -Infinity
     out = tmp_path / "search.json"
     code, _, _ = _run(capsys, "search", "--resolution", "2", "--out", str(out))
     assert code == 0
-
-    def refuse(literal):
-        raise ValueError(f"{literal} is not JSON")
-
-    payload = json.loads(out.read_text(), parse_constant=refuse)
+    payload = strict_json(out)
     assert payload["achieved"] is None and payload["achieved_tau"] is None and payload["achieved_params"] is None
     assert payload["feasible"] is False
+
+
+# (search's flags, the control and time it reports, target): the default grid's x8 peak, 0.982243, and the x8 and x6
+# crossings of 0.95 at omega_hat 2.7, whose theta0 search reads off the x6 and x8 columns (seen: 3.3e-13, 5.6e-12 off)
+REPORTED = {
+    "default_peak": ((), "achieved", "x8"),
+    "x8_crossing": (("--omega-hat", "2.7", "--threshold", "0.95"), "best", "x8"),
+    "x6_crossing": (("--target", "x6", "--omega-hat", "2.7", "--threshold", "0.95"), "best", "x6"),
+}
+
+
+@pytest.mark.parametrize("argv, reported, target", REPORTED.values(), ids=REPORTED)
+def test_reported_control_reaches_its_value_under_rk4(tmp_path, capsys, strict_json, argv, reported, target):
+    # the control read back from search's JSON, propagated as propagate --method rk4 does at its default dtau 1e-3
+    out = tmp_path / "search.json"
+    assert _run(capsys, "search", *argv, "--out", str(out))[0] == 0
+    payload = strict_json(out)
+    tau, value = payload[f"{reported}_tau"], payload["achieved"] if reported == "achieved" else 0.95
+    traj = propagate_rk4(ControlParams.from_dict(payload[f"{reported}_params"]), E1, tau, 1e-3)
+    assert abs(traj.taus[-1] - tau) <= 1e-15 and abs(traj.states[-1, COMPONENT_INDEX[target]] - value) <= 1e-8
+    assert reported == "best" or round(value, 6) == 0.982243
+
+
+# the commands whose JSON no other test reads: strict JSON, as RFC 8259 has no NaN or Infinity
+@pytest.mark.parametrize("argv", [
+    ("invert", "--omega-hat", "2.7"), ("invert", "--omega-hat", "20"),
+    ("analytic", "--m0", "0", "--n0", "0", "--omega-hat", "2.7"), ("analytic", "--m0", "1", "--n0", "2", "--target", "x6"),
+    ("scan", "--from", "1.5", "--to", "6"), ("scan", "--from", "1.5", "--to", "6.0", "--samples", "6145"),
+    ("sweep", "--max", "3"),
+], ids=["invert", "invert_20", "analytic", "analytic_x6", "scan", "scan_6145", "sweep"])
+def test_json_artifacts_are_strict_json(tmp_path, capsys, strict_json, argv):
+    out = tmp_path / "out.json"
+    assert _run(capsys, *argv, "--out", str(out))[0] == 0
+    assert strict_json(out)
 
 
 def test_search_auto_records_its_scale(tmp_path, capsys):
@@ -549,7 +583,7 @@ def test_verify_quick_run(tmp_path, capsys):
     assert "overall: PASS" in stdout
 
 
-def test_verify_failed_check_exits_1_and_writes_report(tmp_path, capsys):
+def test_verify_failed_check_exits_1_and_writes_report(tmp_path, capsys, strict_json):
     # RK4's truncation at dtau 0.5 puts both oracle gaps near 0.35, far over their 1e-8 gate
     out = tmp_path / "r.json"
     code, stdout, err = _run(
@@ -557,7 +591,7 @@ def test_verify_failed_check_exits_1_and_writes_report(tmp_path, capsys):
         "--scan-samples", "801", "--out", str(out),
     )
     assert code == 1 and err == ""
-    payload = json.loads(out.read_text())
+    payload = strict_json(out)
     assert payload["passed"] is False
     failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
     assert failed == ["cross_validate_full_vs_rk4", "rotating_exact_vs_rk4"]
@@ -698,6 +732,36 @@ def test_propagate_refuses_a_trajectory_over_physical_memory(tmp_path, capsys, m
     assert code == 2 and stdout == "" and not out.exists() and peak <= 1e6
     assert err == ("error: --tau-end 9.32067 and --dtau 1e-05 make 932068 rows, whose taus and states need 67108896 "
                    "bytes, more than the 67108864 bytes of physical memory\n")
+
+
+@pytest.mark.parametrize("method", ["rk4", "full-hilbert", "rotating-exact", "expm-integral"])
+def test_propagate_memory_grows_by_the_guards_bytes_a_row(tmp_path, capsys, monkeypatch, method):
+    # the guard above counts the taus and states, 72 bytes a row; everything else is made a window of rows at a time
+    # (the CSV and its norms, the lab-frame turn, expm-integral and its discrepancy), so from 4 to 8 whole windows the
+    # peak grows by at most 80 bytes a row (seen: 64-73; whole-grid temporaries took 117-160, and 2,184 for expm-integral).
+    # Windows of 128 rows keep the rows cheap to write under tracemalloc; with the collector off, no run frees an
+    # earlier run's parsers, and a first run, untraced, takes the set-up
+    monkeypatch.setattr(dynamics, "_WINDOW_ROWS", 128)
+    pf = _write_params(tmp_path)
+
+    def peak(rows):  # the traced peak of a run over rows rows
+        argv = ("--params-file", pf, "--method", method, "--dtau", "1e-3", "--tau-end", str((rows - 1) / 1000))
+        tracemalloc.start()
+        try:
+            assert _run(capsys, "propagate", *argv, "--out", str(tmp_path / "x.csv"))[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gc.disable()
+    try:
+        assert _run(capsys, "propagate", "--params-file", pf, "--method", method, "--tau-end", "0.01",
+                    "--out", str(tmp_path / "x.csv"))[0] == 0
+        small = peak(4 * 128 + 2)
+        growth = peak(8 * 128 + 2) - small
+    finally:
+        gc.enable()
+    assert growth <= 80 * 4 * 128, growth / (4 * 128)
 
 
 def test_propagate_fits_a_trajectory_to_the_last_row(tmp_path, capsys, monkeypatch):

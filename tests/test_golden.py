@@ -2,8 +2,7 @@
 
 Each case runs one command in process, at a flag set that changes to the package are compared at, and compares every
 file it writes with its copy: strings, ints, nulls and shapes exactly, floats to 1e-12, absolute, or relative above 1
-(CI installs an unpinned numpy on three Pythons, so bits are not required).  A landscape row's peak_tau is left out
-where its peak is at most 1e-9: a peak at rounding level has no definite tau.  A propagate CSV keeps its header, every
+(CI installs an unpinned numpy on three Pythons, so bits are not required).  A propagate CSV keeps its header, every
 50th row and the last.  After an intended change of output, regenerate the copies with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -75,12 +74,7 @@ def test_command_output_matches_its_golden_copy(case):
     texts = outputs(case)
     assert sorted(texts) == sorted(path.name for path in GOLDEN.glob(f"{case}*"))
     for name, text in texts.items():
-        got, want = parse(name, text), parse(name, (GOLDEN / name).read_text())
-        if name.endswith("_landscape.csv"):  # bz, omega_rf, tau_to_threshold, peak, peak_tau
-            for row, golden in zip(got[1:], want[1:]):
-                if abs(golden[3]) <= 1e-9:
-                    row[4:], golden[4:] = [None], [None]
-        assert_close(got, want, name)
+        assert_close(parse(name, text), parse(name, (GOLDEN / name).read_text()), name)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from grid_reference import assert_grid_is_the_whole_box, theta0_best
+from grid_reference import assert_grid_is_the_whole_box, grid_search_full_box, theta0_best
 from scipy.optimize import brentq
 
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from trispin.boundary import closed_form_params
+from trispin.boundary import closed_form_params, consistent_scale
 from trispin.hilbert import sector_table
 from trispin.dynamics import _BLOCK_STEPS, _time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
+from trispin.report import run_verification
 from trispin.search import COMPONENT_INDEX, grid_search, min_time_to_target, refine_local
 
 PI = math.pi
@@ -333,15 +334,44 @@ def test_grid_edges_equal_the_per_pair_loop(omega_hat, k, resolution, tau_max, t
         assert all(p.theta0 == 0.0 for _, _, p in grid_search(omega_hat, k, resolution=7, tau_max=0.0).peaks.values())
 
 
+def test_default_grid_is_the_whole_box():
+    # search's and verify's grid, 21 x 21 at the auto scale, whose 168 pairs make blocks of 9 that straddle the bz rows
+    # and end in one of 6: x8 peaks at 0.982243 at tau 1.34, short of verify's 0.999, and x7, verify's no-transfer
+    # probe, at 0.829033, each matched by the report to 1e-12
+    omega_hat = float(consistent_scale(0)[0])
+    res = assert_grid_is_the_whole_box(omega_hat, 1.0, "x8", 21, 0.999)
+    (x8, x8_tau), (x7, x7_tau) = (grid_search_full_box(omega_hat, 1.0, 21, (("x8", 0.999),), 3.0 * TAU_STAR, 1e-2)[0][j]
+                                  for j in (7, 6))
+    assert round(x8, 6) == 0.982243 and x8 < 0.999 and abs(x8_tau - 1.34) <= 1e-12 and res.best_tau is None
+    assert round(x7, 6) == 0.829033
+    checks = {c.name: c for c in run_verification(n_dynamics=0, scan_samples=801).checks}
+    probe, grid = checks["no_transfer_probe_x7"], checks["ansatz_grid_search_x8"]
+    assert abs(probe.measured - x7) <= 1e-12 and abs(float(probe.note.removeprefix("largest x7 at tau=")) - x7_tau) <= 1e-12
+    assert grid.measured == "never reached" and grid.note == f"largest x8 seen {x8:.6g} at tau={x8_tau:.6g}"
+
+
+def test_landscape_crossings_are_the_per_pair_searches_at_the_pair_and_its_mirror():
+    # search --omega-hat 2.7 --threshold 0.95 --landscape lists the half box from bz = 0 up, and each crossing is the
+    # one min_time_to_target finds alone at its pair and at the mirror (-bz, -omega_rf), whose x8 crosses with it
+    res = grid_search(2.7, 1.0, "x8", 21, 0.95, collect_landscape=True)
+    rows = [(bz, omega_rf, tau) for bz, omega_rf, tau, _, _ in res.landscape if tau is not None]
+    assert min(bz for bz, _, _, _, _ in res.landscape) >= 0.0 and rows
+    for bz, omega_rf, tau in rows:
+        for sign in (1.0, -1.0):
+            p = ControlParams(1.0, 2.7, transverse_amplitude(2.7, 1.0, bz), sign * bz, sign * omega_rf, 0.0)
+            assert abs(min_time_to_target(p, "x8", 0.95, tau_max=3.0 * TAU_STAR, dtau=1e-2) - tau) <= 1e-12, (p, tau)
+
+
 def test_grid_memory_does_not_grow_with_the_resolution():
-    # the pairs' mode tables are made in groups of _GROUP_PAIRS and their rows in blocks, so only the pair axes grow
-    # with the resolution.  At this tau_max (6 rows) the budget gives blocks of 133 pairs, 6 grid rows and 40 block
-    # table rows each, so each group of 256 pairs is two blocks and the ratio checks the group bound: resolution 41
-    # evaluates 738 pairs in 3 groups, and 81, 2,835 in 12.  One mode table for the whole grid peaked at 4.3 and
-    # 6.9 MB, here at 1.1 and 1.2 MB; a kept peak that held a view of its group's tables held up to 9 groups
+    # the pairs' mode tables are made in groups of _GROUP_PAIRS and their rows in blocks, and each group's fields are
+    # read off the axes, so only the axes grow with the resolution.  At this tau_max (6 rows) the budget gives blocks of
+    # 133 pairs, 6 grid rows and 40 block table rows each, so each group of 256 pairs is two blocks and the ratio checks
+    # the group bound: resolution 41 evaluates 738 pairs in 3 groups, and 161, 11,109 in 44.  One mode table for the
+    # whole grid peaked at 4.3 MB at resolution 41; fields of every pair, made up front, 1.34 MB at 161 against 1.09
+    # at 41; here both read 1.07 MB
     grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
     peaks = []
-    for resolution in (41, 81):
+    for resolution in (41, 161):
         tracemalloc.start()
         try:
             grid_search(2.7, 1.0, resolution=resolution, threshold=0.6, tau_max=0.05)

@@ -195,52 +195,46 @@ def integer_relations_check(c: BoundaryConstants, m0: int, n0: int) -> np.ndarra
     return r
 
 
-def closed_form_params(
-    omega_hat,
-    k_sign: int = 1,
-    omega_sign: int = 1,
-    theta_sign: int = -1,
-    r: int = 0,
-) -> ControlParams:
+def closed_form_params(omega_hat, k_sign: int = 1, r: int = 0) -> ControlParams:
     """Closed-form control constants for the minimal-time branch at energy scale omega_hat.
 
-    With R = sqrt(omega_hat^2-2): bz = 0, b0 = k*R, omega_rf = omega_sign*(4/pi)*R,
-    theta0 = [(2r+1)*pi + theta_sign*sqrt(3)*R]/2.  The sign of b0 is no label:
-    (b0, theta0) and (-b0, theta0 + pi) give the same field, so r and r + 1
-    cover it, and r + 2 repeats r.  Energy-consistent by construction; whether
-    the b, d boundary equations hold at a given omega_hat is measured by
-    consistency_scan, not assumed.  Array omega_hat and labels broadcast: b0
-    takes omega_hat's shape, omega_rf and theta0 that with their labels'.
+    With R = sqrt(omega_hat^2-2): bz = 0, b0 = k*R, omega_rf = (4/pi)*R and
+    theta0 = [(2r+1)*pi - sqrt(3)*R]/2, the one sign choice of omega_rf and of
+    the sqrt(3)*R term that can solve the b, d equations (consistency_scan).
+    The sign of b0 is no label: (b0, theta0) and (-b0, theta0 + pi) give the
+    same field, so r and r + 1 cover it, and r + 2 repeats r.  Energy-consistent
+    by construction; whether the b, d boundary equations hold at a given
+    omega_hat is measured by consistency_scan, not assumed.  Array omega_hat and
+    r broadcast: b0 and omega_rf take omega_hat's shape, theta0 that with r's.
     """
     if np.any(np.square(omega_hat) <= 2.0):
         raise ValueError(f"omega_hat^2 must exceed 2, got {np.min(np.square(omega_hat)):.6g}")
-    for name, s in (("k_sign", k_sign), ("omega_sign", omega_sign), ("theta_sign", theta_sign)):
-        if np.any(np.abs(s) != 1):
-            raise ValueError(f"{name} must be +1 or -1")
+    if np.any(np.abs(k_sign) != 1):
+        raise ValueError("k_sign must be +1 or -1")
     root = np.sqrt(np.square(omega_hat) - 2.0)
     return ControlParams(
         k=float(k_sign),
         omega_hat=omega_hat,
         b0=k_sign * root,
         bz=0.0,
-        omega_rf=omega_sign * (4.0 / PI) * root,
-        theta0=0.5 * ((2 * r + 1) * PI + theta_sign * math.sqrt(3.0) * root),
+        omega_rf=(4.0 / PI) * root,
+        theta0=0.5 * ((2 * r + 1) * PI - math.sqrt(3.0) * root),
     )
 
 
 def consistent_scale(j):
     """(omega_hat_j, branch_j), the j-th energy scale where the closed-form constants solve the b, d equations.
 
-    The closed forms give |b0/omega_rf| = pi/4; with theta_sign = -omega_sign,
-    d = 0 identically and b = -pi*k*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2
-    (README).  b = -pi*k needs x = (2j+1)*pi/2 and r = j mod 2: omega_hat_j =
+    The closed forms give |b0/omega_rf| = pi/4, d = 0 identically and
+    b = -pi*k*(-1)^r*sin(x), x = sqrt(3)*sqrt(omega_hat^2-2)/2 (README).
+    b = -pi*k needs x = (2j+1)*pi/2 and r = j mod 2: omega_hat_j =
     sqrt(2 + (2j+1)^2*pi^2/3), 2.2999713332 and 5.6221715736 for j = 0, 1, on
-    branch {omega_sign: 1, theta_sign: -1, r: j mod 2} for either k.  An integer
-    array j gives arrays omega_hat_j and branch_j["r"].
+    branch {r: j mod 2} for either k.  An integer array j gives arrays
+    omega_hat_j and branch_j["r"].
     """
     if np.any(np.asarray(j) < 0):
         raise ValueError("j must be >= 0")
-    return np.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0), {"omega_sign": 1, "theta_sign": -1, "r": j % 2}
+    return np.sqrt(2.0 + (2 * j + 1) ** 2 * PI**2 / 3.0), {"r": j % 2}
 
 
 ROOT_STEP = 2.0**-9  # omega_rf step of invert_to_physical's bracketing grid
@@ -317,7 +311,7 @@ def invert_to_physical(omega_hat: float, k: float, tau_star: float, b_target: fl
                 solutions.append(
                     InvertedSolution(
                         params=params,
-                        branch={"omega_sign": 1, "theta_sign": -1, "r": r},
+                        branch={"r": r},
                         residual_b=res_b,
                         residual_d=res_d,
                     )
@@ -346,8 +340,8 @@ class ScanResult:
 SCAN_SAMPLES = 4001
 MAX_SCALES = 10_000  # a scan range may end above at most this many consistent scales
 MAX_LABEL = 1000  # sweep_tau builds (label_max + 1)(label_max + 2)/2 rows: 501,501 and about 160 MB at this bound
-# consistent_scale's branch family, r on an axis of its own against the scales on the last
-_SCAN_BRANCHES = {"omega_sign": 1, "theta_sign": -1, "r": np.array([0, 1])[:, None]}
+# consistent_scale's branches, r on an axis of its own against the scales on the last
+_SCAN_BRANCHES = {"r": np.array([0, 1])[:, None]}
 
 
 def consistency_scan(
@@ -359,10 +353,12 @@ def consistency_scan(
     """Residual curve of the closed-form controls over (omega_lo, omega_hi], and the consistent scales in it.
 
     The curve holds per sampled omega_hat the best max(|b - (-pi*k)|, |d|) of the boundary constants that the controls
-    of closed_form_params generate at the minimal tau_star.  Two branches set it, _SCAN_BRANCHES (README): with x =
-    sqrt(3)*R/2, theta_sign = -omega_sign gives d = 0 and b = -pi*k*(-1)^r*sin(x), so its best r is pi*(1 - |sin x|)
-    off, and its two omega_sign tie bitwise; theta_sign = omega_sign gives b = -pi*k*(-1)^r*cos(2x)*sin(x), at least
-    pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  The curve is made in windows of the memory budget, _WINDOW_ROWS
+    of closed_form_params generate at the minimal tau_star, over its branches r in {0, 1}, _SCAN_BRANCHES.  Why no
+    other branch (README): the closed form allows omega_rf = omega_sign*(4/pi)*R and a theta_sign*sqrt(3)*R term in
+    theta0.  With x = sqrt(3)*R/2, theta_sign = -omega_sign gives d = 0 and b = -pi*k*(-1)^r*sin(x), so its best r is
+    pi*(1 - |sin x|) off, and its two omega_sign tie bitwise; theta_sign = omega_sign gives
+    b = -pi*k*(-1)^r*cos(2x)*sin(x), at least pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  So closed_form_params
+    keeps omega_sign = 1, theta_sign = -1 alone.  The curve is made in windows of the memory budget, _WINDOW_ROWS
     samples, so its temporaries do not grow with samples.  The consistent points are the scales of consistent_scale in
     the range, whatever samples is; each is kept only if its b, d residuals are at most 1e-9 and its residual_phase,
     linear in the scale's error where the b residual is quadratic, at most 1e-12*(2j+1)*pi/2.

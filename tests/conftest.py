@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import mutants
@@ -22,11 +23,9 @@ def rng():
 
 
 def su2_matrices(quaternions):
-    """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex.
-
-    A last axis of 8 holds two quaternions, the blocks (g_+, g_-) that ``2 * x @ hilbert._PROJECTION.T`` reads
-    off a row x1..x8 of the full-space oracle: the result then has shape (..., 2, 2, 2).
-    """
+    """U = q0 I - i(q1 sx + q2 sy + q3 sz) for quaternions on the last axis, shape (..., 2, 2), complex.  A last axis of
+    8 holds two quaternions, the blocks (g_+, g_-) that ``2 * x @ hilbert._PROJECTION.T`` reads off a row x1..x8 of the
+    full-space oracle: the result then has shape (..., 2, 2, 2)."""
     q = np.asarray(quaternions, dtype=float)
     if q.shape[-1] == 8:
         q = q.reshape(q.shape[:-1] + (2, 4))
@@ -49,6 +48,20 @@ def strict_json():
     """strict_json(path): the JSON value in path, NaN and Infinity refused: Python's json writes and reads them, but
     RFC 8259 has neither."""
     return lambda path: json.loads(Path(path).read_text(), parse_constant=_refuse)
+
+
+def _traced(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced():
+    """traced(call): (call(), the tracemalloc peak while it ran), tracing on for the call alone."""
+    return _traced
 
 
 @pytest.fixture

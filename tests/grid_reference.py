@@ -23,16 +23,13 @@ def theta0_best(x):
 
 @cache
 def grid_search_full_box(omega_hat, k, resolution, targets, tau_max, dtau):
-    """grid_search's whole box node by node, by public routes alone: (peaks, found, axes).
-
-    Every on-shell (bz, omega_rf) node of default_bounds (the centre alone at resolution 1) is propagated on its own from
-    e1 at theta0 = 0 (its ``mode_table`` and ``mode_states``, as ``exact_state_trajectory``) and read at its best theta0.
-    peaks holds the (value, tau) of the largest of each of x1..x8; found maps each (target, threshold) of targets to
-    (the earliest crossing or inf, {(i, j): (the crossing or None, the peak of x_target, its tau or None where the peak
-    is at most ROUNDING)}) over the nodes (bz_axis[i], rf_axis[j]), each crossing solved by brentq on the node's own
-    values; axes is (bz_axis, rf_axis).
-    Cached for the session, so every caller reads the same objects and none may change them.
-    """
+    """grid_search's whole box node by node, by public routes alone: (peaks, found, axes).  Every on-shell (bz, omega_rf)
+    node of default_bounds (the centre alone at resolution 1) is propagated on its own from e1 at theta0 = 0 (its
+    ``mode_table`` and ``mode_states``, as ``exact_state_trajectory``) and read at its best theta0.  peaks holds the
+    (value, tau) of the largest of each of x1..x8; found maps each (target, threshold) of targets to (the earliest crossing
+    or inf, {(i, j): (the crossing or None, the peak of x_target, its tau or None where the peak is at most ROUNDING)})
+    over the nodes (bz_axis[i], rf_axis[j]), each crossing solved by brentq on the node's own values; axes is (bz_axis,
+    rf_axis).  Cached for the session, so every caller reads the same objects and none may change them."""
     taus, bounds = _time_grid(tau_max, dtau), default_bounds(omega_hat)
     axes = [np.linspace(*bounds[name], resolution) if resolution > 1 else np.array([0.5 * sum(bounds[name])])
             for name in ("bz", "omega_rf")]
@@ -57,14 +54,12 @@ def grid_search_full_box(omega_hat, k, resolution, targets, tau_max, dtau):
 
 
 def assert_grid_is_the_whole_box(omega_hat, k, target, resolution, threshold, tau_max=None, dtau=1e-2, targets=None):
-    """grid_search with its landscape against ``grid_search_full_box``, all to 1e-12; returns the result.
-
-    Every reported peak matches with its tau, and its control gives it under ``exact_state_trajectory``; best_tau
-    matches; every on-shell node is listed once, from the centre bz row up (the whole box for x5 and x7, which list each
-    mirror), with its crossing, peak and peak tau, which both leave empty where the peak is rounding.  A reported peak
-    at rounding level (every node's) has no definite tau, which is not compared.  targets, (target, threshold) pairs
-    holding this one, share one reference over several targets.
-    """
+    """grid_search with its landscape against ``grid_search_full_box``, all to 1e-12; returns the result.  Every reported
+    peak matches with its tau, and its control gives it under ``exact_state_trajectory``; best_tau matches; every
+    on-shell node is listed once, from the centre bz row up (the whole box for x5 and x7, which list each mirror), with
+    its crossing, peak and peak tau, which both leave empty where the peak is rounding.  A reported peak at rounding
+    level (every node's) has no definite tau, which is not compared.  targets, (target, threshold) pairs holding this
+    one, share one reference over several targets."""
     res = grid_search(omega_hat, k, target, resolution, threshold, tau_max, dtau, collect_landscape=True)
     tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
     peaks, found, axes = grid_search_full_box(omega_hat, k, resolution, tuple(targets or [(target, threshold)]), tau_max, dtau)

@@ -38,14 +38,9 @@ GRID = ("--dynamics-sets", "0", "--scan-samples", "801")
 BOTH = ("cross_validate_full_vs_rk4", "rotating_exact_vs_rk4")
 
 # the tests that plant rows of this table; Tier-1 mode leaves them out
-PLANTING = (
-    "test_boundary_mutants_fail_verify",
-    "test_mutants_that_verify_still_passes",
-    "test_energy_mutant_fails_verify",
-    "test_frame_and_turn_mutants_fail_verify",
-    "test_skipped_window_fails_both_oracle_checks",
-    "test_phase_gate_refuses_a_shifted_scale",
-)
+PLANTING = ("test_boundary_mutants_fail_verify", "test_mutants_that_verify_still_passes", "test_energy_mutant_fails_verify",
+            "test_frame_and_turn_mutants_fail_verify", "test_skipped_window_fails_both_oracle_checks",
+            "test_phase_gate_refuses_a_shifted_scale")
 
 
 @dataclass(frozen=True)
@@ -119,6 +114,14 @@ TABLE = {row.id: row for row in [
            reason="verify's grid, 168 pairs, is one group, which loses no pair"),
     Mutant("one_pair_block", "search.py", "for n in range(0, len(rates), width))", "for n in range(0, len(rates) - 1, width))",
            GRID, reason="verify's grid ends in a block of 6 pairs, which is not lost"),
+    # refusals only a row of a refusal table reads (test_cli.py, test_boundary.py): scan's own check of --from and --to,
+    # a float flag that takes inf, and the inversion's refusal of b_target = 0
+    Mutant("scan_range_required", "cli.py", "_require(args.range_from is not None and args.range_to is not None,",
+           "_require(True,", QUICK, reason="verify runs no scan command, and its scan range is its own"),
+    Mutant("finite_takes_inf", "cli.py", "if not math.isfinite(value):", "if math.isnan(value):", QUICK,
+           reason="verify's flags here are all finite"),
+    Mutant("zero_b_target", "boundary.py", "if b_target == 0.0:", "if False:", QUICK,
+           reason="verify inverts only at b = -pi"),
     # faults no verify check reads yet, each named with the ROADMAP item that should catch it
     Mutant("hypot_to_abs", "search.py", "np.hypot(x[..., 1::4], x[..., 3::4])", "np.abs(x[..., 1::4])", GRID,
            reason="the grid's x8 peak falls and no crossing is read, so both grid checks still pass (items 5, 7)"),

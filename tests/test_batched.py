@@ -1,46 +1,18 @@
 """The batched routes against one-at-a-time references built from public names.
 
-``propagate_rk4`` steps the 8-vector with the 8x8 ``build_M``; its reference is
-the plain RK4 loop in the lab frame, one generator per step, from e1 (where
-y_+ = y_-) and from a generic unit vector whose halves differ.  The streamed
-routes take their rows in blocks of ``dynamics._BLOCK_STEPS`` steps and windows
-of ``dynamics._WINDOW_ROWS`` rows; the grids below reach each edge of that
-layout through public inputs alone, ``tau_end`` and ``dtau``.  They hold one
-point, one step or two, end one step before, on and one step after a block
-edge, end in a shortened last step after whole blocks, are one long run with a
-partial last block, or hold b*b - 1, b*b, b*b + 1 and b*(b + 1) steps, where
-the block starts, one a block and taken in blocks again, reach their own first
-block edge and pass it.
-
-``full_hilbert_trajectory`` reads the two blocks G_s3 = U_(+,s3) U_(-,s3)^dag of
-the conserved (sz1, sz3) sectors that the coherences need off ``hilbert.sector_table``,
-the sectors' Rabi solution as a mode table, through ``dynamics.mode_states``; its
-oracles are the fourth-order Magnus step of the full 8x8 Hamiltonian by ``eigh``
-and a trace per operator, which holds to the Magnus truncation, and the exact
-reduced route, which holds to rounding, at degenerate controls too.
-
-``dynamics.mode_states`` evaluates a mode table on a ``_time_grid`` in blocks,
-by angle addition, for the 8-vectors of ``exact_state_trajectory``, then turns
-every row by the plane turn of (x2, x4) and (x6, x8); its oracles are the per-tau
-path, which the same taus take as a column, and which the propagators of
-``propagate_rotating_exact`` take, and, for the turn too, ``expm_skew`` of the
-turn and of the co-rotating generator.
-
-``consistency_scan`` and ``invert_to_physical`` evaluate the boundary closed
-forms over all samples at once, and ``expm_skew`` exponentiates stacks of skew
-generators; their oracles are the scalar ``math`` loops and scipy's ``expm``.
-
-``propagator_discrepancy`` propagates both halves y_pm on one stacked axis;
-its oracle is the loop over the two signs, with scipy's ``expm`` per tau.
-
-``grid_search`` evaluates the half box from the centre bz row up and reads theta0
-off the state; its oracles are the loop over a (bz, omega_rf, theta0) grid and the
-whole box node by node (``grid_reference.py``), which also holds every row of the
-x5 and x7 landscapes, their mirror rows included.
-
-``consistency_scan`` takes its consistent scales from the closed form
-``consistent_scale``; its oracle is the numerical search, local minima of the
-residual curve refined by bounded scalar minimization.
+- ``propagate_rk4`` against the plain lab-frame RK4 loop, one ``build_M`` per step, from e1 and from a generic unit
+  vector whose halves differ.  The streamed routes take their rows in blocks of ``dynamics._BLOCK_STEPS`` steps and
+  windows of ``dynamics._WINDOW_ROWS`` rows; GRIDS reach each edge of that layout through ``tau_end`` and ``dtau``.
+- ``full_hilbert_trajectory`` (the sector blocks' Rabi solution as a mode table) against the fourth-order Magnus step
+  of the full 8x8 Hamiltonian with a trace per operator, to the Magnus truncation, and against the exact reduced
+  route, to rounding, at degenerate controls too.
+- ``dynamics.mode_states`` on a ``_time_grid`` (blocks, angle addition, the plane turn of (x2, x4) and (x6, x8))
+  against the per-tau path, which the same taus take as a column, and ``expm_skew`` of the turn and of the
+  co-rotating generator.
+- ``consistency_scan`` and ``invert_to_physical`` against scalar ``math`` loops, the scan's scales against the
+  refined minima of its residual curve; ``expm_skew`` and ``propagator_discrepancy`` against scipy's ``expm``.
+- ``grid_search`` against the loop over a (bz, omega_rf, theta0) grid and the whole box node by node
+  (``grid_reference.py``), which also holds every row of the x5 and x7 landscapes, their mirror rows included.
 """
 
 import dataclasses
@@ -53,38 +25,11 @@ from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
 from trispin import dynamics, search
-from trispin.algebra import (
-    E1,
-    TAU_STAR,
-    ControlParams,
-    build_hamiltonian,
-    coherence_basis,
-    energy_shell,
-    transverse_amplitude,
-)
+from trispin.algebra import E1, TAU_STAR, ControlParams, build_hamiltonian, coherence_basis, energy_shell, transverse_amplitude
 from trispin.boundary import ROOT_STEP, consistency_scan, consistent_scale, invert_to_physical
-from trispin.dynamics import (
-    _BLOCK_STEPS,
-    _WINDOW_ROWS,
-    MB,
-    MC,
-    MS,
-    MZ,
-    J,
-    _time_grid,
-    build_M,
-    build_M_half,
-    exact_state_trajectory,
-    expm_skew,
-    integral_generator,
-    join_halves,
-    phase_integrals,
-    propagate_rk4,
-    propagate_rotating_exact,
-    propagator_discrepancy,
-    rotating_generator,
-    split_halves,
-)
+from trispin.dynamics import _BLOCK_STEPS, _WINDOW_ROWS, MB, MC, MS, MZ, J, _time_grid, build_M, build_M_half
+from trispin.dynamics import exact_state_trajectory, expm_skew, integral_generator, join_halves, phase_integrals
+from trispin.dynamics import propagate_rk4, propagate_rotating_exact, propagator_discrepancy, rotating_generator, split_halves
 from trispin.hilbert import full_hilbert_trajectory, sector_table
 from trispin.report import random_consistent_params
 
@@ -113,41 +58,26 @@ def rk4_per_step(p, x0, tau_end, dtau):
     taus = _time_grid(tau_end, dtau)
     h = np.diff(taus)
     lefts, mids, rights = build_M(p, taus[:-1]), build_M(p, taus[:-1] + h / 2.0), build_M(p, taus[1:])
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((len(taus), 8))
-    states[0] = x
-    for i, (h, m_left, m_mid, m_right) in enumerate(zip(h, lefts, mids, rights), start=1):
+    states = [np.asarray(x0, dtype=float)]
+    for h, m_left, m_mid, m_right in zip(h, lefts, mids, rights):
+        x = states[-1]
         k1 = m_left @ x
         k2 = m_mid @ (x + (h / 2.0) * k1)
         k3 = m_mid @ (x + (h / 2.0) * k2)
-        k4 = m_right @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i] = x
-    return taus, states
+        states.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + m_right @ (x + h * k3)))
+    return taus, np.array(states)
 
 
 def gauss4_per_step(p, tau_end, dtau):
-    """Fourth-order Magnus stepping of the 8x8 U, one eigendecomposition per iteration.
-
-    It adds the increment (V - I) U, with V - I from expm1 of the eigenvalues,
-    so the product does not carry the rounding of a diagonal near 1 from step
-    to step.
-    """
-    offset = math.sqrt(3.0) / 6.0
-    taus = _time_grid(tau_end, dtau)
-    unitaries = np.empty((len(taus), 8, 8), dtype=complex)
-    u = np.eye(8, dtype=complex)
-    unitaries[0] = u
-    for i in range(1, len(taus)):
-        t = taus[i - 1]
-        h = taus[i] - t
-        h1 = build_hamiltonian(p, t + (0.5 - offset) * h)
-        h2 = build_hamiltonian(p, t + (0.5 + offset) * h)
-        herm = (h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2)
-        ev, vec = np.linalg.eigh(herm)
-        u = u + (vec * np.expm1(-1j * ev)) @ vec.conj().T @ u
-        unitaries[i] = u
-    return taus, unitaries
+    """Fourth-order Magnus stepping of the 8x8 U, one eigendecomposition per iteration.  It adds the increment (V - I) U,
+    V - I from expm1 of the eigenvalues, so the product does not carry the rounding of a diagonal near 1 step to step."""
+    offset, taus = math.sqrt(3.0) / 6.0, _time_grid(tau_end, dtau)
+    unitaries = [np.eye(8, dtype=complex)]
+    for t, h in zip(taus[:-1], np.diff(taus)):
+        h1, h2 = (build_hamiltonian(p, t + (0.5 + sign * offset) * h) for sign in (-1.0, 1.0))
+        ev, vec = np.linalg.eigh((h / 2.0) * (h1 + h2) - 1j * (h * h * math.sqrt(3.0) / 12.0) * (h2 @ h1 - h1 @ h2))
+        unitaries.append(unitaries[-1] + (vec * np.expm1(-1j * ev)) @ vec.conj().T @ unitaries[-1])
+    return taus, np.array(unitaries)
 
 
 def expectations_by_trace(unitaries):
@@ -167,12 +97,10 @@ GENERIC_X0 /= np.linalg.norm(GENERIC_X0)
 
 
 def _on_shell(bz, omega_rf, k=1.0, omega_hat=2.5, theta0=0.6):
-    b0 = transverse_amplitude(omega_hat, k, bz)
-    return ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
+    return ControlParams(k, omega_hat, transverse_amplitude(omega_hat, k, bz), bz, omega_rf, theta0)
 
 
-# the degenerate spectra of test_dynamics.py, pinned there by test_degenerate_examples_have_degenerate_spectra:
-# c_pm = 2*(bz +- k) - omega_rf is the (2,4)-plane rate of each co-rotating generator
+# test_dynamics.py's degenerate spectra: c_pm = 2*(bz +- k) - omega_rf is the (2,4)-plane rate of each co-rotating generator
 DEGENERATE = {
     "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
     "zero_rates_plus": _on_shell(bz=1.0, omega_rf=4.0),
@@ -184,10 +112,8 @@ DEGENERATE = {
 @pytest.mark.parametrize("tau_end", [*GRIDS.values(), _WINDOW_ROWS * DTAU], ids=[*GRIDS, "window_and_one"])
 def test_rk4_matches_per_step_loop(params, tau_end):
     for x0 in (E1, GENERIC_X0):
-        traj = propagate_rk4(params, x0, tau_end, DTAU)
-        taus, states = rk4_per_step(params, x0, tau_end, DTAU)
-        assert np.array_equal(traj.taus, taus)
-        assert np.max(np.abs(traj.states - states)) <= 1e-13
+        traj, (taus, states) = propagate_rk4(params, x0, tau_end, DTAU), rk4_per_step(params, x0, tau_end, DTAU)
+        assert np.array_equal(traj.taus, taus) and np.max(np.abs(traj.states - states)) <= 1e-13
 
 
 @on_grids
@@ -289,35 +215,24 @@ def test_generators_over_array_taus_equal_stacked_scalar_calls(params, shape):
     flat = np.ravel(taus)
     # a slow drive, omega_rf*tau below 2e-2 on (0, 5): phase_integrals' sinc(omega_rf*tau/2) close to its limit 1
     slow = dataclasses.replace(params, omega_rf=4e-3)
-    cases = (
-        (lambda t: build_M(params, t), (8, 8)),
-        (lambda t: build_M_half(params, t), (2, 4, 4)),
-        (lambda t: build_hamiltonian(params, t), (8, 8)),
-        (lambda t: integral_generator(params, t), (2, 4, 4)),
-        (lambda t: integral_generator(slow, t), (2, 4, 4)),
-    )
-    for build, mat_shape in cases:
-        batched = build(taus)
+    cases = ((build_M, params, (8, 8)), (build_M_half, params, (2, 4, 4)), (build_hamiltonian, params, (8, 8)),
+             (integral_generator, params, (2, 4, 4)), (integral_generator, slow, (2, 4, 4)))
+    for build, p, mat_shape in cases:
+        batched = build(p, taus)
         assert batched.shape == shape + mat_shape
-        stacked = np.array([build(float(t)) for t in flat]).reshape(shape + mat_shape)
-        assert np.array_equal(batched, stacked)
+        assert np.array_equal(batched, np.array([build(p, float(t)) for t in flat]).reshape(shape + mat_shape))
 
 
 def branch_residual_by_math(omega_hat, k_sign, branch, tau_star, b_target):
-    """(|b - b_target|, |d|) of one branch's closed-form controls at one omega_hat, in scalar math.
-
-    The phase integrals are the difference of sines over omega_rf, not the
-    package's sinc form; omega_rf*tau_star >= 1e-2 on the ranges scanned here,
-    which keeps the quotient away from its 0/0 at omega_rf = 0.
-    """
+    """(|b - b_target|, |d|) of one branch's closed-form controls at one omega_hat, in scalar math.  The phase integrals
+    are the difference of sines over omega_rf, not the package's sinc form; omega_rf*tau_star >= 1e-2 on the ranges
+    scanned here, which keeps the quotient away from its 0/0 at omega_rf = 0."""
     root = math.sqrt(omega_hat**2 - 2.0)
-    b0 = k_sign * root
-    omega_rf = branch["omega_sign"] * (4.0 / math.pi) * root
+    b0, omega_rf = k_sign * root, branch["omega_sign"] * (4.0 / math.pi) * root
     theta0 = 0.5 * ((2 * branch["r"] + 1) * math.pi + branch["theta_sign"] * math.sqrt(3.0) * root)
     assert abs(omega_rf * tau_star) >= 1e-2
     th = omega_rf * tau_star + theta0
-    int_cos = (math.sin(th) - math.sin(theta0)) / omega_rf
-    int_sin = (math.cos(theta0) - math.cos(th)) / omega_rf
+    int_cos, int_sin = (math.sin(th) - math.sin(theta0)) / omega_rf, (math.cos(theta0) - math.cos(th)) / omega_rf
     return abs(-2.0 * b0 * int_sin - b_target), abs(2.0 * b0 * int_cos)
 
 
@@ -327,26 +242,15 @@ SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t
 
 def scan_by_loop(omegas, k_sign):
     """Per-sample best max(|b - b_target|, |d|) over the branches and its branch; the first branch wins ties."""
-    best, best_branch = [], []
-    for w in omegas:
-        res, br = math.inf, SCAN_LABELS[0]
-        for branch in SCAN_LABELS:
-            r = max(branch_residual_by_math(float(w), k_sign, branch, TAU_STAR, -math.pi * k_sign))
-            if r < res:
-                res, br = r, branch
-        best.append(res)
-        best_branch.append(br)
-    return np.array(best), best_branch
+    best = [min((max(branch_residual_by_math(float(w), k_sign, branch, TAU_STAR, -math.pi * k_sign)), n)
+                for n, branch in enumerate(SCAN_LABELS)) for w in omegas]
+    return np.array([res for res, _ in best]), [SCAN_LABELS[n] for _, n in best]
 
 
 def refined_minima(omegas, k_sign):
     """(omega_hat, branch) at each local minimum of the per-sample curve below 1e-2, refined by bounded minimization.
-
-    A raw grid cannot certify a quadratic tangency to 1e-9, so each minimum is
-    refined on its best branch between its neighbours; a refined point is kept
-    if its residual is at most 1e-9 and it lies more than 1e-7 from the ones
-    kept before it.
-    """
+    A raw grid cannot certify a quadratic tangency to 1e-9, so each minimum is refined on its best branch between its
+    neighbours; a refined point is kept if its residual is at most 1e-9 and more than 1e-7 from those kept before it."""
     residuals, branches = scan_by_loop(omegas, k_sign)
     found = []
     for i in range(1, len(omegas) - 1):
@@ -356,9 +260,7 @@ def refined_minima(omegas, k_sign):
         def worst(w, branch=branches[i]):
             return max(branch_residual_by_math(w, k_sign, branch, TAU_STAR, -math.pi * k_sign))
 
-        res = minimize_scalar(
-            worst, bounds=(omegas[i - 1], omegas[i + 1]), method="bounded", options={"xatol": 1e-13}
-        )
+        res = minimize_scalar(worst, bounds=(omegas[i - 1], omegas[i + 1]), method="bounded", options={"xatol": 1e-13})
         if res.fun <= 1e-9 and all(abs(res.x - w) > 1e-7 for w, _ in found):
             found.append((float(res.x), branches[i]))
     return found
@@ -376,7 +278,8 @@ def test_scan_matches_per_sample_branch_loop(k_sign):
 def test_scan_scales_are_where_the_refined_minima_land(k_sign, samples):
     scan = consistency_scan(1.5, 6.0, k_sign=k_sign, samples=samples)
     refined = refined_minima(scan.omegas, k_sign)
-    assert [cp.branch for cp in scan.consistent] == [branch for _, branch in refined]
+    # the refined minima lie on the closed form's labels omega_sign = 1, theta_sign = -1, the only ones it keeps
+    assert [{"omega_sign": 1, "theta_sign": -1, **cp.branch} for cp in scan.consistent] == [branch for _, branch in refined]
     assert [cp.branch for cp in scan.consistent] == [consistent_scale(j)[1] for j in (0, 1)]
     # the minimum is flat to rounding over about 1e-8, so the search stops anywhere on it
     assert np.max(np.abs(np.array([cp.omega_hat for cp in scan.consistent]) - [w for w, _ in refined])) <= 1e-7
@@ -390,25 +293,20 @@ def inversion_roots_by_loop(omega_hat, tau_star, b_target):
     grid = ROOT_STEP * np.arange(math.floor(4.0 * b0 / abs(b_target) / ROOT_STEP) + 2)
     roots = []
     for r in (0, 1):
-
         def f(om):
             z = om * tau_star / 2.0
             return 2.0 * b0 * tau_star * (-1.0) ** r * (math.sin(z) / z if z else 1.0) + b_target
 
         vals = [f(float(om)) for om in grid]
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] < 0.0:
-                roots.append((r, brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-15)))
+        roots += [(r, brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-15))
+                  for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0.0]
     return roots
 
 
-@pytest.mark.parametrize(
-    "omega_hat, b_target",
-    [(2.7, -math.pi), (2.2999713329530, -math.pi), (4.0, 3.0 * math.pi), (6.0, -math.pi), (5.5, 2.0)],
-)
+@pytest.mark.parametrize("omega_hat, b_target", [(2.7, -math.pi), (2.2999713329530, -math.pi), (4.0, 3.0 * math.pi),
+                                                 (6.0, -math.pi), (5.5, 2.0)])
 def test_inversion_roots_equal_per_point_bracket(omega_hat, b_target):
-    sols = invert_to_physical(omega_hat, 1.0, TAU_STAR, b_target)
-    roots = [(s.branch["r"], s.params.omega_rf) for s in sols]
+    roots = [(s.branch["r"], s.params.omega_rf) for s in invert_to_physical(omega_hat, 1.0, TAU_STAR, b_target)]
     assert roots and roots == inversion_roots_by_loop(omega_hat, TAU_STAR, b_target)
 
 
@@ -418,10 +316,9 @@ def _skew_stack(rng, n, scale):
 
 
 def _so4_generator(x, y):
-    """4x4 skew generators h_+ + h_- with self-dual part h_+ of components x and anti-self-dual part h_- of y.
-
-    h_pm has (0,1), (0,2), (0,3) entries x or y and (2,3), (3,1), (1,2) entries +-x or +-y, and
-    h_pm^2 = -|x|^2 I or -|y|^2 I: the rotation angles are |x| + |y| and ||x| - |y||."""
+    """4x4 skew generators h_+ + h_- with self-dual part h_+ of components x and anti-self-dual part h_- of y: h_pm has
+    (0,1), (0,2), (0,3) entries x or y and (2,3), (3,1), (1,2) entries +-x or +-y, and h_pm^2 = -|x|^2 I or -|y|^2 I,
+    so the rotation angles are |x| + |y| and ||x| - |y||."""
     a = np.zeros(np.shape(x)[:-1] + (4, 4))
     for v, sign in ((np.asarray(x), 1.0), (np.asarray(y), -1.0)):
         for m, (i, j), (k, l) in zip(range(3), ((0, 1), (0, 2), (0, 3)), ((2, 3), (3, 1), (1, 2))):
@@ -463,11 +360,8 @@ def test_expm_skew_matches_per_matrix_expm(case):
 
 
 def discrepancy_per_sign(p, taus):
-    """(max gap, tau at max) of the ansatz exp[A_pm(tau)] and exp(omega_rf tau J) exp[tau (M_pm(0) - omega_rf J)].
-
-    The max runs over the taus, the basis initial states and the two halves,
-    one sign and one tau at a time.
-    """
+    """(max gap, tau at max) of the ansatz exp[A_pm(tau)] and exp(omega_rf tau J) exp[tau (M_pm(0) - omega_rf J)], the
+    max over the taus, the basis initial states and the two halves, one sign and one tau at a time."""
     worst = np.zeros(len(taus))
     for sign in (1, -1):
         static = MB + (p.bz + sign * p.k) * MZ
@@ -486,10 +380,8 @@ def discrepancy_per_sign(p, taus):
 def test_discrepancy_matches_per_sign_loop(seed):
     p = random_consistent_params(np.random.default_rng(seed))
     taus = np.linspace(0.0, TAU_STAR, 41)
-    disc = propagator_discrepancy(p, taus)
-    max_gap, tau_at_max = discrepancy_per_sign(p, taus)
-    assert abs(disc.max_deviation - max_gap) <= 1e-12
-    assert disc.tau_at_max == tau_at_max
+    disc, (max_gap, tau_at_max) = propagator_discrepancy(p, taus), discrepancy_per_sign(p, taus)
+    assert abs(disc.max_deviation - max_gap) <= 1e-12 and disc.tau_at_max == tau_at_max
 
 
 def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
@@ -508,9 +400,7 @@ def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
                 p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=theta0)
                 states = exact_state_trajectory(p, E1, taus)
                 peaks = np.maximum(peaks, states.max(axis=0))
-                hits = np.nonzero(states[:, 7] >= threshold)[0]
-                if len(hits):
-                    i = hits[0]
+                for i in np.nonzero(states[:, 7] >= threshold)[0][:1]:  # the first crossing row, if any
                     t = brentq(lambda t: exact_state_trajectory(p, E1, t)[7] - threshold, taus[i - 1], taus[i], xtol=1e-12)
                     best_tau = min(best_tau, t)
     return peaks, best_tau
@@ -528,8 +418,7 @@ def test_grid_search_matches_theta0_loop(omega_hat, k):
     peaks, best_tau = grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau)
     values = np.array([res.peaks[f"x{i}"][0] for i in range(1, 9)])
     # the best over a continuous theta0 is at least the best over its grid, and x1, x3, x5, x7 do not depend on it
-    assert np.all(values >= peaks - 1e-12)
-    assert np.max(np.abs(values[::2] - peaks[::2])) <= 1e-12
+    assert np.all(values >= peaks - 1e-12) and np.max(np.abs(values[::2] - peaks[::2])) <= 1e-12
     # the gauge-optimal crossing comes no later than the crossing at any fixed theta0
     assert math.isfinite(best_tau) and res.best_tau <= best_tau + 1e-9
 

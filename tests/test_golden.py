@@ -31,6 +31,12 @@ CASES = {
                   "--landscape", "{}/search_x7_landscape.csv", "--out", "{}/search_x7.json"],
     **{f"propagate_{m}": ["propagate", "--params-file", "{}/params.json", "--method", m, "--out", f"{{}}/propagate_{m}.csv"]
        for m in METHODS},
+    "analytic_0_1": ["analytic", "--m0", "0", "--n0", "1", "--out", "{}/analytic_0_1.json"],
+    "analytic_realized": ["analytic", "--m0", "0", "--n0", "0", "--omega-hat", "2.7", "--out", "{}/analytic_realized.json"],
+    "analytic_x6": ["analytic", "--m0", "0", "--n0", "0", "--target", "x6", "--out", "{}/analytic_x6.json"],
+    "sweep": ["sweep", "--max", "3", "--out", "{}/sweep.json"],
+    "scan": ["scan", "--from", "2", "--to", "4", "--samples", "101", "--out", "{}/scan.json"],
+    "invert": ["invert", "--omega-hat", "2.7", "--out", "{}/invert.json"],
 }
 
 

@@ -8,26 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from trispin.algebra import (
-    _PAULI,
-    E1,
-    SECTORS,
-    ControlParams,
-    build_hamiltonian,
-    energy_residual,
-    sector_fields,
-    transverse_amplitude,
-)
-from trispin.dynamics import (
-    build_M,
-    build_M_half,
-    exact_state_trajectory,
-    join_halves,
-    mode_states,
-    mode_table,
-    propagate_rk4,
-    split_halves,
-)
+from trispin.algebra import _PAULI, E1, SECTORS, ControlParams, build_hamiltonian, energy_residual, sector_fields
+from trispin.algebra import transverse_amplitude
+from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, mode_states, mode_table
+from trispin.dynamics import propagate_rk4, split_halves
 from trispin.hilbert import _PROJECTION, sector_table
 
 
@@ -41,14 +25,8 @@ def shell_params(draw):
     k = draw(_floats(-2.0, 2.0))
     omega_hat = math.sqrt(1.0 + k**2) + draw(_floats(1e-3, 3.0))
     bz = draw(_floats(-0.99, 0.99)) * math.sqrt(omega_hat**2 - (1.0 + k**2))
-    return ControlParams(
-        k=k,
-        omega_hat=omega_hat,
-        b0=transverse_amplitude(omega_hat, k, bz),
-        bz=bz,
-        omega_rf=draw(_floats(-6.0, 6.0)),
-        theta0=draw(_floats(0.0, 2.0 * math.pi)),
-    )
+    return ControlParams(k, omega_hat, transverse_amplitude(omega_hat, k, bz), bz, draw(_floats(-6.0, 6.0)),
+                         draw(_floats(0.0, 2.0 * math.pi)))
 
 
 vectors8 = st.lists(_floats(-1.0, 1.0), min_size=8, max_size=8).map(np.array)
@@ -62,14 +40,10 @@ def test_exact_trajectory_preserves_norm(p, x0, taus):
 
 @st.composite
 def static_or_degenerate_params(draw):
-    """A theta0 = 0 shell control, sometimes static (omega_rf = 0) and sometimes at bz = +-k.
-
-    At bz = +-k with omega_rf = 0 one half loses its MZ term, and its
-    co-rotating generator has a double zero eigenvalue.
-    """
+    """A theta0 = 0 shell control, sometimes static (omega_rf = 0) and sometimes at bz = +-k: there, with omega_rf = 0,
+    one half loses its MZ term, and its co-rotating generator has a double zero eigenvalue."""
     p = dataclasses.replace(draw(shell_params()), theta0=0.0)
-    if draw(st.booleans()):
-        p = dataclasses.replace(p, omega_rf=0.0)
+    p = dataclasses.replace(p, omega_rf=0.0) if draw(st.booleans()) else p
     sign = draw(st.sampled_from([0.0, 1.0, -1.0]))
     if sign:
         omega_hat = math.sqrt(1.0 + 2.0 * p.k**2) + draw(_floats(1e-3, 3.0))

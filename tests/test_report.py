@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +22,9 @@ def test_zero_dynamics_sets_is_skipped_not_passed():
     report = run_verification(**QUICK)
     checks = {c.name: c for c in report.checks}
     check = checks["cross_validate_full_vs_rk4"]
-    assert check.status == "skipped" and check.measured is None
     # a skipped bounded check still states what it would have been held to
-    assert check.expected == 0.0 and check.tolerance == 1e-8
-    assert checks["closure_residual"].status == "pass"
-    assert report.passed
+    assert check.status == "skipped" and check.measured is None and check.expected == 0.0 and check.tolerance == 1e-8
+    assert checks["closure_residual"].status == "pass" and report.passed
     assert "SKIPPED  cross_validate_full_vs_rk4" in report.to_text()
 
 
@@ -53,8 +50,7 @@ def test_each_rule_fails_its_check_alone(monkeypatch, patch, failing):
     monkeypatch.setattr(report_module, *patch)
     report = run_verification(**QUICK)
     assert [c.name for c in report.checks if c.status == "fail"] == [failing]
-    assert not report.passed
-    assert report.to_text().endswith("overall: FAIL")
+    assert not report.passed and report.to_text().endswith("overall: FAIL")
 
 
 def verify_checks(tmp_path, capsys, flags):
@@ -69,8 +65,7 @@ def assert_outcome_is_the_record(plant, row, tmp_path, capsys):
     # with row planted, the checks its record names fail, and only they; a row verify passes exits 0
     plant(row)
     code, checks = verify_checks(tmp_path, capsys, row.flags)
-    assert tuple(c["name"] for c in checks if c["status"] == "fail") == row.fails
-    assert code == (1 if row.fails else 0)
+    assert tuple(c["name"] for c in checks if c["status"] == "fail") == row.fails and code == (1 if row.fails else 0)
     return checks
 
 
@@ -136,18 +131,14 @@ def test_generic_equations_check_reads_the_identity():
     # r/D against col - target at random constants, relative to max(1, 1/|D|): rounding, far inside the 1e-12 gate
     constants = [BoundaryConstants(*np.random.default_rng(3).uniform(-8.0, 8.0, 5)) for _ in range(50)]
     assert report_module.equations_against_columns(constants) <= 1e-14
-    report = run_verification(**QUICK)
-    check = {c.name: c for c in report.checks}["boundary_equations_generic"]
+    check = {c.name: c for c in run_verification(**QUICK).checks}["boundary_equations_generic"]
     assert check.status == "pass" and check.tolerance == 1e-12 and check.measured <= 1e-14
 
 
 @pytest.mark.parametrize(
     "omega_hat, control",
-    [
-        ("auto", "closed-form control"),
-        (2.7, "inverted control"),
-        (1.5, "closed-form control; no inverted control exists at omega_hat=1.5"),
-    ],
+    [("auto", "closed-form control"), (2.7, "inverted control"),
+     (1.5, "closed-form control; no inverted control exists at omega_hat=1.5")],
     ids=["defaults", "inverted", "below_the_inversion_floor"],
 )
 def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
@@ -161,8 +152,11 @@ def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
     assert bool(sols) == (omega_hat != 1.5)
     params = sols[0].params if control == "inverted control" else closed_form_params(omega, **consistent_scale(0)[1])
     assert check.measured == float(exact_state_trajectory(params, E1, np.array([tau_star]))[0, 7])
-    if omega_hat == 1.5:
-        assert f"{check.measured:.6g}" == "0.641215"
+    assert omega_hat != 1.5 or f"{check.measured:.6g}" == "0.641215"
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a check ran before the arguments were checked")
 
 
 @pytest.mark.parametrize(
@@ -179,9 +173,6 @@ def test_transfer_provenance_names_the_propagated_control(omega_hat, control):
 def test_low_energy_is_refused_before_any_check(monkeypatch, arguments, match, also_forbidden):
     # a bad argument is a ValueError up front, like the step: no check runs first, and none reads "skipped".
     # The grid search runs before the scan, so an omega_hat or a resolution it refuses never reaches the scan
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a check ran before the arguments were checked")
-
     for name in ("analytic_family", "closure_check", "dynamics_equivalence") + also_forbidden:
         monkeypatch.setattr(report_module, name, forbidden)
     with pytest.raises(ValueError, match=match):
@@ -191,9 +182,6 @@ def test_low_energy_is_refused_before_any_check(monkeypatch, arguments, match, a
 def test_inversion_step_budget_is_refused_before_any_check(monkeypatch):
     # at omega_hat 1600 the inversion's bracket end 4*b0/pi is 2037.2, over the 1953.1 its 10^6 steps of 2^-9 reach;
     # the inversion runs before any check, after reading the label's constants, and its error names both inputs
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a check ran before the arguments were checked")
-
     for name in ("boundary_residuals", "closure_check", "dynamics_equivalence"):
         monkeypatch.setattr(report_module, name, forbidden)
     with pytest.raises(ValueError, match=r"^omega_hat=1600 and b_target=-3\.14159 put the root bracket end"):
@@ -273,19 +261,12 @@ def test_oracle_gaps_are_rounding(tmp_path, capsys, strict_json, flags):
     assert all(checks[name]["measured"] <= 1e-12 for name in BOTH), [checks[name]["measured"] for name in BOTH]
 
 
-def test_comparison_memory_does_not_grow_with_the_set_count():
+def test_comparison_memory_does_not_grow_with_the_set_count(traced):
     # at most 6 sets at once, and a window of 6,144 rows over them: 20 sets (groups of 6, 6, 6 and 2) peak about
     # where 5 do, one set's sources more
     rng = np.random.default_rng(DEFAULT_SEED)
     params = [random_consistent_params(rng) for _ in range(20)]
-    peaks = []
-    for sets in (5, 20):
-        tracemalloc.start()
-        try:
-            dynamics_equivalence(params[:sets], 3.0 * TAU_STAR, 1e-3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced(lambda: dynamics_equivalence(params[:sets], 3.0 * TAU_STAR, 1e-3))[1] for sets in (5, 20)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -299,15 +280,9 @@ def test_skipped_window_fails_both_oracle_checks(plant, tmp_path, capsys):
     assert [checks[name]["note"] for name in BOTH] == [f"{sets}; {missed}"] * 2
 
 
-def test_windowed_comparison_holds_no_trajectory():
+def test_windowed_comparison_holds_no_trajectory(traced):
     # whole trajectories peaked at 49.1e6 bytes: three 163,243 x 8 trajectories of a set and their differences
     rng = np.random.default_rng(DEFAULT_SEED)
     params = [random_consistent_params(rng) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        *gaps, rows = dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert max(gaps) <= 1e-12 and rows == 2 * len(_time_grid(3.0 * TAU_STAR, 2.5e-5))
-    assert peak <= 3e6
+    (*gaps, rows), peak = traced(lambda: dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5))
+    assert max(gaps) <= 1e-12 and rows == 2 * len(_time_grid(3.0 * TAU_STAR, 2.5e-5)) and peak <= 3e6

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,28 +8,21 @@ from scipy.optimize import brentq
 
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params, consistent_scale
-from trispin.hilbert import sector_table
 from trispin.dynamics import _BLOCK_STEPS, _time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
+from trispin.hilbert import sector_table
 from trispin.report import run_verification
 from trispin.search import COMPONENT_INDEX, grid_search, min_time_to_target, refine_local
 
-PI = math.pi
-TAU_STAR = 0.25 * math.sqrt(3.0) * PI
-OMEGA = math.sqrt(2.0 + PI**2 / 3.0)  # consistent energy scale
+OMEGA = math.sqrt(2.0 + math.pi**2 / 3.0)  # consistent energy scale
 PARAMS = closed_form_params(OMEGA)
 
 
-def component(p, tau, j):
+def component(p, tau, j=7):
     return float(exact_state_trajectory(p, E1, np.array([tau]))[0, j])
 
 
-def x8(p, tau):
-    return component(p, tau, 7)
-
-
 def test_target_expectation_at_zero():
-    assert abs(x8(PARAMS, 0.0)) < 1e-14
-    assert abs(exact_state_trajectory(PARAMS, E1, np.array([0.0]))[0, 0] - 1.0) < 1e-14
+    assert abs(component(PARAMS, 0.0)) < 1e-14 and abs(component(PARAMS, 0.0, 0) - 1.0) < 1e-14
     with pytest.raises(ValueError, match="unknown target"):
         min_time_to_target(PARAMS, "x9", 0.999, 5.0, 1e-2)
 
@@ -38,17 +30,9 @@ def test_target_expectation_at_zero():
 def test_target_expectation_at_transfer_time_is_recorded():
     # nominal transfer value is 1; the exact propagation is the arbiter here,
     # so the outcome is recorded rather than asserted
-    value = x8(PARAMS, TAU_STAR)
+    value = component(PARAMS, TAU_STAR)
     assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
     print(f"x8(tau_star) at the closed-form controls: {value:.6f}")
-
-
-def test_trajectory_norm_preserved():
-    taus = np.linspace(0.0, 3.0 * TAU_STAR, 400)
-    from trispin.dynamics import exact_state_trajectory
-
-    states = exact_state_trajectory(PARAMS, np.eye(8)[0], taus)
-    assert np.max(np.abs(np.sum(states**2, axis=1) - 1.0)) < 1e-9
 
 
 def test_min_time_unreachable_threshold():
@@ -62,12 +46,9 @@ def test_min_time_without_transverse_drive():
 
 def test_min_time_bisection_accuracy():
     t = min_time_to_target(PARAMS, "x8", threshold=0.5, tau_max=5.0, dtau=1e-2)
-    assert t is not None
-    # the crossing is that of the theta0-best x8, hypot(x6, x8) at any theta0
+    # the crossing is that of the theta0-best x8, hypot(x6, x8) at any theta0, located to 1e-9 in tau
     best = theta0_best(exact_state_trajectory(PARAMS, E1, np.array([t, t - 1e-9])))[:, 7]
-    assert abs(best[0] - 0.5) < 1e-7
-    # crossing is located to 1e-9 in tau
-    assert best[1] < 0.5
+    assert abs(best[0] - 0.5) < 1e-7 and best[1] < 0.5
     # theta0 is a gauge: the input's theta0 does not move the crossing
     assert min_time_to_target(dataclasses.replace(PARAMS, theta0=1.0), "x8", 0.5, 5.0, 1e-2) == t
 
@@ -94,20 +75,14 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
         assert abs(min_time_to_target(p, "x8", float(best[i]), 3.0 * TAU_STAR, 1e-2) - taus[i]) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "tau_max, dtau",
-    [(3.0 * TAU_STAR, 1e-2), (_BLOCK_STEPS * 1e-2, 1e-2), ((_BLOCK_STEPS + 0.5) * 1e-2, 1e-2)],
-    ids=["search_grid", "one_block_then_the_last", "one_block_then_a_short_last_step"],
-)
+@pytest.mark.parametrize("tau_max, dtau", [(3.0 * TAU_STAR, 1e-2), (_BLOCK_STEPS * 1e-2, 1e-2), ((_BLOCK_STEPS + 0.5) * 1e-2, 1e-2)],
+                         ids=["search_grid", "one_block_then_the_last", "one_block_then_a_short_last_step"])
 def test_grid_rows_equal_per_tau_rows(tau_max, dtau):
     # on a _time_grid the rows of a stack of controls, as grid_search takes them, come from the block-factored mode
     # table, and taus as a column take the direct form; the search grid ends in a partial block and a shortened last step
     taus = _time_grid(tau_max, dtau)
-    omega_hat, bz = 2.7, 0.3
-    b0 = transverse_amplitude(omega_hat, 1.0, bz)
-    block = ControlParams(k=1.0, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=np.linspace(-8.0, 8.0, 7), theta0=0.0)
-    single = dataclasses.replace(block, omega_rf=1.1)
-    for p in (block, single):
+    block = ControlParams(1.0, 2.7, transverse_amplitude(2.7, 1.0, 0.3), 0.3, np.linspace(-8.0, 8.0, 7), 0.0)
+    for p in (block, dataclasses.replace(block, omega_rf=1.1)):
         modes = mode_table(p, split_halves(E1))
         rows, per_tau = mode_states(*modes, taus), mode_states(*modes, taus[:, None])[..., 0, :, :]
         assert rows.shape == per_tau.shape == np.shape(p.omega_rf) + (len(taus), 2, 4)
@@ -117,10 +92,10 @@ def test_grid_rows_equal_per_tau_rows(tau_max, dtau):
 @pytest.mark.parametrize("threshold", [0.0, -0.5, math.nan])
 def test_searches_reject_a_threshold_that_is_not_positive(threshold):
     # e1 meets any threshold <= 0 at tau = 0, so neither search would measure anything
-    with pytest.raises(ValueError, match="threshold must be positive"):
-        min_time_to_target(PARAMS, "x8", threshold, 5.0, 1e-2)
-    with pytest.raises(ValueError, match="threshold must be positive"):
-        grid_search(OMEGA, 1.0, resolution=3, threshold=threshold)
+    for search in (lambda: min_time_to_target(PARAMS, "x8", threshold, 5.0, 1e-2),
+                   lambda: grid_search(OMEGA, 1.0, resolution=3, threshold=threshold)):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            search()
 
 
 def test_min_time_rejects_bad_arguments():
@@ -132,15 +107,13 @@ def test_grid_search_membership_of_reference_point():
     # a grid through the closed-form controls must do at least as well as they do: at
     # omega_hat = sqrt(2 + pi^2/4) they are bz = 0 and omega_rf = (4/pi)*(pi/2) = 2, and
     # the default box at resolution 9 has the nodes 0 in bz and 2 in omega_rf
-    omega_hat = math.sqrt(2.0 + PI**2 / 4.0)
+    omega_hat = math.sqrt(2.0 + math.pi**2 / 4.0)
     reference = closed_form_params(omega_hat)
     assert reference.bz == 0.0 and abs(reference.omega_rf - 2.0) <= 1e-15
     taus = _time_grid(3.0 * TAU_STAR, 1e-2)  # the search's own tau grid
     ref_curve = exact_state_trajectory(reference, E1, taus)[:, 7]
-    ref_best = taus[np.argmax(ref_curve >= 0.5)]
     res = grid_search(omega_hat, 1.0, target="x8", resolution=9, threshold=0.5, dtau=1e-2)
-    assert res.feasible
-    assert res.best_tau <= ref_best + 1e-2
+    assert res.feasible and res.best_tau <= taus[np.argmax(ref_curve >= 0.5)] + 1e-2
     assert res.peaks["x8"][0] >= float(np.max(ref_curve)) - 1e-9
 
 
@@ -160,38 +133,32 @@ def test_grid_search_rejects_omega_at_or_below_energy_floor(omega_hat, k):
 
 
 def test_grid_search_deterministic():
-    a = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)
-    b = grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2)
+    a, b = (grid_search(OMEGA, 1.0, resolution=5, threshold=0.9, dtau=5e-2) for _ in range(2))
     assert a.peaks == b.peaks and a.best_tau == b.best_tau
 
 
 def test_refine_local_infeasible_seed_unchanged():
     seed = grid_search(OMEGA, 1.0, resolution=5, threshold=0.999, dtau=1e-2)
-    assert not seed.feasible
     out = refine_local(seed)
-    assert out.best_params == seed.best_params and out.best_tau == seed.best_tau
+    assert not seed.feasible and out.best_params == seed.best_params and out.best_tau == seed.best_tau
 
 
 def test_refine_local_never_later_than_its_seed():
     seed = grid_search(OMEGA, 1.0, resolution=5, threshold=0.5, dtau=2e-2)
-    assert seed.feasible
-    out = refine_local(seed)
-    assert out.best_tau <= seed.best_tau
+    assert seed.feasible and refine_local(seed).best_tau <= seed.best_tau
 
 
 def test_refine_local_reaches_the_gauge_optimal_crossing():
     # the 3-D (bz, omega_rf, theta0) simplex stopped at 1.1734306052 from this seed
     seed = grid_search(3.0179148702571723, 1.0, threshold=0.95)
     out = refine_local(seed)
-    assert out.best_tau <= 1.1734305373 + 1e-9
-    assert abs(x8(out.best_params, out.best_tau) - 0.95) < 1e-9
+    assert out.best_tau <= 1.1734305373 + 1e-9 and abs(component(out.best_params, out.best_tau) - 0.95) < 1e-9
 
 
 def test_refine_local_pins_the_second_refined_time():
     # the second of the two times the benchmark's search workload refines to
     out = refine_local(grid_search(3.451292785680343, 1.0, threshold=0.95))
-    assert abs(out.best_tau - 1.8290756054) <= 1e-9
-    assert abs(x8(out.best_params, out.best_tau) - 0.95) < 1e-9
+    assert abs(out.best_tau - 1.8290756054) <= 1e-9 and abs(component(out.best_params, out.best_tau) - 0.95) < 1e-9
 
 
 @pytest.mark.parametrize("k", [1.0, -1.0])
@@ -200,8 +167,7 @@ def test_mirror_controls_cross_together(k):
     # (bz, omega_rf) -> (-bz, -omega_rf) swaps the halves y_pm up to S: x6
     # stays, x8 changes sign and the theta0-best x8 keeps its crossing.  So
     # grid_search evaluates only one point of each mirror pair.
-    rng = np.random.default_rng(7)
-    crossings = 0
+    rng, crossings = np.random.default_rng(7), 0
     for _ in range(12):  # about half of them cross, near the line omega_rf = 2*bz
         omega_hat = rng.uniform(2.0, 3.5)
         bz = rng.uniform(-1.0, 1.0) * math.sqrt(energy_shell(omega_hat, k))
@@ -209,10 +175,8 @@ def test_mirror_controls_cross_together(k):
         p = ControlParams(k=k, omega_hat=omega_hat, b0=b0, bz=bz, omega_rf=omega_rf, theta0=0.0)
         mirror = dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)
         hit, mirror_hit = (min_time_to_target(q, "x8", 0.9, tau_max=10.0, dtau=1e-3) for q in (p, mirror))
-        assert (hit is None) == (mirror_hit is None)
-        if hit is not None:
-            crossings += 1
-            assert abs(hit - mirror_hit) <= 1e-12
+        assert (hit is None) == (mirror_hit is None) and (hit is None or abs(hit - mirror_hit) <= 1e-12)
+        crossings += hit is not None
     assert crossings >= 6
 
 
@@ -249,14 +213,11 @@ def test_grid_search_reports_a_control_of_the_evaluated_half():
 def test_half_box_keeps_a_centre_row_that_reads_below_zero():
     # the half box is the bz rows from the centre row up, not bz >= 0: at omega_hat = 2.714
     # the centre of the 21 bz nodes reads -4.4e-16, and its row is still evaluated
-    omega_hat = 2.714
-    bz_axis = np.linspace(-omega_hat, omega_hat, 21)
-    assert bz_axis[10] < 0.0
-    res = grid_search(omega_hat, 1.0, threshold=0.95, tau_max=1.0, dtau=5e-2, collect_landscape=True)
+    bz_axis = np.linspace(-2.714, 2.714, 21)
+    res = grid_search(2.714, 1.0, threshold=0.95, tau_max=1.0, dtau=5e-2, collect_landscape=True)
     rows = sorted({bz for bz, _, _, _, _ in res.landscape})
-    assert rows[0] == bz_axis[10]
-    assert rows == [bz for bz in bz_axis[10:] if bz**2 <= energy_shell(omega_hat, 1.0)]
-    assert len(res.landscape) == 21 * len(rows)
+    assert bz_axis[10] < 0.0 and rows[0] == bz_axis[10] and len(res.landscape) == 21 * len(rows)
+    assert rows == [bz for bz in bz_axis[10:] if bz**2 <= energy_shell(2.714, 1.0)]
 
 
 def test_no_transfer_probe_degenerate_grid():
@@ -264,16 +225,14 @@ def test_no_transfer_probe_degenerate_grid():
     value, tau, params = res.peaks["x7"]
     assert np.isfinite(value) and 0.0 <= tau <= 1.0 and params is not None
     # no bz grid value on the energy shell (the nodes are bz = +-omega_hat): every peak is empty
-    off_shell = grid_search(OMEGA, 1.0, resolution=2)
-    assert all(peak == (-math.inf, None, None) for peak in off_shell.peaks.values())
+    assert all(peak == (-math.inf, None, None) for peak in grid_search(OMEGA, 1.0, resolution=2).peaks.values())
 
 
 def test_no_transfer_probe_contrast():
     # x7 stays well below transfer while x8 climbs much higher in the same grid pass
     res = grid_search(OMEGA, 1.0, target="x8", resolution=9, threshold=1.0)
     x7, x8 = res.peaks["x7"][0], res.peaks["x8"][0]
-    assert x7 < 0.999
-    assert x8 > x7
+    assert x7 < 0.999 and x8 > x7
     print(f"grid maxima: x8={x8:.4f}, x7={x7:.4f}")
 
 
@@ -282,8 +241,7 @@ def test_grid_peaks_match_single_target_searches():
     res = grid_search(OMEGA, 1.0, target="x8", resolution=3, threshold=0.9, dtau=5e-2)
     assert list(res.peaks) == [f"x{i}" for i in range(1, 9)]
     for target in res.peaks:
-        single = grid_search(OMEGA, 1.0, target=target, resolution=3, threshold=0.9, dtau=5e-2)
-        assert single.peaks == res.peaks
+        assert grid_search(OMEGA, 1.0, target=target, resolution=3, threshold=0.9, dtau=5e-2).peaks == res.peaks
 
 
 # --- grid_search's pair blocks against the per-pair loop over the whole box (grid_reference.py) -------------------
@@ -301,8 +259,7 @@ def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
     # 21 pairs of resolution 7 end in a partial one; resolution 2 has no bz node on the energy shell, and 1 one pair
     res = assert_grid_is_the_whole_box(2.7, k, target, resolution, threshold, targets=BLOCK_TARGETS)
     assert (resolution == 2) == (not res.landscape)
-    if resolution >= 7:
-        assert any(tau is not None for _, _, tau, _, _ in res.landscape)
+    assert resolution < 7 or any(tau is not None for _, _, tau, _, _ in res.landscape)
 
 
 # grids that reach every edge of grid_search's layout through its public inputs, at the package's budgets, at dtau
@@ -362,40 +319,31 @@ def test_landscape_crossings_are_the_per_pair_searches_at_the_pair_and_its_mirro
             assert abs(min_time_to_target(p, "x8", 0.95, tau_max=3.0 * TAU_STAR, dtau=1e-2) - tau) <= 1e-12, (p, tau)
 
 
-def test_grid_memory_does_not_grow_with_the_resolution():
+def grid_peak(traced, **grid):
+    """The traced memory peak of grid_search(2.7, 1.0, threshold=0.6, **grid), after an untraced first-call set-up
+    (scipy, 26 MB, is imported above)."""
+    grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)
+    return traced(lambda: grid_search(2.7, 1.0, threshold=0.6, **grid))[1]
+
+
+def test_grid_memory_does_not_grow_with_the_resolution(traced):
     # the pairs' mode tables are made in groups of _GROUP_PAIRS and their rows in blocks, and each group's fields are
     # read off the axes, so only the axes grow with the resolution.  At this tau_max (6 rows) the budget gives blocks of
     # 133 pairs, 6 grid rows and 40 block table rows each, so each group of 256 pairs is two blocks and the ratio checks
     # the group bound: resolution 41 evaluates 738 pairs in 3 groups, and 161, 11,109 in 44.  One mode table for the
     # whole grid peaked at 4.3 MB at resolution 41; fields of every pair, made up front, 1.34 MB at 161 against 1.09
     # at 41; here both read 1.07 MB
-    grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
-    peaks = []
-    for resolution in (41, 161):
-        tracemalloc.start()
-        try:
-            grid_search(2.7, 1.0, resolution=resolution, threshold=0.6, tau_max=0.05)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [grid_peak(traced, resolution=resolution, tau_max=0.05) for resolution in (41, 161)]
     assert peaks[1] <= 1.1 * peaks[0] and peaks[1] <= 3e6
 
 
 @pytest.mark.parametrize("tau_max, rows", [(0.34, 35), (0.5, 51)])
-def test_short_grid_memory_stays_near_the_default_grid(tau_max, rows):
+def test_short_grid_memory_stays_near_the_default_grid(traced, tau_max, rows):
     # a block counts each pair's block table of mode rows, 8*min(_BLOCK_STEPS, n - 1) rows, with its n grid rows: 9 pairs
     # a block on the default 410 rows, as when only the grid rows were counted, but 21 and 20 pairs on these short
     # grids, not 117 and 80, which peaked at 4.4 and 3.1 MB against the default grid's 0.87 MB
     assert len(_time_grid(tau_max, 1e-2)) == rows
-    grid_search(2.7, 1.0, resolution=3, threshold=0.6, tau_max=0.05)  # first-call set-up; scipy (26 MB) is imported above
-    peaks = []
-    for grid_end in (None, tau_max):
-        tracemalloc.start()
-        try:
-            grid_search(2.7, 1.0, resolution=41, threshold=0.6, tau_max=grid_end)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [grid_peak(traced, resolution=41, tau_max=grid_end) for grid_end in (None, tau_max)]
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

@@ -209,8 +209,8 @@ def closed_form_params(omega_hat, k_sign: int = 1, r: int = 0) -> ControlParams:
     """
     if np.any(np.square(omega_hat) <= 2.0):
         raise ValueError(f"omega_hat^2 must exceed 2, got {np.min(np.square(omega_hat)):.6g}")
-    if np.any(np.abs(k_sign) != 1):
-        raise ValueError("k_sign must be +1 or -1")
+    if np.ndim(k_sign) != 0 or abs(k_sign) != 1:  # one family per call
+        raise ValueError("k_sign must be one label, +1 or -1")
     root = np.sqrt(np.square(omega_hat) - 2.0)
     return ControlParams(
         k=float(k_sign),

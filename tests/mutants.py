@@ -2,16 +2,16 @@
 
 Each row is a plausible bug: one text of one file of ``src/trispin`` replaced, a text that occurs there once.  Its
 record says what ``trispin verify``, run with the row's flags, does with the fault in place: the checks that fail, or,
-where verify passes, why; and whether Tier-1 catches it.  Tests read their rows from here and plant them in process
-(``plant``, through the ``plant`` fixture of conftest.py).  The runner plants a row in a temporary copy of ``src/``
-and runs, in a subprocess, one of two modes:
+where verify passes, why; and whether Tier-1 catches it.  Tier-1 plants every row in process (``plant``, through the
+``plant`` fixture of conftest.py) and holds verify to the row's record (test_report.py).  In-process planting compiles
+again the one top-level statement that holds the row's text and rebinds the names it binds, so it cannot plant a fault
+that acts only at import time, such as a constant derived at import from the planted one; the runner plants in files.
+It plants each row in a temporary copy of ``src/`` and runs Tier-1 (pytest -x) on it in a subprocess, less the tests
+that plant that row, whose own planting would fail there; the tests that plant other rows run, each a second fault:
 
-    python tests/mutants.py verify [ID ...]  # trispin verify with the row's flags (about 0.25 s a row)
-    python tests/mutants.py tier1 [ID ...]   # Tier-1 (pytest -x), less the tests that plant rows (up to 20 s a row)
+    python tests/mutants.py [ID ...]  # about 3 min for the 32 rows (2 vCPU), up to 20 s a row
 
-Each prints one line a row and exits 1 if any outcome differs from the row's record.  Tier-1 mode leaves out the
-tests that plant rows: with the row already in the copy their own planting would fail, and what verify does with a
-row is verify mode's question.
+It prints one line a row and exits 1 if any outcome differs from the row's record.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import __future__
 import argparse
 import ast
 import importlib
-import json
 import os
 import shutil
 import subprocess
@@ -37,10 +36,9 @@ ONE_SET = ("--dynamics-sets", "1", "--resolution", "3", "--scan-samples", "801")
 GRID = ("--dynamics-sets", "0", "--scan-samples", "801")
 BOTH = ("cross_validate_full_vs_rk4", "rotating_exact_vs_rk4")
 
-# the tests that plant rows of this table; Tier-1 mode leaves them out
-PLANTING = ("test_boundary_mutants_fail_verify", "test_mutants_that_verify_still_passes", "test_energy_mutant_fails_verify",
-            "test_frame_and_turn_mutants_fail_verify", "test_skipped_window_fails_both_oracle_checks",
-            "test_phase_gate_refuses_a_shifted_scale")
+# the tests that plant one row of this table, besides test_each_row_gives_its_verify_record's case of each row
+PLANTING = {"test_energy_mutant_fails_verify": "energy_shell", "test_skipped_window_fails_both_oracle_checks": "skipped_window",
+            "test_phase_gate_refuses_a_shifted_scale": "scale_radicand"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class Mutant:
     flags: tuple  # verify's flags
     fails: tuple = ()  # the checks verify fails, in report order; none if it passes
     reason: str = ""  # why verify passes; empty if it fails
-    tier1: bool = True  # whether Tier-1, less the planting tests, fails
+    tier1: bool = True  # whether Tier-1 fails on a copy with the row planted (the runner)
 
     def __post_init__(self):
         assert bool(self.fails) != bool(self.reason), self.id
@@ -122,6 +120,16 @@ TABLE = {row.id: row for row in [
            reason="verify's flags here are all finite"),
     Mutant("zero_b_target", "boundary.py", "if b_target == 0.0:", "if False:", QUICK,
            reason="verify inverts only at b = -pi"),
+    # one rule of report.py pushed to its fail side: its check, and only it, fails
+    Mutant("family_time_shift", "report.py", "tau_star = transfer_time(0, 0)", "tau_star = transfer_time(0, 0) + 1e-9", QUICK,
+           ("family_min_time",)),
+    Mutant("sweep_reversed", "report.py", "rows = sweep_tau(3)", "rows = sweep_tau(3)[::-1]", QUICK, ("sweep_minimum",)),
+    Mutant("scan_first_dropped", "report.py", "bool(scan.consistent),", "bool(scan.consistent[1:]),", QUICK,
+           ("consistency_scan",)),
+    # at 0.95 the grid's first crossing is at tau 1.18, under 0.95 * tau_star = 1.29
+    Mutant("grid_threshold_low", "report.py", "resolution=grid_resolution, threshold=0.999)",
+           "resolution=grid_resolution, threshold=0.95)", GRID, ("ansatz_grid_search_x8",)),
+    Mutant("x7_bound_low", "report.py", "x7 < 0.999,", "x7 < 0.8,", GRID, ("no_transfer_probe_x7",)),
     # faults no verify check reads yet, each named with the ROADMAP item that should catch it
     Mutant("hypot_to_abs", "search.py", "np.hypot(x[..., 1::4], x[..., 3::4])", "np.abs(x[..., 1::4])", GRID,
            reason="the grid's x8 peak falls and no crossing is read, so both grid checks still pass (items 5, 7)"),
@@ -132,10 +140,6 @@ TABLE = {row.id: row for row in [
     Mutant("sweep_unsorted", "boundary.py", 'return sorted(rows, key=lambda row: row["tau_star"])', "return list(rows)", GRID,
            reason="label (0, 0) is first either way, and (0, 1) after it takes longer (item 1)"),
 ]}
-
-
-def rows(*ids: str) -> list[Mutant]:
-    return [TABLE[i] for i in ids]
 
 
 def _planted(text: str, row: Mutant) -> str:
@@ -182,41 +186,31 @@ def _planted_copy(row: Mutant, into: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def verify_outcome(row: Mutant) -> tuple[str, bool]:
-    """(what verify did with row planted, whether that is its record)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        env, out = _planted_copy(row, Path(tmp)), Path(tmp) / "report.json"
-        run = subprocess.run([sys.executable, "-m", "trispin.cli", "verify", *row.flags, "--out", str(out)],
-                             env=env, capture_output=True, text=True)
-        if run.returncode not in (0, 1) or not out.exists():
-            return f"exit {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}", False
-        failed = tuple(c["name"] for c in json.loads(out.read_text())["checks"] if c["status"] == "fail")
-    said = f"fails {', '.join(failed)}" if failed else "passes"
-    return said, failed == row.fails and run.returncode == (1 if failed else 0)
-
-
 def tier1_outcome(row: Mutant) -> tuple[str, bool]:
     """(the first Tier-1 test that fails with row planted, or that none does, whether that is its record)."""
     with tempfile.TemporaryDirectory() as tmp:
         env = _planted_copy(row, Path(tmp))
+        # row cannot be planted again in the copy; rows share no text, so every other row still can
+        left_out = [f"test_each_row_gives_its_verify_record[{row.id}]"]
+        left_out += [test for test, planted in PLANTING.items() if planted == row.id]
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-k",
-                   f"not ({' or '.join(PLANTING)})", str(ROOT / "tests")]
+                   f"not ({' or '.join(left_out)})", str(ROOT / "tests")]
         run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     if run.returncode == 0:
         return "not caught", not row.tier1
+    if run.returncode != 1:  # no test failed: pytest itself did (exit 2 to 5)
+        return f"pytest exit {run.returncode}: {(run.stderr.strip().splitlines() or [''])[-1]}", False
     first = next((line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), "no summary line")
     return f"caught: {first.split(' - ')[0]}", row.tier1
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Plant each row of the mutation table in a copy of src/ and run a check.")
-    parser.add_argument("mode", choices=("verify", "tier1"))
+    parser = argparse.ArgumentParser(description="Plant each row of the mutation table in a copy of src/ and run Tier-1.")
     parser.add_argument("ids", nargs="*", help="rows to run (default: all)")
     args = parser.parse_args(argv)
-    outcome = verify_outcome if args.mode == "verify" else tier1_outcome
     differ = []
-    for row in rows(*args.ids) if args.ids else TABLE.values():
-        said, as_recorded = outcome(row)
+    for row in [TABLE[i] for i in args.ids] if args.ids else TABLE.values():
+        said, as_recorded = tier1_outcome(row)
         record = "" if as_recorded else "   <-- differs from its record"
         print(f"{row.id:24s} {said}{record}", flush=True)
         differ += [] if as_recorded else [row.id]

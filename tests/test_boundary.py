@@ -818,9 +818,10 @@ REFUSALS = {
         (analytic_family, (0, 0, -1), f"no solution family exists for target -1; {FAMILIES}"),
         (analytic_family, (0, 0, "x5x"), f"no solution family exists for target 'x5x'; {FAMILIES}")],
     "test_closed_form_params_rejects_low_energy": (closed_form_params, (1.2,), "omega_hat^2 must exceed 2, got 1.44"),
+    # k_sign labels one family per call, so an array is refused even where each label is +-1
     "test_closed_form_params_rejects_a_label_array_off_plus_minus_one": {
-        "labels0": (closed_form_params, (2.7, np.array([1, 0])), "k_sign must be +1 or -1"),
-        "labels1": (closed_form_params, (2.7, np.array([[-1], [2]])), "k_sign must be +1 or -1")},
+        f"labels{i}": (closed_form_params, (2.7, np.array(labels)), "k_sign must be one label, +1 or -1")
+        for i, labels in enumerate(([1, 0], [[-1], [2]], [1, -1]))},
     "test_invert_rejects_zero_target": (
         invert_to_physical, (2.5, 1.0, TAU_STAR, 0.0), "b_target must be nonzero (the d = 0 branch requires b != 0)"),
     "test_invert_rejects_nonpositive_tau_star": {

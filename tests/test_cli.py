@@ -193,8 +193,8 @@ REFUSALS = {
         "argv4": Refusal(f"{PROPAGATE} --tau-end 1 --dtau 1e-320", "error: tau_end / dtau must be finite, got 1 / 9.99989e-321",
                          params_file()),
         "argv5": Refusal(f"{PROPAGATE} --tau-end 1e6 --dtau 1e-9", "error: --tau-end 1e+06 and --dtau 1e-09 make "
-                         "1000000000000001 rows, whose taus and states need 72000000000000072 bytes, more than the ... bytes "
-                         "of physical memory", params_file())},
+                         "1e+15 rows, whose taus and states need 7.2e+16 bytes, more than the ... bytes of physical memory",
+                         params_file())},
     # argparse refuses the value before any command runs
     "test_non_finite_number_is_usage_error": {
         "argv0": Refusal("search --omega-hat 2.5 --resolution 1 --threshold nan",
@@ -459,12 +459,6 @@ def test_verify_without_on_shell_grid_point_skips_searches(tmp_path, capsys):
     assert "SKIPPED  ansatz_grid_search_x8" in stdout and "overall: PASS" in stdout
 
 
-def test_verify_zero_dynamics_sets_skips_oracle_checks(tmp_path, capsys):
-    code, _, checks = _verify(tmp_path, capsys, "--dynamics-sets", "0", "--resolution", "3", "--scan-samples", "801")
-    oracles = [checks[name] for name in ("cross_validate_full_vs_rk4", "rotating_exact_vs_rk4")]
-    assert code == 0 and all(c["status"] == "skipped" and c["measured"] is None for c in oracles)
-
-
 def test_verify_auto_is_closed_form_scale_whatever_scan_samples(tmp_path, capsys):
     # "auto" is consistent_scale(0), so the scan's sample count cannot move it
     for samples in ("1", "801"):
@@ -482,13 +476,14 @@ def test_propagate_expm_integral_reports_discrepancy(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_propagate_refuses_a_trajectory_over_physical_memory(tmp_path, capsys, monkeypatch, traced, method):
-    # the machine read as 64 MiB: 932,068 rows need 72 bytes each of taus and states, 32 bytes too many.  They are
-    # refused before the grid is made, whose taus alone take 7.5 MB, with one error line and no file
+    # the machine read as 64 MiB: 932,068 rows need 72 bytes each of taus and states, 32 bytes too many, which the
+    # error's 3 digits do not show.  They are refused before the grid is made, whose taus alone take 7.5 MB, with one
+    # error line and no file
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}.__getitem__)
     assert traced(lambda: refused(
         tmp_path, capsys, f"{PROPAGATE} --method {method} --dtau 1e-5 --tau-end 9.32067", "error: --tau-end 9.32067 and "
-        "--dtau 1e-05 make 932068 rows, whose taus and states need 67108896 bytes, more than the 67108864 bytes of physical "
-        "memory", params_file()))[1] <= 1e6
+        "--dtau 1e-05 make 9.32e+05 rows, whose taus and states need 6.71e+07 bytes, more than the 6.71e+07 bytes of "
+        "physical memory", params_file()))[1] <= 1e6
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -525,8 +520,9 @@ def test_propagate_fits_a_trajectory_to_the_last_row(tmp_path, capsys, monkeypat
     assert len(_read_csv(out)) == 3640
 
 
-# (grid flags, rows): 1, 2, 3, 33 and 34 rows, a step longer than the run (one shortened step), and two grids refused
-# with exit 2, a step count that is not finite and one too large to allocate (1e303 rows)
+# (grid flags, rows): 1, 2, 3, 33 and 34 rows, a step longer than the run (one shortened step), and three grids refused
+# with exit 2, a step count that is not finite and two too large to allocate: 1e303 rows, and 1e308, whose bytes pass
+# the float range
 PROPAGATE_GRIDS = {
     "1_row": (("--tau-end", "1e-300"), 1),
     "2_rows": (("--tau-end", "1e-3"), 2),
@@ -535,8 +531,10 @@ PROPAGATE_GRIDS = {
     "34_rows": (("--tau-end", "0.033"), 34),
     "step_past_the_end": (("--tau-end", "1", "--dtau", "10"), 2),
     "subnormal_step": (("--dtau", "5e-324"), "error: tau_end / dtau must be finite, got 4.08105 / 4.94066e-324"),
-    "huge_run": (("--tau-end", "1e300"), "error: --tau-end 1e+300 and --dtau 0.001 make ... rows, whose taus and states need "
-                 "... bytes, more than the ... bytes of physical memory"),
+    "huge_run": (("--tau-end", "1e300"), "error: --tau-end 1e+300 and --dtau 0.001 make 1e+303 rows, whose taus and states "
+                 "need 7.2e+304 bytes, more than the ... bytes of physical memory"),
+    "float_range_run": (("--tau-end", "1e308", "--dtau", "1"), "error: --tau-end 1e+308 and --dtau 1 make 1e+308 rows, whose "
+                        "taus and states need inf bytes, more than the ... bytes of physical memory"),
 }
 
 

@@ -290,11 +290,6 @@ def test_expm_integral_matches_rk4_for_static_drive():
     assert np.max(np.abs(join_halves(propagate_expm_integral(p, Y1, 2.0)) - traj.states[-1])) < 1e-8
 
 
-def test_expm_integral_preserves_norm(rng):
-    y = propagate_expm_integral(_random_params(rng), Y1, 1.9)
-    assert np.max(np.abs(np.linalg.norm(y, axis=-1) - 1.0)) < 1e-12
-
-
 def test_expm_integral_over_taus_matches_per_tau(rng):
     p = _random_params(rng)
     taus = np.array([[0.0, 0.3], [1.1, 2.5]])
@@ -319,16 +314,14 @@ def test_rotating_exact_matches_rk4(rng):
     assert np.max(np.abs(join_halves(propagate_rotating_exact(p, Y1, 3.0)) - traj.states[-1])) < 1e-8
 
 
-def test_rotating_exact_preserves_norm(rng):
+def test_rotating_exact_propagator_columns(rng):
+    # y0 = eye(4) per half gives the propagators: column j is the call from e_j (test_properties holds them orthogonal)
     p = _random_params(rng)
-    assert np.max(np.abs(np.linalg.norm(propagate_rotating_exact(p, Y1, 2.7), axis=-1) - 1.0)) < 1e-12
-    # y0 = eye(4) per half gives the propagators: column j is the call from e_j, and each is orthogonal
     taus = np.array([[0.0, 0.3], [1.1, 2.7]])
     u = propagate_rotating_exact(p, EYE2, taus)
     assert u.shape == taus.shape + (2, 4, 4)
     columns = np.stack([propagate_rotating_exact(p, np.stack([e, e]), taus) for e in np.eye(4)], axis=-1)
     assert np.max(np.abs(u - columns)) <= 1e-15
-    assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(4))) < 1e-12
 
 
 # c_pm = 2*(bz +- k) - omega_rf sets the (2,4)-plane rate of each co-rotating generator

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trispin.algebra import _PAULI, E1, SECTORS, ControlParams, build_hamiltonian, energy_residual, sector_fields
 from trispin.algebra import transverse_amplitude
 from trispin.dynamics import build_M, build_M_half, exact_state_trajectory, join_halves, mode_states, mode_table
-from trispin.dynamics import propagate_rk4, split_halves
+from trispin.dynamics import propagate_expm_integral, propagate_rk4, propagate_rotating_exact, split_halves
 from trispin.hilbert import _PROJECTION, sector_table
 
 
@@ -36,6 +36,15 @@ vectors8 = st.lists(_floats(-1.0, 1.0), min_size=8, max_size=8).map(np.array)
 def test_exact_trajectory_preserves_norm(p, x0, taus):
     states = exact_state_trajectory(p, x0, np.array(taus))
     assert np.max(np.abs(np.linalg.norm(states, axis=-1) - np.linalg.norm(x0))) <= 1e-12
+
+
+@given(shell_params(), st.lists(_floats(0.0, 10.0), min_size=1, max_size=20))
+def test_closed_form_propagators_are_orthogonal(p, taus):
+    # from eye(4) per half, the integrated-generator ansatz and the rotating-frame closed form give each half's
+    # propagator at every tau: exponentials of skew generators, so orthogonal
+    for route in (propagate_expm_integral, propagate_rotating_exact):
+        u = route(p, np.stack([np.eye(4), np.eye(4)]), np.array(taus))
+        assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(4))) <= 1e-12, route.__name__
 
 
 @st.composite

@@ -173,9 +173,11 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     _require(args.tau_end > 0, "--tau-end must be positive")
     # refused before anything is allocated: the taus and states alone, 72 bytes a row, must fit in physical memory
     rows, memory = _grid_rows(args.tau_end, args.dtau), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # 72.0 * rows: bytes past the float range read inf, where the int's format would overflow
+    # 72.0 * rows: bytes past the float range read inf, where the int's format would overflow; the excess too, as near
+    # the edge the two counts read alike at 3 digits
     _require(72 * rows <= memory, f"--tau-end {args.tau_end:g} and --dtau {args.dtau:g} make {rows:.3g} rows, whose taus and "
-                                  f"states need {72.0 * rows:.3g} bytes, more than the {memory:.3g} bytes of physical memory")
+                                  f"states need {72.0 * rows:.3g} bytes, more than the {memory:.3g} bytes of physical memory "
+                                  f"by {72.0 * rows - memory:.3g} bytes")
     disc = None
     with np.errstate(over="ignore", invalid="ignore"):  # huge fields overflow: refused below, not warned about
         if args.method == "rk4":

@@ -21,8 +21,10 @@ routes below carry both halves on one axis of length 2, + first; RK4 steps the
 * ``propagate_rotating_exact`` closed form in the co-rotating frame from one real
                                ``mode_table``, exact to eigendecomposition accuracy.
 
-``mode_states`` reads every mode table, the search's too; ``propagator_discrepancy``
-measures the gap between the last two routes.
+``mode_states`` reads the mode tables, the grid search's too, but for the single
+taus and target columns that ``search._state`` and ``search._target_values`` read
+off a table themselves; ``propagator_discrepancy`` measures the gap between the
+last two routes.
 """
 
 from __future__ import annotations

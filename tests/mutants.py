@@ -9,7 +9,7 @@ that acts only at import time, such as a constant derived at import from the pla
 It plants each row in a temporary copy of ``src/`` and runs Tier-1 (pytest -x) on it in a subprocess, less the tests
 that plant that row, whose own planting would fail there; the tests that plant other rows run, each a second fault:
 
-    python tests/mutants.py [ID ...]  # about 3 min for the 32 rows (2 vCPU), up to 20 s a row
+    python tests/mutants.py [ID ...]  # about 2 min 40 s for the 32 rows (2 vCPU), up to 20 s a row
 
 It prints one line a row and exits 1 if any outcome differs from the row's record.
 """

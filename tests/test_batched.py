@@ -353,7 +353,7 @@ def test_expm_skew_matches_per_matrix_expm(case):
     else:
         gens = _skew_stack(rng, 8, 30.0)
     batched = expm_skew(gens)
-    assert batched.shape == gens.shape
+    assert batched.shape == gens.shape and np.array_equal(expm_skew(gens[0]), batched[0])  # a lone (4, 4) too
     assert max(np.max(np.abs(u - expm_reference(a))) for u, a in zip(batched, gens)) <= 1e-13
     assert np.max(np.abs(batched @ batched.swapaxes(-1, -2) - np.eye(4))) <= 1e-14
     assert np.max(np.abs(np.linalg.det(batched) - 1.0)) <= 1e-14

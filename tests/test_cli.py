@@ -193,7 +193,8 @@ REFUSALS = {
         "argv4": Refusal(f"{PROPAGATE} --tau-end 1 --dtau 1e-320", "error: tau_end / dtau must be finite, got 1 / 9.99989e-321",
                          params_file()),
         "argv5": Refusal(f"{PROPAGATE} --tau-end 1e6 --dtau 1e-9", "error: --tau-end 1e+06 and --dtau 1e-09 make "
-                         "1e+15 rows, whose taus and states need 7.2e+16 bytes, more than the ... bytes of physical memory",
+                         "1e+15 rows, whose taus and states need 7.2e+16 bytes, more than the ... bytes of physical memory by "
+                         "7.2e+16 bytes",
                          params_file())},
     # argparse refuses the value before any command runs
     "test_non_finite_number_is_usage_error": {
@@ -477,13 +478,13 @@ def test_propagate_expm_integral_reports_discrepancy(tmp_path, capsys):
 @pytest.mark.parametrize("method", METHODS)
 def test_propagate_refuses_a_trajectory_over_physical_memory(tmp_path, capsys, monkeypatch, traced, method):
     # the machine read as 64 MiB: 932,068 rows need 72 bytes each of taus and states, 32 bytes too many, which the
-    # error's 3 digits do not show.  They are refused before the grid is made, whose taus alone take 7.5 MB, with one
-    # error line and no file
+    # error's 3-digit counts do not show but its excess does.  They are refused before the grid is made, whose taus
+    # alone take 7.5 MB, with one error line and no file
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}.__getitem__)
     assert traced(lambda: refused(
         tmp_path, capsys, f"{PROPAGATE} --method {method} --dtau 1e-5 --tau-end 9.32067", "error: --tau-end 9.32067 and "
         "--dtau 1e-05 make 9.32e+05 rows, whose taus and states need 6.71e+07 bytes, more than the 6.71e+07 bytes of "
-        "physical memory", params_file()))[1] <= 1e6
+        "physical memory by 32 bytes", params_file()))[1] <= 1e6
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -532,9 +533,9 @@ PROPAGATE_GRIDS = {
     "step_past_the_end": (("--tau-end", "1", "--dtau", "10"), 2),
     "subnormal_step": (("--dtau", "5e-324"), "error: tau_end / dtau must be finite, got 4.08105 / 4.94066e-324"),
     "huge_run": (("--tau-end", "1e300"), "error: --tau-end 1e+300 and --dtau 0.001 make 1e+303 rows, whose taus and states "
-                 "need 7.2e+304 bytes, more than the ... bytes of physical memory"),
+                 "need 7.2e+304 bytes, more than the ... bytes of physical memory by 7.2e+304 bytes"),
     "float_range_run": (("--tau-end", "1e308", "--dtau", "1"), "error: --tau-end 1e+308 and --dtau 1 make 1e+308 rows, whose "
-                        "taus and states need inf bytes, more than the ... bytes of physical memory"),
+                        "taus and states need inf bytes, more than the ... bytes of physical memory by inf bytes"),
 }
 
 

@@ -7,8 +7,8 @@ from scipy.linalg import expm
 
 from trispin import algebra
 from trispin.algebra import ControlParams, transverse_amplitude
-from trispin.dynamics import CSV_HEADER, MB, MC, MS, MZ, J, _time_grid, build_M, build_M_half, exact_state_trajectory
-from trispin.dynamics import expm_skew, integral_generator, join_halves, phase_integrals, propagate_expm_integral
+from trispin.dynamics import CSV_HEADER, MB, MC, MS, MZ, J, _time_grid, build_M_half, exact_state_trajectory, expm_skew
+from trispin.dynamics import integral_generator, join_halves, propagate_expm_integral
 from trispin.dynamics import propagate_rk4, propagate_rotating_exact, propagator_discrepancy, rotating_generator, split_halves
 from trispin.hilbert import full_hilbert_trajectory
 
@@ -29,56 +29,6 @@ def _random_params(rng):
     k, omega_hat = float(rng.choice([1.0, -1.0])), float(rng.uniform(1.7, 3.0))
     bz = float(rng.uniform(-0.8, 0.8)) * math.sqrt(omega_hat**2 - 2.0)
     return _params(k, omega_hat, None, bz, float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
-
-
-# --- generators ---------------------------------------------------------
-
-
-def _blocks(p, tau):
-    """(P, Q) read off the full generator M = 2[[P, Q], [Q, P]]."""
-    m = build_M(p, tau)
-    return m[:4, :4] / 2.0, m[:4, 4:] / 2.0
-
-
-def test_P_zero_field_entries():
-    expected = np.zeros((4, 4))
-    expected[0, 2], expected[2, 0] = -1.0, 1.0
-    assert np.max(np.abs(_blocks(_params(b0=0.0, bz=0.0), 1.3)[0] - expected)) == 0.0
-
-
-def test_P_entries_at_quarter_phase():
-    # theta = pi/2: P23 = b0, P34 = 0
-    mat = _blocks(_params(b0=1.0, bz=0.0, omega_rf=1.0, theta0=0.0), math.pi / 2.0)[0]
-    assert abs(mat[1, 2] - 1.0) < 1e-14 and abs(mat[2, 3]) < 1e-14
-
-
-def test_P_skew(rng):
-    for _ in range(5):
-        mat = _blocks(_random_params(rng), float(rng.uniform(0, 5)))[0]
-        assert np.max(np.abs(mat + mat.T)) <= 1e-14
-
-
-def test_Q_entries():
-    q = _blocks(_params(k=1.0, bz=0.0), 0.4)[1]
-    assert q[1, 3] == -1.0 and q[3, 1] == 1.0
-    assert np.max(np.abs(_blocks(_params(k=0.0, bz=0.0), 0.4)[1])) == 0.0
-    assert np.allclose(_blocks(_params(k=-1.0, bz=0.0), 0.4)[1], -q)
-
-
-def test_M_blocks_and_skew(rng):
-    p = _random_params(rng)
-    m = build_M(p, 0.8)
-    assert np.array_equal(m[:4, :4], m[4:, 4:]) and np.array_equal(m[:4, 4:], m[4:, :4])
-    # the halves y_pm = x_plus +- x_minus evolve under M_pm = 2(P +- Q)
-    m_plus, m_minus = build_M_half(p, 0.8)
-    assert np.allclose(m[:4, :4] + m[:4, 4:], m_plus) and np.allclose(m[:4, :4] - m[:4, 4:], m_minus)
-    assert np.max(np.abs(m + m.T)) <= 1e-14
-
-
-def test_M_first_row_free_precession():
-    # hand-evaluated commutator: with k=0 and no field, dx1/dtau = -2 x3
-    m = build_M(ControlParams(k=0.0, omega_hat=1.0, b0=0.0, bz=0.0, omega_rf=0.0, theta0=0.0), 0.0)
-    assert np.allclose(m[0], -2.0 * np.eye(8)[2])
 
 
 # --- halves --------------------------------------------------------------
@@ -137,11 +87,13 @@ def test_propagators_carry_the_halves_axis(rng, m):
 
 
 def test_rk4_closed_form_rotation():
-    # with no field and k=0 the (x1, x3) pair rotates: x1 = cos 2tau, x3 = sin 2tau
+    # with no field and k=0 the (x1, x3) pair rotates, x1 = cos 2tau and x3 = sin 2tau, and the rest stay 0 (seen: 7.7e-13,
+    # RK4's truncation)
     p = ControlParams(k=0.0, omega_hat=1.0, b0=0.0, bz=0.0, omega_rf=0.0, theta0=0.0)
     traj = propagate_rk4(p, np.eye(8)[0], 3.0, 1e-3)
-    assert np.max(np.abs(traj.states[:, 0] - np.cos(2 * traj.taus))) < 1e-8
-    assert np.max(np.abs(traj.states[:, 2] - np.sin(2 * traj.taus))) < 1e-8
+    want = np.zeros_like(traj.states)
+    want[:, 0], want[:, 2] = np.cos(2 * traj.taus), np.sin(2 * traj.taus)
+    assert np.max(np.abs(traj.states - want)) < 1e-11
 
 
 def test_rk4_zero_state_stays_zero(rng):
@@ -229,65 +181,11 @@ def test_integral_generator_zero_time(rng):
     assert np.max(np.abs(integral_generator(_random_params(rng), 0.0))) == 0.0
 
 
-@pytest.mark.parametrize("omega_rf", [0.0, 4e-7, 1e-3, 0.1, 1.0])
-def test_integral_generator_small_rates(omega_rf):
-    # the product form needs no branch at small or zero rates: it tracks the quadrature oracle throughout
-    p = ControlParams(k=1.0, omega_hat=2.5, b0=1.2, bz=0.1, omega_rf=omega_rf, theta0=0.7)
-    assert np.max(np.abs(integral_generator(p, 1.7) - _simpson_generator(p, 1.7))) < 1e-12
-
-
-def test_phase_integrals_zero_rate():
-    int_cos, int_sin = phase_integrals(ControlParams(k=1.0, omega_hat=2.0, b0=1.0, bz=0.0, omega_rf=0.0, theta0=0.3), 2.0)
-    assert abs(int_cos - 2.0 * math.cos(0.3)) < 1e-14 and abs(int_sin - 2.0 * math.sin(0.3)) < 1e-14
-
-
-def test_phase_integrals_huge_phase():
-    # omega_rf*tau = 3e45 raises no floating-point error and gives finite integrals within the bound
-    # 2/omega_rf of any integral of cos or sin(omega_rf*s + theta0); theta0 is below an ulp of the
-    # phase there (fl(1.5e45 + 0.3) = 1.5e45), so their values carry no digits to compare
-    p = ControlParams(k=1.0, omega_hat=2.0, b0=1.0, bz=0.0, omega_rf=3.0, theta0=0.3)
-    with np.errstate(all="raise"):
-        integrals = phase_integrals(p, 1e45)
-    assert all(math.isfinite(v) and abs(v) <= 0.67 for v in integrals)
-
-
-# --- matrix exponential ----------------------------------------------------
-
-
-def test_expm_zero():
-    assert np.allclose(expm_skew(np.zeros((4, 4))), np.eye(4))
-
-
-def test_expm_planar_rotation():
-    gen = np.zeros((4, 4))
-    gen[0, 1], gen[1, 0] = -math.pi, math.pi
-    assert np.max(np.abs(expm_skew(gen) - np.diag([-1.0, -1.0, 1.0, 1.0]))) < 1e-12
-
-
-def test_expm_group_inverse(rng):
-    a = rng.standard_normal((4, 4))
-    a = a - a.T
-    assert np.max(np.abs(expm_skew(a) @ expm_skew(-a) - np.eye(4))) < 1e-12
-
-
-def test_expm_orthogonal(rng):
-    a = rng.standard_normal((4, 4))
-    u = expm_skew(3.0 * (a - a.T))
-    assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-12
-
-
 # --- propagators -----------------------------------------------------------
 
 
 def test_expm_integral_identity_at_zero(rng):
     assert np.allclose(propagate_expm_integral(_random_params(rng), Y1, 0.0), Y1)
-
-
-def test_expm_integral_matches_rk4_for_static_drive():
-    # b0 = 0 makes the generator constant, where the integrated exponential is exact
-    p = ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.0, theta0=0.0)
-    traj = propagate_rk4(p, np.eye(8)[0], 2.0, 1e-4)
-    assert np.max(np.abs(join_halves(propagate_expm_integral(p, Y1, 2.0)) - traj.states[-1])) < 1e-8
 
 
 def test_expm_integral_over_taus_matches_per_tau(rng):
@@ -306,12 +204,6 @@ def test_rotating_exact_frozen_frame():
     y = propagate_rotating_exact(p, Y1, 2.1)
     for half, gen in enumerate(build_M_half(p, 0.0)):
         assert np.max(np.abs(y[half] - expm(2.1 * gen) @ E1)) < 1e-12
-
-
-def test_rotating_exact_matches_rk4(rng):
-    p = _random_params(rng)
-    traj = propagate_rk4(p, np.eye(8)[0], 3.0, 1e-4)
-    assert np.max(np.abs(join_halves(propagate_rotating_exact(p, Y1, 3.0)) - traj.states[-1])) < 1e-8
 
 
 def test_rotating_exact_propagator_columns(rng):
@@ -389,13 +281,9 @@ def test_discrepancy_vanishes_for_frozen_phase():
     assert propagator_discrepancy(_params(omega_rf=0.0), np.linspace(0.0, 3.0, 31)).max_deviation <= 1e-10
 
 
-def test_discrepancy_generic_is_recorded(rng):
-    d = propagator_discrepancy(_random_params(rng), np.linspace(0.0, 3.0, 31))
-    assert d.max_deviation >= 0.0 and 0.0 <= d.tau_at_max <= 3.0
-
-
 @pytest.mark.parametrize("p", [ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=1.2, omega_rf=2.3, theta0=0.4),  # static
-                               ControlParams(k=-1.0, omega_hat=2.4, b0=1.5, bz=0.6, omega_rf=0.0, theta0=1.1)])  # frozen
+                               ControlParams(k=-1.0, omega_hat=2.4, b0=1.5, bz=0.6, omega_rf=0.0, theta0=1.1),  # frozen
+                               ControlParams(k=1.0, omega_hat=2.0, b0=0.0, bz=math.sqrt(2.0), omega_rf=0.0, theta0=0.0)])
 def test_three_propagators_agree_in_special_cases(p):
     # when the generator is effectively constant all three routes coincide
     x_rk4 = propagate_rk4(p, np.eye(8)[0], 2.0, 1e-4).states[-1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from scipy.linalg import expm
 
 from trispin import dynamics
 from trispin.algebra import _PAULI, E1, SECTORS, TAU_STAR, ControlParams, build_hamiltonian, coherence_basis, embed3
-from trispin.algebra import sector_fields
-from trispin.dynamics import _skew, build_M, mode_states
+from trispin.algebra import sector_fields, transverse_amplitude
+from trispin.dynamics import MZ, _skew, build_M, mode_states
 from trispin.hilbert import _HAMILTON, _PROJECTION, closure_check, full_hilbert_trajectory, sector_table
-from trispin.report import dynamics_equivalence, random_consistent_params
+from trispin.report import random_consistent_params
 
 FREE = ControlParams(k=0.0, omega_hat=1.0, b0=0.0, bz=0.0, omega_rf=0.0, theta0=0.0)
 
@@ -147,16 +148,25 @@ def test_expectations_initial_state():
 
 
 def test_expectations_free_precession():
-    # matches the reduced closed form x1 = cos 2 tau
+    # matches the reduced closed form x1 = cos 2 tau, x3 = sin 2 tau, and the rest 0
     full = full_hilbert_trajectory(FREE, 2.0, 1e-3)
-    assert np.max(np.abs(full.states[:, 0] - np.cos(2.0 * full.taus))) <= 1e-14
-    assert np.max(np.abs(full.states[:, 2] - np.sin(2.0 * full.taus))) <= 1e-14
+    want = np.zeros_like(full.states)
+    want[:, 0], want[:, 2] = np.cos(2.0 * full.taus), np.sin(2.0 * full.taus)
+    assert np.max(np.abs(full.states - want)) <= 1e-14
 
 
-def test_closure_free_precession_row():
-    # the only row-1 coupling is to x3 with coefficient -2 (checked inside closure via the generator); the generator
-    # row itself is the hand oracle
-    assert closure_check(FREE, [0.0]) <= 1e-14 and np.allclose(build_M(FREE, 0.0)[0], -2.0 * np.eye(8)[2])
+NO_FIELD = ControlParams(k=1.0, omega_hat=2.5, b0=0.0, bz=0.0, omega_rf=1.7, theta0=0.6)
+
+
+# with no field every projected trace is a sum of integers, so build_M is the projection to the bit; at the quarter
+# phase the field lies along y2 but for cos(pi/2) = 6e-17.  Row 1 is free precession, dx1/dtau = -2 x3, and 2Q = k*MZ
+# whatever the field
+@pytest.mark.parametrize("p, tau, tol", [(FREE, 0.0, 0.0), (NO_FIELD, 1.3, 0.0), (replace(NO_FIELD, k=-1.0), 1.3, 0.0),
+                                         (replace(NO_FIELD, b0=1.0, omega_rf=1.0, theta0=0.0), 0.5 * math.pi, 1e-14)],
+                         ids=["free", "no_field", "no_field_k_minus", "quarter_phase"])
+def test_closure_at_hand_controls(p, tau, tol):
+    assert closure_check(p, [tau]) <= tol and np.array_equal(build_M(p, tau)[0], -2.0 * np.eye(8)[2])
+    assert np.array_equal(build_M(replace(NO_FIELD, k=p.k, b0=transverse_amplitude(2.5, p.k, 0.0)), 0.4)[:4, 4:], p.k * MZ)
 
 
 def test_closure_random_parameters(rng):
@@ -183,23 +193,3 @@ def test_closure_gemms_keep_the_einsum_bits():
         p, taus = random_consistent_params(rng), rng.uniform(0.0, 5.0, size=10)
         assert closure_check(p, taus) == _closure_by_einsum(p, taus)
     assert closure_check(FREE, []) == _closure_by_einsum(FREE, []) == 0.0
-
-
-def test_closure_coefficient_matrix_skew(rng):
-    # Hermiticity of H and the basis makes the projected coefficient matrix skew;
-    # it equals the reduced generator, which is skew by construction
-    m = build_M(random_consistent_params(rng), 1.234)
-    assert np.max(np.abs(m + m.T)) <= 1e-14
-
-
-def test_cross_validate_free_case():
-    assert dynamics_equivalence([FREE], 2.0, 1e-4)[0] <= 1e-10
-
-
-def test_cross_validate_consistent_params(rng):
-    assert dynamics_equivalence([random_consistent_params(rng)], TAU_STAR, 1e-4)[0] <= 1e-8
-
-
-def test_cross_validate_first_sample_identical(rng):
-    full = full_hilbert_trajectory(random_consistent_params(rng), 0.2, 1e-3)
-    assert np.max(np.abs(full.states[0] - np.eye(8)[0])) < 1e-14

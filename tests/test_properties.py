@@ -100,9 +100,11 @@ def test_theta0_turns_the_x2_x4_and_x6_x8_planes(p, taus):
 
 @given(shell_params(), _floats(0.0, 10.0), vectors8)
 def test_build_M_decouples_into_halves(p, tau, x):
-    # M x = join(M_+ y_+, M_- y_-) with (y_+, y_-) = split(x): the y_pm halves evolve independently
-    halves = join_halves((build_M_half(p, tau) @ split_halves(x)[..., None])[..., 0])
-    assert np.max(np.abs(build_M(p, tau) @ x - halves)) <= 1e-12
+    # M x = join(M_+ y_+, M_- y_-) with (y_+, y_-) = split(x): the y_pm halves evolve independently; and, to the bit, M
+    # is skew and has the blocks 2[[P, Q], [Q, P]]
+    m, halves = build_M(p, tau), join_halves((build_M_half(p, tau) @ split_halves(x)[..., None])[..., 0])
+    assert np.max(np.abs(m @ x - halves)) <= 1e-12
+    assert np.array_equal(m, -m.T) and np.array_equal(m[:4], np.roll(m[4:], 4, axis=1))
 
 
 @given(shell_params(), _floats(0.0, 5.0), _floats(0.0, 5.0), _floats(1e-3, 0.2))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PAULI = {
+PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -124,12 +124,12 @@ def transverse_amplitude(omega_hat: float, k: float, bz: float = 0.0) -> float:
     return math.sqrt(r)
 
 
-_ZZ12 = embed3(_PAULI["z"], _PAULI["z"], None)
-_ZZ23 = embed3(None, _PAULI["z"], _PAULI["z"])
-_X2 = embed3(None, _PAULI["x"], None)
-_Y2 = embed3(None, _PAULI["y"], None)
-_Z2 = embed3(None, _PAULI["z"], None)
-_BASIS = tuple(embed3(*(None if a is None else _PAULI[a] for a in axes)) for axes in _BASIS_AXES)
+_ZZ12 = embed3(PAULI["z"], PAULI["z"], None)
+_ZZ23 = embed3(None, PAULI["z"], PAULI["z"])
+_X2 = embed3(None, PAULI["x"], None)
+_Y2 = embed3(None, PAULI["y"], None)
+_Z2 = embed3(None, PAULI["z"], None)
+_BASIS = tuple(embed3(*(None if a is None else PAULI[a] for a in axes)) for axes in _BASIS_AXES)
 for _op in (_ZZ12, _ZZ23, _X2, _Y2, _Z2, *_BASIS):
     _op.setflags(write=False)
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import ControlParams, energy_shell
-from .dynamics import _WINDOW_ROWS, MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
+from .dynamics import WINDOW_ROWS, MB, MC, MS, MZ, expm_skew, phase_integrals, sinc
 
 PI = math.pi
 
@@ -358,7 +358,7 @@ def consistency_scan(
     theta0.  With x = sqrt(3)*R/2, theta_sign = -omega_sign gives d = 0 and b = -pi*k*(-1)^r*sin(x), so its best r is
     pi*(1 - |sin x|) off, and its two omega_sign tie bitwise; theta_sign = omega_sign gives
     b = -pi*k*(-1)^r*cos(2x)*sin(x), at least pi*(1 - |cos(2x)*sin(x)|) >= pi*(1 - |sin x|) off.  So closed_form_params
-    keeps omega_sign = 1, theta_sign = -1 alone.  The curve is made in windows of the memory budget, _WINDOW_ROWS
+    keeps omega_sign = 1, theta_sign = -1 alone.  The curve is made in windows of the memory budget, WINDOW_ROWS
     samples, so its temporaries do not grow with samples.  The consistent points are the scales of consistent_scale in
     the range, whatever samples is; each is kept only if its b, d residuals are at most 1e-9 and its residual_phase,
     linear in the scale's error where the b residual is quadratic, at most 1e-12*(2j+1)*pi/2.
@@ -382,10 +382,10 @@ def consistency_scan(
 
     omegas = omega_lo + (omega_hi - omega_lo) * np.arange(1, samples + 1) / samples
     residuals = np.empty(samples)
-    for lo in range(0, samples, _WINDOW_ROWS):  # both branches of a window at once, each temporary 96 KB
-        worst = np.maximum(*branch_residuals(omegas[lo : lo + _WINDOW_ROWS], _SCAN_BRANCHES))
+    for lo in range(0, samples, WINDOW_ROWS):  # both branches of a window at once, each temporary 96 KB
+        worst = np.maximum(*branch_residuals(omegas[lo : lo + WINDOW_ROWS], _SCAN_BRANCHES))
         # best over the branches; fmin passes over a NaN branch
-        residuals[lo : lo + _WINDOW_ROWS] = np.fmin.reduce(worst, axis=0, initial=math.inf)
+        residuals[lo : lo + WINDOW_ROWS] = np.fmin.reduce(worst, axis=0, initial=math.inf)
 
     j = np.arange(math.floor(top) + 1)
     scales, branch = consistent_scale(j)

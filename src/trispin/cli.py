@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import E1, TAU_STAR, ControlParams, energy_residual
+from .algebra import TAU_STAR, ControlParams, energy_residual
 from .boundary import (
     SCAN_SAMPLES,
     TRANSFER_COLUMNS,
@@ -33,19 +33,8 @@ from .boundary import (
     sweep_tau,
     transfer_time,
 )
-from .dynamics import (
-    Trajectory,
-    exact_state_trajectory,
-    propagate_rk4,
-    propagator_discrepancy,
-    propagate_expm_integral,
-    split_halves,
-    join_halves,
-    _grid_rows,
-    _time_grid,
-    _windows,
-)
-from .hilbert import full_hilbert_trajectory
+from .dynamics import grid_rows, propagator_discrepancy, trajectory
+from .hilbert import ROUTES
 from .report import COLUMN_TOLERANCE, DEFAULT_SEED, column_gap, run_verification
 from .search import COMPONENT_INDEX, grid_search
 
@@ -141,14 +130,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         _require(bool(sols), f"no inverted control realizes label (m0, n0) = ({args.m0}, {args.n0}) "
                              f"at omega_hat={args.omega_hat:g}")
         params = sols[0].params
-        record["params"] = {
-            "omega_hat": params.omega_hat,
-            "b0": params.b0,
-            "bz": params.bz,
-            "omega_rf": params.omega_rf,
-            "theta0": params.theta0,
-            "branch": sols[0].branch,
-        }
+        record["params"] = {key: value for key, value in asdict(params).items() if key != "k"} | {"branch": sols[0].branch}
         record["residuals"]["b_eq"] = sols[0].residual_b
         record["residuals"]["d_eq"] = sols[0].residual_d
         record["energy_residual"] = energy_residual(params)
@@ -172,28 +154,15 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     p = _read_params_file(args.params_file)
     _require(args.tau_end > 0, "--tau-end must be positive")
     # refused before anything is allocated: the taus and states alone, 72 bytes a row, must fit in physical memory
-    rows, memory = _grid_rows(args.tau_end, args.dtau), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    rows, memory = grid_rows(args.tau_end, args.dtau), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     # 72.0 * rows: bytes past the float range read inf, where the int's format would overflow; the excess too, as near
     # the edge the two counts read alike at 3 digits
     _require(72 * rows <= memory, f"--tau-end {args.tau_end:g} and --dtau {args.dtau:g} make {rows:.3g} rows, whose taus and "
                                   f"states need {72.0 * rows:.3g} bytes, more than the {memory:.3g} bytes of physical memory "
                                   f"by {72.0 * rows - memory:.3g} bytes")
-    disc = None
     with np.errstate(over="ignore", invalid="ignore"):  # huge fields overflow: refused below, not warned about
-        if args.method == "rk4":
-            traj = propagate_rk4(p, E1, args.tau_end, args.dtau)
-        elif args.method == "full-hilbert":
-            traj = full_hilbert_trajectory(p, args.tau_end, args.dtau)
-        else:
-            taus = _time_grid(args.tau_end, args.dtau)
-            if args.method == "rotating-exact":
-                states = exact_state_trajectory(p, E1, taus)
-            else:  # expm-integral, a window of taus at a time
-                states = np.empty((len(taus), 8))
-                for window in _windows(len(taus)):
-                    states[window] = join_halves(propagate_expm_integral(p, split_halves(E1), taus[window]))
-                disc = propagator_discrepancy(p, taus)
-            traj = Trajectory(taus=taus, states=states)
+        traj = trajectory(ROUTES[args.method](p, args.tau_end, args.dtau), args.tau_end, args.dtau)
+        disc = propagator_discrepancy(p, traj.taus) if args.method == "expm-integral" else None  # the ansatz's gap
         finite = all(np.all(np.isfinite(norms)) for *_, norms in traj.windows())
         bounded = finite and (disc is None or math.isfinite(disc.max_deviation))
     _require(bounded, f"parameter file {args.params_file} gives a trajectory that is not finite (method {args.method})")
@@ -314,7 +283,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = commands["propagate"] = sub.add_parser("propagate", help="propagate x from e1 and export the trajectory CSV")
     sp.add_argument("--params-file", default=None, help="JSON file with k, omega_hat, b0, bz, omega_rf, theta0")
-    sp.add_argument("--method", default="rk4", choices=("rk4", "expm-integral", "rotating-exact", "full-hilbert"))
+    sp.add_argument("--method", default="rk4", choices=tuple(ROUTES))
     sp.add_argument("--dtau", type=finite, default=1e-3)
     sp.add_argument("--tau-end", type=finite, default=3.0 * TAU_STAR)
     add_common(sp)

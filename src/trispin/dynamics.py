@@ -10,21 +10,18 @@ M_pm = 2(P +- Q), which is linear in the drive:
 Every generator in the package is assembled from the four constant matrices
 MB, MZ, MC and MS.  The half generators M_pm and the states of the last two
 routes below carry both halves on one axis of length 2, + first; RK4 steps the
-8-vector itself.  Three propagation routes are provided:
+8-vector itself.  Three propagation routes, each a row source and its own turn to the lab frame (``hilbert.ROUTES``):
 
-* ``propagate_rk4``            classic fixed-step RK4 on x with the 8x8 ``build_M``,
-                               one step map per run in the co-rotating frame,
-* ``propagate_expm_integral``  exp of the integrated generator (an ansatz:
-                               for the rotating drive the generator does not
-                               commute with its integral, so this is *not*
-                               guaranteed to equal the time-ordered solution),
-* ``propagate_rotating_exact`` closed form in the co-rotating frame from one real
-                               ``mode_table``, exact to eigendecomposition accuracy.
+* ``rk4_route``    classic fixed-step RK4 on x with the 8x8 ``build_M``, one step map per run in the co-rotating
+                   frame (``propagate_rk4``),
+* ``expm_route``   exp of the integrated generator (``propagate_expm_integral``, an ansatz: for the rotating drive
+                   the generator does not commute with its integral, so this is *not* the time-ordered solution),
+* ``mode_route``   closed form in the co-rotating frame from one real ``mode_table``, exact to eigendecomposition
+                   accuracy (``propagate_rotating_exact`` reads the table for matrix states).
 
-``mode_states`` reads the mode tables, the grid search's too, but for the single
-taus and target columns that ``search._state`` and ``search._target_values`` read
-off a table themselves; ``propagator_discrepancy`` measures the gap between the
-last two routes.
+``mode_states`` reads the mode tables on any taus, the grid search's too, but for the single taus and target columns
+that ``search._state`` and ``search._target_values`` read off a table themselves; ``propagator_discrepancy`` measures
+the gap between the last two routes on matrix states.
 """
 
 from __future__ import annotations
@@ -35,13 +32,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import ControlParams
+from .algebra import E1, ControlParams
 
 CSV_HEADER = "tau,x1,x2,x3,x4,x5,x6,x7,x8,norm"
 _CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 
-_BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
-_WINDOW_ROWS = 6144  # the one memory budget, rows a streamed loop holds per source; a search block counts its block tables
+BLOCK_STEPS = 32  # steps per block of the step product (see _powers)
+WINDOW_ROWS = 6144  # the one memory budget, rows a streamed loop holds per source; a search block counts its block tables
 
 
 def _skew(i: int, j: int, value: float) -> np.ndarray:
@@ -134,16 +131,16 @@ class Trajectory:
 
 
 def _windows(n: int):
-    """Slices of _WINDOW_ROWS rows that cover rows 0..n-1, the last of two rows or more where n > 1: a one-row product
+    """Slices of WINDOW_ROWS rows that cover rows 0..n-1, the last of two rows or more where n > 1: a one-row product
     (gemv) rounds otherwise than a GEMM over more rows, so a lone last row joins the window before it."""
     lo = 0
     while lo < n:
-        hi = n if n - lo == _WINDOW_ROWS + 1 else lo + _WINDOW_ROWS
+        hi = n if n - lo == WINDOW_ROWS + 1 else lo + WINDOW_ROWS
         yield slice(lo, hi)
         lo = hi
 
 
-def _grid_rows(tau_end: float, dtau: float) -> int:
+def grid_rows(tau_end: float, dtau: float) -> int:
     """Rows of the grid 0, dtau, 2*dtau, ..., tau_end with the last step shortened; the one check of every step."""
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise ValueError(f"tau_end must be finite and nonnegative, got {tau_end:g}")
@@ -156,12 +153,23 @@ def _grid_rows(tau_end: float, dtau: float) -> int:
     return n_full + 1 + short
 
 
-def _time_grid(tau_end: float, dtau: float, first: int = 0) -> np.ndarray:
-    """The grid of ``_grid_rows``, i*dtau at row i and tau_end at the last, from row first on: any tail has its bits."""
-    taus = np.arange(first, _grid_rows(tau_end, dtau), dtype=float)
+def time_grid(tau_end: float, dtau: float, first: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows first..stop-1 (to the last) of the ``grid_rows`` grid, i*dtau at row i and tau_end last: any part has its bits."""
+    n = grid_rows(tau_end, dtau)
+    taus = np.arange(first, n if stop is None else min(stop, n), dtype=float)
     taus *= dtau  # in place: a grid of n points holds 8n bytes at its peak
-    taus[-1] = tau_end
+    taus[n - 1 - first :] = tau_end
     return taus
+
+
+def trajectory(route: tuple, tau_end: float, dtau: float) -> Trajectory:
+    """The Trajectory of a route's (rows, turn) on ``time_grid(tau_end, dtau)``: each window (``_windows``) taken into
+    the states and turned there to the lab frame, so beyond the taus and states memory does not grow with the grid."""
+    (rows, turn), taus = route, time_grid(tau_end, dtau)
+    states = np.empty((len(taus), 8))
+    for window in _windows(len(taus)):
+        states[window] = turn(rows.take(window.start, window.stop, states[window]), taus[window])
+    return Trajectory(taus=taus, states=states)
 
 
 class _Rows:
@@ -170,8 +178,8 @@ class _Rows:
     Grid row j*b + l is s_j @ table[..., :, l, :], s_j row j of the block starts (starts.take(a, z) makes rows a..z-1),
     table of shape (..., 8, b, width): one GEMM reads a block's maps side by side.  Leading axes of the tail and the
     table (sets, oracles) give each entry a GEMM of the shape a lone source has.  A last partial block, the one-row
-    product with the table's first columns, is made here and heads the tail.  The rows are co-rotating: each oracle
-    turns its own to the lab frame after them, RK4 by ``_turned`` and the mode tables in ``mode_states``.
+    product with the table's first columns, is made here and heads the tail.  The rows are co-rotating: each route
+    turns its own to the lab frame after them, RK4 by ``_turned`` and the mode tables by ``_turn_planes``.
     """
 
     def __init__(self, tail, starts=None, table=None, count=0):
@@ -210,10 +218,6 @@ class _Rows:
                 dest[...] = rows[..., lo - j0 * b : g_hi - j0 * b, :]
         return out
 
-    def array(self) -> np.ndarray:
-        """Every state row, in one take."""
-        return self.take(0, self.n)
-
 
 def _powers(e: np.ndarray, first: np.ndarray, n: int) -> _Rows:
     """Rows x_i of the powers of a step map: n rows of 8.
@@ -221,20 +225,20 @@ def _powers(e: np.ndarray, first: np.ndarray, n: int) -> _Rows:
     x_i = (I + e[0])^i first for i < n - 1 and x_(n-1) = (I + e[1]) x_(n-2), first an 8-vector; e (2, ..., 8, 8) holds
     the increments of a step of dtau and of the grid's last step, of a stack of sets on its middle axes with first of
     their shape (first may be shared if n > 1).  With E_0 = 0 and E_l = (I + e)^l - I = E_(l-1) + e E_(l-1) + e, x_i
-    at i = j*_BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T, on the block grid of a ``_Rows``; x_(n-1) is its one held
-    row.  The block starts s_j = (I + E_last)^j first, E_last = E_(_BLOCK_STEPS), are the rows of _powers on E_last:
-    n entries recurse to n/_BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and
-    E_last are rounded once and that rounding repeats about n/_BLOCK_STEPS times, so blocks are short.
+    at i = j*BLOCK_STEPS + l < n - 1 is s_j @ (I + E_l)^T, on the block grid of a ``_Rows``; x_(n-1) is its one held
+    row.  The block starts s_j = (I + E_last)^j first, E_last = E_(BLOCK_STEPS), are the rows of _powers on E_last:
+    n entries recurse to n/BLOCK_STEPS, ...  Increments keep a diagonal near 1 from being rounded each step; e and
+    E_last are rounded once and that rounding repeats about n/BLOCK_STEPS times, so blocks are short.
     """
     if n == 1:
         return _Rows(first[..., None, :])
     # rows read E_l only up to l = n - 2 and the starts E_last: with a step longer than the run the rest overflow
-    powers = np.zeros((min(_BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
+    powers = np.zeros((min(BLOCK_STEPS, n - 2) + 1,) + e.shape[1:])
     for l in range(1, len(powers)):
         powers[l] = powers[l - 1] + e[0] @ powers[l - 1] + e[0]
-    starts = _powers(powers[[-1, -1]], first, (n - 2) // _BLOCK_STEPS + 1)
-    table = np.moveaxis(powers[:_BLOCK_STEPS], 0, -2).swapaxes(-1, -3) + np.eye(8)[:, None]  # s @ table[..., l, :] = (I + E_l) s
-    j, l = divmod(n - 2, _BLOCK_STEPS)
+    starts = _powers(powers[[-1, -1]], first, (n - 2) // BLOCK_STEPS + 1)
+    table = np.moveaxis(powers[:BLOCK_STEPS], 0, -2).swapaxes(-1, -3) + np.eye(8)[:, None]  # s @ table[..., l, :] = (I + E_l) s
+    j, l = divmod(n - 2, BLOCK_STEPS)
     x = (starts.take(j, j + 1) @ table[..., l, :])[..., 0, :]  # x_(n-2)
     x = x + (e[1] @ x[..., None])[..., 0]
     return _Rows(x[..., None, :], starts, table, n - 1)
@@ -248,23 +252,24 @@ def _turned(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, c * rows, s * rows], axis=-1) @ _TURN_PARTS.reshape(24, 8)
 
 
-def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
-    """Classic 4th-order fixed-step RK4 of dx/dtau = M x on ``_time_grid(tau_end, dtau)``, M the 8x8 ``build_M``.
+def rk4_route(p: ControlParams, tau_end: float, dtau: float, x0: np.ndarray = E1) -> tuple:
+    """RK4 of dx/dtau = M x from x0 on ``time_grid(tau_end, dtau)``, M the 8x8 ``build_M``: co-rotating rows, and ``_turned``.
 
     With left, middle and right generators A1, A2, A4 of a step of length h, the stages of a
     linear system are K2 = A2 (I + h/2 A1), K3 = A2 (I + h/2 K2), K4 = A4 (I + h K3), and the
     step adds D x, D = h/6 (A1 + 2 K2 + 2 K3 + K4).  As M(t + s) = R M(s) R^T, R = exp(omega_rf*t*_TURN) (see J),
-    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)); ``_powers`` takes the
-    co-rotating states and ``_turned`` turns each back by exp(omega_rf*tau*_TURN), a window of _WINDOW_ROWS rows at a
-    time, written into the states: beyond taus and states, memory does not grow with the grid.  The states are a new
-    array, never x0.
+    every step of length h is one map in the co-rotating frame, R(-omega_rf h) (I + D(0)), and ``_turned`` turns each
+    row back by exp(omega_rf*tau*_TURN).  The ``_powers`` source reads the grid's last two taus alone.
     """
-    taus = _time_grid(tau_end, dtau)
-    rows, states = _powers(_rk4_map(p, taus, dtau), np.asarray(x0, dtype=float), len(taus)), np.empty((len(taus), 8))
-    for lo in range(0, len(taus), _WINDOW_ROWS):
-        window = rows.take(lo, lo + _WINDOW_ROWS, states[lo : lo + _WINDOW_ROWS])
-        window[...] = _turned(window, p.omega_rf * taus[lo : lo + _WINDOW_ROWS])
-    return Trajectory(taus=taus, states=states)
+    n = grid_rows(tau_end, dtau)
+    e = _rk4_map(p, time_grid(tau_end, dtau, max(n - 2, 0)), dtau)
+    rows = _powers(e, np.broadcast_to(np.asarray(x0, dtype=float), e.shape[1:-1]), n)
+    return rows, lambda x, taus: _turned(x, np.multiply.outer(p.omega_rf, taus))
+
+
+def propagate_rk4(p: ControlParams, x0: np.ndarray, tau_end: float, dtau: float) -> Trajectory:
+    """The ``trajectory`` of ``rk4_route`` from x0; the states are a new array, never x0."""
+    return trajectory(rk4_route(p, tau_end, dtau, x0), tau_end, dtau)
 
 
 def _rk4_map(p: ControlParams, taus: np.ndarray, dtau: float) -> np.ndarray:
@@ -334,6 +339,14 @@ def propagate_expm_integral(p: ControlParams, y0: np.ndarray, taus: np.ndarray |
     return (expm_skew(integral_generator(p, taus)) @ y0.reshape(2, 4, -1)).reshape(np.shape(taus) + y0.shape)
 
 
+def expm_route(p: ControlParams, tau_end: float, dtau: float) -> tuple:
+    """The ansatz ``propagate_expm_integral`` from e1 on ``time_grid(tau_end, dtau)``: rows made from their own taus as
+    they are taken, a new array each (out is not written), in the lab frame already, so its turn leaves them."""
+    def take(lo, hi, out=None):
+        return join_halves(propagate_expm_integral(p, split_halves(E1), time_grid(tau_end, dtau, lo, hi)))
+    return SimpleNamespace(take=take), lambda x, taus: x
+
+
 def rotating_generator(p: ControlParams) -> np.ndarray:
     """Constant co-rotating-frame generators M_pm(0) - omega_rf * J, shape (the broadcast of k, bz, b0, omega_rf) + (2, 4, 4);
     each control of a stack keeps its bits, and one ``mode_table`` (one eigh) takes a group of the search's pairs."""
@@ -363,7 +376,7 @@ def mode_table(p: ControlParams, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _on_grid(taus) -> bool:
     """Whether taus has 3 or more entries on one axis, all but the last dtau*arange bitwise; compared in windows."""
     n = len(taus) - 1 if np.ndim(taus) == 1 else 0
-    spans = [(lo, min(lo + _WINDOW_ROWS, n)) for lo in range(0, n, _WINDOW_ROWS)]
+    spans = [(lo, min(lo + WINDOW_ROWS, n)) for lo in range(0, n, WINDOW_ROWS)]
     return n >= 2 and all(np.array_equal(taus[lo:hi], taus[1] * np.arange(lo, hi)) for lo, hi in spans)
 
 
@@ -371,26 +384,39 @@ def mode_states(table: np.ndarray, w: np.ndarray, taus, omega_rf: float | None =
     """[cos(w*tau), sin(w*tau)] @ table at every tau in taus, turned by exp(omega_rf*tau*J) if omega_rf is given.
 
     (table, w) is a ``mode_table`` with leading shape s and a state of shape (2, 4) or (2, 4, m); the result
-    has shape s + np.shape(taus) + state, the rows of ``_mode_rows``, each turned in the (2,4) plane of both halves,
-    of y_pm or alike of x_plus and x_minus; omega_rf has s's last axes or none."""
+    has shape s + np.shape(taus) + state, the rows of ``_mode_rows``, each turned by ``_turn_planes``, window by
+    window; omega_rf has s's last axes or none."""
     taus = np.asarray(taus, dtype=float)
     lead, state, flat = w.shape[:-1], table.shape[w.ndim :], taus.reshape(-1)
-    rows = _mode_rows(table, w, taus).array()
+    rows = _mode_rows(table, w, taus).take(0, flat.size)
+    for window in _windows(len(flat)) if omega_rf is not None else ():
+        rows[..., window, :] = _turn_planes(rows[..., window, :], np.multiply.outer(omega_rf, flat[window]))
+    return rows.reshape(lead + taus.shape + state)
+
+
+def _turn_planes(rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The mode tables' turn, a new array: rows (..., 8m) as (2, 4, m), of y_pm or x_plus and x_minus, turned by
+    exp(phi*J) in each half's (2,4) plane, phi an angle a row.  It shares no code with RK4's ``_turned`` (README)."""
     y = rows.reshape(rows.shape[:-1] + (2, 4, -1))
-    if omega_rf is not None:
-        for window in _windows(len(flat)):  # turned in place, window by window
-            c, s = (f(np.asarray(omega_rf)[..., None] * flat[window])[..., None, None] for f in (np.cos, np.sin))
-            part = y[..., window, :, :, :]
-            u, v = part[..., 1, :], part[..., 3, :]
-            part[..., 1, :], part[..., 3, :] = c * u - s * v, s * u + c * v
-    return y.reshape(lead + taus.shape + state)
+    c, s = (f(phi)[..., None, None] for f in (np.cos, np.sin))
+    out = y.copy()
+    out[..., 1, :], out[..., 3, :] = c * y[..., 1, :] - s * y[..., 3, :], s * y[..., 1, :] + c * y[..., 3, :]
+    return out.reshape(rows.shape)
+
+
+def mode_route(modes: tuple, omega_rf, tau_end: float, dtau: float) -> tuple:
+    """A mode table's (``mode_table``'s or ``hilbert.sector_table``'s, 8 wide) co-rotating rows on ``time_grid(tau_end,
+    dtau)``, a ``_mode_rows`` source read off the grid's last two taus, and their turn by omega_rf, ``_turn_planes``."""
+    n = grid_rows(tau_end, dtau)
+    rows = _mode_rows(*modes, time_grid(tau_end, dtau, max(n - 2, 0)), (n, dtau))
+    return rows, lambda x, taus: _turn_planes(x, np.multiply.outer(omega_rf, taus))
 
 
 def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, grid: tuple | None = None) -> _Rows:
     """The rows of ``mode_states`` before its turn, shape s + (taus.size, width), as a row source.
 
     For an 8-wide state (2, 4) on ``_on_grid`` taus, or with grid = (n, dtau), taus the last of n >= 3 rows i*dtau
-    of ``_time_grid``, all but the last tau are a block grid: by angle addition the rows at block step l are [cos_l T_c
+    of ``time_grid``, all but the last tau are a block grid: by angle addition the rows at block step l are [cos_l T_c
     + sin_l T_s; cos_l T_s - sin_l T_c], rate by rate, T_c and T_s the cos and sin rows of the table, so cos and sin
     run on one block and on the block starts, made as a window takes them.  The last tau, any other taus, a grid of
     n < 3 rows and wider states take the direct form."""
@@ -405,7 +431,7 @@ def _mode_rows(table: np.ndarray, w: np.ndarray, taus: np.ndarray, grid: tuple |
     rows = np.concatenate(trig(direct), axis=-1) @ table
     if n < 3:
         return _Rows(rows)
-    b = _BLOCK_STEPS
+    b = BLOCK_STEPS
     block = np.arange(min(b, n - 1)) * dtau  # the grid's taus: i*dtau, i an exact float
     # [cos, sin] at the block starts a..z-1, made as they are taken
     starts = SimpleNamespace(take=lambda a, z: np.concatenate(trig(np.arange(a * b, z * b, b, dtype=float) * dtau), axis=-1))

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
-from .dynamics import Trajectory, _time_grid, build_M, mode_states
+from .algebra import E1, PAULI, SECTORS, ControlParams, build_hamiltonian, coherence_basis, sector_fields
+from .dynamics import Trajectory, build_M, expm_route, mode_route, mode_table, rk4_route, split_halves, trajectory
 
 # the units of U = q0 I - i(q1 sx + q2 sy + q3 sz), under which matrix products are Hamilton products
-_UNITS = np.stack([np.eye(2), -1j * _PAULI["x"], -1j * _PAULI["y"], -1j * _PAULI["z"]])
+_UNITS = np.stack([np.eye(2), -1j * PAULI["x"], -1j * PAULI["y"], -1j * PAULI["z"]])
 # _HAMILTON[i, j, r] = Re Tr(unit_r^dag unit_i unit_j)/2 is component r of unit_i unit_j
 _HAMILTON = np.einsum("rxw,ixy,jyw->ijr", _UNITS.conj(), _UNITS, _UNITS).real / 2.0
 # product to sum: rows cos(a + b), cos(a - b), sin(a + b), sin(a - b) of the columns cos a cos b, cos a sin b,
@@ -46,7 +46,7 @@ def sector_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
     with F_s3 = V_(+,s3) V_(-,s3)^dag, whose quaternion is bilinear in cos and sin of r_(+,s3) tau and r_(-,s3) tau:
     by product to sum, a table of the rates w = (r_(+,s3) + r_(-,s3), r_(+,s3) - r_(-,s3)), s3 = +, - each.  The
     turn of G's (g1, g2) planes by omega_rf*tau, projected, is that of the (x2, x4) and (x6, x8) planes by
-    exp(omega_rf*tau*J), which ``mode_states`` applies: _PROJECTION maps the one turn generator onto the other.
+    exp(omega_rf*tau*J), which ``dynamics.mode_route`` applies: _PROJECTION maps the one turn generator onto the other.
     """
     m = sector_fields(p, 0.0)
     m[..., 2] -= np.asarray(p.omega_rf)[..., None] / 2.0
@@ -64,16 +64,25 @@ def sector_table(p: ControlParams) -> tuple[np.ndarray, np.ndarray]:
     return table, np.concatenate([r[..., :2] + r[..., 2:], r[..., :2] - r[..., 2:]], axis=-1)
 
 
+# method -> (p, tau_end, dtau) -> (rows from e1 on dynamics.time_grid(tau_end, dtau), co-rotating but the ansatz's, and
+# their turn to the lab frame): the CLI's --method choices.  p's fields may be arrays, a stack of controls
+ROUTES = {
+    "rk4": rk4_route,
+    "expm-integral": expm_route,
+    "rotating-exact": lambda p, tau_end, dtau: mode_route(mode_table(p, split_halves(E1)), p.omega_rf, tau_end, dtau),
+    "full-hilbert": lambda p, tau_end, dtau: mode_route(sector_table(p), p.omega_rf, tau_end, dtau),
+}
+
+
 def full_hilbert_trajectory(p: ControlParams, tau_end: float, dtau: float) -> Trajectory:
-    """Coherences x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8 on ``_time_grid(tau_end, dtau)``.
+    """Coherences x_i = Tr[O_i U rho(0) U^dag] for rho(0) = (1 + sx1)/8, the ``trajectory`` of ROUTES["full-hilbert"].
 
     The identity part of rho(0) drops out.  W = U sx1 U^dag holds just the
     blocks G_s3 and their adjoints, and for Hermitian O_i,
     x_i = 2 Re sum_s3 Tr[O_i[(-,s3), (+,s3)] G_s3]/8: one real matrix product
     of the quaternions of the G_s3 with ``_PROJECTION``, folded into ``sector_table``.
     """
-    taus = _time_grid(tau_end, dtau)
-    return Trajectory(taus=taus, states=mode_states(*sector_table(p), taus, p.omega_rf))
+    return trajectory(ROUTES["full-hilbert"](p, tau_end, dtau), tau_end, dtau)
 
 
 def closure_check(p: ControlParams, tau_samples) -> float:

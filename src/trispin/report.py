@@ -35,9 +35,8 @@ from .boundary import (
     sweep_tau,
     transfer_time,
 )
-from .dynamics import _BLOCK_STEPS, _WINDOW_ROWS, _grid_rows, _mode_rows, _powers, _rk4_map, _time_grid, _turned
-from .dynamics import exact_state_trajectory, mode_states, mode_table, propagator_discrepancy, split_halves
-from .hilbert import closure_check, sector_table
+from .dynamics import BLOCK_STEPS, WINDOW_ROWS, exact_state_trajectory, grid_rows, propagator_discrepancy, time_grid
+from .hilbert import ROUTES, closure_check
 from .search import grid_search
 
 DEFAULT_SEED = 20260810
@@ -153,37 +152,34 @@ def dynamics_equivalence(params_list, tau_end: float, dtau: float) -> tuple[floa
     """(max full-Hilbert vs RK4 deviation, max rotating-exact vs RK4 deviation, rows compared per oracle), from x = e1.
 
     A deviation is the largest Euclidean distance between matching state rows.  The oracles share the frame turn R, an
-    orthogonal map, so |R a - R b| = |a - b|: their rows are compared co-rotating.  Up to _WINDOW_ROWS // _BLOCK_STEPS**2
-    = 6 sets are stacked at once, with one set-up for all: a ``_mode_rows`` source for both mode tables (full, exact)
-    and one for RK4, from the grid's first block, block starts and last two taus, not the whole grid.  Each window takes
-    whole blocks of every set, the budget of _WINDOW_ROWS rows per oracle in all, so no trajectory is held and memory
-    does not grow with the set count; each GEMM has a lone set's shape, so a set's gaps keep their bits.  The last
-    row is compared in the lab frame too, by two independent turns: RK4's by ``_turned``, the mode tables' in
-    ``mode_states``, so a fault in either one shows."""
-    n = _grid_rows(tau_end, dtau)
-    tail = _time_grid(tau_end, dtau, max(n - 2, 0))  # the last two taus with the grid's bits: all of a grid of 1 or 2 rows
-    worst, rows, size = np.zeros(2), 0, _WINDOW_ROWS // _BLOCK_STEPS**2  # largest row sums of squares, full and exact
+    orthogonal map, so |R a - R b| = |a - b|: their rows are compared co-rotating.  Up to WINDOW_ROWS // BLOCK_STEPS**2
+    = 6 sets are stacked at once, with one set-up for all: the row sources of ROUTES' three oracles, each made from
+    the grid's last taus, not the whole grid.  Each window takes whole blocks of every set, the budget of WINDOW_ROWS
+    rows per oracle in all, so no trajectory is held and memory does not grow with the set count; each GEMM has a lone
+    set's shape, so a set's gaps keep their bits.  The last row is compared in the lab frame too, each turned by its
+    own route: RK4's turn and the mode tables' share no code, so a fault in either one shows."""
+    n = grid_rows(tau_end, dtau)
+    last = time_grid(tau_end, dtau, n - 1)  # the last tau, with the grid's bits
+    worst, rows, size = np.zeros(2), 0, WINDOW_ROWS // BLOCK_STEPS**2  # largest row sums of squares, full and exact
     for first in range(0, len(params_list), size):
         group = params_list[first : first + size]
         p = ControlParams(*np.array([astuple(q) for q in group]).T)  # each field of the stack an array, one per set
-        tables, w = (np.stack([a, b.reshape(a.shape)]) for a, b in zip(sector_table(p), mode_table(p, split_halves(E1))))
-        e = _rk4_map(p, tail, dtau)
-        modes, reduced = _mode_rows(tables, w, tail, (n, dtau)), _powers(e, np.tile(E1, (len(group), 1)), n)
-        lab = mode_states(tables, w, tail[-1:], p.omega_rf)[..., 0, :]  # the last rows in the lab frame
-        lab -= _turned(reduced.tail[..., -1:, :], np.multiply.outer(p.omega_rf, tail[-1:]))[..., 0, :]
+        sources = [ROUTES[method](p, tau_end, dtau) for method in ("full-hilbert", "rotating-exact", "rk4")]
+        full, exact, reduced = (turn(source.take(n - 1, n), last)[..., 0, :] for source, turn in sources)  # lab frame
+        lab = np.stack([full, exact]) - reduced
         worst = np.maximum(worst, np.einsum("ksi,ksi->ks", lab, lab).max(axis=1))
         # full, exact and RK4 rows of every window, each window C-contiguous, made after the sources: no window
         # allocates its rows, so the heap neither grows nor is trimmed window after window
-        share = _WINDOW_ROWS // len(group) // _BLOCK_STEPS * _BLOCK_STEPS  # rows of each set, whole blocks
+        share = WINDOW_ROWS // len(group) // BLOCK_STEPS * BLOCK_STEPS  # rows of each set, whole blocks
         window = np.empty(3 * len(group) * share * 8)
         for lo in range(0, n, share):
             d = window[: 3 * len(group) * 8 * min(share, n - lo)].reshape(3, len(group), -1, 8)
-            modes.take(lo, lo + share, d[:2])
-            reduced.take(lo, lo + share, d[2])
+            for k in range(3):
+                sources[k][0].take(lo, lo + share, d[k])
             d[:2] -= d[2]
             sums = np.einsum("ksij,ksij->ksi", d[:2], d[:2])
             worst, rows = np.maximum(worst, sums.max(axis=(1, 2))), rows + sums[0].size
-        del modes, reduced, window, d  # d views the window: none is held while the next sets' sources are built
+        del sources, window, d  # d views the window: none is held while the next sets' sources are built
     return math.sqrt(float(worst[0])), math.sqrt(float(worst[1])), rows
 
 
@@ -212,7 +208,7 @@ def run_verification(
         raise ValueError(f"n_dynamics must be nonnegative, got {n_dynamics}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    _time_grid(3.0 * TAU_STAR, dtau)  # checked and built even with no dynamics sets: a grid too large is refused first
+    time_grid(3.0 * TAU_STAR, dtau)  # checked and built even with no dynamics sets: a grid too large is refused first
     auto_omega, branch = consistent_scale(0)
     omega_sel = auto_omega if omega_hat == "auto" else float(omega_hat)
     gs = grid_search(omega_sel, 1.0, target="x8", resolution=grid_resolution, threshold=0.999)
@@ -309,14 +305,14 @@ def run_verification(
     dyn_params = [random_consistent_params(rng) for _ in range(n_dynamics)]
     worst_full, worst_exact, compared = dynamics_equivalence(dyn_params, 3.0 * tau_star, dtau)
     # a gap stands for every row of every set: a row left out fails both checks, and each says how many it compared
-    grid_rows = n_dynamics * _grid_rows(3.0 * tau_star, dtau)
+    total = n_dynamics * grid_rows(3.0 * tau_star, dtau)
     note = f"{n_dynamics} random parameter sets, {drawn}, on [0, 3*tau_star], dtau={dtau:g}; "
-    note += f"compared {compared} of {grid_rows} state rows"
+    note += f"compared {compared} of {total} state rows"
     for name, worst, provenance in (
         ("cross_validate_full_vs_rk4", worst_full, "full-space propagation vs reduced RK4"),
         ("rotating_exact_vs_rk4", worst_exact, "rotating-frame closed form vs reduced RK4"),
     ):
-        report.add_bounded(name, worst if dyn_params else None, 1e-8, provenance, note, compared == grid_rows)
+        report.add_bounded(name, worst if dyn_params else None, 1e-8, provenance, note, compared == total)
 
     # --- the boundary equations away from their zeros, drawn after the dynamics sets ---
     generic = [BoundaryConstants(*rng.uniform(-8.0, 8.0, 5)) for _ in range(8)]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from .dynamics import _BLOCK_STEPS, _WINDOW_ROWS, _time_grid, mode_states, mode_table, split_halves
+from .dynamics import BLOCK_STEPS, WINDOW_ROWS, time_grid, mode_states, mode_table, split_halves
 
 _GROUP_PAIRS = 256  # pairs per mode_table (one eigh) of grid_search: every default grid's 168-231, 128 KB of tables
 _Y1 = split_halves(E1)  # both halves of the start state e1
@@ -157,11 +157,11 @@ def min_time_to_target(p: ControlParams, target: str, threshold: float, tau_max:
     """The first crossing time of the theta0-best x_target; None if never reached.
 
     p.theta0 is ignored (from e1 it is a gauge), and the theta0 of the crossing is not read.  The crossing is
-    bracketed on _time_grid(tau_max, dtau) off the target's columns (``_first_crossing``); a threshold above 1 is
+    bracketed on time_grid(tau_max, dtau) off the target's columns (``_first_crossing``); a threshold above 1 is
     unreachable.
     """
     _check_threshold(threshold)
-    j, taus, modes = _target_index(target), _time_grid(tau_max, dtau), mode_table(replace(p, theta0=0.0), _Y1)
+    j, taus, modes = _target_index(target), time_grid(tau_max, dtau), mode_table(replace(p, theta0=0.0), _Y1)
     return _first_crossing(modes, j, threshold, taus, _target_values(modes, j, taus))
 
 
@@ -182,7 +182,7 @@ def grid_search(
     other node is among them: a node's -x5 and -x7 are the mirror's x5 and x7, reported there.  The on-shell (bz,
     omega_rf) pairs, row by row, get their mode tables from one ``mode_table`` (one eigh) per group of _GROUP_PAIRS and
     their rows from one ``_best_over_theta0`` pass per block in a group, one pair at least: a block holds the budget of
-    _WINDOW_ROWS rows, a pair's n grid rows and 8*min(_BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, and a
+    WINDOW_ROWS rows, a pair's n grid rows and 8*min(BLOCK_STEPS, n - 1) of its ``_mode_rows`` block table, and a
     group's fields are read off the bz and omega_rf axes by row and column, so memory does not grow with the pairs.
     argmax and argmin find a block's peaks, the first of equal ones as a loop would (argmin, for the mirror, over x5 and
     x7 alone), and its crossing pairs, solved on their grid rows (``_first_crossing``).  The best crossing
@@ -199,13 +199,13 @@ def grid_search(
     shell = energy_shell(omega_hat, k)
     bounds = default_bounds(omega_hat)
     tau_max = 3.0 * TAU_STAR if tau_max is None else tau_max
-    taus = _time_grid(tau_max, dtau)
+    taus = time_grid(tau_max, dtau)
     idx = _target_index(target)
     rf_axis = _axis(bounds, "omega_rf", resolution)
     bz_axis = np.array([bz for bz in _axis(bounds, "bz", resolution)[resolution // 2 :] if bz**2 <= shell])
     b0_axis = np.array([transverse_amplitude(omega_hat, k, v) for v in bz_axis])
-    held = len(taus) + 8 * min(_BLOCK_STEPS, len(taus) - 1)  # a pair's rows in a block: its grid rows and block table
-    pairs, width = len(bz_axis) * len(rf_axis), max(1, _WINDOW_ROWS // held)  # the pairs, row by row; per block
+    held = len(taus) + 8 * min(BLOCK_STEPS, len(taus) - 1)  # a pair's rows in a block: its grid rows and block table
+    pairs, width = len(bz_axis) * len(rf_axis), max(1, WINDOW_ROWS // held)  # the pairs, row by row; per block
     signs, mirrored = (1.0, -1.0)[: 1 + (target in _MIRRORED)], [x in _MIRRORED for x in COMPONENT_INDEX]
 
     def fields(m):  # (b0, bz, omega_rf) of pair m, or of an array of pairs: row m // len(rf_axis), column m % len(rf_axis)

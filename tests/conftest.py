@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import mutants
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from trispin.algebra import ControlParams, transverse_amplitude
 
 pytest.register_assert_rewrite("grid_reference")
 
@@ -15,6 +18,17 @@ pytest.register_assert_rewrite("grid_reference")
 # too uneven for a deadline
 settings.register_profile("trispin", derandomize=True, deadline=None)
 settings.load_profile("trispin")
+
+# controls of degenerate co-rotating spectra: c_pm = 2*(bz +- k) - omega_rf is the (2,4)-plane rate of each half's
+# co-rotating generator, so b0 = 0 with c_pm = +-2 repeats a rate, and c_+ = 0 or c_- = 0 zeroes a pair
+DEGENERATE = {
+    "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
+    "zero_rates_plus": ControlParams(1.0, 2.5, transverse_amplitude(2.5, 1.0, 1.0), 1.0, 4.0, 0.6),
+    "zero_rates_minus": ControlParams(-1.0, 2.5, transverse_amplitude(2.5, -1.0, 1.0), 1.0, 4.0, 0.6),
+}
+# the closed form's eight labels omega_sign x theta_sign x r, in the order of its axes: closed_form_params keeps the
+# first of each pair of equal fields, omega_sign = 1 and theta_sign = -1 (consistency_scan's docstring says why)
+SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t in (1, -1) for r in (0, 1)]
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
-from trispin.dynamics import _time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
+from trispin.dynamics import time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
 from trispin.search import COMPONENT_INDEX, ROUNDING, default_bounds, grid_search
 
 Y1 = split_halves(E1)
@@ -30,7 +30,7 @@ def grid_search_full_box(omega_hat, k, resolution, targets, tau_max, dtau):
     or inf, {(i, j): (the crossing or None, the peak of x_target, its tau or None where the peak is at most ROUNDING)})
     over the nodes (bz_axis[i], rf_axis[j]), each crossing solved by brentq on the node's own values; axes is (bz_axis,
     rf_axis).  Cached for the session, so every caller reads the same objects and none may change them."""
-    taus, bounds = _time_grid(tau_max, dtau), default_bounds(omega_hat)
+    taus, bounds = time_grid(tau_max, dtau), default_bounds(omega_hat)
     axes = [np.linspace(*bounds[name], resolution) if resolution > 1 else np.array([0.5 * sum(bounds[name])])
             for name in ("bz", "omega_rf")]
     peaks, found = [(-math.inf, None)] * 8, {key: [math.inf, {}] for key in targets}

@@ -9,7 +9,7 @@ that acts only at import time, such as a constant derived at import from the pla
 It plants each row in a temporary copy of ``src/`` and runs Tier-1 (pytest -x) on it in a subprocess, less the tests
 that plant that row, whose own planting would fail there; the tests that plant other rows run, each a second fault:
 
-    python tests/mutants.py [ID ...]  # about 2 min 40 s for the 32 rows (2 vCPU), up to 20 s a row
+    python tests/mutants.py [ID ...]  # about 4 min 20 s for the 32 rows (2 vCPU), each at most one Tier-1 run
 
 It prints one line a row and exits 1 if any outcome differs from the row's record.
 """
@@ -73,8 +73,7 @@ TABLE = {row.id: row for row in [
     Mutant("turn_parts", "dynamics.py", "-_TURN])", "_TURN])", ONE_SET, BOTH),
     Mutant("block_turn_sine", "dynamics.py", "np.sin(phi)[..., None]", "-np.sin(phi)[..., None]", ONE_SET, BOTH),
     # the plane turn of the mode rows: the full and exact last rows in the lab frame
-    Mutant("direct_turn", "dynamics.py", "np.asarray(omega_rf)[..., None] * flat[window]",
-           "-np.asarray(omega_rf)[..., None] * flat[window]", ONE_SET, BOTH),
+    Mutant("direct_turn", "dynamics.py", "f(phi)[..., None, None]", "f(-phi)[..., None, None]", ONE_SET, BOTH),
     # each oracle's own frame: the sectors' rotating field and the reduced co-rotating generator
     Mutant("sector_frame", "hilbert.py", "m[..., 2] -= ", "m[..., 2] += ", ONE_SET, BOTH[:1]),
     Mutant("rotating_J", "dynamics.py", "- np.asarray(p.omega_rf, dtype=float)[..., None, None, None] * J",
@@ -98,15 +97,14 @@ TABLE = {row.id: row for row in [
     Mutant("single_block_window", "dynamics.py", "if j1 - j0 == 1 and count > b:", "if j1 - j0 == 0 and count > b:",
            ONE_SET, reason="only the last bits of a one-block window change, far inside the 1e-8 oracle gates"),
     # the last tau of each whole window of _on_grid left unchecked
-    Mutant("grid_window_edge", "dynamics.py", "min(lo + _WINDOW_ROWS, n)) for lo", "min(lo + _WINDOW_ROWS - 1, n)) for lo",
+    Mutant("grid_window_edge", "dynamics.py", "min(lo + WINDOW_ROWS, n)) for lo", "min(lo + WINDOW_ROWS - 1, n)) for lo",
            ONE_SET, reason="every tau verify propagates lies on its grid, so a tau the grid check skips changes nothing"),
     # matrix states on the block grid
     Mutant("matrix_states_on_grid", "dynamics.py", "table.shape[-1] == 8 and _on_grid(taus)", "_on_grid(taus)", ONE_SET,
            reason="only propagator_discrepancy, a measured check, propagates matrix states: its rounding moves"),
-    # the full-space trajectory left co-rotating
-    Mutant("hilbert_unturned", "hilbert.py", "mode_states(*sector_table(p), taus, p.omega_rf)",
-           "mode_states(*sector_table(p), taus)", ONE_SET,
-           reason="verify reads sector_table itself; only propagate --method full-hilbert runs this function"),
+    # the full-space route left co-rotating: its last row in the lab frame
+    Mutant("hilbert_unturned", "hilbert.py", "mode_route(sector_table(p), p.omega_rf,", "mode_route(sector_table(p), 0.0,",
+           ONE_SET, BOTH[:1]),
     # the last pair of every mode-table group lost, and a group's last block when it holds one pair
     Mutant("group_last_pair", "search.py", "min(first + _GROUP_PAIRS, pairs)", "min(first + _GROUP_PAIRS - 1, pairs)", GRID,
            reason="verify's grid, 168 pairs, is one group, which loses no pair"),

@@ -4,13 +4,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from trispin.algebra import _PAULI, ControlParams, build_hamiltonian, coherence_basis, embed3, energy_residual, energy_shell
+from trispin.algebra import PAULI, ControlParams, build_hamiltonian, coherence_basis, embed3, energy_residual, energy_shell
 from trispin.algebra import transverse_amplitude
 
 
 def pauli(axis):
     """The package's 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    return _PAULI[axis]
+    return PAULI[axis]
 
 
 def test_basis_order_first_and_last():

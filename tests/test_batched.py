@@ -1,12 +1,12 @@
 """The batched routes against one-at-a-time references built from public names.
 
 - ``propagate_rk4`` against the plain lab-frame RK4 loop, one ``build_M`` per step, from e1 and from a generic unit
-  vector whose halves differ.  The streamed routes take their rows in blocks of ``dynamics._BLOCK_STEPS`` steps and
-  windows of ``dynamics._WINDOW_ROWS`` rows; GRIDS reach each edge of that layout through ``tau_end`` and ``dtau``.
+  vector whose halves differ.  The streamed routes take their rows in blocks of ``dynamics.BLOCK_STEPS`` steps and
+  windows of ``dynamics.WINDOW_ROWS`` rows; GRIDS reach each edge of that layout through ``tau_end`` and ``dtau``.
 - ``full_hilbert_trajectory`` (the sector blocks' Rabi solution as a mode table) against the fourth-order Magnus step
   of the full 8x8 Hamiltonian with a trace per operator, to the Magnus truncation, and against the exact reduced
   route, to rounding, at degenerate controls too.
-- ``dynamics.mode_states`` on a ``_time_grid`` (blocks, angle addition, the plane turn of (x2, x4) and (x6, x8))
+- ``dynamics.mode_states`` on a ``time_grid`` (blocks, angle addition, the plane turn of (x2, x4) and (x6, x8))
   against the per-tau path, which the same taus take as a column, and ``expm_skew`` of the turn and of the
   co-rotating generator.
 - ``consistency_scan`` and ``invert_to_physical`` against scalar ``math`` loops, the scan's scales against the
@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import DEGENERATE, SCAN_LABELS
 from grid_reference import assert_grid_is_the_whole_box
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
@@ -27,7 +28,7 @@ from scipy.optimize import brentq, minimize_scalar
 from trispin import dynamics, search
 from trispin.algebra import E1, TAU_STAR, ControlParams, build_hamiltonian, coherence_basis, energy_shell, transverse_amplitude
 from trispin.boundary import ROOT_STEP, consistency_scan, consistent_scale, invert_to_physical
-from trispin.dynamics import _BLOCK_STEPS, _WINDOW_ROWS, MB, MC, MS, MZ, J, _time_grid, build_M, build_M_half
+from trispin.dynamics import BLOCK_STEPS, WINDOW_ROWS, MB, MC, MS, MZ, J, time_grid, build_M, build_M_half
 from trispin.dynamics import exact_state_trajectory, expm_skew, integral_generator, join_halves, phase_integrals
 from trispin.dynamics import propagate_rk4, propagate_rotating_exact, propagator_discrepancy, rotating_generator, split_halves
 from trispin.hilbert import full_hilbert_trajectory, sector_table
@@ -39,14 +40,14 @@ GRIDS = {
     "one_point": 0.0,
     "one_step": DTAU,
     "two_steps": 2 * DTAU,
-    "block_less_one": (_BLOCK_STEPS - 1) * DTAU,
-    "one_block": _BLOCK_STEPS * DTAU,
-    "block_and_one": (_BLOCK_STEPS + 1) * DTAU,
-    "blocks_then_short_last_step": (3 * _BLOCK_STEPS - 0.5) * DTAU,
-    "block_of_blocks_less_one": (_BLOCK_STEPS**2 - 1) * DTAU,
-    "block_of_blocks": _BLOCK_STEPS**2 * DTAU,
-    "block_of_blocks_and_one": (_BLOCK_STEPS**2 + 1) * DTAU,
-    "starts_take_a_whole_block": _BLOCK_STEPS * (_BLOCK_STEPS + 1) * DTAU,
+    "block_less_one": (BLOCK_STEPS - 1) * DTAU,
+    "one_block": BLOCK_STEPS * DTAU,
+    "block_and_one": (BLOCK_STEPS + 1) * DTAU,
+    "blocks_then_short_last_step": (3 * BLOCK_STEPS - 0.5) * DTAU,
+    "block_of_blocks_less_one": (BLOCK_STEPS**2 - 1) * DTAU,
+    "block_of_blocks": BLOCK_STEPS**2 * DTAU,
+    "block_of_blocks_and_one": (BLOCK_STEPS**2 + 1) * DTAU,
+    "starts_take_a_whole_block": BLOCK_STEPS * (BLOCK_STEPS + 1) * DTAU,
     "one_full_run": 4095 * DTAU,
 }
 on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
@@ -55,7 +56,7 @@ on_grids = pytest.mark.parametrize("tau_end", GRIDS.values(), ids=GRIDS.keys())
 def rk4_per_step(p, x0, tau_end, dtau):
     """Vector RK4 in the lab frame, one step per iteration, with the left, middle and right generators of each step
     (``build_M`` over all of them at once has the bits of one call a time)."""
-    taus = _time_grid(tau_end, dtau)
+    taus = time_grid(tau_end, dtau)
     h = np.diff(taus)
     lefts, mids, rights = build_M(p, taus[:-1]), build_M(p, taus[:-1] + h / 2.0), build_M(p, taus[1:])
     states = [np.asarray(x0, dtype=float)]
@@ -71,7 +72,7 @@ def rk4_per_step(p, x0, tau_end, dtau):
 def gauss4_per_step(p, tau_end, dtau):
     """Fourth-order Magnus stepping of the 8x8 U, one eigendecomposition per iteration.  It adds the increment (V - I) U,
     V - I from expm1 of the eigenvalues, so the product does not carry the rounding of a diagonal near 1 step to step."""
-    offset, taus = math.sqrt(3.0) / 6.0, _time_grid(tau_end, dtau)
+    offset, taus = math.sqrt(3.0) / 6.0, time_grid(tau_end, dtau)
     unitaries = [np.eye(8, dtype=complex)]
     for t, h in zip(taus[:-1], np.diff(taus)):
         h1, h2 = (build_hamiltonian(p, t + (0.5 + sign * offset) * h) for sign in (-1.0, 1.0))
@@ -96,20 +97,8 @@ GENERIC_X0 = np.random.default_rng(5).normal(size=8)
 GENERIC_X0 /= np.linalg.norm(GENERIC_X0)
 
 
-def _on_shell(bz, omega_rf, k=1.0, omega_hat=2.5, theta0=0.6):
-    return ControlParams(k, omega_hat, transverse_amplitude(omega_hat, k, bz), bz, omega_rf, theta0)
-
-
-# test_dynamics.py's degenerate spectra: c_pm = 2*(bz +- k) - omega_rf is the (2,4)-plane rate of each co-rotating generator
-DEGENERATE = {
-    "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
-    "zero_rates_plus": _on_shell(bz=1.0, omega_rf=4.0),
-    "zero_rates_minus": _on_shell(bz=1.0, omega_rf=4.0, k=-1.0),
-}
-
-
-# propagate_rk4 turns its rows to the lab frame a window of _WINDOW_ROWS rows at a time: W + 1 rows end in a window of one
-@pytest.mark.parametrize("tau_end", [*GRIDS.values(), _WINDOW_ROWS * DTAU], ids=[*GRIDS, "window_and_one"])
+# propagate_rk4 turns its rows to the lab frame a window (dynamics._windows) at a time: W + 1 rows make one window
+@pytest.mark.parametrize("tau_end", [*GRIDS.values(), WINDOW_ROWS * DTAU], ids=[*GRIDS, "window_and_one"])
 def test_rk4_matches_per_step_loop(params, tau_end):
     for x0 in (E1, GENERIC_X0):
         traj, (taus, states) = propagate_rk4(params, x0, tau_end, DTAU), rk4_per_step(params, x0, tau_end, DTAU)
@@ -132,7 +121,7 @@ def test_sector_route_matches_the_mode_table(params, control):
     # the full-space and the reduced exact routes share no code but mode_states; at w1 = w2 and at zero rates too
     free = ControlParams(k=0.0, omega_hat=1.0, b0=0.0, bz=0.0, omega_rf=0.0, theta0=0.0)
     p = {"random": params, "free": free, **DEGENERATE}[control]
-    taus = _time_grid(3.0 * TAU_STAR, DTAU)
+    taus = time_grid(3.0 * TAU_STAR, DTAU)
     want = exact_state_trajectory(p, E1, taus)
     assert np.max(np.abs(dynamics.mode_states(*sector_table(p), taus, p.omega_rf) - want)) <= 1e-14
 
@@ -140,10 +129,10 @@ def test_sector_route_matches_the_mode_table(params, control):
 @on_grids
 @pytest.mark.parametrize("control", ["random", *DEGENERATE])
 def test_exact_grid_path_equals_per_tau_path(params, control, tau_end):
-    # on a _time_grid, exact_state_trajectory reads the block-factored mode table; the same taus as a
+    # on a time_grid, exact_state_trajectory reads the block-factored mode table; the same taus as a
     # column are not a grid and take the per-tau path
     p = params if control == "random" else DEGENERATE[control]
-    taus = _time_grid(tau_end, DTAU)
+    taus = time_grid(tau_end, DTAU)
     for x0 in (E1, GENERIC_X0):
         grid = exact_state_trajectory(p, x0, taus)
         assert np.max(np.abs(grid - exact_state_trajectory(p, x0, taus[:, None])[:, 0])) <= 1e-14
@@ -175,15 +164,15 @@ def test_matrix_states_stay_off_the_block_grid(params):
     assert propagator_discrepancy(params, taus).max_deviation > 0.0
 
 
-@pytest.mark.parametrize("steps", [2, _WINDOW_ROWS - 1, _WINDOW_ROWS, _WINDOW_ROWS + 1, 2 * _WINDOW_ROWS + 1])
+@pytest.mark.parametrize("steps", [2, WINDOW_ROWS - 1, WINDOW_ROWS, WINDOW_ROWS + 1, 2 * WINDOW_ROWS + 1])
 def test_on_grid_compares_every_window(params, steps):
-    # taus on the grid but for one, an ulp off, at the first or last tau of a window of _WINDOW_ROWS or in the middle,
+    # taus on the grid but for one, an ulp off, at the first or last tau of a window of WINDOW_ROWS or in the middle,
     # in one partial window, one whole, one whole and one of a single tau, and two whole and one: not a grid, so they
     # take the per-tau path, bit for bit.  The last tau is tau_end, free of the grid, and taus[1] the step the others
     # are checked against
-    taus = _time_grid(steps * DTAU, DTAU)
+    taus = time_grid(steps * DTAU, DTAU)
     assert len(taus) == steps + 1
-    edges = {i for lo in range(0, steps, _WINDOW_ROWS) for i in (lo, min(lo + _WINDOW_ROWS - 1, steps - 1))}
+    edges = {i for lo in range(0, steps, WINDOW_ROWS) for i in (lo, min(lo + WINDOW_ROWS - 1, steps - 1))}
     for i in sorted((edges | {steps // 2}) - {1}):
         moved = taus.copy()
         moved[i] = np.nextafter(moved[i], np.inf)
@@ -203,10 +192,10 @@ def test_grid_lengths_cover_run_boundaries():
     # b*b steps, where the block starts (one a block, on a block grid of their own) reach their first block edge, at
     # b*(b + 1), where they are one whole block and one more, and in a long run whose last block is partial; a grid of
     # s steps holds s rows of the block grid and the last row
-    b = _BLOCK_STEPS
+    b = BLOCK_STEPS
     steps = [0, 1, 2, b - 1, b, b + 1, 3 * b, b * b - 1, b * b, b * b + 1, b * (b + 1), 4095]
-    assert [len(_time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
-    assert np.diff(_time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
+    assert [len(time_grid(t, DTAU)) - 1 for t in GRIDS.values()] == steps
+    assert np.diff(time_grid(GRIDS["blocks_then_short_last_step"], DTAU))[-1] <= DTAU / 2 + 1e-15
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
@@ -234,10 +223,6 @@ def branch_residual_by_math(omega_hat, k_sign, branch, tau_star, b_target):
     th = omega_rf * tau_star + theta0
     int_cos, int_sin = (math.sin(th) - math.sin(theta0)) / omega_rf, (math.cos(theta0) - math.cos(th)) / omega_rf
     return abs(-2.0 * b0 * int_sin - b_target), abs(2.0 * b0 * int_cos)
-
-
-# the scan's eight labels omega_sign x theta_sign x r, in the order of its axes
-SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t in (1, -1) for r in (0, 1)]
 
 
 def scan_by_loop(omegas, k_sign):
@@ -386,7 +371,7 @@ def test_discrepancy_matches_per_sign_loop(seed):
 
 def grid_search_theta0_loop(omega_hat, k, resolution, threshold, dtau):
     """(peak of each of x1..x8, earliest x8 crossing or inf) over a (bz, omega_rf, theta0) grid, one propagation per point."""
-    taus = _time_grid(3.0 * TAU_STAR, dtau)
+    taus = time_grid(3.0 * TAU_STAR, dtau)
     bounds = search.default_bounds(omega_hat)
     bz_axis, rf_axis = (np.linspace(*bounds[name], resolution) for name in ("bz", "omega_rf"))
     theta0_axis = np.linspace(0.0, 2.0 * math.pi, resolution)

@@ -15,14 +15,12 @@ from trispin.boundary import consistent_scale, derived_quantities, exp_boundary_
 from trispin.boundary import integer_relations_check, invert_to_physical, sweep_tau, transfer_time
 from trispin.dynamics import integral_generator, phase_integrals, sinc
 
+from conftest import SCAN_LABELS
 from mutants import TABLE
 
 PI = math.pi
 TAU_STAR = 0.25 * math.sqrt(3.0) * PI
 LABELS = [(m0, n0) for m0 in range(4) for n0 in range(m0, 4)]  # the family's labels up to 3
-# the closed form's eight labels omega_sign x theta_sign x r, in the order of its axes: closed_form_params keeps the
-# first of each pair of equal fields, omega_sign = 1 and theta_sign = -1 (consistency_scan's docstring says why)
-SCAN_LABELS = [{"omega_sign": o, "theta_sign": t, "r": r} for o in (1, -1) for t in (1, -1) for r in (0, 1)]
 LIVE = {"omega_sign": 1, "theta_sign": -1}
 
 
@@ -694,7 +692,7 @@ def scan_by_branch(omega_lo, omega_hi, k_sign, samples):
     return residuals, consistent
 
 
-# windows of dynamics._WINDOW_ROWS = 6,144 samples: one partial (up to 6,143), one whole, one whole and one sample, and
+# windows of dynamics.WINDOW_ROWS = 6,144 samples: one partial (up to 6,143), one whole, one whole and one sample, and
 # more; 2,047 to 2,049 were the edges of an earlier budget of 2,048
 @pytest.mark.parametrize("k_sign", [1, -1])
 @pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4001, 6143, 6144, 6145, 20000])

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,13 +19,14 @@ from trispin.boundary import analytic_family, boundary_residuals, closed_form_pa
 from trispin.boundary import derived_quantities, sweep_tau
 from trispin.cli import main
 from trispin.dynamics import CSV_HEADER, build_M, propagate_rk4
+from trispin.hilbert import ROUTES
 from trispin.report import column_gap
 from trispin.search import COMPONENT_INDEX
 
 PI = math.pi
 OMEGA = math.sqrt(2.0 + PI**2 / 3.0)
 CONTROL = asdict(closed_form_params(OMEGA))
-METHODS = ("rk4", "full-hilbert", "rotating-exact", "expm-integral")
+METHODS = tuple(ROUTES)  # the --method choices
 
 
 def _run(capsys, *argv):
@@ -424,6 +427,14 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name that another module needs is public (time_grid, WINDOW_ROWS, ROUTES, ...); tests may still read _ names
+    imports = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(Path(dynamics.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
+
+
 def _verify(tmp_path, capsys, *flags):
     """(exit code, stdout, {name: check}) of verify at flags."""
     out = tmp_path / "report.json"
@@ -494,7 +505,7 @@ def test_propagate_memory_grows_by_the_guards_bytes_a_row(tmp_path, capsys, monk
     # peak grows by at most 80 bytes a row (seen: 64-73; whole-grid temporaries took 117-160, and 2,184 for expm-integral).
     # Windows of 128 rows keep the rows cheap to write under tracemalloc; with the collector off, no run frees an
     # earlier run's parsers, and a first run, untraced, takes the set-up
-    monkeypatch.setattr(dynamics, "_WINDOW_ROWS", 128)
+    monkeypatch.setattr(dynamics, "WINDOW_ROWS", 128)
     argv = ("propagate", "--params-file", _write_params(tmp_path), "--method", method, "--out", str(tmp_path / "x.csv"))
 
     def peak(rows):  # the traced peak of a run over rows rows

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import DEGENERATE
 from scipy.linalg import expm
 
 from trispin import algebra
 from trispin.algebra import ControlParams, transverse_amplitude
-from trispin.dynamics import CSV_HEADER, MB, MC, MS, MZ, J, _time_grid, build_M_half, exact_state_trajectory, expm_skew
+from trispin.dynamics import CSV_HEADER, MB, MC, MS, MZ, J, time_grid, build_M_half, exact_state_trajectory, expm_skew
 from trispin.dynamics import integral_generator, join_halves, propagate_expm_integral
 from trispin.dynamics import propagate_rk4, propagate_rotating_exact, propagator_discrepancy, rotating_generator, split_halves
 from trispin.hilbert import full_hilbert_trajectory
@@ -122,7 +123,7 @@ def test_rk4_rejects_bad_step():
 def test_time_grid_rejects_bad_step(tau_end, dtau):
     # the one grid every propagator steps on is also the one place the step is checked
     with pytest.raises(ValueError, match="must be finite"):
-        _time_grid(tau_end, dtau)
+        time_grid(tau_end, dtau)
 
 
 def test_rk4_grid_endpoints():
@@ -148,7 +149,7 @@ def test_rk4_first_row_is_one_product_on_every_grid():
 
 
 def test_rk4_memory_beyond_its_trajectory_does_not_grow_with_the_grid(traced):
-    # the rows are turned to the lab frame a window of _WINDOW_ROWS at a time, into the states: beyond the taus and
+    # the rows are turned to the lab frame a window of WINDOW_ROWS at a time, into the states: beyond the taus and
     # states, 72 bytes a row, the peak stays at 2.2 MB from 40,812 to 163,243 rows (the whole grid turned at once took
     # 14.0 and 56.2 MB more)
     p = _params()
@@ -214,14 +215,6 @@ def test_rotating_exact_propagator_columns(rng):
     assert u.shape == taus.shape + (2, 4, 4)
     columns = np.stack([propagate_rotating_exact(p, np.stack([e, e]), taus) for e in np.eye(4)], axis=-1)
     assert np.max(np.abs(u - columns)) <= 1e-15
-
-
-# c_pm = 2*(bz +- k) - omega_rf sets the (2,4)-plane rate of each co-rotating generator
-DEGENERATE = {
-    "w1_equals_w2": ControlParams(k=1.0, omega_hat=math.sqrt(3.0), b0=0.0, bz=1.0, omega_rf=2.0, theta0=0.0),
-    "zero_rates_plus": _params(bz=1.0, omega_rf=4.0),
-    "zero_rates_minus": _params(k=-1.0, bz=1.0, omega_rf=4.0),
-}
 
 
 def test_degenerate_examples_have_degenerate_spectra():
@@ -311,7 +304,7 @@ def test_negative_coupling_flips_x5_to_x8(seed):
     oracles = {
         "rk4": lambda c: propagate_rk4(c, np.eye(8)[0], tau_end, dtau).states,
         "full-hilbert": lambda c: full_hilbert_trajectory(c, tau_end, dtau).states,
-        "rotating-exact": lambda c: exact_state_trajectory(c, np.eye(8)[0], _time_grid(tau_end, dtau)),
+        "rotating-exact": lambda c: exact_state_trajectory(c, np.eye(8)[0], time_grid(tau_end, dtau)),
     }
     for name, states in oracles.items():
         plus = states(p)

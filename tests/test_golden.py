@@ -18,10 +18,11 @@ from pathlib import Path
 import pytest
 
 from trispin.cli import main
+from trispin.hilbert import ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PARAMS = '{"k": 1.0, "omega_hat": 2.0, "b0": 1.0, "bz": 1.0, "omega_rf": 2.0, "theta0": 0.0}\n'  # CI's params.json
-METHODS = ("rk4", "full-hilbert", "rotating-exact", "expm-integral")
+METHODS = tuple(ROUTES)  # the --method choices
 # case: the command's arguments, {} standing for the directory that receives its files
 CASES = {
     "verify": ["verify", "--out", "{}/verify.json"],

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from trispin import dynamics
-from trispin.algebra import _PAULI, E1, SECTORS, TAU_STAR, ControlParams, build_hamiltonian, coherence_basis, embed3
+from trispin.algebra import PAULI, E1, SECTORS, TAU_STAR, ControlParams, build_hamiltonian, coherence_basis, embed3
 from trispin.algebra import sector_fields, transverse_amplitude
 from trispin.dynamics import MZ, _skew, build_M, mode_states
 from trispin.hilbert import _HAMILTON, _PROJECTION, closure_check, full_hilbert_trajectory, sector_table
@@ -49,7 +49,7 @@ def test_the_blocks_frame_turn_projects_onto_the_reduced_one(rng, su2):
     assert np.array_equal(k @ _PROJECTION, _PROJECTION @ np.kron(np.eye(2), dynamics.J))
     g = rng.normal(size=(5, 8))
     for phi in (0.3, 2.0, -4.0):
-        q = expm(-0.5j * phi * _PAULI["z"])
+        q = expm(-0.5j * phi * PAULI["z"])
         turn = np.eye(8) + np.sin(phi) * k + (1.0 - np.cos(phi)) * k @ k  # exp(phi k), as k^3 = -k
         assert np.max(np.abs(su2(g @ turn.T) - q @ su2(g) @ adjoint(q))) <= 1e-14
 
@@ -59,8 +59,8 @@ def test_one_step_is_the_closed_form_rotation(rng, su2):
     # G_s3 = U_(+,s3) U_(-,s3)^dag, each 2x2 factor by scipy's expm
     p, h = random_consistent_params(rng), 0.05
     m = sector_fields(p, 0.0) - [0.0, 0.0, p.omega_rf / 2.0]
-    pauli = np.stack([_PAULI[a] for a in "xyz"])
-    q = expm(-0.5j * p.omega_rf * h * _PAULI["z"])
+    pauli = np.stack([PAULI[a] for a in "xyz"])
+    q = expm(-0.5j * p.omega_rf * h * PAULI["z"])
     blocks = np.stack([q @ expm(-1j * h * np.einsum("k,kab->ab", m_s, pauli)) for m_s in m])
     traj = full_hilbert_trajectory(p, h, h)
     assert len(traj.taus) == 2 and np.max(np.abs(su2(quaternions(traj.states[1])) - coherence_of_sectors(blocks))) <= 1e-15
@@ -106,7 +106,7 @@ def test_rejects_bad_step_and_scheme(rng):
 def test_sector_route_matches_dense_expm():
     # static H (b0 = 0) in the lab frame: U = exp(-i tau H); a rotating H: U = exp(-i omega_rf tau Sz2/2)
     # exp(-i tau (H(0) - (omega_rf/2) Sz2)), by scipy's expm of the dense 8x8 matrices (seen: 1.6e-15)
-    sz2, rng, taus = embed3(None, _PAULI["z"], None), np.random.default_rng(21), np.linspace(0.0, 3.0 * TAU_STAR, 13)
+    sz2, rng, taus = embed3(None, PAULI["z"], None), np.random.default_rng(21), np.linspace(0.0, 3.0 * TAU_STAR, 13)
     static = ControlParams(k=-0.6, omega_hat=2.0, b0=0.0, bz=1.3, omega_rf=2.5, theta0=0.4)
     for p in [static] + [random_consistent_params(rng) for _ in range(4)]:
         h0 = build_hamiltonian(p, 0.0)

@@ -8,7 +8,7 @@ import trispin.report as report_module
 from trispin.algebra import E1, TAU_STAR
 from trispin.boundary import BoundaryConstants, closed_form_params, consistent_scale, invert_to_physical, transfer_time
 from trispin.cli import main
-from trispin.dynamics import _time_grid, exact_state_trajectory, propagate_rk4
+from trispin.dynamics import time_grid, exact_state_trajectory, propagate_rk4
 from trispin.hilbert import full_hilbert_trajectory
 from trispin.report import DEFAULT_SEED, dynamics_equivalence, random_consistent_params, run_verification
 
@@ -161,7 +161,7 @@ ROWS = [1, 2, 3, 32, 33, 34, 35, 1217, 1249, 2048, 2049, 2050, 2081, 3072, 3073,
 
 def _grid(rows):
     tau_end, dtau = (3.0 * TAU_STAR, 1e-4) if rows == 40812 else ((rows - 1) * 1e-3, 1e-3)
-    assert len(_time_grid(tau_end, dtau)) == rows
+    assert len(time_grid(tau_end, dtau)) == rows
     return tau_end, dtau
 
 
@@ -232,4 +232,4 @@ def test_windowed_comparison_holds_no_trajectory(traced):
     rng = np.random.default_rng(DEFAULT_SEED)
     params = [random_consistent_params(rng) for _ in range(2)]
     (*gaps, rows), peak = traced(lambda: dynamics_equivalence(params, 3.0 * TAU_STAR, 2.5e-5))
-    assert max(gaps) <= 1e-12 and rows == 2 * len(_time_grid(3.0 * TAU_STAR, 2.5e-5)) and peak <= 3e6
+    assert max(gaps) <= 1e-12 and rows == 2 * len(time_grid(3.0 * TAU_STAR, 2.5e-5)) and peak <= 3e6

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from trispin.algebra import E1, TAU_STAR, ControlParams, energy_shell, transverse_amplitude
 from trispin.boundary import closed_form_params, consistent_scale
-from trispin.dynamics import _BLOCK_STEPS, _time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
+from trispin.dynamics import BLOCK_STEPS, time_grid, exact_state_trajectory, mode_states, mode_table, split_halves
 from trispin.hilbert import sector_table
 from trispin.report import run_verification
 from trispin.search import COMPONENT_INDEX, grid_search, min_time_to_target, refine_local
@@ -69,18 +69,18 @@ def test_threshold_equal_to_a_grid_value_is_a_crossing():
     # min_time_to_target brackets on rows of its own: at a threshold equal to the node's theta0-best x8 at a row it
     # crosses at that row, to rounding
     p = ControlParams(k=1.0, omega_hat=2.7, b0=transverse_amplitude(2.7, 1.0, 0.0), bz=0.0, omega_rf=0.0, theta0=0.0)
-    taus = _time_grid(3.0 * TAU_STAR, 1e-2)
+    taus = time_grid(3.0 * TAU_STAR, 1e-2)
     best = theta0_best(exact_state_trajectory(p, E1, taus))[:, 7]
     for i in np.flatnonzero(best > np.maximum.accumulate(best) - 1e-15)[1::7]:  # rows that set a new record
         assert abs(min_time_to_target(p, "x8", float(best[i]), 3.0 * TAU_STAR, 1e-2) - taus[i]) <= 1e-12
 
 
-@pytest.mark.parametrize("tau_max, dtau", [(3.0 * TAU_STAR, 1e-2), (_BLOCK_STEPS * 1e-2, 1e-2), ((_BLOCK_STEPS + 0.5) * 1e-2, 1e-2)],
+@pytest.mark.parametrize("tau_max, dtau", [(3.0 * TAU_STAR, 1e-2), (BLOCK_STEPS * 1e-2, 1e-2), ((BLOCK_STEPS + 0.5) * 1e-2, 1e-2)],
                          ids=["search_grid", "one_block_then_the_last", "one_block_then_a_short_last_step"])
 def test_grid_rows_equal_per_tau_rows(tau_max, dtau):
-    # on a _time_grid the rows of a stack of controls, as grid_search takes them, come from the block-factored mode
+    # on a time_grid the rows of a stack of controls, as grid_search takes them, come from the block-factored mode
     # table, and taus as a column take the direct form; the search grid ends in a partial block and a shortened last step
-    taus = _time_grid(tau_max, dtau)
+    taus = time_grid(tau_max, dtau)
     block = ControlParams(1.0, 2.7, transverse_amplitude(2.7, 1.0, 0.3), 0.3, np.linspace(-8.0, 8.0, 7), 0.0)
     for p in (block, dataclasses.replace(block, omega_rf=1.1)):
         modes = mode_table(p, split_halves(E1))
@@ -110,7 +110,7 @@ def test_grid_search_membership_of_reference_point():
     omega_hat = math.sqrt(2.0 + math.pi**2 / 4.0)
     reference = closed_form_params(omega_hat)
     assert reference.bz == 0.0 and abs(reference.omega_rf - 2.0) <= 1e-15
-    taus = _time_grid(3.0 * TAU_STAR, 1e-2)  # the search's own tau grid
+    taus = time_grid(3.0 * TAU_STAR, 1e-2)  # the search's own tau grid
     ref_curve = exact_state_trajectory(reference, E1, taus)[:, 7]
     res = grid_search(omega_hat, 1.0, target="x8", resolution=9, threshold=0.5, dtau=1e-2)
     assert res.feasible and res.best_tau <= taus[np.argmax(ref_curve >= 0.5)] + 1e-2
@@ -184,7 +184,7 @@ def test_mirror_flips_exactly_the_listed_components():
     # the set grid_search reads as -value at the mirror, derived from the dynamics: on random on-shell controls the
     # theta0-best components at (-bz, -omega_rf) are those at (bz, omega_rf), up to a sign that flips on x5 and x7 alone
     rng = np.random.default_rng(23)
-    taus = _time_grid(3.0 * TAU_STAR, 1e-2)
+    taus = time_grid(3.0 * TAU_STAR, 1e-2)
     for k in (1.0, -1.0, 1.0, -1.0):
         omega_hat = rng.uniform(2.0, 3.5)
         bz = rng.uniform(-1.0, 1.0) * math.sqrt(energy_shell(omega_hat, k))
@@ -264,7 +264,7 @@ def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
 
 # grids that reach every edge of grid_search's layout through its public inputs, at the package's budgets, at dtau
 # 1e-2: a grid of 1 or 2 rows, all made direct; b, b + 1, b + 2 and b + 3 rows around the first block edge of the mode
-# rows (b = _BLOCK_STEPS; b + 3 after a shortened last step); 51 rows, whose blocks of 20 pairs leave the last of
+# rows (b = BLOCK_STEPS; b + 3 after a shortened last step); 51 rows, whose blocks of 20 pairs leave the last of
 # resolution 7's 21 pairs alone; the default 410 rows, whose blocks of 9 pairs straddle the bz rows of 7 and end
 # part-full; and resolution 29, 348 pairs, over one eigh group of 256: the second group is part-full, and the first ends
 # in a block of 4.  Every target, at three scales and k = +-1 (on the largest grid one reached at row 0, where theta0
@@ -272,10 +272,10 @@ def test_pair_blocks_equal_the_per_pair_loop(target, threshold, resolution, k):
 EDGES = {
     "one_row": (2.7, 1.0, 7, 0.0, TARGETS),
     "two_rows": (2.3, -1.0, 7, 0.5e-2, TARGETS),
-    "block_less_one": (2.7, -1.0, 7, (_BLOCK_STEPS - 1) * 1e-2, TARGETS),
-    "one_block": (3.45, 1.0, 7, _BLOCK_STEPS * 1e-2, TARGETS),
-    "block_and_one": (2.7, 1.0, 7, (_BLOCK_STEPS + 1) * 1e-2, TARGETS),
-    "partial_block_short_step": (2.3, 1.0, 7, (_BLOCK_STEPS + 1.5) * 1e-2, TARGETS),
+    "block_less_one": (2.7, -1.0, 7, (BLOCK_STEPS - 1) * 1e-2, TARGETS),
+    "one_block": (3.45, 1.0, 7, BLOCK_STEPS * 1e-2, TARGETS),
+    "block_and_one": (2.7, 1.0, 7, (BLOCK_STEPS + 1) * 1e-2, TARGETS),
+    "partial_block_short_step": (2.3, 1.0, 7, (BLOCK_STEPS + 1.5) * 1e-2, TARGETS),
     "one_pair_block": (2.7, -1.0, 7, 0.5, TARGETS),
     "blocks_straddle_rows": (3.45, -1.0, 7, None, TARGETS),
     "two_groups": (2.7, 1.0, 29, None, [("x1", 0.999), ("x5", 0.5), ("x8", 0.6)]),
@@ -339,10 +339,10 @@ def test_grid_memory_does_not_grow_with_the_resolution(traced):
 
 @pytest.mark.parametrize("tau_max, rows", [(0.34, 35), (0.5, 51)])
 def test_short_grid_memory_stays_near_the_default_grid(traced, tau_max, rows):
-    # a block counts each pair's block table of mode rows, 8*min(_BLOCK_STEPS, n - 1) rows, with its n grid rows: 9 pairs
+    # a block counts each pair's block table of mode rows, 8*min(BLOCK_STEPS, n - 1) rows, with its n grid rows: 9 pairs
     # a block on the default 410 rows, as when only the grid rows were counted, but 21 and 20 pairs on these short
     # grids, not 117 and 80, which peaked at 4.4 and 3.1 MB against the default grid's 0.87 MB
-    assert len(_time_grid(tau_max, 1e-2)) == rows
+    assert len(time_grid(tau_max, 1e-2)) == rows
     peaks = [grid_peak(traced, resolution=41, tau_max=grid_end) for grid_end in (None, tau_max)]
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
@@ -377,7 +377,7 @@ def test_target_values_equal_the_theta0_best_values(j):
     # the exact propagator's theta0-best values
     bz = 0.6
     p = ControlParams(k=1.0, omega_hat=2.7, b0=transverse_amplitude(2.7, 1.0, bz), bz=bz, omega_rf=2.3, theta0=0.0)
-    grid = _time_grid(3.0 * TAU_STAR, 1e-2)
+    grid = time_grid(3.0 * TAU_STAR, 1e-2)
     for q in (p, dataclasses.replace(p, bz=-p.bz, omega_rf=-p.omega_rf)):
         best = theta0_best(exact_state_trajectory(q, E1, grid))[:, j]
         for threshold in (1.0 - 1e-9) * np.quantile(best[best > 0.0], [0.1, 0.5, 0.9]) if np.any(best > 0.0) else []:
@@ -393,7 +393,7 @@ def test_target_values_equal_the_theta0_best_values(j):
 def test_first_crossing_on_the_target_columns():
     # thresholds midway between rows that the theta0-best x8 first reaches early, in the middle and at the last row
     # cross in that row's step; x1's 1 is reached at row 0, and 1 by x8 never
-    taus = _time_grid(0.5, 1e-4)  # 5,001 rows on which x8 at the closed-form control rises from 0
+    taus = time_grid(0.5, 1e-4)  # 5,001 rows on which x8 at the closed-form control rises from 0
     values = theta0_best(exact_state_trajectory(PARAMS, E1, taus))[:, 7]
     assert np.all(np.diff(values) > 0.0)
     for row in (100, 2500, len(taus) - 1):
